@@ -1,7 +1,7 @@
 # Convenience entry points. Everything is plain dune underneath; these
 # targets just name the two workflows every PR runs.
 
-.PHONY: all check test test-faults test-store lint lint-src bench bench-baseline bench-bulk bench-churn bench-scale bench-traffic bench-rank bench-store bench-smoke clean
+.PHONY: all check test test-faults test-store lint lint-src bench bench-baseline bench-churn bench-scale bench-traffic bench-rank bench-store bench-smoke benchmark-smoke clean
 
 all: check
 
@@ -67,13 +67,6 @@ bench:
 bench-baseline:
 	dune exec bench/main.exe -- core
 
-# Regenerate the committed batched-vs-unbatched numbers
-# (BENCH_bulk.json). Run after any change to the bulk-operation
-# pipeline (lib/pgrid batching, multi-key probes, range aggregation)
-# and commit the diff. See EXPERIMENTS.md, section "Bulk operations".
-bench-bulk:
-	dune exec bench/main.exe -- bulk
-
 # Regenerate the committed churn robustness numbers (BENCH_churn.json):
 # the retry/failover arm vs the no-retry baseline under 0/10/30% churn.
 # Run after any change to the retry policy, the shower wave-retry logic
@@ -103,10 +96,10 @@ bench-traffic:
 	dune exec bench/main.exe -- traffic
 
 # Regenerate the committed ranking/similarity numbers (BENCH_rank.json):
-# the optimized fast paths (budgeted top-N traversal, leaf-local partial
-# skylines, count-filter gram pruning, batched gram fetches) vs the
-# naive arm, raced on both overlays at three network sizes. Run after
-# any change to the ranking operators (lib/qproc/ranking, the skyline
+# top-N, skyline, similarity and substring selections on P-Grid and on
+# Chord at three network sizes, each at the default configuration, so
+# every fast path runs where the overlay supports it. Run after any
+# change to the ranking operators (lib/qproc/ranking, the skyline
 # pushdown in exec/engine), the similarity paths (lib/triple/tstore,
 # lib/util/strdist, lib/util/topk) or the rank cost calibration, and
 # commit the diff. See EXPERIMENTS.md, section "Ranking & similarity".
@@ -123,26 +116,29 @@ bench-rank:
 bench-store:
 	dune exec bench/main.exe -- store
 
-# CI bench gate: the small cached-vs-uncached, batched-vs-unbatched,
-# churn, kernel-scale and heavy-traffic runs. Fails if the caching subsystem or the
-# bulk-operation pipeline stops engaging or stops paying for itself
-# (e.g. the batched bulk load drops below a 40% message reduction), if
-# the retry arm no longer beats the no-retry baseline under churn, or
+# CI gate over the experiment harness: small runs that write no file.
+# Fails if the caching subsystem stops engaging or paying for itself,
+# if the retry arm no longer beats the no-retry baseline under churn,
 # if kernel throughput falls below the scale-smoke floor / wall-clock
-# budget (an O(n) scan creeping back onto a hot path), or if adaptive
-# load balancing stops strictly beating the static baseline on served
+# budget (an O(n) scan creeping back onto a hot path), if adaptive load
+# balancing stops strictly beating the static baseline on served
 # throughput and p99 under a flash crowd (traffic-smoke also asserts
-# both arms return byte-identical answers), or if the ranking/similarity
-# fast paths stop engaging (rank-smoke: fewer than two operators with a
-# 30% message-or-byte reduction on P-Grid, no leaf-dropped skyline
-# bytes, or gram pruning saving nothing), or if the storage backends
-# diverge (store-smoke: a backend losing triples, packed no longer
-# strictly below hash on bytes/triple, or the log failing to replay).
-# The committed full-size numbers live in BENCH_cache.json,
-# BENCH_bulk.json, BENCH_churn.json, BENCH_scale.json,
+# both arms return byte-identical answers), if P-Grid stops shipping
+# fewer top-N and skyline bytes than Chord or the two overlays' answers
+# differ (rank-smoke), or if the storage backends diverge (store-smoke:
+# a backend losing triples, packed no longer strictly below hash on
+# bytes/triple, or the log failing to replay). The committed full-size
+# numbers live in BENCH_cache.json, BENCH_churn.json, BENCH_scale.json,
 # BENCH_traffic.json, BENCH_rank.json and BENCH_store.json.
 bench-smoke:
-	dune exec bench/main.exe -- cache-smoke bulk-smoke churn-smoke scale-smoke traffic-smoke rank-smoke store-smoke
+	dune exec bench/main.exe -- cache-smoke churn-smoke scale-smoke traffic-smoke rank-smoke store-smoke
+
+# Smoke run of the regression benchmark in benchmark/ (see its README):
+# every workload at about a tenth of its size with every answer
+# checked, plus a check that BENCHMARK.json names exactly the metrics
+# the program emits.
+benchmark-smoke:
+	dune build @benchmark/benchmark-smoke
 
 clean:
 	dune clean

@@ -1,33 +1,31 @@
-(* E-rank: similarity & ranking at scale — optimized vs naive hot
-   paths, raced on both in-tree overlays.
+(* E-rank: similarity & ranking at scale — the P-Grid vs Chord
+   head-to-head at three network sizes.
 
-   Two identical deployments — same overlay, seed, dataset and
-   workload — differ only in the ranking configuration: one runs every
-   fast path ({!Unistore.default_rank_config}), the other the naive
-   algorithms ({!Unistore.no_rank_config}). Four measured operators:
+   Each cell is one deployment at the default configuration: every
+   ranking/similarity fast path runs wherever the overlay supports it.
+   Four measured operators:
 
    - top-N: `ORDER BY ?v ASC LIMIT n` over a dense numeric attribute.
-     Optimized, the planner picks the budgeted sequential traversal
+     On P-Grid the planner picks the budgeted sequential traversal
      ([ATopN], {!Dht.t.range_topn}) that early-terminates after the
-     first n items plus a replication-deep confirmation; naive, the
-     whole A#v region showers to the origin and is sorted there.
-     P-Grid only — Chord's trie has no ordered traversal, so both arms
-     fetch the full region (that asymmetry is the head-to-head).
-   - skyline: the canonical two-goal query. Optimized (P-Grid), the
-     leaf-local partial skyline runs where the tuples live — all
-     triples of one logical tuple share their OID key, so dominance
-     against co-located candidates is globally sound — and dominated
-     rows never cross the network; naive, every x and y triple travels
-     to the origin first.
+     first n items plus a replication-deep confirmation; Chord's trie
+     has no ordered traversal, so the whole A#v region travels to the
+     origin and is sorted there.
+   - skyline: the canonical two-goal query. On P-Grid the leaf-local
+     partial skyline runs where the tuples live — all triples of one
+     logical tuple share their OID key, so dominance against co-located
+     candidates is globally sound — and dominated rows never cross the
+     network; Chord cannot ship closures, so every x and y triple
+     travels to the origin first.
    - similarity selection: edit-distance-1 lookup via the q-gram
-     index. Optimized, only a count-filter-covering rarest-first
-     prefix of the pattern's grams is fetched (recall-complete by the
-     prefix-filter bound), shipped as one MultiLookup batch where the
-     substrate has it; naive, one routed lookup per distinct gram.
+     index, fetching only a count-filter-covering rarest-first prefix
+     of the pattern's grams (recall-complete by the prefix-filter
+     bound) — one MultiLookup batch on P-Grid, one routed lookup per
+     gram on Chord.
    - substring selection: positional pruning to at most 3 grams
      (any subset of the pattern's grams is recall-complete here).
 
-   Both arms must return identical rows and full recall against a
+   Both overlays must return identical rows and full recall against a
    locally computed oracle — asserted, not sampled. Writes
    BENCH_rank.json; `make bench-smoke` runs the small variant without
    touching the file. *)
@@ -190,17 +188,16 @@ type op = {
   messages : int;
   bytes : int;
   latency : float;
-  rows : string list;  (** sorted identity fingerprints, arm-comparable *)
+  rows : string list;  (** sorted identity fingerprints, comparable across overlays *)
   recall : float;
 }
 
-type arm = {
-  label : string;
+type cell = {
   topn : op;
   skyline : op;
   sim : op;
   substring : op;
-  skyline_bytes_saved : int;  (** dropped at the leaves, optimized arm only *)
+  skyline_bytes_saved : int;  (** dropped at the leaves (P-Grid only) *)
 }
 
 let topn_query = "SELECT ?s,?v WHERE { (?s,'score',?v) } ORDER BY ?v ASC LIMIT 10"
@@ -228,7 +225,7 @@ let oids_of_report (r : Unistore.Report.report) var =
       match Binding.find b var with Some (Value.S s) -> Some s | _ -> None)
     r.Unistore.Report.rows
 
-let run_arm ~overlay ~peers ~nrows ~optimized () =
+let run_cell ~overlay ~peers ~nrows =
   let data = make_rows nrows in
   let triples = triples_of data in
   let store =
@@ -240,10 +237,9 @@ let run_arm ~overlay ~peers ~nrows ~optimized () =
         seed = 42;
         overlay;
         qgram_index = true;
-        (* caching off in both arms: a result-cache hit would zero out
-           repeated queries on both sides and measure nothing. *)
+        (* caching off: a result-cache hit would zero out repeated
+           queries and measure nothing. *)
         cache = Unistore.no_cache;
-        rank = (if optimized then Unistore.default_rank_config else Unistore.no_rank_config);
       }
   in
   let stored = Unistore.load store (tuples_of data) in
@@ -313,51 +309,47 @@ let run_arm ~overlay ~peers ~nrows ~optimized () =
       (fun ~pattern ~origin -> Tstore.containing_sync ts ~origin ~attr:"name" ~pattern ())
       (substring_oracle data)
   in
-  { label = (if optimized then "optimized" else "naive"); topn; skyline; sim; substring;
-    skyline_bytes_saved }
+  { topn; skyline; sim; substring; skyline_bytes_saved }
 
 (* ------------------------------------------------------------------ *)
 
-let reduction ~naive ~optimized =
-  if naive <= 0 then 0.0 else float_of_int (naive - optimized) /. float_of_int naive
-
 let ops = [ "topn"; "skyline"; "sim"; "substring" ]
-let op_of a = function
-  | "topn" -> a.topn
-  | "skyline" -> a.skyline
-  | "sim" -> a.sim
-  | _ -> a.substring
+let op_of c = function
+  | "topn" -> c.topn
+  | "skyline" -> c.skyline
+  | "sim" -> c.sim
+  | _ -> c.substring
 
 let measure ~overlay_name ~overlay ~peers ~nrows =
-  let naive = run_arm ~overlay ~peers ~nrows ~optimized:false () in
-  let optimized = run_arm ~overlay ~peers ~nrows ~optimized:true () in
+  let c = run_cell ~overlay ~peers ~nrows in
   List.iter
     (fun name ->
-      let n = op_of naive name and o = op_of optimized name in
-      if not (List.equal String.equal n.rows o.rows) then
+      let o = op_of c name in
+      if o.recall < 1.0 then
         failwith
-          (Printf.sprintf "rank bench: %s/%s arms returned different rows" overlay_name name);
-      if n.recall < 1.0 || o.recall < 1.0 then
-        failwith
-          (Printf.sprintf "rank bench: %s/%s recall below 1 (naive %.3f, optimized %.3f)"
-             overlay_name name n.recall o.recall))
+          (Printf.sprintf "rank bench: %s/%s recall %.3f below 1" overlay_name name o.recall))
     ops;
   Common.subsection (Printf.sprintf "%s, %d peers, %d tuples" overlay_name peers nrows);
-  Common.print_table
-    [ "operator"; "naive msgs"; "opt msgs"; "msg red"; "naive bytes"; "opt bytes"; "byte red" ]
+  Common.print_table [ "operator"; "msgs"; "bytes"; "latency ms"; "rows" ]
     (List.map
        (fun name ->
-         let n = op_of naive name and o = op_of optimized name in
-         [
-           name; Common.i n.messages; Common.i o.messages;
-           Common.pct (reduction ~naive:n.messages ~optimized:o.messages);
-           Common.i n.bytes; Common.i o.bytes;
-           Common.pct (reduction ~naive:n.bytes ~optimized:o.bytes);
-         ])
+         let o = op_of c name in
+         [ name; Common.i o.messages; Common.i o.bytes; Common.f1 o.latency;
+           Common.i (List.length o.rows) ])
        ops);
-  Printf.printf "skyline bytes dropped at the leaves: %d; identical rows, full recall\n"
-    optimized.skyline_bytes_saved;
-  (naive, optimized)
+  Printf.printf "skyline bytes dropped at the leaves: %d; full recall\n" c.skyline_bytes_saved;
+  c
+
+(* The overlays must agree row for row: the fast paths change which
+   bytes travel, never the answer. *)
+let check_agree ~peers pgrid chord =
+  List.iter
+    (fun name ->
+      if not (List.equal String.equal (op_of pgrid name).rows (op_of chord name).rows) then
+        failwith
+          (Printf.sprintf "rank bench: %s at %d peers: pgrid and chord returned different rows"
+             name peers))
+    ops
 
 let op_json (o : op) =
   Json.Obj
@@ -369,68 +361,46 @@ let op_json (o : op) =
       ("recall", Json.Float o.recall);
     ]
 
-let arm_json a =
+let cell_json ~overlay_name ~peers ~nrows c =
   Json.Obj
-    (("label", Json.Str a.label)
-     :: List.map (fun name -> (name, op_json (op_of a name))) ops
-    @ [ ("skyline_bytes_saved_in_network", Json.Int a.skyline_bytes_saved) ])
+    ([ ("overlay", Json.Str overlay_name); ("peers", Json.Int peers); ("tuples", Json.Int nrows) ]
+    @ List.map (fun name -> (name, op_json (op_of c name))) ops
+    @ [ ("skyline_bytes_saved_in_network", Json.Int c.skyline_bytes_saved) ])
 
-let cell_json ~overlay_name ~peers ~nrows (naive, optimized) =
-  Json.Obj
-    [
-      ("overlay", Json.Str overlay_name);
-      ("peers", Json.Int peers);
-      ("tuples", Json.Int nrows);
-      ("naive", arm_json naive);
-      ("optimized", arm_json optimized);
-      ( "reductions",
-        Json.Obj
-          (List.map
-             (fun name ->
-               let n = op_of naive name and o = op_of optimized name in
-               ( name,
-                 Json.Obj
-                   [
-                     ("messages", Json.Float (reduction ~naive:n.messages ~optimized:o.messages));
-                     ("bytes", Json.Float (reduction ~naive:n.bytes ~optimized:o.bytes));
-                   ] ))
-             ops) );
-    ]
-
-let overlays = [ ("pgrid", Unistore.Pgrid); ("chord", Unistore.Chord_trie) ]
 let sizes = [ (48, 192); (96, 384); (192, 768) ]
 
+let measure_pair ~peers ~nrows =
+  let pgrid = measure ~overlay_name:"pgrid" ~overlay:Unistore.Pgrid ~peers ~nrows in
+  let chord = measure ~overlay_name:"chord" ~overlay:Unistore.Chord_trie ~peers ~nrows in
+  check_agree ~peers pgrid chord;
+  (pgrid, chord)
+
 let run () =
-  Common.section "E-rank: similarity & ranking fast paths, P-Grid vs Chord head-to-head"
+  Common.section "E-rank: similarity & ranking, P-Grid vs Chord head-to-head"
     "budgeted top-N traversal, leaf-local partial skylines, count-filter gram pruning and \
      batched gram fetches cut ranking/similarity traffic without losing a single row";
-  let cells =
-    List.concat_map
-      (fun (overlay_name, overlay) ->
-        List.map
-          (fun (peers, nrows) ->
-            let r = measure ~overlay_name ~overlay ~peers ~nrows in
-            cell_json ~overlay_name ~peers ~nrows r)
-          sizes)
-      overlays
+  let pairs = List.map (fun (peers, nrows) -> ((peers, nrows), measure_pair ~peers ~nrows)) sizes in
+  let cells overlay_name pick =
+    List.map
+      (fun ((peers, nrows), pair) -> cell_json ~overlay_name ~peers ~nrows (pick pair))
+      pairs
   in
   let doc =
     Json.Obj
       [
-        ("schema_version", Json.Int 1);
+        ("schema_version", Json.Int 2);
         ( "description",
           Json.Str
-            "UniStore ranking/similarity hot paths: identical deployments and workloads per \
-             cell, every fast path disabled (naive arm) vs enabled (optimized arm), raced \
-             on both overlays and three network sizes. Operators: top-N (budgeted ordered \
-             traversal vs full-region fetch), skyline (leaf-local partial skyline pushdown \
-             vs ship-everything), similarity selection (count-filter gram pruning + batched \
-             MultiLookup vs one lookup per gram), substring selection (3-gram positional \
-             pruning vs all grams). Both arms returned identical rows at recall 1.0 against \
-             local oracles — asserted. Chord has no ordered traversal and no closure \
-             shipping, so its top-N/skyline arms coincide: the P-Grid advantage is the \
-             head-to-head. Regenerate with `dune exec bench/main.exe -- rank` (or `make \
-             bench-rank`). See EXPERIMENTS.md, section 'Ranking & similarity'." );
+            "UniStore ranking/similarity operators on both overlays at three network sizes, \
+             one deployment per (overlay, size) at the default configuration: every fast \
+             path runs wherever the overlay supports it. Operators: top-N (budgeted ordered \
+             traversal on P-Grid, full-region fetch on Chord), skyline (leaf-local partial \
+             skyline pushdown on P-Grid, ship-everything on Chord), similarity selection \
+             (count-filter gram pruning; one batched MultiLookup on P-Grid, one lookup per \
+             gram on Chord), substring selection (3-gram positional pruning). Both overlays \
+             returned identical rows at recall 1.0 against local oracles — asserted. \
+             Regenerate with `dune exec bench/main.exe -- rank`. See EXPERIMENTS.md, \
+             section 'Ranking & similarity'." );
         ( "config",
           Json.Obj
             [
@@ -439,9 +409,9 @@ let run () =
               ("workload", Json.Str "synthetic zipf-named tuples (score, x, y, name)");
               ("topn_limit", Json.Int topn_limit);
               ("edit_distance", Json.Int 1);
-              ("caching", Json.Str "disabled in both arms");
+              ("caching", Json.Str "disabled");
             ] );
-        ("results", Json.Arr cells);
+        ("results", Json.Arr (cells "pgrid" fst @ cells "chord" snd));
       ]
   in
   let oc = open_out out_file in
@@ -450,31 +420,18 @@ let run () =
   close_out oc;
   Printf.printf "\nwrote %s\n" out_file
 
-(* The CI smoke variant: one size per overlay, asserts the fast paths
-   engage and pay for themselves, writes no file. *)
+(* The CI smoke variant: the smallest size, asserts P-Grid's ordered
+   traversal and closure shipping pay off against Chord, writes no
+   file. *)
 let run_smoke () =
-  Common.section "E-rank (smoke)" "ranking/similarity fast paths engage and pay for themselves";
-  let peers, nrows = (48, 192) in
-  let pg_naive, pg_opt = measure ~overlay_name:"pgrid" ~overlay:Unistore.Pgrid ~peers ~nrows in
-  let ch_naive, ch_opt =
-    measure ~overlay_name:"chord" ~overlay:Unistore.Chord_trie ~peers ~nrows
-  in
-  let red sel naive opt =
-    let n = op_of naive sel and o = op_of opt sel in
-    Float.max
-      (reduction ~naive:n.messages ~optimized:o.messages)
-      (reduction ~naive:n.bytes ~optimized:o.bytes)
-  in
-  let big =
-    List.length (List.filter (fun name -> red name pg_naive pg_opt >= 0.3) ops)
-  in
-  if big < 2 then
-    failwith
-      (Printf.sprintf "bench-smoke: only %d pgrid operator(s) hit a 30%% reduction" big);
-  if pg_opt.skyline_bytes_saved <= 0 then
+  Common.section "E-rank (smoke)" "P-Grid ships fewer top-N and skyline bytes than Chord";
+  let pgrid, chord = measure_pair ~peers:48 ~nrows:192 in
+  List.iter
+    (fun name ->
+      let p = (op_of pgrid name).bytes and c = (op_of chord name).bytes in
+      if p >= c then
+        failwith (Printf.sprintf "bench-smoke: pgrid %s bytes %d not below chord's %d" name p c))
+    [ "topn"; "skyline" ];
+  if pgrid.skyline_bytes_saved <= 0 then
     failwith "bench-smoke: skyline pushdown dropped nothing at the leaves";
-  if red "sim" pg_naive pg_opt <= 0.0 then
-    failwith "bench-smoke: gram pruning saved nothing on pgrid";
-  if red "sim" ch_naive ch_opt <= 0.0 then
-    failwith "bench-smoke: gram pruning saved nothing on chord";
   Printf.printf "\nbench-smoke: OK\n"

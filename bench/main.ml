@@ -25,15 +25,13 @@ let experiments =
     ("e14", "E14: decentralized construction + merging", Exp_bootstrap.run);
     ("cache", "E-cache: multi-level caching, cached vs uncached -> BENCH_cache.json", Exp_cache.run);
     ("cache-smoke", "E-cache smoke variant (CI gate, no file output)", Exp_cache.run_smoke);
-    ("bulk", "E-bulk: bulk-operation pipeline, batched vs unbatched -> BENCH_bulk.json", Exp_bulk.run);
-    ("bulk-smoke", "E-bulk smoke variant (CI gate, no file output)", Exp_bulk.run_smoke);
     ("churn", "E-churn: query robustness under churn, retry vs no-retry -> BENCH_churn.json", Exp_fault.run);
     ("churn-smoke", "E-churn smoke variant (CI gate, no file output)", Exp_fault.run_smoke);
     ("scale", "E-scale: kernel throughput sweep to 100k+ peers -> BENCH_scale.json", Exp_scale.run);
     ("scale-smoke", "E-scale smoke variant (CI gate, no file output)", Exp_scale.run_smoke);
     ("traffic", "E-traffic: heavy traffic, adaptive balancing vs static -> BENCH_traffic.json", Exp_traffic.run);
     ("traffic-smoke", "E-traffic smoke variant (CI gate, no file output)", Exp_traffic.run_smoke);
-    ("rank", "E-rank: ranking/similarity fast paths, P-Grid vs Chord -> BENCH_rank.json", Exp_rank.run);
+    ("rank", "E-rank: ranking/similarity, P-Grid vs Chord head-to-head -> BENCH_rank.json", Exp_rank.run);
     ("rank-smoke", "E-rank smoke variant (CI gate, no file output)", Exp_rank.run_smoke);
     ("store", "E-store: storage-backend shootout, hash vs log vs packed -> BENCH_store.json", Exp_store.run);
     ("store-smoke", "E-store smoke variant (CI gate, no file output)", Exp_store.run_smoke);

@@ -72,12 +72,6 @@ let no_cache_t =
            ~doc:"Disable the caching subsystem (routing shortcuts, result caches, gossiped \
                  statistics); the optimizer then plans from oracle statistics.")
 
-let no_batch_t =
-  Arg.(value & flag
-       & info [ "no-batch" ]
-           ~doc:"Disable the bulk-operation pipeline (batched inserts, in-network range \
-                 aggregation, multi-key bind-join probes); every operation routes per item.")
-
 let no_retry_t =
   Arg.(value & flag
        & info [ "no-retry" ]
@@ -97,8 +91,8 @@ let fault_seed_t =
            ~doc:"Seed of the fault-injection scenario. The same seed against the same \
                  deployment replays the identical failure schedule.")
 
-let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_batch
-    ?(no_retry = false) ?(store = Unistore_pgrid.Store_intf.Hash) () =
+let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_retry = false)
+    ?(store = Unistore_pgrid.Store_intf.Hash) () =
   let rng = Unistore_util.Rng.create (seed + 1) in
   let tuples, triples, sample =
     match dataset with
@@ -123,11 +117,10 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_ba
       (tuples, triples, sample)
   in
   let cache = if no_cache then Unistore.no_cache else Unistore.default_cache_config in
-  let batch = if no_batch then Unistore.no_batch else Unistore.default_batch_config in
   let retry = if no_retry then Unistore.no_retry else Unistore.default_retry_config in
   let store =
     Unistore.create ~sample_keys:sample
-      { Unistore.default_config with peers; seed; overlay; latency; cache; batch; retry; store }
+      { Unistore.default_config with peers; seed; overlay; latency; cache; retry; store }
   in
   let n = Unistore.load store tuples in
   Unistore.set_stats_of_triples store triples;
@@ -144,11 +137,9 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_ba
     n;
   (store, sample)
 
-let setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_batch
-    ?(no_retry = false) ?(store = Unistore_pgrid.Store_intf.Hash) () =
-  fst
-    (setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_batch ~no_retry
-       ~store ())
+let setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_retry = false)
+    ?(store = Unistore_pgrid.Store_intf.Hash) () =
+  fst (setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_retry ~store ())
 
 (* ------------------------------------------------------------------ *)
 (* query                                                               *)
@@ -178,10 +169,10 @@ let print_explain_analyze (report : Unistore.Report.report) =
     report.Unistore.Report.messages report.Unistore.Report.latency
     (List.length report.Unistore.Report.rows)
 
-let run_query peers seed overlay latency authors dataset backend strategy no_cache no_batch
-    no_retry churn fault_seed explain explain_only trace profile metrics check vql =
+let run_query peers seed overlay latency authors dataset backend strategy no_cache no_retry churn
+    fault_seed explain explain_only trace profile metrics check vql =
   let store =
-    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_batch ~no_retry
+    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_retry
       ~store:(resolve_backend ~seed backend) ()
   in
   let faults =
@@ -278,7 +269,7 @@ let query_cmd =
   let term =
     Term.(
       const run_query $ peers_t $ seed_t $ overlay_t $ latency_t $ authors_t $ dataset_t
-      $ backend_t $ strategy_t $ no_cache_t $ no_batch_t $ no_retry_t $ churn_t $ fault_seed_t
+      $ backend_t $ strategy_t $ no_cache_t $ no_retry_t $ churn_t $ fault_seed_t
       $ explain_t $ explain_only_t $ trace_t $ profile_t $ metrics_t $ check_t $ vql_t)
   in
   Cmd.v (Cmd.info "query" ~doc:"Run one VQL query over a freshly built deployment") term
@@ -312,7 +303,7 @@ let demo_workload = function
     ]
 
 let lint peers seed overlay latency authors dataset allowed_revisits =
-  let store = setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false ~no_batch:false () in
+  let store = setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false () in
   let failures = ref 0 in
   let report section diags =
     Format.printf "@.%s:@." section;
@@ -422,8 +413,7 @@ let lint_src_cmd =
 let run_traffic peers seed latency authors dataset scenario arrival_rate peak duration warmup
     zipf_s service_ms traffic_seed no_balancing =
   let store, keys =
-    setup_keys ~peers ~seed ~overlay:Unistore.Pgrid ~latency ~authors ~dataset ~no_cache:false
-      ~no_batch:false ()
+    setup_keys ~peers ~seed ~overlay:Unistore.Pgrid ~latency ~authors ~dataset ~no_cache:false ()
   in
   let keys = List.sort_uniq String.compare keys in
   let cfg =
@@ -541,7 +531,7 @@ let traffic_cmd =
 
 let repl peers seed overlay latency authors dataset backend =
   let store =
-    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false ~no_batch:false
+    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false
       ~store:(resolve_backend ~seed backend) ()
   in
   Format.printf
@@ -599,7 +589,7 @@ let repl_cmd =
 (* inspect                                                             *)
 
 let inspect peers seed overlay latency authors dataset =
-  let store = setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false ~no_batch:false () in
+  let store = setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache:false () in
   match Unistore.pgrid store with
   | None -> Format.printf "inspect currently supports the P-Grid overlay only@."
   | Some ov ->

@@ -57,32 +57,6 @@ let default_retry_config =
 
 let no_retry = { retries = 0; backoff = 1.0; jitter = 0.0; failover = false }
 
-type batch_config = {
-  bulk_insert : bool;
-  range_aggregation : bool;
-  multi_probe : bool;
-  agg_fanin : int;
-  agg_flush_ms : float;
-}
-
-let default_batch_config =
-  {
-    bulk_insert = Config.default.Config.bulk_insert;
-    range_aggregation = Config.default.Config.range_aggregation;
-    multi_probe = Config.default.Config.multi_probe;
-    agg_fanin = Config.default.Config.agg_fanin;
-    agg_flush_ms = Config.default.Config.agg_flush_ms;
-  }
-
-let no_batch =
-  {
-    bulk_insert = false;
-    range_aggregation = false;
-    multi_probe = false;
-    agg_fanin = 0;
-    agg_flush_ms = 0.0;
-  }
-
 type config = {
   peers : int;
   replication : int;
@@ -94,14 +68,9 @@ type config = {
   qgram_index : bool;
   load_balanced : bool;
   cache : cache_config;
-  batch : batch_config;
   retry : retry_config;
-  rank : Tstore.rank_config;
   store : Unistore_pgrid.Store_intf.backend;
 }
-
-let default_rank_config = Tstore.default_rank
-let no_rank_config = Tstore.no_rank
 
 let default_config =
   {
@@ -115,9 +84,7 @@ let default_config =
     qgram_index = true;
     load_balanced = true;
     cache = default_cache_config;
-    batch = default_batch_config;
     retry = default_retry_config;
-    rank = default_rank_config;
     store = Unistore_pgrid.Store_intf.Hash;
   }
 
@@ -150,13 +117,6 @@ let create ?(sample_keys = []) config =
           Config.replication = config.replication;
           refs_per_level = config.refs_per_level;
           shortcut_capacity = config.cache.shortcut_capacity;
-          bulk_insert = config.batch.bulk_insert;
-          range_aggregation = config.batch.range_aggregation;
-          multi_probe = config.batch.multi_probe;
-          agg_fanin = max 1 config.batch.agg_fanin;
-          agg_flush_ms =
-            (if config.batch.agg_flush_ms > 0.0 then config.batch.agg_flush_ms
-             else Config.default.Config.agg_flush_ms);
           retries = config.retry.retries;
           retry_backoff = config.retry.backoff;
           retry_jitter = config.retry.jitter;
@@ -176,7 +136,7 @@ let create ?(sample_keys = []) config =
       in
       (None, Some c, Dht.of_chord_trie c)
   in
-  let tstore = Tstore.create ~qgrams:config.qgram_index ~rank:config.rank dht in
+  let tstore = Tstore.create ~qgrams:config.qgram_index dht in
   let metrics = Metrics.create () in
   (match (pgrid, chord) with
   | Some ov, _ -> Overlay.set_metrics ov (Some metrics)
@@ -277,8 +237,8 @@ let update_value t ?origin ~oid ~attr ~old_value new_value =
 (* Bulk load: assign each tuple its round-robin origin as before, then
    ship every origin's triples as one batched insert
    ({!Tstore.insert_bulk}) instead of one routed exchange per index
-   entry. Per-triple insertion remains the fallback when batching is off
-   or a batch comes back incomplete. *)
+   entry. Per-triple insertion remains the fallback on substrates
+   without a batch path (Chord) or when a batch comes back incomplete. *)
 let load t tuples =
   match t.dht.Dht.bulk_insert with
   | None -> List.fold_left (fun acc (oid, fields) -> acc + insert_tuple t ~oid fields) 0 tuples

@@ -49,7 +49,7 @@ val no_cache : cache_config
     jitter, see {!Unistore_pgrid.Config}), and whether routing falls
     back to alive replicas of dead references. {!no_retry} turns all of
     it off — the brittle baseline of the churn benchmark, mirroring
-    {!no_cache}/{!no_batch}. *)
+    {!no_cache}. *)
 type retry_config = {
   retries : int;  (** re-sends after the first timeout; 0 disables *)
   backoff : float;  (** timeout multiplier per attempt (>= 1) *)
@@ -59,21 +59,6 @@ type retry_config = {
 
 val default_retry_config : retry_config
 val no_retry : retry_config
-
-(** Knobs of the bulk-operation pipeline (P-Grid only): batched shower
-    inserts, in-network range aggregation and multi-key bind-join
-    probes. {!no_batch} turns every batch path off — the per-item
-    baseline of the E-bulk benchmark, mirroring {!no_cache}. *)
-type batch_config = {
-  bulk_insert : bool;  (** load via splitting [InsertBatch] messages *)
-  range_aggregation : bool;  (** converge-cast shower range replies *)
-  multi_probe : bool;  (** group bind-join lookups by region *)
-  agg_fanin : int;  (** children merged per aggregation node *)
-  agg_flush_ms : float;  (** partial-merge flush (loss tolerance) *)
-}
-
-val default_batch_config : batch_config
-val no_batch : batch_config
 
 type config = {
   peers : int;
@@ -86,25 +71,13 @@ type config = {
   qgram_index : bool;  (** maintain the string-similarity index *)
   load_balanced : bool;  (** P-Grid data-aware partitioning (needs sample) *)
   cache : cache_config;
-  batch : batch_config;
   retry : retry_config;
-  rank : Unistore_triple.Tstore.rank_config;
-      (** ranking/similarity fast paths (gram pruning & batching,
-          budgeted top-N traversal, skyline pushdown) *)
   store : Unistore_pgrid.Store_intf.backend;
       (** per-peer storage backend (P-Grid only; the Chord baseline
           ignores it): [Hash] (default), [Packed] (dictionary-
           compressed), or [Log { dir }] (file-backed, crash-restart
           capable — see {!Unistore_pgrid.Overlay.crash}) *)
 }
-
-(** {!Unistore_triple.Tstore.default_rank}: every ranking fast path on. *)
-val default_rank_config : Unistore_triple.Tstore.rank_config
-
-(** {!Unistore_triple.Tstore.no_rank}: the naive arm for the E-rank
-    benchmark — all pattern grams fetched one lookup each, full-region
-    top-N, origin-side skyline. *)
-val no_rank_config : Unistore_triple.Tstore.rank_config
 
 val default_config : config
 
@@ -143,10 +116,10 @@ val update_value :
   t -> ?origin:int -> oid:string -> attr:string -> old_value:Value.t -> Value.t -> bool
 
 (** [load t tuples] inserts tuples from round-robin origins (as if each
-    participant contributed its own data); returns triples stored. With
-    [batch.bulk_insert] on, each origin's triples travel as one batched
-    insert ({!Unistore_triple.Tstore.insert_bulk}); per-triple insertion
-    is the fallback when batching is off or a batch stays incomplete. *)
+    participant contributed its own data); returns triples stored. On
+    P-Grid each origin's triples travel as one batched insert
+    ({!Unistore_triple.Tstore.insert_bulk}); per-triple insertion is the
+    fallback on Chord or when a batch stays incomplete. *)
 val load : t -> (string * (string * Value.t) list) list -> int
 
 (** [add_mapping t a b] publishes an attribute correspondence. *)

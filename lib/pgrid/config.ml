@@ -11,11 +11,6 @@ type t = {
   gossip_fanout : int;
   max_hops : int;
   shortcut_capacity : int;
-  bulk_insert : bool;
-  range_aggregation : bool;
-  multi_probe : bool;
-  agg_fanin : int;
-  agg_flush_ms : float;
   adaptive_timeout : bool;
   min_timeout_ms : float;
   hot_replication : bool;
@@ -40,11 +35,6 @@ let default =
     gossip_fanout = 2;
     max_hops = 128;
     shortcut_capacity = 128;
-    bulk_insert = true;
-    range_aggregation = true;
-    multi_probe = true;
-    agg_fanin = 8;
-    agg_flush_ms = 2_500.0;
     adaptive_timeout = true;
     min_timeout_ms = 25.0;
     hot_replication = false;

@@ -1,4 +1,6 @@
-(** P-Grid overlay parameters. *)
+(** P-Grid overlay parameters. The batched paths (splitting inserts,
+    in-network range aggregation, multi-key probes) are not
+    configurable: they always run, see {!Overlay}. *)
 
 type t = {
   refs_per_level : int;
@@ -32,25 +34,6 @@ type t = {
       (** routing-shortcut cache entries kept per peer (learned
           region → peer links consulted before greedy routing);
           0 disables shortcut caching *)
-  bulk_insert : bool;
-      (** batch inserts into [InsertBatch] messages that split
-          shower-style down the trie, with per-region [AckBatch]
-          replies; [false] = one routed message per item *)
-  range_aggregation : bool;
-      (** converge-cast shower [RangeHit] replies up the split tree
-          (per-hop merging, bounded fan-in, timeout flush); [false] =
-          every touched peer replies directly to the origin *)
-  multi_probe : bool;
-      (** group bind-join lookups by responsible region into
-          [MultiLookup]/[MultiFound] pairs; [false] = one [Lookup] per
-          key *)
-  agg_fanin : int;
-      (** children buffered per range-aggregation node; additional
-          children reply directly to the origin *)
-  agg_flush_ms : float;
-      (** aggregation buffers flush partial merges after this long, so
-          loss/churn below still terminates (must be well under
-          [timeout_ms]) *)
   adaptive_timeout : bool;
       (** derive retry deadlines from per-peer/per-class EWMA latency
           tracking ({!Rtt}) instead of the fixed [timeout_ms]; the fixed

@@ -538,6 +538,14 @@ let arm_batch_timeout t rid =
   in
   arm ~attempt:0
 
+(* Children buffered per aggregation node; additional children reply
+   straight to the origin. *)
+let agg_fanin = 8
+
+(* Aggregation buffers flush partial merges after this long, so loss or
+   churn below still terminates; well under the retry timeout. *)
+let agg_flush_ms = 2_500.0
+
 (* Send an aggregation buffer's merged hit upward. [reason] is
    ["complete"] (every buffered child answered) or ["timeout"] (loss or
    churn below): leftover waiting tokens travel as targets so the origin
@@ -926,7 +934,7 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
     ~strategy ~budget =
   match (strategy : Message.range_strategy) with
   | Shower -> (
-    let forward ~dst ~token ~clip_lo ~clip_hi ~reply_to =
+    let forward ~reply_to ~dst ~token ~clip_lo ~clip_hi =
       Net.send t.net ~src:me.id ~dst
         (Message.Range
            {
@@ -943,25 +951,15 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
              budget;
            })
     in
-    let splits = shower_splits t me ~hops ~clip_lo ~clip_hi in
-    let items = Store.range me.store ~lo ~hi in
-    if me.id = origin || not t.config.range_aggregation then begin
-      (* Top of the split tree, or aggregation off: children reply
-         straight to the origin's token accounting. *)
-      let targets =
-        List.map
-          (fun (p, lo', hi') ->
-            let tok = fresh_rid t in
-            forward ~dst:p ~token:tok ~clip_lo:lo' ~clip_hi:hi' ~reply_to:origin;
-            tok)
-          splits
-      in
-      if me.id = origin then deliver_hit t rid ~from:me.id ~token ~items ~targets ~hops
-      else
-        Net.send t.net ~src:me.id ~dst:origin
-          (Message.RangeHit { rid; token; items; targets; origin; hops })
-    end
+    if me.id = origin then
+      (* Top of the split tree: children reply straight to the origin's
+         token accounting. *)
+      process_shower t me ~rid ~token ~origin ~hops ~clip_lo ~clip_hi
+        ~local:(fun () -> Store.range me.store ~lo ~hi)
+        ~forward:(forward ~reply_to:origin)
     else
+      let splits = shower_splits t me ~hops ~clip_lo ~clip_hi in
+      let items = Store.range me.store ~lo ~hi in
       match (items, splits) with
       | [], [ (p, lo', hi') ] ->
         (* Path compression: nothing local and a single subtree — pass my
@@ -979,12 +977,11 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
            their hits into mine before replying upward; overflow children
            reply straight to the origin and their tokens travel upward
            unmerged. *)
-        let fanin = max 1 t.config.agg_fanin in
         let tagged =
           List.mapi
             (fun i (p, lo', hi') ->
               let tok = fresh_rid t in
-              let buffered = i < fanin in
+              let buffered = i < agg_fanin in
               forward ~dst:p ~token:tok ~clip_lo:lo' ~clip_hi:hi'
                 ~reply_to:(if buffered then me.id else origin);
               (tok, buffered))
@@ -1008,7 +1005,7 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
           }
         in
         List.iter (fun tok -> Hashtbl.replace t.aggs tok a) waiting;
-        Sim.schedule t.sim ~delay:t.config.agg_flush_ms (fun () -> flush_agg t a ~reason:"timeout"))
+        Sim.schedule t.sim ~delay:agg_flush_ms (fun () -> flush_agg t a ~reason:"timeout"))
   | Sequential ->
     (* Every receiving peer reports a hit (routing-only peers report an
        empty one naming their next hop) so the origin's termination

@@ -197,10 +197,9 @@ val broadcast :
 
 (** {2 Batched operations}
 
-    Enabled by {!Config.t.bulk_insert} / [multi_probe]; both fall back to
-    nothing here — callers are expected to check the flags and issue
-    per-item operations themselves when batching is off (see
-    {!Unistore_triple.Dht}). *)
+    Always available on P-Grid; {!Unistore_triple.Dht} exposes them as
+    optional capabilities, which substrates without a batch path (Chord)
+    leave out. *)
 
 (** [bulk_insert t ~origin ~items ~k] stores the whole batch with one
     [InsertBatch] message that splits shower-style down the trie

@@ -59,20 +59,17 @@ type env = {
   replication : int;
   expected_latency : float;
   batched_probes : bool;
-  gram_pruning : bool;
   topn_budget : bool;
 }
 
-let env_of_dht ?(gram_pruning = true) ?(topn_budget = true) (dht : Unistore_triple.Dht.t)
-    ~replication =
+let env_of_dht (dht : Unistore_triple.Dht.t) ~replication =
   {
     peers = dht.Unistore_triple.Dht.peers;
     depth = max 1 (dht.Unistore_triple.Dht.depth ());
     replication = max 1 replication;
     expected_latency = dht.Unistore_triple.Dht.expected_latency;
     batched_probes = dht.Unistore_triple.Dht.multi_lookup <> None;
-    gram_pruning;
-    topn_budget = topn_budget && dht.Unistore_triple.Dht.range_topn <> None;
+    topn_budget = dht.Unistore_triple.Dht.range_topn <> None;
   }
 
 type estimate = { messages : float; latency : float; cardinality : float }
@@ -154,20 +151,15 @@ let estimate_access env stats access =
     shower_cost env ~fraction:(attr_fraction stats a *. 0.1) ~cardinality:card
   | AValue _ -> lookup_cost env ~cardinality:(Float.max 0.1 (Qstats.est_value stats))
   | ASim (a, pattern, d) ->
-    (* With gram pruning only a count-filter-covering prefix of the
-       pattern's grams is fetched (~d*q+1 gram occurrences instead of
-       all |p|+q-1); with batching the fetch is one region-splitting
-       multi-lookup. *)
-    let grams =
-      if env.gram_pruning then List.length (Strdist.prefix_grams ~q:Keys.q ~d pattern)
-      else List.length (Strdist.distinct_qgrams ~q:Keys.q pattern)
-    in
+    (* Only a count-filter-covering prefix of the pattern's grams is
+       fetched (~d*q+1 gram occurrences instead of all |p|+q-1); with
+       batching the fetch is one region-splitting multi-lookup. *)
+    let grams = List.length (Strdist.prefix_grams ~q:Keys.q ~d pattern) in
     gram_fetch_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
   | ASubstring (a, pattern) ->
-    (* Any subset of the pattern's grams is recall-complete; pruned
-       fetches cap at 3, the naive arm fetches them all. *)
-    let total = List.length (Strdist.substring_qgrams ~q:Keys.q pattern) in
-    let grams = if env.gram_pruning then min 3 total else total in
+    (* Any subset of the pattern's grams is recall-complete; fetches
+       cap at 3. *)
+    let grams = min 3 (List.length (Strdist.substring_qgrams ~q:Keys.q pattern)) in
     gram_fetch_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
   | ATopN (a, n) when env.topn_budget ->
     (* Route to the region start, then visit just enough leaves in key

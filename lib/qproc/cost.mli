@@ -45,23 +45,15 @@ type env = {
       (** the substrate groups bind-join lookups into multi-key probes
           ({!Unistore_triple.Dht.t.multi_lookup} present), so probe-round
           message cost scales with touched regions, not keys *)
-  gram_pruning : bool;
-      (** similarity/substring selections fetch only a pruned gram subset
-          ({!Unistore_triple.Tstore.rank_config.prune_grams}) instead of
-          every pattern gram *)
   topn_budget : bool;
-      (** top-N runs as a budgeted sequential traversal; [false] means it
-          fetches the whole region and truncates at the origin (Chord, or
-          the knob off) *)
+      (** top-N runs as a budgeted sequential traversal
+          ({!Unistore_triple.Dht.t.range_topn} present); [false] means it
+          fetches the whole region and truncates at the origin (Chord) *)
 }
 
-(** [env_of_dht ?gram_pruning ?topn_budget dht ~replication] — the
-    optional flags (default [true], matching
-    {!Unistore_triple.Tstore.default_rank}) describe which ranking fast
-    paths the store actually uses; [topn_budget] is additionally ANDed
-    with the substrate's {!Unistore_triple.Dht.t.range_topn} capability. *)
-val env_of_dht :
-  ?gram_pruning:bool -> ?topn_budget:bool -> Unistore_triple.Dht.t -> replication:int -> env
+(** [env_of_dht dht ~replication] reads the model's parameters and the
+    substrate's fast-path capabilities off [dht]. *)
+val env_of_dht : Unistore_triple.Dht.t -> replication:int -> env
 
 type estimate = {
   messages : float;

@@ -89,15 +89,8 @@ let fetch_expansions ts ~origin q =
 
 let cached_probe cache = Option.map (fun c a -> Qcache.cached_access c a) cache
 
-(* The cost model is calibrated against the store's actual fast-path
-   configuration (gram pruning, budgeted top-N traversals). *)
-let env_of ts ~replication =
-  let rank = Tstore.rank ts in
-  Cost.env_of_dht ~gram_pruning:rank.Tstore.prune_grams ~topn_budget:rank.Tstore.topn_budget
-    (Tstore.dht ts) ~replication
-
 let plan_query ts stats ~replication ?cache ?(expand_mappings = false) ~origin q =
-  let env = env_of ts ~replication in
+  let env = Cost.env_of_dht (Tstore.dht ts) ~replication in
   let expansions = if expand_mappings then fetch_expansions ts ~origin q else [] in
   let qgrams = Tstore.qgrams_enabled ts in
   let cached = cached_probe cache in
@@ -112,7 +105,7 @@ let plan_query ts stats ~replication ?cache ?(expand_mappings = false) ~origin q
 
 let run ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
     ?(expand_mappings = false) ~origin q =
-  let env = env_of ts ~replication in
+  let env = Cost.env_of_dht (Tstore.dht ts) ~replication in
   let expansions = if expand_mappings then fetch_expansions ts ~origin q else [] in
   let qgrams = Tstore.qgrams_enabled ts in
   let strategy =

@@ -130,18 +130,14 @@ let of_pgrid ov =
             ~k:(fun r -> k (of_overlay_result r))
             ());
     bulk_insert =
-      (if (Overlay.config ov).Unistore_pgrid.Config.bulk_insert then
-         Some
-           (fun ~origin ~items ~k ->
-             Overlay.bulk_insert ov ~origin ~items ~k:(fun r -> k (of_overlay_result r)))
-       else None);
+      Some
+        (fun ~origin ~items ~k ->
+          Overlay.bulk_insert ov ~origin ~items ~k:(fun r -> k (of_overlay_result r)));
     multi_lookup =
-      (if (Overlay.config ov).Unistore_pgrid.Config.multi_probe then
-         Some
-           (fun ~origin ~keys ~k ->
-             Overlay.multi_lookup ov ~origin ~keys ~k:(fun (found, r) ->
-                 k (found, of_overlay_result r)))
-       else None);
+      Some
+        (fun ~origin ~keys ~k ->
+          Overlay.multi_lookup ov ~origin ~keys ~k:(fun (found, r) ->
+              k (found, of_overlay_result r)));
     send_task = Some (fun ~src ~dst ~bytes run -> Overlay.send_task ov ~src ~dst ~bytes run);
     total_sent = (fun () -> Net.total_sent net);
     expected_latency = Unistore_sim.Latency.expected (Net.latency net);

@@ -54,8 +54,8 @@ type t = {
           [None] when the substrate cannot ship closures. *)
   bulk_insert : (origin:int -> items:Store.item list -> k:(result -> unit) -> unit) option;
       (** batched insert: one splitting [InsertBatch] instead of one
-          routed exchange per item; [None] when the substrate has no
-          batch path or it is disabled ({!Unistore_pgrid.Config.t}) *)
+          routed exchange per item (P-Grid only); [None] when the
+          substrate has no batch path *)
   multi_lookup :
     (origin:int ->
     keys:string list ->
@@ -63,8 +63,8 @@ type t = {
     unit)
     option;
       (** batched exact-key lookups grouped by responsible region (the
-          bind-join probe pattern); the continuation receives per-key
-          answers plus the combined result *)
+          bind-join probe pattern, P-Grid only); the continuation
+          receives per-key answers plus the combined result *)
   send_task : (src:int -> dst:int -> bytes:int -> (int -> unit) -> unit) option;
       (** application-level plan shipping; [None] when the substrate does
           not support it (plain Chord) *)

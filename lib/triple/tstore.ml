@@ -3,20 +3,7 @@ module Sim = Unistore_sim.Sim
 module Strdist = Unistore_util.Strdist
 module Topk = Unistore_util.Topk
 
-type rank_config = {
-  prune_grams : bool;
-  batch_grams : bool;
-  topn_budget : bool;
-  skyline_pushdown : bool;
-}
-
-let default_rank =
-  { prune_grams = true; batch_grams = true; topn_budget = true; skyline_pushdown = true }
-
-let no_rank =
-  { prune_grams = false; batch_grams = false; topn_budget = false; skyline_pushdown = false }
-
-type t = { dht : Dht.t; qgrams : bool; rank : rank_config }
+type t = { dht : Dht.t; qgrams : bool }
 
 type meta = {
   hops : int;
@@ -31,10 +18,9 @@ let pp_meta fmt m =
   Format.fprintf fmt "hops=%d peers=%d complete=%b coverage=%.2f latency=%.1fms msgs=%d" m.hops
     m.peers_hit m.complete m.completeness m.latency m.messages
 
-let create ?(qgrams = true) ?(rank = default_rank) dht = { dht; qgrams; rank }
+let create ?(qgrams = true) dht = { dht; qgrams }
 let dht t = t.dht
 let qgrams_enabled t = t.qgrams
-let rank t = t.rank
 
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
@@ -209,7 +195,7 @@ let top_n_by_attr t ~origin ~attr ~n ?lo ?hi ~k () =
     let cmp (a : Triple.t) b = Value.compare a.Triple.value b.Triple.value in
     k (Topk.smallest ~cmp n triples, r)
   in
-  match (if t.rank.topn_budget then t.dht.Dht.range_topn else None) with
+  match t.dht.Dht.range_topn with
   | Some range_topn -> range_topn ~origin ~lo:lo_key ~hi:hi_key ~n ~k:finish
   | None -> t.dht.Dht.range ~origin ~lo:lo_key ~hi:hi_key ~k:finish
 
@@ -227,7 +213,7 @@ let scan t ~origin ~pred ~k =
 (* ------------------------------------------------------------------ *)
 (* Reduced OID-region scan (skyline pushdown)                          *)
 
-let skyline_scan_supported t = t.rank.skyline_pushdown && t.dht.Dht.scan_reduce <> None
+let skyline_scan_supported t = t.dht.Dht.scan_reduce <> None
 
 let oid_scan_reduce t ~origin ~pred ~reduce ~k =
   let item_pred (i : Store.item) =
@@ -237,7 +223,7 @@ let oid_scan_reduce t ~origin ~pred ~reduce ~k =
     &&
     match Triple.deserialize i.Store.payload with Some tr -> pred tr | None -> false
   in
-  match (if t.rank.skyline_pushdown then t.dht.Dht.scan_reduce else None) with
+  match t.dht.Dht.scan_reduce with
   | Some scan_reduce ->
     (* Lift the triple-level reduction to items: decode, reduce, keep
        exactly the items whose triples survived (reduce only drops, so
@@ -266,11 +252,11 @@ let oid_scan_reduce t ~origin ~pred ~reduce ~k =
 (* q-gram candidate fetch (shared by similarity and substring search)  *)
 
 (* Fetch the union of items indexed under [grams]: one batched
-   [MultiLookup] when [batch] is on and the substrate has the bulk path,
-   otherwise one routed lookup per gram. The result record carries the
-   merged cost (worst hops/coverage, summed peers); items are returned
-   separately and [result.items] is left empty. *)
-let fetch_gram_items t ~origin ~batch grams ~k =
+   [MultiLookup] where the substrate has the bulk path, otherwise one
+   routed lookup per gram. The result record carries the merged cost
+   (worst hops/coverage, summed peers); items are returned separately
+   and [result.items] is left empty. *)
+let fetch_gram_items t ~origin grams ~k =
   let keys = List.map Keys.qgram_key grams in
   match keys with
   | [] ->
@@ -285,11 +271,11 @@ let fetch_gram_items t ~origin ~batch grams ~k =
           latency = 0.0;
         } )
   | _ -> (
-    match (batch, t.dht.Dht.multi_lookup) with
-    | true, Some multi_lookup ->
+    match t.dht.Dht.multi_lookup with
+    | Some multi_lookup ->
       multi_lookup ~origin ~keys ~k:(fun (found, r) ->
           k (List.concat_map snd found, { r with Dht.items = [] }))
-    | _ ->
+    | None ->
       let outstanding = ref (List.length keys) in
       let acc = ref [] in
       let hops = ref 0 and peers = ref 0 and complete = ref true and cov = ref 1.0 in
@@ -336,15 +322,12 @@ let similar t ~origin ~attr ~pattern ~d ~k =
   in
   if not (qgram_applicable t ~pattern ~d) then scan t ~origin ~pred:matches ~k
   else begin
-    (* With pruning on, look up only a count-filter-covering prefix of
-       the pattern's grams (rarest first): any string within distance [d]
-       still shares at least one of them, so recall is unchanged while
-       the per-gram lookups shrink from |p|+q-1 to about d*q+1. *)
-    let grams =
-      if t.rank.prune_grams then Strdist.prefix_grams ~q:Keys.q ~d pattern
-      else Strdist.distinct_qgrams ~q:Keys.q pattern
-    in
-    fetch_gram_items t ~origin ~batch:t.rank.batch_grams grams ~k:(fun (items, r) ->
+    (* Look up only a count-filter-covering prefix of the pattern's
+       grams (rarest first): any string within distance [d] still shares
+       at least one of them, so recall is complete while the per-gram
+       lookups shrink from |p|+q-1 to about d*q+1. *)
+    let grams = Strdist.prefix_grams ~q:Keys.q ~d pattern in
+    fetch_gram_items t ~origin grams ~k:(fun (items, r) ->
         let triples = decode_items items |> List.filter matches in
         k (triples, r))
   end
@@ -374,20 +357,15 @@ let containing t ~origin ~attr ~pattern ~k =
   else begin
     (* A containing value holds every pattern gram, so any subset of the
        grams is recall-complete — candidates are verified locally anyway.
-       With pruning on we fetch at most 3 grams spread across the
-       pattern (cheap intersection pruning without the full gram fan-out);
-       the unpruned arm fetches them all, the naive full intersection. *)
-    let all = Strdist.substring_qgrams ~q:Keys.q pattern in
+       Fetch at most 3 grams spread across the pattern: cheap
+       intersection pruning without the full gram fan-out. *)
     let grams =
-      if not t.rank.prune_grams then all
-      else begin
-        let arr = Array.of_list all in
-        let n = Array.length arr in
-        if n <= 3 then all
-        else [ 0; n / 2; n - 1 ] |> List.sort_uniq Int.compare |> List.map (Array.get arr)
-      end
+      let arr = Array.of_list (Strdist.substring_qgrams ~q:Keys.q pattern) in
+      let n = Array.length arr in
+      if n <= 3 then Array.to_list arr
+      else [ arr.(0); arr.(n / 2); arr.(n - 1) ]
     in
-    fetch_gram_items t ~origin ~batch:t.rank.batch_grams grams ~k:(fun (items, r) ->
+    fetch_gram_items t ~origin grams ~k:(fun (items, r) ->
         let triples = decode_items items |> List.filter matches in
         k (triples, r))
   end

@@ -23,40 +23,15 @@ type meta = {
 
 val pp_meta : Format.formatter -> meta -> unit
 
-(** Ranking/similarity fast-path knobs — each gates one optimization so
-    benchmarks can race optimized against naive arms on the same
-    deployment (the pattern of the cache/batching knobs in
-    {!Unistore_core.Unistore.config}). All default on. *)
-type rank_config = {
-  prune_grams : bool;
-      (** similarity: fetch only a count-filter-covering rarest-first
-          prefix of the pattern's q-grams ({!Unistore_util.Strdist.prefix_grams})
-          instead of all of them; substring: fetch at most 3 grams *)
-  batch_grams : bool;
-      (** ship the selected gram lookups as one batched [MultiLookup]
-          when the substrate has the bulk path *)
-  topn_budget : bool;
-      (** top-N: budgeted sequential traversal with early termination
-          ({!Dht.t.range_topn}) instead of fetching the whole region *)
-  skyline_pushdown : bool;
-      (** skyline: leaf-local partial skyline via {!Dht.t.scan_reduce},
-          so dominated rows never cross the network *)
-}
-
-(** All optimizations on. *)
-val default_rank : rank_config
-
-(** All optimizations off — the naive arm for A/B benchmarks. *)
-val no_rank : rank_config
-
-(** [create ?qgrams ?rank dht] — [qgrams] (default true) controls the
-    string similarity index; [rank] (default {!default_rank}) the
-    ranking/similarity fast paths. *)
-val create : ?qgrams:bool -> ?rank:rank_config -> Dht.t -> t
+(** [create ?qgrams dht] — [qgrams] (default true) controls the string
+    similarity index. Every ranking/similarity fast path runs wherever
+    [dht] offers the capability it needs ({!Dht.t.range_topn},
+    {!Dht.t.scan_reduce}, {!Dht.t.multi_lookup}); otherwise the access
+    falls back to the full-region, origin-side or per-gram path. *)
+val create : ?qgrams:bool -> Dht.t -> t
 
 val dht : t -> Dht.t
 val qgrams_enabled : t -> bool
-val rank : t -> rank_config
 
 (** {2 Insertion} *)
 
@@ -159,8 +134,8 @@ val top_n_by_attr_sync :
 (** Full network scan with an arbitrary predicate (flooding fallback). *)
 val scan : t -> origin:int -> pred:(Triple.t -> bool) -> k:(Triple.t list * Dht.result -> unit) -> unit
 
-(** Whether {!oid_scan_reduce} will actually reduce at the leaves
-    (substrate ships closures and the [skyline_pushdown] knob is on). *)
+(** Whether {!oid_scan_reduce} will actually reduce at the leaves (the
+    substrate ships closures). *)
 val skyline_scan_supported : t -> bool
 
 (** [oid_scan_reduce t ~origin ~pred ~reduce ~k] scans the OID region
@@ -173,7 +148,7 @@ val skyline_scan_supported : t -> bool
     are collocated, any per-tuple decision it makes (e.g. "this tuple is
     incomplete" or "this tuple is dominated by a co-located one") is
     globally sound. Falls back to an unreduced broadcast when
-    unsupported or the knob is off. *)
+    unsupported. *)
 val oid_scan_reduce :
   t ->
   origin:int ->

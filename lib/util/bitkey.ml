@@ -168,10 +168,8 @@ let common_prefix_len a b =
   let n = min (length a) (length b) in
   match (a, b) with
   | S sa, S sb ->
-    let xh = sa.hi lxor sb.hi in
-    (* [lor 1] bounds the low-word clz at 31 when both words agree; the
-       [min n] then yields [n], the right answer for equal patterns. *)
-    let p = if xh <> 0 then clz32 xh else 32 + clz32 ((sa.lo lxor sb.lo) lor 1) in
+    let xh = sa.hi lxor sb.hi and xl = sa.lo lxor sb.lo in
+    let p = if xh <> 0 then clz32 xh else if xl <> 0 then 32 + clz32 xl else 64 in
     min p n
   | _ ->
     let nb = bytes_for_bits n in

@@ -1,11 +1,12 @@
 (* Tests for the bulk-operation pipeline: batched shower inserts,
    in-network range aggregation and multi-key bind-join probes.
 
-   The pipeline is a pure transport optimization, so the tests are
-   mostly differential: a batched and an unbatched deployment over the
-   same dataset must answer every query identically — with and without
-   message loss — while the batched arm's metrics show the pipeline
-   actually engaged. *)
+   The pipeline is a pure transport optimization that P-Grid always
+   runs, so the tests are mostly differential: a P-Grid deployment and
+   a Chord+trie deployment of the same dataset (Chord has no batch
+   paths) must answer every query identically — P-Grid also under
+   message loss — while P-Grid's metrics show the pipeline actually
+   engaged. *)
 
 module Rng = Unistore_util.Rng
 module Metrics = Unistore_obs.Metrics
@@ -26,7 +27,7 @@ let dataset ?(authors = 12) () =
 (* Small deployments with caching off (batching must stand on its own)
    and the q-gram index off (so attribute regions are not dwarfed by
    q-gram keys and range showers span several peers). *)
-let deploy ?(peers = 48) ?(drop = 0.0) ?(batched = true) ds =
+let deploy ?(peers = 48) ?(drop = 0.0) ?(overlay = Unistore.Pgrid) ds =
   let sample_keys =
     List.concat_map
       (fun (tr : Unistore.Triple.t) ->
@@ -43,13 +44,13 @@ let deploy ?(peers = 48) ?(drop = 0.0) ?(batched = true) ds =
       peers;
       seed = 11;
       drop;
+      overlay;
       qgram_index = false;
       cache = Unistore.no_cache;
-      batch = (if batched then Unistore.default_batch_config else Unistore.no_batch);
     }
 
-let loaded ?peers ?drop ?batched ds =
-  let t = deploy ?peers ?drop ?batched ds in
+let loaded ?peers ?drop ?overlay ds =
+  let t = deploy ?peers ?drop ?overlay ds in
   let stored = Unistore.load t ds.Publications.tuples in
   Unistore.settle t;
   Unistore.set_stats_of_triples t ds.Publications.triples;
@@ -145,20 +146,8 @@ let test_multi_lookup_sync () =
   let m = Unistore.metrics t in
   Alcotest.(check bool) "probe batches sent" true (Metrics.counter m "batch.probe.batches" > 0)
 
-let test_no_batch_disables () =
-  let ds = dataset () in
-  let t, stored = loaded ~batched:false ds in
-  check Alcotest.int "everything stored" (List.length ds.Publications.triples) stored;
-  let dht = Unistore.dht t in
-  Alcotest.(check bool) "bulk_insert off" true (Option.is_none dht.Dht.bulk_insert);
-  Alcotest.(check bool) "multi_lookup off" true (Option.is_none dht.Dht.multi_lookup);
-  let m = Unistore.metrics t in
-  check Alcotest.int "no insert batches" 0 (Metrics.counter m "batch.bulk.batches");
-  check Alcotest.int "no probe batches" 0 (Metrics.counter m "batch.probe.batches");
-  check Alcotest.int "no aggregation" 0 (Metrics.counter m "batch.agg.merged")
-
 (* ------------------------------------------------------------------ *)
-(* Differential: batched vs unbatched deployments *)
+(* Differential: P-Grid (batched) vs Chord+trie (no batch paths) *)
 
 let test_batched_load_and_queries_agree () =
   (* Enough authors that the num_of_pubs bind-join probes at least two
@@ -166,9 +155,9 @@ let test_batched_load_and_queries_agree () =
   let ds = dataset ~authors:24 () in
   (* Enough peers that attribute regions span several leaves, so range
      showers fork and the converge-cast tree actually merges. *)
-  let batched, stored_b = loaded ~peers:96 ~batched:true ds in
-  let unbatched, stored_u = loaded ~peers:96 ~batched:false ds in
-  check Alcotest.int "same triples stored" stored_u stored_b;
+  let batched, stored_b = loaded ~peers:96 ds in
+  let chord, stored_c = loaded ~peers:96 ~overlay:Unistore.Chord_trie ds in
+  check Alcotest.int "same triples stored" stored_c stored_b;
   check Alcotest.int "everything stored" (List.length ds.Publications.triples) stored_b;
   let mb = Unistore.metrics batched in
   Alcotest.(check bool) "bulk pipeline engaged on load" true
@@ -177,8 +166,8 @@ let test_batched_load_and_queries_agree () =
   List.iter
     (fun vql ->
       let rb = query_complete batched vql in
-      let ru = query_complete unbatched vql in
-      check Alcotest.(list string) ("rows agree: " ^ vql) (row_set ru) (row_set rb))
+      let rc = query_complete chord vql in
+      check Alcotest.(list string) ("rows agree: " ^ vql) (row_set rc) (row_set rb))
     queries;
   (* The query phase exercised aggregation and multi-key probes. *)
   Alcotest.(check bool) "in-network merges happened" true
@@ -192,8 +181,8 @@ let test_batched_load_and_queries_agree () =
    acknowledges it: under loss a single attempt may time out, but a
    retried insert is idempotent (same key and item id), so this yields
    a deployment that provably holds the full dataset. *)
-let lossy_loaded ?peers ?batched ds =
-  let t = deploy ?peers ~drop:0.2 ?batched ds in
+let lossy_loaded ?peers ds =
+  let t = deploy ?peers ~drop:0.2 ds in
   List.iter
     (fun tr ->
       let rec go n =
@@ -206,7 +195,7 @@ let lossy_loaded ?peers ?batched ds =
   (* Inserts ack on the region's primary; under loss the asynchronous
      replication pushes may have dropped, and a later shower can serve a
      region from a stale replica. Converge replicas first — that is what
-     anti-entropy is for — so both arms answer from the same data. *)
+     anti-entropy is for — so the answers come from the full data. *)
   for _ = 1 to 6 do
     Unistore.anti_entropy_round t;
     Unistore.settle t
@@ -215,28 +204,30 @@ let lossy_loaded ?peers ?batched ds =
   t
 
 let test_arms_agree_under_loss () =
-  (* 20% iid message loss in both arms; every query retried until it
-     reports complete must still match the no-loss truth. Seeds are
+  (* 20% iid message loss on P-Grid; every query retried until it
+     reports complete must still match the no-loss truth, which must in
+     turn match a Chord+trie deployment of the same dataset. Seeds are
      fixed, so the loss pattern (and this test) is deterministic. *)
   let ds = dataset ~authors:8 () in
-  let truth, stored_t = loaded ~peers:32 ~batched:true ds in
+  let truth, stored_t = loaded ~peers:32 ds in
   check Alcotest.int "truth stored everything" (List.length ds.Publications.triples) stored_t;
-  let lossy_b = lossy_loaded ~peers:32 ~batched:true ds in
-  let lossy_u = lossy_loaded ~peers:32 ~batched:false ds in
+  let chord, stored_c = loaded ~peers:32 ~overlay:Unistore.Chord_trie ds in
+  check Alcotest.int "chord stored everything" (List.length ds.Publications.triples) stored_c;
+  let lossy = lossy_loaded ~peers:32 ds in
   List.iter
     (fun vql ->
       let rt = row_set (query_complete truth vql) in
-      let rb = row_set (query_complete lossy_b vql) in
-      let ru = row_set (query_complete lossy_u vql) in
-      check Alcotest.(list string) ("batched arm matches truth: " ^ vql) rt rb;
-      check Alcotest.(list string) ("unbatched arm matches truth: " ^ vql) rt ru)
+      let rc = row_set (query_complete chord vql) in
+      let rl = row_set (query_complete lossy vql) in
+      check Alcotest.(list string) ("chord matches truth: " ^ vql) rt rc;
+      check Alcotest.(list string) ("lossy arm matches truth: " ^ vql) rt rl)
     queries
 
 let test_retransmit_recovers_bulk_insert () =
   (* Under loss the per-key ack protocol retransmits exactly the
      unacked remainder until the whole batch is stored. *)
   let ds = dataset ~authors:8 () in
-  let t = deploy ~peers:32 ~drop:0.2 ~batched:true ds in
+  let t = deploy ~peers:32 ~drop:0.2 ds in
   let ov = overlay_exn t in
   let items =
     List.mapi
@@ -285,8 +276,8 @@ let test_retransmit_recovers_bulk_insert () =
 
 let test_cost_env_reflects_batching () =
   let ds = dataset () in
-  let b = deploy ~batched:true ds in
-  let u = deploy ~batched:false ds in
+  let b = deploy ds in
+  let u = deploy ~overlay:Unistore.Chord_trie ds in
   let env_b = Cost.env_of_dht (Unistore.dht b) ~replication:2 in
   let env_u = Cost.env_of_dht (Unistore.dht u) ~replication:2 in
   Alcotest.(check bool) "batched probes advertised" true env_b.Cost.batched_probes;
@@ -337,7 +328,6 @@ let () =
           Alcotest.test_case "empty bulk insert" `Quick test_bulk_insert_empty;
           Alcotest.test_case "multi_lookup_sync = singleton lookups" `Quick
             test_multi_lookup_sync;
-          Alcotest.test_case "no_batch disables the pipeline" `Quick test_no_batch_disables;
         ] );
       ( "differential",
         [

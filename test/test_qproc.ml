@@ -229,7 +229,6 @@ let env =
     replication = 2;
     expected_latency = 50.0;
     batched_probes = false;
-    gram_pruning = true;
     topn_budget = true;
   }
 

@@ -185,7 +185,15 @@ let prop_bitkey_ops_match_strings =
          && Bitkey.to_string (Bitkey.drop ka n) = String.sub a n (String.length a - n)
          && Bitkey.to_string (Bitkey.concat ka kb) = a ^ b
          && Bitkey.length ka = String.length a
-         && (a = "" || Bitkey.get ka (String.length a - 1) = (a.[String.length a - 1] = '1'))))
+         && (a = "" || Bitkey.get ka (String.length a - 1) = (a.[String.length a - 1] = '1'))
+         (* Every prefix of the key, the whole key included: random pairs
+            never share prefixes this long, so only this reaches the
+            63/64-bit boundary between the two-word and Bytes forms. *)
+         && List.for_all
+              (fun m ->
+                let p = Bitkey.take ka m in
+                Bitkey.common_prefix_len ka p = m && Bitkey.is_prefix ~prefix:p ka)
+              (List.init (String.length a + 1) Fun.id)))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism at 10k peers: two runs from the same seed — overlay
