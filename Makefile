@@ -1,7 +1,7 @@
 # Convenience entry points. Everything is plain dune underneath; these
 # targets just name the two workflows every PR runs.
 
-.PHONY: all check test test-faults test-store lint lint-src bench bench-baseline bench-churn bench-scale bench-traffic bench-rank bench-store bench-smoke benchmark-smoke clean
+.PHONY: all check test test-faults test-store lint lint-src loc bench bench-baseline bench-churn bench-scale bench-traffic bench-rank bench-store bench-smoke benchmark-smoke clean
 
 all: check
 
@@ -56,6 +56,13 @@ lint:
 lint-src:
 	dune build @srclint
 
+# Line totals of the OCaml sources (.ml + .mli) per top-level directory,
+# for reporting a change's net line count.
+loc:
+	@for d in lib bench test bin; do \
+	  printf '%-6s %6d\n' $$d $$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	done
+
 # Full experiment harness (all E1..E14 + microbenchmarks).
 bench:
 	dune exec bench/main.exe
@@ -68,10 +75,10 @@ bench-baseline:
 	dune exec bench/main.exe -- core
 
 # Regenerate the committed churn robustness numbers (BENCH_churn.json):
-# the retry/failover arm vs the no-retry baseline under 0/10/30% churn.
-# Run after any change to the retry policy, the shower wave-retry logic
-# or the fault driver, and commit the diff. See EXPERIMENTS.md, section
-# "Churn".
+# recall, messages and retries of the retry/failover policy under
+# 0/10/30% churn. Run after any change to the request state machine
+# (lib/pgrid/request.ml), the shower wave-retry logic or the fault
+# driver, and commit the diff. See EXPERIMENTS.md, section "Churn".
 bench-churn:
 	dune exec bench/main.exe -- churn
 
@@ -118,7 +125,8 @@ bench-store:
 
 # CI gate over the experiment harness: small runs that write no file.
 # Fails if the caching subsystem stops engaging or paying for itself,
-# if the retry arm no longer beats the no-retry baseline under churn,
+# if recall under 30% churn falls below 95% or the 0%-churn run is not
+# fault-free (churn-smoke: any retry, give-up or partial result there),
 # if kernel throughput falls below the scale-smoke floor / wall-clock
 # budget (an O(n) scan creeping back onto a hot path), if adaptive load
 # balancing stops strictly beating the static baseline on served

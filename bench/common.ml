@@ -16,8 +16,7 @@ let subsection title = Printf.printf "\n-- %s --\n" title
 (* Build a deployment preloaded with a publications dataset. *)
 let build_pubs ?(peers = 64) ?(authors = 40) ?(seed = 42) ?(latency = Latency.Lan)
     ?(overlay = Unistore.Pgrid) ?(replication = 2) ?(typo_rate = 0.1) ?(qgrams = true)
-    ?(load_balanced = true) ?(cache = Unistore.default_cache_config)
-    ?(retry = Unistore.default_retry_config) () =
+    ?(load_balanced = true) ?(cache = Unistore.default_cache_config) () =
   let rng = Rng.create (seed + 1) in
   let ds =
     Publications.generate rng { Publications.default_params with n_authors = authors; typo_rate }
@@ -35,7 +34,6 @@ let build_pubs ?(peers = 64) ?(authors = 40) ?(seed = 42) ?(latency = Latency.La
         qgram_index = qgrams;
         load_balanced;
         cache;
-        retry;
       }
   in
   ignore (Unistore.load store ds.Publications.tuples);

@@ -1,21 +1,19 @@
 (* E-churn: query recall and overhead under crash/revive churn.
 
-   Two arms — robust execution (timeout retries with exponential backoff
-   and jitter, replica failover) vs the `no_retry` baseline (first
-   timeout yields a partial result, routing never falls back to
-   replicas) — each run against churn rates 0%, 10%, 30%. Every cell is
-   a fresh deployment with the same seed and dataset; only the retry
-   configuration and the injected fault scenario differ, and the fault
-   scenario draws its randomness from its own seed, so the failure
-   schedule is identical across arms.
+   Robust execution (timeout retries with exponential backoff and
+   jitter, replica failover) runs against churn rates 0%, 10%, 30%.
+   Every cell is a fresh deployment with the same seed and dataset;
+   only the injected fault scenario differs, and it draws its randomness
+   from its own seed.
 
-   Recall is measured against the same arm's own 0%-churn run: per
-   query, the fraction of the reference row multiset that came back.
-   At 0% churn the two arms must return identical rows (the retry
-   machinery is pure overhead-free insurance when nothing fails) — that
-   is asserted, not assumed. No query may hang: every query's timeout
-   is in the simulator queue from the moment its first request leaves,
-   so the run terminating at all is the liveness check.
+   Recall is measured against the 0%-churn run: per query, the fraction
+   of the reference row multiset that came back. The 0%-churn run
+   injects no faults, and it must stay fault-free end to end — no
+   retry, no give-up, no partial result — so the retry machinery costs
+   nothing when nothing fails; that is asserted, not assumed. No query
+   may hang: every query's timeout is in the simulator queue from the
+   moment its first request leaves, so the run terminating at all is
+   the liveness check.
 
    Writes BENCH_churn.json; `make bench-smoke` runs the small variant
    (churn-smoke) without touching the file. *)
@@ -58,8 +56,7 @@ type cell = {
 }
 
 (* Churn cadence: fast waves and short outages relative to the request
-   timeout, so a retried request usually meets the victim revived while
-   the brittle arm has already given up. With [down_ms = interval_ms],
+   timeout, so a retried request usually meets the victim revived. With [down_ms = interval_ms],
    the steady-state fraction of dead peers stays close to the wave rate
    (rate r kills r*(1-d) of the population per interval and each victim
    is down for one interval, so d = r*(1-d)), which is what "r churn"
@@ -68,12 +65,8 @@ type cell = {
 let interval_ms = 10.0
 let down_ms = 10.0
 
-let run_cell ~peers ~authors ~rounds ~retry ~fault_seed rate =
-  let store, _ds =
-    Common.build_pubs ~peers ~authors ~cache:Unistore.no_cache
-      ~retry:(if retry then Unistore.default_retry_config else Unistore.no_retry)
-      ()
-  in
+let run_cell ~peers ~authors ~rounds ~fault_seed rate =
+  let store, _ds = Common.build_pubs ~peers ~authors ~cache:Unistore.no_cache () in
   let m = Unistore.metrics store in
   Metrics.clear m;
   let faults =
@@ -127,8 +120,8 @@ let rec inter a b =
     let c = compare (x : string) y in
     if c = 0 then 1 + inter xs ys else if c < 0 then inter xs b else inter a ys
 
-(* Recall of [cell] against the same arm's 0%-churn reference: matched
-   reference rows / reference rows, over the whole workload. *)
+(* Recall of [cell] against the 0%-churn reference: matched reference
+   rows / reference rows, over the whole workload. *)
 let recall ~reference cell =
   let matched, total =
     List.fold_left2
@@ -136,14 +129,6 @@ let recall ~reference cell =
       (0, 0) reference.per_query_rows cell.per_query_rows
   in
   if total = 0 then 1.0 else float_of_int matched /. float_of_int total
-
-type arm = { label : string; cells : cell list }
-
-let run_arm ~peers ~authors ~rounds ~retry ~fault_seed rates =
-  {
-    label = (if retry then "retry" else "no_retry");
-    cells = List.map (run_cell ~peers ~authors ~rounds ~retry ~fault_seed) rates;
-  }
 
 let cell_json ~reference c =
   Json.Obj
@@ -162,65 +147,46 @@ let cell_json ~reference c =
       ("partial_results", Json.Int c.partials);
     ]
 
-let arm_json a =
-  let reference = List.hd a.cells in
-  Json.Obj
-    [
-      ("label", Json.Str a.label);
-      ("cells", Json.Arr (List.map (cell_json ~reference) a.cells));
-    ]
-
 let measure ~peers ~authors ~rounds ~fault_seed ~rates =
-  let robust = run_arm ~peers ~authors ~rounds ~retry:true ~fault_seed rates in
-  let brittle = run_arm ~peers ~authors ~rounds ~retry:false ~fault_seed rates in
-  let ref_r = List.hd robust.cells in
-  let ref_b = List.hd brittle.cells in
-  (* At 0% churn the arms must be indistinguishable row-wise. *)
-  if not (List.equal (List.equal String.equal) ref_r.per_query_rows ref_b.per_query_rows) then
-    failwith "churn bench: arms returned different rows at 0% churn";
+  let cells = List.map (run_cell ~peers ~authors ~rounds ~fault_seed) rates in
+  let reference = List.hd cells in
   Common.print_table
-    [ "churn"; "arm"; "recall"; "msgs"; "latency"; "crashes"; "retries"; "failovers";
-      "partials" ]
-    (List.concat_map
-       (fun (arm, reference) ->
-         List.map
-           (fun c ->
-             [
-               Common.pct c.rate; arm.label; Common.f2 (recall ~reference c);
-               Common.i c.messages; Common.f1 c.latency; Common.i c.crashes;
-               Common.i c.retries; Common.i c.failovers; Common.i c.partials;
-             ])
-           arm.cells)
-       [ (robust, ref_r); (brittle, ref_b) ]);
-  let worst = List.nth robust.cells (List.length robust.cells - 1) in
-  let worst_b = List.nth brittle.cells (List.length brittle.cells - 1) in
-  let r_recall = recall ~reference:ref_r worst in
-  let b_recall = recall ~reference:ref_b worst_b in
-  Printf.printf
-    "\nat %.0f%% churn: retry arm recall %.3f (%d retries, %d failovers), no-retry recall \
-     %.3f (%d partial results); identical rows at 0%%\n"
-    (100.0 *. worst.rate) r_recall worst.retries worst.failovers b_recall worst_b.partials;
-  (robust, brittle, r_recall, b_recall)
+    [ "churn"; "recall"; "msgs"; "latency"; "crashes"; "retries"; "failovers"; "partials" ]
+    (List.map
+       (fun c ->
+         [
+           Common.pct c.rate; Common.f2 (recall ~reference c); Common.i c.messages;
+           Common.f1 c.latency; Common.i c.crashes; Common.i c.retries; Common.i c.failovers;
+           Common.i c.partials;
+         ])
+       cells);
+  let worst = List.nth cells (List.length cells - 1) in
+  let worst_recall = recall ~reference worst in
+  Printf.printf "\nat %.0f%% churn: recall %.3f (%d retries, %d failovers, %d partial results)\n"
+    (100.0 *. worst.rate) worst_recall worst.retries worst.failovers worst.partials;
+  (cells, worst_recall)
 
-let assert_claims ~label (r_recall, b_recall) =
-  if r_recall < 0.95 then
+(* The 0%-churn reference is a fault-free run: the retry machinery never
+   fired, so its rows are exactly what a fault-free deployment returns;
+   and the worst churn rate keeps >= 95% of them. *)
+let assert_claims ~label (cells, worst_recall) =
+  let r = List.hd cells in
+  if r.rate > 0.0 || r.retries > 0 || r.giveups > 0 || r.partials > 0 || r.avg_completeness < 1.0
+  then
     failwith
-      (Printf.sprintf "%s: retry-arm recall %.3f < 0.95 at the worst churn rate" label r_recall);
-  if b_recall >= r_recall then
-    failwith
-      (Printf.sprintf "%s: no-retry arm (recall %.3f) not worse than retry arm (%.3f)" label
-         b_recall r_recall)
+      (Printf.sprintf "%s: 0%% churn not fault-free (%d retries, %d give-ups, %d partials)" label
+         r.retries r.giveups r.partials);
+  if worst_recall < 0.95 then
+    failwith (Printf.sprintf "%s: recall %.3f < 0.95 at the worst churn rate" label worst_recall)
 
 let run () =
   Common.section "E-churn: robust query execution under churn"
     "with timeout retries, backoff and replica failover, queries keep >= 95% recall under \
-     30% churn; without them, recall collapses while the network stays quieter";
+     30% churn";
   let peers, authors, rounds, fault_seed = (128, 40, 3, 7) in
   let rates = [ 0.0; 0.1; 0.3 ] in
-  let robust, brittle, r_recall, b_recall =
-    measure ~peers ~authors ~rounds ~fault_seed ~rates
-  in
-  assert_claims ~label:"churn bench" (r_recall, b_recall);
+  let ((cells, worst_recall) as m) = measure ~peers ~authors ~rounds ~fault_seed ~rates in
+  assert_claims ~label:"churn bench" m;
   let doc =
     Json.Obj
       [
@@ -228,12 +194,12 @@ let run () =
         ( "description",
           Json.Str
             "UniStore robust query execution under churn: identical deployments and \
-             workloads, retries+failover enabled vs the no_retry baseline, against \
-             crash/revive churn injected by the deterministic fault driver (all scenario \
-             randomness from fault_seed). Recall is measured per arm against its own \
-             0%-churn run; both arms must return identical rows at 0% churn. Regenerate \
-             with `dune exec bench/main.exe -- churn` (or `make bench-churn`). See \
-             EXPERIMENTS.md, section 'Churn'." );
+             workloads with retries and replica failover, against crash/revive churn \
+             injected by the deterministic fault driver (all scenario randomness from \
+             fault_seed). Recall is measured against the 0%-churn run, which must be \
+             fault-free (no retry, give-up or partial result). Regenerate with `dune exec \
+             bench/main.exe -- churn` (or `make bench-churn`). See EXPERIMENTS.md, section \
+             'Churn'." );
         ( "config",
           Json.Obj
             [
@@ -246,15 +212,22 @@ let run () =
               ("queries_per_round", Json.Int (List.length workload));
               ("churn_interval_ms", Json.Float interval_ms);
               ("churn_down_ms", Json.Float down_ms);
-              ("caching", Json.Str "disabled in both arms");
+              ("caching", Json.Str "disabled");
             ] );
-        ("arms", Json.Arr [ arm_json robust; arm_json brittle ]);
+        ( "arms",
+          Json.Arr
+            [
+              Json.Obj
+                [
+                  ("label", Json.Str "retry");
+                  ("cells", Json.Arr (List.map (cell_json ~reference:(List.hd cells)) cells));
+                ];
+            ] );
         ( "summary",
           Json.Obj
             [
-              ("retry_recall_at_worst_churn", Json.Float r_recall);
-              ("no_retry_recall_at_worst_churn", Json.Float b_recall);
-              ("identical_rows_at_zero_churn", Json.Bool true);
+              ("retry_recall_at_worst_churn", Json.Float worst_recall);
+              ("fault_free_at_zero_churn", Json.Bool true);
             ] );
       ]
   in
@@ -267,9 +240,7 @@ let run () =
 (* The CI smoke variant: two rates, fewer peers, writes no file. *)
 let run_smoke () =
   Common.section "E-churn (smoke)"
-    "retries+failover keep recall >= 95% under 30% churn; the no-retry baseline loses rows";
-  let _, _, r_recall, b_recall =
-    measure ~peers:64 ~authors:20 ~rounds:2 ~fault_seed:7 ~rates:[ 0.0; 0.3 ]
-  in
-  assert_claims ~label:"churn-smoke" (r_recall, b_recall);
+    "retries+failover keep recall >= 95% under 30% churn; 0% churn stays fault-free";
+  assert_claims ~label:"churn-smoke"
+    (measure ~peers:64 ~authors:20 ~rounds:2 ~fault_seed:7 ~rates:[ 0.0; 0.3 ]);
   Printf.printf "\nchurn-smoke: OK\n"

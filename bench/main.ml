@@ -25,7 +25,7 @@ let experiments =
     ("e14", "E14: decentralized construction + merging", Exp_bootstrap.run);
     ("cache", "E-cache: multi-level caching, cached vs uncached -> BENCH_cache.json", Exp_cache.run);
     ("cache-smoke", "E-cache smoke variant (CI gate, no file output)", Exp_cache.run_smoke);
-    ("churn", "E-churn: query robustness under churn, retry vs no-retry -> BENCH_churn.json", Exp_fault.run);
+    ("churn", "E-churn: query robustness under churn -> BENCH_churn.json", Exp_fault.run);
     ("churn-smoke", "E-churn smoke variant (CI gate, no file output)", Exp_fault.run_smoke);
     ("scale", "E-scale: kernel throughput sweep to 100k+ peers -> BENCH_scale.json", Exp_scale.run);
     ("scale-smoke", "E-scale smoke variant (CI gate, no file output)", Exp_scale.run_smoke);

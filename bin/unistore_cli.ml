@@ -72,12 +72,6 @@ let no_cache_t =
            ~doc:"Disable the caching subsystem (routing shortcuts, result caches, gossiped \
                  statistics); the optimizer then plans from oracle statistics.")
 
-let no_retry_t =
-  Arg.(value & flag
-       & info [ "no-retry" ]
-           ~doc:"Disable robust query execution (timeout retries with backoff, replica \
-                 failover); timed-out requests immediately yield partial results.")
-
 let churn_t =
   Arg.(value & opt float 0.0
        & info [ "churn" ] ~docv:"RATE"
@@ -91,7 +85,7 @@ let fault_seed_t =
            ~doc:"Seed of the fault-injection scenario. The same seed against the same \
                  deployment replays the identical failure schedule.")
 
-let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_retry = false)
+let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
     ?(store = Unistore_pgrid.Store_intf.Hash) () =
   let rng = Unistore_util.Rng.create (seed + 1) in
   let tuples, triples, sample =
@@ -117,10 +111,9 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_r
       (tuples, triples, sample)
   in
   let cache = if no_cache then Unistore.no_cache else Unistore.default_cache_config in
-  let retry = if no_retry then Unistore.no_retry else Unistore.default_retry_config in
   let store =
     Unistore.create ~sample_keys:sample
-      { Unistore.default_config with peers; seed; overlay; latency; cache; retry; store }
+      { Unistore.default_config with peers; seed; overlay; latency; cache; store }
   in
   let n = Unistore.load store tuples in
   Unistore.set_stats_of_triples store triples;
@@ -137,9 +130,9 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_r
     n;
   (store, sample)
 
-let setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ?(no_retry = false)
+let setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
     ?(store = Unistore_pgrid.Store_intf.Hash) () =
-  fst (setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_retry ~store ())
+  fst (setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~store ())
 
 (* ------------------------------------------------------------------ *)
 (* query                                                               *)
@@ -169,10 +162,10 @@ let print_explain_analyze (report : Unistore.Report.report) =
     report.Unistore.Report.messages report.Unistore.Report.latency
     (List.length report.Unistore.Report.rows)
 
-let run_query peers seed overlay latency authors dataset backend strategy no_cache no_retry churn
+let run_query peers seed overlay latency authors dataset backend strategy no_cache churn
     fault_seed explain explain_only trace profile metrics check vql =
   let store =
-    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~no_retry
+    setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
       ~store:(resolve_backend ~seed backend) ()
   in
   let faults =
@@ -269,7 +262,7 @@ let query_cmd =
   let term =
     Term.(
       const run_query $ peers_t $ seed_t $ overlay_t $ latency_t $ authors_t $ dataset_t
-      $ backend_t $ strategy_t $ no_cache_t $ no_retry_t $ churn_t $ fault_seed_t
+      $ backend_t $ strategy_t $ no_cache_t $ churn_t $ fault_seed_t
       $ explain_t $ explain_only_t $ trace_t $ profile_t $ metrics_t $ check_t $ vql_t)
   in
   Cmd.v (Cmd.info "query" ~doc:"Run one VQL query over a freshly built deployment") term

@@ -40,23 +40,6 @@ let default_cache_config =
 let no_cache =
   { shortcut_capacity = 0; result_capacity = 0; result_ttl_ms = 0.0; stats_half_life_ms = 0.0 }
 
-type retry_config = {
-  retries : int;
-  backoff : float;
-  jitter : float;
-  failover : bool;
-}
-
-let default_retry_config =
-  {
-    retries = Config.default.Config.retries;
-    backoff = Config.default.Config.retry_backoff;
-    jitter = Config.default.Config.retry_jitter;
-    failover = Config.default.Config.failover;
-  }
-
-let no_retry = { retries = 0; backoff = 1.0; jitter = 0.0; failover = false }
-
 type config = {
   peers : int;
   replication : int;
@@ -68,7 +51,6 @@ type config = {
   qgram_index : bool;
   load_balanced : bool;
   cache : cache_config;
-  retry : retry_config;
   store : Unistore_pgrid.Store_intf.backend;
 }
 
@@ -84,7 +66,6 @@ let default_config =
     qgram_index = true;
     load_balanced = true;
     cache = default_cache_config;
-    retry = default_retry_config;
     store = Unistore_pgrid.Store_intf.Hash;
   }
 
@@ -117,10 +98,6 @@ let create ?(sample_keys = []) config =
           Config.replication = config.replication;
           refs_per_level = config.refs_per_level;
           shortcut_capacity = config.cache.shortcut_capacity;
-          retries = config.retry.retries;
-          retry_backoff = config.retry.backoff;
-          retry_jitter = config.retry.jitter;
-          failover = config.retry.failover;
           store_backend = config.store;
         }
       in
@@ -425,17 +402,12 @@ module Traffic_arrivals = Unistore_traffic.Arrivals
 module Hotkeys = Unistore_traffic.Hotkeys
 module Balance = Unistore_pgrid.Balance
 
-type balance_config = {
-  adaptive_timeout : bool;  (* per-peer EWMA retry deadlines *)
-  hot_replication : bool;  (* spawn boost replicas for hot regions *)
-  spread_load : bool;  (* origins rotate across the serving set *)
-}
+type balance_config = Adaptive | Static
 
-let default_balance_config =
-  { adaptive_timeout = true; hot_replication = true; spread_load = true }
+let default_balance_config = Adaptive
 
 (* The experimental baseline arm: fixed deadlines, no boosts. *)
-let no_balancing = { adaptive_timeout = false; hot_replication = false; spread_load = false }
+let no_balancing = Static
 
 type traffic_scenario = Steady_load | Flash_crowd | Diurnal_load
 
@@ -501,12 +473,12 @@ let run_traffic t ~keys cfg =
   | None -> invalid_arg "Unistore.run_traffic: P-Grid overlay required"
   | Some ov ->
     if List.is_empty keys then invalid_arg "Unistore.run_traffic: empty key population";
+    let adaptive = cfg.balance = Adaptive in
     let pconfig =
       {
         (Overlay.config ov) with
-        Config.adaptive_timeout = cfg.balance.adaptive_timeout;
-        hot_replication = cfg.balance.hot_replication;
-        spread_load = cfg.balance.spread_load;
+        Config.adaptive_timeout = adaptive;
+        hot_replication = adaptive;
         (* Patience is not the treatment variable: both arms get a
            generous retry budget so a transient backlog spike costs
            latency, never answers. Adaptive deadlines make retries
@@ -573,7 +545,7 @@ let run_traffic t ~keys cfg =
          running simulation — it would swallow the open-loop arrival
          stream in one gulp. The raw round just enqueues messages. *)
       Gossip.stats_round ov ~sample:Unistore_triple.Stat_sample.of_node;
-      if cfg.balance.hot_replication then ignore (Balance.round ov)
+      if adaptive then ignore (Balance.round ov)
     in
     let on_warmup () =
       Metrics.reset_histograms ~prefix:"queue." t.metrics;

@@ -44,22 +44,6 @@ type cache_config = {
 val default_cache_config : cache_config
 val no_cache : cache_config
 
-(** Knobs of robust query execution under churn (P-Grid only): how many
-    times a timed-out request is re-sent (with exponential backoff and
-    jitter, see {!Unistore_pgrid.Config}), and whether routing falls
-    back to alive replicas of dead references. {!no_retry} turns all of
-    it off — the brittle baseline of the churn benchmark, mirroring
-    {!no_cache}. *)
-type retry_config = {
-  retries : int;  (** re-sends after the first timeout; 0 disables *)
-  backoff : float;  (** timeout multiplier per attempt (>= 1) *)
-  jitter : float;  (** +/- fraction randomizing each retry delay *)
-  failover : bool;  (** route to alive replicas of dead references *)
-}
-
-val default_retry_config : retry_config
-val no_retry : retry_config
-
 type config = {
   peers : int;
   replication : int;
@@ -71,7 +55,6 @@ type config = {
   qgram_index : bool;  (** maintain the string-similarity index *)
   load_balanced : bool;  (** P-Grid data-aware partitioning (needs sample) *)
   cache : cache_config;
-  retry : retry_config;
   store : Unistore_pgrid.Store_intf.backend;
       (** per-peer storage backend (P-Grid only; the Chord baseline
           ignores it): [Hash] (default), [Packed] (dictionary-
@@ -290,11 +273,11 @@ module Traffic_arrivals = Unistore_traffic.Arrivals
 module Hotkeys = Unistore_traffic.Hotkeys
 module Balance = Unistore_pgrid.Balance
 
-type balance_config = {
-  adaptive_timeout : bool;  (** per-peer EWMA retry deadlines *)
-  hot_replication : bool;  (** spawn boost replicas for hot regions *)
-  spread_load : bool;  (** origins rotate across the serving set *)
-}
+type balance_config =
+  | Adaptive
+      (** per-peer EWMA retry deadlines, boost replicas for hot regions,
+          and origins rotating across each region's serving set *)
+  | Static  (** fixed deadlines, no boosts, single-target shortcuts *)
 
 val default_balance_config : balance_config
 

@@ -6,7 +6,6 @@ type t = {
   retries : int;
   retry_backoff : float;
   retry_jitter : float;
-  failover : bool;
   proximity_routing : bool;
   gossip_fanout : int;
   max_hops : int;
@@ -17,7 +16,6 @@ type t = {
   hot_factor : float;
   hot_min_load : int;
   hot_max_boosts : int;
-  spread_load : bool;
   store_backend : Store_intf.backend;
 }
 
@@ -30,7 +28,6 @@ let default =
     retries = 2;
     retry_backoff = 2.0;
     retry_jitter = 0.2;
-    failover = true;
     proximity_routing = false;
     gossip_fanout = 2;
     max_hops = 128;
@@ -41,6 +38,5 @@ let default =
     hot_factor = 3.0;
     hot_min_load = 32;
     hot_max_boosts = 3;
-    spread_load = false;
     store_backend = Store_intf.Hash;
   }

@@ -1,6 +1,8 @@
 (** P-Grid overlay parameters. The batched paths (splitting inserts,
-    in-network range aggregation, multi-key probes) are not
-    configurable: they always run, see {!Overlay}. *)
+    in-network range aggregation, multi-key probes) and replica
+    failover (when every routing reference for the next hop is dead,
+    route to a live replica of one of them and learn it as a new
+    reference) are not configurable: they always run, see {!Overlay}. *)
 
 type t = {
   refs_per_level : int;
@@ -9,7 +11,7 @@ type t = {
   replication : int;  (** desired number of peers per leaf (replica group size) *)
   max_depth : int;  (** maximum trie depth (paths never grow beyond this) *)
   timeout_ms : float;  (** request timeout before retry / partial completion *)
-  retries : int;  (** end-to-end retries for lookups and inserts *)
+  retries : int;  (** end-to-end retries of every operation (see {!Request}) *)
   retry_backoff : float;
       (** exponential backoff base: retry [n] waits
           [timeout_ms * retry_backoff^n]; [1.0] = fixed interval *)
@@ -17,19 +19,15 @@ type t = {
       (** uniform jitter fraction applied to each retry timeout
           ([+-retry_jitter * timeout]); [0.0] = deterministic timeouts,
           desynchronizes retry storms otherwise *)
-  failover : bool;
-      (** when every routing reference for the next hop is dead, fail
-          over to a live replica of one of them (gossiped replica-group
-          membership doubles as a backup routing table) and learn it as
-          a new reference *)
   proximity_routing : bool;
       (** when true, forward to the ref with the lowest base latency
           (topology-aware routing); otherwise pick uniformly *)
   gossip_fanout : int;
       (** replicas contacted per rumor-spreading round for updates *)
   max_hops : int;
-      (** messages are dropped beyond this hop count (loop protection in
-          not-yet-converged overlays) *)
+      (** messages are not forwarded beyond this hop count (loop
+          protection in not-yet-converged overlays); a range cut short
+          here finishes at once as partial, other requests time out *)
   shortcut_capacity : int;
       (** routing-shortcut cache entries kept per peer (learned
           region → peer links consulted before greedy routing);
@@ -44,7 +42,10 @@ type t = {
   hot_replication : bool;
       (** let {!Balance.round} spawn boost replicas for regions whose
           gossiped load stands out (see [hot_factor]) and retire them
-          when the region cools *)
+          when the region cools; also lets shortcut caches hold several
+          peers per region and rotate between them, so origins spread
+          traffic across an owner's replicas and boosts instead of
+          pinning the first responder *)
   hot_factor : float;
       (** a region is hot when its gossiped per-round load reaches
           [hot_factor] times the mean over reporting regions *)
@@ -52,10 +53,6 @@ type t = {
       (** absolute per-round load floor below which a region is never
           considered hot (keeps idle deployments from boosting noise) *)
   hot_max_boosts : int;  (** boost replicas allowed per hot region *)
-  spread_load : bool;
-      (** let shortcut caches hold several peers per region and rotate
-          between them, so origins spread traffic across an owner's
-          replicas and boosts instead of pinning the first responder *)
   store_backend : Store_intf.backend;
       (** per-peer store implementation (see {!Store}): [Hash] (default)
           and [Packed] are in-memory; [Log { dir }] persists each peer's

@@ -82,6 +82,8 @@ type t =
     }
   | Exchange of { bytes : int; run : int -> unit }
 
+let hop_limited = -1
+
 let header = 20
 
 let items_bytes items = List.fold_left (fun acc i -> acc + Store.item_bytes i) 0 items

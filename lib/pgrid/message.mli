@@ -68,8 +68,9 @@ type t =
     }
       (** [token] identifies which message this hit answers; [targets]
           lists the tokens of messages the sender forwarded whose hits
-          it did {e not} merge itself; [origin] lets a peer holding no
-          aggregation buffer for [token] relay the hit home *)
+          it did {e not} merge itself, plus one {!hop_limited} entry per
+          sub-range it had to drop at the hop limit; [origin] lets a peer
+          holding no aggregation buffer for [token] relay the hit home *)
   | InsertBatch of { rid : int; items : Store.item list; origin : int; hops : int }
       (** bulk insert: sorted items that split shower-style as the batch
           descends the trie; each covering peer stores its share and
@@ -121,6 +122,11 @@ type t =
           see {!Balance.round} *)
   | Exchange of { bytes : int; run : int -> unit }
       (** bootstrap pairwise exchange step (see {!Build.bootstrap}) *)
+
+(** The [RangeHit] target standing for a sub-range that was never
+    forwarded because the message already travelled [max_hops]: the
+    origin counts it as an addressed region that will not answer. *)
+val hop_limited : int
 
 (** Fixed per-message envelope cost assumed by [size] (addressing,
     correlation ids, framing). Batching wins come largely from paying

@@ -1,68 +1,17 @@
 module Bitkey = Unistore_util.Bitkey
 module Rng = Unistore_util.Rng
 module Metrics = Unistore_obs.Metrics
-module Histogram = Unistore_obs.Histogram
 module Shortcuts = Unistore_cache.Shortcuts
 module Statcache = Unistore_cache.Statcache
 
-type result = {
+type result = Request.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
   completeness : float;
-      (* coverage estimate in [0,1]: regions reached / regions addressed
-         (answered tokens for showers, acked keys for batches, all or
-         nothing for single-destination requests); 1.0 iff [complete] *)
   latency : float;
 }
-
-type pending =
-  | Psingle of {
-      op : string;  (* metric label: lookup/insert/update/delete *)
-      origin : int;
-      resend : unit -> unit;
-      mutable attempts : int;
-      mutable via : int option;
-          (* the peer a routing shortcut forwarded to, if one was used:
-             a timeout invalidates that peer's shortcut entries before
-             the retry falls back to greedy routing *)
-      started : float;
-      k : result -> unit;
-    }
-  | Pmulti of {
-      op : string;  (* metric label: range/prefix/broadcast *)
-      origin : int;
-      expected : (int, unit) Hashtbl.t;  (* message tokens announced as forwards *)
-      received : (int, unit) Hashtbl.t;  (* tokens whose hit arrived *)
-      mutable missing : int;  (* |expected \ received| *)
-      mutable peers : (int, unit) Hashtbl.t;  (* distinct peers that reported *)
-      mutable items : Store.item list;
-      mutable hops : int;
-      mutable resend : (unit -> unit) option;  (* re-issue the whole shower *)
-      mutable attempts : int;
-      mutable wave_floor : int;
-          (* tokens below this belong to abandoned waves: a retry resets
-             the termination accounting and only counts tokens minted by
-             the new wave, so stragglers from a half-dead old wave cannot
-             wedge completion (their rows are still salvaged) *)
-      started : float;
-      k : result -> unit;
-    }
-  | Pbatch of {
-      op : string;  (* metric label: bulk-insert/multi-lookup *)
-      origin : int;
-      total : int;  (* batch size, for the acked/total coverage estimate *)
-      unacked : (string, unit) Hashtbl.t;  (* keys no region acked yet *)
-      resend : unit -> unit;  (* selective retransmit of unacked keys *)
-      mutable attempts : int;
-      mutable hops : int;
-      mutable regions : int;  (* per-region ack messages received *)
-      mutable items : Store.item list;
-      on_ack : string -> Store.item list -> unit;  (* per-key payload *)
-      started : float;
-      k : result -> unit;
-    }
 
 (* One in-network aggregation buffer for a shower range: the interior
    node that spawned [waiting] merges those children's hits into its own
@@ -84,8 +33,8 @@ type agg = {
 type t = {
   sim : Sim.t;
   net : Message.t Net.t;
-  mutable config : Config.t;
   rng : Rng.t;
+  requests : Request.t;  (* pending operations, their timers and the rid counter *)
   (* Node arena: dense array indexed by peer id (ids are minted 0..n-1
      by Build/join). Replaces an id-keyed hashtable so the dispatcher
      and routing helpers resolve peers with one array probe. *)
@@ -95,10 +44,7 @@ type t = {
   (* Ascending node list, rebuilt lazily: gossip rounds walk it once per
      round; the arena only grows, so adds just invalidate. *)
   mutable nodes_cache : Node.t list option;
-  pending : (int, pending) Hashtbl.t;
   aggs : (int, agg) Hashtbl.t;  (* child token -> its parent's buffer *)
-  mutable next_rid : int;
-  mutable metrics : Metrics.t option;
   mutable read_observer : (origin:int -> Store.item list -> unit) option;
 }
 
@@ -108,37 +54,23 @@ let create sim ~latency ~rng ?(drop = 0.0) ~config () =
   {
     sim;
     net;
-    config;
     rng;
+    requests = Request.create ~net ~rng ~config;
     node_arena = [||];
     n_nodes = 0;
     max_node_id = -1;
     nodes_cache = None;
-    pending = Hashtbl.create 64;
     aggs = Hashtbl.create 64;
-    next_rid = 0;
-    metrics = None;
     read_observer = None;
   }
 
 let sim t = t.sim
 let net t = t.net
-let config t = t.config
+let config t = Request.config t.requests
 let rng t = t.rng
-
-let set_metrics t m =
-  t.metrics <- m;
-  Net.set_metrics t.net m
-
-let metrics t = t.metrics
+let set_metrics t m = Net.set_metrics t.net m
+let metrics t = Net.metrics t.net
 let set_read_observer t f = t.read_observer <- f
-
-(* Histogram bucket ladders chosen for the quantities' natural ranges:
-   hop counts are O(log n) (unit buckets resolve them exactly), retries
-   are bounded by [config.retries], fan-out can reach the full overlay. *)
-let hop_buckets = Histogram.linear ~lo:0.0 ~step:1.0 ~n:33
-let retry_buckets = Histogram.linear ~lo:0.0 ~step:1.0 ~n:9
-let fanout_buckets = [ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.; 2048. ]
 
 let find_node t id =
   if id >= 0 && id <= t.max_node_id then t.node_arena.(id) else None
@@ -178,17 +110,15 @@ let alive t id = Net.is_alive t.net id
 
 (* Swap the live parameter set (the traffic engine applies its
    balancing arm to an already-built deployment this way). Shortcut
-   spread mode is per-node cache state, so re-propagate it. *)
+   spread mode follows hot replication and is per-node cache state, so
+   re-propagate it. *)
 let set_config t config =
-  t.config <- config;
+  Request.set_config t.requests config;
   List.iter
-    (fun n -> Shortcuts.set_spread n.Node.shortcuts config.Config.spread_load)
+    (fun n -> Shortcuts.set_spread n.Node.shortcuts config.Config.hot_replication)
     (nodes t)
 
-let fresh_rid t =
-  let rid = t.next_rid in
-  t.next_rid <- rid + 1;
-  rid
+let fresh_rid t = Request.fresh_rid t.requests
 
 (* ------------------------------------------------------------------ *)
 (* Key intervals: inclusive lo, exclusive optional hi                   *)
@@ -206,53 +136,8 @@ let interval_intersect (lo1, hi1) (lo2, hi2) =
    strictly between hi and hi ^ "\x00"). *)
 let after_inclusive hi = Some (hi ^ "\x00")
 
-(* ------------------------------------------------------------------ *)
-(* Result assembly                                                     *)
-
-let dedupe_items items =
-  let tbl = Hashtbl.create (List.length items) in
-  List.iter
-    (fun (i : Store.item) ->
-      let k = (i.key, i.item_id) in
-      match Hashtbl.find_opt tbl k with
-      | Some (j : Store.item) when j.version >= i.version -> ()
-      | _ -> Hashtbl.replace tbl k i)
-    items;
-  Hashtbl.fold (fun _ i acc -> i :: acc) tbl []
-  |> List.sort (fun (a : Store.item) b ->
-         match String.compare a.key b.key with 0 -> String.compare a.item_id b.item_id | c -> c)
-
-let record_single t (op : string) ~hops ~attempts ~latency ~complete =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.observe m ~buckets:hop_buckets ("overlay." ^ op ^ ".hops") (float_of_int hops);
-    Metrics.observe m ~buckets:retry_buckets ("overlay." ^ op ^ ".retries") (float_of_int attempts);
-    Metrics.observe m ("overlay." ^ op ^ ".latency_ms") latency;
-    Metrics.incr m ("overlay." ^ op ^ if complete then ".ok" else ".incomplete")
-
-let record_multi t (op : string) ~hops ~peers_hit ~latency ~complete =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.observe m ~buckets:hop_buckets ("overlay." ^ op ^ ".hops") (float_of_int hops);
-    Metrics.observe m ~buckets:fanout_buckets ("overlay." ^ op ^ ".fanout")
-      (float_of_int peers_hit);
-    Metrics.observe m ("overlay." ^ op ^ ".latency_ms") latency;
-    Metrics.incr m ("overlay." ^ op ^ if complete then ".ok" else ".incomplete")
-
 let cache_incr t ?by name =
-  match t.metrics with Some m -> Metrics.incr m ?by name | None -> ()
-
-(* An operation is finishing without full coverage: leave an explicit
-   partial-result marker in the trace (correlated to the request id) so
-   trace linting can tell "crash handled by graceful degradation" from
-   "crash silently swallowed". *)
-let mark_partial t ~rid ~origin =
-  cache_incr t "fault.partial";
-  match Net.trace t.net with
-  | Some tr -> Trace.mark tr ~corr:rid ~time:(Sim.now t.sim) ~src:origin ~kind:"fault.partial" ()
-  | None -> ()
+  match metrics t with Some m -> Metrics.incr m ?by name | None -> ()
 
 (* Crash a peer: unlike {!kill} (which merely stops message delivery
    and keeps state intact for {!revive}), a crash also loses the
@@ -277,7 +162,7 @@ let crash t ?keep_frac id =
    [store.log_bytes] (on-disk segment bytes; 0 unless the log backend
    is active). Called by benchmarks before snapshotting metrics. *)
 let refresh_store_gauges t =
-  match t.metrics with
+  match metrics t with
   | None -> ()
   | Some m ->
     let bytes = ref 0 and items = ref 0 and log_bytes = ref 0 in
@@ -293,250 +178,6 @@ let refresh_store_gauges t =
     Metrics.set_gauge m "store.bytes" (float_of_int !bytes);
     Metrics.set_gauge m "store.items" (float_of_int !items);
     Metrics.set_gauge m "store.log_bytes" (float_of_int !log_bytes)
-
-let finish_single t rid ~items ~hops ~complete =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Psingle p) ->
-    Hashtbl.remove t.pending rid;
-    let latency = Sim.now t.sim -. p.started in
-    record_single t p.op ~hops ~attempts:p.attempts ~latency ~complete;
-    if not complete then mark_partial t ~rid ~origin:p.origin;
-    let items = dedupe_items items in
-    (match t.read_observer with
-    | Some f when complete && String.equal p.op "lookup" -> f ~origin:p.origin items
-    | _ -> ());
-    p.k
-      {
-        items;
-        hops;
-        peers_hit = 1;
-        complete;
-        completeness = (if complete then 1.0 else 0.0);
-        latency;
-      }
-  | _ -> ()
-
-let finish_multi t rid ~complete =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Pmulti p) ->
-    Hashtbl.remove t.pending rid;
-    let latency = Sim.now t.sim -. p.started in
-    let peers_hit = Hashtbl.length p.peers in
-    record_multi t p.op ~hops:p.hops ~peers_hit ~latency ~complete;
-    if complete && t.config.adaptive_timeout then (
-      match find_node t p.origin with
-      | Some me -> Rtt.observe me.Node.rtt ~cls:p.op latency
-      | None -> ());
-    if not complete then mark_partial t ~rid ~origin:p.origin;
-    (* Coverage = answered tokens / announced tokens: each token stands
-       for one addressed region of the shower split tree. *)
-    let expected = Hashtbl.length p.expected in
-    let completeness =
-      if complete || expected = 0 then if complete then 1.0 else 0.0
-      else float_of_int (expected - max 0 p.missing) /. float_of_int expected
-    in
-    p.k { items = dedupe_items p.items; hops = p.hops; peers_hit; complete; completeness; latency }
-  | _ -> ()
-
-(* Termination detection is order-independent: every Range/Probe message
-   carries a unique token; its receiver's hit echoes that token and names
-   the tokens of the messages it forwarded in turn. The operation is done
-   when every announced token has been answered — a grandchild's hit
-   racing past its parent's (easy under heavy-tailed wide-area latencies)
-   cannot end the operation early, and a peer participating several times
-   (router now, processor later, as in sequential traversals) is counted
-   per message. *)
-let deliver_hit t rid ~from ~token ~items ~targets ~hops =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Pmulti p) when token < p.wave_floor ->
-    (* Straggler from an abandoned wave: salvage its rows, but keep its
-       tokens out of the live wave's termination accounting. *)
-    Hashtbl.replace p.peers from ();
-    p.items <- List.rev_append items p.items;
-    p.hops <- max p.hops hops
-  | Some (Pmulti p) ->
-    Hashtbl.replace p.peers from ();
-    if not (Hashtbl.mem p.received token) then begin
-      Hashtbl.replace p.received token ();
-      if Hashtbl.mem p.expected token then p.missing <- p.missing - 1
-      else Hashtbl.replace p.expected token ()
-    end;
-    List.iter
-      (fun q ->
-        if not (Hashtbl.mem p.expected q) then begin
-          Hashtbl.replace p.expected q ();
-          if not (Hashtbl.mem p.received q) then p.missing <- p.missing + 1
-        end)
-      targets;
-    p.items <- List.rev_append items p.items;
-    p.hops <- max p.hops hops;
-    if p.missing <= 0 then finish_multi t rid ~complete:true
-  | _ -> ()
-
-(* The base deadline for one attempt of [cls] issued by [origin]: the
-   origin's EWMA latency estimate ({!Rtt}) when adaptive timeouts are
-   on and warm — sharpest via the shortcut target [via] when one
-   carried the request — clamped into [min_timeout_ms, timeout_ms].
-   Cold trackers (and adaptive off) fall back to the fixed
-   [timeout_ms], so this degrades to the classic behavior. *)
-let deadline_base t ~origin ~cls ~via =
-  if not t.config.adaptive_timeout then t.config.timeout_ms
-  else
-    match find_node t origin with
-    | Some me ->
-      Rtt.deadline me.Node.rtt ?peer:via ~cls ~fallback:t.config.timeout_ms
-        ~min_ms:t.config.min_timeout_ms ~max_ms:t.config.timeout_ms ()
-    | None -> t.config.timeout_ms
-
-(* Retry [n] waits [base * retry_backoff^n], up to [retry_jitter]
-   fractional jitter either way. Exponential backoff rides out multi-wave
-   churn (a replica group wholly down now is likely partly back later);
-   jitter desynchronizes the retry storm after a crash wave. *)
-let retry_delay t ~base ~attempt =
-  let d = base *. (t.config.retry_backoff ** float_of_int attempt) in
-  let j = t.config.retry_jitter in
-  if j <= 0.0 then d else d *. (1.0 +. Rng.float_in t.rng (-.j) j)
-
-(* Feed one successfully completed exchange into the origin's latency
-   tracker. Give-ups are never observed (Karn's rule), so the estimate
-   is not dragged up by its own timeouts. *)
-let observe_rtt t (me : Node.t) rid ~peer =
-  if t.config.adaptive_timeout then
-    match Hashtbl.find_opt t.pending rid with
-    | Some (Psingle p) ->
-      Rtt.observe me.Node.rtt ~peer ~cls:p.op (Sim.now t.sim -. p.started)
-    | Some (Pbatch _) | Some (Pmulti _) | None -> ()
-
-let arm_single_timeout t rid =
-  let rec arm ~attempt =
-    let base =
-      match Hashtbl.find_opt t.pending rid with
-      | Some (Psingle p) -> deadline_base t ~origin:p.origin ~cls:p.op ~via:p.via
-      | _ -> t.config.timeout_ms
-    in
-    Sim.schedule t.sim ~delay:(retry_delay t ~base ~attempt) (fun () ->
-        match Hashtbl.find_opt t.pending rid with
-        | Some (Psingle p) ->
-          if p.attempts < t.config.retries then begin
-            p.attempts <- p.attempts + 1;
-            (match t.metrics with
-            | Some m ->
-              Metrics.incr m "overlay.resend";
-              Metrics.incr m "retry.attempt"
-            | None -> ());
-            (* If a shortcut carried this request, distrust its target:
-               drop that peer's entries so the retry routes greedily. *)
-            (match p.via with
-            | Some peer ->
-              (match find_node t p.origin with
-              | Some me ->
-                let n = Shortcuts.invalidate_peer me.Node.shortcuts peer in
-                if n > 0 then cache_incr t ~by:n "cache.shortcut.invalidate"
-              | None -> ());
-              p.via <- None
-            | None -> ());
-            p.resend ();
-            arm ~attempt:p.attempts
-          end
-          else begin
-            cache_incr t "retry.giveup";
-            finish_single t rid ~items:[] ~hops:0 ~complete:false
-          end
-        | _ -> ())
-  in
-  arm ~attempt:0
-
-(* Shower timeouts retry like single requests do, but a shower has no
-   single destination to resend to: the retry abandons the old wave's
-   token accounting wholesale and re-issues the operation from the
-   origin, whose routing (with failover) now steers around the peers
-   that ate the first wave. *)
-let arm_multi_timeout t rid =
-  let rec arm ~attempt =
-    let base =
-      match Hashtbl.find_opt t.pending rid with
-      | Some (Pmulti p) -> deadline_base t ~origin:p.origin ~cls:p.op ~via:None
-      | _ -> t.config.timeout_ms
-    in
-    Sim.schedule t.sim ~delay:(retry_delay t ~base ~attempt) (fun () ->
-        match Hashtbl.find_opt t.pending rid with
-        | Some (Pmulti p) -> (
-          match p.resend with
-          | Some resend when p.attempts < t.config.retries ->
-            p.attempts <- p.attempts + 1;
-            (match t.metrics with
-            | Some m ->
-              Metrics.incr m "overlay.resend";
-              Metrics.incr m "retry.attempt"
-            | None -> ());
-            p.wave_floor <- t.next_rid;
-            Hashtbl.reset p.expected;
-            Hashtbl.reset p.received;
-            p.missing <- 0;
-            resend ();
-            arm ~attempt:p.attempts
-          | _ ->
-            cache_incr t "retry.giveup";
-            finish_multi t rid ~complete:false)
-        | _ -> ())
-  in
-  arm ~attempt:0
-
-let finish_batch t rid ~complete =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Pbatch p) ->
-    Hashtbl.remove t.pending rid;
-    let latency = Sim.now t.sim -. p.started in
-    record_multi t p.op ~hops:p.hops ~peers_hit:p.regions ~latency ~complete;
-    if complete && t.config.adaptive_timeout then (
-      match find_node t p.origin with
-      | Some me -> Rtt.observe me.Node.rtt ~cls:p.op latency
-      | None -> ());
-    if not complete then mark_partial t ~rid ~origin:p.origin;
-    (* Coverage = acked keys / batch keys. *)
-    let completeness =
-      if complete || p.total = 0 then if complete then 1.0 else 0.0
-      else float_of_int (p.total - Hashtbl.length p.unacked) /. float_of_int p.total
-    in
-    p.k
-      {
-        items = dedupe_items p.items;
-        hops = p.hops;
-        peers_hit = p.regions;
-        complete;
-        completeness;
-        latency;
-      }
-  | _ -> ()
-
-let arm_batch_timeout t rid =
-  let rec arm ~attempt =
-    let base =
-      match Hashtbl.find_opt t.pending rid with
-      | Some (Pbatch p) -> deadline_base t ~origin:p.origin ~cls:p.op ~via:None
-      | _ -> t.config.timeout_ms
-    in
-    Sim.schedule t.sim ~delay:(retry_delay t ~base ~attempt) (fun () ->
-        match Hashtbl.find_opt t.pending rid with
-        | Some (Pbatch p) ->
-          if p.attempts < t.config.retries then begin
-            p.attempts <- p.attempts + 1;
-            (match t.metrics with
-            | Some m ->
-              Metrics.incr m "overlay.resend";
-              Metrics.incr m "retry.attempt"
-            | None -> ());
-            cache_incr t "batch.retransmit";
-            p.resend ();
-            arm ~attempt:p.attempts
-          end
-          else begin
-            cache_incr t "retry.giveup";
-            finish_batch t rid ~complete:false
-          end
-        | _ -> ())
-  in
-  arm ~attempt:0
 
 (* Children buffered per aggregation node; additional children reply
    straight to the origin. *)
@@ -598,22 +239,20 @@ let failover_candidates t refs =
 (* Peers are assumed to detect failures of their direct references (via
    keep-alive pings, as deployed DHTs do), so routing prefers alive refs;
    if every ref of a level looks dead we fail over to a live replica of
-   one of them (and learn it as a ref); with failover off — or no replica
-   alive either — we still try one, and the request times out and
-   retries. *)
+   one of them (and learn it as a ref); with no replica alive either we
+   still try one, and the request times out and retries. *)
 let choose_ref t (me : Node.t) level =
   let refs = Node.refs_at me level in
   let candidates, failing_over =
     match List.filter (Net.is_alive t.net) refs with
-    | [] when t.config.failover -> (
+    | [] -> (
       match failover_candidates t refs with [] -> (refs, false) | alts -> (alts, true))
-    | [] -> (refs, false)
     | alive -> (alive, false)
   in
   let chosen =
     match candidates with
     | [] -> None
-    | refs when t.config.proximity_routing ->
+    | refs when (config t).proximity_routing ->
     let lat = Net.latency t.net in
       let best =
         List.fold_left
@@ -630,7 +269,7 @@ let choose_ref t (me : Node.t) level =
     cache_incr t "retry.failover";
     (* Learn the stand-in as a real reference: routing self-heals instead
        of re-deriving the failover on every message. *)
-    Node.add_ref me ~level p ~cap:t.config.refs_per_level
+    Node.add_ref me ~level p ~cap:(config t).refs_per_level
   | _ -> ());
   chosen
 
@@ -647,7 +286,7 @@ let route_step t (me : Node.t) key =
   in
   go 0
 
-let too_far t hops = hops >= t.config.max_hops
+let too_far t hops = hops >= (config t).max_hops
 
 (* ------------------------------------------------------------------ *)
 (* Routing shortcuts (lib/cache level 1)                               *)
@@ -660,11 +299,6 @@ let learn_shortcut t (me : Node.t) ~peer ~region:(lo, hi) =
     cache_incr t "cache.shortcut.learn"
   end
 
-let set_via t rid peer =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Psingle p) -> p.via <- Some peer
-  | _ -> ()
-
 (* Consult the origin's learned shortcuts for a single direct hop to the
    responsible peer. A hit pointing at a dead peer invalidates that
    peer's entries on the spot (the same failure-detection assumption as
@@ -675,7 +309,7 @@ let consult_shortcut t (me : Node.t) ~rid key =
     match Shortcuts.find me.Node.shortcuts ~key with
     | Some p when p <> me.Node.id && Net.is_alive t.net p ->
       cache_incr t "cache.shortcut.hit";
-      set_via t rid p;
+      Request.set_via t.requests rid p;
       Some p
     | Some p ->
       let n = Shortcuts.invalidate_peer me.Node.shortcuts p in
@@ -706,7 +340,7 @@ let next_hop t (me : Node.t) ~rid ~origin ~hops key =
 (* The serving set an owner advertises on its replies: its current
    boost replicas (origins in spread mode learn them all and rotate). *)
 let owner_spread t (me : Node.t) =
-  if t.config.hot_replication && me.Node.boosts <> [] then me.Node.boosts else []
+  if (config t).hot_replication && me.Node.boosts <> [] then me.Node.boosts else []
 
 let handle_lookup t (me : Node.t) ~rid ~key ~origin ~hops =
   if Node.hot_covers me key then begin
@@ -717,7 +351,7 @@ let handle_lookup t (me : Node.t) ~rid ~key ~origin ~hops =
     cache_incr t "balance.hot_serve";
     let items = Store.find me.hot_store key in
     let region = match me.hot_region with Some r -> r | None -> Node.region me in
-    if me.id = origin then finish_single t rid ~items ~hops ~complete:true
+    if me.id = origin then Request.answer t.requests rid ~items ~hops ()
     else
       Net.send t.net ~src:me.id ~dst:origin
         (Message.Found { rid; items; hops; region; spread = me.hot_spread })
@@ -726,7 +360,7 @@ let handle_lookup t (me : Node.t) ~rid ~key ~origin ~hops =
     match next_hop t me ~rid ~origin ~hops key with
     | `Local ->
       let items = Store.find me.store key in
-      if me.id = origin then finish_single t rid ~items ~hops ~complete:true
+      if me.id = origin then Request.answer t.requests rid ~items ~hops ()
       else
         Net.send t.net ~src:me.id ~dst:origin
           (Message.Found { rid; items; hops; region = Node.region me; spread = owner_spread t me })
@@ -741,7 +375,7 @@ let handle_insert t (me : Node.t) ~rid ~item ~origin ~hops =
     List.iter
       (fun r -> Net.send t.net ~src:me.id ~dst:r (Message.Replicate { item; rounds_left = 0 }))
       me.replicas;
-    if me.id = origin then finish_single t rid ~items:[ item ] ~hops ~complete:true
+    if me.id = origin then Request.answer t.requests rid ~items:[ item ] ~hops ()
     else
       Net.send t.net ~src:me.id ~dst:origin (Message.Ack { rid; hops; region = Node.region me })
   | `Forward p when not (too_far t hops) ->
@@ -756,7 +390,7 @@ let handle_delete t (me : Node.t) ~rid ~key ~item_id ~origin ~hops =
     List.iter
       (fun r -> Net.send t.net ~src:me.id ~dst:r (Message.Unreplicate { key; item_id }))
       me.replicas;
-    if me.id = origin then finish_single t rid ~items:[] ~hops ~complete:true
+    if me.id = origin then Request.answer t.requests rid ~items:[] ~hops ()
     else
       Net.send t.net ~src:me.id ~dst:origin (Message.Ack { rid; hops; region = Node.region me })
   | `Forward p when not (too_far t hops) ->
@@ -767,11 +401,11 @@ let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
   match next_hop t me ~rid ~origin ~hops item.Store.key with
   | `Local ->
     if Store.put me.store item then Node.bump_epoch me;
-    let targets = Rng.sample t.rng t.config.gossip_fanout me.replicas in
+    let targets = Rng.sample t.rng (config t).gossip_fanout me.replicas in
     List.iter
       (fun r -> Net.send t.net ~src:me.id ~dst:r (Message.Replicate { item; rounds_left = rounds }))
       targets;
-    if me.id = origin then finish_single t rid ~items:[ item ] ~hops ~complete:true
+    if me.id = origin then Request.answer t.requests rid ~items:[ item ] ~hops ()
     else
       Net.send t.net ~src:me.id ~dst:origin (Message.Ack { rid; hops; region = Node.region me })
   | `Forward p when not (too_far t hops) ->
@@ -809,31 +443,17 @@ let split_batch (me : Node.t) ~key_of xs =
   in
   (List.rev !local, forwards)
 
-(* A region's [AckBatch]/[MultiFound] arrived at the batch origin:
-   resolve its keys (first answer per key wins), keep its payload, and
-   learn a shortcut to the responding region. *)
-let deliver_batch_ack t rid ~from ~found ~region ~hops =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Pbatch p) ->
-    (match find_node t p.origin with
-    | Some me -> learn_shortcut t me ~peer:from ~region
-    | None -> ());
-    p.regions <- p.regions + 1;
-    p.hops <- max p.hops hops;
-    List.iter
-      (fun (key, items) ->
-        if Hashtbl.mem p.unacked key then begin
-          Hashtbl.remove p.unacked key;
-          p.on_ack key items;
-          p.items <- List.rev_append items p.items
-        end)
-      found;
-    if Hashtbl.length p.unacked = 0 then finish_batch t rid ~complete:true
-  | _ -> ()
+(* A region's [AckBatch]/[MultiFound] arrived at the batch origin [me]:
+   learn a shortcut to the responding region and resolve its keys. *)
+let deliver_batch_ack t (me : Node.t) rid ~from ~found ~region ~hops =
+  if Request.live t.requests rid then begin
+    learn_shortcut t me ~peer:from ~region;
+    Request.ack t.requests rid ~found ~hops
+  end
 
 let batch_observe t name n =
-  match t.metrics with
-  | Some m -> Metrics.observe m ~buckets:fanout_buckets name (float_of_int n)
+  match metrics t with
+  | Some m -> Metrics.observe m ~buckets:Request.fanout_buckets name (float_of_int n)
   | None -> ()
 
 let handle_insert_batch t (me : Node.t) ~rid ~items ~origin ~hops =
@@ -852,7 +472,7 @@ let handle_insert_batch t (me : Node.t) ~rid ~items ~origin ~hops =
     in
     cache_incr t ~by:((List.length local - 1) * Message.header) "batch.bytes.saved";
     if me.id = origin then
-      deliver_batch_ack t rid ~from:me.id
+      deliver_batch_ack t me rid ~from:me.id
         ~found:(List.map (fun k -> (k, [])) keys)
         ~region:(Node.region me) ~hops
     else
@@ -876,7 +496,7 @@ let handle_multi_lookup t (me : Node.t) ~rid ~keys ~origin ~hops =
   if local <> [] then begin
     let found = List.map (fun key -> (key, Store.find me.store key)) local in
     cache_incr t ~by:((List.length local - 1) * Message.header) "batch.bytes.saved";
-    if me.id = origin then deliver_batch_ack t rid ~from:me.id ~found ~region:(Node.region me) ~hops
+    if me.id = origin then deliver_batch_ack t me rid ~from:me.id ~found ~region:(Node.region me) ~hops
     else
       Net.send t.net ~src:me.id ~dst:origin
         (Message.MultiFound { rid; found; region = Node.region me; hops })
@@ -895,9 +515,10 @@ let handle_multi_lookup t (me : Node.t) ~rid ~keys ~origin ~hops =
 
 (* The shower split of the clip at [me]: one (ref, sub-clip) per
    complementary subtree intersecting it, computed level by level from
-   [me]'s own split boundaries. *)
+   [me]'s own split boundaries — plus one [Message.hop_limited] target
+   per such sub-clip when the hop limit forbids forwarding any. *)
 let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
-  let acc = ref [] in
+  let acc = ref [] and cut = ref [] in
   let len = Bitkey.length me.path in
   let plo = ref "" and phi = ref None in
   for l = 0 to len - 1 do
@@ -905,27 +526,30 @@ let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
     let mybit = Bitkey.get me.path l in
     let sibling = if mybit then (!plo, Some boundary) else (boundary, !phi) in
     (match interval_intersect (clip_lo, clip_hi) sibling with
-    | Some (lo', hi') when not (too_far t hops) -> (
+    | Some _ when too_far t hops -> cut := Message.hop_limited :: !cut
+    | Some (lo', hi') -> (
       match choose_ref t me l with Some p -> acc := (p, lo', hi') :: !acc | None -> ())
-    | _ -> ());
+    | None -> ());
     if mybit then plo := boundary else phi := Some boundary
   done;
-  List.rev !acc
+  (List.rev !acc, !cut)
 
 (* Shower probe processing: partition the clip among my own region and my
    complementary subtrees, forward each non-empty sub-clip to one
    reference of that subtree, answer my own region locally. *)
 let process_shower t (me : Node.t) ~rid ~token ~origin ~hops ~clip_lo ~clip_hi ~local ~forward =
+  let splits, cut = shower_splits t me ~hops ~clip_lo ~clip_hi in
   let targets =
     List.map
       (fun (p, lo', hi') ->
         let tok = fresh_rid t in
         forward ~dst:p ~token:tok ~clip_lo:lo' ~clip_hi:hi';
         tok)
-      (shower_splits t me ~hops ~clip_lo ~clip_hi)
+      splits
+    @ cut
   in
   let items = local () in
-  if me.id = origin then deliver_hit t rid ~from:me.id ~token ~items ~targets ~hops
+  if me.id = origin then Request.hit t.requests rid ~from:me.id ~token ~items ~targets ~hops
   else
     Net.send t.net ~src:me.id ~dst:origin
       (Message.RangeHit { rid; token; items; targets; origin; hops })
@@ -958,7 +582,7 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
         ~local:(fun () -> Store.range me.store ~lo ~hi)
         ~forward:(forward ~reply_to:origin)
     else
-      let splits = shower_splits t me ~hops ~clip_lo ~clip_hi in
+      let splits, cut = shower_splits t me ~hops ~clip_lo ~clip_hi in
       let items = Store.range me.store ~lo ~hi in
       match (items, splits) with
       | [], [ (p, lo', hi') ] ->
@@ -969,9 +593,10 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
         cache_incr t ~by:Message.header "batch.bytes.saved";
         forward ~dst:p ~token ~clip_lo:lo' ~clip_hi:hi' ~reply_to
       | _, [] ->
-        (* Leaf of the split tree: reply to my parent, fully merged. *)
+        (* Leaf of the split tree (or cut off by the hop limit): reply to
+           my parent, fully merged. *)
         Net.send t.net ~src:me.id ~dst:reply_to
-          (Message.RangeHit { rid; token; items; targets = []; origin; hops })
+          (Message.RangeHit { rid; token; items; targets = cut; origin; hops })
       | _, _ ->
         (* Interior node: buffer up to [agg_fanin] children and merge
            their hits into mine before replying upward; overflow children
@@ -1011,7 +636,7 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
        empty one naming their next hop) so the origin's termination
        tracking stays exact. *)
     let emit items targets =
-      if me.id = origin then deliver_hit t rid ~from:me.id ~token ~items ~targets ~hops
+      if me.id = origin then Request.hit t.requests rid ~from:me.id ~token ~items ~targets ~hops
       else
         Net.send t.net ~src:me.id ~dst:origin
           (Message.RangeHit { rid; token; items; targets; origin; hops })
@@ -1037,7 +662,8 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
                budget;
              });
         emit [] [ tok ]
-      | `Forward _ | `Local | `Stuck -> emit [] []
+      | `Forward _ -> emit [] [ Message.hop_limited ]
+      | `Local | `Stuck -> emit [] []
     end
     else begin
       let items = Store.range me.store ~lo ~hi in
@@ -1061,9 +687,7 @@ let handle_range t (me : Node.t) ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~
         match continue_key with
         | None -> []
         | Some _ when exhausted -> []
-        | Some nxt when too_far t hops ->
-          ignore nxt;
-          []
+        | Some _ when too_far t hops -> [ Message.hop_limited ]
         | Some nxt -> (
           match route_step t me nxt with
           | `Forward p ->
@@ -1120,7 +744,7 @@ let handle_replicate t (me : Node.t) ~item ~rounds_left =
   let changed = Store.put me.store item in
   if changed then Node.bump_epoch me;
   if changed && rounds_left > 0 && me.replicas <> [] then begin
-    let targets = Rng.sample t.rng t.config.gossip_fanout me.replicas in
+    let targets = Rng.sample t.rng (config t).gossip_fanout me.replicas in
     List.iter
       (fun r ->
         Net.send t.net ~src:me.id ~dst:r (Message.Replicate { item; rounds_left = rounds_left - 1 }))
@@ -1177,14 +801,12 @@ let dispatch t (me : Node.t) ~src msg =
     Node.bump_served me;
     handle_update t me ~rid ~item ~origin ~hops ~rounds
   | Found { rid; items; hops; region; spread } ->
-    observe_rtt t me rid ~peer:src;
     learn_shortcut t me ~peer:src ~region;
     List.iter (fun p -> if p <> src then learn_shortcut t me ~peer:p ~region) spread;
-    finish_single t rid ~items ~hops ~complete:true
+    Request.answer t.requests rid ~from:src ~items ~hops ()
   | Ack { rid; hops; region } ->
-    observe_rtt t me rid ~peer:src;
     learn_shortcut t me ~peer:src ~region;
-    finish_single t rid ~items:[] ~hops ~complete:true
+    Request.answer t.requests rid ~from:src ~items:[] ~hops ()
   | Range { rid; token; lo; hi; clip_lo; clip_hi; origin; reply_to; hops; strategy; budget } ->
     Node.bump_served me;
     handle_range t me ~rid ~token ~lo ~hi ~clip_lo ~clip_hi ~origin ~reply_to ~hops ~strategy
@@ -1201,7 +823,7 @@ let dispatch t (me : Node.t) ~src msg =
       cache_incr t "batch.agg.merged";
       if a.waiting = [] then flush_agg t a ~reason:"complete"
     | None ->
-      if me.id = origin then deliver_hit t rid ~from:src ~token ~items ~targets ~hops
+      if me.id = origin then Request.hit t.requests rid ~from:src ~token ~items ~targets ~hops
       else begin
         (* No buffer (it already flushed on timeout): relay the straggler
            home so the origin's accounting still sees its token. *)
@@ -1213,11 +835,12 @@ let dispatch t (me : Node.t) ~src msg =
     Node.bump_served me;
     handle_insert_batch t me ~rid ~items ~origin ~hops
   | AckBatch { rid; keys; region; hops } ->
-    deliver_batch_ack t rid ~from:src ~found:(List.map (fun k -> (k, [])) keys) ~region ~hops
+    deliver_batch_ack t me rid ~from:src ~found:(List.map (fun k -> (k, [])) keys) ~region ~hops
   | MultiLookup { rid; keys; origin; hops } ->
     Node.bump_served me;
     handle_multi_lookup t me ~rid ~keys ~origin ~hops
-  | MultiFound { rid; found; region; hops } -> deliver_batch_ack t rid ~from:src ~found ~region ~hops
+  | MultiFound { rid; found; region; hops } ->
+    deliver_batch_ack t me rid ~from:src ~found ~region ~hops
   | Probe { rid; token; clip_lo; clip_hi; origin; hops; pred; reduce } ->
     Node.bump_served me;
     handle_probe t me ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pred ~reduce
@@ -1262,9 +885,10 @@ let add_node t id =
     Array.blit t.node_arena 0 arena 0 cap;
     t.node_arena <- arena
   end;
-  let n = Node.create ~backend:t.config.Config.store_backend id in
-  Shortcuts.set_capacity n.Node.shortcuts t.config.shortcut_capacity;
-  Shortcuts.set_spread n.Node.shortcuts t.config.spread_load;
+  let config = config t in
+  let n = Node.create ~backend:config.Config.store_backend id in
+  Shortcuts.set_capacity n.Node.shortcuts config.shortcut_capacity;
+  Shortcuts.set_spread n.Node.shortcuts config.hot_replication;
   t.node_arena.(id) <- Some n;
   t.n_nodes <- t.n_nodes + 1;
   if id > t.max_node_id then t.max_node_id <- id;
@@ -1275,94 +899,49 @@ let add_node t id =
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
 
-let insert t ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
-  let rid = fresh_rid t in
-  let item = { Store.key; item_id; payload; version } in
+(* Register a request from [origin] and send its first attempt:
+   [send me rid] runs at the origin node [me], now and on every retry. *)
+let start t ~op ~origin kind ~k send =
   let me = node t origin in
-  let resend () = handle_insert t me ~rid ~item ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { op = "insert"; origin; resend; attempts = 0; via = None; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  Request.start t.requests ~op ~origin:me kind ~k ~send:(send me)
+
+let insert t ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
+  let item = { Store.key; item_id; payload; version } in
+  start t ~op:"insert" ~origin Single ~k (fun me rid -> handle_insert t me ~rid ~item ~origin ~hops:0)
 
 let update t ~origin ~key ~item_id ~payload ~version ?(rounds = 3) ~k () =
-  let rid = fresh_rid t in
   let item = { Store.key; item_id; payload; version } in
-  let me = node t origin in
-  let resend () = handle_update t me ~rid ~item ~origin ~hops:0 ~rounds in
-  Hashtbl.replace t.pending rid (Psingle { op = "update"; origin; resend; attempts = 0; via = None; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  start t ~op:"update" ~origin Single ~k (fun me rid ->
+      handle_update t me ~rid ~item ~origin ~hops:0 ~rounds)
 
 let delete t ~origin ~key ~item_id ~k =
-  let rid = fresh_rid t in
-  let me = node t origin in
-  let resend () = handle_delete t me ~rid ~key ~item_id ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { op = "delete"; origin; resend; attempts = 0; via = None; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  start t ~op:"delete" ~origin Single ~k (fun me rid ->
+      handle_delete t me ~rid ~key ~item_id ~origin ~hops:0)
 
+(* Successful lookups feed the read observer before [k] runs. *)
 let lookup t ~origin ~key ~k =
-  let rid = fresh_rid t in
-  let me = node t origin in
-  let resend () = handle_lookup t me ~rid ~key ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { op = "lookup"; origin; resend; attempts = 0; via = None; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  let k r =
+    (match t.read_observer with Some f when r.complete -> f ~origin r.items | _ -> ());
+    k r
+  in
+  start t ~op:"lookup" ~origin Single ~k (fun me rid -> handle_lookup t me ~rid ~key ~origin ~hops:0)
 
-let start_multi t ~op ~origin ~k =
-  let rid = fresh_rid t in
-  Hashtbl.replace t.pending rid
-    (Pmulti
-       {
-         op;
-         origin;
-         expected = Hashtbl.create 16;
-         received = Hashtbl.create 16;
-         missing = 0;
-         peers = Hashtbl.create 16;
-         items = [];
-         hops = 0;
-         resend = None;
-         attempts = 0;
-         wave_floor = 0;
-         started = Sim.now t.sim;
-         k;
-       });
-  arm_multi_timeout t rid;
-  rid
-
-(* The resend closure mints fresh tokens per call, so it is installed
-   after [start_multi] hands back the rid it needs to close over. *)
-let set_multi_resend t rid f =
-  match Hashtbl.find_opt t.pending rid with
-  | Some (Pmulti p) -> p.resend <- Some f
-  | _ -> ()
-
+(* A shower's first token is minted on every (re-)send, after its rid. *)
 let range t ~origin ?(strategy = Message.Shower) ?budget ~lo ~hi ~k () =
   (match (budget, strategy) with
   | Some _, Message.Shower -> invalid_arg "Overlay.range: budget requires Sequential"
   | _ -> ());
-  let rid = start_multi t ~op:"range" ~origin ~k in
-  let me = node t origin in
-  let send () =
-    handle_range t me ~rid ~token:(fresh_rid t) ~lo ~hi ~clip_lo:lo ~clip_hi:(after_inclusive hi)
-      ~origin ~reply_to:origin ~hops:0 ~strategy ~budget
-  in
-  set_multi_resend t rid send;
-  send ()
+  start t ~op:"range" ~origin Shower ~k (fun me rid ->
+      handle_range t me ~rid ~token:(fresh_rid t) ~lo ~hi ~clip_lo:lo ~clip_hi:(after_inclusive hi)
+        ~origin ~reply_to:origin ~hops:0 ~strategy ~budget)
 
 let prefix t ~origin ~prefix:p ~k =
-  let rid = start_multi t ~op:"prefix" ~origin ~k in
-  let me = node t origin in
   (* All keys extending [p]: inclusive bounds for local filtering, and the
      exclusive clip just past the last extension. *)
   let hi = p ^ String.make 64 '\xff' in
-  let send () =
-    handle_range t me ~rid ~token:(fresh_rid t) ~lo:p ~hi ~clip_lo:p ~clip_hi:(after_inclusive hi)
-      ~origin ~reply_to:origin ~hops:0 ~strategy:Message.Shower ~budget:None
-  in
-  set_multi_resend t rid send;
-  send ()
+  start t ~op:"prefix" ~origin Shower ~k (fun me rid ->
+      handle_range t me ~rid ~token:(fresh_rid t) ~lo:p ~hi ~clip_lo:p ~clip_hi:(after_inclusive hi)
+        ~origin ~reply_to:origin ~hops:0 ~strategy:Message.Shower ~budget:None)
 
 (* Bulk insert: ship the whole (sorted) batch as one [InsertBatch] that
    splits shower-style down the trie; every covering region stores its
@@ -1370,39 +949,17 @@ let prefix t ~origin ~prefix:p ~k =
    still-unacked items. *)
 let bulk_insert t ~origin ~items ~k =
   match items with
-  | [] -> k { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 }
+  | [] -> k Request.empty
   | _ ->
-    let rid = fresh_rid t in
-    let me = node t origin in
     let items =
       List.sort (fun (a : Store.item) b -> String.compare a.Store.key b.Store.key) items
     in
-    let unacked = Hashtbl.create (List.length items) in
-    List.iter (fun (i : Store.item) -> Hashtbl.replace unacked i.Store.key ()) items;
-    let resend () =
-      let remaining =
-        List.filter (fun (i : Store.item) -> Hashtbl.mem unacked i.Store.key) items
-      in
-      if remaining <> [] then handle_insert_batch t me ~rid ~items:remaining ~origin ~hops:0
-    in
-    Hashtbl.replace t.pending rid
-      (Pbatch
-         {
-           op = "bulk-insert";
-           origin;
-           total = List.length items;
-           unacked;
-           resend;
-           attempts = 0;
-           hops = 0;
-           regions = 0;
-           items = [];
-           on_ack = (fun _ _ -> ());
-           started = Sim.now t.sim;
-           k;
-         });
-    arm_batch_timeout t rid;
-    resend ()
+    let keys = List.map (fun (i : Store.item) -> i.Store.key) items in
+    start t ~op:"bulk-insert" ~origin (Batch { keys; on_ack = (fun _ _ -> ()) }) ~k (fun me rid ->
+        let unacked = Request.unacked t.requests rid in
+        match List.filter (fun (i : Store.item) -> unacked i.Store.key) items with
+        | [] -> ()
+        | remaining -> handle_insert_batch t me ~rid ~items:remaining ~origin ~hops:0)
 
 (* Batched point lookups for bind-join probes: deduplicated keys travel
    as one [MultiLookup] that splits by responsible region; each region
@@ -1410,56 +967,26 @@ let bulk_insert t ~origin ~items ~k =
    result. *)
 let multi_lookup t ~origin ~keys ~k =
   match keys with
-  | [] -> k ([], { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 })
+  | [] -> k ([], Request.empty)
   | _ ->
-    let rid = fresh_rid t in
-    let me = node t origin in
     let keys = List.sort_uniq String.compare keys in
-    let unacked = Hashtbl.create (List.length keys) in
-    List.iter (fun key -> Hashtbl.replace unacked key ()) keys;
     let found = Hashtbl.create (List.length keys) in
-    let resend () =
-      let remaining = List.filter (Hashtbl.mem unacked) keys in
-      if remaining <> [] then handle_multi_lookup t me ~rid ~keys:remaining ~origin ~hops:0
+    let k r =
+      k (List.map (fun key -> (key, Option.value (Hashtbl.find_opt found key) ~default:[])) keys, r)
     in
-    Hashtbl.replace t.pending rid
-      (Pbatch
-         {
-           op = "multi-lookup";
-           origin;
-           total = List.length keys;
-           unacked;
-           resend;
-           attempts = 0;
-           hops = 0;
-           regions = 0;
-           items = [];
-           on_ack = (fun key items -> Hashtbl.replace found key items);
-           started = Sim.now t.sim;
-           k =
-             (fun r ->
-               let assoc =
-                 List.map
-                   (fun key -> (key, Option.value (Hashtbl.find_opt found key) ~default:[]))
-                   keys
-               in
-               k (assoc, r));
-         });
-    arm_batch_timeout t rid;
-    resend ()
+    start t ~op:"multi-lookup" ~origin (Batch { keys; on_ack = Hashtbl.replace found }) ~k
+      (fun me rid ->
+        match List.filter (Request.unacked t.requests rid) keys with
+        | [] -> ()
+        | remaining -> handle_multi_lookup t me ~rid ~keys:remaining ~origin ~hops:0)
 
 (* [lo]/[hi] clip the probe to one key region (e.g. a single index
    family) instead of flooding the whole trie; [reduce] runs at each
    leaf over its matched items before the reply travels. *)
 let broadcast t ~origin ?(lo = "") ?hi ?reduce ~pred ~k () =
-  let rid = start_multi t ~op:"broadcast" ~origin ~k in
-  let me = node t origin in
-  let send () =
-    handle_probe t me ~rid ~token:(fresh_rid t) ~clip_lo:lo ~clip_hi:hi ~origin ~hops:0 ~pred
-      ~reduce
-  in
-  set_multi_resend t rid send;
-  send ()
+  start t ~op:"broadcast" ~origin Shower ~k (fun me rid ->
+      handle_probe t me ~rid ~token:(fresh_rid t) ~clip_lo:lo ~clip_hi:hi ~origin ~hops:0 ~pred
+        ~reduce)
 
 let send_task t ~src ~dst ~bytes run = Net.send t.net ~src ~dst (Message.Task { bytes; run })
 
@@ -1472,15 +999,15 @@ let agg_owners t =
 (* ------------------------------------------------------------------ *)
 (* Synchronous wrappers                                                *)
 
-let await t f =
+(* Drive the simulator until [f]'s continuation fires; [unfinished] if
+   the event queue drains first. *)
+let await_or t ~unfinished f =
   let cell = ref None in
   f (fun r -> cell := Some r);
-  let completed = Sim.run_until t.sim (fun () -> !cell <> None) in
-  match !cell with
-  | Some r -> r
-  | None ->
-    ignore completed;
-    { items = []; hops = 0; peers_hit = 0; complete = false; completeness = 0.0; latency = 0.0 }
+  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
+  Option.value !cell ~default:unfinished
+
+let await t f = await_or t ~unfinished:Request.unfinished f
 
 let insert_sync t ~origin ~key ~item_id ~payload ?version () =
   await t (fun k -> insert t ~origin ~key ~item_id ~payload ?version ~k ())
@@ -1501,9 +1028,4 @@ let broadcast_sync t ~origin ~pred = await t (fun k -> broadcast t ~origin ~pred
 let bulk_insert_sync t ~origin ~items = await t (fun k -> bulk_insert t ~origin ~items ~k)
 
 let multi_lookup_sync t ~origin ~keys =
-  let cell = ref None in
-  multi_lookup t ~origin ~keys ~k:(fun r -> cell := Some r);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  match !cell with
-  | Some r -> r
-  | None -> ([], { items = []; hops = 0; peers_hit = 0; complete = false; completeness = 0.0; latency = 0.0 })
+  await_or t ~unfinished:([], Request.unfinished) (fun k -> multi_lookup t ~origin ~keys ~k)

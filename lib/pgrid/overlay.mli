@@ -47,9 +47,9 @@ val net : t -> Message.t Net.t
 val config : t -> Config.t
 
 (** [set_config t c] swaps the live parameter set — used to toggle the
-    adaptive-balancing arm ([adaptive_timeout] / [hot_replication] /
-    [spread_load]) on an already-built deployment. Per-node shortcut
-    spread mode is re-propagated to every node. *)
+    adaptive-balancing arm ([adaptive_timeout] / [hot_replication]) on
+    an already-built deployment. Per-node shortcut spread mode follows
+    [hot_replication] and is re-propagated to every node. *)
 val set_config : t -> Config.t -> unit
 
 val rng : t -> Unistore_util.Rng.t

@@ -116,13 +116,13 @@ let workload =
 let row_set (r : Unistore.Report.report) =
   List.sort compare (List.map Binding.fingerprint r.Unistore.Report.rows)
 
-let deploy_pubs ~retry =
+let deploy_pubs () =
   let rng = Rng.create 43 in
   let ds = Publications.generate rng { Publications.default_params with n_authors = 20 } in
   let store =
     Unistore.create
       ~sample_keys:(Publications.sample_keys ds)
-      { Unistore.default_config with peers = 64; seed = 42; cache = Unistore.no_cache; retry }
+      { Unistore.default_config with peers = 64; seed = 42; cache = Unistore.no_cache }
   in
   ignore (Unistore.load store ds.Publications.tuples);
   Unistore.set_stats_of_triples store ds.Publications.triples;
@@ -130,23 +130,28 @@ let deploy_pubs ~retry =
   store
 
 (* Two query rounds under 30% churn (a kill wave every 10ms, down for
-   10ms — faster than a healthy query finishes). *)
-let churned_rows ~retry =
-  let store = deploy_pubs ~retry in
+   10ms — faster than a healthy query finishes), and how many retries
+   they took. *)
+let churned_rows () =
+  let store = deploy_pubs () in
+  Unistore.reset_metrics store;
   ignore
     (Unistore.inject_faults store
        (Unistore.Faults.spec ~seed:8 ~duration_ms:600_000.0
           ~churn:(Unistore.Faults.churn_spec ~interval_ms:10.0 ~down_ms:10.0 ~rate:0.3 ())
           ~protected:[ 0 ] ()));
-  List.concat_map
-    (fun _ ->
-      List.map
-        (fun vql ->
-          match Unistore.query store ~origin:0 vql with
-          | Ok r -> row_set r
-          | Error e -> Alcotest.failf "query failed: %s" e)
-        workload)
-    [ 1; 2 ]
+  let rows =
+    List.concat_map
+      (fun _ ->
+        List.map
+          (fun vql ->
+            match Unistore.query store ~origin:0 vql with
+            | Ok r -> row_set r
+            | Error e -> Alcotest.failf "query failed: %s" e)
+          workload)
+      [ 1; 2 ]
+  in
+  (rows, Metrics.counter (Unistore.metrics store) "retry.attempt")
 
 let recall ~reference rows =
   let rec inter a b =
@@ -165,7 +170,7 @@ let recall ~reference rows =
 
 let test_churn_recall () =
   (* Reference: the same deployment and workload with no faults. *)
-  let store = deploy_pubs ~retry:Unistore.default_retry_config in
+  let store = deploy_pubs () in
   let reference =
     List.concat_map
       (fun _ ->
@@ -179,17 +184,12 @@ let test_churn_recall () =
           workload)
       [ 1; 2 ]
   in
-  let with_retry = recall ~reference (churned_rows ~retry:Unistore.default_retry_config) in
-  let without = recall ~reference (churned_rows ~retry:Unistore.no_retry) in
+  let rows, retries = churned_rows () in
+  let r = recall ~reference rows in
+  Alcotest.(check bool) (Printf.sprintf "churn forced retries (%d)" retries) true (retries > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "retries keep recall >= 0.95 under 30%% churn (got %.3f)" with_retry)
-    true (with_retry >= 0.95);
-  Alcotest.(check bool)
-    (Printf.sprintf "no_retry loses rows (recall %.3f < 1)" without)
-    true (without < 1.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "no_retry strictly worse (%.3f < %.3f)" without with_retry)
-    true (without < with_retry)
+    (Printf.sprintf "retries keep recall >= 0.95 under 30%% churn (got %.3f)" r)
+    true (r >= 0.95)
 
 (* ------------------------------------------------------------------ *)
 (* Replica failover *)
@@ -376,8 +376,21 @@ let test_agg_owner_crash_terminates () =
 (* Backoff timing *)
 
 (* With jitter zeroed and adaptive deadlines off, the retry schedule is
-   exact: timeouts at 100ms, then 200ms, then 400ms — a request whose
-   region is entirely dead gives up incomplete at precisely 700ms. *)
+   exact for every kind of pending request: timeouts at 100ms, then
+   200ms, then 400ms — a request touching a region that is entirely
+   dead gives up incomplete at precisely 700ms, after exactly two
+   retries, reporting the coverage it did reach. *)
+let backoff_kinds =
+  let item i k = { Store.key = k; item_id = Printf.sprintf "b%d" i; payload = k; version = 0 } in
+  [
+    ("lookup", 0.0, fun ov ~keys:_ ~key -> Overlay.lookup_sync ov ~origin:0 ~key);
+    ("range", 0.75, fun ov ~keys:_ ~key:_ -> Overlay.range_sync ov ~origin:0 ~lo:"a" ~hi:"{" ());
+    ( "bulk_insert",
+      0.875,
+      fun ov ~keys ~key:_ -> Overlay.bulk_insert_sync ov ~origin:0 ~items:(List.mapi item keys) );
+    ("multi_lookup", 0.875, fun ov ~keys ~key:_ -> snd (Overlay.multi_lookup_sync ov ~origin:0 ~keys));
+  ]
+
 let test_backoff_schedule () =
   let config =
     {
@@ -391,20 +404,25 @@ let test_backoff_schedule () =
     }
   in
   let keys = random_words (Rng.create 17) 40 in
-  let ov = build_overlay ~n:16 ~config ~keys () in
-  insert_all ov keys;
-  Sim.run_all (Overlay.sim ov);
-  let key =
-    List.find
-      (fun k ->
-        Overlay.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
-      keys
-  in
-  Overlay.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
-  let r = Overlay.lookup_sync ov ~origin:0 ~key in
-  Alcotest.(check bool) "gives up incomplete" false r.Overlay.complete;
-  check (Alcotest.float 0.001) "zero coverage" 0.0 r.Overlay.completeness;
-  check (Alcotest.float 1.0) "gave up at 100+200+400 ms" 700.0 r.Overlay.latency
+  List.iter
+    (fun (kind, coverage, run) ->
+      let ov = build_overlay ~n:16 ~config ~keys () in
+      insert_all ov keys;
+      Sim.run_all (Overlay.sim ov);
+      let key =
+        List.find
+          (fun k ->
+            Overlay.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
+          keys
+      in
+      Overlay.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
+      let m = with_metrics ov in
+      let r = run ov ~keys ~key in
+      Alcotest.(check bool) (kind ^ " gives up incomplete") false r.Overlay.complete;
+      check (Alcotest.float 0.001) (kind ^ " coverage") coverage r.Overlay.completeness;
+      check (Alcotest.float 1.0) (kind ^ " gave up at 100+200+400 ms") 700.0 r.Overlay.latency;
+      check Alcotest.int (kind ^ " retried twice") 2 (Metrics.counter m "retry.attempt"))
+    backoff_kinds
 
 (* The adaptive (EWMA) deadline policy — the default — gives up on a
    dead region strictly sooner than the fixed 100ms schedule: the
@@ -447,7 +465,7 @@ let test_adaptive_deadline_beats_fixed () =
    fault-aware linter reports no errors — and the trace really does
    contain crash markers (the check has something to chew on). *)
 let test_lint_clean_under_churn () =
-  let store = deploy_pubs ~retry:Unistore.default_retry_config in
+  let store = deploy_pubs () in
   Unistore.reset_metrics store;
   let tr = Unistore.start_trace store in
   ignore

@@ -297,6 +297,37 @@ let test_budgeted_sequential_range () =
      Alcotest.fail "expected invalid_arg"
    with Invalid_argument _ -> ())
 
+(* A range the hop limit cuts short must say so: the regions beyond the
+   limit are never reached, so the answer is partial (not complete with
+   silently missing rows), and it is reported as soon as every reachable
+   region answered — well before the first retry timeout, since a retry
+   would hit the same wall. *)
+let test_hop_limited_range_partial () =
+  let keys = List.init 200 (Printf.sprintf "k%04d") in
+  let ov = build_overlay ~n:64 ~keys () in
+  insert_all ov keys;
+  Sim.run_all (Overlay.sim ov);
+  List.iter
+    (fun (strategy, label, max_hops) ->
+      Overlay.set_config ov { Config.default with max_hops };
+      let r = Overlay.range_sync ov ~origin:0 ~strategy ~lo:"k0000" ~hi:"k0199" () in
+      let n = List.length r.Overlay.items in
+      Alcotest.(check bool) (Printf.sprintf "%s: the hop limit truncates (%d/200 rows)" label n)
+        true (n < 200);
+      Alcotest.(check bool) (label ^ ": reported incomplete") false r.Overlay.complete;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: completeness %.2f < 1" label r.Overlay.completeness)
+        true (r.Overlay.completeness < 1.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: no retry waited out (%.1f ms)" label r.Overlay.latency)
+        true
+        (r.Overlay.latency < Config.default.Config.min_timeout_ms))
+    [ (Message.Sequential, "sequential", 8); (Message.Shower, "shower", 3) ];
+  Overlay.set_config ov Config.default;
+  let r = Overlay.range_sync ov ~origin:0 ~lo:"k0000" ~hi:"k0199" () in
+  Alcotest.(check bool) "default hop limit: complete" true r.Overlay.complete;
+  check Alcotest.int "default hop limit: every row" 200 (List.length r.Overlay.items)
+
 let test_prefix_search () =
   let keys = [ "apple"; "application"; "apply"; "banana"; "appetite"; "zebra" ] in
   let ov = build_overlay ~n:16 ~keys () in
@@ -857,6 +888,7 @@ let () =
           Alcotest.test_case "strategies agree" `Quick test_range_strategies_agree;
           Alcotest.test_case "sequential is serial" `Quick test_sequential_more_serial_latency;
           Alcotest.test_case "budgeted sequential range" `Quick test_budgeted_sequential_range;
+          Alcotest.test_case "hop-limited range is partial" `Quick test_hop_limited_range_partial;
           Alcotest.test_case "prefix search" `Quick test_prefix_search;
           Alcotest.test_case "broadcast probe" `Quick test_broadcast_probe;
           Alcotest.test_case "hops logarithmic" `Slow test_hops_logarithmic;
