@@ -220,9 +220,48 @@ let run () =
       close_out oc;
       Printf.printf "\nwrote %s\n" out_file)
 
+(* Linearity guard: average minor-heap words per put while filling one
+   fresh key with 1k and with 16k new ids. Counting allocation instead
+   of timing keeps it deterministic: an insert that walks or rebuilds
+   the key's items grows ~16x between the two sizes, a constant-time
+   insert stays flat. *)
+let words_per_put store n =
+  let items =
+    Array.init n (fun i ->
+        { Store.key = "hot#key"; item_id = Printf.sprintf "id%06d" i; payload = "payload"; version = 0 })
+  in
+  let before = Gc.minor_words () in
+  Array.iter (fun it -> ignore (Store.put store it)) items;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_linearity dir =
+  let rows =
+    List.map
+      (fun backend ->
+        let fresh name = Store.create ~backend ~name () in
+        let small = words_per_put (fresh "lin-small") 1_000 in
+        let large = words_per_put (fresh "lin-large") 16_000 in
+        (Store.backend_label backend, small, large))
+      [ Store.Hash; Store.Log { dir }; Store.Packed ]
+  in
+  Common.print_table
+    [ "backend"; "words/put 1k"; "words/put 16k"; "ratio" ]
+    (List.map
+       (fun (label, small, large) ->
+         [ label; Common.f1 small; Common.f1 large; Common.f2 (large /. small) ])
+       rows);
+  List.iter
+    (fun (label, small, large) ->
+      if large /. small > 1.5 then
+        failwith
+          (Printf.sprintf "bench store: %s put is not constant-time (%.0f -> %.0f words/put)" label
+             small large))
+    rows
+
 (* CI gate: the three backends must agree on content, packed must stay
-   below hash on bytes/triple, and the log must replay cleanly — at a
-   size small enough to run in seconds, without touching the file. *)
+   below hash on bytes/triple, the log must replay cleanly and every
+   put must stay constant-time under one hot key — at a size small
+   enough to run in seconds, without touching the file. *)
 let run_smoke () =
   Common.section "STORE (smoke)" "backend invariants hold on a small Zipf dataset";
   let n = 10_000 in
@@ -230,4 +269,7 @@ let run_smoke () =
       let points = measure_all ~n ~lookups:2_000 dir in
       print_points points;
       check_invariants ~n points;
-      Printf.printf "\nstore-smoke OK: all backends hold %d triples, packed < hash, log replays\n" n)
+      check_linearity dir;
+      Printf.printf
+        "\nstore-smoke OK: all backends hold %d triples, packed < hash, log replays, puts flat to 16k per key\n"
+        n)

@@ -15,8 +15,11 @@
    - An item is then a row across flat int columns instead of a boxed
      record + list cell in a balanced map.
    The per-item point index is a per-key singly-linked slot chain
-   ([head]/[next] int arrays) rather than a hashtable, trading O(dups)
-   id lookups on put/remove for zero per-item index cells. [stats]
+   ([head]/[next] int arrays) rather than a hashtable: zero per-item
+   index cells. An insert must still know its id is new; as in
+   {!Backend_hash}, keys above {!Id_filter.min_ids} items carry an
+   {!Id_filter} (lazily, in [filters]) whose certain "absent" skips the
+   chain walk, so a new id costs O(1) however hot its key. [stats]
    sums this layout deterministically; test_store.ml asserts it lands
    strictly below {!Backend_hash.stats} on a 100k Zipf load and
    BENCH_store.json records the margin.
@@ -34,6 +37,8 @@
    trade-off. *)
 
 open Store_intf
+
+module IMap = Map.Make (Int)
 
 type t = {
   dict : (string, int) Hashtbl.t;  (* key -> key id *)
@@ -58,6 +63,7 @@ type t = {
   mutable next_seq : int;
   mutable sorted : int array;  (* slots by (key asc, seq desc); may hold tombstones *)
   mutable sorted_valid : bool;
+  mutable filters : Id_filter.t IMap.t;  (* key id -> its ids, hot keys only *)
 }
 
 let create () =
@@ -82,6 +88,7 @@ let create () =
     next_seq = 0;
     sorted = [||];
     sorted_valid = true;
+    filters = IMap.empty;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -89,11 +96,13 @@ let create () =
 
 let span t off len = Buffer.sub t.arena off len
 
-let span_equal t off len s =
-  len = String.length s
-  &&
-  let rec go i = i = len || (Buffer.nth t.arena (off + i) = String.unsafe_get s i && go (i + 1)) in
-  go 0
+let rec span_equal_from arena off s i len =
+  i = len
+  || Char.equal (Buffer.nth arena (off + i)) (String.unsafe_get s i)
+     && span_equal_from arena off s (i + 1) len
+
+(* Allocation-free: it runs once per chain slot on the put path. *)
+let span_equal t off len s = len = String.length s && span_equal_from t.arena off s 0 len
 
 let add_span t s =
   let off = Buffer.length t.arena in
@@ -244,17 +253,35 @@ let maybe_compact t =
 (* ------------------------------------------------------------------ *)
 (* Store_intf.S                                                        *)
 
-let find_slot t kid item_id =
-  let rec go s =
-    if s < 0 then -1
-    else if span_equal t t.id_off.(s) t.id_len.(s) item_id then s
-    else go t.next.(s)
+(* The slot holding [item_id] in chain [s], or [lnot n] if it is absent
+   from the chain's [n] slots. *)
+let rec find_in_chain t item_id n s =
+  if s < 0 then lnot n
+  else if span_equal t t.id_off.(s) t.id_len.(s) item_id then s
+  else find_in_chain t item_id (n + 1) t.next.(s)
+
+let find_slot t kid item_id = find_in_chain t item_id 0 t.head.(kid)
+
+let chain_filter t kid =
+  let rec count n s = if s < 0 then n else count (n + 1) t.next.(s) in
+  let f = Id_filter.create (count 0 t.head.(kid)) in
+  let rec add s =
+    if s >= 0 then begin
+      Id_filter.add f (span t t.id_off.(s) t.id_len.(s));
+      add t.next.(s)
+    end
   in
-  go t.head.(kid)
+  add t.head.(kid);
+  f
 
 let put t (i : item) =
   let kid = intern_key t i.key in
-  let s = find_slot t kid i.item_id in
+  let filter = IMap.find_opt kid t.filters in
+  let s =
+    match filter with
+    | Some f when not (Id_filter.mem f i.item_id) -> lnot 0
+    | _ -> find_slot t kid i.item_id
+  in
   if s >= 0 then
     if i.version >= t.ver.(s) then begin
       (* LWW in place: the slot (and its seq) survives, so the item
@@ -267,6 +294,7 @@ let put t (i : item) =
     end
     else false
   else begin
+    let walked = lnot s in
     ensure_slot_cap t;
     let s = t.n_slots in
     t.key_t.(s) <- kid;
@@ -283,6 +311,8 @@ let put t (i : item) =
     t.n_slots <- t.n_slots + 1;
     t.n_live <- t.n_live + 1;
     t.sorted_valid <- false;
+    if Id_filter.admit filter ~walked i.item_id then
+      t.filters <- IMap.add kid (chain_filter t kid) t.filters;
     true
   end
 
@@ -428,15 +458,18 @@ let clear t =
   t.n_live <- 0;
   t.next_seq <- 0;
   t.sorted <- [||];
-  t.sorted_valid <- true
+  t.sorted_valid <- true;
+  t.filters <- IMap.empty
 
 (* Same accounting model as {!Backend_hash.stats}: deterministic heap
    estimates, not GC measurements. Arena data, the key-dictionary
    columns and cells, the eight int columns and liveness bytes (all at
-   capacity — array slack is a real cost), and the sorted view. *)
+   capacity — array slack is a real cost), the sorted view, and each hot
+   key's filter with its map node. *)
 let stats t =
   let bytes =
-    24 + Buffer.length t.arena
+    IMap.fold (fun _ f acc -> acc + 48 + Id_filter.bytes f) t.filters 0
+    + 24 + Buffer.length t.arena
     + (8 * 3 * Array.length t.k_off)
     + (8 * 8 * Array.length t.key_t)
     + (Bytes.length t.live + 24)

@@ -5,9 +5,12 @@
    above all talk to {!Store}, which dispatches to one of three
    backends implementing this signature:
 
-   - {!Backend_hash}: the original ordered-map store, unchanged — the
-     default, and the reference implementation the differential test
-     harness replays every backend against;
+   - {!Backend_hash}: the ordered-map store — the default, and the
+     reference implementation the differential test harness replays
+     every backend against. A new id is prepended in O(1) however hot
+     its key: keys above {!Id_filter.min_ids} items carry an
+     exact-negative {!Id_filter} over their ids, whose "maybe present"
+     falls back to the exact walk;
    - {!Backend_log}: a file-backed log-structured store (append-only
      records + the hash store as its in-memory index). Survives
      crash-restart: a revived peer replays its log and lets
@@ -17,7 +20,7 @@
      into int columns over raw arena spans, with a sorted slot index
      for binary-searched prefix/range lookups, after "Compressed
      Vertical Partitioning for Full-In-Memory RDF Management"
-     (PAPERS.md).
+     (PAPERS.md); hot keys use the same {!Id_filter} guard on insert.
 
    Ordering contract (load-bearing — see the differential suite in
    test/test_store.ml): every scan (find/range/with_prefix/iter/
@@ -36,9 +39,9 @@ type item = { key : string; item_id : string; payload : string; version : int }
 
 (* Memory accounting, from the same model the tests and BENCH_store.json
    check: [bytes] estimates the resident heap cost of the stored items
-   (records, string headers and padding, container overhead — not
-   GC-measured, so it is deterministic and comparable across backends);
-   [triples] counts live items. *)
+   (records, string headers and padding, container overhead, hot-key id
+   filters — not GC-measured, so it is deterministic and comparable
+   across backends); [triples] counts live items. *)
 type stats = { bytes : int; triples : int }
 
 (* Backend selection, threaded from [Unistore.config.store] / CLI

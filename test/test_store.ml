@@ -22,6 +22,7 @@ module Overlay = Unistore_pgrid.Overlay
 module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 module Repair = Unistore_pgrid.Repair
+module Id_filter = Unistore_pgrid.Id_filter
 
 let check = Alcotest.check
 
@@ -118,6 +119,8 @@ module Model = struct
 
   let digest m =
     List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id, i.Store.version)) (to_list m)
+
+  let clear m = m.entries <- []
 end
 
 (* ------------------------------------------------------------------ *)
@@ -198,6 +201,7 @@ type op =
   | Put of Store.item
   | Remove of { key : string; item_id : string }
   | Partition of string  (* keep items with key >= boundary (split handover) *)
+  | Clear
 
 let apply_op ~ctx backends model op =
   match op with
@@ -228,6 +232,9 @@ let apply_op ~ctx backends model op =
           want
           (items_str (List.sort entry_cmp (Store.filter_partition s pred))))
       backends
+  | Clear ->
+    Model.clear model;
+    List.iter (fun (_, s) -> Store.clear s) backends
 
 (* Seeded random op traces over a small key/id pool (collisions are the
    point: duplicate inserts, LWW races, remove-then-reinsert). *)
@@ -262,6 +269,120 @@ let run_random_trace ~seed ~batches ~batch_len () =
         List.iter (apply_op ~ctx backends model) (gen_ops rng batch_len pool ids);
         check_against_model ~ctx backends model probes
       done)
+
+(* A hot-key trace: hundreds of ids over three keys, so every key
+   crosses Id_filter.min_ids and the filter rebuild points (at about
+   2x, 4x, 8x ... of the threshold) — the random traces above never
+   hold more than six items under a key. Phases: a fill with LWW races,
+   stale versions and remove-then-reinsert; a partition handover that
+   drops the lowest key (and its filter) followed by a refill; a clear
+   and a reuse. Observations after every batch compare all three
+   backends against the model. *)
+let run_hot_key_trace ~seed () =
+  with_log_dir (Printf.sprintf "hot%d" seed) (fun dir ->
+      let rng = Rng.create seed in
+      let keys = [| "ha#hot"; "hb#hot"; "hc#hot" |] in
+      let ids = Array.init 450 (fun i -> Printf.sprintf "oid%03d" i) in
+      let probes = Array.to_list keys in
+      let backends = make_backends dir (Printf.sprintf "hot%d" seed) in
+      let model = Model.create () in
+      let gen n =
+        List.init n (fun _ ->
+            let key = keys.(Rng.int rng 3) and id = ids.(Rng.int rng (Array.length ids)) in
+            if Rng.int rng 100 < 88 then
+              Put
+                {
+                  Store.key;
+                  item_id = id;
+                  payload = Printf.sprintf "p%d" (Rng.int rng 1000);
+                  version = Rng.int rng 4;
+                }
+            else Remove { key; item_id = id })
+      in
+      let step = ref 0 in
+      let run ops =
+        incr step;
+        let ctx = Printf.sprintf "hot seed%d step%d" seed !step in
+        List.iter (apply_op ~ctx backends model) ops;
+        check_against_model ~ctx backends model probes
+      in
+      let hottest () =
+        Array.fold_left (fun acc k -> max acc (List.length (Model.find model k))) 0 keys
+      in
+      for _ = 1 to 8 do
+        run (gen 300)
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "fill crosses the rebuild points (hottest key %d items)" (hottest ()))
+        true
+        (hottest () > 8 * Id_filter.min_ids);
+      run [ Partition keys.(1) ];
+      for _ = 1 to 3 do
+        run (gen 300)
+      done;
+      run [ Clear ];
+      for _ = 1 to 4 do
+        run (gen 300)
+      done;
+      check Alcotest.bool "reuse crosses the threshold again" true (hottest () > 2 * Id_filter.min_ids))
+
+(* The filter's one promise: an id admitted since its key got a filter
+   is never reported absent. Ids join one key under the stores' policy
+   ([Id_filter.admit]); whenever it asks for a build, the key's ids so
+   far are replayed into a fresh filter, as the stores do. *)
+let prop_id_filter_no_false_negatives =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"id_filter: no false negatives across adds and rebuilds"
+       QCheck2.Gen.(list_size (0 -- 700) (string_size ~gen:printable (0 -- 12)))
+       (fun ids ->
+         let filter = ref None and added = ref [] and n = ref 0 in
+         let all_present f = List.for_all (Id_filter.mem f) !added in
+         List.for_all
+           (fun id ->
+             let built = Id_filter.admit !filter ~walked:!n id in
+             added := id :: !added;
+             incr n;
+             if built then begin
+               let f = Id_filter.create !n in
+               List.iter (Id_filter.add f) !added;
+               filter := Some f
+             end;
+             match !filter with
+             | None -> !n <= Id_filter.min_ids
+             | Some f -> Id_filter.mem f id && ((not built) || all_present f))
+           ids
+         && match !filter with None -> true | Some f -> all_present f))
+
+(* ------------------------------------------------------------------ *)
+(* Linearity guard: minor-heap words per put, filling one key          *)
+
+(* Average minor words allocated per put while filling a fresh store's
+   single key with [n] new ids. Deterministic (no clock): an insert
+   path that walks or rebuilds the key's list allocates in proportion
+   to the key's size, so the 16k/1k ratio grows ~16x; a constant-time
+   insert keeps it flat. *)
+let words_per_put store n =
+  let items = Array.init n (fun i -> item "hot#key" (Printf.sprintf "id%06d" i) "payload") in
+  let before = Gc.minor_words () in
+  Array.iter (fun it -> ignore (Store.put store it)) items;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_linearity_guard () =
+  with_log_dir "linearity" (fun dir ->
+      List.iter
+        (fun (label, create) ->
+          let small = words_per_put (create "small") 1_000 in
+          let large = words_per_put (create "large") 16_000 in
+          Printf.printf "%s: %.0f words/put at 1k, %.0f at 16k\n%!" label small large;
+          check Alcotest.bool
+            (Printf.sprintf "%s: words/put 16k/1k = %.2f <= 1.5" label (large /. small))
+            true
+            (large /. small <= 1.5))
+        [
+          ("hash", fun _ -> Store.create ());
+          ("log", fun name -> Store.create ~backend:(Store.Log { dir }) ~name ());
+          ("packed", fun _ -> Store.create ~backend:Store.Packed ());
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Named differential edge cases (each runs on all three backends)     *)
@@ -697,6 +818,14 @@ let () =
               run_random_trace ~seed:2 ~batches:12 ~batch_len:40 ());
           Alcotest.test_case "random trace seed 3" `Quick (fun () ->
               run_random_trace ~seed:3 ~batches:8 ~batch_len:120 ());
+          Alcotest.test_case "hot-key trace past the filter threshold" `Quick (fun () ->
+              run_hot_key_trace ~seed:4 ());
+          prop_id_filter_no_false_negatives;
+        ] );
+      ( "linearity",
+        [
+          Alcotest.test_case "words/put flat from 1k to 16k items per key" `Quick
+            test_linearity_guard;
         ] );
       ( "log",
         [
