@@ -242,10 +242,33 @@ let run () =
   close_out oc;
   Printf.printf "\nwrote %s\n" out_file
 
+(* Allocation guard for the memoised statistics sampler: on a fresh
+   128-peer deployment, a second sampling pass right after the first
+   finds every store unchanged and only restamps the memo, so it must
+   allocate at most 5% of the first (cold) pass's minor words.
+   Deterministic: counts words, never reads a clock. *)
+let sampling_guard () =
+  let store, _ = Common.build_pubs ~peers:128 () in
+  let ov = Option.get (Unistore.pgrid store) in
+  let pass () =
+    let before = Gc.minor_words () in
+    List.iter
+      (fun nd -> ignore (Unistore_triple.Stat_sample.of_node ~now:0.0 nd))
+      (Unistore_pgrid.Overlay.nodes ov);
+    Gc.minor_words () -. before
+  in
+  let first = pass () in
+  let second = pass () in
+  Printf.printf "stats sampling: cold pass %.0f minor words, repeat pass %.0f (%.1f%%)\n" first
+    second (100.0 *. second /. first);
+  if second > 0.05 *. first then
+    failwith "bench-smoke: a repeat statistics sampling pass re-scanned unchanged stores"
+
 (* The CI smoke variant: small enough for a PR gate, asserts the caches
    actually engage, writes no file. *)
 let run_smoke () =
   Common.section "E-cache (smoke)" "caching subsystem engages and pays for itself";
+  sampling_guard ();
   let _, cached, hops_red, lookup_msg_red, query_msg_red =
     measure ~peers:32 ~authors:20 ~lookups:150 ~repeats:3
   in

@@ -96,13 +96,11 @@ let range t ~lo ~hi =
 
 let with_prefix t prefix =
   let seq = SMap.to_seq_from prefix t.map in
-  let plen = String.length prefix in
-  let has_prefix k = String.length k >= plen && String.equal (String.sub k 0 plen) prefix in
   let rec collect acc s =
     match s () with
     | Seq.Nil -> List.rev acc
     | Seq.Cons ((k, items), rest) ->
-      if has_prefix k then collect (List.rev_append items acc) rest else List.rev acc
+      if String.starts_with ~prefix k then collect (List.rev_append items acc) rest else List.rev acc
   in
   collect [] seq
 

@@ -29,10 +29,16 @@ type t = {
      last visit via [served_mark]. *)
   mutable served : int;
   mutable served_mark : int;
+  (* The sampler's memo: the store generation it last scanned and the
+     summaries it built then (see {!Unistore_triple.Stat_sample}). *)
+  mutable stat_memo : int * Statcache.summary list;
   (* [region] derived from path/splits, cached because [covers] runs on
      every routing decision; invalidated by [set_path]/[extend]. *)
   mutable region_cache : (string * string option) option;
 }
+
+(* No store has generation -1, so the first sample always scans. *)
+let no_stat_memo = (-1, [])
 
 let create ?(backend = Store_intf.Hash) id =
   {
@@ -55,6 +61,7 @@ let create ?(backend = Store_intf.Hash) id =
     boosts = [];
     served = 0;
     served_mark = 0;
+    stat_memo = no_stat_memo;
     region_cache = None;
   }
 

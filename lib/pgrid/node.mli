@@ -43,11 +43,20 @@ type t = {
       (** as an owner: peers currently boosting this node's region *)
   mutable served : int;  (** request messages handled (monotone) *)
   mutable served_mark : int;  (** [served] at the last statistics sample *)
+  mutable stat_memo : int * Unistore_cache.Statcache.summary list;
+      (** the statistics sampler's memo: the {!Store.generation} of
+          [store] it last scanned and the summaries it built then;
+          {!no_stat_memo} until the first sample. Owned by
+          {!Unistore_triple.Stat_sample}. *)
   mutable region_cache : (string * string option) option;
       (** memoized {!region} — [covers] runs on every routing decision;
           invalidated by {!set_path}/{!extend}. Code that mutates
           [path]/[splits] directly (tests) must reset it to [None]. *)
 }
+
+(** The empty memo: matches no store generation, so the next sample
+    scans. *)
+val no_stat_memo : int * Unistore_cache.Statcache.summary list
 
 (** [create ?backend id] — [backend] (default [Hash]) selects the main
     store's implementation; the log backend names its file after [id].

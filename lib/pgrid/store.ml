@@ -21,10 +21,14 @@ let pp_item fmt (i : item) =
 let item_bytes (i : item) =
   24 + String.length i.key + String.length i.item_id + String.length i.payload
 
+(* [gen] is the store's generation (see {!generation}). It lives here,
+   not in the backends: the log backend rebuilds its in-memory index on
+   reopen, so a backend-side counter could restart and match a stale
+   memo. An inline record keeps it at one extra word per store. *)
 type t =
-  | H of Backend_hash.t
-  | L of Backend_log.t
-  | P of Backend_packed.t
+  | H of { b : Backend_hash.t; mutable gen : int }
+  | L of { b : Backend_log.t; mutable gen : int }
+  | P of { b : Backend_packed.t; mutable gen : int }
 
 (* Distinguishes log files when several stores share a dir and the
    caller gives no [name] (tests, ad-hoc stores). Deterministic: resets
@@ -33,8 +37,8 @@ let anon_counter = ref 0
 
 let create ?(backend = Hash) ?name () =
   match backend with
-  | Hash -> H (Backend_hash.create ())
-  | Packed -> P (Backend_packed.create ())
+  | Hash -> H { b = Backend_hash.create (); gen = 0 }
+  | Packed -> P { b = Backend_packed.create (); gen = 0 }
   | Log { dir } ->
     let base =
       match name with
@@ -43,80 +47,95 @@ let create ?(backend = Hash) ?name () =
         incr anon_counter;
         Printf.sprintf "store-%d" !anon_counter
     in
-    L (Backend_log.create ~path:(Filename.concat dir (base ^ ".log")))
+    L { b = Backend_log.create ~path:(Filename.concat dir (base ^ ".log")); gen = 0 }
 
-let kind = function H _ -> Hash | L l -> Log { dir = Filename.dirname (Backend_log.path l) } | P _ -> Packed
+let kind = function
+  | H _ -> Hash
+  | L { b; _ } -> Log { dir = Filename.dirname (Backend_log.path b) }
+  | P _ -> Packed
+
+let generation = function H { gen; _ } | L { gen; _ } | P { gen; _ } -> gen
+
+let bump = function
+  | H r -> r.gen <- r.gen + 1
+  | L r -> r.gen <- r.gen + 1
+  | P r -> r.gen <- r.gen + 1
 
 let put t i =
+  bump t;
   match t with
-  | H b -> Backend_hash.put b i
-  | L b -> Backend_log.put b i
-  | P b -> Backend_packed.put b i
+  | H { b; _ } -> Backend_hash.put b i
+  | L { b; _ } -> Backend_log.put b i
+  | P { b; _ } -> Backend_packed.put b i
 
 let remove t ~key ~item_id =
+  bump t;
   match t with
-  | H b -> Backend_hash.remove b ~key ~item_id
-  | L b -> Backend_log.remove b ~key ~item_id
-  | P b -> Backend_packed.remove b ~key ~item_id
+  | H { b; _ } -> Backend_hash.remove b ~key ~item_id
+  | L { b; _ } -> Backend_log.remove b ~key ~item_id
+  | P { b; _ } -> Backend_packed.remove b ~key ~item_id
 
 let find t key =
   match t with
-  | H b -> Backend_hash.find b key
-  | L b -> Backend_log.find b key
-  | P b -> Backend_packed.find b key
+  | H { b; _ } -> Backend_hash.find b key
+  | L { b; _ } -> Backend_log.find b key
+  | P { b; _ } -> Backend_packed.find b key
 
 let range t ~lo ~hi =
   match t with
-  | H b -> Backend_hash.range b ~lo ~hi
-  | L b -> Backend_log.range b ~lo ~hi
-  | P b -> Backend_packed.range b ~lo ~hi
+  | H { b; _ } -> Backend_hash.range b ~lo ~hi
+  | L { b; _ } -> Backend_log.range b ~lo ~hi
+  | P { b; _ } -> Backend_packed.range b ~lo ~hi
 
 let with_prefix t prefix =
   match t with
-  | H b -> Backend_hash.with_prefix b prefix
-  | L b -> Backend_log.with_prefix b prefix
-  | P b -> Backend_packed.with_prefix b prefix
+  | H { b; _ } -> Backend_hash.with_prefix b prefix
+  | L { b; _ } -> Backend_log.with_prefix b prefix
+  | P { b; _ } -> Backend_packed.with_prefix b prefix
 
 let size = function
-  | H b -> Backend_hash.size b
-  | L b -> Backend_log.size b
-  | P b -> Backend_packed.size b
+  | H { b; _ } -> Backend_hash.size b
+  | L { b; _ } -> Backend_log.size b
+  | P { b; _ } -> Backend_packed.size b
 
 let iter t f =
   match t with
-  | H b -> Backend_hash.iter b f
-  | L b -> Backend_log.iter b f
-  | P b -> Backend_packed.iter b f
+  | H { b; _ } -> Backend_hash.iter b f
+  | L { b; _ } -> Backend_log.iter b f
+  | P { b; _ } -> Backend_packed.iter b f
 
 let to_list = function
-  | H b -> Backend_hash.to_list b
-  | L b -> Backend_log.to_list b
-  | P b -> Backend_packed.to_list b
+  | H { b; _ } -> Backend_hash.to_list b
+  | L { b; _ } -> Backend_log.to_list b
+  | P { b; _ } -> Backend_packed.to_list b
 
 let filter_partition t pred =
+  bump t;
   match t with
-  | H b -> Backend_hash.filter_partition b pred
-  | L b -> Backend_log.filter_partition b pred
-  | P b -> Backend_packed.filter_partition b pred
+  | H { b; _ } -> Backend_hash.filter_partition b pred
+  | L { b; _ } -> Backend_log.filter_partition b pred
+  | P { b; _ } -> Backend_packed.filter_partition b pred
 
 let digest = function
-  | H b -> Backend_hash.digest b
-  | L b -> Backend_log.digest b
-  | P b -> Backend_packed.digest b
+  | H { b; _ } -> Backend_hash.digest b
+  | L { b; _ } -> Backend_log.digest b
+  | P { b; _ } -> Backend_packed.digest b
 
-let clear = function
-  | H b -> Backend_hash.clear b
-  | L b -> Backend_log.clear b
-  | P b -> Backend_packed.clear b
+let clear t =
+  bump t;
+  match t with
+  | H { b; _ } -> Backend_hash.clear b
+  | L { b; _ } -> Backend_log.clear b
+  | P { b; _ } -> Backend_packed.clear b
 
 let stats = function
-  | H b -> Backend_hash.stats b
-  | L b -> Backend_log.stats b
-  | P b -> Backend_packed.stats b
+  | H { b; _ } -> Backend_hash.stats b
+  | L { b; _ } -> Backend_log.stats b
+  | P { b; _ } -> Backend_packed.stats b
 
-let log_path = function L b -> Some (Backend_log.path b) | H _ | P _ -> None
-let log_bytes = function L b -> Backend_log.log_bytes b | H _ | P _ -> 0
-let sync = function L b -> Backend_log.sync b | H _ | P _ -> ()
+let log_path = function L { b; _ } -> Some (Backend_log.path b) | H _ | P _ -> None
+let log_bytes = function L { b; _ } -> Backend_log.log_bytes b | H _ | P _ -> 0
+let sync = function L { b; _ } -> Backend_log.sync b | H _ | P _ -> ()
 
 (* Crash + restart in one step. In-memory backends lose everything (a
    crashed peer restarts cold). The log backend replays its file:
@@ -125,14 +144,15 @@ let sync = function L b -> Backend_log.sync b | H _ | P _ -> ()
    replay recovers every record fully contained in the surviving
    prefix. Returns the number of recovered items. *)
 let crash_restart ?keep_frac t =
+  bump t;
   match t with
-  | H b ->
+  | H { b; _ } ->
     Backend_hash.clear b;
     0
-  | P b ->
+  | P { b; _ } ->
     Backend_packed.clear b;
     0
-  | L b ->
+  | L { b; _ } ->
     Backend_log.crash b;
     (match keep_frac with
     | Some f ->

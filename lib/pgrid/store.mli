@@ -45,6 +45,19 @@ val create : ?backend:backend -> ?name:string -> unit -> t
 (** The backend this store was created with. *)
 val kind : t -> backend
 
+(** [generation t] counts the mutating calls made on this store: it
+    starts at 0 and every call to {!put}, {!remove},
+    {!filter_partition}, {!clear} or {!crash_restart} raises it by one,
+    whether or not the contents changed (a stale [put] still counts).
+    Reads ({!find}, {!range}, {!with_prefix}, {!iter}, {!to_list},
+    {!digest}, {!stats}, ...) never move it. So a summary of the
+    contents computed at generation [g] is still exact while
+    [generation t = g] — the memo behind
+    {!Unistore_triple.Stat_sample.of_node}. The counter lives in this
+    facade, not in a backend, so it keeps rising across a log
+    backend's crash-restart replay. *)
+val generation : t -> int
+
 (** [put t item] inserts or updates. An existing entry with the same
     [(key, item_id)] is replaced iff the new version is greater or equal.
     Returns [true] if the store changed. *)

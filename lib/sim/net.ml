@@ -307,6 +307,10 @@ let alive_peers t =
     t.alive_cache <- Some !l;
     !l
 
+(* Buckets of the [queue.depth] histogram: read only when the histogram
+   is created, so built once here rather than per queued message. *)
+let queue_depth_buckets = Unistore_obs.Histogram.linear ~lo:1.0 ~step:1.0 ~n:64
+
 let send t ~src ~dst msg =
   let nbytes = t.size msg in
   t.sent <- t.sent + 1;
@@ -398,7 +402,7 @@ let send t ~src ~dst msg =
             if wait > 0.0 then Metrics.incr m "queue.delayed";
             Metrics.observe m "queue.wait_ms" wait;
             Metrics.observe m
-              ~buckets:(Unistore_obs.Histogram.linear ~lo:1.0 ~step:1.0 ~n:64)
+              ~buckets:queue_depth_buckets
               "queue.depth"
               (float_of_int t.qdepth.(dst))
           | None -> ());

@@ -3,14 +3,14 @@ module Store = Unistore_pgrid.Store
 module Statcache = Unistore_cache.Statcache
 
 (* An A#v index key is "A\000" ^ attr ^ "\000" ^ encoded-value. *)
+let av_prefix = "A\000"
+
+(* [key] starts with [av_prefix]; split off a non-empty attribute. *)
 let parse_av_key key =
-  let n = String.length key in
-  if n < 2 || key.[0] <> 'A' || key.[1] <> '\000' then None
-  else
-    match String.index_from_opt key 2 '\000' with
-    | Some sep when sep > 2 ->
-      Some (String.sub key 2 (sep - 2), String.sub key (sep + 1) (n - sep - 1))
-    | _ -> None
+  match String.index_from_opt key 2 '\000' with
+  | Some sep when sep > 2 ->
+    Some (String.sub key 2 (sep - 2), String.sub key (sep + 1) (String.length key - sep - 1))
+  | _ -> None
 
 type acc = {
   mutable count : int;
@@ -20,9 +20,13 @@ type acc = {
   mutable string_valued : bool;
 }
 
-let of_node ~now (nd : Node.t) =
+(* The content-only pass over the store's A#v slice: one summary per
+   attribute, sorted by attribute. Its four stamps are placeholders
+   that [of_node] overwrites on every call. *)
+let scan (nd : Node.t) =
   let per_attr : (string, acc) Hashtbl.t = Hashtbl.create 16 in
-  Store.iter nd.Node.store (fun (i : Store.item) ->
+  List.iter
+    (fun (i : Store.item) ->
       match parse_av_key i.Store.key with
       | None -> ()
       | Some (attr, enc) ->
@@ -43,27 +47,40 @@ let of_node ~now (nd : Node.t) =
         if (not a.string_valued)
            && (match Value.decode enc with Some v -> Option.is_some (Value.as_string v) | None -> false)
         then a.string_valued <- true)
-      ;
-  let region_lo, _ = Node.region nd in
-  (* One sample per round per node: every summary of this node carries
-     the same served-request delta (consumers take the max per region,
-     not the sum). *)
-  let load = Node.served_delta nd in
+    (Store.with_prefix nd.Node.store av_prefix);
   Hashtbl.fold
     (fun attr a l ->
       {
         Statcache.attr;
-        region_lo;
+        region_lo = "";
         peer = nd.Node.id;
         count = a.count;
         distinct = Hashtbl.length a.distinct;
         lo = a.lo;
         hi = a.hi;
         string_valued = a.string_valued;
-        version = nd.Node.write_epoch;
-        sampled_at = now;
-        load;
+        version = 0;
+        sampled_at = 0.0;
+        load = 0;
       }
       :: l)
     per_attr []
   |> List.sort (fun (a : Statcache.summary) b -> String.compare a.attr b.attr)
+
+let of_node ~now (nd : Node.t) =
+  let gen = Store.generation nd.Node.store in
+  let content =
+    match nd.Node.stat_memo with
+    | g, content when g = gen -> content
+    | _ ->
+      let content = scan nd in
+      nd.Node.stat_memo <- (gen, content);
+      content
+  in
+  let region_lo, _ = Node.region nd in
+  let version = nd.Node.write_epoch in
+  (* One sample per round per node: every summary of this node carries
+     the same served-request delta (consumers take the max per region,
+     not the sum). *)
+  let load = Node.served_delta nd in
+  List.map (fun (s : Statcache.summary) -> { s with region_lo; version; sampled_at = now; load }) content

@@ -14,6 +14,19 @@
     holding the same region never double count. *)
 
 (** [of_node ~now node] summarizes [node]'s local A#v entries, one
-    summary per attribute present, stamped with the node's write epoch
-    and [now]. *)
+    summary per attribute present (sorted by attribute), stamped with
+    the node's write epoch and [now].
+
+    Two steps. The content pass builds [attr], [peer], [count],
+    [distinct], [lo], [hi] and [string_valued] from the store's A#v
+    slice ([Store.with_prefix store "A\000"], so OID, value and q-gram
+    entries are never visited) and is memoised in [node.stat_memo]
+    under the {!Unistore_pgrid.Store.generation} it saw: while the
+    store is unchanged, a sample re-uses it instead of re-scanning.
+    The restamp runs on every call and sets the four fields that move
+    without a store write: [region_lo] (the node's current region),
+    [version] (its write epoch), [sampled_at] ([now]) and [load]
+    ({!Unistore_pgrid.Node.served_delta}, called exactly once per
+    sample). The result equals a cold recomputation field by field
+    (checked by test/test_cache.ml against every kind of store write). *)
 val of_node : now:float -> Unistore_pgrid.Node.t -> Unistore_cache.Statcache.summary list

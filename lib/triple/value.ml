@@ -37,7 +37,7 @@ let encode v =
     | F f -> Ophash.encode_float f
     | B b -> if b then "\001" else "\000"
   in
-  Printf.sprintf "%c%s" (tag v) body
+  String.make 1 (tag v) ^ body
 
 let decode s =
   if String.length s < 1 then None

@@ -1,3 +1,8 @@
+(* Monomorphic on ints: the polymorphic [Stdlib.min]/[max] compile to
+   a [caml_lessequal] C call per DP cell unless flambda inlines them. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
+
 let levenshtein a b =
   let la = String.length a and lb = String.length b in
   if la = 0 then lb

@@ -620,6 +620,223 @@ let test_facade_read_log_lints_clean () =
     (List.length (Unistore.lint_reads store))
 
 (* ------------------------------------------------------------------ *)
+(* Memoised statistics sampling: the store generation and the memo it
+   keys must never serve stale statistics. *)
+
+module Store = Unistore_pgrid.Store
+module Repair = Unistore_pgrid.Repair
+
+(* Log segments go under the dune sandbox cwd and are removed after. *)
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let with_log_dir name f =
+  let dir = Filename.concat (Sys.getcwd ()) ("stat-memo-logs-" ^ name) in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let item ?(version = 0) key item_id = { Store.key; item_id; payload = key ^ "/" ^ item_id; version }
+
+let generation_contract label backend =
+  let s = Store.create ~backend ~name:"gen" () in
+  check Alcotest.int (label ^ ": starts at 0") 0 (Store.generation s);
+  let rises what f =
+    let before = Store.generation s in
+    ignore (f ());
+    check Alcotest.int (Printf.sprintf "%s: %s adds one" label what) (before + 1) (Store.generation s)
+  in
+  let stays what f =
+    let before = Store.generation s in
+    ignore (f ());
+    check Alcotest.int (Printf.sprintf "%s: %s leaves it" label what) before (Store.generation s)
+  in
+  List.iteri
+    (fun i k -> rises "insert" (fun () -> Store.put s (item k (string_of_int i))))
+    [ "A\000age\000i1"; "A\000age\000i2"; "A\000name\000sbo"; "O\000x"; "V\000y" ];
+  rises "LWW update" (fun () -> Store.put s (item ~version:3 "A\000age\000i1" "0"));
+  rises "stale put" (fun () -> Store.put s (item ~version:1 "A\000age\000i1" "0"));
+  stays "find" (fun () -> Store.find s "A\000age\000i1");
+  stays "range" (fun () -> Store.range s ~lo:"A" ~hi:"B");
+  stays "with_prefix" (fun () -> Store.with_prefix s "A\000");
+  stays "iter" (fun () -> Store.iter s ignore);
+  stays "to_list" (fun () -> Store.to_list s);
+  stays "digest" (fun () -> Store.digest s);
+  stays "stats" (fun () -> Store.stats s);
+  stays "size" (fun () -> Store.size s);
+  rises "remove" (fun () -> Store.remove s ~key:"V\000y" ~item_id:"4");
+  rises "remove of an absent item" (fun () -> Store.remove s ~key:"V\000y" ~item_id:"4");
+  rises "filter_partition" (fun () -> Store.filter_partition s (fun i -> i.Store.key < "O"));
+  rises "crash_restart" (fun () -> Store.crash_restart s);
+  rises "insert after restart" (fun () -> Store.put s (item "A\000age\000i9" "9"));
+  rises "clear" (fun () -> Store.clear s)
+
+let test_store_generation_contract () =
+  generation_contract "hash" Store.Hash;
+  generation_contract "packed" Store.Packed;
+  with_log_dir "contract" (fun dir -> generation_contract "log" (Store.Log { dir }));
+  (* A log replay rebuilds the backend's index from the file: the
+     facade's generation must keep rising across it, torn tail or not. *)
+  with_log_dir "torn" (fun dir ->
+      let s = Store.create ~backend:(Store.Log { dir }) ~name:"torn" () in
+      for i = 0 to 19 do
+        ignore (Store.put s (item (Printf.sprintf "A\000age\000i%02d" i) (string_of_int i)))
+      done;
+      Store.sync s;
+      let before = Store.generation s in
+      let recovered = Store.crash_restart ~keep_frac:0.5 s in
+      Alcotest.(check bool) "torn tail lost items" true (recovered > 0 && recovered < 20);
+      check Alcotest.int "crash_restart counts once" (before + 1) (Store.generation s))
+
+let show_summary (s : Statcache.summary) =
+  Printf.sprintf "%s@%S p%d count=%d distinct=%d lo=%S hi=%S str=%b v=%d at=%g load=%d" s.attr
+    s.region_lo s.peer s.count s.distinct s.lo s.hi s.string_valued s.version s.sampled_at s.load
+
+(* Sample every node the memoised way, then again cold (memo dropped,
+   load mark rewound), and demand field-by-field equality plus current
+   stamps. A write that forgot to move the generation shows up as a
+   memoised sample that disagrees with the cold one. *)
+let check_samples ov ~now step =
+  List.iter
+    (fun (nd : Node.t) ->
+      let mark = nd.Node.served_mark in
+      let load = nd.Node.served - mark in
+      let memo = Stat_sample.of_node ~now nd in
+      nd.Node.stat_memo <- Node.no_stat_memo;
+      nd.Node.served_mark <- mark;
+      let cold = Stat_sample.of_node ~now nd in
+      let label what = Printf.sprintf "%s: peer %d %s" step nd.Node.id what in
+      check
+        Alcotest.(list string)
+        (label "memoised = cold") (List.map show_summary cold) (List.map show_summary memo);
+      let av_items =
+        List.length
+          (List.filter
+             (fun (i : Store.item) -> String.starts_with ~prefix:"A\000" i.Store.key)
+             (Store.to_list nd.Node.store))
+      in
+      check Alcotest.int (label "counts cover every A#v item") av_items
+        (List.fold_left (fun n (s : Statcache.summary) -> n + s.count) 0 memo);
+      let region_lo, _ = Node.region nd in
+      List.iter
+        (fun (s : Statcache.summary) ->
+          check Alcotest.string (label "region_lo current") region_lo s.region_lo;
+          check Alcotest.int (label "version = write epoch") nd.Node.write_epoch s.version;
+          check (Alcotest.float 0.0) (label "sampled_at = now") now s.sampled_at;
+          check Alcotest.int (label "load = served since last sample") load s.load)
+        memo)
+    (Overlay.nodes ov)
+
+let test_memo_never_stale () =
+  let rng = Rng.create 15 in
+  let config = { Config.default with replication = 3 } in
+  let ages = List.init 60 (fun i -> Keys.attr_value_key "age" (Value.I (18 + (i mod 45)))) in
+  let names = List.map (fun w -> Keys.attr_value_key "name" (Value.S w)) (random_words rng 30) in
+  (* Non-A#v keys the sampler must skip. *)
+  let others = List.map (fun w -> "O\000" ^ w) (random_words rng 20) in
+  let keys = ages @ names @ others in
+  let ov = build_overlay ~n:52 ~config ~keys () in
+  let sim = Overlay.sim ov in
+  insert_all ov keys;
+  Sim.run_all sim;
+  let now = ref 0.0 in
+  let step name =
+    (* Lookups between samples move the served counters, so the load
+       stamp is exercised too. *)
+    for _ = 1 to 10 do
+      let k = List.nth keys (Rng.int rng (List.length keys)) in
+      ignore (Overlay.lookup_sync ov ~origin:(Rng.int rng 52) ~key:k)
+    done;
+    now := !now +. 1000.0;
+    check_samples ov ~now:!now name
+  in
+  step "after load";
+  step "unchanged";
+  let fresh = List.init 8 (fun i -> Keys.attr_value_key "age" (Value.I (100 + i))) in
+  List.iteri
+    (fun i k ->
+      let r = Overlay.insert_sync ov ~origin:(i mod 52) ~key:k ~item_id:(Printf.sprintf "new%d" i) ~payload:k () in
+      if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
+    fresh;
+  step "insert";
+  let upd = List.nth ages 3 in
+  let r = Overlay.update_sync ov ~origin:5 ~key:upd ~item_id:"id3" ~payload:"fresh" ~version:7 () in
+  Alcotest.(check bool) "update acknowledged" true r.Overlay.complete;
+  step "LWW update";
+  List.iteri
+    (fun i k -> ignore (Overlay.delete_sync ov ~origin:(i + 1) ~key:k ~item_id:(Printf.sprintf "id%d" (60 + i))))
+    (List.filteri (fun i _ -> i < 5) names);
+  step "delete";
+  (* Repair rejoin: deplete a 3-member group; a spare peer migrates into
+     it and drops its old region's items (filter_partition) before the
+     state transfer lands. Sample in between, then after. *)
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (n : Node.t) ->
+      Hashtbl.replace groups n.Node.path
+        (n.Node.id :: Option.value (Hashtbl.find_opt groups n.Node.path) ~default:[]))
+    (Overlay.nodes ov);
+  let victims =
+    Hashtbl.fold
+      (fun _ ids acc ->
+        match acc with
+        | [] when List.length ids = 3 -> (
+          match List.sort compare ids with a :: b :: _ -> [ a; b ] | _ -> [])
+        | acc -> acc)
+      groups []
+  in
+  Alcotest.(check bool) "found a group to deplete" true (victims <> []);
+  List.iter (Overlay.kill ov) victims;
+  let report = Repair.round ov in
+  Alcotest.(check bool) "a spare peer migrated" true (report.Repair.moved > 0);
+  check_samples ov ~now:!now "repair rejoin (partitioned)";
+  Sim.run_all sim;
+  step "repair rejoin (state transfer)";
+  List.iter (Overlay.revive ov) victims;
+  let victim =
+    List.find
+      (fun (nd : Node.t) -> Overlay.alive ov nd.Node.id && Store.with_prefix nd.Node.store "A\000" <> [])
+      (Overlay.nodes ov)
+  in
+  ignore (Overlay.crash ov victim.Node.id);
+  step "crash";
+  Overlay.revive ov victim.Node.id;
+  for _ = 1 to 4 do
+    Gossip.anti_entropy_round ov;
+    Sim.run_all sim
+  done;
+  step "restart + anti-entropy";
+  let cleared =
+    List.find
+      (fun (nd : Node.t) -> Store.with_prefix nd.Node.store "A\000" <> [])
+      (List.rev (Overlay.nodes ov))
+  in
+  Store.clear cleared.Node.store;
+  step "clear"
+
+(* Two back-to-back sampling passes over a fresh 128-peer publications
+   deployment: the second finds every store unchanged, so it restamps
+   the memo instead of re-scanning. Minor words, not time: the count is
+   deterministic. *)
+let test_sampling_allocation_guard () =
+  let store, _ = make_store ~peers:128 () in
+  let ov = Option.get (Unistore.pgrid store) in
+  let pass () =
+    let before = Gc.minor_words () in
+    List.iter (fun nd -> ignore (Stat_sample.of_node ~now:0.0 nd)) (Overlay.nodes ov);
+    Gc.minor_words () -. before
+  in
+  let first = pass () in
+  let second = pass () in
+  if second > 0.05 *. first then
+    Alcotest.failf "second sampling pass allocated %.0f minor words, %.1f%% of the first's %.0f"
+      second (100.0 *. second /. first) first
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "unistore_cache"
@@ -688,6 +905,13 @@ let () =
         ] );
       ( "engine",
         [ Alcotest.test_case "mutant downgrade counted" `Quick test_mutant_downgrade_counted ] );
+      ( "memoised-sampling",
+        [
+          Alcotest.test_case "store generation contract" `Quick test_store_generation_contract;
+          Alcotest.test_case "memo never serves stale statistics" `Quick test_memo_never_stale;
+          Alcotest.test_case "second pass allocates <= 5% of the first" `Quick
+            test_sampling_allocation_guard;
+        ] );
       ( "tracelint",
         [
           Alcotest.test_case "monotone reads" `Quick test_monotone_reads_flags_regression;

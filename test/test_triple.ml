@@ -42,6 +42,24 @@ let prop_value_roundtrip =
   qtest "value: decode (encode v) = v" value_gen (fun v ->
       match Value.decode (Value.encode v) with Some v' -> Value.equal v v' | None -> false)
 
+(* The encoding before it dropped Printf: one tag byte, then the body. *)
+let printf_encode v =
+  let tag, body =
+    match v with
+    | Value.S s -> ('s', Unistore_util.Ophash.encode_string s)
+    | Value.I i -> ('i', Unistore_util.Ophash.encode_int i)
+    | Value.F f -> ('f', Unistore_util.Ophash.encode_float f)
+    | Value.B b -> ('b', if b then "\001" else "\000")
+  in
+  Printf.sprintf "%c%s" tag body
+
+let prop_value_encode_printf_form =
+  qtest "value: encode = tag byte ^ body (the Printf form), decode inverts it" value_gen
+    (fun v ->
+      let e = Value.encode v in
+      String.equal e (printf_encode v)
+      && match Value.decode e with Some v' -> Value.equal v v' | None -> false)
+
 let test_value_decode_garbage () =
   check Alcotest.(option reject) "empty" None (Option.map (fun _ -> ()) (Value.decode ""));
   check Alcotest.(option reject) "bad tag" None (Option.map (fun _ -> ()) (Value.decode "zfoo"));
@@ -445,6 +463,7 @@ let () =
           Alcotest.test_case "numeric view" `Quick test_value_numeric_view;
           prop_value_encode_order;
           prop_value_roundtrip;
+          prop_value_encode_printf_form;
         ] );
       ( "triple",
         [

@@ -284,6 +284,34 @@ let prop_within_distance_agrees =
     QCheck2.Gen.(triple str_gen str_gen (0 -- 5))
     (fun (a, b, d) -> Strdist.within_distance a b d = (Strdist.levenshtein a b <= d))
 
+(* Textbook Wagner-Fischer over the full (m+1) x (n+1) matrix, with
+   the comparisons written out so it shares nothing with Strdist. *)
+let reference_levenshtein a b =
+  let m = String.length a and n = String.length b in
+  let d = Array.make_matrix (m + 1) (n + 1) 0 in
+  for i = 0 to m do
+    d.(i).(0) <- i
+  done;
+  for j = 0 to n do
+    d.(0).(j) <- j
+  done;
+  for i = 1 to m do
+    for j = 1 to n do
+      let del = d.(i - 1).(j) + 1 and ins = d.(i).(j - 1) + 1 in
+      let sub = d.(i - 1).(j - 1) + if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      let best = if del < ins then del else ins in
+      d.(i).(j) <- (if sub < best then sub else best)
+    done
+  done;
+  d.(m).(n)
+
+let prop_levenshtein_reference =
+  qtest "levenshtein and within_distance match the textbook DP"
+    QCheck2.Gen.(triple str_gen (string_size ~gen:(char_range 'a' 'h') (0 -- 16)) (0 -- 6))
+    (fun (a, b, d) ->
+      let r = reference_levenshtein a b in
+      Strdist.levenshtein a b = r && Strdist.within_distance a b d = (r <= d))
+
 let test_qgrams () =
   check
     Alcotest.(list string)
@@ -506,6 +534,7 @@ let () =
           prop_levenshtein_identity;
           prop_levenshtein_triangle;
           prop_within_distance_agrees;
+          prop_levenshtein_reference;
           prop_count_filter_sound;
           prop_prefix_grams_sound;
           prop_prefix_grams_subset;
