@@ -48,8 +48,9 @@ lint:
 # Source-level determinism & protocol-exhaustiveness linter over the
 # repo's own OCaml tree (lib/ and bin/): unordered hashtable iteration
 # escaping unsorted, ambient randomness/time outside lib/util/rng.ml,
-# polymorphic compare at float/Bitkey positions, and protocol-table
-# drift (message constructors vs size/kind/dispatch arms and pending-op
+# polymorphic compare at float/Bitkey positions, blocking waits
+# (Sim.await / Sim.run_*) below the facade, and protocol-table drift
+# (message constructors vs size/kind/dispatch arms and pending-op
 # registrations). Suppress a deliberate finding with
 # `(* srclint: allow <rule> *)` on the offending line. See DESIGN.md,
 # section "The determinism contract".

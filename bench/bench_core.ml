@@ -56,7 +56,7 @@ let routing_at peers =
     (fun (tr : Triple.t) ->
       let origin = Rng.int probe_rng peers in
       let key = Keys.attr_value_key tr.Triple.attr tr.Triple.value in
-      ignore (Dht.lookup_sync dht ~origin ~key))
+      ignore (Common.await dht.Dht.sim (fun k -> dht.Dht.lookup ~origin ~key ~k)))
     probes;
   let lookups = List.length probes in
   Json.Obj

@@ -7,6 +7,19 @@ module Publications = Unistore_workload.Publications
 module Value = Unistore.Value
 module Triple = Unistore.Triple
 
+(* Wait for one asynchronous operation: every layer below the facade is
+   continuation-passing. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with
+  | Some v -> v
+  | None -> failwith "bench: the event queue drained before the operation finished"
+
+(* [await] on a DHT, also counting the messages sent meanwhile. *)
+let await_metered (dht : Unistore_triple.Dht.t) start =
+  let m0 = dht.Unistore_triple.Dht.total_sent () in
+  let v = await dht.Unistore_triple.Dht.sim start in
+  (v, dht.Unistore_triple.Dht.total_sent () - m0)
+
 let section id claim =
   Printf.printf "\n=== %s ===\n" id;
   Printf.printf "paper claim: %s\n\n" claim

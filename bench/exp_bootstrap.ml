@@ -31,7 +31,10 @@ let lookup_success ov ~n ~items =
   let total = 80 in
   for _ = 1 to total do
     let it : Store.item = Rng.pick_list rng items in
-    let r = Overlay.lookup_sync ov ~origin:(Rng.int rng n) ~key:it.Store.key in
+    let origin = Rng.int rng n in
+    let r =
+      Common.await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin ~key:it.Store.key ~k)
+    in
     if
       r.Overlay.complete
       && List.exists (fun (x : Store.item) -> String.equal x.Store.item_id it.Store.item_id)

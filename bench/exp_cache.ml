@@ -79,7 +79,7 @@ let run_arm ~peers ~authors ~lookups ~repeats ~cached () =
     let tr = triples.(skewed_index rng (Array.length triples)) in
     let origin = clients.(Rng.int rng (Array.length clients)) in
     let key = Keys.attr_value_key tr.Triple.attr tr.Triple.value in
-    ignore (Dht.lookup_sync dht ~origin ~key)
+    ignore (Common.await dht.Dht.sim (fun k -> dht.Dht.lookup ~origin ~key ~k))
   done;
   let hops = Metrics.histogram m "overlay.lookup.hops" in
   let lat = Metrics.histogram m "overlay.lookup.latency_ms" in

@@ -54,10 +54,11 @@ let run_failures () =
               List.iter
                 (fun (tr : Triple.t) ->
                   incr probes_total;
-                  let found, meta =
-                    Tstore.by_attr_value_sync ts ~origin:0 ~attr:tr.Triple.attr tr.Triple.value
+                  let found, (r : Unistore_triple.Dht.result) =
+                    Common.await (Unistore.sim store) (fun k ->
+                        Tstore.by_attr_value ts ~origin:0 ~attr:tr.Triple.attr tr.Triple.value ~k)
                   in
-                  if meta.Tstore.complete && List.exists (fun x -> Triple.equal x tr) found then
+                  if r.complete && List.exists (fun x -> Triple.equal x tr) found then
                     incr ok_counter)
                 probes
             in
@@ -69,7 +70,9 @@ let run_failures () =
                    ds.Publications.triples)
             in
             let got, _ =
-              Tstore.by_attr_range_sync ts ~origin:0 ~attr:"age" ~lo:(Value.I 0) ~hi:(Value.I 200)
+              Common.await (Unistore.sim store) (fun k ->
+                  Tstore.by_attr_range ts ~origin:0 ~attr:"age" ~lo:(Value.I 0) ~hi:(Value.I 200)
+                    ~k)
             in
             recall_total := !recall_total + List.length got;
             expect_total := !expect_total + expect;
@@ -102,7 +105,10 @@ let run_updates () =
   let store, _ = Common.build_pubs ~peers:32 ~authors:4 ~replication:8 ~qgrams:false ~seed:111 () in
   let ov = Option.get (Unistore.pgrid store) in
   let key = Keys.attr_value_key "probe" (Value.S "hot") in
-  let r = Overlay.insert_sync ov ~origin:0 ~key ~item_id:"it" ~payload:"v0" () in
+  let r =
+    Common.await (Overlay.sim ov) (fun k ->
+        Overlay.insert ov ~origin:0 ~key ~item_id:"it" ~payload:"v0" ~k ())
+  in
   assert r.Overlay.complete;
   Unistore.settle store;
   let group = List.length (Overlay.responsible ov key) in
@@ -112,9 +118,10 @@ let run_updates () =
     (fun rounds ->
       let version = rounds + 1 in
       let _ =
-        Overlay.update_sync ov ~origin:(version mod 32) ~key ~item_id:"it"
-          ~payload:(Printf.sprintf "v%d" version)
-          ~version ~rounds ()
+        Common.await (Overlay.sim ov) (fun k ->
+            Overlay.update ov ~origin:(version mod 32) ~key ~item_id:"it"
+              ~payload:(Printf.sprintf "v%d" version)
+              ~version ~rounds ~k ())
       in
       Unistore.settle store;
       let after_rumor = Gossip.staleness ov ~key ~item_id:"it" ~version in

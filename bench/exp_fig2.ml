@@ -90,11 +90,12 @@ let run () =
   let ok = ref 0 in
   List.iter
     (fun (tr : Triple.t) ->
-      let found_oid, _ = Tstore.by_oid_sync ts ~origin:0 tr.Triple.oid in
-      let found_av, _ =
-        Tstore.by_attr_value_sync ts ~origin:0 ~attr:tr.Triple.attr tr.Triple.value
+      let await start = fst (Common.await (Unistore.sim store) start) in
+      let found_oid = await (fun k -> Tstore.by_oid ts ~origin:0 tr.Triple.oid ~k) in
+      let found_av =
+        await (fun k -> Tstore.by_attr_value ts ~origin:0 ~attr:tr.Triple.attr tr.Triple.value ~k)
       in
-      let found_v, _ = Tstore.by_value_sync ts ~origin:0 tr.Triple.value in
+      let found_v = await (fun k -> Tstore.by_value ts ~origin:0 tr.Triple.value ~k) in
       let has l = List.exists (fun x -> Triple.equal x tr) l in
       if has found_oid then incr ok;
       if has found_av then incr ok;

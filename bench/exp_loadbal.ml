@@ -42,7 +42,9 @@ let run_one ~skew ~load_balanced =
   in
   let ts = Unistore.tstore store in
   List.iteri
-    (fun idx tr -> ignore (Tstore.insert_sync ts ~origin:(idx mod 64) tr))
+    (fun idx tr ->
+      ignore
+        (Common.await (Unistore.sim store) (fun k -> Tstore.insert ts ~origin:(idx mod 64) tr ~k)))
     triples;
   Unistore.settle store;
   imbalance store

@@ -34,18 +34,18 @@ let run () =
   ignore ds;
   let measure access pattern_pred =
     let before = Unistore.messages_sent store in
-    let triples, meta =
-      match (access : Cost.access) with
-      | Cost.AAttrValue (a, v) -> Tstore.by_attr_value_sync ts ~origin:9 ~attr:a v
-      | Cost.AAttrRange (a, Some lo, Some hi) ->
-        Tstore.by_attr_range_sync ts ~origin:9 ~attr:a ~lo ~hi
-      | Cost.AAttrAll a -> Tstore.by_attr_all_sync ts ~origin:9 ~attr:a
-      | Cost.ABroadcast -> Tstore.scan_sync ts ~origin:9 ~pred:pattern_pred
-      | _ -> failwith "unsupported access in E8"
+    let triples, (r : Unistore_triple.Dht.result) =
+      Common.await (Unistore.sim store) (fun k ->
+          match (access : Cost.access) with
+          | Cost.AAttrValue (a, v) -> Tstore.by_attr_value ts ~origin:9 ~attr:a v ~k
+          | Cost.AAttrRange (a, Some lo, Some hi) ->
+            Tstore.by_attr_range ts ~origin:9 ~attr:a ~lo ~hi ~k
+          | Cost.AAttrAll a -> Tstore.by_attr_all ts ~origin:9 ~attr:a ~k
+          | Cost.ABroadcast -> Tstore.scan ts ~origin:9 ~pred:pattern_pred ~k
+          | _ -> failwith "unsupported access in E8")
     in
     let actual_msgs = Unistore.messages_sent store - before in
-    ignore meta;
-    (actual_msgs, meta.Tstore.latency, List.length (List.filter pattern_pred triples))
+    (actual_msgs, r.latency, List.length (List.filter pattern_pred triples))
   in
   let scenario name accesses pred =
     Common.subsection name;
@@ -103,29 +103,37 @@ let run () =
   in
   let topn_ts = Unistore.tstore topn_store in
   List.iteri
-    (fun idx tr -> ignore (Tstore.insert_sync topn_ts ~origin:(idx mod 64) tr))
+    (fun idx tr ->
+      ignore
+        (Common.await (Unistore.sim topn_store) (fun k ->
+             Tstore.insert topn_ts ~origin:(idx mod 64) tr ~k)))
     skew_triples;
   Unistore.settle topn_store;
   let topn_rows =
     List.map
       (fun (name, f) ->
         let before = Unistore.messages_sent topn_store in
-        let triples, meta = f () in
+        let triples, (r : Unistore_triple.Dht.result) = f () in
         let msgs = Unistore.messages_sent topn_store - before in
-        [ name; Common.i msgs; Common.f1 meta.Tstore.latency; Common.i (List.length triples) ])
+        [ name; Common.i msgs; Common.f1 r.latency; Common.i (List.length triples) ])
       [
         ( "scan-all + sort",
           fun () ->
-            let triples, meta = Tstore.by_attr_all_sync topn_ts ~origin:9 ~attr:"v" in
+            let triples, r =
+              Common.await (Unistore.sim topn_store) (fun k ->
+                  Tstore.by_attr_all topn_ts ~origin:9 ~attr:"v" ~k)
+            in
             let sorted =
               List.sort
                 (fun (a : Unistore.Triple.t) b ->
                   Unistore.Value.compare a.Unistore.Triple.value b.Unistore.Triple.value)
                 triples
             in
-            (List.filteri (fun i _ -> i < 5) sorted, meta) );
+            (List.filteri (fun i _ -> i < 5) sorted, r) );
         ( "budgeted traversal",
-          fun () -> Tstore.top_n_by_attr_sync topn_ts ~origin:9 ~attr:"v" ~n:5 () );
+          fun () ->
+            Common.await (Unistore.sim topn_store) (fun k ->
+                Tstore.top_n_by_attr topn_ts ~origin:9 ~attr:"v" ~n:5 ~k ()) );
       ]
   in
   Common.print_table [ "implementation"; "msgs"; "lat_ms"; "rows" ] topn_rows;

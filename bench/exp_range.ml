@@ -57,34 +57,38 @@ let run () =
           :: !rows
       in
       (* P-Grid shower. *)
-      let triples, meta =
-        Tstore.by_attr_range_sync pg_ts ~origin:3 ~attr:"age" ~lo:(Value.I lo) ~hi:(Value.I hi)
+      let (triples, (r : Dht.result)), msgs =
+        Common.await_metered (Tstore.dht pg_ts) (fun k ->
+            Tstore.by_attr_range pg_ts ~origin:3 ~attr:"age" ~lo:(Value.I lo) ~hi:(Value.I hi) ~k)
       in
-      add "pgrid shower" meta.Tstore.messages meta.Tstore.latency (List.length triples);
+      add "pgrid shower" msgs r.Dht.latency (List.length triples);
       (* P-Grid sequential (min-bound traversal), driven at overlay level. *)
       let klo, khi = Keys.attr_range "age" ~lo:(Value.I lo) ~hi:(Value.I hi) in
       let before = Unistore.messages_sent pg_store in
       let r =
-        Overlay.range_sync pg_ov ~origin:3 ~strategy:Message.Sequential ~lo:klo ~hi:khi ()
+        Common.await (Overlay.sim pg_ov) (fun k ->
+            Overlay.range pg_ov ~origin:3 ~strategy:Message.Sequential ~lo:klo ~hi:khi ~k ())
       in
       add "pgrid sequential"
         (Unistore.messages_sent pg_store - before)
         r.Overlay.latency (List.length r.Overlay.items);
       (* Chord + trie. *)
-      let triples, meta =
-        Tstore.by_attr_range_sync ch_ts ~origin:3 ~attr:"age" ~lo:(Value.I lo) ~hi:(Value.I hi)
+      let (triples, (r : Dht.result)), msgs =
+        Common.await_metered (Tstore.dht ch_ts) (fun k ->
+            Tstore.by_attr_range ch_ts ~origin:3 ~attr:"age" ~lo:(Value.I lo) ~hi:(Value.I hi) ~k)
       in
-      add "chord+trie" meta.Tstore.messages meta.Tstore.latency (List.length triples);
+      add "chord+trie" msgs r.Dht.latency (List.length triples);
       (* Chord flooding. *)
-      let triples, meta =
-        Tstore.scan_sync ch_ts ~origin:3 ~pred:(fun tr ->
-            String.equal tr.Triple.attr "age"
-            &&
-            match Value.as_int tr.Triple.value with
-            | Some a -> a >= lo && a <= hi
-            | None -> false)
+      let (triples, (r : Dht.result)), msgs =
+        Common.await_metered (Tstore.dht ch_ts) (fun k ->
+            Tstore.scan ch_ts ~origin:3 ~k ~pred:(fun tr ->
+                String.equal tr.Triple.attr "age"
+                &&
+                match Value.as_int tr.Triple.value with
+                | Some a -> a >= lo && a <= hi
+                | None -> false))
       in
-      add "chord flood" meta.Tstore.messages meta.Tstore.latency (List.length triples))
+      add "chord flood" msgs r.Dht.latency (List.length triples))
     age_ranges;
   Common.print_table [ "range"; "implementation"; "msgs"; "latency_ms"; "found" ] (List.rev !rows);
   (* Insert cost comparison: the trie's write amplification. *)
@@ -92,7 +96,7 @@ let run () =
   let one_triple = Triple.make ~oid:"probe1" ~attr:"age" (Value.I 33) in
   let cost store ts =
     let before = Unistore.messages_sent store in
-    ignore (Tstore.insert_sync ts ~origin:5 one_triple);
+    ignore (Common.await (Unistore.sim store) (fun k -> Tstore.insert ts ~origin:5 one_triple ~k));
     Unistore.messages_sent store - before
   in
   Printf.printf "p-grid insert: %d msgs;  chord+trie insert: %d msgs\n" (cost pg_store pg_ts)

@@ -274,8 +274,10 @@ let run_cell ~overlay ~peers ~nrows =
     let per_pattern =
       List.map
         (fun (pattern, origin) ->
-          let found, (meta : Tstore.meta) = run ~pattern ~origin in
-          if not meta.Tstore.complete then failwith "rank bench: incomplete selection";
+          let found, (r : Unistore_triple.Dht.result) =
+            Common.await (Unistore.sim store) (run ~pattern ~origin)
+          in
+          if not r.complete then failwith "rank bench: incomplete selection";
           let ids =
             List.sort_uniq compare
               (List.map
@@ -301,12 +303,12 @@ let run_cell ~overlay ~peers ~nrows =
   let skyline_bytes_saved = Metrics.counter m "probe.reduce.bytes.saved" in
   let sim =
     tstore_phase sim_specs
-      (fun ~pattern ~origin -> Tstore.similar_sync ts ~origin ~attr:"name" ~pattern ~d:1 ())
+      (fun ~pattern ~origin k -> Tstore.similar ts ~origin ~attr:(Some "name") ~pattern ~d:1 ~k)
       (sim_oracle data)
   in
   let substring =
     tstore_phase substring_specs
-      (fun ~pattern ~origin -> Tstore.containing_sync ts ~origin ~attr:"name" ~pattern ())
+      (fun ~pattern ~origin k -> Tstore.containing ts ~origin ~attr:(Some "name") ~pattern ~k)
       (substring_oracle data)
   in
   { topn; skyline; sim; substring; skyline_bytes_saved }

@@ -36,9 +36,10 @@ let run_one ~model ~proximity =
   List.iteri
     (fun idx (tr : Triple.t) ->
       ignore
-        (Overlay.insert_sync ov ~origin:(idx mod n)
-           ~key:(Keys.attr_value_key tr.Triple.attr tr.Triple.value)
-           ~item_id:(string_of_int idx) ~payload:"x" ()))
+        (Common.await sim (fun k ->
+             Overlay.insert ov ~origin:(idx mod n)
+               ~key:(Keys.attr_value_key tr.Triple.attr tr.Triple.value)
+               ~item_id:(string_of_int idx) ~payload:"x" ~k ())))
     ds.Publications.triples;
   Unistore_sim.Sim.run_all sim;
   let probe_rng = Rng.create 143 in
@@ -48,7 +49,8 @@ let run_one ~model ~proximity =
     (fun (tr : Triple.t) ->
       let origin = Rng.int probe_rng n in
       let r =
-        Overlay.lookup_sync ov ~origin ~key:(Keys.attr_value_key tr.Triple.attr tr.Triple.value)
+        Common.await sim (fun k ->
+            Overlay.lookup ov ~origin ~key:(Keys.attr_value_key tr.Triple.attr tr.Triple.value) ~k)
       in
       if r.Overlay.complete then begin
         lats := r.Overlay.latency :: !lats;

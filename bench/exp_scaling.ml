@@ -33,13 +33,14 @@ let run () =
       List.iter
         (fun (tr : Triple.t) ->
           let origin = Rng.int rng peers in
-          let _, meta =
-            Tstore.by_attr_value_sync ts ~origin ~attr:tr.Triple.attr tr.Triple.value
+          let (_, (r : Unistore_triple.Dht.result)), sent =
+            Common.await_metered (Tstore.dht ts) (fun k ->
+                Tstore.by_attr_value ts ~origin ~attr:tr.Triple.attr tr.Triple.value ~k)
           in
-          if not meta.Tstore.complete then incr incomplete;
-          hops := float_of_int meta.Tstore.hops :: !hops;
-          msgs := float_of_int meta.Tstore.messages :: !msgs;
-          lats := meta.Tstore.latency :: !lats)
+          if not r.complete then incr incomplete;
+          hops := float_of_int r.hops :: !hops;
+          msgs := float_of_int sent :: !msgs;
+          lats := r.latency :: !lats)
         samples;
       let h = Stats.summarize !hops and m = Stats.summarize !msgs and l = Stats.summarize !lats in
       let depth =

@@ -56,18 +56,22 @@ let run () =
       List.iter
         (fun pattern ->
           expect := !expect + oracle pattern;
-          let found, meta = Tstore.similar_sync ts ~origin:4 ~attr:"title" ~pattern ~d () in
-          q_msgs := !q_msgs + meta.Tstore.messages;
-          q_found := !q_found + List.length found;
-          let found, meta =
-            Tstore.scan_sync ts ~origin:4 ~pred:(fun tr ->
-                String.equal tr.Triple.attr "title"
-                &&
-                match Value.as_string tr.Triple.value with
-                | Some s -> Strdist.within_distance pattern s d
-                | None -> false)
+          let (found, _), msgs =
+            Common.await_metered (Tstore.dht ts) (fun k ->
+                Tstore.similar ts ~origin:4 ~attr:(Some "title") ~pattern ~d ~k)
           in
-          f_msgs := !f_msgs + meta.Tstore.messages;
+          q_msgs := !q_msgs + msgs;
+          q_found := !q_found + List.length found;
+          let (found, _), msgs =
+            Common.await_metered (Tstore.dht ts) (fun k ->
+                Tstore.scan ts ~origin:4 ~k ~pred:(fun tr ->
+                    String.equal tr.Triple.attr "title"
+                    &&
+                    match Value.as_string tr.Triple.value with
+                    | Some s -> Strdist.within_distance pattern s d
+                    | None -> false))
+          in
+          f_msgs := !f_msgs + msgs;
           f_found := !f_found + List.length found)
         patterns;
       let n = List.length patterns in

@@ -25,15 +25,23 @@ type rule =
   | Ambient_effects
   | Polymorphic_compare
   | Protocol_exhaustiveness
+  | Blocking_wait
 
 let all_rules =
-  [ Unordered_iteration; Ambient_effects; Polymorphic_compare; Protocol_exhaustiveness ]
+  [
+    Unordered_iteration;
+    Ambient_effects;
+    Polymorphic_compare;
+    Protocol_exhaustiveness;
+    Blocking_wait;
+  ]
 
 let rule_name = function
   | Unordered_iteration -> "unordered-iteration"
   | Ambient_effects -> "ambient-effects"
   | Polymorphic_compare -> "polymorphic-compare"
   | Protocol_exhaustiveness -> "protocol-exhaustiveness"
+  | Blocking_wait -> "blocking-wait"
 
 let rule_of_name s = List.find_opt (fun r -> String.equal (rule_name r) s) all_rules
 
@@ -217,6 +225,50 @@ let check_ambient_effects structure =
                   "use of ambient effect source %s" what
                 :: !diags
             | None -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it structure;
+  List.rev !diags
+
+(* ------------------------------------------------------------------ *)
+(* Rule: blocking-wait                                                 *)
+
+(* Everything below the facade is continuation-passing; a call that
+   drives the event loop from inside it would block every other query
+   in flight, and would wait for the whole queue to drain when the
+   awaited event never comes. The simulator itself is exempt. *)
+let blocking_calls = [ "await"; "run_until"; "run_all"; "run_for" ]
+
+let in_sim_library path =
+  let marker = "lib/sim/" in
+  let n = String.length path and m = String.length marker in
+  let rec from i =
+    i + m <= n
+    && ((String.sub path i m = marker && (i = 0 || path.[i - 1] = '/')) || from (i + 1))
+  in
+  from 0
+
+let check_blocking_wait structure =
+  let diags = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident lid -> (
+            match List.rev (flatten lid.Location.txt) with
+            | f :: "Sim" :: _ when List.mem f blocking_calls ->
+              diags :=
+                D.makef ~span:(span_of_loc e.pexp_loc) ~severity:D.Error ~code:"blocking-wait"
+                  ~hint:
+                    "pass a continuation instead; only the facade (lib/core/unistore.ml) waits, \
+                     with Sim.await"
+                  "Sim.%s drives the event loop below the facade" f
+                :: !diags
+            | _ -> ())
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
     }
@@ -637,6 +689,7 @@ let rule_of_code = function
   | "unordered-iteration" -> Unordered_iteration
   | "ambient-effects" -> Ambient_effects
   | "polymorphic-compare" -> Polymorphic_compare
+  | "blocking-wait" -> Blocking_wait
   | _ -> Protocol_exhaustiveness
 
 let apply_suppressions src diags =
@@ -663,11 +716,13 @@ let lint_source ?(rules = all_rules) ~path src =
         | Unordered_iteration -> check_unordered_iteration ast
         | Ambient_effects -> if exempt_ambient path then [] else check_ambient_effects ast
         | Polymorphic_compare -> check_polymorphic_compare ast
+        | Blocking_wait -> if in_sim_library path then [] else check_blocking_wait ast
         | Protocol_exhaustiveness -> []
     in
     D.sort
       (apply_suppressions src
-         (run Unordered_iteration @ run Ambient_effects @ run Polymorphic_compare))
+         (run Unordered_iteration @ run Ambient_effects @ run Polymorphic_compare
+        @ run Blocking_wait))
 
 (* ------------------------------------------------------------------ *)
 (* Tree driver                                                         *)

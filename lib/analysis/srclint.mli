@@ -23,19 +23,26 @@
     - [protocol-exhaustiveness]: cross-checks the static {!Protocol}
       table against the sources — constructors vs. [size]/[kind]/
       [dispatch] arms (no wildcard hiding), kind-string agreement, and
-      retry/timeout registration of every request kind. *)
+      retry/timeout registration of every request kind.
+    - [blocking-wait]: [Sim.await], [Sim.run_until], [Sim.run_all] or
+      [Sim.run_for] outside [lib/sim]. Every layer below the facade is
+      continuation-passing; the few legitimate callers (the facade, the
+      overlay's join and construction, the traffic engine) carry an
+      allow annotation. *)
 
 type rule =
   | Unordered_iteration
   | Ambient_effects
   | Polymorphic_compare
   | Protocol_exhaustiveness
+  | Blocking_wait
 
 val all_rules : rule list
 
 val rule_name : rule -> string
 (** ["unordered-iteration"], ["ambient-effects"], ["polymorphic-compare"],
-    ["protocol-exhaustiveness"] — also the diagnostic codes. *)
+    ["protocol-exhaustiveness"], ["blocking-wait"] — also the diagnostic
+    codes. *)
 
 val rule_of_name : string -> rule option
 

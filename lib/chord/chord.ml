@@ -438,18 +438,3 @@ let broadcast t ~origin ~pred ~k =
   arm_multi_timeout t rid;
   let me = node t origin in
   handle_bcast t me ~rid ~limit:me.ring ~origin ~hops:0 ~pred
-
-let await t f =
-  let cell = ref None in
-  f (fun r -> cell := Some r);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  match !cell with
-  | Some r -> r
-  | None -> { items = []; hops = 0; peers_hit = 0; complete = false; latency = 0.0 }
-
-let put_sync t ~origin ~key ~item_id ~payload ?version () =
-  await t (fun k -> put t ~origin ~key ~item_id ~payload ?version ~k ())
-
-let get_sync t ~origin ~key = await t (fun k -> get t ~origin ~key ~k)
-let del_sync t ~origin ~key ~item_id = await t (fun k -> del t ~origin ~key ~item_id ~k)
-let broadcast_sync t ~origin ~pred = await t (fun k -> broadcast t ~origin ~pred ~k)

@@ -108,15 +108,3 @@ val del : t -> origin:int -> key:string -> item_id:string -> k:(result -> unit) 
 (** Finger-tree broadcast: every alive peer scans its store with [pred];
     O(n) messages, O(log n) latency depth. *)
 val broadcast : t -> origin:int -> pred:(Store.item -> bool) -> k:(result -> unit) -> unit
-
-val put_sync :
-  t -> origin:int -> key:string -> item_id:string -> payload:string -> ?version:int -> unit ->
-  result
-
-val get_sync : t -> origin:int -> key:string -> result
-val del_sync : t -> origin:int -> key:string -> item_id:string -> result
-val broadcast_sync : t -> origin:int -> pred:(Store.item -> bool) -> result
-
-(** [await t f] runs the simulator until the continuation passed to [f]
-    fires (shared by {!Trie_index}). *)
-val await : t -> ((result -> unit) -> unit) -> result

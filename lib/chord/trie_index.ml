@@ -54,12 +54,6 @@ let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   Chord.put chord ~origin ~key:("B:" ^ hex) ~item_id:(item_id ^ "#" ^ key)
     ~payload:(encode_payload ~key ~payload) ~version ~k:step ()
 
-let insert_sync chord ~origin ~key ~item_id ~payload ?version () =
-  let cell = ref None in
-  insert chord ~origin ~key ~item_id ~payload ?version ~k:(fun ok -> cell := Some ok) ();
-  ignore (Sim.run_until (Chord.sim chord) (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
 let range chord ~origin ~lo ~hi ~k =
   (* A bucket prefix strictly below hex(lo) only holds keys < lo, and one
      strictly above hex(hi) only keys > hi (byte-string order is decided
@@ -128,5 +122,3 @@ let range chord ~origin ~lo ~hi ~k =
   visit "";
   (* [visit] is fully asynchronous; nothing to do here. *)
   ()
-
-let range_sync chord ~origin ~lo ~hi = Chord.await chord (fun k -> range chord ~origin ~lo ~hi ~k)

@@ -40,13 +40,7 @@ val insert :
   unit ->
   unit
 
-val insert_sync :
-  Chord.t -> origin:int -> key:string -> item_id:string -> payload:string -> ?version:int ->
-  unit -> bool
-
 (** [range chord ~origin ~lo ~hi ~k] retrieves all items with
     [lo <= key <= hi] by DFS over the trie. The result's [peers_hit] counts
     DHT gets issued. *)
 val range : Chord.t -> origin:int -> lo:string -> hi:string -> k:(Chord.result -> unit) -> unit
-
-val range_sync : Chord.t -> origin:int -> lo:string -> hi:string -> Chord.result

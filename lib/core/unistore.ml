@@ -19,6 +19,7 @@ module Profile = Unistore_obs.Profile
 module Json = Unistore_obs.Json
 module Statcache = Unistore_cache.Statcache
 module Qcache = Unistore_qproc.Qcache
+module Cps = Unistore_util.Cps
 
 type overlay_kind = Pgrid | Chord_trie
 
@@ -191,65 +192,86 @@ let pick_origin t =
   t.next_origin <- (t.next_origin + 1) mod t.config.peers;
   o
 
+(* The facade is the one layer that waits (DESIGN.md, "Execution
+   model"): each public operation below awaits its asynchronous body
+   exactly once, and falls back to [default] if the event queue drains
+   before the body's continuation fires. *)
+let await t ~default start =
+  let result = Sim.await t.sim start (* srclint: allow blocking-wait *) in
+  Option.value result ~default
+
 let insert_triple t ?origin tr =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   bump_write t (Some tr.Triple.attr);
-  Tstore.insert_sync t.tstore ~origin tr
+  await t ~default:false (fun k -> Tstore.insert t.tstore ~origin tr ~k)
 
-let insert_tuple t ?origin ~oid fields =
+(* The asynchronous body of [insert_tuple], shared with [load]. *)
+let start_insert_tuple t ?origin ~oid fields ~k =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   List.iter (fun (a, _) -> bump_write t (Some a)) fields;
-  Tstore.insert_tuple_sync t.tstore ~origin ~oid fields
+  Tstore.insert_tuple t.tstore ~origin ~oid fields ~k
+
+let insert_tuple t ?origin ~oid fields =
+  await t ~default:0 (fun k -> start_insert_tuple t ?origin ~oid fields ~k)
 
 let delete_triple t ?origin tr =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   bump_write t (Some tr.Triple.attr);
-  Tstore.delete_sync t.tstore ~origin tr
+  await t ~default:false (fun k -> Tstore.delete t.tstore ~origin tr ~k)
 
 let update_value t ?origin ~oid ~attr ~old_value new_value =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   bump_write t (Some attr);
-  Tstore.update_value_sync t.tstore ~origin ~oid ~attr ~old_value new_value
+  await t ~default:false (fun k ->
+      Tstore.update_value t.tstore ~origin ~oid ~attr ~old_value new_value ~k)
 
 (* Bulk load: assign each tuple its round-robin origin as before, then
    ship every origin's triples as one batched insert
-   ({!Tstore.insert_bulk}) instead of one routed exchange per index
-   entry. Per-triple insertion remains the fallback on substrates
-   without a batch path (Chord) or when a batch comes back incomplete. *)
+   ({!Tstore.insert_bulk}), one origin after another, instead of one
+   routed exchange per index entry. Per-triple insertion remains the
+   fallback on substrates without a batch path (Chord) or when a batch
+   comes back incomplete. *)
 let load t tuples =
-  match t.dht.Dht.bulk_insert with
-  | None -> List.fold_left (fun acc (oid, fields) -> acc + insert_tuple t ~oid fields) 0 tuples
-  | Some _ ->
-    let groups = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (oid, fields) ->
-        let origin = pick_origin t in
-        List.iter (fun (a, _) -> bump_write t (Some a)) fields;
-        let triples = Triple.tuple_to_triples ~oid fields in
-        match Hashtbl.find_opt groups origin with
-        | Some r -> r := List.rev_append triples !r
-        | None ->
-          order := origin :: !order;
-          Hashtbl.add groups origin (ref (List.rev triples)))
-      tuples;
-    List.fold_left
-      (fun acc origin ->
-        let triples = List.rev !(Hashtbl.find groups origin) in
-        if Tstore.insert_bulk_sync t.tstore ~origin triples then acc + List.length triples
-        else
-          acc
-          + List.fold_left
-              (fun a tr -> if Tstore.insert_sync t.tstore ~origin tr then a + 1 else a)
-              0 triples)
-      0 (List.rev !order)
+  await t ~default:0 (fun k ->
+      match t.dht.Dht.bulk_insert with
+      | None ->
+        Cps.fold
+          (fun acc (oid, fields) ~k -> start_insert_tuple t ~oid fields ~k:(fun n -> k (acc + n)))
+          0 tuples ~k
+      | Some _ ->
+        let groups = Hashtbl.create 16 in
+        let order = ref [] in
+        List.iter
+          (fun (oid, fields) ->
+            let origin = pick_origin t in
+            List.iter (fun (a, _) -> bump_write t (Some a)) fields;
+            let triples = Triple.tuple_to_triples ~oid fields in
+            match Hashtbl.find_opt groups origin with
+            | Some r -> r := List.rev_append triples !r
+            | None ->
+              order := origin :: !order;
+              Hashtbl.add groups origin (ref (List.rev triples)))
+          tuples;
+        let insert_one origin acc tr ~k =
+          Tstore.insert t.tstore ~origin tr ~k:(fun ok -> k (if ok then acc + 1 else acc))
+        in
+        Cps.fold
+          (fun acc origin ~k ->
+            let triples = List.rev !(Hashtbl.find groups origin) in
+            Tstore.insert_bulk t.tstore ~origin triples ~k:(fun ok ->
+                if ok then k (acc + List.length triples)
+                else Cps.fold (insert_one origin) acc triples ~k))
+          0 (List.rev !order) ~k)
 
 let add_mapping t ?origin a b =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   bump_write t None;
-  Tstore.add_mapping_sync t.tstore ~origin a b
+  await t ~default:false (fun k -> Tstore.add_mapping t.tstore ~origin a b ~k)
 
-let refresh_stats t = t.stats <- Qstats.collect t.tstore ~origin:0
+let refresh_stats t =
+  t.stats <-
+    await t ~default:(Qstats.of_triples []) (fun k -> Qstats.collect t.tstore ~origin:0 ~k)
+
 let set_stats_of_triples t triples = t.stats <- Qstats.of_triples triples
 let stats t = t.stats
 
@@ -257,7 +279,11 @@ let stats t = t.stats
 (* Gossiped statistics (level 3 of the caching subsystem)              *)
 
 let gossip_stats_round t =
-  match t.dht.Dht.stat_gossip_round with Some round -> round () | None -> ()
+  match t.dht.Dht.stat_gossip_round with
+  | Some round ->
+    round ();
+    Sim.run_all t.sim (* srclint: allow blocking-wait *)
+  | None -> ()
 
 let gossiped_stats t ~origin =
   match t.dht.Dht.statcache_of with
@@ -279,20 +305,28 @@ let stats_for t ~origin =
 
 type strategy = Engine.strategy = Centralized | Mutant
 
+let drained what = Error (what ^ " did not finish: the event queue drained first")
+
 let query t ?(origin = 0) ?strategy ?expand_mappings src =
-  Engine.run_string t.tstore (stats_for t ~origin) ~replication:t.config.replication
-    ~metrics:t.metrics
-    ?cache:(result_cache t ~origin)
-    ?strategy ?expand_mappings ~origin src
+  let stats = stats_for t ~origin in
+  match Engine.parse_checked stats src with
+  | Error e -> Error e
+  | Ok q ->
+    await t ~default:(drained "query") (fun k ->
+        Engine.start t.tstore stats ~replication:t.config.replication ~metrics:t.metrics
+          ?cache:(result_cache t ~origin)
+          ?strategy ?expand_mappings ~origin q
+          ~k:(fun r -> k (Ok r)))
 
 let explain t ?(origin = 0) ?expand_mappings src =
   match Unistore_vql.Parser.parse src with
   | Error e -> Error e
   | Ok q ->
-    Ok
-      (Engine.plan_query t.tstore (stats_for t ~origin) ~replication:t.config.replication
-         ?cache:(result_cache t ~origin)
-         ?expand_mappings ~origin q)
+    await t ~default:(drained "explain") (fun k ->
+        Engine.explain t.tstore (stats_for t ~origin) ~replication:t.config.replication
+          ?cache:(result_cache t ~origin)
+          ?expand_mappings ~origin q
+          ~k:(fun plan -> k (Ok plan)))
 
 let pp_table = Engine.pp_table
 let pp_plan = Physical.pp
@@ -338,7 +372,7 @@ let repair_round t =
   match t.pgrid with
   | Some ov ->
     let r = Repair.round ov in
-    Sim.run_all t.sim;
+    Sim.run_all t.sim (* srclint: allow blocking-wait *);
     Some r
   | None -> None
 
@@ -346,7 +380,7 @@ let anti_entropy_round t =
   match t.pgrid with
   | Some ov ->
     Gossip.anti_entropy_round ov;
-    Sim.run_all t.sim
+    Sim.run_all t.sim (* srclint: allow blocking-wait *)
   | None -> ()
 
 (* Message-level tracing (paper section 3: results are "traceable,
@@ -388,7 +422,7 @@ let query_profiled t ?origin ?strategy ?expand_mappings src =
   | Error e -> Error e
   | Ok report -> Ok (report, Engine.profile ~query:src report)
 
-let settle t = Sim.run_all t.sim
+let settle t = Sim.run_all t.sim (* srclint: allow blocking-wait *)
 let messages_sent t = t.dht.Dht.total_sent ()
 let now t = Sim.now t.sim
 

@@ -16,7 +16,17 @@
       match Unistore.query store "SELECT ?n WHERE { (?a,'name',?n) }" with
       | Ok report -> Format.printf "%a@." Unistore.pp_table report
       | Error e -> prerr_endline e
-    ]} *)
+    ]}
+
+    {b Execution model.} Every layer below this facade is
+    continuation-passing and never drives the simulator. Each
+    operation here ([query], [explain], [load], [insert_*],
+    [refresh_stats], ...) starts its asynchronous body and waits for it
+    exactly once with {!Unistore_sim.Sim.await}; if the event queue
+    drains before the body answers, it returns the failure value it
+    documents. Code that wants many operations in flight starts them
+    below the facade (e.g. {!Unistore_qproc.Engine.start}) and drives
+    the simulator itself. *)
 
 module Value = Unistore_triple.Value
 module Triple = Unistore_triple.Triple
@@ -119,8 +129,9 @@ val stats : t -> Unistore_qproc.Qstats.t
 (** {2 Gossiped statistics} — the decentralized replacement for the two
     collectors above. Responsible peers sample their local stores into
     per-attribute summaries which spread epidemically; each round is one
-    {!Unistore_pgrid.Gossip.stats_round} (P-Grid only, driven to
-    completion). Once summaries have arrived, {!query} and {!explain}
+    {!Unistore_pgrid.Gossip.stats_round} (P-Grid only), and
+    {!gossip_stats_round} drains the event queue after it. Once
+    summaries have arrived, {!query} and {!explain}
     plan from them instead of the facade-held statistics. *)
 
 (** One sampling + push round; no-op on substrates without statistics
@@ -142,7 +153,9 @@ val result_cache : t -> origin:int -> Unistore_qproc.Qcache.t option
 
 type strategy = Unistore_qproc.Engine.strategy = Centralized | Mutant
 
-(** [query t vql] parses, optimizes and executes a VQL query.
+(** [query t vql] parses, optimizes and executes a VQL query, and waits
+    for it. [Error] on a parse or analyzer error, or if the event queue
+    drains before the query finishes.
     [expand_mappings] rewrites constant attributes through published
     schema correspondences. Plans from gossiped statistics when
     available (see {!gossiped_stats}) and serves repeated accesses from

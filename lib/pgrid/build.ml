@@ -251,7 +251,7 @@ let join ov ~id ~bootstrap =
       Overlay.send_task ov ~src:bootstrap ~dst:id ~bytes (fun _ ->
           List.iter (fun i -> ignore (Store.put nd.Node.store i)) items;
           joined := true));
-  ignore (Sim.run_until (Overlay.sim ov) (fun () -> !joined));
+  ignore (Sim.run_until (Overlay.sim ov) (fun () -> !joined)) (* srclint: allow blocking-wait *);
   !joined
 
 let repair_refs ov =
@@ -571,7 +571,7 @@ let bootstrap sim ~latency ~rng ?drop ~config ~n ~initial_data ?(rounds = 30)
           end)
     done
   done;
-  Sim.run_all sim;
+  Sim.run_all sim (* srclint: allow blocking-wait *);
   let coverage_ok =
     let probe_rng = Rng.create 0xBEEF in
     let ok = ref true in

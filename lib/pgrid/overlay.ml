@@ -995,37 +995,3 @@ let send_task t ~src ~dst ~bytes run = Net.send t.net ~src ~dst (Message.Task { 
 let agg_owners t =
   Hashtbl.fold (fun _ a acc -> if a.flushed then acc else a.agg_owner :: acc) t.aggs []
   |> List.sort_uniq compare
-
-(* ------------------------------------------------------------------ *)
-(* Synchronous wrappers                                                *)
-
-(* Drive the simulator until [f]'s continuation fires; [unfinished] if
-   the event queue drains first. *)
-let await_or t ~unfinished f =
-  let cell = ref None in
-  f (fun r -> cell := Some r);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  Option.value !cell ~default:unfinished
-
-let await t f = await_or t ~unfinished:Request.unfinished f
-
-let insert_sync t ~origin ~key ~item_id ~payload ?version () =
-  await t (fun k -> insert t ~origin ~key ~item_id ~payload ?version ~k ())
-
-let lookup_sync t ~origin ~key = await t (fun k -> lookup t ~origin ~key ~k)
-
-let delete_sync t ~origin ~key ~item_id = await t (fun k -> delete t ~origin ~key ~item_id ~k)
-
-let update_sync t ~origin ~key ~item_id ~payload ~version ?rounds () =
-  await t (fun k -> update t ~origin ~key ~item_id ~payload ~version ?rounds ~k ())
-
-let range_sync t ~origin ?strategy ?budget ~lo ~hi () =
-  await t (fun k -> range t ~origin ?strategy ?budget ~lo ~hi ~k ())
-
-let prefix_sync t ~origin ~prefix:p = await t (fun k -> prefix t ~origin ~prefix:p ~k)
-let broadcast_sync t ~origin ~pred = await t (fun k -> broadcast t ~origin ~pred ~k ())
-
-let bulk_insert_sync t ~origin ~items = await t (fun k -> bulk_insert t ~origin ~items ~k)
-
-let multi_lookup_sync t ~origin ~keys =
-  await_or t ~unfinished:([], Request.unfinished) (fun k -> multi_lookup t ~origin ~keys ~k)

@@ -2,8 +2,9 @@
 
     All operations are asynchronous (continuation-passing) because they are
     implemented as real message exchanges inside the discrete-event
-    simulator; [*_sync] wrappers drive the event loop until the
-    continuation fires and are what most callers use.
+    simulator. Each calls its continuation exactly once, at the tail of
+    the handler that finishes it. To wait for one, pass it to
+    {!Unistore_sim.Sim.await}; only the facade and tests do.
 
     Guarantees (demonstrated by the E2 benchmark):
     - [lookup]/[insert] resolve in at most [depth] overlay hops, i.e.
@@ -225,41 +226,6 @@ val multi_lookup :
     (e.g. a mutant query plan) to [dst]; [f] runs there on arrival. Counted
     as one message of [bytes] payload. [f] is not run if [dst] is dead. *)
 val send_task : t -> src:int -> dst:int -> bytes:int -> (int -> unit) -> unit
-
-(** {2 Synchronous wrappers} (drive the simulator until completion) *)
-
-val insert_sync :
-  t -> origin:int -> key:string -> item_id:string -> payload:string -> ?version:int -> unit ->
-  result
-
-val lookup_sync : t -> origin:int -> key:string -> result
-val delete_sync : t -> origin:int -> key:string -> item_id:string -> result
-
-val update_sync :
-  t ->
-  origin:int ->
-  key:string ->
-  item_id:string ->
-  payload:string ->
-  version:int ->
-  ?rounds:int ->
-  unit ->
-  result
-
-val range_sync :
-  t ->
-  origin:int ->
-  ?strategy:Message.range_strategy ->
-  ?budget:int ->
-  lo:string ->
-  hi:string ->
-  unit ->
-  result
-
-val prefix_sync : t -> origin:int -> prefix:string -> result
-val broadcast_sync : t -> origin:int -> pred:(Store.item -> bool) -> result
-val bulk_insert_sync : t -> origin:int -> items:Store.item list -> result
-val multi_lookup_sync : t -> origin:int -> keys:string list -> (string * Store.item list) list * result
 
 (** {2 Replica maintenance} (see {!Gossip}) *)
 

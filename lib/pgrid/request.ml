@@ -16,7 +16,6 @@ type result = {
 }
 
 let empty = { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 }
-let unfinished = { empty with complete = false; completeness = 0.0 }
 
 type kind =
   | Single

@@ -39,9 +39,6 @@ val fanout_buckets : float list
 (** The complete answer to an empty request. *)
 val empty : result
 
-(** The answer of a request the simulator stopped before it finished. *)
-val unfinished : result
-
 type t
 
 val create : net:Message.t Net.t -> rng:Unistore_util.Rng.t -> config:Config.t -> t

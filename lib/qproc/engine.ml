@@ -3,6 +3,7 @@ module Parser = Unistore_vql.Parser
 module Value = Unistore_triple.Value
 module Tstore = Unistore_triple.Tstore
 module Dht = Unistore_triple.Dht
+module Cps = Unistore_util.Cps
 
 type strategy = Centralized | Mutant
 
@@ -75,39 +76,55 @@ let const_attrs (q : Ast.query) =
 (* A UNION branch runs as a stand-alone sub-query: its own patterns and
    filters, no post-processing (that happens once, over the combined
    rows). *)
-let branch_query (q : Ast.query) (ps, fs) =
-  ignore q;
-  Ast.mk_query ~filters:fs ps
+let branch_query (ps, fs) = Ast.mk_query ~filters:fs ps
 
-let fetch_expansions ts ~origin q =
-  List.filter_map
-    (fun a ->
-      match Tstore.equivalent_attrs_sync ts ~origin a with
-      | [] | [ _ ] -> None
-      | eqs -> Some (a, eqs))
+(* One attribute after another, in [const_attrs] order. *)
+let fetch_expansions ts ~origin q ~k =
+  Cps.map
+    (fun a ~k -> Tstore.equivalent_attrs ts ~origin a ~k:(fun eqs -> k (a, eqs)))
     (const_attrs q)
+    ~k:(fun found -> k (List.filter (fun (_, eqs) -> List.compare_length_with eqs 1 > 0) found))
 
-let cached_probe cache = Option.map (fun c a -> Qcache.cached_access c a) cache
+(* What planning needs, shared by [explain] and [start]: the cost
+   environment, the mapping expansions (fetched from the store when
+   asked for) and the planner over them. *)
+type planner = {
+  env : Cost.env;
+  expansions : (string * string list) list;
+  plan : Ast.query -> Physical.t;
+}
 
-let plan_query ts stats ~replication ?cache ?(expand_mappings = false) ~origin q =
+let planner ts stats ~replication ?cache ~expand_mappings ~origin q ~k =
   let env = Cost.env_of_dht (Tstore.dht ts) ~replication in
-  let expansions = if expand_mappings then fetch_expansions ts ~origin q else [] in
   let qgrams = Tstore.qgrams_enabled ts in
-  let cached = cached_probe cache in
-  let main =
-    Optimizer.plan env stats ~qgrams ?cached ~expansions { q with Ast.union_branches = [] }
+  let cached = Option.map (fun c a -> Qcache.cached_access c a) cache in
+  let with_expansions expansions =
+    k { env; expansions; plan = Optimizer.plan env stats ~qgrams ?cached ~expansions }
   in
-  let branches =
-    List.map (fun b -> Optimizer.plan env stats ~qgrams ?cached ~expansions (branch_query q b))
-      q.Ast.union_branches
-  in
-  { main with Physical.branches }
+  if expand_mappings then fetch_expansions ts ~origin q ~k:with_expansions else with_expansions []
 
-let run ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
-    ?(expand_mappings = false) ~origin q =
-  let env = Cost.env_of_dht (Tstore.dht ts) ~replication in
-  let expansions = if expand_mappings then fetch_expansions ts ~origin q else [] in
-  let qgrams = Tstore.qgrams_enabled ts in
+let explain ts stats ~replication ?cache ?(expand_mappings = false) ~origin q ~k =
+  planner ts stats ~replication ?cache ~expand_mappings ~origin q ~k:(fun p ->
+      let main = p.plan { q with Ast.union_branches = [] } in
+      let branches = List.map (fun b -> p.plan (branch_query b)) q.Ast.union_branches in
+      k { main with Physical.branches })
+
+let report_of q strategy plan (r : Exec.run_result) =
+  {
+    columns = columns_of q;
+    rows = r.Exec.rows;
+    messages = r.Exec.messages;
+    latency = r.Exec.latency;
+    complete = r.Exec.complete;
+    completeness = r.Exec.completeness;
+    plan;
+    strategy;
+    traces = r.Exec.traces;
+    bytes_shipped = r.Exec.bytes_shipped;
+  }
+
+let start ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
+    ?(expand_mappings = false) ~origin q ~k =
   let strategy =
     match strategy with
     | Mutant when (Tstore.dht ts).Dht.send_task = None ->
@@ -121,82 +138,70 @@ let run ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
       Centralized
     | s -> s
   in
-  let cached = cached_probe cache in
-  (* Each UNION branch executes independently; the combined rows then go
-     through the query's post-processing exactly once. *)
-  let run_branch (bq : Ast.query) =
-    let plan = Optimizer.plan env stats ~qgrams ?cached ~expansions bq in
-    let result =
-      match strategy with
-      | Centralized -> Exec.run_centralized ?cache ts ~origin plan
-      | Mutant -> Exec.run_mutant ?cache ts stats env ~origin bq ~expansions
-    in
-    (plan, result)
-  in
-  match q.Ast.union_branches with
-  | [] ->
-    (* Skyline queries of the canonical shape run as a leaf-reduced scan
-       when the substrate ships closures: dominated tuples are dropped at
-       the peers that hold them instead of travelling to the origin. *)
-    let pushdown =
-      match (strategy, Exec.skyline_pushdown_shape q) with
-      | Centralized, Some (goals, subj, av) when Tstore.skyline_scan_supported ts ->
-        Some (Exec.run_skyline_pushdown ts ~origin q ~goals ~subj ~av)
-      | _ -> None
-    in
-    let plan, result = match pushdown with Some pr -> pr | None -> run_branch q in
-    {
-      columns = columns_of q;
-      rows = result.Exec.rows;
-      messages = result.Exec.messages;
-      latency = result.Exec.latency;
-      complete = result.Exec.complete;
-      completeness = result.Exec.completeness;
-      plan;
-      strategy;
-      traces = result.Exec.traces;
-      bytes_shipped = result.Exec.bytes_shipped;
-    }
-  | union_branches ->
-    let sub_queries =
-      branch_query q (q.Ast.patterns, q.Ast.filters)
-      :: List.map (branch_query q) union_branches
-    in
-    let results = List.map run_branch sub_queries in
-    let rows = List.concat_map (fun (_, r) -> r.Exec.rows) results in
-    let post_plan =
-      {
-        Physical.steps = [];
-        post_filters = [];
-        order = q.Ast.order;
-        projection = q.Ast.projection;
-        distinct = q.Ast.distinct;
-        limit = q.Ast.limit;
-        expansions;
-        total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-        branches = [];
-      }
-    in
-    let rows = Exec.postprocess post_plan rows in
-    let plans = List.map fst results in
-    let plan =
-      match plans with
-      | main :: rest -> { main with Physical.branches = rest }
-      | [] -> assert false
-    in
-    {
-      columns = columns_of q;
-      rows;
-      messages = List.fold_left (fun acc (_, r) -> acc + r.Exec.messages) 0 results;
-      latency = List.fold_left (fun acc (_, r) -> acc +. r.Exec.latency) 0.0 results;
-      complete = List.for_all (fun (_, r) -> r.Exec.complete) results;
-      completeness =
-        List.fold_left (fun acc (_, r) -> Float.min acc r.Exec.completeness) 1.0 results;
-      plan;
-      strategy;
-      traces = List.concat_map (fun (_, r) -> r.Exec.traces) results;
-      bytes_shipped = List.fold_left (fun acc (_, r) -> acc + r.Exec.bytes_shipped) 0 results;
-    }
+  planner ts stats ~replication ?cache ~expand_mappings ~origin q ~k:(fun p ->
+      (* Each UNION branch executes independently, one after another; the
+         combined rows then go through the query's post-processing
+         exactly once. *)
+      let run_branch (bq : Ast.query) ~k =
+        let plan = p.plan bq in
+        let k result = k (plan, result) in
+        match strategy with
+        | Centralized -> Exec.run_centralized ?cache ts ~origin plan ~k
+        | Mutant ->
+          Exec.run_mutant ?cache ts stats p.env ~origin bq ~expansions:p.expansions ~k
+      in
+      match q.Ast.union_branches with
+      | [] -> (
+        let k (plan, result) = k (report_of q strategy plan result) in
+        (* Skyline queries of the canonical shape run as a leaf-reduced
+           scan when the substrate ships closures: dominated tuples are
+           dropped at the peers that hold them instead of travelling to
+           the origin. *)
+        match (strategy, Exec.skyline_pushdown_shape q) with
+        | Centralized, Some (goals, subj, av) when Tstore.skyline_scan_supported ts ->
+          Exec.run_skyline_pushdown ts ~origin q ~goals ~subj ~av ~k
+        | _ -> run_branch q ~k)
+      | union_branches ->
+        let sub_queries =
+          branch_query (q.Ast.patterns, q.Ast.filters) :: List.map branch_query union_branches
+        in
+        Cps.map run_branch sub_queries ~k:(fun results ->
+            let post_plan =
+              {
+                Physical.steps = [];
+                post_filters = [];
+                order = q.Ast.order;
+                projection = q.Ast.projection;
+                distinct = q.Ast.distinct;
+                limit = q.Ast.limit;
+                expansions = p.expansions;
+                total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
+                branches = [];
+              }
+            in
+            let rows =
+              Exec.postprocess post_plan (List.concat_map (fun (_, r) -> r.Exec.rows) results)
+            in
+            let plan =
+              match List.map fst results with
+              | main :: rest -> { main with Physical.branches = rest }
+              | [] -> assert false
+            in
+            k
+              {
+                columns = columns_of q;
+                rows;
+                messages = List.fold_left (fun acc (_, r) -> acc + r.Exec.messages) 0 results;
+                latency = List.fold_left (fun acc (_, r) -> acc +. r.Exec.latency) 0.0 results;
+                complete = List.for_all (fun (_, r) -> r.Exec.complete) results;
+                completeness =
+                  List.fold_left (fun acc (_, r) -> Float.min acc r.Exec.completeness) 1.0 results;
+                plan;
+                strategy;
+                traces = List.concat_map (fun (_, r) -> r.Exec.traces) results;
+                bytes_shipped =
+                  List.fold_left (fun acc (_, r) -> acc + r.Exec.bytes_shipped) 0 results;
+              }))
 
 (* The analyzer's catalog, derived from the collected statistics: an
    attribute's observed types come from [string_valued] and the dominant
@@ -219,16 +224,16 @@ let analyze stats q = Unistore_analysis.Semantic.analyze ~catalog:(catalog_of_st
 
 (* String-entry queries pass through the static analyzer; plans with
    error-severity diagnostics are refused before any message is sent.
-   [run] (the AST entry) stays ungated for callers that build plans
+   [start] (the AST entry) stays ungated for callers that build plans
    programmatically. *)
-let run_string ts stats ~replication ?metrics ?cache ?strategy ?expand_mappings ~origin src =
+let parse_checked stats src =
   match Parser.parse src with
   | Error e -> Error e
   | Ok q ->
     let diags = analyze stats q in
     if Unistore_analysis.Diagnostic.has_errors diags then
       Error (Unistore_analysis.Diagnostic.render_all ~src diags)
-    else Ok (run ts stats ~replication ?metrics ?cache ?strategy ?expand_mappings ~origin q)
+    else Ok q
 
 (* The EXPLAIN ANALYZE view: reshape the execution traces into the
    substrate-independent profile record of the observability layer. *)

@@ -1,7 +1,10 @@
 (** Query engine: parse → optimize → execute → report.
 
     The top of the query-processing stack; {!Unistore.Unistore} (the
-    public facade) wraps this. *)
+    public facade) wraps this. The engine never drives the simulator:
+    {!start} and {!explain} call [k] exactly once, from inside the event
+    that finishes the query, so many queries can be in flight at once.
+    The facade waits for one with {!Unistore_sim.Sim.await}. *)
 
 module Ast = Unistore_vql.Ast
 module Tstore = Unistore_triple.Tstore
@@ -16,6 +19,10 @@ type report = {
   columns : string list;
   rows : Binding.t list;
   messages : int;
+      (** delta of the deployment's global message counter over the
+          query's lifetime, like every step's [messages] in [traces]:
+          exact only when the query runs alone, since messages of other
+          queries in flight are counted too *)
   latency : float;  (** simulated ms *)
   complete : bool;
   completeness : float;
@@ -31,11 +38,12 @@ type report = {
 (** Render rows as an aligned text table (the CLI's result view). *)
 val pp_table : Format.formatter -> report -> unit
 
-(** [plan_query ts stats ~replication ?expand_mappings ~origin q] builds
-    the static physical plan (the EXPLAIN view). When [expand_mappings]
-    is set, schema correspondences are fetched from the store and
-    constant attributes are expanded to their equivalence classes. *)
-val plan_query :
+(** [explain ts stats ~replication ?cache ?expand_mappings ~origin q ~k]
+    builds the static physical plan (the EXPLAIN view). When
+    [expand_mappings] is set, schema correspondences are fetched from
+    the store first and constant attributes are expanded to their
+    equivalence classes; otherwise [k] is called at once. *)
+val explain :
   Tstore.t ->
   Qstats.t ->
   replication:int ->
@@ -43,16 +51,18 @@ val plan_query :
   ?expand_mappings:bool ->
   origin:int ->
   Ast.query ->
-  Physical.t
+  k:(Physical.t -> unit) ->
+  unit
 
-(** [run ts stats ~replication ?strategy ?expand_mappings ~origin q]
-    executes a parsed query. Default strategy: [Centralized]; [Mutant]
+(** [start ts stats ~replication ?strategy ?expand_mappings ~origin q ~k]
+    executes a parsed query and passes its report to [k]. It shares its
+    planning with {!explain}. Default strategy: [Centralized]; [Mutant]
     falls back to [Centralized] if the substrate cannot ship plans — the
     downgrade bumps the ["engine.mutant_downgrade"] counter (when
     [metrics] is given) and prints a warning on stderr. With [cache] the
     optimizer biases plans toward already-cached accesses and the
     executor serves/fills the origin's result cache ({!Qcache}). *)
-val run :
+val start :
   Tstore.t ->
   Qstats.t ->
   replication:int ->
@@ -62,7 +72,8 @@ val run :
   ?expand_mappings:bool ->
   origin:int ->
   Ast.query ->
-  report
+  k:(report -> unit) ->
+  unit
 
 (** [catalog_of_stats stats] derives the static analyzer's attribute
     catalog from collected statistics. *)
@@ -72,20 +83,10 @@ val catalog_of_stats : Qstats.t -> Unistore_analysis.Catalog.t
     against the catalog derived from [stats]. *)
 val analyze : Qstats.t -> Ast.query -> Unistore_analysis.Diagnostic.t list
 
-(** [run_string ...] parses and runs VQL source. The query first passes
+(** [parse_checked stats src] parses VQL source and passes it through
     the static analyzer ({!analyze}); error-severity diagnostics refuse
     the plan and are rendered into [Error]. *)
-val run_string :
-  Tstore.t ->
-  Qstats.t ->
-  replication:int ->
-  ?metrics:Unistore_obs.Metrics.t ->
-  ?cache:Qcache.t ->
-  ?strategy:strategy ->
-  ?expand_mappings:bool ->
-  origin:int ->
-  string ->
-  (report, string) result
+val parse_checked : Qstats.t -> string -> (Ast.query, string) result
 
 (** [profile ?query r] reshapes a report's execution traces into the
     per-operator profile of the observability layer (rows in/out,

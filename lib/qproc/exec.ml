@@ -7,6 +7,7 @@ module Dht = Unistore_triple.Dht
 module Keys = Unistore_triple.Keys
 module Sim = Unistore_sim.Sim
 module Det = Unistore_util.Det
+module Cps = Unistore_util.Cps
 
 type step_trace = {
   step : Physical.step;
@@ -33,7 +34,65 @@ type run_result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Access execution (synchronous, from a given origin)                 *)
+(* Per-query state                                                     *)
+
+(* One executing plan, in the style of the overlay's request record:
+   what every step reads (store, origin, the origin's result cache,
+   mapping expansions) and what the steps accumulate. Message and time
+   figures are deltas of the global counters since the query started,
+   so they are exact only while the query runs alone. *)
+type run = {
+  ts : Tstore.t;
+  dht : Dht.t;
+  origin : int;
+  cache : Qcache.t option;
+  expansions : (string * string list) list;
+  t0 : float;
+  m0 : int;
+  mutable complete : bool;
+  mutable cov : float;
+  mutable traces : step_trace list;  (* newest first *)
+  mutable bytes_shipped : int;
+}
+
+let start_run ?cache ts ~origin ~expansions =
+  let dht = Tstore.dht ts in
+  {
+    ts;
+    dht;
+    origin;
+    cache;
+    expansions;
+    t0 = Sim.now dht.Dht.sim;
+    m0 = dht.Dht.total_sent ();
+    complete = true;
+    cov = 1.0;
+    traces = [];
+    bytes_shipped = 0;
+  }
+
+(* Fold one access's coverage into the query's. *)
+let note run (r : Dht.result) =
+  if not r.Dht.complete then run.complete <- false;
+  run.cov <- Float.min run.cov r.Dht.completeness
+
+let result_of run rows =
+  {
+    rows;
+    messages = run.dht.Dht.total_sent () - run.m0;
+    latency = Sim.now run.dht.Dht.sim -. run.t0;
+    complete = run.complete;
+    completeness = run.cov;
+    traces = List.rev run.traces;
+    bytes_shipped = run.bytes_shipped;
+  }
+
+(* The result cache lives at the query origin; a travelling plan can
+   only consult it while it is still (or again) executing there. *)
+let cache_at run carrier = if carrier = run.origin then run.cache else None
+
+(* ------------------------------------------------------------------ *)
+(* Access execution (from a given carrier)                             *)
 
 let expansions_for plan_expansions attr =
   match List.assoc_opt attr plan_expansions with
@@ -64,52 +123,34 @@ let range_defaults lo hi =
   | None, Some h -> (Option.get (Value.decode (Value.type_min h)), h)
   | None, None -> invalid_arg "Exec: unbounded range access"
 
-let uncached_access ts ~origin (access : Cost.access) (p : Ast.pattern) =
+let uncached_access ts ~origin (access : Cost.access) (p : Ast.pattern) ~k =
   match access with
-  | Cost.AOid oid -> Tstore.by_oid_sync ts ~origin oid
-  | Cost.AAttrValue (a, v) -> Tstore.by_attr_value_sync ts ~origin ~attr:a v
+  | Cost.AOid oid -> Tstore.by_oid ts ~origin oid ~k
+  | Cost.AAttrValue (a, v) -> Tstore.by_attr_value ts ~origin ~attr:a v ~k
   | Cost.AAttrRange (a, lo, hi) ->
     let lo, hi = range_defaults lo hi in
-    Tstore.by_attr_range_sync ts ~origin ~attr:a ~lo ~hi
-  | Cost.AAttrAll a -> Tstore.by_attr_all_sync ts ~origin ~attr:a
-  | Cost.AAttrPrefix (a, pre) -> Tstore.by_attr_string_prefix_sync ts ~origin ~attr:a ~string_prefix:pre
-  | Cost.AValue v -> Tstore.by_value_sync ts ~origin v
-  | Cost.ASim (a, pat, d) -> Tstore.similar_sync ts ~origin ?attr:a ~pattern:pat ~d ()
-  | Cost.ASubstring (a, pat) -> Tstore.containing_sync ts ~origin ?attr:a ~pattern:pat ()
-  | Cost.ATopN (a, n) -> Tstore.top_n_by_attr_sync ts ~origin ~attr:a ~n ()
+    Tstore.by_attr_range ts ~origin ~attr:a ~lo ~hi ~k
+  | Cost.AAttrAll a -> Tstore.by_attr_all ts ~origin ~attr:a ~k
+  | Cost.AAttrPrefix (a, pre) ->
+    Tstore.by_attr_string_prefix ts ~origin ~attr:a ~string_prefix:pre ~k
+  | Cost.AValue v -> Tstore.by_value ts ~origin v ~k
+  | Cost.ASim (a, pat, d) -> Tstore.similar ts ~origin ~attr:a ~pattern:pat ~d ~k
+  | Cost.ASubstring (a, pat) -> Tstore.containing ts ~origin ~attr:a ~pattern:pat ~k
+  | Cost.ATopN (a, n) -> Tstore.top_n_by_attr ts ~origin ~attr:a ~n ~k ()
   | Cost.ABroadcast ->
-    Tstore.scan_sync ts ~origin ~pred:(fun tr -> Option.is_some (Binding.match_triple p tr))
+    Tstore.scan ts ~origin ~pred:(fun tr -> Option.is_some (Binding.match_triple p tr)) ~k
 
-(* The result returned by a cache hit: no messages, no hops, no
-   simulated time — the origin answered from memory. *)
-let cached_meta =
-  {
-    Tstore.hops = 0;
-    peers_hit = 0;
-    complete = true;
-    completeness = 1.0;
-    latency = 0.0;
-    messages = 0;
-  }
-
-let exec_single_access ?cache ts ~origin access (p : Ast.pattern) =
-  match Option.bind cache (fun c -> Qcache.find_access c access) with
-  | Some triples -> (triples, cached_meta)
-  | None ->
-    let triples, meta = uncached_access ts ~origin access p in
-    (match cache with
-    | Some c when meta.Tstore.complete -> Qcache.store_access c access triples
-    | _ -> ());
-    (triples, meta)
-
-(* Execute an access, unioned over mapping expansions of its attribute.
-   Returns (bindings producible by [p] or an expanded variant, ok). *)
-let exec_access ?cache ts ~origin ~expansions access (p : Ast.pattern) =
+(* Execute one access, unioned over mapping expansions of its attribute
+   (one expansion after another); [k] gets the bindings producible by
+   [p] or an expanded variant. A complete answer fills the result cache;
+   a cache hit costs no message and no simulated time. *)
+let exec_access run ~carrier access (p : Ast.pattern) ~k =
+  let cache = cache_at run carrier in
   let attrs =
     match access with
     | Cost.AAttrValue (a, _) | Cost.AAttrRange (a, _, _) | Cost.AAttrAll a | Cost.AAttrPrefix (a, _)
     | Cost.ASim (Some a, _, _) | Cost.ASubstring (Some a, _) | Cost.ATopN (a, _) ->
-      expansions_for expansions a
+      expansions_for run.expansions a
     | _ -> [ "" ]
   in
   let runs =
@@ -117,18 +158,19 @@ let exec_access ?cache ts ~origin ~expansions access (p : Ast.pattern) =
     | [ "" ] -> [ (access, p) ]
     | _ -> List.map (fun a -> (access_with_attr access a, pattern_with_attr p a)) attrs
   in
-  let ok = ref true in
-  let cov = ref 1.0 in
-  let bindings =
-    List.concat_map
-      (fun (acc, pat) ->
-        let triples, meta = exec_single_access ?cache ts ~origin acc pat in
-        if not meta.Tstore.complete then ok := false;
-        cov := Float.min !cov meta.Tstore.completeness;
-        List.filter_map (Binding.match_triple pat) triples)
-      runs
+  let one (acc, pat) ~k =
+    let bind triples = k (List.filter_map (Binding.match_triple pat) triples) in
+    match Option.bind cache (fun c -> Qcache.find_access c acc) with
+    | Some triples -> bind triples
+    | None ->
+      uncached_access run.ts ~origin:carrier acc pat ~k:(fun (triples, (r : Dht.result)) ->
+          (match cache with
+          | Some c when r.Dht.complete -> Qcache.store_access c acc triples
+          | _ -> ());
+          note run r;
+          bind triples)
   in
-  (bindings, !ok, !cov)
+  Cps.map one runs ~k:(fun parts -> k (List.concat parts))
 
 (* ------------------------------------------------------------------ *)
 (* Bind-join: one parallel round of deduplicated direct lookups        *)
@@ -154,8 +196,8 @@ let lookup_keys_of ~expansions = function
   | LAttrValue (a, v) ->
     List.map (fun a' -> (Keys.attr_value_key a' v, Some a')) (expansions_for expansions a)
 
-let exec_bindjoin ?cache ts ~origin ~expansions (p : Ast.pattern) left =
-  let dht = Tstore.dht ts in
+let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
+  let cache = cache_at run carrier and expansions = run.expansions in
   (* Dedupe lookup keys across the left side (semi-join optimization). *)
   let keymap = Hashtbl.create 64 in
   List.iter
@@ -178,60 +220,19 @@ let exec_bindjoin ?cache ts ~origin ~expansions (p : Ast.pattern) left =
              None
            | None -> Some (key, attr))
   in
-  let ok = ref true in
-  let cov = ref 1.0 in
   let decode items =
     List.filter_map (fun (i : Dht.Store.item) -> Triple.deserialize i.Dht.Store.payload) items
   in
-  (match (dht.Dht.multi_lookup, keys) with
-  | Some ml, _ :: _ :: _ ->
-    (* Batched probe round: the deduplicated keys travel as one
-       multi-lookup that splits by responsible region, instead of one
-       routed lookup per key. *)
-    let done_ = ref false in
-    ml ~origin
-      ~keys:(List.map fst keys)
-      ~k:(fun (found, r) ->
-        if not r.Dht.complete then ok := false;
-        cov := Float.min !cov r.Dht.completeness;
-        List.iter
-          (fun (key, items) ->
-            let triples = decode items in
-            Hashtbl.replace resolved key triples;
-            match cache with
-            | Some c when r.Dht.complete ->
-              let attr = Option.join (Hashtbl.find_opt keymap key) in
-              Qcache.store_bind c ~attr ~key triples
-            | _ -> ())
-          found;
-        done_ := true);
-    ignore (Sim.run_until dht.Dht.sim (fun () -> !done_));
-    if not !done_ then begin
-      ok := false;
-      cov := 0.0
-    end
-  | _ ->
-    (* One parallel round of per-key lookups. *)
-    let outstanding = ref (List.length keys) in
-    List.iter
-      (fun (key, attr) ->
-        dht.Dht.lookup ~origin ~key ~k:(fun r ->
-            if not r.Dht.complete then ok := false;
-            cov := Float.min !cov r.Dht.completeness;
-            let triples = decode r.Dht.items in
-            Hashtbl.replace resolved key triples;
-            (match cache with
-            | Some c when r.Dht.complete -> Qcache.store_bind c ~attr ~key triples
-            | _ -> ());
-            decr outstanding))
-      keys;
-    ignore (Sim.run_until dht.Dht.sim (fun () -> !outstanding <= 0));
-    if !outstanding > 0 then begin
-      ok := false;
-      cov := 0.0
-    end);
-  let triples_for key = Option.value ~default:[] (Hashtbl.find_opt resolved key) in
-  let joined =
+  (* A probed key's answer: keep it, and cache it when complete. *)
+  let resolve (r : Dht.result) ~attr key items =
+    let triples = decode items in
+    Hashtbl.replace resolved key triples;
+    match cache with
+    | Some c when r.Dht.complete -> Qcache.store_bind c ~attr ~key triples
+    | _ -> ()
+  in
+  let join () =
+    let triples_for key = Option.value ~default:[] (Hashtbl.find_opt resolved key) in
     List.concat_map
       (fun b ->
         match bind_lookup_for p b with
@@ -257,7 +258,33 @@ let exec_bindjoin ?cache ts ~origin ~expansions (p : Ast.pattern) left =
             keys)
       left
   in
-  (joined, !ok, !cov)
+  let dht = run.dht in
+  match (dht.Dht.multi_lookup, keys) with
+  | _, [] -> k (join ())
+  | Some ml, _ :: _ :: _ ->
+    (* Batched probe round: the deduplicated keys travel as one
+       multi-lookup that splits by responsible region, instead of one
+       routed lookup per key. *)
+    ml ~origin:carrier
+      ~keys:(List.map fst keys)
+      ~k:(fun (found, r) ->
+        note run r;
+        List.iter
+          (fun (key, items) ->
+            resolve r ~attr:(Option.join (Hashtbl.find_opt keymap key)) key items)
+          found;
+        k (join ()))
+  | _ ->
+    (* One parallel round of per-key lookups. *)
+    let outstanding = ref (List.length keys) in
+    List.iter
+      (fun (key, attr) ->
+        dht.Dht.lookup ~origin:carrier ~key ~k:(fun r ->
+            note run r;
+            resolve r ~attr key r.Dht.items;
+            decr outstanding;
+            if !outstanding = 0 then k (join ())))
+      keys
 
 (* ------------------------------------------------------------------ *)
 (* Joins and filters                                                   *)
@@ -336,65 +363,47 @@ let postprocess (plan : Physical.t) rows =
   | None -> rows
 
 (* ------------------------------------------------------------------ *)
+(* Step execution (shared by both strategies)                          *)
+
+(* Run one physical step at [carrier] over the rows so far ([None]
+   before the first step) and record its trace. *)
+let run_step run ~carrier (step : Physical.step) rows_opt ~k =
+  let dht = run.dht in
+  let step_m0 = dht.Dht.total_sent () in
+  let step_t0 = Sim.now dht.Dht.sim in
+  let rows_in = match rows_opt with None -> 0 | Some left -> List.length left in
+  let finish produced =
+    let produced = apply_filters step.Physical.residual produced in
+    run.traces <-
+      {
+        step;
+        rows_in;
+        actual_card = List.length produced;
+        messages = dht.Dht.total_sent () - step_m0;
+        latency = Sim.now dht.Dht.sim -. step_t0;
+        carrier;
+      }
+      :: run.traces;
+    k produced
+  in
+  match rows_opt with
+  | None -> exec_access run ~carrier step.Physical.access step.Physical.pattern ~k:finish
+  | Some left when step.Physical.bindjoin ->
+    exec_bindjoin run ~carrier step.Physical.pattern left ~k:finish
+  | Some left ->
+    exec_access run ~carrier step.Physical.access step.Physical.pattern ~k:(fun right ->
+        finish (hash_join left right))
+
+(* ------------------------------------------------------------------ *)
 (* Centralized execution                                               *)
 
-let run_centralized ?cache ts ~origin (plan : Physical.t) =
-  let dht = Tstore.dht ts in
-  let t0 = Sim.now dht.Dht.sim in
-  let m0 = dht.Dht.total_sent () in
-  let complete = ref true in
-  let cov = ref 1.0 in
-  let traces = ref [] in
-  let expansions = plan.Physical.expansions in
-  let rows =
-    List.fold_left
-      (fun (acc : Binding.t list option) (step : Physical.step) ->
-        let step_m0 = dht.Dht.total_sent () in
-        let step_t0 = Sim.now dht.Dht.sim in
-        let rows_in = match acc with None -> 0 | Some left -> List.length left in
-        let produced =
-          match acc with
-          | None ->
-            let bindings, ok, c = exec_access ?cache ts ~origin ~expansions step.Physical.access step.Physical.pattern in
-            if not ok then complete := false;
-            cov := Float.min !cov c;
-            bindings
-          | Some left when step.Physical.bindjoin ->
-            let joined, ok, c = exec_bindjoin ?cache ts ~origin ~expansions step.Physical.pattern left in
-            if not ok then complete := false;
-            cov := Float.min !cov c;
-            joined
-          | Some left ->
-            let right, ok, c = exec_access ?cache ts ~origin ~expansions step.Physical.access step.Physical.pattern in
-            if not ok then complete := false;
-            cov := Float.min !cov c;
-            hash_join left right
-        in
-        let produced = apply_filters step.Physical.residual produced in
-        traces :=
-          {
-            step;
-            rows_in;
-            actual_card = List.length produced;
-            messages = dht.Dht.total_sent () - step_m0;
-            latency = Sim.now dht.Dht.sim -. step_t0;
-            carrier = origin;
-          }
-          :: !traces;
-        Some produced)
-      None plan.Physical.steps
-    |> Option.value ~default:[]
-  in
-  let rows = postprocess plan rows in
-  {
-    rows;
-    messages = dht.Dht.total_sent () - m0;
-    latency = Sim.now dht.Dht.sim -. t0;
-    complete = !complete;
-    completeness = !cov;
-    traces = List.rev !traces;
-    bytes_shipped = 0;
-  }
+let run_centralized ?cache ts ~origin (plan : Physical.t) ~k =
+  let run = start_run ?cache ts ~origin ~expansions:plan.Physical.expansions in
+  Cps.fold
+    (fun rows step ~k ->
+      run_step run ~carrier:origin step rows ~k:(fun produced -> k (Some produced)))
+    None plan.Physical.steps
+    ~k:(fun rows -> k (result_of run (postprocess plan (Option.value ~default:[] rows))))
 
 (* ------------------------------------------------------------------ *)
 (* Mutant (adaptive) execution                                         *)
@@ -411,84 +420,34 @@ let carrier_key_of_access = function
 
 let plan_overhead_bytes = 256
 
-let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions =
+let rows_bytes rows = List.fold_left (fun acc b -> acc + Binding.bytes b) 0 rows
+
+let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
   let dht = Tstore.dht ts in
   let send_task =
     match dht.Dht.send_task with
     | Some f -> f
     | None -> invalid_arg "Exec.run_mutant: substrate does not support plan shipping"
   in
-  let t0 = Sim.now dht.Dht.sim in
-  let m0 = dht.Dht.total_sent () in
-  let complete = ref true in
-  let cov = ref 1.0 in
-  let traces = ref [] in
-  let bytes_shipped = ref 0 in
+  let run = start_run ?cache ts ~origin ~expansions in
   let qgrams = Tstore.qgrams_enabled ts in
   let cmap = Algebra.var_constraints q.Ast.filters in
-  (* Ship the plan (plus current bindings) to [dst]; returns the new
-     carrier, or the old one if shipping failed. *)
-  let ship ~from ~dst ~rows =
-    if from = dst then from
-    else begin
-      let bytes =
-        plan_overhead_bytes + List.fold_left (fun acc b -> acc + Binding.bytes b) 0 rows
-      in
-      let arrived = ref false in
-      send_task ~src:from ~dst ~bytes (fun _ -> arrived := true);
-      ignore (Sim.run_until dht.Dht.sim (fun () -> !arrived));
-      if !arrived then begin
-        bytes_shipped := !bytes_shipped + bytes;
-        dst
-      end
-      else begin
-        complete := false;
-        from
-      end
-    end
+  (* One carrier hop: [k] gets the new carrier, or the old one (and the
+     query turns partial) if the task was lost. *)
+  let hop ~from ~dst ~bytes ~k =
+    send_task ~src:from ~dst ~bytes ~k:(fun arrived ->
+        if arrived then run.bytes_shipped <- run.bytes_shipped + bytes
+        else run.complete <- false;
+        k (if arrived then dst else from))
   in
-  (* The result cache lives at the query origin; a travelling plan can
-     only consult it while it is still (or again) executing there. *)
-  let cache_at carrier = if carrier = origin then cache else None in
-  let exec_step ~carrier (step : Physical.step) rows_opt =
-    let cache = cache_at carrier in
-    let step_m0 = dht.Dht.total_sent () in
-    let step_t0 = Sim.now dht.Dht.sim in
-    let rows_in = match rows_opt with None -> 0 | Some left -> List.length left in
-    let produced =
-      match rows_opt with
-      | None ->
-        let bindings, ok, c = exec_access ?cache ts ~origin:carrier ~expansions step.Physical.access step.Physical.pattern in
-        if not ok then complete := false;
-        cov := Float.min !cov c;
-        bindings
-      | Some left when step.Physical.bindjoin ->
-        let joined, ok, c = exec_bindjoin ?cache ts ~origin:carrier ~expansions step.Physical.pattern left in
-        if not ok then complete := false;
-        cov := Float.min !cov c;
-        joined
-      | Some left ->
-        let right, ok, c = exec_access ?cache ts ~origin:carrier ~expansions step.Physical.access step.Physical.pattern in
-        if not ok then complete := false;
-        cov := Float.min !cov c;
-        hash_join left right
-    in
-    let produced = apply_filters step.Physical.residual produced in
-    traces :=
-      {
-        step;
-        rows_in;
-        actual_card = List.length produced;
-        messages = dht.Dht.total_sent () - step_m0;
-        latency = Sim.now dht.Dht.sim -. step_t0;
-        carrier;
-      }
-      :: !traces;
-    produced
+  (* Move the plan (plus current bindings) to the peer responsible for
+     [access]'s index region, when there is one. *)
+  let move ~carrier access ~rows ~k =
+    match Option.bind (carrier_key_of_access access) dht.Dht.responsible_peer with
+    | Some dst when dst <> carrier ->
+      hop ~from:carrier ~dst ~bytes:(plan_overhead_bytes + rows_bytes rows) ~k
+    | _ -> k carrier
   in
-  (* First step: move the plan to the data, evaluate there. *)
-  let fs, remaining0 = Optimizer.first_step env stats ~qgrams cmap q.Ast.patterns in
-  let fs = { fs with Physical.residual = [] } in
   let applied_filters = ref [] in
   let attach rows bound =
     (* Apply every filter that just became fully bound. *)
@@ -502,71 +461,54 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions =
     applied_filters := ready @ !applied_filters;
     apply_filters ready rows
   in
-  let carrier = ref origin in
-  (match carrier_key_of_access fs.Physical.access with
-  | Some key -> (
-    match dht.Dht.responsible_peer key with
-    | Some p -> carrier := ship ~from:!carrier ~dst:p ~rows:[]
-    | None -> ())
-  | None -> ());
-  let rows = ref (exec_step ~carrier:!carrier fs None) in
-  let bound = ref (Ast.pattern_vars fs.Physical.pattern) in
-  rows := attach !rows !bound;
-  let remaining = ref remaining0 in
-  while !remaining <> [] do
-    (* Re-optimize the remainder with the observed cardinality. *)
-    let step, rest =
-      Optimizer.choose_next env stats ~qgrams cmap ~bound:!bound
-        ~card_left:(float_of_int (List.length !rows))
-        !remaining
-    in
-    let step = { step with Physical.residual = [] } in
-    remaining := rest;
-    (if not step.Physical.bindjoin then
-       match carrier_key_of_access step.Physical.access with
-       | Some key -> (
-         match dht.Dht.responsible_peer key with
-         | Some p -> carrier := ship ~from:!carrier ~dst:p ~rows:!rows
-         | None -> ())
-       | None -> ());
-    rows := exec_step ~carrier:!carrier step (Some !rows);
-    bound := List.sort_uniq compare (!bound @ Ast.pattern_vars step.Physical.pattern);
-    rows := attach !rows !bound
-  done;
-  (* Bring the result home. *)
-  if !carrier <> origin then begin
-    let bytes = List.fold_left (fun acc b -> acc + Binding.bytes b) 0 !rows + 32 in
-    let arrived = ref false in
-    send_task ~src:!carrier ~dst:origin ~bytes (fun _ -> arrived := true);
-    ignore (Sim.run_until dht.Dht.sim (fun () -> !arrived));
-    if !arrived then bytes_shipped := !bytes_shipped + bytes else complete := false
-  end;
   (* Post-processing happens at the origin; reuse the static plan shape
      for order/projection/distinct/limit. *)
-  let post_plan =
-    {
-      Physical.steps = [];
-      post_filters =
-        List.filter (fun f -> not (List.memq f !applied_filters)) q.Ast.filters;
-      order = q.Ast.order;
-      projection = q.Ast.projection;
-      distinct = q.Ast.distinct;
-      limit = q.Ast.limit;
-      expansions;
-      total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-      branches = [];
-    }
+  let finish rows =
+    let post_plan =
+      {
+        Physical.steps = [];
+        post_filters =
+          List.filter (fun f -> not (List.memq f !applied_filters)) q.Ast.filters;
+        order = q.Ast.order;
+        projection = q.Ast.projection;
+        distinct = q.Ast.distinct;
+        limit = q.Ast.limit;
+        expansions;
+        total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
+        branches = [];
+      }
+    in
+    k (result_of run (postprocess post_plan rows))
   in
-  let rows = postprocess post_plan !rows in
-  {
-    rows;
-    messages = dht.Dht.total_sent () - m0;
-    latency = Sim.now dht.Dht.sim -. t0;
-    complete = !complete;
-    completeness = !cov;
-    traces = List.rev !traces;
-    bytes_shipped = !bytes_shipped;
-  }
+  let rec continue ~carrier rows bound remaining =
+    match remaining with
+    | [] ->
+      (* Bring the result home. *)
+      if carrier = origin then finish rows
+      else hop ~from:carrier ~dst:origin ~bytes:(rows_bytes rows + 32) ~k:(fun _ -> finish rows)
+    | _ ->
+      (* Re-optimize the remainder with the observed cardinality. *)
+      let step, rest =
+        Optimizer.choose_next env stats ~qgrams cmap ~bound
+          ~card_left:(float_of_int (List.length rows))
+          remaining
+      in
+      let step = { step with Physical.residual = [] } in
+      let execute carrier =
+        run_step run ~carrier step (Some rows) ~k:(fun rows ->
+            let bound = List.sort_uniq compare (bound @ Ast.pattern_vars step.Physical.pattern) in
+            continue ~carrier (attach rows bound) bound rest)
+      in
+      if step.Physical.bindjoin then execute carrier
+      else move ~carrier step.Physical.access ~rows ~k:execute
+  in
+  (* First step: move the plan to the data, evaluate there. *)
+  let fs, remaining = Optimizer.first_step env stats ~qgrams cmap q.Ast.patterns in
+  let fs = { fs with Physical.residual = [] } in
+  move ~carrier:origin fs.Physical.access ~rows:[] ~k:(fun carrier ->
+      run_step run ~carrier fs None ~k:(fun rows ->
+          let bound = Ast.pattern_vars fs.Physical.pattern in
+          continue ~carrier (attach rows bound) bound remaining))
 
 (* ------------------------------------------------------------------ *)
 (* Skyline pushdown                                                    *)
@@ -655,8 +597,7 @@ let tuple_bindings ~subj ~av (group : Triple.t list) =
             acc)
       seed av
 
-let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av =
-  let dht = Tstore.dht ts in
+let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
   let attrs = List.map fst av in
   let pred (tr : Triple.t) = List.exists (String.equal tr.Triple.attr) attrs in
   (* Leaf-local reduction. Tuples are collocated (all triples of one OID
@@ -693,10 +634,6 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av =
           else group)
       classified
   in
-  let t0 = Sim.now dht.Dht.sim in
-  let m0 = dht.Dht.total_sent () in
-  let triples, meta = Tstore.oid_scan_reduce_sync ts ~origin ~pred ~reduce in
-  let rows = List.concat_map (tuple_bindings ~subj ~av) (group_by_oid triples) in
   let plan =
     {
       Physical.steps =
@@ -717,24 +654,19 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av =
       branches = [];
     }
   in
-  let rows = postprocess plan rows in
-  let trace =
-    {
-      step = List.hd plan.Physical.steps;
-      rows_in = 0;
-      actual_card = List.length rows;
-      messages = meta.Tstore.messages;
-      latency = meta.Tstore.latency;
-      carrier = origin;
-    }
-  in
-  ( plan,
-    {
-      rows;
-      messages = dht.Dht.total_sent () - m0;
-      latency = Sim.now dht.Dht.sim -. t0;
-      complete = meta.Tstore.complete;
-      completeness = meta.Tstore.completeness;
-      traces = [ trace ];
-      bytes_shipped = 0;
-    } )
+  let run = start_run ts ~origin ~expansions:[] in
+  Tstore.oid_scan_reduce ts ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
+      note run r;
+      let rows =
+        List.concat_map (tuple_bindings ~subj ~av) (group_by_oid triples) |> postprocess plan
+      in
+      run.traces <-
+        [ {
+            step = List.hd plan.Physical.steps;
+            rows_in = 0;
+            actual_card = List.length rows;
+            messages = run.dht.Dht.total_sent () - run.m0;
+            latency = r.Dht.latency;
+            carrier = origin;
+          } ];
+      k (plan, result_of run rows))

@@ -12,7 +12,15 @@
       for the next pattern's index region; at each carrier the remainder
       of the plan is {e re-optimized} with the observed intermediate
       cardinality before the next step is chosen. Finally the result ships
-      back to the origin. *)
+      back to the origin.
+
+    Both are continuation-passing and share one step runner. A query's
+    state (coverage so far, traces, shipped bytes) lives in a per-query
+    record, so any number of plans can execute at once in one simulator.
+    Each entry point calls [k] exactly once. A mutant carrier hop is one
+    more continuation: it resumes at the new carrier on arrival, or at
+    the old one (and the result turns partial) after the overlay's
+    request timeout when the task was lost. *)
 
 module Ast = Unistore_vql.Ast
 module Tstore = Unistore_triple.Tstore
@@ -26,6 +34,8 @@ type step_trace = {
   rows_in : int;  (** bindings flowing into the step *)
   actual_card : int;  (** bindings after the step *)
   messages : int;
+      (** global messages sent while the step ran: exact only when its
+          query runs alone *)
   latency : float;  (** simulated ms spent in the step *)
   carrier : int;  (** peer that executed it *)
 }
@@ -34,13 +44,13 @@ val pp_step_trace : Format.formatter -> step_trace -> unit
 
 type run_result = {
   rows : Binding.t list;  (** final rows (after ranking/projection/limit) *)
-  messages : int;
+  messages : int;  (** global messages sent while the query ran *)
   latency : float;  (** simulated ms *)
   complete : bool;
   completeness : float;
       (** coverage estimate in [0,1]: the minimum coverage over every
           executed step (regions reached / regions addressed, from
-          {!Unistore_triple.Tstore.meta}); [1.0] iff every access saw
+          {!Unistore_triple.Dht.result}); [1.0] iff every access saw
           every region it addressed *)
   traces : step_trace list;
   bytes_shipped : int;  (** plan/binding bytes moved between carriers *)
@@ -51,13 +61,14 @@ type run_result = {
     engine's UNION combination step. *)
 val postprocess : Physical.t -> Binding.t list -> Binding.t list
 
-(** [run_centralized ?cache ts ~origin plan] executes a static plan at
+(** [run_centralized ?cache ts ~origin plan ~k] executes a static plan at
     the origin. With [cache], complete bulk-access answers and bind-join
     per-key probes are served from / stored into the origin's result
     cache ({!Qcache}); partial (timed-out) results are never cached. *)
-val run_centralized : ?cache:Qcache.t -> Tstore.t -> origin:int -> Physical.t -> run_result
+val run_centralized :
+  ?cache:Qcache.t -> Tstore.t -> origin:int -> Physical.t -> k:(run_result -> unit) -> unit
 
-(** [run_mutant ?cache ts stats env ~origin query ~expansions] plans the
+(** [run_mutant ?cache ts stats env ~origin query ~expansions ~k] plans the
     first step statically, then adapts. Requires the substrate to support
     plan shipping ([Dht.send_task]); raises [Invalid_argument] otherwise.
     [cache] is the {e origin's} result cache: steps executed while the
@@ -70,7 +81,8 @@ val run_mutant :
   origin:int ->
   Ast.query ->
   expansions:(string * string list) list ->
-  run_result
+  k:(run_result -> unit) ->
+  unit
 
 (** [skyline_pushdown_shape q] recognizes the in-network skyline shape:
     every pattern binds a distinct constant attribute of one shared
@@ -81,7 +93,7 @@ val run_mutant :
 val skyline_pushdown_shape :
   Ast.query -> ((string * Ast.goal) list * string * (string * string) list) option
 
-(** [run_skyline_pushdown ts ~origin q ~goals ~subj ~av] evaluates a
+(** [run_skyline_pushdown ts ~origin q ~goals ~subj ~av ~k] evaluates a
     query matching {!skyline_pushdown_shape} with a leaf-reduced scan of
     the OID region ({!Unistore_triple.Tstore.oid_scan_reduce}): each
     peer drops tuples that cannot join (missing attributes) and complete
@@ -97,4 +109,5 @@ val run_skyline_pushdown :
   goals:(string * Ast.goal) list ->
   subj:string ->
   av:(string * string) list ->
-  Physical.t * run_result
+  k:(Physical.t * run_result -> unit) ->
+  unit

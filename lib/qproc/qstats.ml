@@ -51,9 +51,8 @@ let of_triples ts =
   in
   { total_triples = List.length ts; distinct_oids = Hashtbl.length oids; attrs }
 
-let collect tstore ~origin =
-  let triples, _ = Tstore.scan_sync tstore ~origin ~pred:(fun _ -> true) in
-  of_triples triples
+let collect tstore ~origin ~k =
+  Tstore.scan tstore ~origin ~pred:(fun _ -> true) ~k:(fun (triples, _) -> k (of_triples triples))
 
 module Statcache = Unistore_cache.Statcache
 

@@ -31,10 +31,10 @@ val pp : Format.formatter -> t -> unit
     oracle path used when the inserting site keeps a catalog). *)
 val of_triples : Triple.t list -> t
 
-(** [collect tstore ~origin] gathers statistics over the network with one
-    flooding scan — the expensive but decentralized way; used once and
-    cached, like the paper's repeatedly-applied cost model inputs. *)
-val collect : Unistore_triple.Tstore.t -> origin:int -> t
+(** [collect tstore ~origin ~k] gathers statistics over the network with
+    one flooding scan — the expensive but decentralized way; used once
+    and cached, like the paper's repeatedly-applied cost model inputs. *)
+val collect : Unistore_triple.Tstore.t -> origin:int -> k:(t -> unit) -> unit
 
 (** [of_summaries aggs] reconstructs statistics from the aggregated
     gossiped summaries of the statistics cache

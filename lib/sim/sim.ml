@@ -35,6 +35,12 @@ let run_until ?(max_events = default_max) t pred =
   in
   go max_events
 
+let await t start =
+  let cell = ref None in
+  start (fun v -> if Option.is_none !cell then cell := Some v);
+  ignore (run_until t (fun () -> Option.is_some !cell));
+  !cell
+
 let run_all ?(max_events = default_max) t =
   let rec go budget =
     if budget <= 0 then failwith "Sim.run_all: event budget exhausted"

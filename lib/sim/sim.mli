@@ -49,6 +49,15 @@ val processed : t -> int
     guards against runaway loops. *)
 val run_until : ?max_events:int -> t -> (unit -> bool) -> bool
 
+(** [await t start] is the one way to wait for an asynchronous
+    operation. It calls [start k], then runs events until [k] has been
+    called, and returns [Some] of the first value passed to [k]. It
+    returns [None] if the queue drains first. Events still queued when
+    [k] fires stay queued. Only the public facade and tests call this:
+    every layer below it is continuation-passing (DESIGN.md, "Execution
+    model"). *)
+val await : t -> (('a -> unit) -> unit) -> 'a option
+
 (** [run_all t] drains the queue. *)
 val run_all : ?max_events:int -> t -> unit
 

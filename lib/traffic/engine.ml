@@ -136,7 +136,7 @@ let run ~sim ~origins ~hotkeys ?(on_warmup = fun () -> ()) ?(control = fun ~now:
     in
     Sim.schedule sim ~delay:cfg.control_interval_ms ctl
   end;
-  Sim.run_all sim;
+  Sim.run_all sim (* srclint: allow blocking-wait *);
   let window_s = (cfg.duration_ms -. cfg.warmup_ms) /. 1000.0 in
   let mean, p50, p90, p99, mx = percentiles !lats in
   {

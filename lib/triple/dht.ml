@@ -45,7 +45,7 @@ type t = {
     k:((string * Store.item list) list * result -> unit) ->
     unit)
     option;
-  send_task : (src:int -> dst:int -> bytes:int -> (int -> unit) -> unit) option;
+  send_task : (src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit) option;
   total_sent : unit -> int;
   expected_latency : float;
   depth : unit -> int;
@@ -54,32 +54,6 @@ type t = {
   stat_gossip_round : (unit -> unit) option;
   statcache_of : (int -> Unistore_cache.Statcache.t) option;
 }
-
-let await t f =
-  let cell = ref None in
-  f (fun r -> cell := Some r);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  match !cell with
-  | Some r -> r
-  | None ->
-    { items = []; hops = 0; peers_hit = 0; complete = false; completeness = 0.0; latency = 0.0 }
-
-let insert_sync t ~origin ~key ~item_id ~payload =
-  let cell = ref None in
-  t.insert ~origin ~key ~item_id ~payload ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
-let delete_sync t ~origin ~key ~item_id =
-  let cell = ref None in
-  t.delete ~origin ~key ~item_id ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
-let lookup_sync t ~origin ~key = await t (fun k -> t.lookup ~origin ~key ~k)
-let range_sync t ~origin ~lo ~hi = await t (fun k -> t.range ~origin ~lo ~hi ~k)
-let prefix_sync t ~origin ~prefix = await t (fun k -> t.prefix ~origin ~prefix ~k)
-let broadcast_sync t ~origin ~pred = await t (fun k -> t.broadcast ~origin ~pred ~k)
 
 (* ------------------------------------------------------------------ *)
 
@@ -138,7 +112,24 @@ let of_pgrid ov =
         (fun ~origin ~keys ~k ->
           Overlay.multi_lookup ov ~origin ~keys ~k:(fun (found, r) ->
               k (found, of_overlay_result r)));
-    send_task = Some (fun ~src ~dst ~bytes run -> Overlay.send_task ov ~src ~dst ~bytes run);
+    send_task =
+      Some
+        (fun ~src ~dst ~bytes ~k ->
+          (* A task sent to a dead or cut-off peer never runs: fail the hop
+             after the overlay's request timeout, so [k] fires exactly
+             once either way. The first firing drops [k], so the stale
+             timer does not keep the caller's state alive. *)
+          let pending = ref (Some k) in
+          let fire arrived =
+            match !pending with
+            | Some k ->
+              pending := None;
+              k arrived
+            | None -> ()
+          in
+          Overlay.send_task ov ~src ~dst ~bytes (fun _ -> fire true);
+          Sim.schedule (Overlay.sim ov) ~delay:(Overlay.config ov).Unistore_pgrid.Config.timeout_ms
+            (fun () -> fire false));
     total_sent = (fun () -> Net.total_sent net);
     expected_latency = Unistore_sim.Latency.expected (Net.latency net);
     depth = (fun () -> Overlay.depth ov);
@@ -153,10 +144,7 @@ let of_pgrid ov =
         | [] -> None
         | p :: _ -> Some p);
     stat_gossip_round =
-      Some
-        (fun () ->
-          Unistore_pgrid.Gossip.stats_round ov ~sample:Stat_sample.of_node;
-          Sim.run_all (Overlay.sim ov));
+      Some (fun () -> Unistore_pgrid.Gossip.stats_round ov ~sample:Stat_sample.of_node);
     statcache_of = Some (fun peer -> (Overlay.node ov peer).Unistore_pgrid.Node.stat_cache);
   }
 

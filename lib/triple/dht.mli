@@ -65,9 +65,12 @@ type t = {
       (** batched exact-key lookups grouped by responsible region (the
           bind-join probe pattern, P-Grid only); the continuation
           receives per-key answers plus the combined result *)
-  send_task : (src:int -> dst:int -> bytes:int -> (int -> unit) -> unit) option;
-      (** application-level plan shipping; [None] when the substrate does
-          not support it (plain Chord) *)
+  send_task : (src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit) option;
+      (** application-level plan shipping: [k true] runs at [dst] on
+          arrival; [k false] runs after the overlay's request timeout when
+          the task was lost (dead or partitioned [dst]). [k] fires exactly
+          once. [None] when the substrate does not support it (plain
+          Chord) *)
   total_sent : unit -> int;
   expected_latency : float;  (** mean one-way delay, for the cost model *)
   depth : unit -> int;  (** trie depth / log ring size: the hop bound *)
@@ -76,24 +79,14 @@ type t = {
       (** an alive peer responsible for a key (used to pick the next
           carrier when shipping mutant query plans) *)
   stat_gossip_round : (unit -> unit) option;
-      (** one round of statistics sampling + epidemic spread (see
-          {!Unistore_pgrid.Gossip.stats_round}), driven to completion;
-          [None] when the substrate has no statistics gossip *)
+      (** starts one round of statistics sampling + epidemic spread (see
+          {!Unistore_pgrid.Gossip.stats_round}); its messages are only
+          queued, the caller drives them. [None] when the substrate has
+          no statistics gossip *)
   statcache_of : (int -> Unistore_cache.Statcache.t) option;
       (** a peer's gossiped-statistics cache — what the optimizer plans
           from in the distributed path; [None] on substrates without it *)
 }
-
-(** {2 Synchronous wrappers} *)
-
-val insert_sync :
-  t -> origin:int -> key:string -> item_id:string -> payload:string -> bool
-
-val delete_sync : t -> origin:int -> key:string -> item_id:string -> bool
-val lookup_sync : t -> origin:int -> key:string -> result
-val range_sync : t -> origin:int -> lo:string -> hi:string -> result
-val prefix_sync : t -> origin:int -> prefix:string -> result
-val broadcast_sync : t -> origin:int -> pred:(Store.item -> bool) -> result
 
 (** {2 Adapters} *)
 

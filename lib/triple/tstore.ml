@@ -2,6 +2,7 @@ module Store = Unistore_pgrid.Store
 module Sim = Unistore_sim.Sim
 module Strdist = Unistore_util.Strdist
 module Topk = Unistore_util.Topk
+module Cps = Unistore_util.Cps
 
 type t = { dht : Dht.t; qgrams : bool }
 
@@ -13,10 +14,6 @@ type meta = {
   latency : float;
   messages : int;
 }
-
-let pp_meta fmt m =
-  Format.fprintf fmt "hops=%d peers=%d complete=%b coverage=%.2f latency=%.1fms msgs=%d" m.hops
-    m.peers_hit m.complete m.completeness m.latency m.messages
 
 let create ?(qgrams = true) dht = { dht; qgrams }
 let dht t = t.dht
@@ -53,12 +50,6 @@ let insert t ~origin tr ~k =
           if !outstanding = 0 then k !ok))
     keys
 
-let insert_sync t ~origin tr =
-  let cell = ref None in
-  insert t ~origin tr ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
 let delete t ~origin tr ~k =
   let item_id = Triple.id tr in
   let keys = index_keys t tr in
@@ -72,25 +63,21 @@ let delete t ~origin tr ~k =
           if !outstanding = 0 then k !ok))
     keys
 
-let delete_sync t ~origin tr =
-  let cell = ref None in
-  delete t ~origin tr ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
 (* Replacing the value of one (OID, attribute, old) triple is a delete of
    the old index entries plus an insert of the new ones — the key changes
    with the value, so LWW versioning alone cannot express it. *)
-let update_value_sync t ~origin ~oid ~attr ~old_value new_value =
-  let old_triple = Triple.make ~oid ~attr old_value in
-  let new_triple = Triple.make ~oid ~attr new_value in
-  let deleted = delete_sync t ~origin old_triple in
-  let inserted = insert_sync t ~origin new_triple in
-  deleted && inserted
+let update_value t ~origin ~oid ~attr ~old_value new_value ~k =
+  delete t ~origin (Triple.make ~oid ~attr old_value) ~k:(fun deleted ->
+      insert t ~origin (Triple.make ~oid ~attr new_value) ~k:(fun inserted ->
+          k (deleted && inserted)))
 
-let insert_tuple_sync t ~origin ~oid fields =
-  let triples = Triple.tuple_to_triples ~oid fields in
-  List.fold_left (fun acc tr -> if insert_sync t ~origin tr then acc + 1 else acc) 0 triples
+(* One triple after another, as a tuple's fields are listed. *)
+let insert_tuple t ~origin ~oid fields ~k =
+  Cps.fold
+    (fun n tr ~k -> insert t ~origin tr ~k:(fun ok -> k (if ok then n + 1 else n)))
+    0
+    (Triple.tuple_to_triples ~oid fields)
+    ~k
 
 (* Bulk insertion: materialize every index entry of every triple and ship
    them as one batch. Falls back to per-triple insertion when the
@@ -119,12 +106,6 @@ let insert_bulk t ~origin triples ~k =
             decr outstanding;
             if !outstanding = 0 then k !ok))
       triples
-
-let insert_bulk_sync t ~origin triples =
-  let cell = ref None in
-  insert_bulk t ~origin triples ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
 
 (* ------------------------------------------------------------------ *)
 (* Result decoding                                                     *)
@@ -420,63 +401,18 @@ let equivalent_attrs t ~origin attr ~k =
   expand [ attr ] 0
 
 (* ------------------------------------------------------------------ *)
-(* Synchronous wrappers                                                *)
+(* Blocking read (kept for callers outside the query stack)            *)
 
-let metered t f =
-  let before = t.dht.Dht.total_sent () in
-  let cell = ref None in
-  f (fun r -> cell := Some r);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  let messages = t.dht.Dht.total_sent () - before in
-  match !cell with
-  | Some (triples, (r : Dht.result)) ->
+let by_oid_sync t ~origin oid =
+  let m0 = t.dht.Dht.total_sent () in
+  let meta ~hops ~peers_hit ~complete ~completeness ~latency =
+    { hops; peers_hit; complete; completeness; latency; messages = t.dht.Dht.total_sent () - m0 }
+  in
+  let read k = by_oid t ~origin oid ~k in
+  let awaited = Sim.await t.dht.Dht.sim read (* srclint: allow blocking-wait *) in
+  match awaited with
+  | Some (triples, r) ->
     ( triples,
-      {
-        hops = r.Dht.hops;
-        peers_hit = r.Dht.peers_hit;
-        complete = r.Dht.complete;
-        completeness = r.Dht.completeness;
-        latency = r.Dht.latency;
-        messages;
-      } )
-  | None ->
-    ([], { hops = 0; peers_hit = 0; complete = false; completeness = 0.0; latency = 0.0; messages })
-
-let by_oid_sync t ~origin oid = metered t (fun k -> by_oid t ~origin oid ~k)
-
-let by_attr_value_sync t ~origin ~attr v = metered t (fun k -> by_attr_value t ~origin ~attr v ~k)
-
-let by_attr_range_sync t ~origin ~attr ~lo ~hi =
-  metered t (fun k -> by_attr_range t ~origin ~attr ~lo ~hi ~k)
-
-let by_attr_all_sync t ~origin ~attr = metered t (fun k -> by_attr_all t ~origin ~attr ~k)
-
-let by_attr_string_prefix_sync t ~origin ~attr ~string_prefix =
-  metered t (fun k -> by_attr_string_prefix t ~origin ~attr ~string_prefix ~k)
-
-let by_value_sync t ~origin v = metered t (fun k -> by_value t ~origin v ~k)
-
-let top_n_by_attr_sync t ~origin ~attr ~n ?lo ?hi () =
-  metered t (fun k -> top_n_by_attr t ~origin ~attr ~n ?lo ?hi ~k ())
-let scan_sync t ~origin ~pred = metered t (fun k -> scan t ~origin ~pred ~k)
-
-let oid_scan_reduce_sync t ~origin ~pred ~reduce =
-  metered t (fun k -> oid_scan_reduce t ~origin ~pred ~reduce ~k)
-
-let similar_sync t ~origin ?attr ~pattern ~d () =
-  metered t (fun k -> similar t ~origin ~attr ~pattern ~d ~k)
-
-let containing_sync t ~origin ?attr ~pattern () =
-  metered t (fun k -> containing t ~origin ~attr ~pattern ~k)
-
-let add_mapping_sync t ~origin a b =
-  let cell = ref None in
-  add_mapping t ~origin a b ~k:(fun ok -> cell := Some ok);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  Option.value ~default:false !cell
-
-let equivalent_attrs_sync t ~origin attr =
-  let cell = ref None in
-  equivalent_attrs t ~origin attr ~k:(fun l -> cell := Some l);
-  ignore (Sim.run_until t.dht.Dht.sim (fun () -> !cell <> None));
-  Option.value ~default:[ attr ] !cell
+      meta ~hops:r.Dht.hops ~peers_hit:r.Dht.peers_hit ~complete:r.Dht.complete
+        ~completeness:r.Dht.completeness ~latency:r.Dht.latency )
+  | None -> ([], meta ~hops:0 ~peers_hit:0 ~complete:false ~completeness:0.0 ~latency:0.0)

@@ -1,5 +1,9 @@
 (** The distributed triple store: UniStore's storage layer.
 
+    Every operation is continuation-passing: it calls [k] exactly once,
+    at the tail of the handler that finishes it. Wait for one with
+    {!Unistore_sim.Sim.await}.
+
     Inserting a triple creates the three index entries of the paper's
     Fig. 2 (OID, A#v, v) — plus, when the q-gram index is enabled, one
     entry per distinct q-gram of every string value. All access paths
@@ -9,7 +13,8 @@
 
 type t
 
-(** Aggregate cost of a (possibly multi-request) storage operation. *)
+(** Cost of a blocking read ({!by_oid_sync}); the asynchronous access
+    paths report a {!Dht.result} instead. *)
 type meta = {
   hops : int;  (** deepest message chain *)
   peers_hit : int;  (** peers that did local work *)
@@ -18,10 +23,8 @@ type meta = {
       (** coverage estimate in [0,1]; for multi-request operations, the
           worst (minimum) coverage across the constituent requests *)
   latency : float;  (** ms of simulated time *)
-  messages : int;  (** network messages (sync wrappers only; 0 in CPS) *)
+  messages : int;  (** network messages sent while the read ran *)
 }
-
-val pp_meta : Format.formatter -> meta -> unit
 
 (** [create ?qgrams dht] — [qgrams] (default true) controls the string
     similarity index. Every ranking/similarity fast path runs wherever
@@ -39,11 +42,11 @@ val qgrams_enabled : t -> bool
     stored. *)
 val insert : t -> origin:int -> Triple.t -> k:(bool -> unit) -> unit
 
-val insert_sync : t -> origin:int -> Triple.t -> bool
-
-(** [insert_tuple_sync t ~origin ~oid fields] vertically decomposes and
-    inserts a logical tuple; returns the number of triples stored. *)
-val insert_tuple_sync : t -> origin:int -> oid:string -> (string * Value.t) list -> int
+(** [insert_tuple t ~origin ~oid fields ~k] vertically decomposes a
+    logical tuple and inserts its triples one after another; [k] gets
+    the number of triples stored. *)
+val insert_tuple :
+  t -> origin:int -> oid:string -> (string * Value.t) list -> k:(int -> unit) -> unit
 
 (** [insert_bulk t ~origin triples ~k] stores many triples at once: all
     their index entries travel as one batch through
@@ -52,8 +55,6 @@ val insert_tuple_sync : t -> origin:int -> oid:string -> (string * Value.t) list
     {!insert} when the substrate has no batch path. [k true] iff every
     entry was acked. *)
 val insert_bulk : t -> origin:int -> Triple.t list -> k:(bool -> unit) -> unit
-
-val insert_bulk_sync : t -> origin:int -> Triple.t list -> bool
 
 (** {2 Deletion & update}
 
@@ -64,15 +65,22 @@ val insert_bulk_sync : t -> origin:int -> Triple.t list -> bool
     {!Unistore_pgrid.Overlay.update} are the conflict-safe path. *)
 
 val delete : t -> origin:int -> Triple.t -> k:(bool -> unit) -> unit
-val delete_sync : t -> origin:int -> Triple.t -> bool
 
-(** [update_value_sync t ~origin ~oid ~attr ~old_value v] replaces one
-    triple's value (delete old index entries + insert new ones). *)
-val update_value_sync :
-  t -> origin:int -> oid:string -> attr:string -> old_value:Value.t -> Value.t -> bool
+(** [update_value t ~origin ~oid ~attr ~old_value v ~k] replaces one
+    triple's value: it deletes the old index entries, then inserts the
+    new ones; [k true] iff both succeeded. *)
+val update_value :
+  t ->
+  origin:int ->
+  oid:string ->
+  attr:string ->
+  old_value:Value.t ->
+  Value.t ->
+  k:(bool -> unit) ->
+  unit
 
-(** {2 Access paths} — each returns the matching triples and its cost.
-    The [*_sync] wrappers additionally meter messages. *)
+(** {2 Access paths} — each passes the matching triples and their cost
+    to [k]. *)
 
 (** All triples of one logical tuple (OID index). *)
 val by_oid : t -> origin:int -> string -> k:(Triple.t list * Dht.result -> unit) -> unit
@@ -126,10 +134,6 @@ val top_n_by_attr :
   k:(Triple.t list * Dht.result -> unit) ->
   unit ->
   unit
-
-val top_n_by_attr_sync :
-  t -> origin:int -> attr:string -> n:int -> ?lo:Value.t -> ?hi:Value.t -> unit ->
-  Triple.t list * meta
 
 (** Full network scan with an arbitrary predicate (flooding fallback). *)
 val scan : t -> origin:int -> pred:(Triple.t -> bool) -> k:(Triple.t list * Dht.result -> unit) -> unit
@@ -194,37 +198,15 @@ val substring_applicable : t -> pattern:string -> bool
     triples (attribute [sys:maps_to]), queryable like any other data. *)
 
 val add_mapping : t -> origin:int -> string -> string -> k:(bool -> unit) -> unit
-val add_mapping_sync : t -> origin:int -> string -> string -> bool
 
 (** Transitive closure (bounded depth) of [sys:maps_to] around [attr];
     always contains [attr] itself. *)
 val equivalent_attrs : t -> origin:int -> string -> k:(string list -> unit) -> unit
 
-val equivalent_attrs_sync : t -> origin:int -> string -> string list
+(** {2 Blocking read}
 
-(** {2 Synchronous wrappers} *)
+    [by_oid_sync t ~origin oid] awaits {!by_oid} and meters the messages
+    sent meanwhile. Callers outside the query stack use it; nothing
+    below the facade does. *)
 
 val by_oid_sync : t -> origin:int -> string -> Triple.t list * meta
-val by_attr_value_sync : t -> origin:int -> attr:string -> Value.t -> Triple.t list * meta
-
-val by_attr_range_sync :
-  t -> origin:int -> attr:string -> lo:Value.t -> hi:Value.t -> Triple.t list * meta
-
-val by_attr_all_sync : t -> origin:int -> attr:string -> Triple.t list * meta
-
-val by_attr_string_prefix_sync :
-  t -> origin:int -> attr:string -> string_prefix:string -> Triple.t list * meta
-
-val by_value_sync : t -> origin:int -> Value.t -> Triple.t list * meta
-val scan_sync : t -> origin:int -> pred:(Triple.t -> bool) -> Triple.t list * meta
-
-val oid_scan_reduce_sync :
-  t ->
-  origin:int ->
-  pred:(Triple.t -> bool) ->
-  reduce:(Triple.t list -> Triple.t list) ->
-  Triple.t list * meta
-val similar_sync : t -> origin:int -> ?attr:string -> pattern:string -> d:int -> unit -> Triple.t list * meta
-
-val containing_sync :
-  t -> origin:int -> ?attr:string -> pattern:string -> unit -> Triple.t list * meta

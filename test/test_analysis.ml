@@ -24,6 +24,10 @@ module Semantic = Unistore_analysis.Semantic
 module Tracelint = Unistore_analysis.Tracelint
 module Audit = Unistore_analysis.Audit
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 let contains_sub s sub =
@@ -298,8 +302,8 @@ let build_pgrid ?(n = 16) () =
   List.iteri
     (fun i k ->
       ignore
-        (Overlay.insert_sync ov ~origin:(i mod n) ~key:k ~item_id:(Printf.sprintf "id%d" i)
-           ~payload:k ()))
+        (await (Overlay.sim ov) (fun ret ->
+            Overlay.insert ov ~origin:(i mod n) ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())))
     keys;
   Sim.run_all sim;
   ov

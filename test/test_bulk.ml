@@ -19,6 +19,10 @@ module Cost = Unistore_qproc.Cost
 module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 let dataset ?(authors = 12) () =
@@ -88,7 +92,7 @@ let queries =
 
 let overlay_exn t = match Unistore.pgrid t with Some ov -> ov | None -> assert false
 
-let test_bulk_insert_sync () =
+let test_bulk_insert () =
   let ds = dataset () in
   let t = deploy ds in
   let ov = overlay_exn t in
@@ -97,11 +101,12 @@ let test_bulk_insert_sync () =
       (fun i k -> { Store.key = k; item_id = Printf.sprintf "bi%d" i; payload = k; version = 0 })
       [ "bulk#a"; "bulk#b"; "bulk#c"; "bulk#d"; "bulk#e"; "bulk#f"; "bulk#g" ]
   in
-  let r = Overlay.bulk_insert_sync ov ~origin:2 ~items in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.bulk_insert ov ~origin:2 ~items ~k) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   List.iter
     (fun (it : Store.item) ->
-      let found = Overlay.lookup_sync ov ~origin:7 ~key:it.Store.key in
+      let found = await (Overlay.sim ov) (fun k ->
+          Overlay.lookup ov ~origin:7 ~key:it.Store.key ~k) in
       Alcotest.(check bool)
         (Printf.sprintf "key %s stored" it.Store.key)
         true
@@ -116,10 +121,11 @@ let test_bulk_insert_sync () =
 let test_bulk_insert_empty () =
   let ds = dataset () in
   let t = deploy ds in
-  let r = Overlay.bulk_insert_sync (overlay_exn t) ~origin:0 ~items:[] in
+  let r = await (Overlay.sim (overlay_exn t)) (fun k ->
+      Overlay.bulk_insert (overlay_exn t) ~origin:0 ~items:[] ~k) in
   Alcotest.(check bool) "empty batch trivially complete" true r.Overlay.complete
 
-let test_multi_lookup_sync () =
+let test_multi_lookup () =
   let ds = dataset () in
   let t, _ = loaded ds in
   let ov = overlay_exn t in
@@ -129,7 +135,7 @@ let test_multi_lookup_sync () =
            Keys.attr_value_key tr.Unistore.Triple.attr tr.Unistore.Triple.value))
     @ [ "missing#key" ]
   in
-  let found, r = Overlay.multi_lookup_sync ov ~origin:4 ~keys in
+  let found, r = await (Overlay.sim ov) (fun k -> Overlay.multi_lookup ov ~origin:4 ~keys ~k) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   check Alcotest.int "one entry per distinct key"
     (List.length (List.sort_uniq String.compare keys))
@@ -137,7 +143,7 @@ let test_multi_lookup_sync () =
   (* Each key's answer must equal a routed singleton lookup's. *)
   List.iter
     (fun (key, items) ->
-      let single = Overlay.lookup_sync ov ~origin:9 ~key in
+      let single = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:9 ~key ~k) in
       let ids l = List.sort compare (List.map (fun (i : Store.item) -> i.Store.item_id) l) in
       check Alcotest.(list string) ("key " ^ key) (ids single.Overlay.items) (ids items))
     found;
@@ -240,7 +246,7 @@ let test_retransmit_recovers_bulk_insert () =
         })
       ds.Publications.triples
   in
-  let r = Overlay.bulk_insert_sync ov ~origin:2 ~items in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.bulk_insert ov ~origin:2 ~items ~k) in
   Alcotest.(check bool) "batch completes despite loss" true r.Overlay.complete;
   let m = Unistore.metrics t in
   Alcotest.(check bool) "selective retransmits happened" true
@@ -257,7 +263,8 @@ let test_retransmit_recovers_bulk_insert () =
         let rec go n =
           if n = 0 then Alcotest.failf "lookup for %s never completed" it.Store.key
           else
-            let found = Overlay.lookup_sync ov ~origin:5 ~key:it.Store.key in
+            let found = await (Overlay.sim ov) (fun k ->
+                Overlay.lookup ov ~origin:5 ~key:it.Store.key ~k) in
             if not found.Overlay.complete then go (n - 1)
             else
               Alcotest.(check bool)
@@ -303,19 +310,20 @@ let test_tstore_insert_bulk () =
   let t = deploy ds in
   let triples = List.filteri (fun i _ -> i < 10) ds.Publications.triples in
   Alcotest.(check bool) "bulk insert completes" true
-    (Tstore.insert_bulk_sync (Unistore.tstore t) ~origin:1 triples);
+    (await (Tstore.dht (Unistore.tstore t)).Dht.sim (fun k ->
+        Tstore.insert_bulk (Unistore.tstore t) ~origin:1 triples ~k));
   Unistore.settle t;
   (* All three index entries of each triple must resolve. *)
   List.iter
     (fun (tr : Unistore.Triple.t) ->
       let r =
-        Dht.lookup_sync (Unistore.dht t) ~origin:6
-          ~key:
-            (Keys.attr_value_key tr.Unistore.Triple.attr tr.Unistore.Triple.value)
+        await (Unistore.dht t).Dht.sim (fun k -> (Unistore.dht t).Dht.lookup ~origin:6 ~key:
+            (Keys.attr_value_key tr.Unistore.Triple.attr tr.Unistore.Triple.value) ~k)
       in
       Alcotest.(check bool) "attr-value entry resolves" true
         (r.Dht.complete && r.Dht.items <> []);
-      let ro = Dht.lookup_sync (Unistore.dht t) ~origin:6 ~key:(Keys.oid_key tr.Unistore.Triple.oid) in
+      let ro = await (Unistore.dht t).Dht.sim (fun k ->
+          (Unistore.dht t).Dht.lookup ~origin:6 ~key:(Keys.oid_key tr.Unistore.Triple.oid) ~k) in
       Alcotest.(check bool) "oid entry resolves" true (ro.Dht.complete && ro.Dht.items <> []))
     triples
 
@@ -324,10 +332,10 @@ let () =
     [
       ( "overlay",
         [
-          Alcotest.test_case "bulk_insert_sync stores everything" `Quick test_bulk_insert_sync;
+          Alcotest.test_case "bulk_insert stores everything" `Quick test_bulk_insert;
           Alcotest.test_case "empty bulk insert" `Quick test_bulk_insert_empty;
-          Alcotest.test_case "multi_lookup_sync = singleton lookups" `Quick
-            test_multi_lookup_sync;
+          Alcotest.test_case "multi_lookup = singleton lookups" `Quick
+            test_multi_lookup;
         ] );
       ( "differential",
         [

@@ -28,6 +28,10 @@ module Tracelint = Unistore_analysis.Tracelint
 module Value = Unistore.Value
 module Triple = Unistore.Triple
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
@@ -280,7 +284,8 @@ let insert_all ov keys =
     (fun i k ->
       let origin = i mod Overlay.node_count ov in
       let r =
-        Overlay.insert_sync ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ()
+        await (Overlay.sim ov) (fun ret ->
+            Overlay.insert ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())
       in
       if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
     keys
@@ -297,7 +302,7 @@ let test_overlay_shortcut_second_lookup_is_direct () =
      regions are already known from insert Acks)... *)
   List.iter
     (fun k ->
-      let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+      let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
       Alcotest.(check bool) ("first lookup of " ^ k) true r.Overlay.complete)
     keys;
   Alcotest.(check bool) "regions learned" true (Metrics.counter m "cache.shortcut.learn" > 0);
@@ -305,7 +310,7 @@ let test_overlay_shortcut_second_lookup_is_direct () =
   (* ...so the second pass goes to the responsible peer directly. *)
   List.iter
     (fun k ->
-      let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+      let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
       Alcotest.(check bool) ("repeat lookup of " ^ k) true r.Overlay.complete;
       if r.Overlay.hops > 1 then
         Alcotest.failf "repeat lookup of %S took %d hops (expected <= 1)" k r.Overlay.hops)
@@ -325,7 +330,8 @@ let test_overlay_shortcut_dead_peer_invalidated () =
   Overlay.set_metrics ov (Some m);
   (* Find a key whose learned shortcut points away from the origin. *)
   let origin = 0 in
-  List.iter (fun k -> ignore (Overlay.lookup_sync ov ~origin ~key:k)) keys;
+  List.iter (fun k ->
+      ignore (await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin ~key:k ~k:ret))) keys;
   let shortcuts = (Overlay.node ov origin).Node.shortcuts in
   let key, victim =
     match
@@ -340,7 +346,7 @@ let test_overlay_shortcut_dead_peer_invalidated () =
     | [] -> Alcotest.fail "no shortcut learned away from origin"
   in
   Overlay.kill ov victim;
-  let r = Overlay.lookup_sync ov ~origin ~key in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin ~key ~k) in
   Alcotest.(check bool) "lookup survives dead shortcut target" true r.Overlay.complete;
   Alcotest.(check bool) "lookup still finds a replica" true (r.Overlay.items <> []);
   Alcotest.(check bool) "dead peer invalidated" true
@@ -362,7 +368,8 @@ let insert_all_lossy ov keys =
       let origin = i mod Overlay.node_count ov in
       let item_id = Printf.sprintf "id%d" i in
       let rec go attempts =
-        let r = Overlay.insert_sync ov ~origin ~key:k ~item_id ~payload:k () in
+        let r = await (Overlay.sim ov) (fun ret ->
+            Overlay.insert ov ~origin ~key:k ~item_id ~payload:k ~k:ret ()) in
         if not r.Overlay.complete then
           if attempts >= 10 then Alcotest.failf "insert of %S never acknowledged" k
           else go (attempts + 1)
@@ -379,7 +386,8 @@ let test_anti_entropy_converges_under_loss () =
   let key = List.hd keys in
   let rec update attempts =
     let r =
-      Overlay.update_sync ov ~origin:1 ~key ~item_id:"id0" ~payload:"fresh" ~version:5 ()
+      await (Overlay.sim ov) (fun k ->
+          Overlay.update ov ~origin:1 ~key ~item_id:"id0" ~payload:"fresh" ~version:5 ~k ())
     in
     if not r.Overlay.complete then
       if attempts >= 10 then Alcotest.fail "update never acknowledged" else update (attempts + 1)
@@ -749,7 +757,8 @@ let test_memo_never_stale () =
        stamp is exercised too. *)
     for _ = 1 to 10 do
       let k = List.nth keys (Rng.int rng (List.length keys)) in
-      ignore (Overlay.lookup_sync ov ~origin:(Rng.int rng 52) ~key:k)
+      ignore (await (Overlay.sim ov) (fun ret ->
+          Overlay.lookup ov ~origin:(Rng.int rng 52) ~key:k ~k:ret))
     done;
     now := !now +. 1000.0;
     check_samples ov ~now:!now name
@@ -759,16 +768,19 @@ let test_memo_never_stale () =
   let fresh = List.init 8 (fun i -> Keys.attr_value_key "age" (Value.I (100 + i))) in
   List.iteri
     (fun i k ->
-      let r = Overlay.insert_sync ov ~origin:(i mod 52) ~key:k ~item_id:(Printf.sprintf "new%d" i) ~payload:k () in
+      let r = await (Overlay.sim ov) (fun ret ->
+          Overlay.insert ov ~origin:(i mod 52) ~key:k ~item_id:(Printf.sprintf "new%d" i) ~payload:k ~k:ret ()) in
       if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
     fresh;
   step "insert";
   let upd = List.nth ages 3 in
-  let r = Overlay.update_sync ov ~origin:5 ~key:upd ~item_id:"id3" ~payload:"fresh" ~version:7 () in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.update ov ~origin:5 ~key:upd ~item_id:"id3" ~payload:"fresh" ~version:7 ~k ()) in
   Alcotest.(check bool) "update acknowledged" true r.Overlay.complete;
   step "LWW update";
   List.iteri
-    (fun i k -> ignore (Overlay.delete_sync ov ~origin:(i + 1) ~key:k ~item_id:(Printf.sprintf "id%d" (60 + i))))
+    (fun i k -> ignore (await (Overlay.sim ov) (fun ret ->
+        Overlay.delete ov ~origin:(i + 1) ~key:k ~item_id:(Printf.sprintf "id%d" (60 + i)) ~k:ret)))
     (List.filteri (fun i _ -> i < 5) names);
   step "delete";
   (* Repair rejoin: deplete a 3-member group; a spare peer migrates into

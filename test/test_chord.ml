@@ -8,6 +8,10 @@ module Chord = Unistore_chord.Chord
 module Ring = Unistore_chord.Ring
 module Trie_index = Unistore_chord.Trie_index
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 let mkchord ?(n = 32) ?(seed = 42) ?(config = Chord.default_config) () =
@@ -56,18 +60,19 @@ let test_put_get_roundtrip () =
   let keys = List.sort_uniq compare (random_words rng 100) in
   List.iteri
     (fun i k ->
-      let r = Chord.put_sync c ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k () in
+      let r = await (Chord.sim c) (fun ret ->
+          Chord.put c ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k ~k:ret ()) in
       if not r.Chord.complete then Alcotest.failf "put %S failed" k)
     keys;
   List.iteri
     (fun i k ->
-      let r = Chord.get_sync c ~origin:((i * 5) mod 32) ~key:k in
+      let r = await (Chord.sim c) (fun ret -> Chord.get c ~origin:((i * 5) mod 32) ~key:k ~k:ret) in
       if not (r.Chord.complete && r.Chord.items <> []) then Alcotest.failf "get %S failed" k)
     keys
 
 let test_get_missing () =
   let c = mkchord () in
-  let r = Chord.get_sync c ~origin:0 ~key:"missing" in
+  let r = await (Chord.sim c) (fun k -> Chord.get c ~origin:0 ~key:"missing" ~k) in
   Alcotest.(check bool) "complete" true r.Chord.complete;
   check Alcotest.int "empty" 0 (List.length r.Chord.items)
 
@@ -75,9 +80,11 @@ let test_hops_logarithmic () =
   let c = mkchord ~n:256 () in
   let rng = Rng.create 2 in
   let keys = random_words rng 100 in
-  List.iter (fun k -> ignore (Chord.put_sync c ~origin:0 ~key:k ~item_id:k ~payload:k ())) keys;
+  List.iter (fun k ->
+      ignore (await (Chord.sim c) (fun ret -> Chord.put c ~origin:0 ~key:k ~item_id:k ~payload:k ~k:ret ()))) keys;
   let hops =
-    List.map (fun k -> float_of_int (Chord.get_sync c ~origin:7 ~key:k).Chord.hops) keys
+    List.map (fun k ->
+        float_of_int (await (Chord.sim c) (fun ret -> Chord.get c ~origin:7 ~key:k ~k:ret)).Chord.hops) keys
   in
   let s = Stats.summarize hops in
   Alcotest.(check bool)
@@ -88,11 +95,13 @@ let test_hops_logarithmic () =
 let test_replication_survives_failure () =
   let config = { Chord.succ_list = 4; timeout_ms = 500.0; retries = 3 } in
   let c = mkchord ~n:32 ~config () in
-  ignore (Chord.put_sync c ~origin:0 ~key:"precious" ~item_id:"a" ~payload:"data" ());
+  ignore (await (Chord.sim c) (fun k ->
+      Chord.put c ~origin:0 ~key:"precious" ~item_id:"a" ~payload:"data" ~k ()));
   Sim.run_all (Chord.sim c);
   let holder = Chord.responsible c "precious" in
   Chord.kill c holder;
-  let r = Chord.get_sync c ~origin:(if holder = 0 then 1 else 0) ~key:"precious" in
+  let r = await (Chord.sim c) (fun k ->
+      Chord.get c ~origin:(if holder = 0 then 1 else 0) ~key:"precious" ~k) in
   Alcotest.(check bool) "found on replica" true (r.Chord.complete && r.Chord.items <> [])
 
 let test_broadcast_reaches_all () =
@@ -100,10 +109,11 @@ let test_broadcast_reaches_all () =
   let rng = Rng.create 3 in
   let keys = List.sort_uniq compare (random_words rng 60) in
   List.iteri
-    (fun i k -> ignore (Chord.put_sync c ~origin:(i mod 48) ~key:k ~item_id:k ~payload:k ()))
+    (fun i k -> ignore (await (Chord.sim c) (fun ret ->
+        Chord.put c ~origin:(i mod 48) ~key:k ~item_id:k ~payload:k ~k:ret ())))
     keys;
   Sim.run_all (Chord.sim c);
-  let r = Chord.broadcast_sync c ~origin:5 ~pred:(fun _ -> true) in
+  let r = await (Chord.sim c) (fun k -> Chord.broadcast c ~origin:5 ~pred:(fun _ -> true) ~k) in
   Alcotest.(check bool) "complete" true r.Chord.complete;
   check Alcotest.int "visited every peer" 48 r.Chord.peers_hit;
   (* Every key present (replicas may duplicate). *)
@@ -112,27 +122,32 @@ let test_broadcast_reaches_all () =
 
 let test_delete () =
   let c = mkchord ~n:16 () in
-  ignore (Chord.put_sync c ~origin:0 ~key:"k" ~item_id:"a" ~payload:"p1" ());
-  ignore (Chord.put_sync c ~origin:1 ~key:"k" ~item_id:"b" ~payload:"p2" ());
+  ignore (await (Chord.sim c) (fun ret ->
+      Chord.put c ~origin:0 ~key:"k" ~item_id:"a" ~payload:"p1" ~k:ret ()));
+  ignore (await (Chord.sim c) (fun ret ->
+      Chord.put c ~origin:1 ~key:"k" ~item_id:"b" ~payload:"p2" ~k:ret ()));
   Sim.run_all (Chord.sim c);
-  let r = Chord.del_sync c ~origin:3 ~key:"k" ~item_id:"a" in
+  let r = await (Chord.sim c) (fun ret -> Chord.del c ~origin:3 ~key:"k" ~item_id:"a" ~k:ret) in
   Alcotest.(check bool) "delete completes" true r.Chord.complete;
   Sim.run_all (Chord.sim c);
-  (match (Chord.get_sync c ~origin:5 ~key:"k").Chord.items with
+  (match (await (Chord.sim c) (fun ret -> Chord.get c ~origin:5 ~key:"k" ~k:ret)).Chord.items with
   | [ i ] -> check Alcotest.string "b remains" "b" i.Store.item_id
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l));
   (* Replicas purged: killing the primary must not resurrect it. *)
   Chord.kill c (Chord.responsible c "k");
-  let r = Chord.get_sync c ~origin:0 ~key:"k" in
+  let r = await (Chord.sim c) (fun ret -> Chord.get c ~origin:0 ~key:"k" ~k:ret) in
   Alcotest.(check bool) "replica view clean" true
     (List.for_all (fun (i : Store.item) -> i.Store.item_id <> "a") r.Chord.items)
 
 let test_version_lww () =
   let c = mkchord () in
-  ignore (Chord.put_sync c ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v1" ~version:1 ());
-  ignore (Chord.put_sync c ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v2" ~version:2 ());
-  ignore (Chord.put_sync c ~origin:2 ~key:"k" ~item_id:"x" ~payload:"stale" ~version:0 ());
-  let r = Chord.get_sync c ~origin:3 ~key:"k" in
+  ignore (await (Chord.sim c) (fun ret ->
+      Chord.put c ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v1" ~version:1 ~k:ret ()));
+  ignore (await (Chord.sim c) (fun ret ->
+      Chord.put c ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v2" ~version:2 ~k:ret ()));
+  ignore (await (Chord.sim c) (fun ret ->
+      Chord.put c ~origin:2 ~key:"k" ~item_id:"x" ~payload:"stale" ~version:0 ~k:ret ()));
+  let r = await (Chord.sim c) (fun ret -> Chord.get c ~origin:3 ~key:"k" ~k:ret) in
   match r.Chord.items with
   | [ i ] -> check Alcotest.string "newest payload" "v2" i.Store.payload
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l)
@@ -145,10 +160,12 @@ let test_trie_insert_range () =
   let keys = [ "apple"; "apricot"; "banana"; "cherry"; "damson"; "elder"; "fig" ] in
   List.iteri
     (fun i k ->
-      let ok = Trie_index.insert_sync c ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k () in
+      let ok = await (Chord.sim c) (fun ret ->
+          Trie_index.insert c ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k ~k:ret ()) in
       Alcotest.(check bool) (Printf.sprintf "insert %s" k) true ok)
     keys;
-  let r = Trie_index.range_sync c ~origin:0 ~lo:"apricot" ~hi:"damson" in
+  let r = await (Chord.sim c) (fun k ->
+      Trie_index.range c ~origin:0 ~lo:"apricot" ~hi:"damson" ~k) in
   Alcotest.(check bool) "complete" true r.Chord.complete;
   let got = List.map (fun (i : Store.item) -> i.Store.key) r.Chord.items |> List.sort_uniq compare in
   check Alcotest.(list string) "range" [ "apricot"; "banana"; "cherry"; "damson" ] got
@@ -158,12 +175,13 @@ let test_trie_range_matches_oracle () =
   let rng = Rng.create 8 in
   let keys = List.sort_uniq compare (random_words rng 80) in
   List.iteri
-    (fun i k -> ignore (Trie_index.insert_sync c ~origin:(i mod 48) ~key:k ~item_id:(string_of_int i) ~payload:k ()))
+    (fun i k -> ignore (await (Chord.sim c) (fun ret ->
+        Trie_index.insert c ~origin:(i mod 48) ~key:k ~item_id:(string_of_int i) ~payload:k ~k:ret ())))
     keys;
   List.iter
     (fun (lo, hi) ->
       let expected = List.filter (fun k -> k >= lo && k <= hi) keys in
-      let r = Trie_index.range_sync c ~origin:3 ~lo ~hi in
+      let r = await (Chord.sim c) (fun k -> Trie_index.range c ~origin:3 ~lo ~hi ~k) in
       let got = List.map (fun (i : Store.item) -> i.Store.key) r.Chord.items |> List.sort_uniq compare in
       check Alcotest.(list string) (Printf.sprintf "range [%s,%s]" lo hi) expected got)
     [ ("a", "g"); ("c", "czzzz"); ("", "zzzzzzzz") ]
@@ -175,10 +193,11 @@ let test_trie_range_cost_exceeds_exact () =
   let rng = Rng.create 9 in
   let keys = random_words rng 100 in
   List.iteri
-    (fun i k -> ignore (Trie_index.insert_sync c ~origin:(i mod 64) ~key:k ~item_id:(string_of_int i) ~payload:k ()))
+    (fun i k -> ignore (await (Chord.sim c) (fun ret ->
+        Trie_index.insert c ~origin:(i mod 64) ~key:k ~item_id:(string_of_int i) ~payload:k ~k:ret ())))
     keys;
   let before = Chord.total_sent c in
-  let r = Trie_index.range_sync c ~origin:0 ~lo:"a" ~hi:"m" in
+  let r = await (Chord.sim c) (fun k -> Trie_index.range c ~origin:0 ~lo:"a" ~hi:"m" ~k) in
   let msgs = Chord.total_sent c - before in
   Alcotest.(check bool) "complete" true r.Chord.complete;
   Alcotest.(check bool)
@@ -188,8 +207,10 @@ let test_trie_range_cost_exceeds_exact () =
 let test_trie_payload_roundtrip () =
   let c = mkchord () in
   let payload = "some:payload:with:colons\nand newlines" in
-  ignore (Trie_index.insert_sync c ~origin:0 ~key:"thekey" ~item_id:"a" ~payload ());
-  let r = Trie_index.range_sync c ~origin:1 ~lo:"thekey" ~hi:"thekey" in
+  ignore (await (Chord.sim c) (fun k ->
+      Trie_index.insert c ~origin:0 ~key:"thekey" ~item_id:"a" ~payload ~k ()));
+  let r = await (Chord.sim c) (fun k ->
+      Trie_index.range c ~origin:1 ~lo:"thekey" ~hi:"thekey" ~k) in
   match r.Chord.items with
   | [ i ] ->
     check Alcotest.string "key restored" "thekey" i.Store.key;

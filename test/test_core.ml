@@ -13,6 +13,14 @@ module Physical = Unistore_qproc.Physical
 module Publications = Unistore_workload.Publications
 module Demo_data = Unistore_workload.Demo_data
 module Latency = Unistore_sim.Latency
+module Dht = Unistore_triple.Dht
+module Sim = Unistore_sim.Sim
+module Exec = Unistore_qproc.Exec
+module Trace = Unistore_sim.Trace
+
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
 
 let check = Alcotest.check
 
@@ -275,6 +283,115 @@ let test_skyline_pushdown_agrees () =
     Alcotest.(list string)
     "pgrid = chord" (fingerprints r_chord.Engine.rows) (fingerprints r_pgrid.Engine.rows)
 
+(* ------------------------------------------------------------------ *)
+(* Continuation-passing execution: many queries in flight, and no
+   query that waits on the whole event queue.                          *)
+
+let vldb_join =
+  "SELECT ?name WHERE { (?a,'name',?name) (?a,'has_published',?t) (?p,'title',?t) \
+   (?p,'published_in',?cn) (?c,'confname',?cn) (?c,'series',?s) FILTER ?s = 'VLDB' }"
+
+let test_lost_carrier_hop () =
+  (* The mutant plan's first carrier (peer 28 for this seed) dies while
+     the plan travels to it. The hop must fail after the overlay's
+     request timeout, not when the event queue happens to drain: an
+     unrelated timer that keeps the simulator busy for 120 s must not
+     change the query's latency. After the timeout the origin runs the
+     step itself, so the rest costs at most what a fault-free
+     centralized run from the same origin costs. *)
+  let run ?(kill = false) ?(busy = false) strategy =
+    let store, ds = make_store () in
+    let sim = Unistore.sim store in
+    if busy then begin
+      let until = Sim.now sim +. 120_000.0 in
+      let rec tick () = if Sim.now sim < until then Sim.schedule sim ~delay:100.0 tick in
+      tick ()
+    end;
+    if kill then Sim.schedule sim ~delay:0.0 (fun () -> Unistore.kill_peers store [ 28 ]);
+    match Unistore.query store ~origin:5 ~strategy vldb_join with
+    | Ok r -> (ds, r)
+    | Error e -> Alcotest.fail e
+  in
+  let ds, clean = run Unistore.Mutant in
+  check Alcotest.int "peer 28 carries the first step" 28 (List.hd clean.Engine.traces).Exec.carrier;
+  let _, central = run Unistore.Centralized in
+  let _, quiet = run ~kill:true Unistore.Mutant in
+  let _, busy = run ~kill:true ~busy:true Unistore.Mutant in
+  check (Alcotest.float 1e-9) "latency ignores unrelated events" quiet.Engine.latency
+    busy.Engine.latency;
+  let timeout = Unistore_pgrid.Config.default.Unistore_pgrid.Config.timeout_ms in
+  if quiet.Engine.latency < timeout || quiet.Engine.latency > timeout +. central.Engine.latency then
+    Alcotest.failf "latency %.1f ms outside [%.0f, %.0f + %.1f] ms" quiet.Engine.latency timeout
+      timeout central.Engine.latency;
+  let reference = fingerprints (ref_eval ds.Publications.triples (Parser.parse_exn vldb_join)) in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check bool) (name ^ ": partial") false r.Engine.complete;
+      List.iter
+        (fun fp ->
+          if not (List.mem fp reference) then Alcotest.failf "%s: row %s not in reference" name fp)
+        (fingerprints r.Engine.rows))
+    [ ("quiet", quiet); ("busy", busy) ]
+
+(* Seven query shapes, each from its own origin. *)
+let interleaved_queries =
+  [
+    (1, Unistore.Centralized, "SELECT ?a WHERE { (?a,'series',?s) FILTER ?s = 'ICDE' }");
+    (4, Unistore.Centralized, "SELECT ?a, ?v WHERE { (?a,'age',?v) FILTER ?v >= 30 AND ?v < 50 }");
+    (7, Unistore.Centralized, vldb_join);
+    (10, Unistore.Centralized, "SELECT ?a, ?v WHERE { (?a,'age',?v) } ORDER BY ?v ASC LIMIT 4");
+    (13, Unistore.Centralized, "SELECT ?a,?n WHERE { (?a,'name',?n) FILTER edist(?n,'Karnstedt') <= 2 }");
+    (16, Unistore.Centralized, canonical_skyline_query);
+    (19, Unistore.Mutant, vldb_join);
+  ]
+
+let start_query store (origin, strategy, src) ~k =
+  Engine.start (Unistore.tstore store) (Unistore.stats store)
+    ~replication:(Unistore.config store).Unistore.replication ~strategy ~origin
+    (Parser.parse_exn src) ~k
+
+let outcome (r : Engine.report) = (fingerprints r.Engine.rows, r.Engine.complete)
+
+let render_trace tr =
+  Trace.events tr
+  |> List.map (fun (e : Trace.event) ->
+         Format.asprintf "%h %d>%d %s %dB #%d %a" e.Trace.time e.Trace.src e.Trace.dst e.Trace.kind
+           e.Trace.bytes e.Trace.corr Trace.pp_outcome e.Trace.outcome)
+  |> String.concat "\n"
+
+let test_interleaved_queries () =
+  (* Every query starts before the simulator runs at all; one drain then
+     finishes them all. Each must answer exactly as it does alone. *)
+  let alone =
+    let store, _ = make_store () in
+    List.map
+      (fun q -> outcome (await (Unistore.sim store) (fun k -> start_query store q ~k)))
+      interleaved_queries
+  in
+  let interleaved () =
+    let store, _ = make_store () in
+    let tr = Unistore.start_trace store in
+    let reports = List.map (fun q -> (q, ref None)) interleaved_queries in
+    List.iter (fun (q, cell) -> start_query store q ~k:(fun r -> cell := Some r)) reports;
+    Unistore.settle store;
+    ( List.map
+        (fun ((_, _, src), cell) ->
+          match !cell with Some r -> outcome r | None -> Alcotest.failf "never finished: %s" src)
+        reports,
+      render_trace tr )
+  in
+  let first, trace1 = interleaved () in
+  let _, trace2 = interleaved () in
+  List.iter2
+    (fun ((_, _, src), (rows_a, complete_a)) (rows_i, complete_i) ->
+      Alcotest.(check bool) (src ^ ": complete alone") true complete_a;
+      Alcotest.(check bool) (src ^ ": completeness") complete_a complete_i;
+      check Alcotest.(list string) (src ^ ": rows") rows_a rows_i)
+    (List.combine interleaved_queries alone)
+    first;
+  Alcotest.(check bool) "trace recorded" true (String.length trace1 > 0);
+  check Alcotest.string "same seed, byte-identical trace" trace1 trace2
+
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in
@@ -302,17 +419,19 @@ let test_rank_paths_agree_across_overlays () =
     |> List.sort_uniq compare
   in
   let sim store =
-    let found, (meta : Tstore.meta) =
-      Tstore.similar_sync (Unistore.tstore store) ~origin:3 ~attr:"title" ~pattern:title ~d:2 ()
+    let found, (r : Dht.result) =
+      await (Unistore.sim store) (fun k ->
+          Tstore.similar (Unistore.tstore store) ~origin:3 ~attr:(Some "title") ~pattern:title ~d:2 ~k)
     in
-    Alcotest.(check bool) "similar complete" true meta.Tstore.complete;
+    Alcotest.(check bool) "similar complete" true r.Dht.complete;
     ids found
   in
   let containing store =
-    let found, (meta : Tstore.meta) =
-      Tstore.containing_sync (Unistore.tstore store) ~origin:5 ~attr:"title" ~pattern:sub ()
+    let found, (r : Dht.result) =
+      await (Unistore.sim store) (fun k ->
+          Tstore.containing (Unistore.tstore store) ~origin:5 ~attr:(Some "title") ~pattern:sub ~k)
     in
-    Alcotest.(check bool) "containing complete" true meta.Tstore.complete;
+    Alcotest.(check bool) "containing complete" true r.Dht.complete;
     ids found
   in
   let brute keep =
@@ -661,6 +780,8 @@ let () =
           Alcotest.test_case "centralized = mutant" `Quick test_strategies_agree;
           Alcotest.test_case "chord substrate" `Quick test_chord_substrate_agrees;
           Alcotest.test_case "skyline pushdown agrees" `Quick test_skyline_pushdown_agrees;
+          Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;
+          Alcotest.test_case "interleaved queries" `Quick test_interleaved_queries;
           Alcotest.test_case "rank paths agree across overlays" `Quick
             test_rank_paths_agree_across_overlays;
         ] );

@@ -27,6 +27,10 @@ module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 module D = Unistore_analysis.Diagnostic
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 let random_words rng n =
@@ -44,8 +48,8 @@ let insert_all ov keys =
   List.iteri
     (fun i k ->
       let r =
-        Overlay.insert_sync ov ~origin:(i mod Overlay.node_count ov) ~key:k
-          ~item_id:(Printf.sprintf "id%d" i) ~payload:k ()
+        await (Overlay.sim ov) (fun ret ->
+            Overlay.insert ov ~origin:(i mod Overlay.node_count ov) ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())
       in
       if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
     keys
@@ -285,7 +289,7 @@ let test_repair_restores_replication () =
       if List.length alive_holders < 2 then
         Alcotest.failf "key %S alive-replicated on %d peers after repair" k
           (List.length alive_holders);
-      let lr = Overlay.lookup_sync ov ~origin:0 ~key:k in
+      let lr = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
       if not (lr.Overlay.complete && lr.Overlay.items <> []) then
         Alcotest.failf "lookup %S failed after repair" k)
     keys
@@ -313,14 +317,14 @@ let test_partition_completeness () =
     |> List.map (fun (n : Node.t) -> n.Node.id)
   in
   List.iter (fun id -> Net.set_partition (Overlay.net ov) id ~group:1) far_ids;
-  let r = Overlay.range_sync ov ~origin:0 ~lo:"a" ~hi:"{" () in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ()) in
   Alcotest.(check bool) "partitioned range is partial" false r.Overlay.complete;
   check (Alcotest.float 0.001) "coverage = regions reached / addressed" 0.5
     r.Overlay.completeness;
   (* Graceful degradation: the reachable half's rows are still served. *)
   Alcotest.(check bool) "local rows still served" true (r.Overlay.items <> []);
   Net.clear_partitions (Overlay.net ov);
-  let r = Overlay.range_sync ov ~origin:0 ~lo:"a" ~hi:"{" () in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ()) in
   Alcotest.(check bool) "healed range complete" true r.Overlay.complete;
   check (Alcotest.float 0.001) "full coverage after heal" 1.0 r.Overlay.completeness;
   check Alcotest.int "all six keys back" 6
@@ -383,12 +387,16 @@ let test_agg_owner_crash_terminates () =
 let backoff_kinds =
   let item i k = { Store.key = k; item_id = Printf.sprintf "b%d" i; payload = k; version = 0 } in
   [
-    ("lookup", 0.0, fun ov ~keys:_ ~key -> Overlay.lookup_sync ov ~origin:0 ~key);
-    ("range", 0.75, fun ov ~keys:_ ~key:_ -> Overlay.range_sync ov ~origin:0 ~lo:"a" ~hi:"{" ());
+    ("lookup", 0.0, fun ov ~keys:_ ~key -> await (Overlay.sim ov) (fun k ->
+        Overlay.lookup ov ~origin:0 ~key ~k));
+    ("range", 0.75, fun ov ~keys:_ ~key:_ -> await (Overlay.sim ov) (fun k ->
+        Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ()));
     ( "bulk_insert",
       0.875,
-      fun ov ~keys ~key:_ -> Overlay.bulk_insert_sync ov ~origin:0 ~items:(List.mapi item keys) );
-    ("multi_lookup", 0.875, fun ov ~keys ~key:_ -> snd (Overlay.multi_lookup_sync ov ~origin:0 ~keys));
+      fun ov ~keys ~key:_ -> await (Overlay.sim ov) (fun k ->
+          Overlay.bulk_insert ov ~origin:0 ~items:(List.mapi item keys) ~k) );
+    ("multi_lookup", 0.875, fun ov ~keys ~key:_ -> snd (await (Overlay.sim ov) (fun k ->
+        Overlay.multi_lookup ov ~origin:0 ~keys ~k)));
   ]
 
 let test_backoff_schedule () =
@@ -444,7 +452,8 @@ let test_adaptive_deadline_beats_fixed () =
   insert_all ov keys;
   Sim.run_all (Overlay.sim ov);
   (* Feed the RTT estimators with a few successful lookups first. *)
-  List.iteri (fun i k -> if i < 8 then ignore (Overlay.lookup_sync ov ~origin:0 ~key:k)) keys;
+  List.iteri (fun i k -> if i < 8 then ignore (await (Overlay.sim ov) (fun ret ->
+      Overlay.lookup ov ~origin:0 ~key:k ~k:ret))) keys;
   let key =
     List.find
       (fun k ->
@@ -452,7 +461,7 @@ let test_adaptive_deadline_beats_fixed () =
       keys
   in
   Overlay.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
-  let r = Overlay.lookup_sync ov ~origin:0 ~key in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:0 ~key ~k) in
   Alcotest.(check bool) "gives up incomplete" false r.Overlay.complete;
   Alcotest.(check bool) "adaptive giveup strictly beats the fixed schedule" true
     (r.Overlay.latency < 700.0)

@@ -12,6 +12,10 @@ module Overlay = Unistore_pgrid.Overlay
 module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 
 let item ?(version = 0) key item_id payload = { Store.key; item_id; payload; version }
@@ -148,7 +152,8 @@ let insert_all ov keys =
   List.iteri
     (fun i k ->
       let origin = i mod Overlay.node_count ov in
-      let r = Overlay.insert_sync ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k () in
+      let r = await (Overlay.sim ov) (fun ret ->
+          Overlay.insert ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ()) in
       if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
     keys
 
@@ -168,9 +173,10 @@ let test_oracle_balanced_invariants () =
 
 let test_oracle_single_peer () =
   let ov = build_overlay ~n:1 ~keys:[] () in
-  let r = Overlay.insert_sync ov ~origin:0 ~key:"k" ~item_id:"a" ~payload:"p" () in
+  let r = await (Overlay.sim ov) (fun ret ->
+      Overlay.insert ov ~origin:0 ~key:"k" ~item_id:"a" ~payload:"p" ~k:ret ()) in
   Alcotest.(check bool) "insert ok" true r.Overlay.complete;
-  let r = Overlay.lookup_sync ov ~origin:0 ~key:"k" in
+  let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:"k" ~k:ret) in
   check Alcotest.int "found" 1 (List.length r.Overlay.items);
   check Alcotest.int "zero hops" 0 r.Overlay.hops
 
@@ -183,7 +189,7 @@ let test_insert_lookup_roundtrip () =
   List.iteri
     (fun i k ->
       let origin = (i * 7) mod 64 in
-      let r = Overlay.lookup_sync ov ~origin ~key:k in
+      let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin ~key:k ~k:ret) in
       if not r.Overlay.complete then Alcotest.failf "lookup %S incomplete" k;
       if List.length r.Overlay.items < 1 then Alcotest.failf "lookup %S found nothing" k;
       if r.Overlay.hops > depth then
@@ -192,7 +198,7 @@ let test_insert_lookup_roundtrip () =
 
 let test_lookup_missing_key () =
   let ov = build_overlay ~n:16 ~keys:[] () in
-  let r = Overlay.lookup_sync ov ~origin:0 ~key:"nothing-here" in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:0 ~key:"nothing-here" ~k) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   check Alcotest.int "empty" 0 (List.length r.Overlay.items)
 
@@ -224,7 +230,8 @@ let test_range_shower_correct () =
   List.iter
     (fun (lo, hi) ->
       let expected = range_oracle keys ~lo ~hi in
-      let r = Overlay.range_sync ov ~origin:5 ~strategy:Message.Shower ~lo ~hi () in
+      let r = await (Overlay.sim ov) (fun k ->
+          Overlay.range ov ~origin:5 ~strategy:Message.Shower ~lo ~hi ~k ()) in
       Alcotest.(check bool) (Printf.sprintf "complete [%s,%s]" lo hi) true r.Overlay.complete;
       let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
       check
@@ -240,7 +247,8 @@ let test_range_sequential_correct () =
   insert_all ov keys;
   let lo = "b" and hi = "p" in
   let expected = range_oracle keys ~lo ~hi in
-  let r = Overlay.range_sync ov ~origin:3 ~strategy:Message.Sequential ~lo ~hi () in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:3 ~strategy:Message.Sequential ~lo ~hi ~k ()) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
   check Alcotest.(list string) "sequential = oracle" expected got
@@ -251,8 +259,10 @@ let test_range_strategies_agree () =
   let ov = build_overlay ~n:32 ~keys () in
   insert_all ov keys;
   let norm r = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
-  let a = Overlay.range_sync ov ~origin:0 ~strategy:Message.Shower ~lo:"d" ~hi:"t" () in
-  let b = Overlay.range_sync ov ~origin:0 ~strategy:Message.Sequential ~lo:"d" ~hi:"t" () in
+  let a = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:0 ~strategy:Message.Shower ~lo:"d" ~hi:"t" ~k ()) in
+  let b = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:0 ~strategy:Message.Sequential ~lo:"d" ~hi:"t" ~k ()) in
   check Alcotest.(list string) "same answers" (norm a) (norm b)
 
 let test_sequential_more_serial_latency () =
@@ -260,8 +270,10 @@ let test_sequential_more_serial_latency () =
   let keys = List.sort_uniq compare (random_words rng 200) in
   let ov = build_overlay ~n:64 ~model:(Latency.Constant 10.0) ~keys () in
   insert_all ov keys;
-  let a = Overlay.range_sync ov ~origin:0 ~strategy:Message.Shower ~lo:"" ~hi:"zzzz" () in
-  let b = Overlay.range_sync ov ~origin:0 ~strategy:Message.Sequential ~lo:"" ~hi:"zzzz" () in
+  let a = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:0 ~strategy:Message.Shower ~lo:"" ~hi:"zzzz" ~k ()) in
+  let b = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:0 ~strategy:Message.Sequential ~lo:"" ~hi:"zzzz" ~k ()) in
   Alcotest.(check bool)
     (Printf.sprintf "sequential latency (%f) > shower (%f)" b.Overlay.latency a.Overlay.latency)
     true
@@ -274,7 +286,8 @@ let test_budgeted_sequential_range () =
   insert_all ov keys;
   let budget = 7 in
   let r =
-    Overlay.range_sync ov ~origin:2 ~strategy:Message.Sequential ~budget ~lo:"" ~hi:"zzzz" ()
+    await (Overlay.sim ov) (fun k ->
+        Overlay.range ov ~origin:2 ~strategy:Message.Sequential ~budget ~lo:"" ~hi:"zzzz" ~k ())
   in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
@@ -283,17 +296,20 @@ let test_budgeted_sequential_range () =
   check Alcotest.(list string) "the smallest keys" expected got;
   (* Far fewer messages than the unbudgeted traversal. *)
   let m0 = Net.total_sent (Overlay.net ov) in
-  ignore (Overlay.range_sync ov ~origin:2 ~strategy:Message.Sequential ~budget ~lo:"" ~hi:"zzzz" ());
+  ignore (await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:2 ~strategy:Message.Sequential ~budget ~lo:"" ~hi:"zzzz" ~k ()));
   let budgeted = Net.total_sent (Overlay.net ov) - m0 in
   let m1 = Net.total_sent (Overlay.net ov) in
-  ignore (Overlay.range_sync ov ~origin:2 ~strategy:Message.Sequential ~lo:"" ~hi:"zzzz" ());
+  ignore (await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:2 ~strategy:Message.Sequential ~lo:"" ~hi:"zzzz" ~k ()));
   let full = Net.total_sent (Overlay.net ov) - m1 in
   Alcotest.(check bool)
     (Printf.sprintf "early stop saves messages (%d < %d)" budgeted full)
     true (budgeted < full);
   (* Budget + shower is rejected. *)
   (try
-     ignore (Overlay.range_sync ov ~origin:0 ~strategy:Message.Shower ~budget:3 ~lo:"a" ~hi:"b" ());
+     ignore (await (Overlay.sim ov) (fun k ->
+         Overlay.range ov ~origin:0 ~strategy:Message.Shower ~budget:3 ~lo:"a" ~hi:"b" ~k ()));
      Alcotest.fail "expected invalid_arg"
    with Invalid_argument _ -> ())
 
@@ -310,7 +326,8 @@ let test_hop_limited_range_partial () =
   List.iter
     (fun (strategy, label, max_hops) ->
       Overlay.set_config ov { Config.default with max_hops };
-      let r = Overlay.range_sync ov ~origin:0 ~strategy ~lo:"k0000" ~hi:"k0199" () in
+      let r = await (Overlay.sim ov) (fun k ->
+          Overlay.range ov ~origin:0 ~strategy ~lo:"k0000" ~hi:"k0199" ~k ()) in
       let n = List.length r.Overlay.items in
       Alcotest.(check bool) (Printf.sprintf "%s: the hop limit truncates (%d/200 rows)" label n)
         true (n < 200);
@@ -324,7 +341,8 @@ let test_hop_limited_range_partial () =
         (r.Overlay.latency < Config.default.Config.min_timeout_ms))
     [ (Message.Sequential, "sequential", 8); (Message.Shower, "shower", 3) ];
   Overlay.set_config ov Config.default;
-  let r = Overlay.range_sync ov ~origin:0 ~lo:"k0000" ~hi:"k0199" () in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:0 ~lo:"k0000" ~hi:"k0199" ~k ()) in
   Alcotest.(check bool) "default hop limit: complete" true r.Overlay.complete;
   check Alcotest.int "default hop limit: every row" 200 (List.length r.Overlay.items)
 
@@ -332,7 +350,7 @@ let test_prefix_search () =
   let keys = [ "apple"; "application"; "apply"; "banana"; "appetite"; "zebra" ] in
   let ov = build_overlay ~n:16 ~keys () in
   insert_all ov keys;
-  let r = Overlay.prefix_sync ov ~origin:1 ~prefix:"appl" in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.prefix ov ~origin:1 ~prefix:"appl" ~k) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
   check Alcotest.(list string) "prefix matches" [ "apple"; "application"; "apply" ] got
@@ -342,7 +360,8 @@ let test_broadcast_probe () =
   let keys = List.sort_uniq compare (random_words rng 60) in
   let ov = build_overlay ~n:32 ~keys () in
   insert_all ov keys;
-  let r = Overlay.broadcast_sync ov ~origin:2 ~pred:(fun i -> String.length i.Store.key > 6) in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.broadcast ov ~origin:2 ~pred:(fun i -> String.length i.Store.key > 6) ~k ()) in
   Alcotest.(check bool) "complete" true r.Overlay.complete;
   let expected = List.filter (fun k -> String.length k > 6) keys in
   let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
@@ -363,7 +382,8 @@ let test_hops_logarithmic () =
   List.iteri
     (fun i k ->
       if i mod 4 = 0 then begin
-        let r = Overlay.lookup_sync ov ~origin:(i mod 256) ~key:k in
+        let r = await (Overlay.sim ov) (fun ret ->
+            Overlay.lookup ov ~origin:(i mod 256) ~key:k ~k:ret) in
         hops := float_of_int r.Overlay.hops :: !hops
       end)
     keys;
@@ -389,7 +409,7 @@ let test_failure_lookup_retries () =
     (fun i k ->
       if i mod 2 = 0 then begin
         incr total;
-        let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+        let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
         if r.Overlay.complete && r.Overlay.items <> [] then incr ok
       end)
     keys;
@@ -407,14 +427,16 @@ let test_lookups_under_message_loss () =
   (* Inserts may need retries too; insist they complete. *)
   List.iteri
     (fun i k ->
-      let r = Overlay.insert_sync ov ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k () in
+      let r = await (Overlay.sim ov) (fun ret ->
+          Overlay.insert ov ~origin:(i mod 32) ~key:k ~item_id:(string_of_int i) ~payload:k ~k:ret ()) in
       if not r.Overlay.complete then Alcotest.failf "insert %S failed under loss" k)
     keys;
   Sim.run_all (Overlay.sim ov);
   let ok = ref 0 in
   List.iteri
     (fun i k ->
-      let r = Overlay.lookup_sync ov ~origin:((i * 3) mod 32) ~key:k in
+      let r = await (Overlay.sim ov) (fun ret ->
+          Overlay.lookup ov ~origin:((i * 3) mod 32) ~key:k ~k:ret) in
       if r.Overlay.complete && r.Overlay.items <> [] then incr ok)
     keys;
   Alcotest.(check bool)
@@ -425,10 +447,12 @@ let test_lookups_under_message_loss () =
 let test_update_and_gossip_convergence () =
   let config = { Config.default with replication = 4 } in
   let ov = build_overlay ~n:16 ~config ~keys:[ "k" ] () in
-  let r = Overlay.insert_sync ov ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v0" () in
+  let r = await (Overlay.sim ov) (fun ret ->
+      Overlay.insert ov ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v0" ~k:ret ()) in
   Alcotest.(check bool) "insert ok" true r.Overlay.complete;
   Sim.run_all (Overlay.sim ov);
-  let r = Overlay.update_sync ov ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v1" ~version:1 () in
+  let r = await (Overlay.sim ov) (fun ret ->
+      Overlay.update ov ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v1" ~version:1 ~k:ret ()) in
   Alcotest.(check bool) "update ok" true r.Overlay.complete;
   Sim.run_all (Overlay.sim ov);
   (* Rumor may have missed replicas; run anti-entropy to convergence. *)
@@ -444,17 +468,19 @@ let test_update_and_gossip_convergence () =
   check (Alcotest.float 1e-9) "fully converged" 0.0
     (Gossip.staleness ov ~key:"k" ~item_id:"x" ~version:1);
   (* Readers see the new version. *)
-  let r = Overlay.lookup_sync ov ~origin:5 ~key:"k" in
+  let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:5 ~key:"k" ~k:ret) in
   (match r.Overlay.items with
   | [ i ] -> check Alcotest.string "new payload" "v1" i.Store.payload
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l))
 
 let test_stale_update_ignored () =
   let ov = build_overlay ~n:8 ~keys:[ "k" ] () in
-  ignore (Overlay.insert_sync ov ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v5" ~version:5 ());
-  ignore (Overlay.update_sync ov ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v3" ~version:3 ());
+  ignore (await (Overlay.sim ov) (fun ret ->
+      Overlay.insert ov ~origin:0 ~key:"k" ~item_id:"x" ~payload:"v5" ~version:5 ~k:ret ()));
+  ignore (await (Overlay.sim ov) (fun ret ->
+      Overlay.update ov ~origin:1 ~key:"k" ~item_id:"x" ~payload:"v3" ~version:3 ~k:ret ()));
   Sim.run_all (Overlay.sim ov);
-  let r = Overlay.lookup_sync ov ~origin:2 ~key:"k" in
+  let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:2 ~key:"k" ~k:ret) in
   match r.Overlay.items with
   | [ i ] -> check Alcotest.string "kept newer" "v5" i.Store.payload
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l)
@@ -462,14 +488,16 @@ let test_stale_update_ignored () =
 let test_delete () =
   let config = { Config.default with replication = 3 } in
   let ov = build_overlay ~n:16 ~config ~keys:[ "k1"; "k2" ] () in
-  ignore (Overlay.insert_sync ov ~origin:0 ~key:"k1" ~item_id:"a" ~payload:"p1" ());
-  ignore (Overlay.insert_sync ov ~origin:1 ~key:"k1" ~item_id:"b" ~payload:"p2" ());
+  ignore (await (Overlay.sim ov) (fun k ->
+      Overlay.insert ov ~origin:0 ~key:"k1" ~item_id:"a" ~payload:"p1" ~k ()));
+  ignore (await (Overlay.sim ov) (fun k ->
+      Overlay.insert ov ~origin:1 ~key:"k1" ~item_id:"b" ~payload:"p2" ~k ()));
   Sim.run_all (Overlay.sim ov);
-  let r = Overlay.delete_sync ov ~origin:5 ~key:"k1" ~item_id:"a" in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.delete ov ~origin:5 ~key:"k1" ~item_id:"a" ~k) in
   Alcotest.(check bool) "delete completes" true r.Overlay.complete;
   Sim.run_all (Overlay.sim ov);
   (* The other item under the same key survives; replicas are purged. *)
-  let r = Overlay.lookup_sync ov ~origin:2 ~key:"k1" in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:2 ~key:"k1" ~k) in
   (match r.Overlay.items with
   | [ i ] -> check Alcotest.string "b remains" "b" i.Store.item_id
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l));
@@ -480,7 +508,8 @@ let test_delete () =
   in
   check Alcotest.int "no replica still holds a" 0 (List.length holders);
   (* Deleting a non-existent item is a no-op that still completes. *)
-  let r = Overlay.delete_sync ov ~origin:0 ~key:"nothing" ~item_id:"x" in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.delete ov ~origin:0 ~key:"nothing" ~item_id:"x" ~k) in
   Alcotest.(check bool) "idempotent delete" true r.Overlay.complete
 
 let test_repair_refs () =
@@ -511,7 +540,7 @@ let test_repair_refs () =
   List.iteri
     (fun i k ->
       if i mod 5 = 0 then begin
-        let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+        let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
         if r.Overlay.complete && r.Overlay.items <> [] then incr ok
       end)
     keys;
@@ -565,20 +594,23 @@ let test_range_under_jittery_latency () =
     let lo = String.make 1 (Char.chr (Char.code 'a' + (trial mod 3))) in
     let hi = "z" in
     let expected = range_oracle keys ~lo ~hi in
-    let r = Overlay.range_sync ov ~origin:(trial * 7 mod 96) ~lo ~hi () in
+    let r = await (Overlay.sim ov) (fun k ->
+        Overlay.range ov ~origin:(trial * 7 mod 96) ~lo ~hi ~k ()) in
     Alcotest.(check bool) (Printf.sprintf "trial %d complete" trial) true r.Overlay.complete;
     let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
     check Alcotest.(list string) (Printf.sprintf "trial %d exact" trial) expected got
   done;
   (* Sequential and broadcast under the same jitter. *)
   let expected = range_oracle keys ~lo:"c" ~hi:"t" in
-  let r = Overlay.range_sync ov ~origin:5 ~strategy:Message.Sequential ~lo:"c" ~hi:"t" () in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.range ov ~origin:5 ~strategy:Message.Sequential ~lo:"c" ~hi:"t" ~k ()) in
   Alcotest.(check bool) "sequential complete" true r.Overlay.complete;
   check
     Alcotest.(list string)
     "sequential exact" expected
     (List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare);
-  let r = Overlay.broadcast_sync ov ~origin:2 ~pred:(fun _ -> true) in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.broadcast ov ~origin:2 ~pred:(fun _ -> true) ~k ()) in
   Alcotest.(check bool) "broadcast complete" true r.Overlay.complete;
   check Alcotest.int "broadcast sees all" (List.length keys)
     (List.length (List.sort_uniq compare (List.map (fun i -> i.Store.key) r.Overlay.items)))
@@ -608,9 +640,10 @@ let test_bootstrap_builds_trie () =
   Alcotest.(check bool) "trie formed (depth>=2)" true (report.Build.final_depth >= 2);
   Alcotest.(check bool) "exchanges happened" true (report.Build.exchanges > n);
   (* The overlay must be usable: inserts and lookups work. *)
-  let r = Overlay.insert_sync ov ~origin:0 ~key:"hello" ~item_id:"h" ~payload:"world" () in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.insert ov ~origin:0 ~key:"hello" ~item_id:"h" ~payload:"world" ~k ()) in
   Alcotest.(check bool) "insert works" true r.Overlay.complete;
-  let r = Overlay.lookup_sync ov ~origin:(n - 1) ~key:"hello" in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:(n - 1) ~key:"hello" ~k) in
   Alcotest.(check bool) "lookup works" true (r.Overlay.complete && r.Overlay.items <> [])
 
 let test_bootstrap_data_preserved () =
@@ -657,7 +690,7 @@ let test_join_running_overlay () =
   Build.repair_refs ov;
   (match held with
   | (it : Store.item) :: _ ->
-    let r = Overlay.lookup_sync ov ~origin:0 ~key:it.Store.key in
+    let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:0 ~key:it.Store.key ~k) in
     Alcotest.(check bool) "newcomer serves the data" true
       (r.Overlay.complete && r.Overlay.items <> [])
   | [] -> ());
@@ -687,7 +720,8 @@ let test_bootstrap_merge () =
   Alcotest.(check bool) "coverage after merge" true report.Build.coverage_ok;
   (* Items contributed by group 0 peers must be findable from group 1. *)
   let group0_item = List.hd (snd (List.nth initial_data 0)) in
-  let r = Overlay.lookup_sync ov ~origin:(n - 1) ~key:group0_item.Store.key in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.lookup ov ~origin:(n - 1) ~key:group0_item.Store.key ~k) in
   Alcotest.(check bool) "cross-group lookup works" true
     (r.Overlay.complete
     && List.exists
@@ -843,7 +877,7 @@ let prop_failover_any_kill_set =
       let ok =
         List.for_all
           (fun k ->
-            let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+            let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
             r.Overlay.complete && r.Overlay.items <> [])
           keys
       in

@@ -94,6 +94,19 @@ let test_sim_run_until_drains () =
   let ok = Sim.run_until sim (fun () -> false) in
   Alcotest.(check bool) "drained without predicate" false ok
 
+let test_sim_await () =
+  let sim = Sim.create () in
+  let late = ref false in
+  (* The answer comes at 5 ms; an unrelated event waits at 50 ms. *)
+  Sim.schedule sim ~delay:50.0 (fun () -> late := true);
+  let got = Sim.await sim (fun k -> Sim.schedule sim ~delay:5.0 (fun () -> k 42; k 7)) in
+  check Alcotest.(option int) "first value" (Some 42) got;
+  check (Alcotest.float 1e-9) "stopped when k fired" 5.0 (Sim.now sim);
+  Alcotest.(check bool) "later events stay queued" false !late;
+  check Alcotest.(option int) "drained first" None (Sim.await sim (fun _ -> ()));
+  Alcotest.(check bool) "drain ran them" true !late;
+  check Alcotest.(option string) "immediate answer" (Some "now") (Sim.await sim (fun k -> k "now"))
+
 let test_sim_run_for () =
   let sim = Sim.create () in
   let count = ref 0 in
@@ -398,6 +411,7 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "run_until drains" `Quick test_sim_run_until_drains;
+          Alcotest.test_case "await" `Quick test_sim_await;
           Alcotest.test_case "run_for" `Quick test_sim_run_for;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
         ] );

@@ -98,6 +98,28 @@ let rule_selection () =
     (lint ~rules:[ Srclint.Unordered_iteration ] src)
 
 (* ------------------------------------------------------------------ *)
+(* Rule: blocking-wait *)
+
+let blocking_defect () =
+  check_has "run_until" "blocking-wait"
+    (lint "let wait sim cell = ignore (Sim.run_until sim (fun () -> !cell <> None))");
+  check_has "run_all" "blocking-wait" (lint "let drain sim = Sim.run_all sim");
+  check_has "fully qualified run_for" "blocking-wait"
+    (lint "let idle sim = Unistore_sim.Sim.run_for sim ~duration:10.0");
+  check_has "await below the facade" "blocking-wait"
+    (lint "let get sim f = Sim.await sim f");
+  check_has "annotation on another line" "blocking-wait"
+    (lint "(* srclint: allow blocking-wait *)\nlet drain sim = Sim.run_all sim")
+
+let blocking_allowed () =
+  check_clean "the simulator itself" (lint ~path:"lib/sim/sim.ml" "let drain t = Sim.run_all t");
+  check_clean "annotated drain"
+    (lint "let settle t = Sim.run_all t.sim (* srclint: allow blocking-wait *)");
+  check_clean "continuation-passing code"
+    (lint "let later sim k = Sim.schedule sim ~delay:1.0 (fun () -> k ())");
+  check_clean "rule off" (lint ~rules:[ Srclint.Ambient_effects ] "let drain sim = Sim.run_all sim")
+
+(* ------------------------------------------------------------------ *)
 (* Rule 4: protocol-exhaustiveness, against a toy protocol *)
 
 let toy_table =
@@ -237,6 +259,11 @@ let () =
           Alcotest.test_case "seeded defects flagged" `Quick polycmp_defect;
           Alcotest.test_case "clean and suppressed" `Quick polycmp_clean;
           Alcotest.test_case "rule toggling" `Quick rule_selection;
+        ] );
+      ( "blocking-wait",
+        [
+          Alcotest.test_case "seeded defects flagged" `Quick blocking_defect;
+          Alcotest.test_case "exemptions and annotations" `Quick blocking_allowed;
         ] );
       ( "protocol-exhaustiveness",
         [

@@ -46,6 +46,10 @@ let with_log_dir name f =
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 (* Reference model: a plain item list kept in reverse first-insertion
    order (newest first), deliberately nothing like any backend. Scans
    derive from a stable sort by key: keys ascending, and — because the
@@ -648,8 +652,8 @@ let test_store_bytes_gauge () =
   Overlay.set_metrics ov (Some m);
   for i = 0 to 49 do
     let r =
-      Overlay.insert_sync ov ~origin:(i mod n) ~key:(Printf.sprintf "g#%02d" (i mod 13))
-        ~item_id:(Printf.sprintf "id%d" i) ~payload:"payload" ()
+      await (Overlay.sim ov) (fun k ->
+          Overlay.insert ov ~origin:(i mod n) ~key:(Printf.sprintf "g#%02d" (i mod 13)) ~item_id:(Printf.sprintf "id%d" i) ~payload:"payload" ~k ())
     in
     check Alcotest.bool "insert ok" true r.Overlay.complete
   done;
@@ -693,7 +697,8 @@ let test_overlay_crash_restart_recall () =
       Overlay.set_metrics ov (Some m);
       let insert i k =
         let r =
-          Overlay.insert_sync ov ~origin:0 ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ()
+          await (Overlay.sim ov) (fun ret ->
+              Overlay.insert ov ~origin:0 ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())
         in
         check Alcotest.bool (Printf.sprintf "insert %s ok" k) true r.Overlay.complete
       in
@@ -736,7 +741,7 @@ let test_overlay_crash_restart_recall () =
       let hits =
         List.fold_left
           (fun acc k ->
-            let r = Overlay.lookup_sync ov ~origin:0 ~key:k in
+            let r = await (Overlay.sim ov) (fun ret -> Overlay.lookup ov ~origin:0 ~key:k ~k:ret) in
             if r.Overlay.complete && r.Overlay.items <> [] then acc + 1 else acc)
           0 keys
       in

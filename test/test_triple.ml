@@ -12,6 +12,10 @@ module Keys = Unistore_triple.Keys
 module Dht = Unistore_triple.Dht
 module Tstore = Unistore_triple.Tstore
 
+(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
+let await sim start =
+  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+
 let check = Alcotest.check
 let qtest ?(count = 300) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
@@ -194,7 +198,8 @@ let fig3_tuples =
 let load_fig3 ts =
   List.iter
     (fun (oid, fields) ->
-      let n = Tstore.insert_tuple_sync ts ~origin:0 ~oid fields in
+      let n = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.insert_tuple ts ~origin:0 ~oid fields ~k) in
       check Alcotest.int (Printf.sprintf "all triples of %s stored" oid) (List.length fields) n)
     fig3_tuples
 
@@ -218,31 +223,36 @@ let with_both_substrates f =
 let test_tstore_by_oid () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
-      let triples, meta = Tstore.by_oid_sync ts ~origin:1 "a1" in
-      Alcotest.(check bool) (name ^ ": complete") true meta.Tstore.complete;
+      let triples, meta = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_oid ts ~origin:1 "a1" ~k) in
+      Alcotest.(check bool) (name ^ ": complete") true meta.Dht.complete;
       check Alcotest.int (name ^ ": tuple reassembled") 3 (List.length triples);
       List.iter (fun (tr : Triple.t) -> check Alcotest.string "oid" "a1" tr.Triple.oid) triples)
 
 let test_tstore_by_attr_value () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
-      let triples, _ = Tstore.by_attr_value_sync ts ~origin:2 ~attr:"name" (Value.S "bob") in
+      let triples, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_value ts ~origin:2 ~attr:"name" (Value.S "bob") ~k) in
       (match triples with
       | [ tr ] -> check Alcotest.string (name ^ ": bob's oid") "a2" tr.Triple.oid
       | l -> Alcotest.failf "%s: expected 1 triple, got %d" name (List.length l));
-      let none, _ = Tstore.by_attr_value_sync ts ~origin:2 ~attr:"name" (Value.S "eve") in
+      let none, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_value ts ~origin:2 ~attr:"name" (Value.S "eve") ~k) in
       check Alcotest.int (name ^ ": no eve") 0 (List.length none))
 
 let test_tstore_by_attr_range () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
       let triples, meta =
-        Tstore.by_attr_range_sync ts ~origin:3 ~attr:"year" ~lo:(Value.I 2005) ~hi:(Value.I 2006)
+        await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.by_attr_range ts ~origin:3 ~attr:"year" ~lo:(Value.I 2005) ~hi:(Value.I 2006) ~k)
       in
-      Alcotest.(check bool) (name ^ ": complete") true meta.Tstore.complete;
+      Alcotest.(check bool) (name ^ ": complete") true meta.Dht.complete;
       check Alcotest.int (name ^ ": both years") 2 (List.length triples);
       let triples, _ =
-        Tstore.by_attr_range_sync ts ~origin:3 ~attr:"year" ~lo:(Value.I 2006) ~hi:(Value.I 2010)
+        await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.by_attr_range ts ~origin:3 ~attr:"year" ~lo:(Value.I 2006) ~hi:(Value.I 2010) ~k)
       in
       check Alcotest.int (name ^ ": one year") 1 (List.length triples))
 
@@ -252,7 +262,8 @@ let test_tstore_range_excludes_other_attrs () =
       (* age and num_of_pubs share the integer domain; a range on age must
          not return num_of_pubs triples. *)
       let triples, _ =
-        Tstore.by_attr_range_sync ts ~origin:0 ~attr:"age" ~lo:(Value.I 0) ~hi:(Value.I 100)
+        await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.by_attr_range ts ~origin:0 ~attr:"age" ~lo:(Value.I 0) ~hi:(Value.I 100) ~k)
       in
       check Alcotest.int (name ^ ": only ages") 2 (List.length triples);
       List.iter (fun (tr : Triple.t) -> check Alcotest.string "attr" "age" tr.Triple.attr) triples)
@@ -260,7 +271,8 @@ let test_tstore_range_excludes_other_attrs () =
 let test_tstore_by_attr_all () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
-      let triples, _ = Tstore.by_attr_all_sync ts ~origin:1 ~attr:"title" in
+      let triples, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_all ts ~origin:1 ~attr:"title" ~k) in
       check Alcotest.int (name ^ ": all titles") 2 (List.length triples))
 
 let test_tstore_by_value () =
@@ -268,7 +280,8 @@ let test_tstore_by_value () =
       load_fig3 ts;
       (* The v index finds "ICDE" wherever it appears: published_in of p1
          and series of c1. *)
-      let triples, _ = Tstore.by_value_sync ts ~origin:4 (Value.S "ICDE") in
+      let triples, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_value ts ~origin:4 (Value.S "ICDE") ~k) in
       check Alcotest.int (name ^ ": two attrs carry ICDE") 2 (List.length triples);
       let attrs = List.map (fun (tr : Triple.t) -> tr.Triple.attr) triples |> List.sort compare in
       check Alcotest.(list string) (name ^ ": attrs") [ "published_in"; "series" ] attrs)
@@ -277,7 +290,8 @@ let test_tstore_string_prefix () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
       let triples, _ =
-        Tstore.by_attr_string_prefix_sync ts ~origin:0 ~attr:"confname" ~string_prefix:"ICDE"
+        await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.by_attr_string_prefix ts ~origin:0 ~attr:"confname" ~string_prefix:"ICDE" ~k)
       in
       check Alcotest.int (name ^ ": ICDE confs") 1 (List.length triples))
 
@@ -285,10 +299,10 @@ let test_tstore_scan () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
       let triples, meta =
-        Tstore.scan_sync ts ~origin:0 ~pred:(fun tr ->
-            match Value.as_int tr.Triple.value with Some i -> i > 2000 | None -> false)
+        await (Tstore.dht ts).Dht.sim (fun k -> Tstore.scan ts ~origin:0 ~pred:(fun tr ->
+            match Value.as_int tr.Triple.value with Some i -> i > 2000 | None -> false) ~k)
       in
-      Alcotest.(check bool) (name ^ ": complete") true meta.Tstore.complete;
+      Alcotest.(check bool) (name ^ ": complete") true meta.Dht.complete;
       check Alcotest.int (name ^ ": years found by flooding") 2 (List.length triples))
 
 let test_tstore_similar_qgram () =
@@ -298,14 +312,16 @@ let test_tstore_similar_qgram () =
   (* "similarty queries" (typo) within distance 2 of the stored title. *)
   Alcotest.(check bool) "qgram applicable" true
     (Tstore.qgram_applicable ts ~pattern:"similarty queries" ~d:2);
-  let triples, meta = Tstore.similar_sync ts ~origin:0 ~pattern:"similarty queries" ~d:2 () in
-  Alcotest.(check bool) "complete" true meta.Tstore.complete;
+  let triples, meta = await (Tstore.dht ts).Dht.sim (fun k ->
+      Tstore.similar ts ~origin:0 ~attr:None ~pattern:"similarty queries" ~d:2 ~k) in
+  Alcotest.(check bool) "complete" true meta.Dht.complete;
   (match triples with
   | [ tr ] -> check Alcotest.string "found the title" "p1" tr.Triple.oid
   | l -> Alcotest.failf "expected 1 match, got %d" (List.length l));
   (* Attribute restriction filters out matches on other attributes. *)
   let none, _ =
-    Tstore.similar_sync ts ~origin:0 ~attr:"confname" ~pattern:"similarty queries" ~d:2 ()
+    await (Tstore.dht ts).Dht.sim (fun k ->
+        Tstore.similar ts ~origin:0 ~attr:(Some "confname") ~pattern:"similarty queries" ~d:2 ~k)
   in
   check Alcotest.int "restricted to confname" 0 (List.length none)
 
@@ -316,7 +332,8 @@ let test_tstore_similar_fallback () =
   (* Short pattern + large d: the count bound collapses, so the q-gram
      index cannot guarantee completeness and the scan fallback fires. *)
   Alcotest.(check bool) "not applicable" false (Tstore.qgram_applicable ts ~pattern:"ICDE" ~d:2);
-  let triples, _ = Tstore.similar_sync ts ~origin:0 ~attr:"series" ~pattern:"ICDA" ~d:2 () in
+  let triples, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+      Tstore.similar ts ~origin:0 ~attr:(Some "series") ~pattern:"ICDA" ~d:2 ~k) in
   (match triples with
   | [ tr ] -> (
     match Value.as_string tr.Triple.value with
@@ -331,14 +348,16 @@ let test_tstore_similar_equals_scan () =
   let words = [ "karnstedt"; "karnstadt"; "sattler"; "hauswirth"; "schmidt"; "karlstedt" ] in
   List.iteri
     (fun i w ->
-      ignore (Tstore.insert_sync ts ~origin:0 (Triple.make ~oid:(Printf.sprintf "o%d" i) ~attr:"name" (Value.S w))))
+      ignore (await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.insert ts ~origin:0 (Triple.make ~oid:(Printf.sprintf "o%d" i) ~attr:"name" (Value.S w)) ~k)))
     words;
-  let via_index, _ = Tstore.similar_sync ts ~origin:0 ~pattern:"karnstedt" ~d:2 () in
+  let via_index, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+      Tstore.similar ts ~origin:0 ~attr:None ~pattern:"karnstedt" ~d:2 ~k) in
   let via_scan, _ =
-    Tstore.scan_sync ts ~origin:0 ~pred:(fun tr ->
+    await (Tstore.dht ts).Dht.sim (fun k -> Tstore.scan ts ~origin:0 ~pred:(fun tr ->
         match Value.as_string tr.Triple.value with
         | Some s -> Unistore_util.Strdist.within_distance "karnstedt" s 2
-        | None -> false)
+        | None -> false) ~k)
   in
   let norm l = List.map Triple.id l |> List.sort compare in
   check Alcotest.(list string) "index = scan" (norm via_scan) (norm via_index);
@@ -350,12 +369,15 @@ let test_tstore_mappings () =
       Alcotest.(check bool)
         (name ^ ": mapping stored")
         true
-        (Tstore.add_mapping_sync ts ~origin:0 "name" "fullname");
+        (await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.add_mapping ts ~origin:0 "name" "fullname" ~k));
       Alcotest.(check bool)
         (name ^ ": chained mapping stored")
         true
-        (Tstore.add_mapping_sync ts ~origin:1 "fullname" "person_name");
-      let eq = Tstore.equivalent_attrs_sync ts ~origin:2 "name" in
+        (await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.add_mapping ts ~origin:1 "fullname" "person_name" ~k));
+      let eq = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.equivalent_attrs ts ~origin:2 "name" ~k) in
       check
         Alcotest.(list string)
         (name ^ ": closure")
@@ -367,26 +389,29 @@ let test_tstore_containing () =
       load_fig3 ts;
       (* 'skyline' occurs inside one title; 'ICDE' inside confname/series/
          published_in values. *)
-      let hits, meta = Tstore.containing_sync ts ~origin:1 ~pattern:"skyline" () in
-      Alcotest.(check bool) (name ^ ": complete") true meta.Tstore.complete;
+      let hits, meta = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.containing ts ~origin:1 ~attr:None ~pattern:"skyline" ~k) in
+      Alcotest.(check bool) (name ^ ": complete") true meta.Dht.complete;
       (match hits with
       | [ tr ] -> check Alcotest.string (name ^ ": found in titles") "p2" tr.Triple.oid
       | l -> Alcotest.failf "%s: expected 1 hit, got %d" name (List.length l));
       (* Attribute restriction. *)
-      let hits, _ = Tstore.containing_sync ts ~origin:2 ~attr:"series" ~pattern:"ICD" () in
+      let hits, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.containing ts ~origin:2 ~attr:(Some "series") ~pattern:"ICD" ~k) in
       check Alcotest.int (name ^ ": ICD in series") 1 (List.length hits);
       (* Must equal the flooding answer. *)
       let via_scan, _ =
-        Tstore.scan_sync ts ~origin:3 ~pred:(fun tr ->
+        await (Tstore.dht ts).Dht.sim (fun k -> Tstore.scan ts ~origin:3 ~pred:(fun tr ->
             match Unistore_triple.Value.as_string tr.Triple.value with
             | Some s ->
               let rec go i =
                 i + 3 <= String.length s && (String.sub s i 3 = "ICD" || go (i + 1))
               in
               go 0
-            | None -> false)
+            | None -> false) ~k)
       in
-      let via_index, _ = Tstore.containing_sync ts ~origin:4 ~pattern:"ICD" () in
+      let via_index, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.containing ts ~origin:4 ~attr:None ~pattern:"ICD" ~k) in
       let norm l = List.map Triple.id l |> List.sort compare in
       check Alcotest.(list string) (name ^ ": index = scan") (norm via_scan) (norm via_index))
 
@@ -397,7 +422,8 @@ let test_tstore_containing_fallback () =
   Alcotest.(check bool) "short pattern not applicable" false
     (Tstore.substring_applicable ts ~pattern:"ab");
   (* Short patterns still answer correctly via flooding. *)
-  let hits, _ = Tstore.containing_sync ts ~origin:0 ~attr:"name" ~pattern:"ob" () in
+  let hits, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+      Tstore.containing ts ~origin:0 ~attr:(Some "name") ~pattern:"ob" ~k) in
   match hits with
   | [ tr ] -> check Alcotest.string "bob found" "a2" tr.Triple.oid
   | l -> Alcotest.failf "expected 1 hit, got %d" (List.length l)
@@ -406,16 +432,19 @@ let test_tstore_delete () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
       let tr = Triple.make ~oid:"a1" ~attr:"age" (Value.I 30) in
-      Alcotest.(check bool) (name ^ ": delete ok") true (Tstore.delete_sync ts ~origin:3 tr);
+      Alcotest.(check bool) (name ^ ": delete ok") true (await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.delete ts ~origin:3 tr ~k));
       (* Gone from every access path. *)
-      let by_av, _ = Tstore.by_attr_value_sync ts ~origin:1 ~attr:"age" (Value.I 30) in
+      let by_av, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_value ts ~origin:1 ~attr:"age" (Value.I 30) ~k) in
       Alcotest.(check bool)
         (name ^ ": gone from A#v")
         true
         (List.for_all (fun (x : Triple.t) -> x.Triple.oid <> "a1") by_av);
-      let by_oid, _ = Tstore.by_oid_sync ts ~origin:2 "a1" in
+      let by_oid, _ = await (Tstore.dht ts).Dht.sim (fun k -> Tstore.by_oid ts ~origin:2 "a1" ~k) in
       check Alcotest.int (name ^ ": tuple lost one field") 2 (List.length by_oid);
-      let by_v, _ = Tstore.by_value_sync ts ~origin:4 (Value.I 30) in
+      let by_v, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_value ts ~origin:4 (Value.I 30) ~k) in
       Alcotest.(check bool)
         (name ^ ": gone from v")
         true
@@ -427,18 +456,21 @@ let test_tstore_update_value () =
       Alcotest.(check bool)
         (name ^ ": update ok")
         true
-        (Tstore.update_value_sync ts ~origin:0 ~oid:"a1" ~attr:"age" ~old_value:(Value.I 30)
-           (Value.I 31));
-      let old_hits, _ = Tstore.by_attr_value_sync ts ~origin:1 ~attr:"age" (Value.I 30) in
+        (await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.update_value ts ~origin:0 ~oid:"a1" ~attr:"age" ~old_value:(Value.I 30) (Value.I 31) ~k));
+      let old_hits, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_value ts ~origin:1 ~attr:"age" (Value.I 30) ~k) in
       Alcotest.(check bool)
         (name ^ ": old value unfindable")
         true
         (List.for_all (fun (x : Triple.t) -> x.Triple.oid <> "a1") old_hits);
-      let new_hits, _ = Tstore.by_attr_value_sync ts ~origin:2 ~attr:"age" (Value.I 31) in
+      let new_hits, _ = await (Tstore.dht ts).Dht.sim (fun k ->
+          Tstore.by_attr_value ts ~origin:2 ~attr:"age" (Value.I 31) ~k) in
       check Alcotest.int (name ^ ": new value findable") 1 (List.length new_hits);
       (* Range queries see the new value exactly once. *)
       let in_range, _ =
-        Tstore.by_attr_range_sync ts ~origin:3 ~attr:"age" ~lo:(Value.I 31) ~hi:(Value.I 31)
+        await (Tstore.dht ts).Dht.sim (fun k ->
+            Tstore.by_attr_range ts ~origin:3 ~attr:"age" ~lo:(Value.I 31) ~hi:(Value.I 31) ~k)
       in
       check Alcotest.int (name ^ ": range sees update") 1 (List.length in_range))
 
@@ -447,7 +479,8 @@ let test_tstore_insert_counts_messages () =
   let ts = Tstore.create ~qgrams:false pg in
   let dht = Tstore.dht ts in
   let before = dht.Dht.total_sent () in
-  ignore (Tstore.insert_sync ts ~origin:0 (Triple.make ~oid:"o" ~attr:"a" (Value.I 1)));
+  ignore (await (Tstore.dht ts).Dht.sim (fun k ->
+      Tstore.insert ts ~origin:0 (Triple.make ~oid:"o" ~attr:"a" (Value.I 1)) ~k));
   let msgs = dht.Dht.total_sent () - before in
   (* Three index entries, each routed through the overlay. *)
   Alcotest.(check bool) (Printf.sprintf "3 index inserts cost messages (%d)" msgs) true (msgs >= 3)
