@@ -27,8 +27,8 @@
 
    Both overlays must return identical rows and full recall against a
    locally computed oracle — asserted, not sampled. Writes
-   BENCH_rank.json; `make bench-smoke` runs the small variant without
-   touching the file. *)
+   BENCH_rank.json; test_core's "P-Grid ships fewer ranking bytes than
+   Chord" holds the small-size claims as a tier-1 test. *)
 
 module Metrics = Unistore_obs.Metrics
 module Json = Unistore_obs.Json
@@ -421,19 +421,3 @@ let run () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote %s\n" out_file
-
-(* The CI smoke variant: the smallest size, asserts P-Grid's ordered
-   traversal and closure shipping pay off against Chord, writes no
-   file. *)
-let run_smoke () =
-  Common.section "E-rank (smoke)" "P-Grid ships fewer top-N and skyline bytes than Chord";
-  let pgrid, chord = measure_pair ~peers:48 ~nrows:192 in
-  List.iter
-    (fun name ->
-      let p = (op_of pgrid name).bytes and c = (op_of chord name).bytes in
-      if p >= c then
-        failwith (Printf.sprintf "bench-smoke: pgrid %s bytes %d not below chord's %d" name p c))
-    [ "topn"; "skyline" ];
-  if pgrid.skyline_bytes_saved <= 0 then
-    failwith "bench-smoke: skyline pushdown dropped nothing at the leaves";
-  Printf.printf "\nbench-smoke: OK\n"

@@ -8,7 +8,6 @@
 
 let experiments =
   [
-    ("core", "CORE: performance baseline -> BENCH_core.json", Bench_core.run);
     ("fig2", "E1: Fig. 2 triple placement", Exp_fig2.run);
     ("e2", "E2: logarithmic lookup scaling", Exp_scaling.run);
     ("e3", "E3: 400 peers, PlanetLab latency", Exp_planetlab.run);
@@ -23,18 +22,7 @@ let experiments =
     ("e12", "E12: schema mappings", Exp_mappings.run);
     ("e13", "E13: routing techniques (random vs proximity)", Exp_routing.run);
     ("e14", "E14: decentralized construction + merging", Exp_bootstrap.run);
-    ("cache", "E-cache: multi-level caching, cached vs uncached -> BENCH_cache.json", Exp_cache.run);
-    ("cache-smoke", "E-cache smoke variant (CI gate, no file output)", Exp_cache.run_smoke);
-    ("churn", "E-churn: query robustness under churn -> BENCH_churn.json", Exp_fault.run);
-    ("churn-smoke", "E-churn smoke variant (CI gate, no file output)", Exp_fault.run_smoke);
-    ("scale", "E-scale: kernel throughput sweep to 100k+ peers -> BENCH_scale.json", Exp_scale.run);
-    ("scale-smoke", "E-scale smoke variant (CI gate, no file output)", Exp_scale.run_smoke);
-    ("traffic", "E-traffic: heavy traffic, adaptive balancing vs static -> BENCH_traffic.json", Exp_traffic.run);
-    ("traffic-smoke", "E-traffic smoke variant (CI gate, no file output)", Exp_traffic.run_smoke);
     ("rank", "E-rank: ranking/similarity, P-Grid vs Chord head-to-head -> BENCH_rank.json", Exp_rank.run);
-    ("rank-smoke", "E-rank smoke variant (CI gate, no file output)", Exp_rank.run_smoke);
-    ("store", "E-store: storage-backend shootout, hash vs log vs packed -> BENCH_store.json", Exp_store.run);
-    ("store-smoke", "E-store smoke variant (CI gate, no file output)", Exp_store.run_smoke);
     ("micro", "Bechamel microbenchmarks", Micro.run);
   ]
 

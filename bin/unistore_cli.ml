@@ -36,19 +36,17 @@ let latency_t =
   Arg.(value & opt enumc Latency.Lan & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model: $(b,lan) or $(b,planetlab).")
 
 let backend_t =
-  let enumc = Arg.enum [ ("hash", `Hash); ("log", `Log); ("packed", `Packed) ] in
+  let enumc = Arg.enum [ ("hash", `Hash); ("log", `Log) ] in
   Arg.(value & opt enumc `Hash
        & info [ "backend" ] ~docv:"KIND"
            ~doc:"Per-peer storage backend (P-Grid only): $(b,hash) (in-memory ordered map, \
-                 the default), $(b,log) (file-backed log-structured, one append-only file \
-                 per peer under a temp directory, crash-restart capable) or $(b,packed) \
-                 (dictionary-compressed in-memory).")
+                 the default) or $(b,log) (file-backed log-structured, one append-only \
+                 file per peer under a temp directory, crash-restart capable).")
 
 (* [log] keeps one append-only file per peer; key the directory by seed
    so two concurrent invocations don't replay each other's segments. *)
 let resolve_backend ~seed = function
   | `Hash -> Unistore_pgrid.Store_intf.Hash
-  | `Packed -> Unistore_pgrid.Store_intf.Packed
   | `Log ->
     let dir =
       Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "unistore-log-%d" seed)

@@ -67,9 +67,8 @@ type config = {
   cache : cache_config;
   store : Unistore_pgrid.Store_intf.backend;
       (** per-peer storage backend (P-Grid only; the Chord baseline
-          ignores it): [Hash] (default), [Packed] (dictionary-
-          compressed), or [Log { dir }] (file-backed, crash-restart
-          capable — see {!Unistore_pgrid.Overlay.crash}) *)
+          ignores it): [Hash] (default) or [Log { dir }] (file-backed,
+          crash-restart capable — see {!Unistore_pgrid.Overlay.crash}) *)
 }
 
 val default_config : config
@@ -246,7 +245,7 @@ val reset_metrics : t -> unit
 val refresh_store_gauges : t -> unit
 
 (** The registry as an indented JSON document (the machine-readable
-    export; [BENCH_core.json] is built from these). *)
+    export the CLI's [--metrics] flag prints). *)
 val metrics_json : t -> string
 
 (** [profile ?query report] is the per-operator execution profile of a

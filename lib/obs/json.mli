@@ -3,8 +3,8 @@
     The paper's platform makes results "traceable, analyzable and (in
     limits) repeatable" (§3); analyzable means machine-readable. This is
     the export format of the observability layer — {!Metrics.to_json},
-    {!Profile.to_json}, and the benchmark baseline [BENCH_core.json] all
-    produce values of this type. Implemented from scratch (no external
+    {!Profile.to_json} and the benchmark's [--json] output all produce
+    values of this type. Implemented from scratch (no external
     dependency): an encoder that always emits valid JSON (non-finite
     floats become [null]) and a small recursive-descent decoder used for
     round-trip tests and ad-hoc tooling.

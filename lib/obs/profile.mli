@@ -6,7 +6,7 @@
     chosen access path, the peer that carried it — the rows flowing in
     and out, the network messages it issued, and the simulated time it
     took. {!Unistore_qproc.Engine} builds one from every execution
-    report; the CLI's [--profile] flag and [BENCH_core.json] render it.
+    report; the CLI's [--profile] flag renders it.
 
     Invariants: [ops] are in execution order; [messages]/[latency_ms]
     at the top level are end-to-end totals (they include routing and

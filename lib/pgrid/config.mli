@@ -55,7 +55,7 @@ type t = {
   hot_max_boosts : int;  (** boost replicas allowed per hot region *)
   store_backend : Store_intf.backend;
       (** per-peer store implementation (see {!Store}): [Hash] (default)
-          and [Packed] are in-memory; [Log { dir }] persists each peer's
+          is in-memory; [Log { dir }] persists each peer's
           store as an append-only file under [dir], enabling
           crash-restart with log replay ({!Overlay.crash}) *)
 }

@@ -108,7 +108,7 @@ val crash : t -> ?keep_frac:float -> int -> int
     (deterministic memory-model estimate), [store.items] and
     [store.log_bytes] — into the attached metrics registry (no-op
     without one). The same counters the storage tests assert on, so
-    BENCH_store.json numbers and test expectations share one source. *)
+    reported numbers and test expectations share one source. *)
 val refresh_store_gauges : t -> unit
 
 (** Peers currently holding an unflushed in-network aggregation buffer

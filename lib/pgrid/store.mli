@@ -7,12 +7,12 @@
     triples with the same attribute/value); versions give last-writer-wins
     semantics for the update/replication protocol.
 
-    Three backends implement the same {!Store_intf.S} contract (scans in
+    Two backends implement the same {!Store_intf.S} contract (scans in
     ascending key order, newest-first within a key — see the ordering
-    contract in {!Store_intf}): [Hash] (the default ordered-map store),
-    [Log] (file-backed log-structured, survives {!crash_restart}) and
-    [Packed] (dictionary-compressed in-memory). test/test_store.ml
-    replays all three differentially against a reference model. *)
+    contract in {!Store_intf}): [Hash] (the default ordered-map store)
+    and [Log] (file-backed log-structured, survives {!crash_restart}).
+    test/test_store.ml replays both differentially against a reference
+    model. *)
 
 type item = Store_intf.item = {
   key : string;  (** full order-preserving encoding; routing uses its prefix *)
@@ -25,9 +25,9 @@ type item = Store_intf.item = {
     item count. Comparable across backends; not a GC measurement. *)
 type stats = Store_intf.stats = { bytes : int; triples : int }
 
-type backend = Store_intf.backend = Hash | Log of { dir : string } | Packed
+type backend = Store_intf.backend = Hash | Log of { dir : string }
 
-(** ["hash"], ["log"] or ["packed"]. *)
+(** ["hash"] or ["log"]. *)
 val backend_label : backend -> string
 
 val pp_item : Format.formatter -> item -> unit
@@ -93,8 +93,8 @@ val clear : t -> unit
 (** Memory-model estimate for this store's current contents. *)
 val stats : t -> stats
 
-(** Simulate a crash followed by a restart. In-memory backends come
-    back empty (return [0]); the log backend replays its file and
+(** Simulate a crash followed by a restart. The hash backend comes
+    back empty (returns [0]); the log backend replays its file and
     returns the number of recovered items. [keep_frac] (log only)
     first truncates the log to that fraction of its bytes — the "torn
     tail" a real crash leaves when buffered writes never hit the disk;
@@ -102,11 +102,11 @@ val stats : t -> stats
     fully contained in the surviving prefix. *)
 val crash_restart : ?keep_frac:float -> t -> int
 
-(** The log backend's segment path ([None] for in-memory backends). *)
+(** The log backend's segment path ([None] for the hash backend). *)
 val log_path : t -> string option
 
-(** Logical size of the log file in bytes (0 for in-memory backends). *)
+(** Logical size of the log file in bytes (0 for the hash backend). *)
 val log_bytes : t -> int
 
-(** Flush buffered log appends to the OS (no-op for in-memory backends). *)
+(** Flush buffered log appends to the OS (no-op for the hash backend). *)
 val sync : t -> unit

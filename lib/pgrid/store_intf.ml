@@ -2,8 +2,8 @@
    implementation (ROADMAP item 3).
 
    The overlay, the repair/anti-entropy machinery and the triple layer
-   above all talk to {!Store}, which dispatches to one of three
-   backends implementing this signature:
+   above all talk to {!Store}, which dispatches to one of two backends
+   implementing this signature:
 
    - {!Backend_hash}: the ordered-map store — the default, and the
      reference implementation the differential test harness replays
@@ -14,13 +14,7 @@
    - {!Backend_log}: a file-backed log-structured store (append-only
      records + the hash store as its in-memory index). Survives
      crash-restart: a revived peer replays its log and lets
-     anti-entropy/{!Repair} reconcile whatever a torn tail lost;
-   - {!Backend_packed}: a compressed in-memory store — repeated index
-     keys dictionary-encoded into a shared byte arena, items flattened
-     into int columns over raw arena spans, with a sorted slot index
-     for binary-searched prefix/range lookups, after "Compressed
-     Vertical Partitioning for Full-In-Memory RDF Management"
-     (PAPERS.md); hot keys use the same {!Id_filter} guard on insert.
+     anti-entropy/{!Repair} reconcile whatever a torn tail lost.
 
    Ordering contract (load-bearing — see the differential suite in
    test/test_store.ml): every scan (find/range/with_prefix/iter/
@@ -37,8 +31,8 @@
 
 type item = { key : string; item_id : string; payload : string; version : int }
 
-(* Memory accounting, from the same model the tests and BENCH_store.json
-   check: [bytes] estimates the resident heap cost of the stored items
+(* Memory accounting, from the same model the tests and the
+   benchmark's [store.model_bytes_per_item] check: [bytes] estimates the resident heap cost of the stored items
    (records, string headers and padding, container overhead, hot-key id
    filters — not GC-measured, so it is deterministic and comparable
    across backends); [triples] counts live items. *)
@@ -48,12 +42,9 @@ type stats = { bytes : int; triples : int }
    [--backend] through {!Config.t.store_backend} down to
    {!Node.create}. [Log] stores each peer's segments as one append-only
    file under [dir] (created on demand). *)
-type backend = Hash | Log of { dir : string } | Packed
+type backend = Hash | Log of { dir : string }
 
-let backend_label = function
-  | Hash -> "hash"
-  | Log _ -> "log"
-  | Packed -> "packed"
+let backend_label = function Hash -> "hash" | Log _ -> "log"
 
 (* Heap bytes of one immutable string: header word + data padded to a
    whole word with at least one terminator byte. *)

@@ -569,6 +569,66 @@ let test_no_cache_config_disables_everything () =
   check Alcotest.int "no shortcut hits" 0 (Metrics.counter m "cache.shortcut.hit")
 
 (* ------------------------------------------------------------------ *)
+(* Facade: the caches engage and pay for themselves *)
+
+(* Two identical 32-peer deployments, caching off and on, run the same
+   two phases: 150 skewed lookups from four clients (routing
+   shortcuts), then three rounds of the planner queries from one origin
+   (result caches). The cached arm must hit both caches and cut mean
+   hops, lookup messages or query messages by at least 5%. *)
+let test_caching_pays_off () =
+  let module Dht = Unistore_triple.Dht in
+  let module Histogram = Unistore_obs.Histogram in
+  let arm ~cached =
+    let cache = if cached then Unistore.default_cache_config else Unistore.no_cache in
+    let store, ds = make_store ~peers:32 ~cache () in
+    let m = Unistore.metrics store in
+    if cached then
+      for _ = 1 to 4 do
+        Unistore.gossip_stats_round store
+      done;
+    Metrics.clear m;
+    (* Skewed popularity: index ~ n * u^3 concentrates most draws on
+       the first few triples, like repeated point queries for hot
+       items. *)
+    let rng = Rng.create 4242 in
+    let triples = Array.of_list ds.Publications.triples in
+    let clients = [| 1; 9; 17; 25 |] in
+    let dht = Unistore.dht store in
+    for _ = 1 to 150 do
+      let tr = triples.(int_of_float (float_of_int (Array.length triples) *. (Rng.float rng ** 3.0))) in
+      let origin = clients.(Rng.int rng (Array.length clients)) in
+      let key = Keys.attr_value_key tr.Triple.attr tr.Triple.value in
+      ignore (await dht.Dht.sim (fun k -> dht.Dht.lookup ~origin ~key ~k))
+    done;
+    let hops = Histogram.mean (Metrics.histogram m "overlay.lookup.hops") in
+    let lookup_msgs = Metrics.counter m "net.sent" in
+    let shortcut_hits = Metrics.counter m "cache.shortcut.hit" in
+    Metrics.clear m;
+    for _ = 1 to 3 do
+      List.iter
+        (fun src ->
+          match Unistore.query store ~origin:3 src with
+          | Ok r -> Alcotest.(check bool) ("complete: " ^ src) true r.Unistore.Report.complete
+          | Error e -> Alcotest.failf "query failed: %s" e)
+        plan_queries
+    done;
+    let query_msgs = Metrics.counter m "net.sent" in
+    (hops, float_of_int lookup_msgs, float_of_int query_msgs, shortcut_hits,
+     Metrics.counter m "cache.result.hit")
+  in
+  let u_hops, u_lookup, u_query, _, _ = arm ~cached:false in
+  let c_hops, c_lookup, c_query, shortcut_hits, result_hits = arm ~cached:true in
+  Alcotest.(check bool) "shortcut hits" true (shortcut_hits > 0);
+  Alcotest.(check bool) "result-cache hits" true (result_hits > 0);
+  let cut uncached cached = uncached > 0.0 && (uncached -. cached) /. uncached >= 0.05 in
+  if not (cut u_hops c_hops || cut u_lookup c_lookup || cut u_query c_query) then
+    Alcotest.failf
+      "caching cut nothing by 5%%: hops %.2f -> %.2f, lookup msgs %.0f -> %.0f, query msgs %.0f \
+       -> %.0f"
+      u_hops c_hops u_lookup c_lookup u_query c_query
+
+(* ------------------------------------------------------------------ *)
 (* Engine: mutant downgrade is observable *)
 
 let test_mutant_downgrade_counted () =
@@ -685,7 +745,6 @@ let generation_contract label backend =
 
 let test_store_generation_contract () =
   generation_contract "hash" Store.Hash;
-  generation_contract "packed" Store.Packed;
   with_log_dir "contract" (fun dir -> generation_contract "log" (Store.Log { dir }));
   (* A log replay rebuilds the backend's index from the file: the
      facade's generation must keep rising across it, torn tail or not. *)
@@ -914,6 +973,7 @@ let () =
           Alcotest.test_case "caches are per-origin" `Quick test_result_caches_are_per_origin;
           Alcotest.test_case "no_cache disables everything" `Quick
             test_no_cache_config_disables_everything;
+          Alcotest.test_case "caching pays off" `Quick test_caching_pays_off;
         ] );
       ( "engine",
         [ Alcotest.test_case "mutant downgrade counted" `Quick test_mutant_downgrade_counted ] );

@@ -451,6 +451,69 @@ let test_rank_paths_agree_across_overlays () =
   check Alcotest.(list string) "substring: pgrid = brute force" sub_reference (containing pgrid);
   check Alcotest.(list string) "substring: chord = brute force" sub_reference (containing chord)
 
+(* P-Grid's budgeted top-N traversal and leaf-local skyline pushdown
+   must pay off against Chord, which has neither and ships the whole
+   region to the origin: on 192 tuples over 48 peers, strictly fewer
+   bytes sent for both operators, rows dropped at the leaves, and the
+   same rows on both overlays. Caching is off so every query really
+   runs. *)
+let test_pgrid_ships_fewer_ranking_bytes () =
+  let module Keys = Unistore_triple.Keys in
+  let module Metrics = Unistore_obs.Metrics in
+  let tuples =
+    List.init 192 (fun r ->
+        ( Printf.sprintf "o%05d" r,
+          [
+            ("score", Value.I (r * 7919 mod 10007));
+            ("x", Value.I (((r * 104729) + 13) mod 997));
+            ("y", Value.I (((r * 15485863) + 7) mod 983));
+          ] ))
+  in
+  let sample_keys =
+    List.concat_map
+      (fun (oid, attrs) ->
+        Keys.oid_key oid
+        :: List.concat_map (fun (a, v) -> [ Keys.attr_value_key a v; Keys.value_key v ]) attrs)
+      tuples
+  in
+  let run overlay =
+    let store =
+      Unistore.create ~sample_keys
+        { Unistore.default_config with peers = 48; seed = 42; overlay; cache = Unistore.no_cache }
+    in
+    ignore (Unistore.load store tuples);
+    Unistore.settle store;
+    let m = Unistore.metrics store in
+    let phase vql origins =
+      Metrics.clear m;
+      let rows =
+        List.concat_map
+          (fun origin ->
+            match Unistore.query store ~origin vql with
+            | Ok r ->
+              Alcotest.(check bool) "complete" true r.Engine.complete;
+              fingerprints r.Engine.rows
+            | Error e -> Alcotest.fail e)
+          origins
+      in
+      (Metrics.counter m "net.bytes.sent", rows)
+    in
+    let topn = phase "SELECT ?s,?v WHERE { (?s,'score',?v) } ORDER BY ?v ASC LIMIT 10" [ 3; 17; 29 ] in
+    let skyline =
+      phase
+        "SELECT ?s,?x,?y WHERE { (?s,'x',?x) (?s,'y',?y) } ORDER BY SKYLINE OF ?x MIN, ?y MAX"
+        [ 5; 23 ]
+    in
+    (topn, skyline, Metrics.counter m "probe.reduce.bytes.saved")
+  in
+  let (p_topn, p_topn_rows), (p_sky, p_sky_rows), p_saved = run Unistore.Pgrid in
+  let (c_topn, c_topn_rows), (c_sky, c_sky_rows), _ = run Unistore.Chord_trie in
+  if p_topn >= c_topn then Alcotest.failf "top-N: pgrid sent %d bytes, chord %d" p_topn c_topn;
+  if p_sky >= c_sky then Alcotest.failf "skyline: pgrid sent %d bytes, chord %d" p_sky c_sky;
+  Alcotest.(check bool) "skyline pushdown dropped rows at the leaves" true (p_saved > 0);
+  check Alcotest.(list string) "top-N: pgrid = chord" c_topn_rows p_topn_rows;
+  check Alcotest.(list string) "skyline: pgrid = chord" c_sky_rows p_sky_rows
+
 let test_strategies_agree () =
   let store, ds = make_store () in
   let src =
@@ -784,6 +847,8 @@ let () =
           Alcotest.test_case "interleaved queries" `Quick test_interleaved_queries;
           Alcotest.test_case "rank paths agree across overlays" `Quick
             test_rank_paths_agree_across_overlays;
+          Alcotest.test_case "P-Grid ships fewer ranking bytes than Chord" `Quick
+            test_pgrid_ships_fewer_ranking_bytes;
         ] );
       ( "features",
         [

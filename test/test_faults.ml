@@ -173,8 +173,11 @@ let recall ~reference rows =
   float_of_int matched /. float_of_int total
 
 let test_churn_recall () =
-  (* Reference: the same deployment and workload with no faults. *)
+  (* Reference: the same deployment and workload with no faults. It
+     must stay fault-free end to end, so the retry machinery costs
+     nothing when nothing fails. *)
   let store = deploy_pubs () in
+  Unistore.reset_metrics store;
   let reference =
     List.concat_map
       (fun _ ->
@@ -188,6 +191,11 @@ let test_churn_recall () =
           workload)
       [ 1; 2 ]
   in
+  List.iter
+    (fun counter ->
+      Alcotest.(check int) ("fault-free reference: " ^ counter) 0
+        (Metrics.counter (Unistore.metrics store) counter))
+    [ "retry.attempt"; "retry.giveup"; "fault.partial" ];
   let rows, retries = churned_rows () in
   let r = recall ~reference rows in
   Alcotest.(check bool) (Printf.sprintf "churn forced retries (%d)" retries) true (retries > 0);

@@ -1,10 +1,12 @@
 (* Scale-kernel regression tests: the invariants the flat-array
-   simulator rebuild must preserve. Four concerns:
+   simulator rebuild must preserve. Five concerns:
 
    - scheduler ordering and FIFO stability (the determinism bedrock),
    - peer-arena id reuse across kill/revive churn vs a reference model,
    - packed Bitkey encode/decode agrees with the old string encoding,
-   - same seed => byte-identical trace at 10k peers under churn.
+   - same seed => byte-identical trace at 10k peers under churn,
+   - every operation of an insert+lookup storm completes at 1k and 10k
+     peers.
 
    See DESIGN.md, "Simulator kernel internals", for why each invariant
    matters. *)
@@ -250,6 +252,33 @@ let test_determinism_10k () =
   check Alcotest.int "same trace length" (String.length trace1) (String.length trace2);
   Alcotest.(check bool) "byte-identical trace" true (String.equal trace1 trace2)
 
+(* ------------------------------------------------------------------ *)
+(* Completion at scale: on a balanced overlay of [n] peers, issue every
+   insert of a uniform-key storm up front and drain, then the same for
+   lookups; every operation must call back. No clock is read. *)
+
+let test_storm_completes n () =
+  let sim = Sim.create () in
+  let rng = Rng.create (9000 + n) in
+  let latency = Latency.create Latency.Lan ~n ~rng in
+  let ov = Build.oracle sim ~latency ~rng ~config:Config.default ~n ~sample_keys:[] ~balanced:true () in
+  let ops = min 20_000 (max 1_000 n) in
+  let wrng = Rng.create (77 + n) in
+  let keys = Array.init ops (fun _ -> String.init 8 (fun _ -> Char.chr (Rng.int wrng 256))) in
+  let completed = ref 0 in
+  Array.iteri
+    (fun i key ->
+      Overlay.insert ov ~origin:(Rng.int wrng n) ~key ~item_id:(string_of_int i) ~payload:"x"
+        ~k:(fun _ -> incr completed)
+        ())
+    keys;
+  Sim.run_all sim;
+  Array.iter
+    (fun key -> Overlay.lookup ov ~origin:(Rng.int wrng n) ~key ~k:(fun _ -> incr completed))
+    keys;
+  Sim.run_all sim;
+  check Alcotest.int (Printf.sprintf "operations completed at %d peers" n) (2 * ops) !completed
+
 let () =
   Alcotest.run "unistore_scale"
     [
@@ -265,4 +294,10 @@ let () =
         [ prop_bitkey_roundtrip; prop_bitkey_compare_matches_strings; prop_bitkey_ops_match_strings ]
       );
       ("determinism", [ Alcotest.test_case "10k peers, same seed, same trace" `Quick test_determinism_10k ]);
+      ( "completion",
+        [
+          Alcotest.test_case "every operation completes at 1k peers" `Quick (test_storm_completes 1_000);
+          Alcotest.test_case "every operation completes at 10k peers" `Quick
+            (test_storm_completes 10_000);
+        ] );
     ]

@@ -1,12 +1,11 @@
 (* Differential tests for the pluggable storage backends (Store_intf):
-   every observable operation replayed against all three backends —
-   hash (the reference), log (file-backed, crash-restart capable) and
-   packed (dictionary-compressed) — plus an independent sorted-list
-   model, asserting identical observable state after every batch. Also
-   covers the log backend's torn-tail crash-restart machinery, the
-   overlay-level crash/repair/anti-entropy recovery path, the packed
-   backend's compression accounting, and same-seed determinism with
-   the log backend enabled. *)
+   every observable operation replayed against both backends — hash
+   (the reference) and log (file-backed, crash-restart capable) — plus
+   an independent sorted-list model, asserting identical observable
+   state after every batch. Also covers the log backend's torn-tail
+   crash-restart machinery, the overlay-level crash/repair/anti-entropy
+   recovery path, the store gauges, and same-seed determinism with the
+   log backend enabled. *)
 
 open Unistore_util
 module Sim = Unistore_sim.Sim
@@ -188,7 +187,6 @@ let make_backends dir name =
   [
     ("hash", Store.create ());
     ("log", Store.create ~backend:(Store.Log { dir }) ~name ());
-    ("packed", Store.create ~backend:Store.Packed ());
   ]
 
 let check_against_model ~ctx backends model probes =
@@ -280,8 +278,8 @@ let run_random_trace ~seed ~batches ~batch_len () =
    hold more than six items under a key. Phases: a fill with LWW races,
    stale versions and remove-then-reinsert; a partition handover that
    drops the lowest key (and its filter) followed by a refill; a clear
-   and a reuse. Observations after every batch compare all three
-   backends against the model. *)
+   and a reuse. Observations after every batch compare both backends
+   against the model. *)
 let run_hot_key_trace ~seed () =
   with_log_dir (Printf.sprintf "hot%d" seed) (fun dir ->
       let rng = Rng.create seed in
@@ -385,11 +383,10 @@ let test_linearity_guard () =
         [
           ("hash", fun _ -> Store.create ());
           ("log", fun name -> Store.create ~backend:(Store.Log { dir }) ~name ());
-          ("packed", fun _ -> Store.create ~backend:Store.Packed ());
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Named differential edge cases (each runs on all three backends)     *)
+(* Named differential edge cases (each runs on both backends)          *)
 
 let with_backends name f =
   with_log_dir name (fun dir -> List.iter (fun (label, s) -> f label s) (make_backends dir name))
@@ -600,80 +597,47 @@ let test_log_total_loss () =
       check Alcotest.bool "still writable" true (Store.put s (item "k" "id" "p")))
 
 (* ------------------------------------------------------------------ *)
-(* Packed backend: compression accounting                              *)
+(* Store gauges                                                        *)
 
-(* 100k triples with Zipf-repeated index keys (duplicate (attr,value)
-   pairs), unique ids and payloads — the shape the packed layout is
-   built for. Same items into hash and packed; packed must account
-   strictly fewer bytes. *)
-let test_packed_compression_100k () =
-  let n = 100_000 in
-  let rng = Rng.create 7 in
-  let z = Zipf.create ~n:5_000 ~s:1.1 in
-  let hash = Store.create () in
-  let packed = Store.create ~backend:Store.Packed () in
-  for i = 0 to n - 1 do
-    let rank = Zipf.sample z rng in
-    let it =
-      item
-        (Printf.sprintf "pubs#value#%05d" rank)
-        (Printf.sprintf "oid%06d" i)
-        (Printf.sprintf "{\"oid\":%d,\"attr\":\"value\",\"rank\":%d}" i rank)
-    in
-    ignore (Store.put hash it);
-    ignore (Store.put packed it)
-  done;
-  let sh = Store.stats hash and sp = Store.stats packed in
-  check Alcotest.int "hash holds all triples" n sh.Store.triples;
-  check Alcotest.int "packed holds all triples" n sp.Store.triples;
-  Printf.printf "bytes/triple: hash=%.1f packed=%.1f\n%!"
-    (float_of_int sh.Store.bytes /. float_of_int n)
-    (float_of_int sp.Store.bytes /. float_of_int n);
-  check Alcotest.bool
-    (Printf.sprintf "packed (%d) strictly below hash (%d)" sp.Store.bytes sh.Store.bytes)
-    true
-    (sp.Store.bytes < sh.Store.bytes);
-  (* And the stores still agree observably at this scale. *)
-  check Alcotest.int "same size" (Store.size hash) (Store.size packed);
-  let probe = "pubs#value#00001" in
-  check Alcotest.string "hot key agrees" (items_str (Store.find hash probe))
-    (items_str (Store.find packed probe))
-
-(* The store.bytes gauge must be the same number Store.stats reports —
-   the compression tests and BENCH_store.json then share one counter. *)
+(* The store.bytes gauge must be the same number Store.stats reports,
+   on a non-default backend the config has to carry down to every
+   node. *)
 let test_store_bytes_gauge () =
-  let sim = Sim.create () in
-  let rng = Rng.create 5 in
-  let n = 8 in
-  let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
-  let config = { Config.default with Config.store_backend = Unistore_pgrid.Store_intf.Packed } in
-  let ov = Build.oracle sim ~latency ~rng ~config ~n ~sample_keys:[] ~balanced:false () in
-  let m = Metrics.create () in
-  Overlay.set_metrics ov (Some m);
-  for i = 0 to 49 do
-    let r =
-      await (Overlay.sim ov) (fun k ->
-          Overlay.insert ov ~origin:(i mod n) ~key:(Printf.sprintf "g#%02d" (i mod 13)) ~item_id:(Printf.sprintf "id%d" i) ~payload:"payload" ~k ())
-    in
-    check Alcotest.bool "insert ok" true r.Overlay.complete
-  done;
-  Overlay.refresh_store_gauges ov;
-  let expected_bytes = ref 0 and expected_items = ref 0 in
-  for id = 0 to n - 1 do
-    let node = Overlay.node ov id in
-    check Alcotest.string "node runs the packed backend" "packed"
-      (Store.backend_label (Store.kind node.Node.store));
-    let s = Store.stats node.Node.store in
-    expected_bytes := !expected_bytes + s.Store.bytes;
-    expected_items := !expected_items + s.Store.triples
-  done;
-  check Alcotest.bool "items were stored" true (!expected_items > 0);
-  check (Alcotest.option (Alcotest.float 0.5)) "store.bytes = sum of Store.stats"
-    (Some (float_of_int !expected_bytes))
-    (Metrics.gauge m "store.bytes");
-  check (Alcotest.option (Alcotest.float 0.5)) "store.items = sum of Store.stats"
-    (Some (float_of_int !expected_items))
-    (Metrics.gauge m "store.items")
+  with_log_dir "gauges" (fun dir ->
+      let sim = Sim.create () in
+      let rng = Rng.create 5 in
+      let n = 8 in
+      let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
+      let config =
+        { Config.default with Config.store_backend = Unistore_pgrid.Store_intf.Log { dir } }
+      in
+      let ov = Build.oracle sim ~latency ~rng ~config ~n ~sample_keys:[] ~balanced:false () in
+      let m = Metrics.create () in
+      Overlay.set_metrics ov (Some m);
+      for i = 0 to 49 do
+        let r =
+          await (Overlay.sim ov) (fun k ->
+              Overlay.insert ov ~origin:(i mod n) ~key:(Printf.sprintf "g#%02d" (i mod 13)) ~item_id:(Printf.sprintf "id%d" i) ~payload:"payload" ~k ())
+        in
+        check Alcotest.bool "insert ok" true r.Overlay.complete
+      done;
+      Overlay.refresh_store_gauges ov;
+      let expected_bytes = ref 0 and expected_items = ref 0 in
+      for id = 0 to n - 1 do
+        let node = Overlay.node ov id in
+        check Alcotest.string "node runs the log backend" "log"
+          (Store.backend_label (Store.kind node.Node.store));
+        let s = Store.stats node.Node.store in
+        expected_bytes := !expected_bytes + s.Store.bytes;
+        expected_items := !expected_items + s.Store.triples
+      done;
+      check Alcotest.bool "items were stored" true (!expected_items > 0);
+      check (Alcotest.option (Alcotest.float 0.5)) "store.bytes = sum of Store.stats"
+        (Some (float_of_int !expected_bytes))
+        (Metrics.gauge m "store.bytes");
+      check (Alcotest.option (Alcotest.float 0.5)) "store.items = sum of Store.stats"
+        (Some (float_of_int !expected_items))
+        (Metrics.gauge m "store.items"))
 
 (* ------------------------------------------------------------------ *)
 (* Overlay crash-restart: torn log tail, then repair + anti-entropy    *)
@@ -838,11 +802,7 @@ let () =
           Alcotest.test_case "torn tail at and inside record boundaries" `Quick test_log_torn_tail;
           Alcotest.test_case "total log loss" `Quick test_log_total_loss;
         ] );
-      ( "packed",
-        [
-          Alcotest.test_case "100k-triple Zipf compression" `Slow test_packed_compression_100k;
-          Alcotest.test_case "store.bytes gauge wiring" `Quick test_store_bytes_gauge;
-        ] );
+      ("gauges", [ Alcotest.test_case "store.bytes gauge wiring" `Quick test_store_bytes_gauge ]);
       ( "crash-restart",
         [
           Alcotest.test_case "torn log + repair + anti-entropy recall 1.0" `Quick

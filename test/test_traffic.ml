@@ -306,15 +306,16 @@ let test_engine_windowed_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Facade: byte-identical traffic replay, with and without faults      *)
 
-let build_store () =
+let build_store ?(peers = 32) ?(authors = 12) () =
   let rng = Rng.create 43 in
   let ds =
-    Publications.generate rng { Publications.default_params with n_authors = 12; typo_rate = 0.1 }
+    Publications.generate rng
+      { Publications.default_params with n_authors = authors; typo_rate = 0.1 }
   in
   let store =
     Unistore.create
       ~sample_keys:(Publications.sample_keys ds)
-      { Unistore.default_config with peers = 32; seed = 42 }
+      { Unistore.default_config with peers; seed = 42 }
   in
   ignore (Unistore.load store ds.Publications.tuples);
   Unistore.set_stats_of_triples store ds.Publications.triples;
@@ -368,6 +369,43 @@ let test_replay_with_faults () =
      streams, so a faulted traffic run replays byte-for-byte. *)
   check_replay ~faults:true ()
 
+(* ------------------------------------------------------------------ *)
+(* Facade: adaptive balancing vs the static baseline                   *)
+
+(* One flash crowd against two identical 64-peer deployments that
+   differ only in the balancing config. Every peer runs the
+   service-queue model, so the static arm piles a backlog onto the hot
+   region's owner and answers late; the adaptive arm spreads the region
+   over boost replicas. Balancing may change performance, never
+   answers. *)
+let test_adaptive_beats_static () =
+  let cfg =
+    {
+      Unistore.default_traffic_config with
+      Unistore.traffic_duration_ms = 16_000.0;
+      traffic_warmup_ms = 2_000.0;
+    }
+  in
+  let arm balance =
+    let store, keys = build_store ~peers:64 ~authors:20 () in
+    Unistore.reset_metrics store;
+    Unistore.run_traffic store ~keys { cfg with Unistore.balance }
+  in
+  let adaptive = arm Unistore.default_balance_config in
+  let static = arm Unistore.no_balancing in
+  let a = adaptive.Unistore.engine and s = static.Unistore.engine in
+  Alcotest.(check string) "both arms return the same answers" static.Unistore.results_digest
+    adaptive.Unistore.results_digest;
+  Alcotest.(check int) "adaptive: no give-ups" 0 a.Unistore.Traffic.giveups;
+  Alcotest.(check int) "static: no give-ups" 0 s.Unistore.Traffic.giveups;
+  if a.throughput_qps <= s.throughput_qps then
+    Alcotest.failf "adaptive throughput %.1f qps not above static %.1f qps" a.throughput_qps
+      s.throughput_qps;
+  if a.lat_p99_ms >= s.lat_p99_ms then
+    Alcotest.failf "adaptive p99 %.1f ms not below static %.1f ms" a.lat_p99_ms s.lat_p99_ms;
+  Alcotest.(check bool) "the balancer spawned a boost" true (adaptive.Unistore.boosts_spawned > 0);
+  Alcotest.(check bool) "a boost replica served a lookup" true (adaptive.Unistore.hot_serves > 0)
+
 let () =
   Alcotest.run "traffic"
     [
@@ -403,4 +441,7 @@ let () =
           Alcotest.test_case "byte-identical, fault-free" `Quick test_replay_fault_free;
           Alcotest.test_case "byte-identical, faults active" `Quick test_replay_with_faults;
         ] );
+      ( "balancing",
+        [ Alcotest.test_case "adaptive beats static under a flash crowd" `Quick test_adaptive_beats_static ]
+      );
     ]
