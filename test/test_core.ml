@@ -392,6 +392,114 @@ let test_interleaved_queries () =
   Alcotest.(check bool) "trace recorded" true (String.length trace1 > 0);
   check Alcotest.string "same seed, byte-identical trace" trace1 trace2
 
+(* ------------------------------------------------------------------ *)
+(* Golden row order: the ordered fingerprint list of each query_mix
+   shape (plus the skyline's unranked join), under both strategies,
+   uncached and again from the result cache. The executor's join, dedup
+   and ranking internals may change; the rows and their order may not.
+   Each entry is (row count, MD5 of the newline-joined ordered
+   fingerprints). *)
+
+let golden_shapes (ds : Publications.dataset) =
+  let first attr =
+    List.find_map
+      (fun (tr : Triple.t) ->
+        if String.equal tr.Triple.attr attr then Some tr.Triple.value else None)
+      ds.Publications.triples
+    |> Option.get
+  in
+  let str v = Option.get (Value.as_string v) and int v = Option.get (Value.as_int v) in
+  let name = str (first "name") and year = int (first "year") in
+  [
+    ("point", Printf.sprintf "SELECT ?a,?age WHERE { (?a,'name','%s') (?a,'age',?age) }" name);
+    ( "range",
+      Printf.sprintf "SELECT ?p,?y WHERE { (?p,'year',?y) FILTER ?y >= %d AND ?y <= %d }" year
+        (year + 2) );
+    ( "join",
+      Printf.sprintf
+        "SELECT ?name,?title WHERE { (?a,'age',%d) (?a,'name',?name) (?a,'has_published',?title) }"
+        (int (first "age")) );
+    ("topn", "SELECT ?a,?v WHERE { (?a,'num_of_pubs',?v) } ORDER BY ?v DESC LIMIT 10");
+    ( "edist",
+      Printf.sprintf "SELECT ?a,?n WHERE { (?a,'name',?n) FILTER edist(?n,'%s') <= 2 }"
+        (String.sub name 0 (String.length name - 1)) );
+    ("skyline", paper_query);
+    ( "skyline_mutant",
+      "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) (?a,'num_of_pubs',?cnt) \
+       (?a,'has_published',?title) (?p,'title',?title) (?p,'published_in',?conf) \
+       (?c,'confname',?conf) (?c,'series',?sr) FILTER edist(?sr,'VLDB')<3 } ORDER BY SKYLINE OF \
+       ?age MIN, ?cnt MAX" );
+    (* The skyline's eight-way join before ranking reduces it. *)
+    ( "skyline_join",
+      "SELECT * WHERE {(?a,'name',?name) (?a,'age',?age) (?a,'num_of_pubs',?cnt) \
+       (?a,'has_published',?title) (?p,'title',?title) (?p,'published_in',?conf) \
+       (?c,'confname',?conf) (?c,'series',?sr) FILTER edist(?sr,'ICDE')<3 }" );
+  ]
+
+let golden_row_order =
+  [
+    ("point/centralized/cold", (1, "ba8400ae0b4f2151688e7ad8e1a25634"));
+    ("range/centralized/cold", (29, "d8a4a44178ffd455d80418c0b1358c36"));
+    ("join/centralized/cold", (4, "10174c0e47731cfcd127e71b8811b864"));
+    ("topn/centralized/cold", (10, "063f500041942e9c42a47c037d8ffba6"));
+    ("edist/centralized/cold", (1, "cc6cdaca41944a48b5719b63eadaf669"));
+    ("skyline/centralized/cold", (2, "59f3f58c332a233c11ad191e4e993321"));
+    ("skyline_mutant/centralized/cold", (1, "c36f2afc385d95fbf8d2ab89c2ef5fa8"));
+    ("skyline_join/centralized/cold", (12, "c49190fa00a6fd40475fadd21c14e8eb"));
+    ("point/mutant/cold", (1, "ba8400ae0b4f2151688e7ad8e1a25634"));
+    ("range/mutant/cold", (29, "d8a4a44178ffd455d80418c0b1358c36"));
+    ("join/mutant/cold", (4, "10174c0e47731cfcd127e71b8811b864"));
+    ("topn/mutant/cold", (10, "063f500041942e9c42a47c037d8ffba6"));
+    ("edist/mutant/cold", (1, "cc6cdaca41944a48b5719b63eadaf669"));
+    ("skyline/mutant/cold", (2, "e02354afbd11be2676743b3038e29019"));
+    ("skyline_mutant/mutant/cold", (1, "c36f2afc385d95fbf8d2ab89c2ef5fa8"));
+    ("skyline_join/mutant/cold", (12, "fb556298049df07794495cf894096b49"));
+    ("point/centralized/cached", (1, "ba8400ae0b4f2151688e7ad8e1a25634"));
+    ("range/centralized/cached", (29, "d8a4a44178ffd455d80418c0b1358c36"));
+    ("join/centralized/cached", (4, "10174c0e47731cfcd127e71b8811b864"));
+    ("topn/centralized/cached", (10, "063f500041942e9c42a47c037d8ffba6"));
+    ("edist/centralized/cached", (1, "cc6cdaca41944a48b5719b63eadaf669"));
+    ("skyline/centralized/cached", (2, "59f3f58c332a233c11ad191e4e993321"));
+    ("skyline_mutant/centralized/cached", (1, "c36f2afc385d95fbf8d2ab89c2ef5fa8"));
+    ("skyline_join/centralized/cached", (12, "c49190fa00a6fd40475fadd21c14e8eb"));
+    ("point/mutant/cached", (1, "ba8400ae0b4f2151688e7ad8e1a25634"));
+    ("range/mutant/cached", (29, "d8a4a44178ffd455d80418c0b1358c36"));
+    ("join/mutant/cached", (4, "10174c0e47731cfcd127e71b8811b864"));
+    ("topn/mutant/cached", (10, "063f500041942e9c42a47c037d8ffba6"));
+    ("edist/mutant/cached", (1, "cc6cdaca41944a48b5719b63eadaf669"));
+    ("skyline/mutant/cached", (2, "e02354afbd11be2676743b3038e29019"));
+    ("skyline_mutant/mutant/cached", (1, "c36f2afc385d95fbf8d2ab89c2ef5fa8"));
+    ("skyline_join/mutant/cached", (12, "fb556298049df07794495cf894096b49"));
+  ]
+
+let test_golden_row_order () =
+  let store, ds = make_store () in
+  let pass name =
+    List.concat_map
+      (fun (strategy, sname) ->
+        List.map
+          (fun (shape, src) ->
+            match Unistore.query store ~origin:3 ~strategy src with
+            | Error e -> Alcotest.failf "%s: %s" shape e
+            | Ok r ->
+              let fps = List.map Binding.fingerprint r.Engine.rows in
+              ( ( Printf.sprintf "%s/%s/%s" shape sname name,
+                  (List.length fps, Digest.to_hex (Digest.string (String.concat "\n" fps))) ),
+                r.Engine.messages ))
+          (golden_shapes ds))
+      [ (Unistore.Centralized, "centralized"); (Unistore.Mutant, "mutant") ]
+  in
+  let cold = pass "cold" in
+  let cached = pass "cached" in
+  let sent rs = List.fold_left (fun acc (_, m) -> acc + m) 0 rs in
+  if sent cached >= sent cold then
+    Alcotest.failf "second pass missed the result cache: %d >= %d messages" (sent cached) (sent cold);
+  List.iter2
+    (fun (k, expected) ((k', actual), _) ->
+      check Alcotest.string "entry" k k';
+      check Alcotest.(pair int string) k expected actual)
+    golden_row_order (cold @ cached)
+
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in
@@ -845,6 +953,7 @@ let () =
           Alcotest.test_case "skyline pushdown agrees" `Quick test_skyline_pushdown_agrees;
           Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;
           Alcotest.test_case "interleaved queries" `Quick test_interleaved_queries;
+          Alcotest.test_case "golden row order" `Quick test_golden_row_order;
           Alcotest.test_case "rank paths agree across overlays" `Quick
             test_rank_paths_agree_across_overlays;
           Alcotest.test_case "P-Grid ships fewer ranking bytes than Chord" `Quick
