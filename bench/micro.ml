@@ -16,12 +16,54 @@ module Binding = Unistore_qproc.Binding
 module Ranking = Unistore_qproc.Ranking
 module Ast = Unistore_vql.Ast
 module Store = Unistore_pgrid.Store
+module Request = Unistore_pgrid.Request
+module Tstore = Unistore_triple.Tstore
+module Exec = Unistore_qproc.Exec
 
 let paper_query =
   "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) \
    (?a,'num_of_pubs',?cnt) (?a,'has_published',?title) (?p,'title',?title) \
    (?p,'published_in',?conf) (?c,'confname',?conf) (?c,'series',?sr) \
    FILTER edist(?sr,'ICDE')<3 } ORDER BY SKYLINE OF ?age MIN, ?cnt MAX"
+
+(* The read path's kernels at the sizes of the paper's skyline query on
+   the query_mix deployment: a 726 x 1,266-row hash join on ?title, and
+   an 800-item range reply from three peers with every item held by two
+   replicas, to dedupe and then to decode. *)
+let join_sides () =
+  let schema = Binding.schema [ "a"; "p"; "title" ] in
+  let row binds =
+    List.fold_left
+      (fun b (v, x) -> Option.get (Binding.bind b v x))
+      (Binding.empty_of schema) binds
+  in
+  let title i = Value.S (Printf.sprintf "title of publication %d" i) in
+  let left =
+    List.init 726 (fun i -> row [ ("a", Value.S (Printf.sprintf "a%d" (i mod 200))); ("title", title i) ])
+  in
+  let right =
+    List.init 1266 (fun j -> row [ ("p", Value.S (Printf.sprintf "p%d" j)); ("title", title (j mod 726)) ])
+  in
+  (left, right)
+
+let reply_items () =
+  let items =
+    List.init 400 (fun i ->
+        let tr =
+          Triple.make ~oid:(Printf.sprintf "p%d" i) ~attr:"title"
+            (Value.S (Printf.sprintf "title of publication %d" (i / 2)))
+        in
+        {
+          Store.key = "A\000title\000" ^ Value.encode tr.Triple.value;
+          item_id = Triple.id tr;
+          payload = Triple.serialize tr;
+          version = 0;
+        })
+  in
+  (* Each of three peers answers its key-ordered share, and the overlay
+     prepends every hit reversed, as a shower's replies accumulate. *)
+  let share k = List.filteri (fun i _ -> i mod 3 = k) items in
+  List.concat_map (fun k -> List.rev (share k @ share k)) [ 0; 1; 2 ]
 
 let tests =
   let rng = Rng.create 7 in
@@ -35,6 +77,9 @@ let tests =
         Option.get (Binding.bind b "y" (Value.I (Rng.int rng 100))))
   in
   let goals = [ ("x", Ast.Min); ("y", Ast.Max) ] in
+  let left, right = join_sides () in
+  let reply = reply_items () in
+  let deduped = Request.dedupe_items reply in
   let store = Store.create () in
   List.iteri
     (fun idx w ->
@@ -53,6 +98,9 @@ let tests =
       Test.make ~name:"qgrams.extract" (Staged.stage (fun () -> Strdist.distinct_qgrams ~q:3 long_a));
       Test.make ~name:"vql.parse_paper_query" (Staged.stage (fun () -> Parser.parse paper_query));
       Test.make ~name:"skyline.1000rows" (Staged.stage (fun () -> Ranking.skyline goals skyline_rows));
+      Test.make ~name:"exec.hash_join.726x1266" (Staged.stage (fun () -> Exec.hash_join left right));
+      Test.make ~name:"request.dedupe_items.800" (Staged.stage (fun () -> Request.dedupe_items reply));
+      Test.make ~name:"tstore.decode_items.400" (Staged.stage (fun () -> Tstore.decode_items deduped));
       Test.make ~name:"store.range_scan" (Staged.stage (fun () -> Store.range store ~lo:"d" ~hi:"f"));
       Test.make ~name:"triple.serialize" (Staged.stage (fun () ->
           Triple.serialize (Triple.make ~oid:"a12" ~attr:"confname" (Value.S "ICDE 2006"))));

@@ -1,59 +1,78 @@
 module Det = Unistore_util.Det
 
-type 'a entry = { value : 'a; mutable used : int }
+(* Entries sit on a doubly-linked list from least to most recently used;
+   the table maps a key to its node. A read moves the node to the
+   newest end and eviction takes the oldest, both O(1). *)
+type 'a node =
+  | Nil
+  | Node of { key : string; value : 'a; mutable prev : 'a node; mutable next : 'a node }
 
 type 'a t = {
   mutable capacity : int;
-  mutable clock : int;  (* monotone use counter *)
-  tbl : (string, 'a entry) Hashtbl.t;
+  tbl : (string, 'a node) Hashtbl.t;
+  mutable oldest : 'a node;
+  mutable newest : 'a node;
 }
 
-let create ~capacity = { capacity = max 0 capacity; clock = 0; tbl = Hashtbl.create 16 }
+let create ~capacity =
+  { capacity = max 0 capacity; tbl = Hashtbl.create 16; oldest = Nil; newest = Nil }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
-let clear t = Hashtbl.reset t.tbl
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+let clear t =
+  Hashtbl.reset t.tbl;
+  t.oldest <- Nil;
+  t.newest <- Nil
+
+let unlink t = function
+  | Nil -> ()
+  | Node n ->
+    (match n.prev with Nil -> t.oldest <- n.next | Node p -> p.next <- n.next);
+    (match n.next with Nil -> t.newest <- n.prev | Node x -> x.prev <- n.prev);
+    n.prev <- Nil;
+    n.next <- Nil
+
+let push_newest t node =
+  match node with
+  | Nil -> ()
+  | Node n ->
+    n.prev <- t.newest;
+    (match t.newest with Nil -> t.oldest <- node | Node p -> p.next <- node);
+    t.newest <- node
 
 let find t key =
   match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-    e.used <- tick t;
-    Some e.value
-  | None -> None
+  | Some (Node n as node) ->
+    unlink t node;
+    push_newest t node;
+    Some n.value
+  | Some Nil | None -> None
 
-let peek t key = Option.map (fun e -> e.value) (Hashtbl.find_opt t.tbl key)
+let peek t key =
+  match Hashtbl.find_opt t.tbl key with Some (Node n) -> Some n.value | Some Nil | None -> None
 
-let evict_one t =
-  (* Minimum under the total order (used, key): the use-counter is
-     normally unique, but entries injected at the same tick (e.g. after
-     a clock reset) tie, and the key breaks the tie so the victim never
-     depends on hash-bucket order. *)
-  let better k e = function
-    | Some (k', u') when u' < e.used || (u' = e.used && String.compare k' k <= 0) ->
-      Some (k', u')
-    | _ -> Some (k, e.used)
-  in
-  let victim =
-    Hashtbl.fold (fun k e acc -> better k e acc) t.tbl None (* srclint: allow unordered-iteration *)
-  in
-  match victim with Some (k, _) -> Hashtbl.remove t.tbl k | None -> ()
+let remove t key =
+  match Hashtbl.find_opt t.tbl key with
+  | Some node ->
+    unlink t node;
+    Hashtbl.remove t.tbl key
+  | None -> ()
+
+(* Every use moves a node to the newest end, so the oldest node is the
+   least recently used entry. *)
+let evict_one t = match t.oldest with Node n -> remove t n.key | Nil -> ()
 
 let put t key v =
   if t.capacity > 0 then begin
-    (match Hashtbl.find_opt t.tbl key with
-    | Some _ -> Hashtbl.remove t.tbl key
-    | None -> ());
+    remove t key;
     while Hashtbl.length t.tbl >= t.capacity do
       evict_one t
     done;
-    Hashtbl.replace t.tbl key { value = v; used = tick t }
+    let node = Node { key; value = v; prev = Nil; next = Nil } in
+    Hashtbl.replace t.tbl key node;
+    push_newest t node
   end
-
-let remove t key = Hashtbl.remove t.tbl key
 
 let set_capacity t c =
   let c = max 0 c in
@@ -64,12 +83,14 @@ let set_capacity t c =
       evict_one t
     done
 
+let value_of = function Node n -> n.value | Nil -> assert false
+
 let filter_inplace t f =
   let doomed =
-    Hashtbl.fold (fun k e acc -> if f k e.value then acc else k :: acc) t.tbl []
+    Hashtbl.fold (fun k node acc -> if f k (value_of node) then acc else k :: acc) t.tbl []
     |> List.sort String.compare
   in
-  List.iter (Hashtbl.remove t.tbl) doomed;
+  List.iter (remove t) doomed;
   List.length doomed
 
-let iter t f = Det.sorted_iter ~cmp:String.compare (fun k e -> f k e.value) t.tbl
+let iter t f = Det.sorted_iter ~cmp:String.compare (fun k node -> f k (value_of node)) t.tbl

@@ -214,7 +214,7 @@ val bulk_insert : t -> origin:int -> items:Store.item list -> k:(result -> unit)
     with one [MultiLookup] message per touched subtree (the bind-join
     probe pattern). [k] receives the per-key answers (deduplicated,
     sorted keys; missing keys map to [[]]) alongside the combined
-    result. *)
+    result, whose [items] is empty. *)
 val multi_lookup :
   t ->
   origin:int ->

@@ -108,18 +108,25 @@ let record t p ~peers_hit ~latency ~complete =
     Metrics.observe m (name ".latency_ms") latency;
     Metrics.incr m (name (if complete then ".ok" else ".incomplete"))
 
+(* One stable sort by (key, item id, version descending), keeping the
+   first item of each (key, item id) run: the highest version wins, and
+   of equal versions the one earliest in [items]. *)
 let dedupe_items items =
-  let tbl = Hashtbl.create (List.length items) in
-  List.iter
-    (fun (i : Store.item) ->
-      let k = (i.key, i.item_id) in
-      match Hashtbl.find_opt tbl k with
-      | Some (j : Store.item) when j.version >= i.version -> ()
-      | _ -> Hashtbl.replace tbl k i)
-    items;
-  Hashtbl.fold (fun _ i acc -> i :: acc) tbl []
-  |> List.sort (fun (a : Store.item) b ->
-         match String.compare a.key b.key with 0 -> String.compare a.item_id b.item_id | c -> c)
+  let cmp (a : Store.item) (b : Store.item) =
+    match String.compare a.key b.key with
+    | 0 -> (
+      match String.compare a.item_id b.item_id with 0 -> Int.compare b.version a.version | c -> c)
+    | c -> c
+  in
+  let rec firsts acc = function
+    | [] -> List.rev acc
+    | (i : Store.item) :: rest -> (
+      match acc with
+      | (j : Store.item) :: _ when String.equal i.key j.key && String.equal i.item_id j.item_id ->
+        firsts acc rest
+      | _ -> firsts (i :: acc) rest)
+  in
+  match items with [] | [ _ ] -> items | _ -> firsts [] (List.stable_sort cmp items)
 
 let coverage ~complete ~reached ~addressed =
   if complete then 1.0
@@ -308,8 +315,9 @@ let hit t rid ~from ~token ~items ~targets ~hops =
     end
   | _ -> ()
 
-(* A region's ack: resolve its keys (first answer per key wins) and keep
-   their payload. *)
+(* A region's ack: resolve its keys (first answer per key wins). Each
+   key's payload goes to [on_ack] only; the batch's own result carries
+   no items. *)
 let ack t rid ~found ~hops =
   match Hashtbl.find_opt t.pending rid with
   | Some ({ shape = Batch_state b; _ } as p) ->
@@ -319,8 +327,7 @@ let ack t rid ~found ~hops =
       (fun (key, items) ->
         if Hashtbl.mem b.unacked key then begin
           Hashtbl.remove b.unacked key;
-          b.on_ack key items;
-          p.items <- List.rev_append items p.items
+          b.on_ack key items
         end)
       found;
     if Hashtbl.length b.unacked = 0 then finish t p ~complete:true

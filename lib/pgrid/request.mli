@@ -39,6 +39,11 @@ val fanout_buckets : float list
 (** The complete answer to an empty request. *)
 val empty : result
 
+(** [dedupe_items items] is a finished request's answer: one item per
+    (key, item id), the highest version and of equal versions the first
+    in [items], sorted by (key, item id). *)
+val dedupe_items : Store.item list -> Store.item list
+
 type t
 
 val create : net:Message.t Net.t -> rng:Unistore_util.Rng.t -> config:Config.t -> t
@@ -85,7 +90,8 @@ val answer : t -> int -> ?from:int -> items:Store.item list -> hops:int -> unit 
 val hit :
   t -> int -> from:int -> token:int -> items:Store.item list -> targets:int list -> hops:int -> unit
 
-(** One region acked [found] keys of a [Batch] request. *)
+(** One region acked [found] keys of a [Batch] request. Each key's items
+    go to the batch's [on_ack]; the finished result's [items] is empty. *)
 val ack : t -> int -> found:(string * Store.item list) list -> hops:int -> unit
 
 (** [unacked t rid] holds for the keys of batch [rid] still awaiting an

@@ -1,4 +1,13 @@
-(** Variable bindings: the tuples flowing through query plans. *)
+(** Variable bindings: the tuples flowing through query plans.
+
+    A binding is an array of value slots over a {!schema}, the sorted
+    names of the variables it may bind. The executor lays every row of a
+    query on one shared schema, so joins compare slots and patterns are
+    compiled to slots once per step. Bindings over different schemas
+    still combine: {!compatible} and {!match_triple_into} first lay both
+    out on the union of their schemas. Everything that reads a binding by
+    name ({!vars}, {!bindings}, {!fingerprint}, ...) sees only the bound
+    variables, in name order. *)
 
 module Value = Unistore_triple.Value
 module Triple = Unistore_triple.Triple
@@ -6,8 +15,23 @@ module Ast = Unistore_vql.Ast
 
 type t
 
+(** Variable names, sorted and deduplicated. *)
+type schema
+
+val schema : string list -> schema
+
+(** [empty_of s] binds nothing over [s]. *)
+val empty_of : schema -> t
+
+(** [empty] binds nothing over the empty schema. *)
 val empty : t
+
 val find : t -> string -> Value.t option
+
+(** [getter v] is [fun t -> find t v] with [v]'s slot resolved once per
+    schema instead of once per row. *)
+val getter : string -> t -> Value.t option
+
 val bindings : t -> (string * Value.t) list
 val vars : t -> string list
 
@@ -23,9 +47,31 @@ val match_triple : Ast.pattern -> Triple.t -> t option
     binding. *)
 val match_triple_into : t -> Ast.pattern -> Triple.t -> t option
 
+(** A pattern with its variables resolved to the slots of one schema. *)
+type pattern
+
+(** [compile s p]. Raises [Invalid_argument] if a variable of [p] is not
+    in [s]. *)
+val compile : schema -> Ast.pattern -> pattern
+
+(** [match_compiled base p triple] is [match_triple_into] for a [base]
+    over [p]'s schema; a failed match allocates nothing. *)
+val match_compiled : t -> pattern -> Triple.t -> t option
+
 (** [compatible a b] merges two bindings if they agree on shared
     variables. *)
 val compatible : t -> t -> t option
+
+(** {2 Join keys on slots}
+
+    For rows over one schema: [shared_slots a b] are the slots bound in
+    both; [hash_at slots t] hashes [t]'s values there ([-1] if one is
+    unbound) and [equal_at slots a b] compares them with
+    {!Value.equal}. *)
+
+val shared_slots : t -> t -> int array
+val hash_at : int array -> t -> int
+val equal_at : int array -> t -> t -> bool
 
 (** [join_key vars t] projects the join attributes to a hashable key;
     [None] if some var is unbound. *)

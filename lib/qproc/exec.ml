@@ -38,7 +38,8 @@ type run_result = {
 
 (* One executing plan, in the style of the overlay's request record:
    what every step reads (store, origin, the origin's result cache,
-   mapping expansions) and what the steps accumulate. Message and time
+   mapping expansions, the schema every row is laid on) and what the
+   steps accumulate. Message and time
    figures are deltas of the global counters since the query started,
    so they are exact only while the query runs alone. *)
 type run = {
@@ -47,6 +48,8 @@ type run = {
   origin : int;
   cache : Qcache.t option;
   expansions : (string * string list) list;
+  schema : Binding.schema;
+  unit : Binding.t;  (* the empty row over [schema] *)
   t0 : float;
   m0 : int;
   mutable complete : bool;
@@ -55,14 +58,17 @@ type run = {
   mutable bytes_shipped : int;
 }
 
-let start_run ?cache ts ~origin ~expansions =
+let start_run ?cache ts ~origin ~expansions patterns =
   let dht = Tstore.dht ts in
+  let schema = Binding.schema (List.concat_map Ast.pattern_vars patterns) in
   {
     ts;
     dht;
     origin;
     cache;
     expansions;
+    schema;
+    unit = Binding.empty_of schema;
     t0 = Sim.now dht.Dht.sim;
     m0 = dht.Dht.total_sent ();
     complete = true;
@@ -123,7 +129,7 @@ let range_defaults lo hi =
   | None, Some h -> (Option.get (Value.decode (Value.type_min h)), h)
   | None, None -> invalid_arg "Exec: unbounded range access"
 
-let uncached_access ts ~origin (access : Cost.access) (p : Ast.pattern) ~k =
+let uncached_access ts ~origin (access : Cost.access) ~matches ~k =
   match access with
   | Cost.AOid oid -> Tstore.by_oid ts ~origin oid ~k
   | Cost.AAttrValue (a, v) -> Tstore.by_attr_value ts ~origin ~attr:a v ~k
@@ -137,8 +143,7 @@ let uncached_access ts ~origin (access : Cost.access) (p : Ast.pattern) ~k =
   | Cost.ASim (a, pat, d) -> Tstore.similar ts ~origin ~attr:a ~pattern:pat ~d ~k
   | Cost.ASubstring (a, pat) -> Tstore.containing ts ~origin ~attr:a ~pattern:pat ~k
   | Cost.ATopN (a, n) -> Tstore.top_n_by_attr ts ~origin ~attr:a ~n ~k ()
-  | Cost.ABroadcast ->
-    Tstore.scan ts ~origin ~pred:(fun tr -> Option.is_some (Binding.match_triple p tr)) ~k
+  | Cost.ABroadcast -> Tstore.scan ts ~origin ~pred:matches ~k
 
 (* Execute one access, unioned over mapping expansions of its attribute
    (one expansion after another); [k] gets the bindings producible by
@@ -159,11 +164,14 @@ let exec_access run ~carrier access (p : Ast.pattern) ~k =
     | _ -> List.map (fun a -> (access_with_attr access a, pattern_with_attr p a)) attrs
   in
   let one (acc, pat) ~k =
-    let bind triples = k (List.filter_map (Binding.match_triple pat) triples) in
+    let cp = Binding.compile run.schema pat in
+    let matches tr = Binding.match_compiled run.unit cp tr in
+    let bind triples = k (List.filter_map matches triples) in
     match Option.bind cache (fun c -> Qcache.find_access c acc) with
     | Some triples -> bind triples
     | None ->
-      uncached_access run.ts ~origin:carrier acc pat ~k:(fun (triples, (r : Dht.result)) ->
+      let matches tr = Option.is_some (matches tr) in
+      uncached_access run.ts ~origin:carrier acc ~matches ~k:(fun (triples, (r : Dht.result)) ->
           (match cache with
           | Some c when r.Dht.complete -> Qcache.store_access c acc triples
           | _ -> ());
@@ -177,17 +185,23 @@ let exec_access run ~carrier access (p : Ast.pattern) ~k =
 
 type bind_lookup = LOid of string | LAttrValue of string * Value.t
 
-let bind_lookup_for (p : Ast.pattern) binding =
-  match p.Ast.subj with
-  | Ast.TVar v when Option.is_some (Binding.find binding v) -> (
-    match Binding.find binding v with
-    | Some (Value.S oid) -> Some (LOid oid)
-    | _ -> None)
-  | _ -> (
+(* A row's bound lookup for [p]: by OID when the subject is bound, else
+   by attribute and value when the object is. Slots are resolved once. *)
+let bind_lookup_for (p : Ast.pattern) =
+  let subj = match p.Ast.subj with Ast.TVar v -> Some (Binding.getter v) | Ast.TConst _ -> None in
+  let attr_value =
     match (p.Ast.attr, p.Ast.obj) with
-    | Ast.TConst (Value.S a), Ast.TVar ov -> (
-      match Binding.find binding ov with Some v -> Some (LAttrValue (a, v)) | None -> None)
-    | _ -> None)
+    | Ast.TConst (Value.S a), Ast.TVar ov -> Some (a, Binding.getter ov)
+    | _ -> None
+  in
+  fun binding ->
+    match Option.bind subj (fun get -> get binding) with
+    | Some (Value.S oid) -> Some (LOid oid)
+    | Some _ -> None
+    | None -> (
+      match attr_value with
+      | Some (a, get) -> Option.map (fun v -> LAttrValue (a, v)) (get binding)
+      | None -> None)
 
 (* Keys to probe for one bound lookup, each with the attribute that
    governs its cache invalidation ([None] for OID lookups). *)
@@ -198,17 +212,21 @@ let lookup_keys_of ~expansions = function
 
 let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
   let cache = cache_at run carrier and expansions = run.expansions in
+  (* Each left row with the keys it probes, built once. *)
+  let lookup = bind_lookup_for p in
+  let probes =
+    List.map
+      (fun b ->
+        (b, match lookup b with Some l -> lookup_keys_of ~expansions l | None -> []))
+      left
+  in
   (* Dedupe lookup keys across the left side (semi-join optimization). *)
   let keymap = Hashtbl.create 64 in
   List.iter
-    (fun b ->
-      match bind_lookup_for p b with
-      | Some l ->
-        List.iter (fun (key, attr) -> Hashtbl.replace keymap key attr) (lookup_keys_of ~expansions l)
-      | None -> ())
-    left;
+    (fun (_, keys) -> List.iter (fun (key, attr) -> Hashtbl.replace keymap key attr) keys)
+    probes;
   (* Answer what the per-key cache can; look up only the rest. *)
-  let resolved : (string, Triple.t list) Hashtbl.t = Hashtbl.create (Hashtbl.length keymap) in
+  let resolved : (string, Triple.t list) Hashtbl.t = Hashtbl.create 64 in
   (* The residual keys become lookup messages: visit them in key order
      so the wire traffic does not depend on hash-bucket order. *)
   let keys =
@@ -220,43 +238,36 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
              None
            | None -> Some (key, attr))
   in
-  let decode items =
-    List.filter_map (fun (i : Dht.Store.item) -> Triple.deserialize i.Dht.Store.payload) items
-  in
   (* A probed key's answer: keep it, and cache it when complete. *)
   let resolve (r : Dht.result) ~attr key items =
-    let triples = decode items in
+    let triples = Tstore.decode_items items in
     Hashtbl.replace resolved key triples;
     match cache with
     | Some c when r.Dht.complete -> Qcache.store_bind c ~attr ~key triples
     | _ -> ()
   in
+  (* Accept mapping-equivalent attributes by rewriting the pattern to
+     the triple's attribute — but only when that attribute really is in
+     the expansion set; anything else must fail the match. *)
+  let compiled = Binding.compile run.schema p in
+  let equivalents =
+    match p.Ast.attr with Ast.TConst (Value.S a) -> Some (a, expansions_for expansions a) | _ -> None
+  in
+  let match_into b (tr : Triple.t) =
+    let cp =
+      match equivalents with
+      | Some (a, eqs) when (not (String.equal tr.Triple.attr a)) && List.mem tr.Triple.attr eqs ->
+        Binding.compile run.schema (pattern_with_attr p tr.Triple.attr)
+      | _ -> compiled
+    in
+    Binding.match_compiled b cp tr
+  in
   let join () =
     let triples_for key = Option.value ~default:[] (Hashtbl.find_opt resolved key) in
     List.concat_map
-      (fun b ->
-        match bind_lookup_for p b with
-        | None -> []
-        | Some l ->
-          let keys = lookup_keys_of ~expansions l in
-          List.concat_map
-            (fun (key, _) ->
-              triples_for key
-              |> List.filter_map (fun tr ->
-                     (* Accept mapping-equivalent attributes by rewriting
-                        the pattern to the triple's attribute — but only
-                        when that attribute really is in the expansion
-                        set; anything else must fail the match. *)
-                     let pat =
-                       match p.Ast.attr with
-                       | Ast.TConst (Value.S a)
-                         when List.mem tr.Triple.attr (expansions_for expansions a) ->
-                         pattern_with_attr p tr.Triple.attr
-                       | _ -> p
-                     in
-                     Binding.match_triple_into b pat tr))
-            keys)
-      left
+      (fun (b, keys) ->
+        List.concat_map (fun (key, _) -> List.filter_map (match_into b) (triples_for key)) keys)
+      probes
   in
   let dht = run.dht in
   match (dht.Dht.multi_lookup, keys) with
@@ -289,32 +300,53 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
 (* ------------------------------------------------------------------ *)
 (* Joins and filters                                                   *)
 
+(* Rows of both sides share the query's schema. The right side goes into
+   a table of chained buckets held in arrays, keyed on a hash of the
+   shared slots' values: [first.(b)] is the newest row of bucket [b] and
+   [next.(i)] the row inserted before row [i], so a probe walks its
+   bucket newest first. The output is the left rows in order, each
+   followed by its matches newest first. *)
 let hash_join left right =
   match (left, right) with
   | [], _ | _, [] -> []
   | l0 :: _, r0 :: _ ->
-    let shared =
-      List.filter (fun v -> List.mem v (Binding.vars r0)) (Binding.vars l0)
-      (* Vars of one representative suffice: all bindings of a side share
-         the same variable set (they come from the same pattern chain). *)
-    in
-    if shared = [] then
+    (* The slots of one representative per side suffice: all bindings of
+       a side bind the same variables (they come from the same pattern
+       chain). *)
+    let shared = Binding.shared_slots l0 r0 in
+    if Array.length shared = 0 then
       (* Cartesian product. *)
       List.concat_map (fun l -> List.filter_map (Binding.compatible l) right) left
     else begin
-      let tbl = Hashtbl.create (List.length right) in
+      let rows = Array.of_list right in
+      let n = Array.length rows in
+      let rec pow2 s = if s >= n then s else pow2 (2 * s) in
+      let mask = pow2 16 - 1 in
+      let first = Array.make (mask + 1) (-1) and next = Array.make n (-1) in
+      let hashes = Array.map (Binding.hash_at shared) rows in
+      for i = 0 to n - 1 do
+        let h = hashes.(i) in
+        if h >= 0 then begin
+          next.(i) <- first.(h land mask);
+          first.(h land mask) <- i
+        end
+      done;
+      let out = ref [] in
       List.iter
-        (fun r ->
-          match Binding.join_key shared r with
-          | Some k -> Hashtbl.add tbl k r
-          | None -> ())
-        right;
-      List.concat_map
         (fun l ->
-          match Binding.join_key shared l with
-          | Some k -> Hashtbl.find_all tbl k |> List.filter_map (Binding.compatible l)
-          | None -> [])
-        left
+          let h = Binding.hash_at shared l in
+          if h >= 0 then begin
+            let i = ref first.(h land mask) in
+            while !i >= 0 do
+              let r = rows.(!i) in
+              if hashes.(!i) = h && Binding.equal_at shared l r then begin
+                match Binding.compatible l r with Some m -> out := m :: !out | None -> ()
+              end;
+              i := next.(!i)
+            done
+          end)
+        left;
+      List.rev !out
     end
 
 let apply_filters filters rows =
@@ -398,7 +430,10 @@ let run_step run ~carrier (step : Physical.step) rows_opt ~k =
 (* Centralized execution                                               *)
 
 let run_centralized ?cache ts ~origin (plan : Physical.t) ~k =
-  let run = start_run ?cache ts ~origin ~expansions:plan.Physical.expansions in
+  let run =
+    start_run ?cache ts ~origin ~expansions:plan.Physical.expansions
+      (List.map (fun (s : Physical.step) -> s.Physical.pattern) plan.Physical.steps)
+  in
   Cps.fold
     (fun rows step ~k ->
       run_step run ~carrier:origin step rows ~k:(fun produced -> k (Some produced)))
@@ -429,7 +464,7 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
     | Some f -> f
     | None -> invalid_arg "Exec.run_mutant: substrate does not support plan shipping"
   in
-  let run = start_run ?cache ts ~origin ~expansions in
+  let run = start_run ?cache ts ~origin ~expansions q.Ast.patterns in
   let qgrams = Tstore.qgrams_enabled ts in
   let cmap = Algebra.var_constraints q.Ast.filters in
   (* One carrier hop: [k] gets the new carrier, or the old one (and the
@@ -572,7 +607,7 @@ let group_by_oid triples =
 (* The bindings one tuple produces under the pushdown pattern shape:
    cross product over the per-attribute values, empty unless every
    pattern attribute is present (join semantics). *)
-let tuple_bindings ~subj ~av (group : Triple.t list) =
+let tuple_bindings ~unit ~subj ~av (group : Triple.t list) =
   match group with
   | [] -> []
   | tr0 :: _ ->
@@ -583,7 +618,7 @@ let tuple_bindings ~subj ~av (group : Triple.t list) =
         group
     in
     let seed =
-      match Binding.bind Binding.empty subj (Value.S tr0.Triple.oid) with
+      match Binding.bind unit subj (Value.S tr0.Triple.oid) with
       | Some b -> [ b ]
       | None -> []
     in
@@ -599,6 +634,7 @@ let tuple_bindings ~subj ~av (group : Triple.t list) =
 
 let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
   let attrs = List.map fst av in
+  let unit = Binding.empty_of (Binding.schema (subj :: List.map snd av)) in
   let pred (tr : Triple.t) = List.exists (String.equal tr.Triple.attr) attrs in
   (* Leaf-local reduction. Tuples are collocated (all triples of one OID
      share a single key), so per-tuple decisions are globally sound:
@@ -615,7 +651,7 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
     let classified =
       List.map
         (fun group ->
-          match tuple_bindings ~subj ~av group with
+          match tuple_bindings ~unit ~subj ~av group with
           | [] -> (group, `Drop)
           | [ b ] -> (group, `Candidate b)
           | _ :: _ :: _ -> (group, `Pass))
@@ -624,13 +660,14 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
     let candidates =
       List.filter_map (function _, `Candidate b -> Some b | _ -> None) classified
     in
+    let dominates = Ranking.dominates goals in
     List.concat_map
       (fun (group, cls) ->
         match cls with
         | `Drop -> []
         | `Pass -> group
         | `Candidate b ->
-          if List.exists (fun b' -> Ranking.dominates goals b' b) candidates then []
+          if List.exists (fun b' -> dominates b' b) candidates then []
           else group)
       classified
   in
@@ -654,11 +691,11 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
       branches = [];
     }
   in
-  let run = start_run ts ~origin ~expansions:[] in
+  let run = start_run ts ~origin ~expansions:[] [] in
   Tstore.oid_scan_reduce ts ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
       note run r;
       let rows =
-        List.concat_map (tuple_bindings ~subj ~av) (group_by_oid triples) |> postprocess plan
+        List.concat_map (tuple_bindings ~unit ~subj ~av) (group_by_oid triples) |> postprocess plan
       in
       run.traces <-
         [ {

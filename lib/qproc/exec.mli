@@ -61,6 +61,11 @@ type run_result = {
     engine's UNION combination step. *)
 val postprocess : Physical.t -> Binding.t list -> Binding.t list
 
+(** [hash_join left right] joins two row lists over one schema on the
+    variables both sides bind: left rows in order, each followed by its
+    matching right rows newest first. Exposed for the micro kernels. *)
+val hash_join : Binding.t list -> Binding.t list -> Binding.t list
+
 (** [run_centralized ?cache ts ~origin plan ~k] executes a static plan at
     the origin. With [cache], complete bulk-access answers and bind-join
     per-key probes are served from / stored into the origin's result

@@ -7,7 +7,8 @@
 module Ast = Unistore_vql.Ast
 
 (** The ORDER BY comparator: compares two rows by the given
-    variables/directions (unbound last, numeric types unified). *)
+    variables/directions (unbound last, numeric types unified). Apply it
+    to the items once: the variables are resolved to slots then. *)
 val order_cmp : (string * Ast.dir) list -> Binding.t -> Binding.t -> int
 
 (** Stable sort by the given variables/directions. Unbound values sort
@@ -21,7 +22,8 @@ val top_n : int -> (string * Ast.dir) list -> Binding.t list -> Binding.t list
 
 (** [dominates goals a b]: [a] is at least as good as [b] on every goal
     dimension and strictly better on at least one. Rows with missing or
-    non-comparable dimensions never dominate nor get dominated. *)
+    non-comparable dimensions never dominate nor get dominated. Like
+    {!order_cmp}, apply it to the goals once per row set. *)
 val dominates : (string * Ast.goal) list -> Binding.t -> Binding.t -> bool
 
 (** The Pareto-optimal subset under the goal list, in input order.

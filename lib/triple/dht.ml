@@ -217,7 +217,15 @@ let of_chord_trie chord =
           match decode_bucket_item raw with Some i -> pred i | None -> false
         in
         Chord.broadcast chord ~origin ~pred:wrapped ~k:(fun r ->
-            let items = List.filter_map decode_bucket_item r.Chord.items in
+            (* Every replica of a bucket answers a broadcast: keep the
+               first item of each (key, item id), as P-Grid replies do. *)
+            let seen = Hashtbl.create 64 in
+            let items =
+              List.filter_map decode_bucket_item r.Chord.items
+              |> List.filter (fun (i : Store.item) ->
+                     let id = (i.Store.key, i.Store.item_id) in
+                     (not (Hashtbl.mem seen id)) && (Hashtbl.replace seen id (); true))
+            in
             k { (of_chord_result r) with items }));
     scan_reduce = None;
     bulk_insert = None;

@@ -110,29 +110,38 @@ let insert_bulk t ~origin triples ~k =
 (* ------------------------------------------------------------------ *)
 (* Result decoding                                                     *)
 
-(* First-seen dedup: when two replicas answer with different versions
-   of a triple, the one earlier in the reply list wins. That is only
-   deterministic because store scans are — every backend yields items
-   in ascending key order, newest-first within a key (the ordering
-   contract of {!Unistore_pgrid.Store_intf}, checked differentially by
-   test/test_store.ml), and the overlay sorts merged multi-peer replies
-   ([Overlay.dedupe_items]) before they reach us. If backends disagreed
-   on scan order, same-seed runs with different [--backend] settings
-   would return different triples here. *)
+(* Each item of a reply decodes once. A reply holds at most one item per
+   (key, item id): a store keeps one, the overlay dedupes what replicas
+   return ([Request.dedupe_items]), and the Chord adapter drops
+   broadcast replicas ({!Dht}). A triple has one key in each of the O,
+   A#v and V families ([index_keys]), so only q-gram keys can repeat an
+   item id within a reply; those items alone go through a first-seen
+   table on the id, which is the triple's {!Triple.id} (set at
+   insertion). First-seen is deterministic because store scans are —
+   every backend yields items in ascending key order, newest-first
+   within a key (the ordering contract of {!Unistore_pgrid.Store_intf},
+   checked differentially by test/test_store.ml), and the overlay sorts
+   merged multi-peer replies before they reach us. *)
+module Ids = Hashtbl.Make (String)
+
 let decode_items items =
-  let seen = Hashtbl.create (List.length items) in
-  List.filter_map
-    (fun (i : Store.item) ->
-      match Triple.deserialize i.Store.payload with
-      | Some tr ->
-        let id = Triple.id tr in
-        if Hashtbl.mem seen id then None
-        else begin
-          Hashtbl.replace seen id ();
-          Some tr
-        end
-      | None -> None)
-    items
+  let decode (i : Store.item) = Triple.deserialize i.Store.payload in
+  let gram (i : Store.item) = Keys.is_qgram_key i.Store.key in
+  if not (List.exists gram items) then List.filter_map decode items
+  else begin
+    let seen = Ids.create 16 in
+    List.filter_map
+      (fun (i : Store.item) ->
+        if not (gram i) then decode i
+        else if Ids.mem seen i.Store.item_id then None
+        else
+          match decode i with
+          | Some tr ->
+            Ids.add seen i.Store.item_id ();
+            Some tr
+          | None -> None)
+      items
+  end
 
 let decoded k (r : Dht.result) = k (decode_items r.Dht.items, r)
 

@@ -79,6 +79,11 @@ val update_value :
   k:(bool -> unit) ->
   unit
 
+(** [decode_items items] deserializes a reply's payloads, keeping the
+    first item of each item id (a triple indexed under several q-gram
+    keys of the reply decodes once) and dropping malformed payloads. *)
+val decode_items : Unistore_pgrid.Store.item list -> Triple.t list
+
 (** {2 Access paths} — each passes the matching triples and their cost
     to [k]. *)
 

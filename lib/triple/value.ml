@@ -14,6 +14,14 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Equal values hash alike: [Float.hash] maps -0.0 and 0.0, and every
+   NaN, together, as [Float.compare] does. *)
+let hash = function
+  | S s -> String.hash s
+  | I i -> Int.hash i
+  | F f -> Float.hash f
+  | B b -> Bool.to_int b
+
 let pp fmt = function
   | S s -> Format.fprintf fmt "%S" s
   | I i -> Format.fprintf fmt "%d" i
@@ -39,17 +47,21 @@ let encode v =
   in
   String.make 1 (tag v) ^ body
 
-let decode s =
-  if String.length s < 1 then None
+(* [String.length (encode v)], without encoding. *)
+let encoded_length = function S s -> 1 + String.length s | I _ | F _ -> 9 | B _ -> 2
+
+let decode_at s ~off ~len =
+  if len < 1 then None
   else
-    let body = String.sub s 1 (String.length s - 1) in
-    match s.[0] with
-    | 's' -> Some (S body)
-    | 'i' -> if String.length body = 8 then Some (I (Ophash.decode_int body)) else None
-    | 'f' -> if String.length body = 8 then Some (F (Ophash.decode_float body)) else None
-    | 'b' -> (
-      match body with "\000" -> Some (B false) | "\001" -> Some (B true) | _ -> None)
+    match s.[off] with
+    | 's' -> Some (S (String.sub s (off + 1) (len - 1)))
+    | 'i' -> if len = 9 then Some (I (Ophash.decode_int_at s (off + 1))) else None
+    | 'f' -> if len = 9 then Some (F (Ophash.decode_float_at s (off + 1))) else None
+    | 'b' when len = 2 -> (
+      match s.[off + 1] with '\000' -> Some (B false) | '\001' -> Some (B true) | _ -> None)
     | _ -> None
+
+let decode s = decode_at s ~off:0 ~len:(String.length s)
 
 let type_min v =
   match v with

@@ -27,8 +27,18 @@ val to_display : t -> string
     [String.compare (encode a) (encode b)] agrees with [compare a b]. *)
 val encode : t -> string
 
+(** A hash consistent with {!equal}. *)
+val hash : t -> int
+
+(** [encoded_length v] is [String.length (encode v)], without encoding. *)
+val encoded_length : t -> int
+
 (** Inverse of {!encode}. [None] on malformed input. *)
 val decode : string -> t option
+
+(** [decode_at s ~off ~len] decodes the [len] bytes of [s] at [off],
+    without copying them out first. *)
+val decode_at : string -> off:int -> len:int -> t option
 
 (** Minimum/maximum encodings of the same type as [v] — the full value
     range used for open-ended predicates ([?x >= c] becomes the range

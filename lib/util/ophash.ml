@@ -8,11 +8,11 @@ let encode_int i =
   String.init 8 (fun k ->
       Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - k) * 8)) 0xFFL)))
 
+let decode_int_at s off = Int64.to_int (Int64.logxor (String.get_int64_be s off) Int64.min_int)
+
 let decode_int s =
   if String.length s <> 8 then invalid_arg "Ophash.decode_int";
-  let x = ref 0L in
-  String.iter (fun c -> x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Char.code c))) s;
-  Int64.to_int (Int64.logxor !x Int64.min_int)
+  decode_int_at s 0
 
 let float_bits_sortable f =
   let bits = Int64.bits_of_float f in
@@ -28,11 +28,11 @@ let encode_float f =
   String.init 8 (fun k ->
       Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - k) * 8)) 0xFFL)))
 
+let decode_float_at s off = float_bits_unsortable (String.get_int64_be s off)
+
 let decode_float s =
   if String.length s <> 8 then invalid_arg "Ophash.decode_float";
-  let x = ref 0L in
-  String.iter (fun c -> x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Char.code c))) s;
-  float_bits_unsortable !x
+  decode_float_at s 0
 
 let to_bitkey enc = Bitkey.of_bytes_prefix enc ~width:routing_bits
 

@@ -33,6 +33,12 @@ val encode_float : float -> string
 val decode_int : string -> int
 val decode_float : string -> float
 
+(** [decode_int_at s off] decodes the 8 bytes of [s] at [off], as
+    {!decode_int} does a whole string; likewise [decode_float_at]. *)
+val decode_int_at : string -> int -> int
+
+val decode_float_at : string -> int -> float
+
 (** [to_bitkey enc] truncates/pads the encoding to {!routing_bits} bits;
     preserves order up to truncation ties. *)
 val to_bitkey : string -> Bitkey.t

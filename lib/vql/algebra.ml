@@ -152,27 +152,38 @@ let compare_values a b =
     | Value.B x, Value.B y -> Some (Bool.compare x y)
     | _ -> None)
 
+let eval_cmp (op : Ast.cmpop) va vb =
+  match (va, vb) with
+  | Some va, Some vb -> (
+    match compare_values va vb with
+    | Some c ->
+      let r =
+        match op with
+        | Eq -> c = 0
+        | Neq -> c <> 0
+        | Lt -> c < 0
+        | Le -> c <= 0
+        | Gt -> c > 0
+        | Ge -> c >= 0
+      in
+      Some (Value.B r)
+    | None -> None)
+  | _ -> None
+
+let edist_value va vb =
+  match (va, vb) with
+  | Some (Value.S x), Some (Value.S y) -> Some (Value.I (Strdist.levenshtein x y))
+  | _ -> None
+
 let rec eval_expr lookup (e : Ast.expr) =
   match e with
   | EVar v -> lookup v
   | EConst c -> Some c
-  | ECmp (op, a, b) -> (
-    match (eval_expr lookup a, eval_expr lookup b) with
-    | Some va, Some vb -> (
-      match compare_values va vb with
-      | Some c ->
-        let r =
-          match op with
-          | Eq -> c = 0
-          | Neq -> c <> 0
-          | Lt -> c < 0
-          | Le -> c <= 0
-          | Gt -> c > 0
-          | Ge -> c >= 0
-        in
-        Some (Value.B r)
-      | None -> None)
-    | _ -> None)
+  | ECmp (((Lt | Le | Gt | Ge) as op), EEdist (x, y), d) ->
+    eval_edist_cmp lookup op x y (eval_expr lookup d)
+  | ECmp (((Lt | Le | Gt | Ge) as op), d, EEdist (x, y)) ->
+    eval_edist_cmp lookup (flip op) x y (eval_expr lookup d)
+  | ECmp (op, a, b) -> eval_cmp op (eval_expr lookup a) (eval_expr lookup b)
   | EAnd (a, b) -> (
     match (eval_expr lookup a, eval_expr lookup b) with
     | Some (Value.B x), Some (Value.B y) -> Some (Value.B (x && y))
@@ -185,10 +196,7 @@ let rec eval_expr lookup (e : Ast.expr) =
     | _ -> None)
   | ENot a -> (
     match eval_expr lookup a with Some (Value.B x) -> Some (Value.B (not x)) | _ -> None)
-  | EEdist (a, b) -> (
-    match (eval_expr lookup a, eval_expr lookup b) with
-    | Some (Value.S x), Some (Value.S y) -> Some (Value.I (Strdist.levenshtein x y))
-    | _ -> None)
+  | EEdist (a, b) -> edist_value (eval_expr lookup a) (eval_expr lookup b)
   | EContains (a, b) -> (
     match (eval_expr lookup a, eval_expr lookup b) with
     | Some (Value.S x), Some (Value.S y) ->
@@ -208,5 +216,23 @@ let rec eval_expr lookup (e : Ast.expr) =
       Some
         (Value.B (String.length x >= String.length y && String.sub x 0 (String.length y) = y))
     | _ -> None)
+
+(* [edist(x,y) op d] against an int bound: the banded DP decides it and
+   stops as soon as the distance exceeds the bound, instead of computing
+   the full distance first. Anything else compares the full distance. *)
+and eval_edist_cmp lookup op x y d =
+  let vx = eval_expr lookup x and vy = eval_expr lookup y in
+  match (vx, vy, d) with
+  | Some (Value.S a), Some (Value.S b), Some (Value.I d) ->
+    let within bound = Strdist.within_distance a b bound in
+    Some
+      (Value.B
+         (match op with
+         | Ast.Le -> within d
+         | Ast.Lt -> within (d - 1)
+         | Ast.Gt -> not (within d)
+         | Ast.Ge -> not (within (d - 1))
+         | Ast.Eq | Ast.Neq -> invalid_arg "Algebra.eval_edist_cmp"))
+  | _ -> eval_cmp op (edist_value vx vy) d
 
 let eval_pred lookup e = match eval_expr lookup e with Some (Value.B b) -> b | _ -> false

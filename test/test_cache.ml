@@ -78,8 +78,7 @@ let test_lru_filter_and_shrink () =
 
 (* Eviction and traversal must be deterministic functions of the
    operation history, never of hash-bucket order: [iter] visits in key
-   order, and the eviction victim is the (used, key) minimum — the key
-   breaks recency ties. *)
+   order, and the eviction victim is the least recently used entry. *)
 let test_lru_deterministic_order () =
   let keys = [ "delta"; "alpha"; "echo"; "charlie"; "bravo" ] in
   let t = Lru.create ~capacity:8 in
@@ -100,6 +99,107 @@ let test_lru_deterministic_order () =
   Lru.iter u (fun k _ -> visited_u := k :: !visited_u);
   check Alcotest.(list string) "iter order is insertion-independent" (List.rev !visited)
     (List.rev !visited_u)
+
+(* The previous Lru, kept as a model: a table of (value, use stamp)
+   whose victim is the (used, key) minimum found by a full fold. The
+   recency-list Lru must evict exactly the same entries. *)
+module Lru_model = struct
+  type t = { mutable capacity : int; mutable clock : int; tbl : (string, int * int) Hashtbl.t }
+
+  let create c = { capacity = max 0 c; clock = 0; tbl = Hashtbl.create 16 }
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let evict_one t =
+    let victim =
+      Hashtbl.fold
+        (fun k (_, used) acc ->
+          match acc with
+          | Some (k', u') when u' < used || (u' = used && String.compare k' k <= 0) -> acc
+          | _ -> Some (k, used))
+        t.tbl None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove t.tbl k) victim
+
+  let find t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some (v, _) ->
+      Hashtbl.replace t.tbl k (v, tick t);
+      Some v
+    | None -> None
+
+  let put t k v =
+    if t.capacity > 0 then begin
+      Hashtbl.remove t.tbl k;
+      while Hashtbl.length t.tbl >= t.capacity do
+        evict_one t
+      done;
+      Hashtbl.replace t.tbl k (v, tick t)
+    end
+
+  let set_capacity t c =
+    t.capacity <- max 0 c;
+    if t.capacity = 0 then Hashtbl.reset t.tbl
+    else
+      while Hashtbl.length t.tbl > t.capacity do
+        evict_one t
+      done
+
+  let contents t =
+    Hashtbl.fold (fun k (v, _) acc -> (k, v) :: acc) t.tbl [] |> List.sort compare
+end
+
+type lru_op = Put of string * int | Find of string | Remove of string | Resize of int
+
+let pp_lru_op = function
+  | Put (k, v) -> Printf.sprintf "put %s %d" k v
+  | Find k -> "find " ^ k
+  | Remove k -> "remove " ^ k
+  | Resize c -> Printf.sprintf "set_capacity %d" c
+
+let prop_lru_matches_model =
+  let open QCheck2.Gen in
+  let key = map (String.make 1) (char_range 'a' 'j') in
+  let op =
+    frequency
+      [
+        (5, map2 (fun k v -> Put (k, v)) key (0 -- 99));
+        (4, map (fun k -> Find k) key);
+        (1, map (fun k -> Remove k) key);
+        (1, map (fun c -> Resize c) (0 -- 8));
+      ]
+  in
+  let gen = pair (1 -- 6) (list_size (0 -- 200) op) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"lru evicts like the (used, key) fold model" ~count:300
+       ~print:(fun (c, ops) -> Printf.sprintf "capacity %d: %s" c (String.concat "; " (List.map pp_lru_op ops)))
+       gen
+       (fun (capacity, ops) ->
+         let t = Lru.create ~capacity and m = Lru_model.create capacity in
+         List.for_all
+           (fun op ->
+             let same_find =
+               match op with
+               | Put (k, v) ->
+                 Lru.put t k v;
+                 Lru_model.put m k v;
+                 true
+               | Find k -> Lru.find t k = Lru_model.find m k
+               | Remove k ->
+                 Lru.remove t k;
+                 Hashtbl.remove m.Lru_model.tbl k;
+                 true
+               | Resize c ->
+                 Lru.set_capacity t c;
+                 Lru_model.set_capacity m c;
+                 true
+             in
+             let contents = ref [] in
+             Lru.iter t (fun k v -> contents := (k, v) :: !contents);
+             same_find && List.rev !contents = Lru_model.contents m)
+           ops))
 
 (* ------------------------------------------------------------------ *)
 (* Shortcuts *)
@@ -919,6 +1019,7 @@ let () =
           Alcotest.test_case "capacity 0 disables" `Quick test_lru_capacity_zero_disabled;
           Alcotest.test_case "filter and shrink" `Quick test_lru_filter_and_shrink;
           Alcotest.test_case "deterministic traversal" `Quick test_lru_deterministic_order;
+          prop_lru_matches_model;
         ] );
       ( "shortcuts",
         [

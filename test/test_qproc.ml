@@ -82,6 +82,136 @@ let test_binding_fingerprint () =
   Alcotest.(check bool) "diff fp" false
     (String.equal (Binding.fingerprint a) (Binding.fingerprint c))
 
+(* The previous Map-based binding, kept as a model: the slot-indexed
+   binding must agree with it on every schema layout. *)
+module Model = struct
+  module M = Map.Make (String)
+
+  let bind t v x =
+    match M.find_opt v t with
+    | Some y -> if Value.equal x y then Some t else None
+    | None -> Some (M.add v x t)
+
+  let term t (term : Ast.term) x =
+    match term with
+    | Ast.TConst c -> if Value.equal c x then Some t else None
+    | Ast.TVar v -> bind t v x
+
+  let match_triple_into t (p : Ast.pattern) (tr : Triple.t) =
+    Option.bind (term t p.Ast.subj (Value.S tr.Triple.oid)) (fun t ->
+        Option.bind (term t p.Ast.attr (Value.S tr.Triple.attr)) (fun t ->
+            term t p.Ast.obj tr.Triple.value))
+
+  let compatible a b =
+    let ok = ref true in
+    let m = M.union (fun _ x y -> if not (Value.equal x y) then ok := false; Some x) a b in
+    if !ok then Some m else None
+
+  let join_key vs t =
+    List.fold_left
+      (fun acc v ->
+        match (acc, M.find_opt v t) with
+        | Some k, Some x -> Some (k ^ Value.encode x ^ "\000")
+        | _ -> None)
+      (Some "") vs
+
+  let project vs t = M.filter (fun v _ -> List.mem v vs) t
+  let fingerprint t = M.fold (fun v x acc -> acc ^ v ^ "=" ^ Value.encode x ^ ";") t ""
+  let bytes t = M.fold (fun v x acc -> acc + String.length v + String.length (Value.encode x) + 4) t 8
+end
+
+let gen_var = QCheck2.Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ]
+
+let gen_value =
+  QCheck2.Gen.oneofl
+    [ Value.I 0; Value.I 1; Value.I 2; Value.S "x"; Value.S "y"; Value.F 1.0; Value.B true ]
+
+let gen_assign = QCheck2.Gen.(list_size (0 -- 5) (pair gen_var gen_value))
+
+let five = Binding.schema [ "a"; "b"; "c"; "d"; "e" ]
+
+(* Both layouts of one assignment list: on the schema of the variables it
+   binds (from [Binding.empty]) or on the shared schema of all five. *)
+let build ~shared assign =
+  let start = if shared then Binding.empty_of five else Binding.empty in
+  List.fold_left
+    (fun (b, m) (v, x) ->
+      match (Binding.bind b v x, Model.bind m v x) with
+      | Some b, Some m -> (b, m)
+      | None, None -> (b, m)
+      | _ -> QCheck2.Test.fail_report "bind disagrees with the model")
+    (start, Model.M.empty) assign
+
+let agrees b m = Binding.bindings b = Model.M.bindings m
+
+let prop_binding_matches_model =
+  let open QCheck2.Gen in
+  let gen_term = oneof [ map (fun v -> Ast.TVar v) gen_var; map (fun x -> Ast.TConst x) gen_value ] in
+  let gen_pattern = map3 (fun s a o -> Ast.mk_pattern s a o) gen_term gen_term gen_term in
+  let gen_triple =
+    map3
+      (fun o a v -> Triple.make ~oid:o ~attr:a v)
+      (oneofl [ "x"; "y" ]) (oneofl [ "x"; "y" ]) gen_value
+  in
+  let gen =
+    tup4 (pair bool bool) (pair gen_assign gen_assign) (list_size (0 -- 4) gen_var)
+      (pair gen_pattern gen_triple)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"binding = Map model (shared and mismatched schemas)" ~count:500 gen
+       (fun ((shared_a, shared_b), (assign_a, assign_b), vs, (p, tr)) ->
+         let a, ma = build ~shared:shared_a assign_a and b, mb = build ~shared:shared_b assign_b in
+         let same_opt x y =
+           match (x, y) with
+           | Some x, Some y -> agrees x y
+           | None, None -> true
+           | _ -> false
+         in
+         agrees a ma
+         && same_opt (Binding.compatible a b) (Model.compatible ma mb)
+         && Binding.join_key vs a = Model.join_key vs ma
+         && agrees (Binding.project vs a) (Model.project vs ma)
+         && String.equal (Binding.fingerprint (Binding.project vs a)) (Model.fingerprint (Model.project vs ma))
+         && String.equal (Binding.fingerprint a) (Model.fingerprint ma)
+         && Binding.bytes a = Model.bytes ma
+         && Binding.vars a = List.map fst (Model.M.bindings ma)
+         && List.for_all (fun v -> Binding.find a v = Model.M.find_opt v ma) vs
+         && same_opt (Binding.match_triple_into a p tr) (Model.match_triple_into ma p tr)
+         &&
+         (* The executor's path: the pattern compiled to the shared schema. *)
+         let base, mbase = build ~shared:true assign_a in
+         same_opt
+           (Binding.match_compiled base (Binding.compile five p) tr)
+           (Model.match_triple_into mbase p tr)))
+
+(* A thresholded edist comparison runs the banded DP; its verdict must be
+   that of the full distance compared afterwards, for every operator,
+   both operand orders and bounds down to negative ones. *)
+let prop_edist_threshold_matches_levenshtein =
+  let open QCheck2.Gen in
+  let word = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 7) in
+  let op = oneofl Ast.[ Lt; Le; Gt; Ge; Eq; Neq ] in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"thresholded edist = levenshtein then compare" ~count:1000
+       (tup5 word word (-2 -- 8) op bool)
+       (fun (x, y, d, op, flipped) ->
+         let dist = Unistore_util.Strdist.levenshtein x y in
+         let edist = Ast.EEdist (Ast.EVar "x", Ast.EConst (Value.S y)) in
+         let bound = Ast.EConst (Value.I d) in
+         let e = if flipped then Ast.ECmp (op, bound, edist) else Ast.ECmp (op, edist, bound) in
+         let l, r = if flipped then (d, dist) else (dist, d) in
+         let expected =
+           match op with
+           | Ast.Lt -> l < r
+           | Ast.Le -> l <= r
+           | Ast.Gt -> l > r
+           | Ast.Ge -> l >= r
+           | Ast.Eq -> l = r
+           | Ast.Neq -> l <> r
+         in
+         let lookup v = if String.equal v "x" then Some (Value.S x) else None in
+         Unistore_vql.Algebra.eval_expr lookup e = Some (Value.B expected)))
+
 (* ------------------------------------------------------------------ *)
 (* Ranking *)
 
@@ -429,6 +559,8 @@ let () =
           Alcotest.test_case "compatible merge" `Quick test_binding_compatible;
           Alcotest.test_case "join key / project" `Quick test_binding_join_key_project;
           Alcotest.test_case "fingerprint" `Quick test_binding_fingerprint;
+          prop_binding_matches_model;
+          prop_edist_threshold_matches_levenshtein;
         ] );
       ( "ranking",
         [

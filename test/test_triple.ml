@@ -220,6 +220,42 @@ let with_both_substrates f =
   let ch = make_chord_dht () in
   f "chord+trie" (Tstore.create ch)
 
+(* [Tstore.decode_items] dedupes a reply on [item_id] instead of
+   re-deriving each decoded triple's id: that relies on every stored
+   item's id being the {!Triple.id} of its payload, whichever insert
+   path (per triple or bulk) stored it. *)
+let test_item_ids_are_triple_ids () =
+  let sim = Sim.create () in
+  let rng = Rng.create 42 in
+  let n = 24 in
+  let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
+  let ov =
+    Build.oracle sim ~latency ~rng ~config:Config.default ~n
+      ~sample_keys:(sample_keys_of_tuples fig3_tuples) ()
+  in
+  let ts = Tstore.create (Dht.of_pgrid ov) in
+  load_fig3 ts;
+  let bulk =
+    List.init 40 (fun i ->
+        Triple.make ~oid:(Printf.sprintf "b%d" i) ~attr:"title"
+          (Value.S (Printf.sprintf "bulk title %d" (i mod 7))))
+  in
+  Alcotest.(check bool) "bulk insert" true
+    (await sim (fun k -> Tstore.insert_bulk ts ~origin:3 bulk ~k));
+  let items =
+    List.concat_map
+      (fun (node : Unistore_pgrid.Node.t) ->
+        Unistore_pgrid.Store.to_list node.Unistore_pgrid.Node.store)
+      (Unistore_pgrid.Overlay.nodes ov)
+  in
+  Alcotest.(check bool) "items stored" true (List.length items > 100);
+  List.iter
+    (fun (i : Unistore_pgrid.Store.item) ->
+      match Triple.deserialize i.Unistore_pgrid.Store.payload with
+      | Some tr -> check Alcotest.string i.Unistore_pgrid.Store.key (Triple.id tr) i.item_id
+      | None -> Alcotest.failf "undecodable payload under %S" i.Unistore_pgrid.Store.key)
+    items
+
 let test_tstore_by_oid () =
   with_both_substrates (fun name ts ->
       load_fig3 ts;
@@ -515,6 +551,7 @@ let () =
         ] );
       ( "tstore",
         [
+          Alcotest.test_case "stored item ids are triple ids" `Quick test_item_ids_are_triple_ids;
           Alcotest.test_case "by_oid" `Quick test_tstore_by_oid;
           Alcotest.test_case "by_attr_value" `Quick test_tstore_by_attr_value;
           Alcotest.test_case "by_attr_range" `Quick test_tstore_by_attr_range;
