@@ -27,11 +27,22 @@ type agg = {
   a_regions : int;
 }
 
-type t = { tbl : (string * string, summary) Hashtbl.t }
+(* [versions] and [total] are the per-attribute and overall sums of the
+   held summaries' versions, kept up to date by [merge]: the result
+   cache reads them on every lookup. *)
+type t = {
+  tbl : (string * string, summary) Hashtbl.t;
+  versions : (string, int) Hashtbl.t;
+  mutable total : int;
+}
 
-let create () = { tbl = Hashtbl.create 32 }
+let create () = { tbl = Hashtbl.create 32; versions = Hashtbl.create 16; total = 0 }
 let length t = Hashtbl.length t.tbl
-let clear t = Hashtbl.reset t.tbl
+
+let clear t =
+  Hashtbl.reset t.tbl;
+  Hashtbl.reset t.versions;
+  t.total <- 0
 
 let fresher a b =
   a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
@@ -53,6 +64,10 @@ let merge t s =
       | _ -> s
     in
     Hashtbl.replace t.tbl key s;
+    let delta = s.version - match old with Some old -> old.version | None -> 0 in
+    Hashtbl.replace t.versions s.attr
+      (delta + Option.value ~default:0 (Hashtbl.find_opt t.versions s.attr));
+    t.total <- t.total + delta;
     true
 
 (* Summaries travel inside [StatGossip] messages: a deterministic (attr,
@@ -115,10 +130,5 @@ let region_loads t =
     t.tbl;
   Det.sorted_bindings ~cmp:String.compare regions
 
-let attr_version t a =
-  (* Commutative integer sum: iteration order cannot matter. *)
-  Hashtbl.fold (fun (attr, _) s acc -> if String.equal attr a then acc + s.version else acc) t.tbl 0 (* srclint: allow unordered-iteration *)
-
-let total_version t =
-  (* Commutative integer sum: iteration order cannot matter. *)
-  Hashtbl.fold (fun _ s acc -> acc + s.version) t.tbl 0 (* srclint: allow unordered-iteration *)
+let attr_version t a = Option.value ~default:0 (Hashtbl.find_opt t.versions a)
+let total_version t = t.total

@@ -210,40 +210,51 @@ let lookup_keys_of ~expansions = function
   | LAttrValue (a, v) ->
     List.map (fun a' -> (Keys.attr_value_key a' v, Some a')) (expansions_for expansions a)
 
+(* One distinct probe key of a bind-join, with the attribute that
+   governs its cache invalidation and, once resolved, its triples. *)
+type probe = { key : string; attr : string option; mutable triples : Triple.t list }
+
 let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
   let cache = cache_at run carrier and expansions = run.expansions in
-  (* Each left row with the keys it probes, built once. *)
+  (* Dedupe lookup keys across the left side (semi-join optimization):
+     each left row holds the probes of its keys, built once. *)
+  let by_key = Hashtbl.create 64 in
+  let probe_of (key, attr) =
+    match Hashtbl.find_opt by_key key with
+    | Some probe -> probe
+    | None ->
+      let probe = { key; attr; triples = [] } in
+      Hashtbl.add by_key key probe;
+      probe
+  in
   let lookup = bind_lookup_for p in
-  let probes =
+  let rows =
     List.map
       (fun b ->
-        (b, match lookup b with Some l -> lookup_keys_of ~expansions l | None -> []))
+        ( b,
+          match lookup b with
+          | Some l -> List.map probe_of (lookup_keys_of ~expansions l)
+          | None -> [] ))
       left
   in
-  (* Dedupe lookup keys across the left side (semi-join optimization). *)
-  let keymap = Hashtbl.create 64 in
-  List.iter
-    (fun (_, keys) -> List.iter (fun (key, attr) -> Hashtbl.replace keymap key attr) keys)
-    probes;
-  (* Answer what the per-key cache can; look up only the rest. *)
-  let resolved : (string, Triple.t list) Hashtbl.t = Hashtbl.create 64 in
-  (* The residual keys become lookup messages: visit them in key order
-     so the wire traffic does not depend on hash-bucket order. *)
-  let keys =
-    Det.sorted_bindings ~cmp:String.compare keymap
-    |> List.filter_map (fun (key, attr) ->
-           match Option.bind cache (fun c -> Qcache.find_bind c ~attr ~key) with
+  (* Answer what the per-key cache can; look up only the rest. The
+     residual keys become lookup messages: visit them in key order so
+     the wire traffic does not depend on hash-bucket order. *)
+  let residual =
+    Det.sorted_bindings ~cmp:String.compare by_key
+    |> List.filter_map (fun (key, probe) ->
+           match Option.bind cache (fun c -> Qcache.find_bind c ~attr:probe.attr ~key) with
            | Some triples ->
-             Hashtbl.replace resolved key triples;
+             probe.triples <- triples;
              None
-           | None -> Some (key, attr))
+           | None -> Some probe)
   in
   (* A probed key's answer: keep it, and cache it when complete. *)
-  let resolve (r : Dht.result) ~attr key items =
+  let resolve (r : Dht.result) probe items =
     let triples = Tstore.decode_items items in
-    Hashtbl.replace resolved key triples;
+    probe.triples <- triples;
     match cache with
-    | Some c when r.Dht.complete -> Qcache.store_bind c ~attr ~key triples
+    | Some c when r.Dht.complete -> Qcache.store_bind c ~attr:probe.attr ~key:probe.key triples
     | _ -> ()
   in
   (* Accept mapping-equivalent attributes by rewriting the pattern to
@@ -263,39 +274,45 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
     Binding.match_compiled b cp tr
   in
   let join () =
-    let triples_for key = Option.value ~default:[] (Hashtbl.find_opt resolved key) in
-    List.concat_map
-      (fun (b, keys) ->
-        List.concat_map (fun (key, _) -> List.filter_map (match_into b) (triples_for key)) keys)
-      probes
+    let out = ref [] in
+    List.iter
+      (fun (b, probes) ->
+        List.iter
+          (fun probe ->
+            List.iter
+              (fun tr -> match match_into b tr with Some m -> out := m :: !out | None -> ())
+              probe.triples)
+          probes)
+      rows;
+    List.rev !out
   in
   let dht = run.dht in
-  match (dht.Dht.multi_lookup, keys) with
+  match (dht.Dht.multi_lookup, residual) with
   | _, [] -> k (join ())
   | Some ml, _ :: _ :: _ ->
     (* Batched probe round: the deduplicated keys travel as one
        multi-lookup that splits by responsible region, instead of one
        routed lookup per key. *)
     ml ~origin:carrier
-      ~keys:(List.map fst keys)
+      ~keys:(List.map (fun probe -> probe.key) residual)
       ~k:(fun (found, r) ->
         note run r;
         List.iter
           (fun (key, items) ->
-            resolve r ~attr:(Option.join (Hashtbl.find_opt keymap key)) key items)
+            Option.iter (fun probe -> resolve r probe items) (Hashtbl.find_opt by_key key))
           found;
         k (join ()))
   | _ ->
     (* One parallel round of per-key lookups. *)
-    let outstanding = ref (List.length keys) in
+    let outstanding = ref (List.length residual) in
     List.iter
-      (fun (key, attr) ->
-        dht.Dht.lookup ~origin:carrier ~key ~k:(fun r ->
+      (fun probe ->
+        dht.Dht.lookup ~origin:carrier ~key:probe.key ~k:(fun r ->
             note run r;
-            resolve r ~attr key r.Dht.items;
+            resolve r probe r.Dht.items;
             decr outstanding;
             if !outstanding = 0 then k (join ())))
-      keys
+      residual
 
 (* ------------------------------------------------------------------ *)
 (* Joins and filters                                                   *)
@@ -349,10 +366,31 @@ let hash_join left right =
       List.rev !out
     end
 
-let apply_filters filters rows =
-  List.fold_left
-    (fun rows f -> List.filter (fun b -> Algebra.eval_pred (Binding.lookup b) f) rows)
-    rows filters
+module Vtbl = Hashtbl.Make (Value)
+
+(* A filter over one variable is a function of that variable's value,
+   so it is evaluated once per distinct value: an edist filter over a
+   join's rows then costs one banded DP per distinct string. *)
+let apply_filter f rows =
+  let eval b = Algebra.eval_pred (Binding.lookup b) f in
+  match Ast.expr_vars f with
+  | [ v ] ->
+    let get = Binding.getter v and memo = Vtbl.create 16 in
+    List.filter
+      (fun b ->
+        match get b with
+        | None -> eval b
+        | Some x -> (
+          match Vtbl.find_opt memo x with
+          | Some verdict -> verdict
+          | None ->
+            let verdict = eval b in
+            Vtbl.add memo x verdict;
+            verdict))
+      rows
+  | _ -> List.filter eval rows
+
+let apply_filters filters rows = List.fold_left (fun rows f -> apply_filter f rows) rows filters
 
 (* ------------------------------------------------------------------ *)
 (* Post-processing (ranking, projection, distinct, limit)              *)

@@ -35,7 +35,6 @@ let within_distance a b d =
       (* Banded DP: only cells with |i-j| <= d can be <= d. Cells outside
          the band (or already beyond d) saturate at [inf]. *)
       let inf = d + 1 in
-      let sat_add x y = min inf (x + y) in
       let prev = Array.make (la + 1) inf in
       let cur = Array.make (la + 1) inf in
       for i = 0 to min la d do
@@ -54,11 +53,7 @@ let within_distance a b d =
         let lo = max 1 (jj - d) and hi = min la (jj + d) in
         for i = lo to hi do
           let cost = if a.[i - 1] = b.[jj - 1] then 0 else 1 in
-          let v =
-            min
-              (min (sat_add cur.(i - 1) 1) (sat_add prev.(i) 1))
-              (sat_add prev.(i - 1) cost)
-          in
+          let v = min inf (min (min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)) in
           cur.(i) <- v;
           if v < !best then best := v
         done;
