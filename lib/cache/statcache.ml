@@ -27,22 +27,18 @@ type agg = {
   a_regions : int;
 }
 
-(* [versions] and [total] are the per-attribute and overall sums of the
-   held summaries' versions, kept up to date by [merge]: the result
-   cache reads them on every lookup. *)
-type t = {
-  tbl : (string * string, summary) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;
-  mutable total : int;
-}
+(* [versions] holds the per-attribute sums of the held summaries'
+   versions, kept up to date by [merge]: the result cache reads them on
+   every lookup. An association list, because every peer holds a
+   statcache and a schema has few attributes. *)
+type t = { tbl : (string * string, summary) Hashtbl.t; mutable versions : (string * int) list }
 
-let create () = { tbl = Hashtbl.create 32; versions = Hashtbl.create 16; total = 0 }
+let create () = { tbl = Hashtbl.create 32; versions = [] }
 let length t = Hashtbl.length t.tbl
 
 let clear t =
   Hashtbl.reset t.tbl;
-  Hashtbl.reset t.versions;
-  t.total <- 0
+  t.versions <- []
 
 let fresher a b =
   a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
@@ -65,9 +61,10 @@ let merge t s =
     in
     Hashtbl.replace t.tbl key s;
     let delta = s.version - match old with Some old -> old.version | None -> 0 in
-    Hashtbl.replace t.versions s.attr
-      (delta + Option.value ~default:0 (Hashtbl.find_opt t.versions s.attr));
-    t.total <- t.total + delta;
+    if delta <> 0 then begin
+      let sum = Option.value ~default:0 (List.assoc_opt s.attr t.versions) in
+      t.versions <- (s.attr, sum + delta) :: List.remove_assoc s.attr t.versions
+    end;
     true
 
 (* Summaries travel inside [StatGossip] messages: a deterministic (attr,
@@ -130,5 +127,5 @@ let region_loads t =
     t.tbl;
   Det.sorted_bindings ~cmp:String.compare regions
 
-let attr_version t a = Option.value ~default:0 (Hashtbl.find_opt t.versions a)
-let total_version t = t.total
+let attr_version t a = Option.value ~default:0 (List.assoc_opt a t.versions)
+let total_version t = List.fold_left (fun acc (_, v) -> acc + v) 0 t.versions
