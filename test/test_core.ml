@@ -500,6 +500,51 @@ let test_golden_row_order () =
       check Alcotest.(pair int string) k expected actual)
     golden_row_order (cold @ cached)
 
+(* Allocation guard on the paper's skyline query: minor-heap words per
+   row the plan touches (rows in plus rows out, summed over the steps),
+   cold and uncached, under both strategies, on a query_mix-sized
+   dataset (200 authors) where the joins, not the messages, dominate.
+   Deterministic (no clock). The read path decodes each item once, lays
+   rows on slot arrays and joins on hashed values; a regression to
+   per-row string keys, Map unions or hash-then-sort dedup shows up here
+   as a multiple. The bound is 1.5x the figure measured when the guard
+   was added. *)
+let words_per_touched_row = 1.5 *. 317.5
+
+let test_skyline_allocation_guard () =
+  let rng = Unistore_util.Rng.create 11 in
+  let ds =
+    Publications.generate rng
+      { Publications.default_params with n_authors = 200; n_conferences = 40; typo_rate = 0.1 }
+  in
+  let words, touched =
+    List.fold_left
+      (fun (words, touched) strategy ->
+        let config = { Unistore.default_config with peers = 64; seed = 12 } in
+        let store = Unistore.create ~sample_keys:(Publications.sample_keys ds) config in
+        ignore (Unistore.load store ds.Publications.tuples);
+        Unistore.set_stats_of_triples store ds.Publications.triples;
+        Unistore.settle store;
+        let before = Gc.minor_words () in
+        match Unistore.query store ~origin:5 ~strategy paper_query with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          let after = Gc.minor_words () in
+          ( words +. (after -. before),
+            List.fold_left
+              (fun acc (s : Exec.step_trace) -> acc + s.Exec.rows_in + s.Exec.actual_card)
+              touched r.Engine.traces ))
+      (0.0, 0)
+      [ Unistore.Centralized; Unistore.Mutant ]
+  in
+  let per_row = words /. float_of_int touched in
+  Printf.printf "paper skyline: %.0f minor words over %d touched rows = %.1f words/row\n%!" words
+    touched per_row;
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per touched row <= %.1f" per_row words_per_touched_row)
+    true
+    (per_row <= words_per_touched_row)
+
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in
@@ -954,6 +999,7 @@ let () =
           Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;
           Alcotest.test_case "interleaved queries" `Quick test_interleaved_queries;
           Alcotest.test_case "golden row order" `Quick test_golden_row_order;
+          Alcotest.test_case "skyline allocation guard" `Quick test_skyline_allocation_guard;
           Alcotest.test_case "rank paths agree across overlays" `Quick
             test_rank_paths_agree_across_overlays;
           Alcotest.test_case "P-Grid ships fewer ranking bytes than Chord" `Quick
