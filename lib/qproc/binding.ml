@@ -3,11 +3,23 @@ module Triple = Unistore_triple.Triple
 module Ast = Unistore_vql.Ast
 
 (* A schema is a sorted, duplicate-free array of variable names; a
-   binding holds one value slot per name. The executor gives every row
-   of a query the same (physically shared) schema, so joins and matches
-   work slot by slot; bindings over different schemas are first laid out
-   on the union of both. *)
+   binding holds one value slot per name. Schemas are interned, so equal
+   variable sets share one array and a schema check is a pointer
+   compare. The executor lays every row of a query on one schema, so
+   joins and matches work slot by slot; bindings over different schemas
+   are first laid out on the union of both. *)
 type schema = string array
+
+(* Weak, so the schemas of finished queries can go; a live binding keeps
+   its own schema, hence its identity, alive. *)
+module Schemas = Weak.Make (struct
+  type t = string array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 String.equal a b
+  let hash = Hashtbl.hash
+end)
+
+let schemas = Schemas.create 64
 
 type t = { schema : schema; vals : Value.t array }
 
@@ -15,9 +27,9 @@ type t = { schema : schema; vals : Value.t array }
    equal to. It is only ever compared with [==]. *)
 let unbound = Value.S (String.make 0 ' ')
 
-let schema vars = Array.of_list (List.sort_uniq String.compare vars)
+let schema vars = Schemas.merge schemas (Array.of_list (List.sort_uniq String.compare vars))
 let empty_of schema = { schema; vals = Array.make (Array.length schema) unbound }
-let empty = empty_of [||]
+let empty = empty_of (schema [])
 
 (* Binary search; -1 if [v] is not in the schema. *)
 let slot (s : schema) v =
@@ -30,9 +42,6 @@ let slot (s : schema) v =
   in
   go 0 (Array.length s)
 
-let same_schema (a : schema) b =
-  a == b || (Array.length a = Array.length b && Array.for_all2 String.equal a b)
-
 (* [t] laid out on [s], a superset of its schema. *)
 let widen t s =
   if t.schema == s then t
@@ -44,7 +53,6 @@ let widen t s =
 
 let align a b =
   if a.schema == b.schema then (a, b)
-  else if same_schema a.schema b.schema then (a, { b with schema = a.schema })
   else
     let s = schema (Array.to_list a.schema @ Array.to_list b.schema) in
     (widen a s, widen b s)
@@ -139,8 +147,7 @@ let unify vals term x =
     else Value.equal cur x
 
 let match_compiled base p (tr : Triple.t) =
-  if base.schema != p.on && not (same_schema base.schema p.on) then
-    invalid_arg "Binding.match_compiled: schema mismatch";
+  if base.schema != p.on then invalid_arg "Binding.match_compiled: schema mismatch";
   let b = base.vals in
   if
     string_fits b p.subj tr.Triple.oid
@@ -196,7 +203,7 @@ let compatible a b =
     merge a b
 
 let shared_slots a b =
-  if not (same_schema a.schema b.schema) then invalid_arg "Binding.shared_slots: schema mismatch";
+  if a.schema != b.schema then invalid_arg "Binding.shared_slots: schema mismatch";
   let shared = ref [] in
   for i = Array.length a.vals - 1 downto 0 do
     if a.vals.(i) != unbound && b.vals.(i) != unbound then shared := i :: !shared
