@@ -39,9 +39,9 @@ type run_result = {
 (* One executing plan, in the style of the overlay's request record:
    what every step reads (store, origin, the origin's result cache,
    mapping expansions, the schema every row is laid on) and what the
-   steps accumulate. Message and time
-   figures are deltas of the global counters since the query started,
-   so they are exact only while the query runs alone. *)
+   steps accumulate. Message and time figures are deltas of the global
+   counters since the query started, so they are exact only while the
+   query runs alone. *)
 type run = {
   ts : Tstore.t;
   dht : Dht.t;
@@ -165,12 +165,12 @@ let exec_access run ~carrier access (p : Ast.pattern) ~k =
   in
   let one (acc, pat) ~k =
     let cp = Binding.compile run.schema pat in
-    let matches tr = Binding.match_compiled run.unit cp tr in
-    let bind triples = k (List.filter_map matches triples) in
+    let row tr = Binding.match_compiled run.unit cp tr in
+    let bind triples = k (List.filter_map row triples) in
     match Option.bind cache (fun c -> Qcache.find_access c acc) with
     | Some triples -> bind triples
     | None ->
-      let matches tr = Option.is_some (matches tr) in
+      let matches tr = Option.is_some (row tr) in
       uncached_access run.ts ~origin:carrier acc ~matches ~k:(fun (triples, (r : Dht.result)) ->
           (match cache with
           | Some c when r.Dht.complete -> Qcache.store_access c acc triples
@@ -335,8 +335,12 @@ let hash_join left right =
       (* Cartesian product. *)
       List.concat_map (fun l -> List.filter_map (Binding.compatible l) right) left
     else begin
-      let rows = Array.of_list right in
-      let n = Array.length rows in
+      (* Not [Array.of_list]: the runtime makes a minor collection before
+         filling a large array with a young value, and the first row is
+         young. [Binding.empty] is not. *)
+      let n = List.length right in
+      let rows = Array.make n Binding.empty in
+      List.iteri (fun i r -> rows.(i) <- r) right;
       let rec pow2 s = if s >= n then s else pow2 (2 * s) in
       let mask = pow2 16 - 1 in
       let first = Array.make (mask + 1) (-1) and next = Array.make n (-1) in
