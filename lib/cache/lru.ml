@@ -61,7 +61,12 @@ let remove t key =
 
 (* Every use moves a node to the newest end, so the oldest node is the
    least recently used entry. *)
-let evict_one t = match t.oldest with Node n -> remove t n.key | Nil -> ()
+let evict_one t =
+  match t.oldest with
+  | Node n as node ->
+    unlink t node;
+    Hashtbl.remove t.tbl n.key
+  | Nil -> ()
 
 let put t key v =
   if t.capacity > 0 then begin

@@ -2,38 +2,44 @@ module Metrics = Unistore_obs.Metrics
 
 type 'a entry = { value : 'a; version : int; stored_at : float }
 
+(* The counter names, built once: a lookup bumps one of them. *)
+type names = { hit : string; miss : string; stale_version : string; stale_ttl : string }
+
 type 'a t = {
-  name : string;
+  names : names;
   mutable metrics : Metrics.t option;
   ttl_ms : float;
   lru : 'a entry Lru.t;
 }
 
 let create ?(name = "cache.result") ?metrics ~capacity ~ttl_ms () =
-  { name; metrics; ttl_ms; lru = Lru.create ~capacity }
+  let n what = name ^ "." ^ what in
+  let names =
+    { hit = n "hit"; miss = n "miss"; stale_version = n "stale_version"; stale_ttl = n "stale_ttl" }
+  in
+  { names; metrics; ttl_ms; lru = Lru.create ~capacity }
 
 let set_metrics t m = t.metrics <- m
 let length t = Lru.length t.lru
 let capacity t = Lru.capacity t.lru
 
-let bump t what =
-  match t.metrics with Some m -> Metrics.incr m (t.name ^ "." ^ what) | None -> ()
+let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
 
 let find t ~key ~version ~now =
   match Lru.find t.lru key with
   | None ->
-    bump t "miss";
+    bump t t.names.miss;
     None
   | Some e when e.version <> version ->
     Lru.remove t.lru key;
-    bump t "stale_version";
+    bump t t.names.stale_version;
     None
   | Some e when now -. e.stored_at > t.ttl_ms ->
     Lru.remove t.lru key;
-    bump t "stale_ttl";
+    bump t t.names.stale_ttl;
     None
   | Some e ->
-    bump t "hit";
+    bump t t.names.hit;
     Some e.value
 
 let mem t ~key ~version ~now =
