@@ -509,7 +509,7 @@ let test_golden_row_order () =
    per-row string keys, Map unions or hash-then-sort dedup shows up here
    as a multiple. The bound is 1.5x the figure measured when the guard
    was added. *)
-let words_per_touched_row = 1.5 *. 317.5
+let words_per_touched_row = 1.5 *. 317.6
 
 let test_skyline_allocation_guard () =
   let rng = Unistore_util.Rng.create 11 in

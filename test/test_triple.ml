@@ -252,7 +252,8 @@ let test_item_ids_are_triple_ids () =
   List.iter
     (fun (i : Unistore_pgrid.Store.item) ->
       match Triple.deserialize i.Unistore_pgrid.Store.payload with
-      | Some tr -> check Alcotest.string i.Unistore_pgrid.Store.key (Triple.id tr) i.item_id
+      | Some tr ->
+        check Alcotest.string (String.escaped i.Unistore_pgrid.Store.key) (Triple.id tr) i.item_id
       | None -> Alcotest.failf "undecodable payload under %S" i.Unistore_pgrid.Store.key)
     items
 
