@@ -27,18 +27,21 @@ type agg = {
   a_regions : int;
 }
 
-(* [versions] holds the per-attribute sums of the held summaries'
-   versions, kept up to date by [merge]: the result cache reads them on
-   every lookup. An association list, because every peer holds a
-   statcache and a schema has few attributes. *)
-type t = { tbl : (string * string, summary) Hashtbl.t; mutable versions : (string * int) list }
+(* [versions] caches the per-attribute sums of the held summaries'
+   versions, which the result cache reads on every lookup; [None] once a
+   merge changed a version. Only query origins ever compute it, so the
+   other peers pay one word each. *)
+type t = {
+  tbl : (string * string, summary) Hashtbl.t;
+  mutable versions : (string * int) list option;
+}
 
-let create () = { tbl = Hashtbl.create 32; versions = [] }
+let create () = { tbl = Hashtbl.create 32; versions = None }
 let length t = Hashtbl.length t.tbl
 
 let clear t =
   Hashtbl.reset t.tbl;
-  t.versions <- []
+  t.versions <- None
 
 let fresher a b =
   a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
@@ -60,11 +63,7 @@ let merge t s =
       | _ -> s
     in
     Hashtbl.replace t.tbl key s;
-    let delta = s.version - match old with Some old -> old.version | None -> 0 in
-    if delta <> 0 then begin
-      let sum = Option.value ~default:0 (List.assoc_opt s.attr t.versions) in
-      t.versions <- (s.attr, sum + delta) :: List.remove_assoc s.attr t.versions
-    end;
+    (match old with Some old when old.version = s.version -> () | _ -> t.versions <- None);
     true
 
 (* Summaries travel inside [StatGossip] messages: a deterministic (attr,
@@ -127,5 +126,20 @@ let region_loads t =
     t.tbl;
   Det.sorted_bindings ~cmp:String.compare regions
 
-let attr_version t a = Option.value ~default:0 (List.assoc_opt a t.versions)
-let total_version t = List.fold_left (fun acc (_, v) -> acc + v) 0 t.versions
+let versions t =
+  match t.versions with
+  | Some sums -> sums
+  | None ->
+    let sums =
+      (* Commutative integer sums: iteration order cannot matter. *)
+      Hashtbl.fold (* srclint: allow unordered-iteration *)
+        (fun (attr, _) s acc ->
+          (attr, s.version + Option.value ~default:0 (List.assoc_opt attr acc))
+          :: List.remove_assoc attr acc)
+        t.tbl []
+    in
+    t.versions <- Some sums;
+    sums
+
+let attr_version t a = Option.value ~default:0 (List.assoc_opt a (versions t))
+let total_version t = List.fold_left (fun acc (_, v) -> acc + v) 0 (versions t)

@@ -10,10 +10,6 @@ let encode_int i =
 
 let decode_int_at s off = Int64.to_int (Int64.logxor (String.get_int64_be s off) Int64.min_int)
 
-let decode_int s =
-  if String.length s <> 8 then invalid_arg "Ophash.decode_int";
-  decode_int_at s 0
-
 let float_bits_sortable f =
   let bits = Int64.bits_of_float f in
   if Int64.compare bits 0L < 0 then Int64.lognot bits
@@ -29,10 +25,6 @@ let encode_float f =
       Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - k) * 8)) 0xFFL)))
 
 let decode_float_at s off = float_bits_unsortable (String.get_int64_be s off)
-
-let decode_float s =
-  if String.length s <> 8 then invalid_arg "Ophash.decode_float";
-  decode_float_at s 0
 
 let to_bitkey enc = Bitkey.of_bytes_prefix enc ~width:routing_bits
 

@@ -30,11 +30,9 @@ val encode_int : int -> string
     all non-NaN floats correctly. *)
 val encode_float : float -> string
 
-val decode_int : string -> int
-val decode_float : string -> float
-
-(** [decode_int_at s off] decodes the 8 bytes of [s] at [off], as
-    {!decode_int} does a whole string; likewise [decode_float_at]. *)
+(** [decode_int_at s off] inverts {!encode_int} on the 8 bytes of [s] at
+    [off]; likewise [decode_float_at] for {!encode_float}. Raise
+    [Invalid_argument] if fewer than 8 bytes are left. *)
 val decode_int_at : string -> int -> int
 
 val decode_float_at : string -> int -> float
