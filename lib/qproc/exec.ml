@@ -237,6 +237,24 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
           | None -> [] ))
       left
   in
+  (* Only triples of the pattern's attribute or a mapping-equivalent one
+     can match; a probe keeps just those, however many rows share it.
+     An equivalent attribute matches through the pattern rewritten to
+     it. *)
+  let compiled = Binding.compile run.schema p in
+  let keep, match_into =
+    match p.Ast.attr with
+    | Ast.TConst (Value.S a) ->
+      let eqs = expansions_for expansions a in
+      ( List.filter (fun (tr : Triple.t) -> List.mem tr.Triple.attr eqs),
+        fun b (tr : Triple.t) ->
+          let cp =
+            if String.equal tr.Triple.attr a then compiled
+            else Binding.compile run.schema (pattern_with_attr p tr.Triple.attr)
+          in
+          Binding.match_compiled b cp tr )
+    | _ -> (Fun.id, fun b tr -> Binding.match_compiled b compiled tr)
+  in
   (* Answer what the per-key cache can; look up only the rest. The
      residual keys become lookup messages: visit them in key order so
      the wire traffic does not depend on hash-bucket order. *)
@@ -245,33 +263,18 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
     |> List.filter_map (fun (key, probe) ->
            match Option.bind cache (fun c -> Qcache.find_bind c ~attr:probe.attr ~key) with
            | Some triples ->
-             probe.triples <- triples;
+             probe.triples <- keep triples;
              None
            | None -> Some probe)
   in
-  (* A probed key's answer: keep it, and cache it when complete. *)
+  (* A probed key's answer: cache all of it when complete, keep what can
+     match. *)
   let resolve (r : Dht.result) probe items =
     let triples = Tstore.decode_items items in
-    probe.triples <- triples;
+    probe.triples <- keep triples;
     match cache with
     | Some c when r.Dht.complete -> Qcache.store_bind c ~attr:probe.attr ~key:probe.key triples
     | _ -> ()
-  in
-  (* Accept mapping-equivalent attributes by rewriting the pattern to
-     the triple's attribute — but only when that attribute really is in
-     the expansion set; anything else must fail the match. *)
-  let compiled = Binding.compile run.schema p in
-  let equivalents =
-    match p.Ast.attr with Ast.TConst (Value.S a) -> Some (a, expansions_for expansions a) | _ -> None
-  in
-  let match_into b (tr : Triple.t) =
-    let cp =
-      match equivalents with
-      | Some (a, eqs) when (not (String.equal tr.Triple.attr a)) && List.mem tr.Triple.attr eqs ->
-        Binding.compile run.schema (pattern_with_attr p tr.Triple.attr)
-      | _ -> compiled
-    in
-    Binding.match_compiled b cp tr
   in
   let join () =
     let out = ref [] in
