@@ -25,44 +25,44 @@ let levenshtein a b =
   end
 
 let within_distance a b d =
-  if d < 0 then false
+  let la = String.length a and lb = String.length b in
+  if d < 0 || abs (la - lb) > d then false
+  (* No distance exceeds the longer length; this also keeps [d + 1]
+     below from overflowing. *)
+  else if d >= max la lb then true
+  else if d = 0 then String.equal a b
   else begin
-    let la = String.length a and lb = String.length b in
-    if abs (la - lb) > d then false
-    else if d = 0 then String.equal a b
-    else begin
-      let a, b, la, lb = if la <= lb then (a, b, la, lb) else (b, a, lb, la) in
-      (* Banded DP: only cells with |i-j| <= d can be <= d. Cells outside
-         the band (or already beyond d) saturate at [inf]. *)
-      let inf = d + 1 in
-      let prev = Array.make (la + 1) inf in
-      let cur = Array.make (la + 1) inf in
-      for i = 0 to min la d do
-        prev.(i) <- i
+    let a, b, la, lb = if la <= lb then (a, b, la, lb) else (b, a, lb, la) in
+    (* Banded DP: only cells with |i-j| <= d can be <= d. Cells outside
+       the band (or already beyond d) saturate at [inf]. *)
+    let inf = d + 1 in
+    let prev = Array.make (la + 1) inf in
+    let cur = Array.make (la + 1) inf in
+    for i = 0 to min la d do
+      prev.(i) <- i
+    done;
+    let exceeded = ref false in
+    let j = ref 1 in
+    while (not !exceeded) && !j <= lb do
+      let jj = !j in
+      Array.fill cur 0 (la + 1) inf;
+      let best = ref inf in
+      if jj <= d then begin
+        cur.(0) <- jj;
+        best := jj
+      end;
+      let lo = max 1 (jj - d) and hi = min la (jj + d) in
+      for i = lo to hi do
+        let cost = if a.[i - 1] = b.[jj - 1] then 0 else 1 in
+        let v = min inf (min (min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)) in
+        cur.(i) <- v;
+        if v < !best then best := v
       done;
-      let exceeded = ref false in
-      let j = ref 1 in
-      while (not !exceeded) && !j <= lb do
-        let jj = !j in
-        Array.fill cur 0 (la + 1) inf;
-        let best = ref inf in
-        if jj <= d then begin
-          cur.(0) <- jj;
-          best := jj
-        end;
-        let lo = max 1 (jj - d) and hi = min la (jj + d) in
-        for i = lo to hi do
-          let cost = if a.[i - 1] = b.[jj - 1] then 0 else 1 in
-          let v = min inf (min (min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)) in
-          cur.(i) <- v;
-          if v < !best then best := v
-        done;
-        if !best >= inf then exceeded := true;
-        Array.blit cur 0 prev 0 (la + 1);
-        incr j
-      done;
-      (not !exceeded) && prev.(la) <= d
-    end
+      if !best >= inf then exceeded := true;
+      Array.blit cur 0 prev 0 (la + 1);
+      incr j
+    done;
+    (not !exceeded) && prev.(la) <= d
   end
 
 let qgrams ~q s =

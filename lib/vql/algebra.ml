@@ -229,9 +229,9 @@ and eval_edist_cmp lookup op x y d =
       (Value.B
          (match op with
          | Ast.Le -> within d
-         | Ast.Lt -> within (d - 1)
+         | Ast.Lt -> d > 0 && within (d - 1)
          | Ast.Gt -> not (within d)
-         | Ast.Ge -> not (within (d - 1))
+         | Ast.Ge -> not (d > 0 && within (d - 1))
          | Ast.Eq | Ast.Neq -> invalid_arg "Algebra.eval_edist_cmp"))
   | _ -> eval_cmp op (edist_value vx vy) d
 

@@ -186,14 +186,21 @@ let prop_binding_matches_model =
 
 (* A thresholded edist comparison runs the banded DP; its verdict must be
    that of the full distance compared afterwards, for every operator,
-   both operand orders and bounds down to negative ones. *)
+   both operand orders and bounds down to negative ones and out to the
+   int range's ends, where [d - 1] or [d + 1] would wrap. *)
 let prop_edist_threshold_matches_levenshtein =
   let open QCheck2.Gen in
   let word = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 7) in
   let op = oneofl Ast.[ Lt; Le; Gt; Ge; Eq; Neq ] in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"thresholded edist = levenshtein then compare" ~count:1000
-       (tup5 word word (-2 -- 8) op bool)
+       (tup5 word word
+          (frequency
+             [
+               (8, -2 -- 8);
+               (1, oneofl [ max_int; max_int - 1; max_int - 7; min_int; min_int + 1 ]);
+             ])
+          op bool)
        (fun (x, y, d, op, flipped) ->
          let dist = Unistore_util.Strdist.levenshtein x y in
          let edist = Ast.EEdist (Ast.EVar "x", Ast.EConst (Value.S y)) in
