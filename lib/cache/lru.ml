@@ -3,59 +3,56 @@ module Det = Unistore_util.Det
 (* Entries sit on a doubly-linked list from least to most recently used;
    the table maps a key to its node. A read moves the node to the
    newest end and eviction takes the oldest, both O(1). *)
-type 'a node =
-  | Nil
-  | Node of { key : string; value : 'a; mutable prev : 'a node; mutable next : 'a node }
+type 'a node = {
+  key : string;
+  value : 'a;
+  mutable prev : 'a node option;
+  mutable next : 'a node option;
+}
 
 type 'a t = {
   mutable capacity : int;
   tbl : (string, 'a node) Hashtbl.t;
-  mutable oldest : 'a node;
-  mutable newest : 'a node;
+  mutable oldest : 'a node option;
+  mutable newest : 'a node option;
 }
 
 let create ~capacity =
-  { capacity = max 0 capacity; tbl = Hashtbl.create 16; oldest = Nil; newest = Nil }
+  { capacity = max 0 capacity; tbl = Hashtbl.create 16; oldest = None; newest = None }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let clear t =
   Hashtbl.reset t.tbl;
-  t.oldest <- Nil;
-  t.newest <- Nil
+  t.oldest <- None;
+  t.newest <- None
 
-let unlink t = function
-  | Nil -> ()
-  | Node n ->
-    (match n.prev with Nil -> t.oldest <- n.next | Node p -> p.next <- n.next);
-    (match n.next with Nil -> t.newest <- n.prev | Node x -> x.prev <- n.prev);
-    n.prev <- Nil;
-    n.next <- Nil
+let unlink t n =
+  (match n.prev with None -> t.oldest <- n.next | Some p -> p.next <- n.next);
+  (match n.next with None -> t.newest <- n.prev | Some x -> x.prev <- n.prev);
+  n.prev <- None;
+  n.next <- None
 
-let push_newest t node =
-  match node with
-  | Nil -> ()
-  | Node n ->
-    n.prev <- t.newest;
-    (match t.newest with Nil -> t.oldest <- node | Node p -> p.next <- node);
-    t.newest <- node
+let push_newest t n =
+  n.prev <- t.newest;
+  (match t.newest with None -> t.oldest <- Some n | Some p -> p.next <- Some n);
+  t.newest <- Some n
 
 let find t key =
   match Hashtbl.find_opt t.tbl key with
-  | Some (Node n as node) ->
-    unlink t node;
-    push_newest t node;
+  | Some n ->
+    unlink t n;
+    push_newest t n;
     Some n.value
-  | Some Nil | None -> None
+  | None -> None
 
-let peek t key =
-  match Hashtbl.find_opt t.tbl key with Some (Node n) -> Some n.value | Some Nil | None -> None
+let peek t key = Option.map (fun n -> n.value) (Hashtbl.find_opt t.tbl key)
 
 let remove t key =
   match Hashtbl.find_opt t.tbl key with
-  | Some node ->
-    unlink t node;
+  | Some n ->
+    unlink t n;
     Hashtbl.remove t.tbl key
   | None -> ()
 
@@ -63,10 +60,10 @@ let remove t key =
    least recently used entry. *)
 let evict_one t =
   match t.oldest with
-  | Node n as node ->
-    unlink t node;
+  | Some n ->
+    unlink t n;
     Hashtbl.remove t.tbl n.key
-  | Nil -> ()
+  | None -> ()
 
 let put t key v =
   if t.capacity > 0 then begin
@@ -74,9 +71,9 @@ let put t key v =
     while Hashtbl.length t.tbl >= t.capacity do
       evict_one t
     done;
-    let node = Node { key; value = v; prev = Nil; next = Nil } in
-    Hashtbl.replace t.tbl key node;
-    push_newest t node
+    let n = { key; value = v; prev = None; next = None } in
+    Hashtbl.replace t.tbl key n;
+    push_newest t n
   end
 
 let set_capacity t c =
@@ -88,14 +85,12 @@ let set_capacity t c =
       evict_one t
     done
 
-let value_of = function Node n -> n.value | Nil -> assert false
-
 let filter_inplace t f =
   let doomed =
-    Hashtbl.fold (fun k node acc -> if f k (value_of node) then acc else k :: acc) t.tbl []
+    Hashtbl.fold (fun k n acc -> if f k n.value then acc else k :: acc) t.tbl []
     |> List.sort String.compare
   in
   List.iter (remove t) doomed;
   List.length doomed
 
-let iter t f = Det.sorted_iter ~cmp:String.compare (fun k node -> f k (value_of node)) t.tbl
+let iter t f = Det.sorted_iter ~cmp:String.compare (fun k n -> f k n.value) t.tbl

@@ -5,8 +5,8 @@
     the entry's recency and inserting past capacity evicts the stalest
     entry. Recency is use order, not wall time, so the structure needs
     no clock and eviction order is deterministic, never hash-bucket
-    order. Every operation is O(1): entries sit on a recency list, and
-    the victim is its least recently used end.
+    order. [find], [put] and [remove] are O(1): entries sit on a
+    recency list, and the victim is its least recently used end.
 
     Capacity 0 disables the structure entirely ([put] is a no-op), which
     is how experiments run their "caching off" arm without touching call
