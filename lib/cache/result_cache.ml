@@ -2,44 +2,38 @@ module Metrics = Unistore_obs.Metrics
 
 type 'a entry = { value : 'a; version : int; stored_at : float }
 
-(* The counter names, built once: a lookup bumps one of them. *)
-type names = { hit : string; miss : string; stale_version : string; stale_ttl : string }
-
 type 'a t = {
-  names : names;
+  name : string;
   mutable metrics : Metrics.t option;
   ttl_ms : float;
   lru : 'a entry Lru.t;
 }
 
 let create ?(name = "cache.result") ?metrics ~capacity ~ttl_ms () =
-  let n what = name ^ "." ^ what in
-  let names =
-    { hit = n "hit"; miss = n "miss"; stale_version = n "stale_version"; stale_ttl = n "stale_ttl" }
-  in
-  { names; metrics; ttl_ms; lru = Lru.create ~capacity }
+  { name; metrics; ttl_ms; lru = Lru.create ~capacity }
 
 let set_metrics t m = t.metrics <- m
 let length t = Lru.length t.lru
 let capacity t = Lru.capacity t.lru
 
-let bump t name = match t.metrics with Some m -> Metrics.incr m name | None -> ()
+let bump t what =
+  match t.metrics with Some m -> Metrics.incr m (t.name ^ "." ^ what) | None -> ()
 
 let find t ~key ~version ~now =
   match Lru.find t.lru key with
   | None ->
-    bump t t.names.miss;
+    bump t "miss";
     None
   | Some e when e.version <> version ->
     Lru.remove t.lru key;
-    bump t t.names.stale_version;
+    bump t "stale_version";
     None
   | Some e when now -. e.stored_at > t.ttl_ms ->
     Lru.remove t.lru key;
-    bump t t.names.stale_ttl;
+    bump t "stale_ttl";
     None
   | Some e ->
-    bump t t.names.hit;
+    bump t "hit";
     Some e.value
 
 let mem t ~key ~version ~now =

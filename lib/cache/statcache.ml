@@ -27,21 +27,11 @@ type agg = {
   a_regions : int;
 }
 
-(* [versions] caches the per-attribute sums of the held summaries'
-   versions, which the result cache reads on every lookup; [None] once a
-   merge changed a version. Only query origins ever compute it, so the
-   other peers pay one word each. *)
-type t = {
-  tbl : (string * string, summary) Hashtbl.t;
-  mutable versions : (string * int) list option;
-}
+type t = { tbl : (string * string, summary) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 32; versions = None }
+let create () = { tbl = Hashtbl.create 32 }
 let length t = Hashtbl.length t.tbl
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.versions <- None
+let clear t = Hashtbl.reset t.tbl
 
 let fresher a b =
   a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
@@ -63,7 +53,6 @@ let merge t s =
       | _ -> s
     in
     Hashtbl.replace t.tbl key s;
-    (match old with Some old when old.version = s.version -> () | _ -> t.versions <- None);
     true
 
 (* Summaries travel inside [StatGossip] messages: a deterministic (attr,
@@ -126,20 +115,10 @@ let region_loads t =
     t.tbl;
   Det.sorted_bindings ~cmp:String.compare regions
 
-let versions t =
-  match t.versions with
-  | Some sums -> sums
-  | None ->
-    let sums =
-      (* Commutative integer sums: iteration order cannot matter. *)
-      Hashtbl.fold (* srclint: allow unordered-iteration *)
-        (fun (attr, _) s acc ->
-          (attr, s.version + Option.value ~default:0 (List.assoc_opt attr acc))
-          :: List.remove_assoc attr acc)
-        t.tbl []
-    in
-    t.versions <- Some sums;
-    sums
+let attr_version t a =
+  (* Commutative integer sum: iteration order cannot matter. *)
+  Hashtbl.fold (fun (attr, _) s acc -> if String.equal attr a then acc + s.version else acc) t.tbl 0 (* srclint: allow unordered-iteration *)
 
-let attr_version t a = Option.value ~default:0 (List.assoc_opt a (versions t))
-let total_version t = List.fold_left (fun acc (_, v) -> acc + v) 0 (versions t)
+let total_version t =
+  (* Commutative integer sum: iteration order cannot matter. *)
+  Hashtbl.fold (fun _ s acc -> acc + s.version) t.tbl 0 (* srclint: allow unordered-iteration *)

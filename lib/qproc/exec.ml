@@ -373,31 +373,10 @@ let hash_join left right =
       List.rev !out
     end
 
-module Vtbl = Hashtbl.Make (Value)
-
-(* A filter over one variable is a function of that variable's value,
-   so it is evaluated once per distinct value: an edist filter over a
-   join's rows then costs one banded DP per distinct string. *)
-let apply_filter f rows =
-  let eval b = Algebra.eval_pred (Binding.lookup b) f in
-  match Ast.expr_vars f with
-  | [ v ] ->
-    let get = Binding.getter v and memo = Vtbl.create 16 in
-    List.filter
-      (fun b ->
-        match get b with
-        | None -> eval b
-        | Some x -> (
-          match Vtbl.find_opt memo x with
-          | Some verdict -> verdict
-          | None ->
-            let verdict = eval b in
-            Vtbl.add memo x verdict;
-            verdict))
-      rows
-  | _ -> List.filter eval rows
-
-let apply_filters filters rows = List.fold_left (fun rows f -> apply_filter f rows) rows filters
+let apply_filters filters rows =
+  List.fold_left
+    (fun rows f -> List.filter (fun b -> Algebra.eval_pred (Binding.lookup b) f) rows)
+    rows filters
 
 (* ------------------------------------------------------------------ *)
 (* Post-processing (ranking, projection, distinct, limit)              *)

@@ -346,33 +346,6 @@ let test_statcache_merge_newest_wins () =
   check Alcotest.bool "other region adopted" true (Statcache.merge t (summary ~region_lo:"r1" ()));
   check Alcotest.int "two regions held" 2 (Statcache.length t)
 
-(* The version sums are kept up to date by [merge]; they must equal the
-   sums over the held summaries after any merge sequence. *)
-let prop_statcache_version_sums =
-  let open QCheck2.Gen in
-  let one =
-    map3
-      (fun (attr, region_lo) version sampled_at ->
-        summary ~attr ~region_lo ~version ~sampled_at:(float_of_int sampled_at) ())
-      (pair (oneofl [ "age"; "name"; "year" ]) (oneofl [ "r0"; "r1"; "r2" ]))
-      (0 -- 6) (0 -- 3)
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"statcache version sums = sums over summaries" ~count:300
-       (list_size (0 -- 30) one)
-       (fun merges ->
-         let t = Statcache.create () in
-         List.for_all
-           (fun s ->
-             ignore (Statcache.merge t s);
-             let held = Statcache.summaries t in
-             let sum p = List.fold_left (fun acc (s : Statcache.summary) -> if p s then acc + s.version else acc) 0 held in
-             Statcache.total_version t = sum (fun _ -> true)
-             && List.for_all
-                  (fun a -> Statcache.attr_version t a = sum (fun s -> String.equal s.Statcache.attr a))
-                  [ "age"; "name"; "year"; "title" ])
-           merges))
-
 let test_statcache_versions_and_aggregate () =
   let t = Statcache.create () in
   ignore (Statcache.merge t (summary ~region_lo:"r0" ~version:2 ~count:10 ()));
@@ -1073,7 +1046,6 @@ let () =
             test_statcache_merge_newest_wins;
           Alcotest.test_case "versions and decayed aggregation" `Quick
             test_statcache_versions_and_aggregate;
-          prop_statcache_version_sums;
         ] );
       ( "overlay-shortcuts",
         [
