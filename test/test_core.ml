@@ -500,6 +500,46 @@ let test_golden_row_order () =
       check Alcotest.(pair int string) k expected actual)
     golden_row_order (cold @ cached)
 
+(* Golden store contents: every peer's store and boost copy on the
+   32-peer deployment, after a flash crowd long enough for the balancer
+   to spawn boosts, as (peer, store, key, item id, version) lines in scan
+   order. Counts and the MD5 of the lines were recorded when the test
+   was added; a change to the per-peer store or to the batch splitter
+   must leave what lands where, and the order a scan returns it in,
+   untouched. *)
+let golden_store_contents = ((18452, 1692), "52b2f8fb00376897f90ba94b91010819")
+
+let test_golden_store_contents () =
+  let store, ds = make_store () in
+  let keys = List.sort_uniq String.compare (Publications.sample_keys ds) in
+  ignore
+    (Unistore.run_traffic store ~keys
+       {
+         Unistore.default_traffic_config with
+         Unistore.traffic_duration_ms = 8_000.0;
+         traffic_warmup_ms = 1_000.0;
+       });
+  let overlay = Option.get (Unistore.pgrid store) in
+  let b = Buffer.create (1 lsl 20) in
+  let dump label (nd : Unistore_pgrid.Node.t) s =
+    let items = Unistore_pgrid.Store.to_list s in
+    List.iter
+      (fun (i : Unistore_pgrid.Store.item) ->
+        Printf.bprintf b "%d %s %S %S %d\n" nd.id label i.key i.item_id i.version)
+      items;
+    List.length items
+  in
+  let stored, hot =
+    List.fold_left
+      (fun (s, h) (nd : Unistore_pgrid.Node.t) ->
+        (s + dump "store" nd nd.store, h + dump "hot" nd nd.hot_store))
+      (0, 0) (Unistore_pgrid.Overlay.nodes overlay)
+  in
+  check
+    Alcotest.(pair (pair int int) string)
+    "store contents" golden_store_contents
+    ((stored, hot), Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Allocation guard on the paper's skyline query: minor-heap words per
    row the plan touches (rows in plus rows out, summed over the steps),
    cold and uncached, under both strategies, on a query_mix-sized
@@ -999,6 +1039,7 @@ let () =
           Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;
           Alcotest.test_case "interleaved queries" `Quick test_interleaved_queries;
           Alcotest.test_case "golden row order" `Quick test_golden_row_order;
+          Alcotest.test_case "golden store contents" `Quick test_golden_store_contents;
           Alcotest.test_case "skyline allocation guard" `Quick test_skyline_allocation_guard;
           Alcotest.test_case "rank paths agree across overlays" `Quick
             test_rank_paths_agree_across_overlays;
