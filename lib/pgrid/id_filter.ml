@@ -1,17 +1,17 @@
-(* A Bloom filter over one key's item ids: 8 bits per id of capacity,
-   3 probes by double hashing two independent string hashes. Created
-   for twice the ids it starts with, so it runs at 8-16 bits per live
-   id (1-2 B/item) and a false-positive rate of at most ~3%, reached
-   just before the owner rebuilds it. *)
+(* A Bloom filter over one store's (key, item id) pairs: 8 bits per
+   pair of capacity, 3 probes by double hashing. Its owner sizes it for
+   four times the pairs it starts with, so it runs at 8-32 bits per
+   live pair (1-4 B/item) and a false-positive rate of at most ~3%,
+   reached just before the owner rebuilds it. *)
 
-type t = { bits : Bytes.t; capacity : int; mutable ids : int }
+type t = { bits : Bytes.t; capacity : int; mutable pairs : int }
 
 let min_ids = 32
 let bits_per_id = 8
 
 let create n =
-  let capacity = 2 * max n min_ids in
-  { bits = Bytes.make (capacity * bits_per_id / 8) '\000'; capacity; ids = 0 }
+  let capacity = 4 * max n min_ids in
+  { bits = Bytes.make (capacity * bits_per_id / 8) '\000'; capacity; pairs = 0 }
 
 let seed = 0x5bd1e995
 
@@ -22,29 +22,35 @@ let set f i =
   let byte = Char.code (Bytes.unsafe_get f.bits j) lor (1 lsl (i land 7)) in
   Bytes.unsafe_set f.bits j (Char.unsafe_chr byte)
 
-(* The three probe positions are [h1], [h1 + h2], [h1 + 2 h2] modulo
-   the bit count; [h2] is odd and the bit count a multiple of 8, so the
-   probes are distinct. *)
-let add f id =
+(* The pair's two hashes seed the id's hash with the key's, so both
+   strings count. The three probe positions are [h1], [h1 + h2],
+   [h1 + 2 h2] modulo the bit count; [h2] is odd and the bit count a
+   multiple of 8, so the probes are distinct. *)
+let insert f ~key id =
   let m = 8 * Bytes.length f.bits in
-  let h1 = Hashtbl.hash id and h2 = Hashtbl.seeded_hash seed id lor 1 in
-  set f (h1 mod m);
-  set f ((h1 + h2) mod m);
-  set f ((h1 + (2 * h2)) mod m);
-  f.ids <- f.ids + 1
+  let hk = Hashtbl.hash key in
+  let h1 = Hashtbl.seeded_hash hk id and h2 = Hashtbl.seeded_hash (hk lxor seed) id lor 1 in
+  let p0 = h1 mod m and p1 = (h1 + h2) mod m and p2 = (h1 + (2 * h2)) mod m in
+  if get f p0 && get f p1 && get f p2 then false
+  else begin
+    set f p0;
+    set f p1;
+    set f p2;
+    f.pairs <- f.pairs + 1;
+    true
+  end
 
-let mem f id =
+let mem f ~key id =
   let m = 8 * Bytes.length f.bits in
-  let h1 = Hashtbl.hash id and h2 = Hashtbl.seeded_hash seed id lor 1 in
+  let hk = Hashtbl.hash key in
+  let h1 = Hashtbl.seeded_hash hk id and h2 = Hashtbl.seeded_hash (hk lxor seed) id lor 1 in
   get f (h1 mod m) && get f ((h1 + h2) mod m) && get f ((h1 + (2 * h2)) mod m)
 
-let admit filter ~walked id =
-  match filter with
-  | Some f when f.ids < f.capacity ->
-    add f id;
-    false
-  | Some _ -> true
-  | None -> walked >= min_ids
+let full f = f.pairs >= f.capacity
+
+let reset f =
+  Bytes.fill f.bits 0 (Bytes.length f.bits) '\000';
+  f.pairs <- 0
 
 (* Record (header + 3 fields) plus the bytes block: header word and
    data padded to a whole word with at least one terminator byte. *)

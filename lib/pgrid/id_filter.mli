@@ -1,36 +1,39 @@
-(** Exact-negative membership over the item ids stored under one hot
-    store key: a Bloom filter.
+(** Exact-negative membership over the (key, item id) pairs of one
+    per-peer store: a Bloom filter.
 
-    [mem f id = false] is certain: [id] was never {!add}ed since the
-    filter was created. [mem f id = true] only means "maybe" — callers
-    fall back to their exact walk of the key's items, so answers stay
-    exact. Removing an id leaves its bits set, which can only cause
-    false positives.
+    [mem f ~key id = false] is certain: the pair was never {!insert}ed
+    since the filter was created or last {!reset}. [true] only means
+    "maybe" — the store falls back to its exact walk of the key's items,
+    so answers never depend on the filter. Removing an item leaves its
+    bits set, which can only cause false positives.
 
-    A filter is sized for twice the ids it is created for; once that
-    many were added, {!admit} asks the owner to rebuild it from the
-    key's current ids, so the rebuild cost is amortized O(1) per
-    insert. Keys of at most {!min_ids} ids get no filter at all. *)
+    A filter is sized for four times the pairs it is created for. Once
+    that many were inserted it is {!full}, and the store rebuilds it
+    from its current items, so the rebuild cost is amortized O(1) per
+    insert. Stores of at most {!min_ids} items carry no filter. *)
 
 type t
 
-(** Keys holding at most this many ids are walked, not filtered. *)
+(** Stores holding at most this many items are walked, not filtered. *)
 val min_ids : int
 
-(** [create n] is an empty filter sized for [2 * max n min_ids] ids. *)
+(** [create n] is an empty filter sized for [4 * max n min_ids] pairs. *)
 val create : int -> t
 
-val add : t -> string -> unit
+(** [insert f ~key id] sets the pair's bits. [true] iff the pair was
+    certainly absent before; only those inserts count towards {!full}
+    (a "maybe" set no new bit). *)
+val insert : t -> key:string -> string -> bool
 
-(** [false] iff [id] is certainly absent. *)
-val mem : t -> string -> bool
+(** [false] iff the pair is certainly absent. *)
+val mem : t -> key:string -> string -> bool
 
-(** [admit filter ~walked id] records that the new [id] joined a key
-    whose filter is [filter] and, if that key has none, whose other
-    [walked] ids the caller walked. [true] means the caller must build
-    the key a fresh filter from all its ids, [id] included: the key just
-    outgrew {!min_ids}, or its filter is at capacity. *)
-val admit : t option -> walked:int -> string -> bool
+(** The filter holds its sized number of pairs: rebuild it. *)
+val full : t -> bool
+
+(** Clear every bit, keeping the allocation (for a store emptied by
+    [clear] and refilled to about its old size). *)
+val reset : t -> unit
 
 (** Heap bytes of the filter (record and bit array), in the
     {!Store_intf.stats} memory model. *)

@@ -222,31 +222,36 @@ let flush_agg t (a : agg) ~reason =
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
 
-(* Replica failover: every ref at this level is dead, so stand in a live
-   member of a dead ref's replica group. Replica-group membership spreads
-   with the exchange/join gossip, so a peer plausibly knows its refs'
-   replicas; P-Grid's own fault-tolerance story is exactly that any
-   replica of the addressed region can serve. *)
-let failover_candidates t refs =
+(* Peers are assumed to detect failures of their direct references (via
+   keep-alive pings, as deployed DHTs do). A ping cannot cross a
+   partition either, so a peer on the far side of one looks failed too. *)
+let reachable t (me : Node.t) p =
+  Net.is_alive t.net p && not (Net.partitioned t.net ~src:me.Node.id ~dst:p)
+
+(* Replica failover: every ref at this level looks failed, so stand in
+   a reachable member of a ref's replica group. Replica-group membership
+   spreads with the exchange/join gossip, so a peer plausibly knows its
+   refs' replicas; P-Grid's own fault-tolerance story is exactly that
+   any replica of the addressed region can serve. *)
+let failover_candidates t me refs =
   List.concat_map
     (fun r ->
       match find_node t r with
-      | Some nd -> List.filter (Net.is_alive t.net) nd.Node.replicas
+      | Some nd -> List.filter (reachable t me) nd.Node.replicas
       | None -> [])
     refs
   |> List.sort_uniq compare
 
-(* Peers are assumed to detect failures of their direct references (via
-   keep-alive pings, as deployed DHTs do), so routing prefers alive refs;
-   if every ref of a level looks dead we fail over to a live replica of
-   one of them (and learn it as a ref); with no replica alive either we
-   still try one, and the request times out and retries. *)
+(* Routing prefers reachable refs; if every ref of a level looks failed
+   we fail over to a reachable replica of one of them (and learn it as a
+   ref); with no replica reachable either we still try one, and the
+   request times out and retries. *)
 let choose_ref t (me : Node.t) level =
   let refs = Node.refs_at me level in
   let candidates, failing_over =
-    match List.filter (Net.is_alive t.net) refs with
+    match List.filter (reachable t me) refs with
     | [] -> (
-      match failover_candidates t refs with [] -> (refs, false) | alts -> (alts, true))
+      match failover_candidates t me refs with [] -> (refs, false) | alts -> (alts, true))
     | alive -> (alive, false)
   in
   let chosen =
@@ -300,14 +305,14 @@ let learn_shortcut t (me : Node.t) ~peer ~region:(lo, hi) =
   end
 
 (* Consult the origin's learned shortcuts for a single direct hop to the
-   responsible peer. A hit pointing at a dead peer invalidates that
-   peer's entries on the spot (the same failure-detection assumption as
-   [choose_ref]'s alive filter). *)
+   responsible peer. A hit pointing at a peer that looks failed (dead or
+   across a partition) invalidates that peer's entries on the spot (the
+   same failure-detection assumption as [choose_ref]). *)
 let consult_shortcut t (me : Node.t) ~rid key =
   if Shortcuts.capacity me.Node.shortcuts = 0 then None
   else
     match Shortcuts.find me.Node.shortcuts ~key with
-    | Some p when p <> me.Node.id && Net.is_alive t.net p ->
+    | Some p when p <> me.Node.id && reachable t me p ->
       cache_incr t "cache.shortcut.hit";
       Request.set_via t.requests rid p;
       Some p
@@ -416,32 +421,41 @@ let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
 (* Batched operations (bulk insert / multi-key lookup)                  *)
 
 (* Partition a batch at [me]: the share [me] covers locally, plus one
-   group per first-divergence level, mirroring [route_step] per key. One
-   forwarded message per touched subtree replaces one routed message per
-   item. *)
+   group per first-divergence level in ascending level order, mirroring
+   [route_step] per key. One forwarded message per touched subtree
+   replaces one routed message per item. Precondition: [xs] is sorted
+   by [key_of] (every batch is: see [bulk_insert] and [multi_lookup];
+   groups and retransmits are sublists). Each level's side of [me]'s
+   path is an interval of keys, so a key between the batch's first and
+   last passes every level that both of them pass, and its scan starts
+   at the first level they do not share. *)
 let split_batch (me : Node.t) ~key_of xs =
   let len = Bitkey.length me.Node.path in
-  let local = ref [] in
-  let groups = Hashtbl.create 8 in
+  let passes key l = Node.key_side me ~level:l key = Bitkey.get me.Node.path l in
+  let shared =
+    match xs with
+    | [] -> len
+    | x :: rest ->
+      let first = key_of x and last = key_of (List.fold_left (fun _ y -> y) x rest) in
+      let rec go l = if l < len && passes first l && passes last l then go (l + 1) else l in
+      go 0
+  in
+  let local = ref [] and groups = Array.make len [] in
   List.iter
     (fun x ->
       let key = key_of x in
       let rec go l =
         if l >= len then local := x :: !local
-        else if Node.key_side me ~level:l key <> Bitkey.get me.Node.path l then begin
-          match Hashtbl.find_opt groups l with
-          | Some r -> r := x :: !r
-          | None -> Hashtbl.add groups l (ref [ x ])
-        end
-        else go (l + 1)
+        else if passes key l then go (l + 1)
+        else groups.(l) <- x :: groups.(l)
       in
-      go 0)
+      go shared)
     xs;
-  let forwards =
-    Hashtbl.fold (fun l r acc -> (l, List.rev !r) :: acc) groups []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  (List.rev !local, forwards)
+  let forwards = ref [] in
+  for l = len - 1 downto 0 do
+    if groups.(l) <> [] then forwards := (l, List.rev groups.(l)) :: !forwards
+  done;
+  (List.rev !local, !forwards)
 
 (* A region's [AckBatch]/[MultiFound] arrived at the batch origin [me]:
    learn a shortcut to the responding region and resolve its keys. *)
@@ -943,10 +957,12 @@ let prefix t ~origin ~prefix:p ~k =
       handle_range t me ~rid ~token:(fresh_rid t) ~lo:p ~hi ~clip_lo:p ~clip_hi:(after_inclusive hi)
         ~origin ~reply_to:origin ~hops:0 ~strategy:Message.Shower ~budget:None)
 
-(* Bulk insert: ship the whole (sorted) batch as one [InsertBatch] that
-   splits shower-style down the trie; every covering region stores its
-   share and acks it once. Timeouts selectively retransmit only the
-   still-unacked items. *)
+(* Bulk insert: ship the whole batch as one [InsertBatch] that splits
+   shower-style down the trie; every covering region stores its share
+   and acks it once. Timeouts selectively retransmit only the
+   still-unacked items. The batch is sorted by key here, as
+   [split_batch] requires; its groups and retransmits are sublists, so
+   they stay sorted. *)
 let bulk_insert t ~origin ~items ~k =
   match items with
   | [] -> k Request.empty
@@ -964,7 +980,7 @@ let bulk_insert t ~origin ~items ~k =
 (* Batched point lookups for bind-join probes: deduplicated keys travel
    as one [MultiLookup] that splits by responsible region; each region
    answers once. [k] receives the per-key answers alongside the combined
-   result. *)
+   result. The keys are sorted here, as [split_batch] requires. *)
 let multi_lookup t ~origin ~keys ~k =
   match keys with
   | [] -> k ([], Request.empty)

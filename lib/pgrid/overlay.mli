@@ -222,6 +222,15 @@ val multi_lookup :
   k:((string * Store.item list) list * result -> unit) ->
   unit
 
+(** [split_batch me ~key_of xs] partitions a batch at peer [me]: the
+    elements [me] covers, and one group per level of [me]'s path at
+    which some keys branch away, in ascending level order — the level
+    each key would be forwarded at by greedy prefix routing. Elements
+    keep their input order in every part. [xs] must be sorted by
+    [key_of] in byte-string order; the scan of each key starts at the
+    first level where the batch's first and last keys part. *)
+val split_batch : Node.t -> key_of:('a -> string) -> 'a list -> 'a list * (int * 'a list) list
+
 (** [send_task t ~src ~dst ~bytes f] ships an application-level computation
     (e.g. a mutant query plan) to [dst]; [f] runs there on arrival. Counted
     as one message of [bytes] payload. [f] is not run if [dst] is dead. *)

@@ -7,10 +7,11 @@
 
    - {!Backend_hash}: the ordered-map store — the default, and the
      reference implementation the differential test harness replays
-     every backend against. A new id is prepended in O(1) however hot
-     its key: keys above {!Id_filter.min_ids} items carry an
-     exact-negative {!Id_filter} over their ids, whose "maybe present"
-     falls back to the exact walk;
+     every backend against. A put is one map probe and an in-place
+     prepend to the key's bucket, however hot the key: a store above
+     {!Id_filter.min_ids} items carries one exact-negative
+     {!Id_filter} over its (key, id) pairs, whose "maybe present"
+     falls back to the exact walk of the key;
    - {!Backend_log}: a file-backed log-structured store (append-only
      records + the hash store as its in-memory index). Survives
      crash-restart: a revived peer replays its log and lets
@@ -33,8 +34,8 @@ type item = { key : string; item_id : string; payload : string; version : int }
 
 (* Memory accounting, from the same model the tests and the
    benchmark's [store.model_bytes_per_item] check: [bytes] estimates the resident heap cost of the stored items
-   (records, string headers and padding, container overhead, hot-key id
-   filters — not GC-measured, so it is deterministic and comparable
+   (records, string headers and padding, container overhead, the id
+   filter — not GC-measured, so it is deterministic and comparable
    across backends); [triples] counts live items. *)
 type stats = { bytes : int; triples : int }
 

@@ -338,6 +338,45 @@ let test_partition_completeness () =
   check Alcotest.int "all six keys back" 6
     (List.length (List.sort_uniq compare (List.map (fun (i : Store.item) -> i.Store.key) r.Overlay.items)))
 
+(* A peer across a partition looks failed to routing, as a dead one
+   does: on the 32-peer publications deployment, the VLDB join from
+   origin 5 with peer 28 partitioned off returns what it returns with
+   peer 28 killed (every row, complete, within a second), instead of
+   retrying into the partition until the request gives up. *)
+let test_partition_routes_like_kill () =
+  let run cut =
+    let ds =
+      Publications.generate (Rng.create 7) { Publications.default_params with typo_rate = 0.15 }
+    in
+    let store =
+      Unistore.create ~sample_keys:(Publications.sample_keys ds)
+        { Unistore.default_config with peers = 32; seed = 42 }
+    in
+    ignore (Unistore.load store ds.Publications.tuples);
+    Unistore.set_stats_of_triples store ds.Publications.triples;
+    Unistore.settle store;
+    cut store;
+    let vql =
+      "SELECT ?name WHERE { (?a,'name',?name) (?a,'has_published',?t) (?p,'title',?t) \
+       (?p,'published_in',?cn) (?c,'confname',?cn) (?c,'series',?s) FILTER ?s = 'VLDB' }"
+    in
+    match Unistore.query store ~origin:5 vql with
+    | Ok r ->
+      ( List.sort compare (List.map Binding.fingerprint r.Unistore_qproc.Engine.rows),
+        r.Unistore_qproc.Engine.complete,
+        r.Unistore_qproc.Engine.latency )
+    | Error e -> Alcotest.failf "query failed: %s" e
+  in
+  let killed_rows, killed_complete, _ = run (fun s -> Unistore.kill_peers s [ 28 ]) in
+  let cut_rows, cut_complete, cut_ms =
+    run (fun s -> Net.set_partition (Overlay.net (Option.get (Unistore.pgrid s))) 28 ~group:1)
+  in
+  Alcotest.(check bool) "kill run complete" true killed_complete;
+  Alcotest.(check bool) "kill run has rows" true (killed_rows <> []);
+  Alcotest.(check bool) "partition run complete" true cut_complete;
+  check Alcotest.(list string) "partition rows = kill rows" killed_rows cut_rows;
+  if cut_ms > 1_000.0 then Alcotest.failf "partition run took %.1f simulated ms" cut_ms
+
 (* ------------------------------------------------------------------ *)
 (* Aggregation under crash: no wedged range queries *)
 
@@ -521,6 +560,8 @@ let () =
           Alcotest.test_case "replica failover mid-flight" `Quick test_failover_mid_flight;
           Alcotest.test_case "partition => exact partial coverage" `Quick
             test_partition_completeness;
+          Alcotest.test_case "partitioned peer routes like a killed one" `Quick
+            test_partition_routes_like_kill;
           Alcotest.test_case "aggregator crash terminates" `Quick test_agg_owner_crash_terminates;
           Alcotest.test_case "backoff schedule exact" `Quick test_backoff_schedule;
           Alcotest.test_case "adaptive deadline beats fixed" `Quick

@@ -729,6 +729,109 @@ let test_bootstrap_merge () =
          r.Overlay.items)
 
 (* ------------------------------------------------------------------ *)
+(* Batch splitting *)
+
+(* The splitter's reference: scan every key from level 0, as
+   [route_step] does, and group by the level it branches away at. *)
+let reference_split (me : Node.t) ~key_of xs =
+  let len = Bitkey.length me.Node.path in
+  let level x =
+    let key = key_of x in
+    let rec go l =
+      if l >= len then None
+      else if Node.key_side me ~level:l key <> Bitkey.get me.Node.path l then Some l
+      else go (l + 1)
+    in
+    go 0
+  in
+  let local = List.filter (fun x -> level x = None) xs in
+  let forwards =
+    List.filter_map
+      (fun l -> match List.filter (fun x -> level x = Some l) xs with [] -> None | g -> Some (l, g))
+      (List.init len Fun.id)
+  in
+  (local, forwards)
+
+(* A peer from random bits and boundaries. Nested peers are real P-Grid
+   positions: each level's boundary lies strictly inside the region the
+   path has narrowed to so far, and the path stops where no candidate
+   does. Other peers take the boundaries as drawn; every level's side is
+   still an interval, which is all the splitter assumes. *)
+let split_peer ~nested bits bounds =
+  let bits, bounds =
+    if not nested then (bits, bounds)
+    else
+      let pool = List.sort_uniq String.compare bounds in
+      let rec go lo hi = function
+        | [] -> ([], [])
+        | bit :: rest -> (
+          let inside =
+            List.filter
+              (fun b ->
+                String.compare b lo > 0
+                && match hi with Some h -> String.compare b h < 0 | None -> true)
+              pool
+          in
+          match inside with
+          | [] -> ([], [])
+          | _ ->
+            let b = List.nth inside (List.length inside / 2) in
+            let bits', bounds' = if bit then go b hi rest else go lo (Some b) rest in
+            (bit :: bits', b :: bounds'))
+      in
+      go "" None bits
+  in
+  let n = Node.create 0 in
+  Node.set_path n
+    (Bitkey.of_string (String.concat "" (List.map (fun b -> if b then "1" else "0") bits)))
+    (Array.of_list bounds);
+  n
+
+type split_case = {
+  nested : bool;
+  bits : bool list;
+  bounds : string list;
+  batch : (string * int) list;  (* key-sorted; the int tells equal keys apart *)
+}
+
+let gen_split_case =
+  let open QCheck2.Gen in
+  let key = string_size ~gen:(char_range 'a' 'f') (0 -- 4) in
+  let* depth = 0 -- 8 in
+  let* nested = bool in
+  let* bits = list_repeat depth bool in
+  let* bounds = list_repeat depth key in
+  let* keys = list_size (0 -- 40) key in
+  let* shape = 0 -- 4 in
+  let me = split_peer ~nested bits bounds in
+  let local k = Node.covers me k in
+  let keys =
+    match shape with
+    | 0 -> keys
+    | 1 -> []
+    | 2 -> List.filteri (fun i _ -> i = 0) keys
+    | 3 -> List.filter local keys
+    | _ -> List.filter (fun k -> not (local k)) keys
+  in
+  let batch =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (List.mapi (fun i k -> (k, i)) keys)
+  in
+  return { nested; bits; bounds; batch }
+
+let print_split_case c =
+  Printf.sprintf "nested=%b bits=%s bounds=[%s] batch=[%s]" c.nested
+    (String.concat "" (List.map (fun b -> if b then "1" else "0") c.bits))
+    (String.concat ";" (List.map (Printf.sprintf "%S") c.bounds))
+    (String.concat ";" (List.map (fun (k, i) -> Printf.sprintf "%S/%d" k i) c.batch))
+
+let prop_split_batch_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"split_batch = per-key scan from level 0"
+       ~print:print_split_case gen_split_case (fun c ->
+         let me = split_peer ~nested:c.nested c.bits c.bounds in
+         Overlay.split_batch me ~key_of:fst c.batch = reference_split me ~key_of:fst c.batch))
+
+(* ------------------------------------------------------------------ *)
 (* Message sizes *)
 
 let qtest ?(count = 300) name gen prop =
@@ -946,6 +1049,7 @@ let () =
           prop_range_hit_size;
         ] );
       ("failover", [ prop_failover_any_kill_set ]);
+      ("batch", [ prop_split_batch_matches_reference ]);
       ( "bootstrap",
         [
           Alcotest.test_case "builds a usable trie" `Quick test_bootstrap_builds_trie;

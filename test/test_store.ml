@@ -22,6 +22,7 @@ module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 module Repair = Unistore_pgrid.Repair
 module Id_filter = Unistore_pgrid.Id_filter
+module Backend_hash = Unistore_pgrid.Backend_hash
 
 let check = Alcotest.check
 
@@ -272,25 +273,34 @@ let run_random_trace ~seed ~batches ~batch_len () =
         check_against_model ~ctx backends model probes
       done)
 
-(* A hot-key trace: hundreds of ids over three keys, so every key
-   crosses Id_filter.min_ids and the filter rebuild points (at about
-   2x, 4x, 8x ... of the threshold) — the random traces above never
-   hold more than six items under a key. Phases: a fill with LWW races,
-   stale versions and remove-then-reinsert; a partition handover that
-   drops the lowest key (and its filter) followed by a refill; a clear
-   and a reuse. Observations after every batch compare both backends
-   against the model. *)
+(* A hot-key trace: hundreds of ids over three keys, so every key holds
+   far more items than Id_filter.min_ids — the random traces above
+   never hold more than six items under a key. It opens with a
+   cold-key phase on the fresh stores: hundreds of keys of at most four
+   ids each, so the store crosses the filter's lazy creation and
+   rebuild points with only short keys to walk, with remove-then-
+   reinsert, and a partition handover followed by a refill. Then the
+   hot phases: a fill with LWW races, stale versions and
+   remove-then-reinsert; a partition handover that drops the lowest key
+   followed by a refill; a clear (which resets the filter) and a reuse.
+   Observations after every batch compare both backends against the
+   model. *)
 let run_hot_key_trace ~seed () =
   with_log_dir (Printf.sprintf "hot%d" seed) (fun dir ->
       let rng = Rng.create seed in
       let keys = [| "ha#hot"; "hb#hot"; "hc#hot" |] in
       let ids = Array.init 450 (fun i -> Printf.sprintf "oid%03d" i) in
-      let probes = Array.to_list keys in
+      let cold_keys = Array.init 300 (fun i -> Printf.sprintf "c%03d#cold" i) in
+      let cold_ids = Array.init 4 (fun i -> Printf.sprintf "cid%d" i) in
+      let probes =
+        Array.to_list keys @ List.filteri (fun i _ -> i mod 25 = 0) (Array.to_list cold_keys)
+      in
       let backends = make_backends dir (Printf.sprintf "hot%d" seed) in
       let model = Model.create () in
-      let gen n =
+      let gen keys ids n =
         List.init n (fun _ ->
-            let key = keys.(Rng.int rng 3) and id = ids.(Rng.int rng (Array.length ids)) in
+            let key = keys.(Rng.int rng (Array.length keys))
+            and id = ids.(Rng.int rng (Array.length ids)) in
             if Rng.int rng 100 < 88 then
               Put
                 {
@@ -311,8 +321,20 @@ let run_hot_key_trace ~seed () =
       let hottest () =
         Array.fold_left (fun acc k -> max acc (List.length (Model.find model k))) 0 keys
       in
+      for _ = 1 to 4 do
+        run (gen cold_keys cold_ids 300)
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "cold fill crosses the rebuild points (%d items)" (Model.size model))
+        true
+        (Model.size model > 16 * Id_filter.min_ids);
+      run [ Partition cold_keys.(150) ];
+      for _ = 1 to 2 do
+        run (gen cold_keys cold_ids 300)
+      done;
+      run [ Clear ];
       for _ = 1 to 8 do
-        run (gen 300)
+        run (gen keys ids 300)
       done;
       check Alcotest.bool
         (Printf.sprintf "fill crosses the rebuild points (hottest key %d items)" (hottest ()))
@@ -320,40 +342,112 @@ let run_hot_key_trace ~seed () =
         (hottest () > 8 * Id_filter.min_ids);
       run [ Partition keys.(1) ];
       for _ = 1 to 3 do
-        run (gen 300)
+        run (gen keys ids 300)
       done;
       run [ Clear ];
       for _ = 1 to 4 do
-        run (gen 300)
+        run (gen keys ids 300)
       done;
       check Alcotest.bool "reuse crosses the threshold again" true (hottest () > 2 * Id_filter.min_ids))
 
-(* The filter's one promise: an id admitted since its key got a filter
-   is never reported absent. Ids join one key under the stores' policy
-   ([Id_filter.admit]); whenever it asks for a build, the key's ids so
-   far are replayed into a fresh filter, as the stores do. *)
+(* The filter's one promise, under the store's own policy: no (key, id)
+   inserted since the filter was last built or reset is ever reported
+   absent. Random traces over a hash store cross the lazy creation
+   (past Id_filter.min_ids items), rebuilds (the filter fills) and
+   [clear] resets. A filter only ever gains bits between its build and
+   the next rebuild or reset, so it suffices to check each pair right
+   after its put, and every pair since the build just before the filter
+   is replaced or reset. A store without a filter never held more than
+   Id_filter.min_ids items. *)
+type filter_op =
+  | F_put of string * string
+  | F_remove of string * string
+  | F_partition of string
+  | F_clear
+
+let gen_filter_ops =
+  let open QCheck2.Gen in
+  let key = map (Printf.sprintf "k%02d") (0 -- 24) in
+  let id = string_size ~gen:printable (0 -- 12) in
+  list_size (0 -- 700)
+    (frequency
+       [
+         (160, map2 (fun k i -> F_put (k, i)) key id);
+         (24, map2 (fun k i -> F_remove (k, i)) key id);
+         (3, map (fun k -> F_partition k) key);
+         (1, pure F_clear);
+       ])
+
 let prop_id_filter_no_false_negatives =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200 ~name:"id_filter: no false negatives across adds and rebuilds"
-       QCheck2.Gen.(list_size (0 -- 700) (string_size ~gen:printable (0 -- 12)))
-       (fun ids ->
-         let filter = ref None and added = ref [] and n = ref 0 in
-         let all_present f = List.for_all (Id_filter.mem f) !added in
-         List.for_all
-           (fun id ->
-             let built = Id_filter.admit !filter ~walked:!n id in
-             added := id :: !added;
-             incr n;
-             if built then begin
-               let f = Id_filter.create !n in
-               List.iter (Id_filter.add f) !added;
-               filter := Some f
-             end;
-             match !filter with
-             | None -> !n <= Id_filter.min_ids
-             | Some f -> Id_filter.mem f id && ((not built) || all_present f))
-           ids
-         && match !filter with None -> true | Some f -> all_present f))
+    (QCheck2.Test.make ~count:200
+       ~name:"id_filter: no false negatives across creation, rebuilds and clear resets"
+       gen_filter_ops
+       (fun ops ->
+         let s = Backend_hash.create () in
+         let since = ref [] and current = ref None and peak = ref 0 in
+         let all_present f = List.for_all (fun (key, id) -> Id_filter.mem f ~key id) !since in
+         let store_pairs () =
+           List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id)) (Backend_hash.to_list s)
+         in
+         let step op =
+           let before = match (op, !current) with F_clear, Some f -> all_present f | _ -> true in
+           (match op with
+           | F_put (key, id) ->
+             ignore (Backend_hash.put s (item key id "p"));
+             since := (key, id) :: !since
+           | F_remove (key, item_id) -> Backend_hash.remove s ~key ~item_id
+           | F_partition b ->
+             ignore
+               (Backend_hash.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
+           | F_clear ->
+             Backend_hash.clear s;
+             since := []);
+           peak := max !peak (Backend_hash.size s);
+           let after =
+             match (!current, s.Backend_hash.filter) with
+             | None, None -> !peak <= Id_filter.min_ids
+             | Some _, None -> false
+             | Some f, Some f' when f == f' -> (
+               match op with F_put (key, id) -> Id_filter.mem f ~key id | _ -> true)
+             | prev, Some f' ->
+               let kept = match prev with Some f -> all_present f | None -> true in
+               since := store_pairs ();
+               kept && all_present f'
+           in
+           current := s.Backend_hash.filter;
+           before && after
+         in
+         List.for_all step ops && match !current with None -> true | Some f -> all_present f))
+
+(* The filter's life cycle on one hash store: none up to
+   Id_filter.min_ids items, created past them, rebuilt when it fills,
+   and kept but emptied by [clear]. *)
+let test_filter_lifecycle () =
+  let s = Backend_hash.create () in
+  let put i =
+    ignore (Backend_hash.put s (item (Printf.sprintf "k%04d" (i / 3)) (Printf.sprintf "id%d" i) "p"))
+  in
+  let filter () = s.Backend_hash.filter in
+  for i = 0 to Id_filter.min_ids - 1 do
+    put i
+  done;
+  check Alcotest.bool "no filter up to min_ids items" true (filter () = None);
+  put Id_filter.min_ids;
+  let first = Option.get (filter ()) in
+  for i = Id_filter.min_ids + 1 to 16 * Id_filter.min_ids do
+    put i
+  done;
+  let rebuilt = Option.get (filter ()) in
+  check Alcotest.bool "rebuilt once full" true (rebuilt != first);
+  check Alcotest.bool "rebuilt filter holds every item" true
+    (List.for_all
+       (fun (i : Store.item) -> Id_filter.mem rebuilt ~key:i.Store.key i.Store.item_id)
+       (Backend_hash.to_list s));
+  Backend_hash.clear s;
+  check Alcotest.bool "clear keeps the filter" true
+    (match filter () with Some f -> f == rebuilt | None -> false);
+  check Alcotest.bool "clear resets its bits" false (Id_filter.mem rebuilt ~key:"k0000" "id0")
 
 (* ------------------------------------------------------------------ *)
 (* Linearity guard: minor-heap words per put, filling one key          *)
@@ -790,6 +884,7 @@ let () =
           Alcotest.test_case "hot-key trace past the filter threshold" `Quick (fun () ->
               run_hot_key_trace ~seed:4 ());
           prop_id_filter_no_false_negatives;
+          Alcotest.test_case "id filter created, rebuilt and reset" `Quick test_filter_lifecycle;
         ] );
       ( "linearity",
         [
