@@ -991,6 +991,223 @@ let prop_failover_any_kill_set =
       && not (Unistore_analysis.Diagnostic.has_errors (Unistore_analysis.Audit.pgrid ov)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden overlay trace *)
+
+(* One scripted session on a seeded 64-peer oracle overlay under 2%
+   message loss that drives every operation and forwarding path of the
+   overlay: routed inserts, updates (rumors, then anti-entropy) and
+   deletes; lookups repeated from one origin, so the second one takes a
+   shortcut; a boost copy serving lookups; shower and sequential ranges,
+   with and without a budget; prefix; a clipped broadcast with [reduce];
+   bulk insert; multi-lookup; [send_task]; an interior shower peer
+   killed mid-range, so the aggregation buffers above it flush on their
+   timeout; and a phase under a small [max_hops]. The rendered message
+   trace and every result (items in order, complete, completeness, hops,
+   peers hit, latency, then every metrics counter) are digested as (line
+   count, MD5 of the newline-joined lines), recorded when the test was
+   added. A change to the overlay's internals must leave both untouched. *)
+
+let golden_overlay_trace = (1528, "d3f5152a79d36fbfd34a5dd9a9f9dd37")
+let golden_overlay_results = (315, "e28e1bb885a85623649966c98ca575a7")
+
+let overlay_session () =
+  let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
+  let keys = List.sort_uniq compare (random_words (Rng.create 2026) 240) in
+  let ov = build_overlay ~n:64 ~seed:7 ~model:Latency.Lan ~drop:0.02 ~config ~keys () in
+  let sim = Overlay.sim ov in
+  let m = Unistore_obs.Metrics.create () in
+  Overlay.set_metrics ov (Some m);
+  let tr = Unistore_sim.Trace.create () in
+  Net.set_trace (Overlay.net ov) (Some tr);
+  let lines = ref [] in
+  let line s = lines := s :: !lines in
+  let show (r : Overlay.result) =
+    Printf.sprintf "[%s] complete=%b completeness=%h hops=%d peers=%d latency=%h"
+      (String.concat ";"
+         (List.map
+            (fun (i : Store.item) -> Printf.sprintf "%s/%s/%d" i.key i.item_id i.version)
+            r.items))
+      r.complete r.completeness r.hops r.peers_hit r.latency
+  in
+  let run label start = line (label ^ ": " ^ show (await sim start)) in
+  let ith i = List.nth keys (i mod List.length keys) in
+  (* Routed single-key writes. *)
+  List.iteri
+    (fun i k ->
+      if i < 120 then
+        run ("insert " ^ k) (fun k' ->
+            Overlay.insert ov ~origin:(i * 5 mod 64) ~key:k ~item_id:(Printf.sprintf "i%d" i)
+              ~payload:k ~k:k' ()))
+    keys;
+  Sim.run_all sim;
+  (* The rest in one bulk insert. *)
+  let bulk =
+    List.filteri (fun i _ -> i >= 120) keys
+    |> List.mapi (fun i k -> item k (Printf.sprintf "b%d" i) k)
+  in
+  run "bulk" (fun k -> Overlay.bulk_insert ov ~origin:11 ~items:bulk ~k);
+  Sim.run_all sim;
+  (* Lookups, each key twice from one origin: the second takes a shortcut. *)
+  for i = 0 to 19 do
+    let key = ith (i * 11) in
+    run ("lookup " ^ key) (fun k -> Overlay.lookup ov ~origin:9 ~key ~k);
+    run ("lookup again " ^ key) (fun k -> Overlay.lookup ov ~origin:9 ~key ~k)
+  done;
+  run "lookup missing" (fun k -> Overlay.lookup ov ~origin:30 ~key:"no-such-key" ~k);
+  (* Updates spread by rumor, then anti-entropy converges the replicas. *)
+  for i = 0 to 9 do
+    let key = ith (i * 7) in
+    run ("update " ^ key) (fun k ->
+        Overlay.update ov ~origin:(i * 3) ~key ~item_id:(Printf.sprintf "i%d" (i * 7))
+          ~payload:"new" ~version:2 ~rounds:2 ~k ())
+  done;
+  Sim.run_all sim;
+  for _ = 1 to 2 do
+    Gossip.anti_entropy_round ov;
+    Sim.run_all sim
+  done;
+  for i = 0 to 4 do
+    let key = ith (i * 13) in
+    run ("delete " ^ key) (fun k ->
+        Overlay.delete ov ~origin:(40 + i) ~key ~item_id:(Printf.sprintf "i%d" (i * 13)) ~k)
+  done;
+  Sim.run_all sim;
+  (* Batched lookups. *)
+  let probe_keys = "no-such-key" :: List.init 30 (fun i -> ith (i * 5)) in
+  let per_key, r = await sim (fun k -> Overlay.multi_lookup ov ~origin:17 ~keys:probe_keys ~k) in
+  line ("multi-lookup: " ^ show r);
+  List.iter (fun (key, items) -> line (Printf.sprintf "  %s -> %d" key (List.length items))) per_key;
+  (* Ranges, prefix, broadcast. *)
+  List.iter
+    (fun (strategy, budget, lo, hi) ->
+      run
+        (Format.asprintf "range %a %s [%s, %s]" Message.pp_strategy strategy
+           (match budget with Some b -> string_of_int b | None -> "-")
+           lo hi)
+        (fun k -> Overlay.range ov ~origin:21 ~strategy ?budget ~lo ~hi ~k ()))
+    [
+      (Message.Shower, None, "", "zzzz");
+      (Message.Shower, None, "c", "f");
+      (Message.Shower, None, "m", "m");
+      (Message.Sequential, None, "d", "k");
+      (Message.Sequential, Some 9, "", "zzzz");
+      (Message.Sequential, Some 40, "h", "w");
+    ];
+  run "prefix" (fun k -> Overlay.prefix ov ~origin:33 ~prefix:"b" ~k);
+  run "broadcast" (fun k ->
+      Overlay.broadcast ov ~origin:2 ~lo:"e" ~hi:"t"
+        ~reduce:(List.filter (fun (i : Store.item) -> String.length i.key mod 2 = 0))
+        ~pred:(fun i -> String.length i.Store.key > 5)
+        ~k ());
+  (* A shipped task. *)
+  Overlay.send_task ov ~src:3 ~dst:40 ~bytes:64 (fun at ->
+      line (Printf.sprintf "task ran at %d" at));
+  Sim.run_all sim;
+  (* A boost copy: the owner advertises it, the boost answers from it. *)
+  Overlay.set_config ov { config with hot_replication = true };
+  let key = ith 3 in
+  let owner = List.hd (Overlay.responsible ov key) in
+  let boost = (owner.Node.id + 32) mod 64 in
+  owner.Node.boosts <- [ boost ];
+  Net.send (Overlay.net ov) ~src:owner.Node.id ~dst:boost
+    (Message.HotSync
+       {
+         region = Node.region owner;
+         owner = owner.Node.id;
+         spread = [ owner.Node.id; boost ];
+         items = Store.to_list owner.Node.store;
+         retire = false;
+       });
+  Sim.run_all sim;
+  let origin =
+    List.find
+      (fun id -> id <> boost && not (Node.covers (Overlay.node ov id) key))
+      (List.init 64 (fun i -> 63 - i))
+  in
+  for i = 0 to 3 do
+    run ("hot lookup " ^ key) (fun k -> Overlay.lookup ov ~origin ~key ~k);
+    run ("boost lookup " ^ string_of_int i) (fun k -> Overlay.lookup ov ~origin:boost ~key ~k)
+  done;
+  owner.Node.boosts <- [];
+  Net.send (Overlay.net ov) ~src:owner.Node.id ~dst:boost
+    (Message.HotSync
+       { region = ("", None); owner = owner.Node.id; spread = []; items = []; retire = true });
+  Sim.run_all sim;
+  Overlay.set_config ov config;
+  (* Kill an interior shower peer mid-range: wait until aggregation
+     buffers exist, then kill one that appeared after the first wave, so
+     its parent is itself buffering. *)
+  let first = ref None and killed = ref None in
+  let rec poll () =
+    Sim.schedule sim ~delay:0.25 (fun () ->
+        match (!first, List.filter (fun id -> id <> 0) (Overlay.agg_owners ov)) with
+        | None, [] -> poll ()
+        | None, owners ->
+          first := Some owners;
+          poll ()
+        | Some seen, owners -> (
+          match List.filter (fun id -> not (List.mem id seen)) owners with
+          | id :: _ ->
+            killed := Some id;
+            Overlay.kill ov id
+          | [] -> poll ()))
+  in
+  poll ();
+  run "range with a killed aggregator" (fun k -> Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ());
+  Sim.run_all sim;
+  line (Printf.sprintf "killed %s" (match !killed with Some id -> string_of_int id | None -> "-"));
+  (* A small hop limit. *)
+  Overlay.set_config ov { config with max_hops = 1 };
+  List.iter
+    (fun i ->
+      run "hop-limited lookup" (fun k -> Overlay.lookup ov ~origin:63 ~key:(ith i) ~k))
+    [ 100; 150; 230 ];
+  run "hop-limited insert" (fun k ->
+      Overlay.insert ov ~origin:62 ~key:(ith 101) ~item_id:"h" ~payload:"h" ~k ());
+  run "hop-limited shower" (fun k -> Overlay.range ov ~origin:61 ~lo:"" ~hi:"zzzz" ~k ());
+  run "hop-limited sequential" (fun k ->
+      Overlay.range ov ~origin:60 ~strategy:Message.Sequential ~lo:"" ~hi:"zzzz" ~k ());
+  run "hop-limited broadcast" (fun k ->
+      Overlay.broadcast ov ~origin:59 ~pred:(fun _ -> true) ~k ());
+  run "hop-limited bulk" (fun k ->
+      Overlay.bulk_insert ov ~origin:58
+        ~items:(List.map (fun k -> item k "h" k) [ ith 5; ith 120; ith 200 ])
+        ~k);
+  Overlay.set_config ov config;
+  Sim.run_all sim;
+  (* Every counter the session left, so renamed or moved counts show. *)
+  List.iter
+    (fun (name, n) -> line (Printf.sprintf "counter %s %d" name n))
+    (Unistore_obs.Metrics.counters m);
+  let trace =
+    Unistore_sim.Trace.events tr
+    |> List.map (fun (e : Unistore_sim.Trace.event) ->
+           Format.asprintf "%h %d>%d %s %dB #%d %a" e.time e.src e.dst e.kind e.bytes e.corr
+             Unistore_sim.Trace.pp_outcome e.outcome)
+  in
+  (List.rev !lines, trace, m)
+
+let test_golden_overlay_trace () =
+  let results, trace, m = overlay_session () in
+  (* The script reaches the paths it claims to. *)
+  List.iter
+    (fun name ->
+      if Unistore_obs.Metrics.counter m name = 0 then Alcotest.failf "script never counted %s" name)
+    [
+      "cache.shortcut.hit";
+      "balance.hot_serve";
+      "batch.agg.merged";
+      "batch.agg.elided";
+      "batch.agg.flush.timeout";
+      "fault.agg.dead_flush";
+      "probe.reduce.bytes.saved";
+      "net.dropped";
+    ];
+  let digest l = (List.length l, Digest.to_hex (Digest.string (String.concat "\n" l))) in
+  check Alcotest.(pair int string) "trace" golden_overlay_trace (digest trace);
+  check Alcotest.(pair int string) "results" golden_overlay_results (digest results)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "unistore_pgrid"
@@ -1050,6 +1267,7 @@ let () =
         ] );
       ("failover", [ prop_failover_any_kill_set ]);
       ("batch", [ prop_split_batch_matches_reference ]);
+      ("golden", [ Alcotest.test_case "overlay trace" `Quick test_golden_overlay_trace ]);
       ( "bootstrap",
         [
           Alcotest.test_case "builds a usable trie" `Quick test_bootstrap_builds_trie;
