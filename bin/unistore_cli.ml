@@ -597,12 +597,11 @@ let inspect peers seed overlay latency authors dataset =
     in
     let s = Stats.summarize sizes in
     Format.printf "@.Storage balance: %a@." Stats.pp_summary s;
-    let violations = Unistore_pgrid.Build.check_invariants ov in
-    if violations = [] then Format.printf "Structural invariants: OK@."
-    else begin
+    match List.filter Unistore.Diagnostic.is_error (Unistore.Audit.pgrid ov) with
+    | [] -> Format.printf "Structural invariants: OK@."
+    | errors ->
       Format.printf "Structural violations:@.";
-      List.iter (fun v -> Format.printf "  %s@." v) violations
-    end
+      List.iter (fun (d : Unistore.Diagnostic.t) -> Format.printf "  %s@." d.message) errors
 
 let inspect_cmd =
   let term =

@@ -11,8 +11,8 @@ module D = Diagnostic
 (* P-Grid                                                              *)
 
 let random_probe_key rng =
-  (* Mix printable and raw-byte keys to probe all of key space (same
-     scheme as Build.check_invariants). *)
+  (* Mix printable and raw-byte keys to probe all of key space (the
+     same scheme as the coverage check of Build.bootstrap). *)
   let len = 1 + Rng.int rng 12 in
   String.init len (fun _ -> Char.chr (Rng.int rng 256))
 

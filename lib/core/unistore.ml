@@ -455,9 +455,11 @@ type traffic_config = {
   traffic_zipf_s : float;  (* key popularity skew *)
   service_ms : float;  (* per-peer service time (queueing model) *)
   traffic_seed : int;  (* workload stream seed, independent of [config.seed] *)
-  balance_interval_ms : float;  (* gossip + balance control cadence *)
   balance : balance_config;
 }
+
+(* Gossip + balance control cadence of {!run_traffic}. *)
+let balance_interval_ms = 1_000.0
 
 let default_traffic_config =
   {
@@ -470,7 +472,6 @@ let default_traffic_config =
     traffic_zipf_s = 1.1;
     service_ms = 3.0;
     traffic_seed = 0x7AF1C;
-    balance_interval_ms = 1_000.0;
     balance = default_balance_config;
   }
 
@@ -554,7 +555,7 @@ let run_traffic t ~keys cfg =
         duration_ms = cfg.traffic_duration_ms;
         warmup_ms = cfg.traffic_warmup_ms;
         seed = cfg.traffic_seed;
-        control_interval_ms = cfg.balance_interval_ms;
+        control_interval_ms = balance_interval_ms;
       }
     in
     let outcomes : (int, string) Hashtbl.t = Hashtbl.create 1024 in

@@ -309,7 +309,6 @@ type traffic_config = {
   traffic_zipf_s : float;  (** key popularity skew *)
   service_ms : float;  (** per-peer service time (enables queueing) *)
   traffic_seed : int;  (** workload stream seed *)
-  balance_interval_ms : float;  (** gossip + balance cadence *)
   balance : balance_config;
 }
 

@@ -25,6 +25,14 @@ type report = {
   retired : int;  (** boosts stood down this round *)
 }
 
+(* A region is hot when its gossiped per-round load reaches [hot_factor]
+   times the mean over live regions and at least [hot_min_load] (so idle
+   deployments do not boost noise); it gets up to [hot_max_boosts] boost
+   replicas. *)
+let hot_factor = 3.0
+let hot_min_load = 32
+let hot_max_boosts = 3
+
 let incr ov name ~by =
   if by > 0 then
     match Overlay.metrics ov with Some m -> Metrics.incr m ~by name | None -> ()
@@ -62,7 +70,6 @@ let retire owner_id net dst =
        { region = ("", None); owner = owner_id; spread = []; items = []; retire = true })
 
 let round ov =
-  let cfg = Overlay.config ov in
   let net = Overlay.net ov in
   let live = List.filter (fun (nd : Node.t) -> Net.is_alive net nd.id) (Overlay.nodes ov) in
   match live with
@@ -88,8 +95,8 @@ let round ov =
       List.iter (fun (lo, l) -> Hashtbl.replace tbl lo l) loads;
       fun lo -> Option.value ~default:0 (Hashtbl.find_opt tbl lo)
     in
-    let is_hot l = float_of_int l >= cfg.Config.hot_factor *. mean && l >= cfg.Config.hot_min_load in
-    let is_cool l = float_of_int l < cfg.Config.hot_factor /. 2.0 *. mean in
+    let is_hot l = float_of_int l >= hot_factor *. mean && l >= hot_min_load in
+    let is_cool l = float_of_int l < hot_factor /. 2.0 *. mean in
     let hot = List.filter (fun (_, l) -> is_hot l) loads in
     let spawned = ref 0 and refreshed = ref 0 and retired = ref 0 in
     List.iter
@@ -98,7 +105,7 @@ let round ov =
         | None -> ()
         | Some owner ->
           let keep = List.filter (Net.is_alive net) owner.Node.boosts in
-          let wanted = cfg.Config.hot_max_boosts - List.length keep in
+          let wanted = hot_max_boosts - List.length keep in
           let fresh =
             if wanted <= 0 then []
             else

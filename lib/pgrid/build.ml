@@ -1,6 +1,9 @@
 module Bitkey = Unistore_util.Bitkey
 module Rng = Unistore_util.Rng
 
+(* Trie paths never grow beyond this depth. *)
+let max_depth = 96
+
 (* ------------------------------------------------------------------ *)
 (* Split-point selection                                               *)
 
@@ -76,7 +79,7 @@ let oracle sim ~latency ~rng ?drop ~config ~n ~sample_keys ?(balanced = false) (
   let rec split path splits region peers keys =
     let np = List.length peers in
     let stop () = leaves := (path, splits, peers) :: !leaves in
-    if np < 2 * repl || Bitkey.length path >= config.Config.max_depth then stop ()
+    if np < 2 * repl || Bitkey.length path >= max_depth then stop ()
     else begin
       let boundary =
         if balanced || keys = [] then midpoint (fst region) (snd region)
@@ -336,67 +339,12 @@ let repair_refs ov =
     nodes
 
 (* ------------------------------------------------------------------ *)
-(* Invariant checking                                                  *)
+(* Decentralized bootstrap                                             *)
 
 let random_probe_key rng =
   (* Mix printable and raw-byte keys to probe all of key space. *)
   let len = 1 + Rng.int rng 12 in
   String.init len (fun _ -> Char.chr (Rng.int rng 256))
-
-let check_invariants ov =
-  let violations = ref [] in
-  let complain fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
-  let nodes = Overlay.nodes ov in
-  (* Coverage: probe keys across the space. *)
-  let probe_rng = Rng.create 0xC0FFEE in
-  for _ = 1 to 256 do
-    let key = random_probe_key probe_rng in
-    if Overlay.responsible ov key = [] then complain "uncovered key %S" key
-  done;
-  (* Reference validity. *)
-  List.iter
-    (fun (nd : Node.t) ->
-      Array.iteri
-        (fun l refs ->
-          List.iter
-            (fun r ->
-              match Overlay.node ov r with
-              | target ->
-                let sibling = Bitkey.flip (Bitkey.take nd.path (l + 1)) l in
-                let tp = target.Node.path in
-                if
-                  not (Bitkey.is_prefix ~prefix:sibling tp || Bitkey.is_prefix ~prefix:tp sibling)
-                then
-                  complain "peer%d level-%d ref peer%d has path %a, not in subtree %a" nd.id l r
-                    Bitkey.pp tp Bitkey.pp sibling
-              | exception Invalid_argument _ -> complain "peer%d refs unknown peer %d" nd.id r)
-            refs)
-        nd.refs)
-    nodes;
-  (* Replica consistency. *)
-  List.iter
-    (fun (nd : Node.t) ->
-      List.iter
-        (fun r ->
-          match Overlay.node ov r with
-          | target ->
-            if not (Bitkey.equal target.Node.path nd.path) then
-              complain "peer%d replica peer%d has different path" nd.id r
-          | exception Invalid_argument _ -> complain "peer%d replica %d unknown" nd.id r)
-        nd.replicas)
-    nodes;
-  (* Region sanity: lo < hi. *)
-  List.iter
-    (fun (nd : Node.t) ->
-      match Node.region nd with
-      | lo, Some hi when String.compare lo hi >= 0 ->
-        complain "peer%d has empty region [%S, %S)" nd.id lo hi
-      | _ -> ())
-    nodes;
-  List.rev !violations
-
-(* ------------------------------------------------------------------ *)
-(* Decentralized bootstrap                                             *)
 
 type bootstrap_report = {
   rounds_run : int;
@@ -456,7 +404,7 @@ let do_exchange ov ~config ~split_threshold a_id b_id =
          loops). Data-aware boundaries are the job of the separate
          load-balancing protocol (ref [2]), modeled by {!oracle}. *)
       if (data > split_threshold || group > 2 * config.Config.replication)
-         && la < config.Config.max_depth
+         && la < max_depth
       then begin
         let lo, hi = Node.region na in
         midpoint lo hi

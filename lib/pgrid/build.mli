@@ -82,9 +82,3 @@ val join : Overlay.t -> id:int -> bootstrap:int -> bool
     subtree. (The maintenance traffic itself is not charged — use this to
     compare queries on a stabilized vs. an unrepaired overlay.) *)
 val repair_refs : Overlay.t -> unit
-
-(** [check_invariants overlay] verifies structural soundness: key-space
-    coverage (every probe key has a responsible peer), reference validity
-    (each ref really lies in the complementary subtree), replica symmetry.
-    Returns the list of violations (empty = sound). *)
-val check_invariants : Overlay.t -> string list

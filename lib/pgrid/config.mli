@@ -9,7 +9,6 @@ type t = {
       (** routing references kept per trie level (fan-out of the routing
           table); P-Grid keeps several for fault tolerance *)
   replication : int;  (** desired number of peers per leaf (replica group size) *)
-  max_depth : int;  (** maximum trie depth (paths never grow beyond this) *)
   timeout_ms : float;  (** request timeout before retry / partial completion *)
   retries : int;  (** end-to-end retries of every operation (see {!Request}) *)
   retry_backoff : float;
@@ -22,8 +21,6 @@ type t = {
   proximity_routing : bool;
       (** when true, forward to the ref with the lowest base latency
           (topology-aware routing); otherwise pick uniformly *)
-  gossip_fanout : int;
-      (** replicas contacted per rumor-spreading round for updates *)
   max_hops : int;
       (** messages are not forwarded beyond this hop count (loop
           protection in not-yet-converged overlays); a range cut short
@@ -41,18 +38,11 @@ type t = {
           fast-converging estimate from retrying into its own tail *)
   hot_replication : bool;
       (** let {!Balance.round} spawn boost replicas for regions whose
-          gossiped load stands out (see [hot_factor]) and retire them
+          gossiped load stands out (see {!Balance.hot_factor}) and retire them
           when the region cools; also lets shortcut caches hold several
           peers per region and rotate between them, so origins spread
           traffic across an owner's replicas and boosts instead of
           pinning the first responder *)
-  hot_factor : float;
-      (** a region is hot when its gossiped per-round load reaches
-          [hot_factor] times the mean over reporting regions *)
-  hot_min_load : int;
-      (** absolute per-round load floor below which a region is never
-          considered hot (keeps idle deployments from boosting noise) *)
-  hot_max_boosts : int;  (** boost replicas allowed per hot region *)
   store_backend : Store_intf.backend;
       (** per-peer store implementation (see {!Store}): [Hash] (default)
           is in-memory; [Log { dir }] persists each peer's

@@ -33,7 +33,6 @@ let stats_round ov ~sample =
       List.iter
         (fun s -> ignore (Statcache.merge nd.stat_cache s))
         (sample ~now:(Sim.now sim) nd);
-      let fanout = (Overlay.config ov).Config.gossip_fanout in
       let summaries = Statcache.summaries nd.stat_cache in
       let n_alive = Net.alive_count net in
       if summaries <> [] && n_alive > 1 then begin
@@ -42,7 +41,7 @@ let stats_round ov ~sample =
            reservoir-sample pattern cost O(alive) per peer, making each
            gossip round quadratic. Fanout is a small constant, so the
            expected number of redraws is O(fanout). *)
-        let fanout = min fanout (n_alive - 1) in
+        let fanout = min Routing.gossip_fanout (n_alive - 1) in
         let chosen = ref [] in
         let count = ref 0 in
         while !count < fanout do

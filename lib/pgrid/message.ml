@@ -4,6 +4,22 @@ let pp_strategy fmt = function
   | Shower -> Format.pp_print_string fmt "shower"
   | Sequential -> Format.pp_print_string fmt "sequential"
 
+type range = {
+  rid : int;
+  token : int;  (** unique per message; echoed by the receiver's hit *)
+  lo : string;
+  hi : string;
+  clip_lo : string;  (** inclusive *)
+  clip_hi : string option;  (** exclusive; [None] = unbounded *)
+  origin : int;
+  reply_to : int;
+  hops : int;
+  strategy : range_strategy;
+  budget : int option;
+      (** remaining result budget for sequential top-N traversals:
+          stop forwarding once this many items were produced *)
+}
+
 type t =
   | Insert of { rid : int; item : Store.item; origin : int; hops : int }
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
@@ -22,21 +38,7 @@ type t =
               hot-path boosts); origins in spread mode learn them all as
               shortcut targets. Empty unless hot-path replication is on. *)
     }
-  | Range of {
-      rid : int;
-      token : int;  (** unique per message; echoed by the receiver's hit *)
-      lo : string;
-      hi : string;
-      clip_lo : string;  (** inclusive *)
-      clip_hi : string option;  (** exclusive; [None] = unbounded *)
-      origin : int;
-      reply_to : int;
-      hops : int;
-      strategy : range_strategy;
-      budget : int option;
-          (** remaining result budget for sequential top-N traversals:
-              stop forwarding once this many items were produced *)
-    }
+  | Range of range
   | RangeHit of {
       rid : int;
       token : int;

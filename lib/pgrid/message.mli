@@ -13,6 +13,27 @@ type range_strategy =
 
 val pp_strategy : Format.formatter -> range_strategy -> unit
 
+(** A range request. A peer forwarding it sends [Range { r with ... }],
+    changing only the token, clip, reply target, hops and budget. *)
+type range = {
+  rid : int;
+  token : int;  (** unique per message; echoed by the receiver's hit *)
+  lo : string;  (** exact inclusive bounds for local filtering *)
+  hi : string;
+  clip_lo : string;  (** routing clip, inclusive *)
+  clip_hi : string option;  (** routing clip, exclusive; [None] = +inf *)
+  origin : int;
+  reply_to : int;
+      (** where the receiver's hit goes: the origin, or — under
+          in-network range aggregation — the parent in the split
+          tree, which merges child hits before replying upward *)
+  hops : int;
+  strategy : range_strategy;
+  budget : int option;
+      (** remaining result budget for sequential top-N traversals:
+          stop forwarding once this many items were produced *)
+}
+
 type t =
   | Insert of { rid : int; item : Store.item; origin : int; hops : int }
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
@@ -40,24 +61,7 @@ type t =
               shortcut targets. Empty unless hot-path replication is on. *)
     }
       (** carries the responder's region like [Ack] *)
-  | Range of {
-      rid : int;
-      token : int;  (** unique per message; echoed by the receiver's hit *)
-      lo : string;  (** exact inclusive bounds for local filtering *)
-      hi : string;
-      clip_lo : string;  (** routing clip, inclusive *)
-      clip_hi : string option;  (** routing clip, exclusive; [None] = +inf *)
-      origin : int;
-      reply_to : int;
-          (** where the receiver's hit goes: the origin, or — under
-              in-network range aggregation — the parent in the split
-              tree, which merges child hits before replying upward *)
-      hops : int;
-      strategy : range_strategy;
-      budget : int option;
-          (** remaining result budget for sequential top-N traversals:
-              stop forwarding once this many items were produced *)
-    }
+  | Range of range
   | RangeHit of {
       rid : int;
       token : int;

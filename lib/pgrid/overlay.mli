@@ -235,9 +235,3 @@ val split_batch : Node.t -> key_of:('a -> string) -> 'a list -> 'a list * (int *
     (e.g. a mutant query plan) to [dst]; [f] runs there on arrival. Counted
     as one message of [bytes] payload. [f] is not run if [dst] is dead. *)
 val send_task : t -> src:int -> dst:int -> bytes:int -> (int -> unit) -> unit
-
-(** {2 Replica maintenance} (see {!Gossip}) *)
-
-(** Used by {!Gossip}: handle replica-synchronization messages. Exposed so
-    the message dispatcher lives in one place. *)
-val handle_sync : t -> me:Node.t -> src:int -> Message.t -> unit

@@ -1,0 +1,266 @@
+(* The overlay's state and its forwarding paths for routed messages:
+   greedy prefix routing with replica failover, the origin's shortcut
+   cache, one routed hop of a single-key request and one hop of a batch.
+   Showers and their aggregation buffers are in {!Shower}; the message
+   dispatcher and the public operations are in {!Overlay}. *)
+
+module Bitkey = Unistore_util.Bitkey
+module Rng = Unistore_util.Rng
+module Metrics = Unistore_obs.Metrics
+module Shortcuts = Unistore_cache.Shortcuts
+
+(* One in-network aggregation buffer for a shower range (see {!Shower}):
+   the interior node that spawned [waiting] merges those children's hits
+   into its own before replying to [agg_parent]. Shared (aliased) across
+   the entries of [t.aggs] for its waiting tokens. *)
+type agg = {
+  agg_rid : int;
+  agg_token : int;  (* the token echoed upward by the merged hit *)
+  agg_parent : int;
+  agg_origin : int;
+  agg_owner : int;
+  mutable waiting : int list;  (* child tokens not yet merged *)
+  mutable carried : int list;  (* tokens announced upward unmerged *)
+  mutable agg_items : Store.item list;
+  mutable agg_hops : int;
+  mutable flushed : bool;
+}
+
+type t = {
+  sim : Sim.t;
+  net : Message.t Net.t;
+  rng : Rng.t;
+  requests : Request.t;  (* pending operations, their timers and the rid counter *)
+  (* Node arena: dense array indexed by peer id (ids are minted 0..n-1
+     by Build/join). Replaces an id-keyed hashtable so the dispatcher
+     and routing helpers resolve peers with one array probe. *)
+  mutable node_arena : Node.t option array;
+  mutable n_nodes : int;
+  mutable max_node_id : int;
+  (* Ascending node list, rebuilt lazily: gossip rounds walk it once per
+     round; the arena only grows, so adds just invalidate. *)
+  mutable nodes_cache : Node.t list option;
+  aggs : (int, agg) Hashtbl.t;  (* child token -> its parent's buffer *)
+  mutable read_observer : (origin:int -> Store.item list -> unit) option;
+}
+
+let create sim ~latency ~rng ?(drop = 0.0) ~config () =
+  let rng = Rng.split rng in
+  let net = Net.create sim ~latency ~rng ~drop ~size:Message.size ~kind:Message.kind ~corr:Message.corr () in
+  {
+    sim;
+    net;
+    rng;
+    requests = Request.create ~net ~rng ~config;
+    node_arena = [||];
+    n_nodes = 0;
+    max_node_id = -1;
+    nodes_cache = None;
+    aggs = Hashtbl.create 64;
+    read_observer = None;
+  }
+
+let config t = Request.config t.requests
+let metrics t = Net.metrics t.net
+let fresh_rid t = Request.fresh_rid t.requests
+
+(* Replicas a rumor is pushed to per hop ({!Overlay.update}), and peers
+   a statistics push reaches per round ({!Gossip.stats_round}). *)
+let gossip_fanout = 2
+
+let find_node t id =
+  if id >= 0 && id <= t.max_node_id then t.node_arena.(id) else None
+
+let cache_incr t ?by name =
+  match metrics t with Some m -> Metrics.incr m ?by name | None -> ()
+
+let too_far t hops = hops >= (config t).max_hops
+
+(* ------------------------------------------------------------------ *)
+(* Greedy prefix routing                                               *)
+
+(* Peers are assumed to detect failures of their direct references (via
+   keep-alive pings, as deployed DHTs do). A ping cannot cross a
+   partition either, so a peer on the far side of one looks failed too. *)
+let reachable t (me : Node.t) p =
+  Net.is_alive t.net p && not (Net.partitioned t.net ~src:me.Node.id ~dst:p)
+
+(* Replica failover: every ref at this level looks failed, so stand in
+   a reachable member of a ref's replica group. Replica-group membership
+   spreads with the exchange/join gossip, so a peer plausibly knows its
+   refs' replicas; P-Grid's own fault-tolerance story is exactly that
+   any replica of the addressed region can serve. *)
+let failover_candidates t me refs =
+  List.concat_map
+    (fun r ->
+      match find_node t r with
+      | Some nd -> List.filter (reachable t me) nd.Node.replicas
+      | None -> [])
+    refs
+  |> List.sort_uniq compare
+
+(* Routing prefers reachable refs; if every ref of a level looks failed
+   we fail over to a reachable replica of one of them (and learn it as a
+   ref); with no replica reachable either we still try one, and the
+   request times out and retries. *)
+let choose_ref t (me : Node.t) level =
+  let refs = Node.refs_at me level in
+  let candidates, failing_over =
+    match List.filter (reachable t me) refs with
+    | [] -> (
+      match failover_candidates t me refs with [] -> (refs, false) | alts -> (alts, true))
+    | alive -> (alive, false)
+  in
+  let chosen =
+    match candidates with
+    | [] -> None
+    | refs when (config t).proximity_routing ->
+    let lat = Net.latency t.net in
+      let best =
+        List.fold_left
+          (fun acc p ->
+            let c = Latency.base lat ~src:me.id ~dst:p in
+            match acc with Some (_, c0) when c0 <= c -> acc | _ -> Some (p, c))
+          None refs
+      in
+      Option.map fst best
+    | refs -> Some (Rng.pick_list t.rng refs)
+  in
+  (match chosen with
+  | Some p when failing_over ->
+    cache_incr t "retry.failover";
+    (* Learn the stand-in as a real reference: routing self-heals instead
+       of re-deriving the failover on every message. *)
+    Node.add_ref me ~level p ~cap:(config t).refs_per_level
+  | _ -> ());
+  chosen
+
+(* [`Local] if [me] covers [key]: greedy prefix routing forwards at the
+   first level where the key branches away from [me]'s path. *)
+let route_step t (me : Node.t) key =
+  let len = Bitkey.length me.path in
+  let rec go l =
+    if l >= len then `Local
+    else if Node.key_side me ~level:l key <> Bitkey.get me.path l then begin
+      match choose_ref t me l with Some p -> `Forward p | None -> `Stuck
+    end
+    else go (l + 1)
+  in
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* Routing shortcuts (lib/cache level 1)                               *)
+
+(* Record that [peer] answered for [region] — called at the origin when
+   a [Found]/[Ack] reply arrives. *)
+let learn_shortcut t (me : Node.t) ~peer ~region:(lo, hi) =
+  if peer <> me.Node.id && Shortcuts.capacity me.Node.shortcuts > 0 then begin
+    Shortcuts.learn me.Node.shortcuts ~lo ~hi ~peer;
+    cache_incr t "cache.shortcut.learn"
+  end
+
+(* Consult the origin's learned shortcuts for a single direct hop to the
+   responsible peer. A hit pointing at a peer that looks failed (dead or
+   across a partition) invalidates that peer's entries on the spot (the
+   same failure-detection assumption as [choose_ref]). *)
+let consult_shortcut t (me : Node.t) ~rid key =
+  if Shortcuts.capacity me.Node.shortcuts = 0 then None
+  else
+    match Shortcuts.find me.Node.shortcuts ~key with
+    | Some p when p <> me.Node.id && reachable t me p ->
+      cache_incr t "cache.shortcut.hit";
+      Request.set_via t.requests rid p;
+      Some p
+    | Some p ->
+      let n = Shortcuts.invalidate_peer me.Node.shortcuts p in
+      cache_incr t ~by:(max 1 n) "cache.shortcut.invalidate";
+      cache_incr t "cache.shortcut.miss";
+      None
+    | None ->
+      cache_incr t "cache.shortcut.miss";
+      None
+
+(* One routing decision for single-destination requests: greedy prefix
+   routing, with the origin's shortcut cache consulted on the first hop.
+   A shortcut hit forwards straight to the learned responsible peer —
+   one hop instead of O(depth) — and never revisits intermediate peers,
+   so the [hops <= depth] bound still holds on the cached path. *)
+let next_hop t (me : Node.t) ~rid ~origin ~hops key =
+  match route_step t me key with
+  | `Local -> `Local
+  | (`Forward _ | `Stuck) as step -> (
+    if me.id = origin && hops = 0 then
+      match consult_shortcut t me ~rid key with Some p -> `Forward p | None -> step
+    else step)
+
+(* One hop of a routed single-key request at [me]: [local ()] when [me]
+   covers [key], else [forward hops'] goes to the next hop. A request
+   that is stuck or at the hop limit is dropped here; its origin's timer
+   retries it. *)
+let route t (me : Node.t) ~rid ~origin ~hops key ~local ~forward =
+  match next_hop t me ~rid ~origin ~hops key with
+  | `Local -> local ()
+  | `Forward p when not (too_far t hops) -> Net.send t.net ~src:me.id ~dst:p (forward (hops + 1))
+  | `Forward _ | `Stuck -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Batches (bulk insert / multi-key lookup)                             *)
+
+(* Partition a batch at [me]: the share [me] covers locally, plus one
+   group per first-divergence level in ascending level order, mirroring
+   [route_step] per key. One forwarded message per touched subtree
+   replaces one routed message per item. Precondition: [xs] is sorted
+   by [key_of] (every batch is: see [Overlay.bulk_insert] and
+   [Overlay.multi_lookup]; groups and retransmits are sublists). Each
+   level's side of [me]'s path is an interval of keys, so a key between
+   the batch's first and last passes every level that both of them
+   pass, and its scan starts at the first level they do not share. *)
+let split_batch (me : Node.t) ~key_of xs =
+  let len = Bitkey.length me.Node.path in
+  let passes key l = Node.key_side me ~level:l key = Bitkey.get me.Node.path l in
+  let shared =
+    match xs with
+    | [] -> len
+    | x :: rest ->
+      let first = key_of x and last = key_of (List.fold_left (fun _ y -> y) x rest) in
+      let rec go l = if l < len && passes first l && passes last l then go (l + 1) else l in
+      go 0
+  in
+  let local = ref [] and groups = Array.make len [] in
+  List.iter
+    (fun x ->
+      let key = key_of x in
+      let rec go l =
+        if l >= len then local := x :: !local
+        else if passes key l then go (l + 1)
+        else groups.(l) <- x :: groups.(l)
+      in
+      go shared)
+    xs;
+  let forwards = ref [] in
+  for l = len - 1 downto 0 do
+    if groups.(l) <> [] then forwards := (l, List.rev groups.(l)) :: !forwards
+  done;
+  (List.rev !local, !forwards)
+
+(* One hop of a batch at [me]: [local share] serves what [me] covers,
+   then each other group goes to one reference of its level as
+   [forward group hops'], counted under [batches] with its size observed
+   under [sizes]. *)
+let route_batch t (me : Node.t) ~hops ~key_of ~batches ~sizes xs ~local ~forward =
+  let share, forwards = split_batch me ~key_of xs in
+  if share <> [] then local share;
+  if not (too_far t hops) then
+    List.iter
+      (fun (level, group) ->
+        match choose_ref t me level with
+        | Some p ->
+          cache_incr t batches;
+          (match metrics t with
+          | Some m ->
+            Metrics.observe m ~buckets:Request.fanout_buckets sizes
+              (float_of_int (List.length group))
+          | None -> ());
+          Net.send t.net ~src:me.id ~dst:p (forward group (hops + 1))
+        | None -> ())
+      forwards

@@ -160,16 +160,23 @@ let insert_all ov keys =
 (* ------------------------------------------------------------------ *)
 (* Overlay tests *)
 
+(* The overlay auditor's errors (warnings such as replica divergence
+   are not structural). *)
+let audit_errors ov =
+  Unistore_analysis.Audit.pgrid ov
+  |> List.filter Unistore_analysis.Diagnostic.is_error
+  |> List.map (fun (d : Unistore_analysis.Diagnostic.t) -> d.message)
+
 let test_oracle_invariants () =
   let rng = Rng.create 1 in
   let keys = random_words rng 200 in
   let ov = build_overlay ~n:64 ~keys () in
-  check Alcotest.(list string) "invariants hold" [] (Build.check_invariants ov);
+  check Alcotest.(list string) "invariants hold" [] (audit_errors ov);
   Alcotest.(check bool) "depth sane" true (Overlay.depth ov >= 4 && Overlay.depth ov <= 16)
 
 let test_oracle_balanced_invariants () =
   let ov = build_overlay ~n:30 ~balanced:true ~keys:[] () in
-  check Alcotest.(list string) "invariants hold (balanced)" [] (Build.check_invariants ov)
+  check Alcotest.(list string) "invariants hold (balanced)" [] (audit_errors ov)
 
 let test_oracle_single_peer () =
   let ov = build_overlay ~n:1 ~keys:[] () in
