@@ -366,6 +366,50 @@ let test_statcache_versions_and_aggregate () =
     check (Alcotest.float 0.01) "half-life halves the weight" 5.0 age.Statcache.a_count
   | _ -> Alcotest.fail "expected one aggregate"
 
+(* A fresh cache starts on a table shared by every fresh cache; it must
+   behave as an ordinary empty cache and never absorb a write. *)
+let test_statcache_fresh_is_empty () =
+  let t = Statcache.create () in
+  check Alcotest.int "length" 0 (Statcache.length t);
+  check Alcotest.int "no summaries" 0 (List.length (Statcache.summaries t));
+  check Alcotest.int "attr_version" 0 (Statcache.attr_version t "age");
+  check Alcotest.int "total_version" 0 (Statcache.total_version t);
+  check Alcotest.int "no aggregates" 0 (List.length (Statcache.aggregate t ~now:0.0 ~half_life_ms:0.0));
+  check Alcotest.int "no region loads" 0 (List.length (Statcache.region_loads t));
+  Statcache.clear t;
+  check Alcotest.int "clear keeps it empty" 0 (Statcache.length t)
+
+let test_statcache_fresh_caches_independent () =
+  let a = Statcache.create () and b = Statcache.create () in
+  ignore (Statcache.merge a (summary ~version:3 ()));
+  check Alcotest.int "merged cache holds it" 1 (Statcache.length a);
+  check Alcotest.int "other fresh cache untouched" 0 (Statcache.length b);
+  check Alcotest.int "other total_version" 0 (Statcache.total_version b);
+  check Alcotest.int "a later fresh cache is empty" 0 (Statcache.length (Statcache.create ()));
+  Statcache.clear a;
+  check Alcotest.int "cleared" 0 (Statcache.length a);
+  check Alcotest.int "still untouched" 0 (Statcache.length b)
+
+let test_statcache_clear_then_merge () =
+  let batch =
+    List.init 40 (fun i ->
+        summary ~attr:(Printf.sprintf "a%d" (i mod 7)) ~region_lo:(Printf.sprintf "r%02d" i)
+          ~version:(i + 1) ~count:i ())
+  in
+  let fill t = List.iter (fun s -> ignore (Statcache.merge t s)) batch in
+  let used = Statcache.create () in
+  fill used;
+  ignore (Statcache.merge used (summary ~attr:"stale" ~version:99 ()));
+  Statcache.clear used;
+  check Alcotest.int "clear empties" 0 (Statcache.length used);
+  fill used;
+  let fresh = Statcache.create () in
+  fill fresh;
+  check Alcotest.bool "merge -> clear -> merge = fresh" true
+    (Statcache.summaries used = Statcache.summaries fresh);
+  check Alcotest.int "same total_version" (Statcache.total_version fresh)
+    (Statcache.total_version used)
+
 (* ------------------------------------------------------------------ *)
 (* Overlay integration: routing shortcuts *)
 
@@ -1046,6 +1090,10 @@ let () =
             test_statcache_merge_newest_wins;
           Alcotest.test_case "versions and decayed aggregation" `Quick
             test_statcache_versions_and_aggregate;
+          Alcotest.test_case "fresh cache is empty" `Quick test_statcache_fresh_is_empty;
+          Alcotest.test_case "fresh caches share nothing" `Quick
+            test_statcache_fresh_caches_independent;
+          Alcotest.test_case "merge/clear/merge = fresh" `Quick test_statcache_clear_then_merge;
         ] );
       ( "overlay-shortcuts",
         [

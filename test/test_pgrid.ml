@@ -134,6 +134,123 @@ let test_node_region_covers () =
   Alcotest.(check bool) "side at level 1" false (Node.key_side n ~level:1 "p")
 
 (* ------------------------------------------------------------------ *)
+(* Rtt: the adaptive-deadline estimator, checked against a reference
+   Jacobson/Karels EWMA written out here. *)
+
+module Rtt = Unistore_pgrid.Rtt
+
+(* (mean, dev, n) after folding [samples] in order: gains 1/8 and 1/4,
+   the first sample seeds mean = s and dev = s/2. *)
+let ref_ewma samples =
+  List.fold_left
+    (fun (mean, dev, n) s ->
+      if n = 0 then (s, s /. 2.0, 1)
+      else
+        let err = s -. mean in
+        (mean +. (0.125 *. err), dev +. (0.25 *. (Float.abs err -. dev)), n + 1))
+    (0.0, 0.0, 0) samples
+
+let ref_predict samples =
+  let mean, dev, _ = ref_ewma samples in
+  (mean +. (4.0 *. dev)) *. 2.0
+
+let rtt_deadline ?peer ?(min_ms = 0.0) ?(max_ms = Float.infinity) t cls =
+  Rtt.deadline t ?peer ~cls ~fallback:(-1.0) ~min_ms ~max_ms ()
+
+let bits = Alcotest.testable (fun f x -> Format.fprintf f "%h" x) (fun a b ->
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let test_rtt_cold_fallback () =
+  let t = Rtt.create () in
+  check bits "cold tracker" 250.0
+    (Rtt.deadline t ~peer:3 ~cls:"lookup" ~fallback:250.0 ~min_ms:1.0 ~max_ms:100.0 ());
+  check Alcotest.int "no samples" 0 (Rtt.samples t);
+  Alcotest.(check bool) "mean undefined" true (Float.is_nan (Rtt.mean t));
+  Rtt.observe t ~peer:3 ~cls:"lookup" (-5.0);
+  check Alcotest.int "negative sample ignored" 0 (Rtt.samples t);
+  for _ = 2 to Rtt.min_samples do
+    Rtt.observe t ~peer:3 ~cls:"lookup" 10.0
+  done;
+  check bits "below min_samples everywhere" (-1.0) (rtt_deadline ~peer:3 t "lookup")
+
+let test_rtt_fallback_chain () =
+  let t = Rtt.create () in
+  (* One sample each for peer 5 / "lookup" and peer 6 / "range": no
+     peer or class is warm, the global estimate (two samples) is. *)
+  Rtt.observe t ~peer:5 ~cls:"lookup" 10.0;
+  Rtt.observe t ~peer:6 ~cls:"range" 30.0;
+  check bits "global" (ref_predict [ 10.0; 30.0 ]) (rtt_deadline ~peer:5 t "lookup");
+  check bits "unknown class uses global" (ref_predict [ 10.0; 30.0 ]) (rtt_deadline t "insert");
+  (* A second "lookup" sample (peer 7) warms the class. *)
+  Rtt.observe t ~peer:7 ~cls:"lookup" 20.0;
+  check bits "class" (ref_predict [ 10.0; 20.0 ]) (rtt_deadline ~peer:5 t "lookup");
+  check bits "no peer: class" (ref_predict [ 10.0; 20.0 ]) (rtt_deadline t "lookup");
+  check bits "other class: global" (ref_predict [ 10.0; 30.0; 20.0 ]) (rtt_deadline t "range");
+  (* A second peer-5 sample (other class) warms the peer. *)
+  Rtt.observe t ~peer:5 ~cls:"insert" 40.0;
+  check bits "peer" (ref_predict [ 10.0; 40.0 ]) (rtt_deadline ~peer:5 t "lookup");
+  check bits "cold peer: class" (ref_predict [ 10.0; 20.0 ]) (rtt_deadline ~peer:9 t "lookup");
+  check Alcotest.int "global samples" 4 (Rtt.samples t);
+  let mean, _, _ = ref_ewma [ 10.0; 30.0; 20.0; 40.0 ] in
+  check bits "global mean" mean (Rtt.mean t)
+
+let test_rtt_clamp () =
+  let t = Rtt.create () in
+  List.iter (Rtt.observe t ~cls:"lookup") [ 100.0; 100.0 ];
+  let d = ref_predict [ 100.0; 100.0 ] in
+  check bits "inside the band" d (rtt_deadline ~min_ms:1.0 ~max_ms:1e6 t "lookup");
+  check bits "raised to min_ms" (d +. 1.0) (rtt_deadline ~min_ms:(d +. 1.0) t "lookup");
+  check bits "cut to max_ms" (d -. 1.0) (rtt_deadline ~max_ms:(d -. 1.0) t "lookup")
+
+let test_rtt_forget_peer () =
+  let t = Rtt.create () in
+  List.iter (Rtt.observe t ~peer:4 ~cls:"lookup") [ 8.0; 9.0 ];
+  List.iter (Rtt.observe t ~peer:2 ~cls:"lookup") [ 50.0; 60.0 ];
+  check bits "peer estimate" (ref_predict [ 8.0; 9.0 ]) (rtt_deadline ~peer:4 t "lookup");
+  Rtt.forget_peer t 4;
+  Rtt.forget_peer t 77;
+  check bits "forgotten peer: class" (ref_predict [ 8.0; 9.0; 50.0; 60.0 ])
+    (rtt_deadline ~peer:4 t "lookup");
+  check bits "other peer kept" (ref_predict [ 50.0; 60.0 ]) (rtt_deadline ~peer:2 t "lookup");
+  Rtt.observe t ~peer:4 ~cls:"lookup" 1.0;
+  check bits "relearned from scratch" (ref_predict [ 8.0; 9.0; 50.0; 60.0; 1.0 ])
+    (rtt_deadline ~peer:4 t "lookup")
+
+(* A fixed irregular sequence over three peers and two classes: every
+   deadline must equal the reference EWMA to the last bit. *)
+let test_rtt_matches_reference () =
+  let t = Rtt.create () in
+  let rng = Rng.create 17 in
+  let seen_peer = Array.make 3 [] and seen_cls = Array.make 2 [] and seen = ref [] in
+  let classes = [| "lookup"; "range" |] in
+  for _ = 1 to 200 do
+    let p = Rng.int rng 3 and c = Rng.int rng 2 in
+    let s = Rng.float_in rng 0.5 400.0 in
+    Rtt.observe t ~peer:p ~cls:classes.(c) s;
+    seen_peer.(p) <- seen_peer.(p) @ [ s ];
+    seen_cls.(c) <- seen_cls.(c) @ [ s ];
+    seen := !seen @ [ s ];
+    let expect l = if List.length l >= Rtt.min_samples then Some (ref_predict l) else None in
+    let want =
+      match expect seen_peer.(p) with
+      | Some d -> d
+      | None -> (
+        match expect seen_cls.(c) with
+        | Some d -> d
+        | None -> Option.value ~default:(-1.0) (expect !seen))
+    in
+    check bits "deadline" want (rtt_deadline ~peer:p t classes.(c));
+    check bits "class deadline"
+      (match expect seen_cls.(c) with
+      | Some d -> d
+      | None -> Option.value ~default:(-1.0) (expect !seen))
+      (rtt_deadline t classes.(c))
+  done;
+  check Alcotest.int "samples" 200 (Rtt.samples t);
+  let mean, _, _ = ref_ewma !seen in
+  check bits "mean" mean (Rtt.mean t)
+
+(* ------------------------------------------------------------------ *)
 (* Overlay: helpers *)
 
 let random_words rng n =
@@ -1235,6 +1352,14 @@ let () =
           Alcotest.test_case "path and refs" `Quick test_node_path_refs;
           Alcotest.test_case "path growth" `Quick test_node_path_growth_preserves_refs;
           Alcotest.test_case "region/covers" `Quick test_node_region_covers;
+        ] );
+      ( "rtt",
+        [
+          Alcotest.test_case "cold tracker falls back" `Quick test_rtt_cold_fallback;
+          Alcotest.test_case "peer -> class -> global" `Quick test_rtt_fallback_chain;
+          Alcotest.test_case "min/max clamp" `Quick test_rtt_clamp;
+          Alcotest.test_case "forget_peer" `Quick test_rtt_forget_peer;
+          Alcotest.test_case "deadlines = reference EWMA" `Quick test_rtt_matches_reference;
         ] );
       ( "overlay",
         [
