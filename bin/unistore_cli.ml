@@ -597,6 +597,11 @@ let inspect peers seed overlay latency authors dataset =
     in
     let s = Stats.summarize sizes in
     Format.printf "@.Storage balance: %a@." Stats.pp_summary s;
+    (* Everything reachable from the overlay: node records, routing
+       tables, stores, caches, the simulator and its latency model. *)
+    let words = Obj.reachable_words (Obj.repr ov) in
+    Format.printf "Resident overlay: %d B/peer (%d words/peer)@."
+      (words * (Sys.word_size / 8) / peers) (words / peers);
     match List.filter Unistore.Diagnostic.is_error (Unistore.Audit.pgrid ov) with
     | [] -> Format.printf "Structural invariants: OK@."
     | errors ->

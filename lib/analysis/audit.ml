@@ -62,7 +62,7 @@ let pgrid ?(probes = 256) ov =
     (fun (nd : Node.t) ->
       Array.iteri
         (fun l refs ->
-          List.iter
+          Array.iter
             (fun r ->
               match Overlay.node ov r with
               | target ->

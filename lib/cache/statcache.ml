@@ -27,11 +27,16 @@ type agg = {
   a_regions : int;
 }
 
-type t = { tbl : (string * string, summary) Hashtbl.t }
+type t = { mutable tbl : (string * string, summary) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 32 }
+(* Most peers never hear a summary, so every cache starts on this one
+   shared table and gets its own on the first [merge]. Nothing may ever
+   write to [empty]: [merge] swaps it out first. *)
+let empty : (string * string, summary) Hashtbl.t = Hashtbl.create 1
+
+let create () = { tbl = empty }
 let length t = Hashtbl.length t.tbl
-let clear t = Hashtbl.reset t.tbl
+let clear t = t.tbl <- empty
 
 let fresher a b =
   a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
@@ -41,6 +46,8 @@ let merge t s =
   match Hashtbl.find_opt t.tbl key with
   | Some old when not (fresher s old) -> false
   | old ->
+    (* First write: take a private table. *)
+    if t.tbl == empty then t.tbl <- Hashtbl.create 32;
     (* Replicas of one region produce interchangeable summaries, but
        their load reports are not interchangeable: a cold replica must
        not erase the hot one's signal just by sampling later. Adopting

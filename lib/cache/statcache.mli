@@ -56,8 +56,13 @@ type agg = {
 
 type t
 
+(** A fresh cache allocates no table of its own until its first
+    {!merge}: most peers never hear a summary. *)
 val create : unit -> t
+
 val length : t -> int
+
+(** Drops every summary and the cache's table with them. *)
 val clear : t -> unit
 
 (** [merge t s] adopts [s] unless a strictly fresher summary (higher

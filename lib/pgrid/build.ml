@@ -236,7 +236,7 @@ let join ov ~id ~bootstrap =
       Node.set_path nd b.Node.path (Array.copy b.Node.splits);
       Array.iteri
         (fun l refs ->
-          List.iter
+          Array.iter
             (fun r -> Node.add_ref nd ~level:l r ~cap:(Overlay.config ov).Config.refs_per_level)
             refs)
         b.Node.refs;
@@ -306,14 +306,15 @@ let repair_refs ov =
     (fun (nd : Node.t) ->
       if Overlay.alive ov nd.id then
         for l = 0 to Bitkey.length nd.path - 1 do
-          let kept = List.filter (Overlay.alive ov) (Node.refs_at nd l) in
-          if List.length kept < List.length (Node.refs_at nd l) || kept = [] then begin
+          let refs = Node.refs_at nd l in
+          if Array.length refs = 0 || not (Array.for_all (Overlay.alive ov) refs) then begin
+            let kept = Array.of_list (List.filter (Overlay.alive ov) (Array.to_list refs)) in
             let sibling = Bitkey.flip (Bitkey.take nd.path (l + 1)) l in
             let s, e, anc = candidates_of sibling in
             let n_anc = List.length anc in
             let total = e - s + n_anc in
             nd.refs.(l) <- kept;
-            let want = config.Config.refs_per_level - List.length kept in
+            let want = config.Config.refs_per_level - Array.length kept in
             let pick j =
               if j < e - s then arr.(s + j).Node.id else List.nth anc (j - (e - s))
             in
@@ -460,11 +461,11 @@ let do_exchange ov ~config ~split_threshold a_id b_id =
     Node.add_ref nb ~level:l a_id ~cap:config.Config.refs_per_level;
     for i = 0 to l - 1 do
       (match Node.refs_at nb i with
-      | [] -> ()
-      | refs -> Node.add_ref na ~level:i (Rng.pick_list rng refs) ~cap:config.Config.refs_per_level);
+      | [||] -> ()
+      | refs -> Node.add_ref na ~level:i (Rng.pick rng refs) ~cap:config.Config.refs_per_level);
       match Node.refs_at na i with
-      | [] -> ()
-      | refs -> Node.add_ref nb ~level:i (Rng.pick_list rng refs) ~cap:config.Config.refs_per_level
+      | [||] -> ()
+      | refs -> Node.add_ref nb ~level:i (Rng.pick rng refs) ~cap:config.Config.refs_per_level
     done
   end;
   !moved_bytes

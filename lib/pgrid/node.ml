@@ -6,7 +6,7 @@ type t = {
   id : int;
   mutable path : Bitkey.t;
   mutable splits : string array;
-  mutable refs : int list array;
+  mutable refs : int array array;
   mutable replicas : int list;
   store : Store.t;
   mutable write_epoch : int;
@@ -47,9 +47,14 @@ let create ?(backend = Store_intf.Hash) id =
     splits = [||];
     refs = [||];
     replicas = [];
-    (* [name] keys the log backend's per-peer file; the hot-store copy
-       is cache-like and always stays in memory. *)
-    store = Store.create ~backend ~name:(Printf.sprintf "peer-%d" id) ();
+    (* [name] keys the log backend's per-peer file (the hash backend
+       has none); the hot-store copy is cache-like and always stays in
+       memory. *)
+    store =
+      Store.create ~backend
+        ?name:
+          (match backend with Store_intf.Log _ -> Some (Printf.sprintf "peer-%d" id) | Hash -> None)
+        ();
     write_epoch = 0;
     shortcuts = Shortcuts.create ~capacity:128;
     stat_cache = Statcache.create ();
@@ -97,7 +102,7 @@ let clear_hot t =
 let set_path t path splits =
   let len = Bitkey.length path in
   if Array.length splits <> len then invalid_arg "Node.set_path: splits/path length mismatch";
-  let refs = Array.make len [] in
+  let refs = Array.make len [||] in
   Array.blit t.refs 0 refs 0 (min (Array.length t.refs) len);
   t.path <- path;
   t.splits <- splits;
@@ -107,22 +112,23 @@ let set_path t path splits =
 let extend t ~bit ~boundary =
   set_path t (Bitkey.append_bit t.path bit) (Array.append t.splits [| boundary |])
 
-let refs_at t l = if l >= 0 && l < Array.length t.refs then t.refs.(l) else []
+let refs_at t l = if l >= 0 && l < Array.length t.refs then t.refs.(l) else [||]
 
+(* Newest first; the oldest entries fall off the end beyond [cap]. *)
 let add_ref t ~level peer ~cap =
   if level >= 0 && level < Array.length t.refs && peer <> t.id then begin
     let cur = t.refs.(level) in
-    if not (List.mem peer cur) then begin
-      let updated = peer :: cur in
-      let updated =
-        if List.length updated > cap then List.filteri (fun i _ -> i < cap) updated else updated
-      in
-      t.refs.(level) <- updated
-    end
+    if not (Array.mem peer cur) then
+      let len = max 0 (min cap (Array.length cur + 1)) in
+      t.refs.(level) <- Array.init len (fun i -> if i = 0 then peer else cur.(i - 1))
   end
 
 let remove_ref t peer =
-  Array.iteri (fun l refs -> t.refs.(l) <- List.filter (fun p -> p <> peer) refs) t.refs
+  Array.iteri
+    (fun l refs ->
+      if Array.mem peer refs then
+        t.refs.(l) <- Array.of_list (List.filter (fun p -> p <> peer) (Array.to_list refs)))
+    t.refs
 
 let add_replica t peer =
   if peer <> t.id && not (List.mem peer t.replicas) then t.replicas <- peer :: t.replicas
@@ -160,7 +166,7 @@ let key_side t ~level key =
   if level < 0 || level >= Array.length t.splits then invalid_arg "Node.key_side";
   String.compare key t.splits.(level) >= 0
 
-let table_size t = Array.fold_left (fun acc refs -> acc + List.length refs) 0 t.refs
+let table_size t = Array.fold_left (fun acc refs -> acc + Array.length refs) 0 t.refs
 
 let pp fmt t =
   Format.fprintf fmt "peer%d@%a[refs=%d,replicas=%d,items=%d]" t.id Bitkey.pp t.path (table_size t)

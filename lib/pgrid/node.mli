@@ -17,7 +17,9 @@ type t = {
   id : int;
   mutable path : Unistore_util.Bitkey.t;
   mutable splits : string array;  (** boundary key per level; length = path length *)
-  mutable refs : int list array;  (** level -> complementary-subtree peers *)
+  mutable refs : int array array;
+      (** level -> complementary-subtree peers, newest first; a flat
+          array costs one word per reference *)
   mutable replicas : int list;  (** other peers with an identical path *)
   store : Store.t;
   mutable write_epoch : int;
@@ -59,7 +61,8 @@ type t = {
 val no_stat_memo : int * Unistore_cache.Statcache.summary list
 
 (** [create ?backend id] — [backend] (default [Hash]) selects the main
-    store's implementation; the log backend names its file after [id].
+    store's implementation; the log backend names its file after [id]
+    (["peer-<id>"]).
     [hot_store] always stays in-memory (it is a soft replica copy). *)
 val create : ?backend:Store_intf.backend -> int -> t
 
@@ -88,8 +91,8 @@ val set_path : t -> Unistore_util.Bitkey.t -> string array -> unit
 (** [extend t ~bit ~boundary] descends one level. *)
 val extend : t -> bit:bool -> boundary:string -> unit
 
-(** [refs_at t l] is the (possibly empty) reference list at level [l]. *)
-val refs_at : t -> int -> int list
+(** [refs_at t l] is the (possibly empty) reference array at level [l]. *)
+val refs_at : t -> int -> int array
 
 (** [add_ref t ~level peer ~cap] adds [peer] at [level] unless present,
     evicting the oldest entry beyond [cap]. *)

@@ -87,10 +87,10 @@ let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
   List.iter (fun (nd : Node.t) -> if nd.id <> d.id then Node.remove_ref nd d.id) (Overlay.nodes ov);
   (* Take the new position: path, boundaries, and the template's refs. *)
   Node.set_path d template.path (Array.copy template.splits);
-  Array.iteri (fun l _ -> d.refs.(l) <- []) d.refs;
+  Array.iteri (fun l _ -> d.refs.(l) <- [||]) d.refs;
   Array.iteri
     (fun l refs ->
-      List.iter
+      Array.iter
         (fun r -> if r <> d.id then Node.add_ref d ~level:l r ~cap:config.Config.refs_per_level)
         refs)
     template.refs;

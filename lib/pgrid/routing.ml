@@ -96,35 +96,40 @@ let failover_candidates t me refs =
       match find_node t r with
       | Some nd -> List.filter (reachable t me) nd.Node.replicas
       | None -> [])
-    refs
+    (Array.to_list refs)
   |> List.sort_uniq compare
 
 (* Routing prefers reachable refs; if every ref of a level looks failed
    we fail over to a reachable replica of one of them (and learn it as a
    ref); with no replica reachable either we still try one, and the
-   request times out and retries. *)
+   request times out and retries. The common case, every ref reachable,
+   picks straight from the table without building a candidate list. *)
 let choose_ref t (me : Node.t) level =
   let refs = Node.refs_at me level in
   let candidates, failing_over =
-    match List.filter (reachable t me) refs with
-    | [] -> (
-      match failover_candidates t me refs with [] -> (refs, false) | alts -> (alts, true))
-    | alive -> (alive, false)
+    if Array.for_all (reachable t me) refs then (refs, false)
+    else
+      match List.filter (reachable t me) (Array.to_list refs) with
+      | [] -> (
+        match failover_candidates t me refs with
+        | [] -> (refs, false)
+        | alts -> (Array.of_list alts, true))
+      | alive -> (Array.of_list alive, false)
   in
   let chosen =
-    match candidates with
-    | [] -> None
-    | refs when (config t).proximity_routing ->
-    let lat = Net.latency t.net in
+    match Array.length candidates with
+    | 0 -> None
+    | _ when (config t).proximity_routing ->
+      let lat = Net.latency t.net in
       let best =
-        List.fold_left
+        Array.fold_left
           (fun acc p ->
             let c = Latency.base lat ~src:me.id ~dst:p in
             match acc with Some (_, c0) when c0 <= c -> acc | _ -> Some (p, c))
-          None refs
+          None candidates
       in
       Option.map fst best
-    | refs -> Some (Rng.pick_list t.rng refs)
+    | n -> Some candidates.(Rng.int t.rng n)
   in
   (match chosen with
   | Some p when failing_over ->

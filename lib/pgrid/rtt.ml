@@ -13,63 +13,69 @@
    from retried exchanges are ambiguous), so the estimate cannot be
    dragged up by its own give-ups. *)
 
-type entry = { mutable mean : float; mutable dev : float; mutable n : int }
+(* All-float, so the record is stored flat: no boxed fields. [n] is a
+   sample count kept as a float for that reason. *)
+type entry = { mutable mean : float; mutable dev : float; mutable n : float }
 
+(* A peer that never hears a reply to its own request needs no per-peer
+   table, so it starts as [no_peers], shared and never written, and a
+   private one is allocated on the first per-peer observation. Classes
+   are few (at most one per operation kind), so they live in an
+   association list. *)
 type t = {
-  per_peer : (int, entry) Hashtbl.t;
-  per_class : (string, entry) Hashtbl.t;
+  mutable per_peer : (int, entry) Hashtbl.t;
+  mutable per_class : (string * entry) list;
   global : entry;
-  alpha : float;  (* EWMA gain for the mean *)
-  beta : float;  (* EWMA gain for the mean deviation *)
 }
 
-let create () =
-  {
-    per_peer = Hashtbl.create 16;
-    per_class = Hashtbl.create 8;
-    global = { mean = 0.0; dev = 0.0; n = 0 };
-    alpha = 0.125;
-    beta = 0.25;
-  }
+let alpha = 0.125 (* EWMA gain for the mean *)
+let beta = 0.25 (* EWMA gain for the mean deviation *)
+let no_peers : (int, entry) Hashtbl.t = Hashtbl.create 1
+let fresh () = { mean = 0.0; dev = 0.0; n = 0.0 }
+let create () = { per_peer = no_peers; per_class = []; global = fresh () }
 
-let update t (e : entry) sample =
-  if e.n = 0 then begin
+let update (e : entry) sample =
+  if Float.equal e.n 0.0 then begin
     e.mean <- sample;
     e.dev <- sample /. 2.0
   end
   else begin
     let err = sample -. e.mean in
-    e.mean <- e.mean +. (t.alpha *. err);
-    e.dev <- e.dev +. (t.beta *. (Float.abs err -. e.dev))
+    e.mean <- e.mean +. (alpha *. err);
+    e.dev <- e.dev +. (beta *. (Float.abs err -. e.dev))
   end;
-  e.n <- e.n + 1
+  e.n <- e.n +. 1.0
 
 let peer_entry t peer =
+  if t.per_peer == no_peers then t.per_peer <- Hashtbl.create 16;
   match Hashtbl.find_opt t.per_peer peer with
   | Some e -> e
   | None ->
-    let e = { mean = 0.0; dev = 0.0; n = 0 } in
+    let e = fresh () in
     Hashtbl.replace t.per_peer peer e;
     e
 
+let find_class t cls =
+  List.find_map (fun (c, e) -> if String.equal c cls then Some e else None) t.per_class
+
 let class_entry t cls =
-  match Hashtbl.find_opt t.per_class cls with
+  match find_class t cls with
   | Some e -> e
   | None ->
-    let e = { mean = 0.0; dev = 0.0; n = 0 } in
-    Hashtbl.replace t.per_class cls e;
+    let e = fresh () in
+    t.per_class <- (cls, e) :: t.per_class;
     e
 
 (* [observe t ?peer ~cls sample] folds one completed-operation latency
    (simulated ms) into the peer, class and global estimates. *)
 let observe t ?peer ~cls sample =
   if sample >= 0.0 then begin
-    (match peer with Some p -> update t (peer_entry t p) sample | None -> ());
-    update t (class_entry t cls) sample;
-    update t t.global sample
+    (match peer with Some p -> update (peer_entry t p) sample | None -> ());
+    update (class_entry t cls) sample;
+    update t.global sample
   end
 
-let forget_peer t peer = Hashtbl.remove t.per_peer peer
+let forget_peer t peer = if t.per_peer != no_peers then Hashtbl.remove t.per_peer peer
 
 (* An entry predicts once it has a couple of samples; mean + 4 dev is
    the classic RTO, and the extra 2x headroom keeps rare-but-legitimate
@@ -78,7 +84,8 @@ let forget_peer t peer = Hashtbl.remove t.per_peer peer
 let min_samples = 2
 let headroom = 2.0
 
-let predict e = if e.n >= min_samples then Some ((e.mean +. (4.0 *. e.dev)) *. headroom) else None
+let predict e =
+  if e.n >= float_of_int min_samples then Some ((e.mean +. (4.0 *. e.dev)) *. headroom) else None
 
 (* [deadline t ?peer ~cls ~fallback ~min_ms ~max_ms] is the adaptive
    retry deadline: the sharpest available estimate clamped into
@@ -89,7 +96,7 @@ let deadline t ?peer ~cls ~fallback ~min_ms ~max_ms () =
     match Option.bind peer (fun p -> Option.bind (Hashtbl.find_opt t.per_peer p) predict) with
     | Some _ as s -> s
     | None -> (
-      match Option.bind (Hashtbl.find_opt t.per_class cls) predict with
+      match Option.bind (find_class t cls) predict with
       | Some _ as s -> s
       | None -> predict t.global)
   in
@@ -97,5 +104,5 @@ let deadline t ?peer ~cls ~fallback ~min_ms ~max_ms () =
   | Some d -> Float.max min_ms (Float.min max_ms d)
   | None -> fallback
 
-let samples t = t.global.n
-let mean t = if t.global.n = 0 then Float.nan else t.global.mean
+let samples t = int_of_float t.global.n
+let mean t = if Float.equal t.global.n 0.0 then Float.nan else t.global.mean

@@ -330,11 +330,11 @@ let test_audit_pgrid_bad_ref () =
   let ov = build_pgrid () in
   let nd =
     List.find
-      (fun (nd : Node.t) -> Array.length nd.Node.refs > 0 && nd.Node.refs.(0) <> [])
+      (fun (nd : Node.t) -> Array.length nd.Node.refs > 0 && nd.Node.refs.(0) <> [||])
       (Overlay.nodes ov)
   in
   (* A peer must never appear in its own complementary subtree. *)
-  nd.Node.refs.(0) <- [ nd.Node.id ];
+  nd.Node.refs.(0) <- [| nd.Node.id |];
   check_has "self-reference at level 0" "bad-ref" (Audit.pgrid ov)
 
 let test_audit_pgrid_replica_divergence () =

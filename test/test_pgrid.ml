@@ -99,12 +99,12 @@ let test_node_path_refs () =
   Node.add_ref n ~level:0 7 ~cap:3;
   Node.add_ref n ~level:0 8 ~cap:3;
   Node.add_ref n ~level:0 7 ~cap:3;
-  check Alcotest.int "no dup" 2 (List.length (Node.refs_at n 0));
+  check Alcotest.int "no dup" 2 (Array.length (Node.refs_at n 0));
   Node.add_ref n ~level:0 9 ~cap:3;
   Node.add_ref n ~level:0 10 ~cap:3;
-  check Alcotest.int "capped" 3 (List.length (Node.refs_at n 0));
+  check Alcotest.int "capped" 3 (Array.length (Node.refs_at n 0));
   Node.remove_ref n 8;
-  Alcotest.(check bool) "removed" false (List.mem 8 (Node.refs_at n 0))
+  Alcotest.(check bool) "removed" false (Array.mem 8 (Node.refs_at n 0))
 
 let test_node_path_growth_preserves_refs () =
   let n = Node.create 0 in
@@ -112,8 +112,8 @@ let test_node_path_growth_preserves_refs () =
   Node.add_ref n ~level:0 5 ~cap:3;
   Node.extend n ~bit:false ~boundary:"t";
   check Alcotest.string "path grew" "10" (Bitkey.to_string n.Node.path);
-  check Alcotest.(list int) "level0 kept" [ 5 ] (Node.refs_at n 0);
-  check Alcotest.(list int) "level1 empty" [] (Node.refs_at n 1)
+  check Alcotest.(array int) "level0 kept" [| 5 |] (Node.refs_at n 0);
+  check Alcotest.(array int) "level1 empty" [||] (Node.refs_at n 1)
 
 let test_node_region_covers () =
   (* Path "10" with boundaries m (level 0, taken >=) and t (level 1,
@@ -157,8 +157,11 @@ let ref_predict samples =
 let rtt_deadline ?peer ?(min_ms = 0.0) ?(max_ms = Float.infinity) t cls =
   Rtt.deadline t ?peer ~cls ~fallback:(-1.0) ~min_ms ~max_ms ()
 
-let bits = Alcotest.testable (fun f x -> Format.fprintf f "%h" x) (fun a b ->
-    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+(* Float equality to the last bit. *)
+let bits =
+  Alcotest.testable
+    (fun f x -> Format.fprintf f "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
 
 let test_rtt_cold_fallback () =
   let t = Rtt.create () in
@@ -652,7 +655,7 @@ let test_repair_refs () =
       if Overlay.alive ov nd.Node.id then
         Array.iteri
           (fun l refs ->
-            List.iter
+            Array.iter
               (fun r ->
                 if not (Overlay.alive ov r) then
                   Alcotest.failf "peer%d level %d still references dead peer%d" nd.Node.id l r)

@@ -1,9 +1,10 @@
 (* Scale-kernel regression tests: the invariants the flat-array
-   simulator rebuild must preserve. Five concerns:
+   simulator rebuild must preserve. Six concerns:
 
    - scheduler ordering and FIFO stability (the determinism bedrock),
    - peer-arena id reuse across kill/revive churn vs a reference model,
    - packed Bitkey encode/decode agrees with the old string encoding,
+   - an idle overlay stays under a per-peer memory bound,
    - same seed => byte-identical trace at 10k peers under churn,
    - every operation of an insert+lookup storm completes at 1k and 10k
      peers.
@@ -279,6 +280,25 @@ let test_storm_completes n () =
   Sim.run_all sim;
   check Alcotest.int (Printf.sprintf "operations completed at %d peers" n) (2 * ops) !completed
 
+(* ------------------------------------------------------------------ *)
+(* Idle footprint: P-Grid's promise is O(log n) routing state per peer,
+   so an idle overlay must stay small per peer. Everything reachable
+   from the overlay counts — node records, routing tables, empty stores
+   and caches, the simulator and latency model. State most peers never
+   touch (latency trackers, gossiped statistics) is allocated on first
+   use, which is what keeps this under the bound. *)
+
+let test_idle_footprint () =
+  let n = 4_096 in
+  let sim = Sim.create () in
+  let rng = Rng.create 31 in
+  let latency = Latency.create Latency.Lan ~n ~rng in
+  let ov = Build.oracle sim ~latency ~rng ~config:Config.default ~n ~sample_keys:[] ~balanced:true () in
+  let words = Obj.reachable_words (Obj.repr ov) / n in
+  if words > 175 then
+    Alcotest.failf "idle 4096-peer overlay holds %d words (%d B) per peer, bound 175 words" words
+      (words * (Sys.word_size / 8))
+
 let () =
   Alcotest.run "unistore_scale"
     [
@@ -293,6 +313,7 @@ let () =
       ( "bitkey",
         [ prop_bitkey_roundtrip; prop_bitkey_compare_matches_strings; prop_bitkey_ops_match_strings ]
       );
+      ("memory", [ Alcotest.test_case "idle overlay <= 175 words per peer" `Quick test_idle_footprint ]);
       ("determinism", [ Alcotest.test_case "10k peers, same seed, same trace" `Quick test_determinism_10k ]);
       ( "completion",
         [
