@@ -1,7 +1,7 @@
 # Convenience entry points. Everything is plain dune underneath; these
 # targets just name the two workflows every PR runs.
 
-.PHONY: all check test test-faults test-store lint lint-src loc bench bench-rank benchmark-smoke clean
+.PHONY: all check test test-faults test-store lint lint-src loc examples bench bench-rank benchmark-smoke clean
 
 all: check
 
@@ -62,6 +62,17 @@ lint-src:
 loc:
 	@for d in lib bench test bin; do \
 	  printf '%-6s %6d\n' $$d $$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	done
+
+# Run every program under examples/; a non-zero exit fails the target.
+# They drive the public facade end to end from fixed seeds.
+EXAMPLES = quickstart publications_skyline conference_sharing schema_integration observability
+
+examples:
+	dune build @examples/all
+	@for e in $(EXAMPLES); do \
+	  echo "== $$e"; \
+	  dune exec --display quiet examples/$$e.exe >/dev/null || exit 1; \
 	done
 
 # Full experiment harness: the paper reproduction E1..E14, the

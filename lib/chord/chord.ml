@@ -4,11 +4,12 @@ module Net = Unistore_sim.Net
 module Latency = Unistore_sim.Latency
 module Store = Unistore_pgrid.Store
 
-type result = {
+type result = Store.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
+  completeness : float;
   latency : float;
 }
 
@@ -108,7 +109,6 @@ let revive t id = Net.revive t.net id
 let is_alive t id = Net.is_alive t.net id
 let alive_peers t = Net.alive_peers t.net
 let expected_latency t = Latency.expected (Net.latency t.net)
-let net_stats t = Net.stats t.net
 let set_metrics t m = Net.set_metrics t.net m
 let set_trace t tr = Net.set_trace t.net tr
 let total_sent t = Net.total_sent t.net
@@ -159,7 +159,15 @@ let finish_single t rid ~items ~hops ~complete =
   match Hashtbl.find_opt t.pending rid with
   | Some (Psingle p) ->
     Hashtbl.remove t.pending rid;
-    p.k { items; hops; peers_hit = 1; complete; latency = Sim.now t.sim -. p.started }
+    p.k
+      {
+        items;
+        hops;
+        peers_hit = 1;
+        complete;
+        completeness = (if complete then 1.0 else 0.0);
+        latency = Sim.now t.sim -. p.started;
+      }
   | _ -> ()
 
 let finish_multi t rid ~complete =
@@ -172,6 +180,7 @@ let finish_multi t rid ~complete =
         hops = p.hops;
         peers_hit = p.peers_hit;
         complete;
+        completeness = (if complete then 1.0 else 0.0);
         latency = Sim.now t.sim -. p.started;
       }
   | _ -> ()

@@ -17,11 +17,14 @@ module Store = Unistore_pgrid.Store
 
 type t
 
-type result = {
+(** The answer of one operation ({!Store.result}); [completeness] is
+    [1.0] iff [complete]. *)
+type result = Store.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
+  completeness : float;
   latency : float;
 }
 
@@ -64,9 +67,6 @@ val alive_peers : t -> int list
 
 (** Mean one-way latency of the underlying network model. *)
 val expected_latency : t -> float
-
-(** Network statistics of the underlying simulated network. *)
-val net_stats : t -> Unistore_sim.Net.stats
 
 (** Attach/detach a metrics registry for per-kind message accounting
     (see {!Unistore_sim.Net.set_metrics}). *)

@@ -1,5 +1,6 @@
 module Store = Unistore_pgrid.Store
 module Sim = Unistore_sim.Sim
+module Cps = Unistore_util.Cps
 
 let depth = 6
 
@@ -36,23 +37,17 @@ let decode_payload s =
 
 let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   let hex = hex_of_key key in
-  let outstanding = ref (depth + 1) in
-  let ok = ref true in
-  let step (r : Chord.result) =
-    if not r.Chord.complete then ok := false;
-    decr outstanding;
-    if !outstanding = 0 then k !ok
+  (* Trie markers (the level-l node learns it has child hex.[l]), then
+     the leaf bucket that holds the datum. *)
+  let put (key, item_id, payload, version) ~k =
+    Chord.put chord ~origin ~key ~item_id ~payload ~version ~k ()
   in
-  (* Trie markers: level-l node learns it has child hex.[l]. *)
-  for l = 0 to depth - 1 do
-    Chord.put chord ~origin
-      ~key:("T:" ^ String.sub hex 0 l)
-      ~item_id:(String.make 1 hex.[l])
-      ~payload:"" ~k:step ()
-  done;
-  (* Leaf bucket holds the datum. *)
-  Chord.put chord ~origin ~key:("B:" ^ hex) ~item_id:(item_id ^ "#" ^ key)
-    ~payload:(encode_payload ~key ~payload) ~version ~k:step ()
+  let markers =
+    List.init depth (fun l -> ("T:" ^ String.sub hex 0 l, String.make 1 hex.[l], "", 0))
+  in
+  let bucket = ("B:" ^ hex, item_id ^ "#" ^ key, encode_payload ~key ~payload, version) in
+  Cps.all put (markers @ [ bucket ]) ~k:(fun rs ->
+      k (List.for_all (fun (r : Chord.result) -> r.Chord.complete) rs))
 
 let range chord ~origin ~lo ~hi ~k =
   (* A bucket prefix strictly below hex(lo) only holds keys < lo, and one
@@ -76,6 +71,7 @@ let range chord ~origin ~lo ~hi ~k =
           hops = !hops;
           peers_hit = !gets;
           complete = !complete;
+          completeness = (if !complete then 1.0 else 0.0);
           latency = Sim.now (Chord.sim chord) -. started;
         }
     end

@@ -44,7 +44,6 @@ let no_cache =
 type config = {
   peers : int;
   replication : int;
-  refs_per_level : int;
   seed : int;
   latency : Latency.model;
   drop : float;
@@ -59,7 +58,6 @@ let default_config =
   {
     peers = 32;
     replication = 2;
-    refs_per_level = 3;
     seed = 42;
     latency = Latency.Lan;
     drop = 0.0;
@@ -70,13 +68,15 @@ let default_config =
     store = Unistore_pgrid.Store_intf.Hash;
   }
 
+(* The overlay a deployment runs on. *)
+type substrate = On_pgrid of Overlay.t | On_chord of Chord.t
+
 type t = {
   config : config;
   sim : Sim.t;
   dht : Dht.t;
   tstore : Tstore.t;
-  pgrid : Overlay.t option;
-  chord : Chord.t option;
+  substrate : substrate;
   metrics : Metrics.t;
   qcaches : (int, Qcache.t) Hashtbl.t;  (* per-origin result caches, lazily built *)
   write_versions : (string, int) Hashtbl.t;
@@ -90,43 +90,38 @@ let create ?(sample_keys = []) config =
   let sim = Sim.create () in
   let rng = Rng.create config.seed in
   let latency = Latency.create config.latency ~n:config.peers ~rng in
-  let pgrid, chord, dht =
+  let substrate =
     match config.overlay with
     | Pgrid ->
       let pconfig =
         {
           Config.default with
           Config.replication = config.replication;
-          refs_per_level = config.refs_per_level;
           shortcut_capacity = config.cache.shortcut_capacity;
           store_backend = config.store;
         }
       in
-      let ov =
-        Build.oracle sim ~latency ~rng ~drop:config.drop ~config:pconfig ~n:config.peers
-          ~sample_keys ~balanced:(not config.load_balanced) ()
-      in
-      (Some ov, None, Dht.of_pgrid ov)
+      On_pgrid
+        (Build.oracle sim ~latency ~rng ~drop:config.drop ~config:pconfig ~n:config.peers
+           ~sample_keys ~balanced:(not config.load_balanced) ())
     | Chord_trie ->
       let cconfig = { Chord.default_config with Chord.succ_list = max 2 config.replication } in
-      let c =
-        Chord.create sim ~latency ~rng ~drop:config.drop ~config:cconfig ~n:config.peers ()
-      in
-      (None, Some c, Dht.of_chord_trie c)
+      On_chord (Chord.create sim ~latency ~rng ~drop:config.drop ~config:cconfig ~n:config.peers ())
+  in
+  let dht =
+    match substrate with On_pgrid ov -> Dht.of_pgrid ov | On_chord c -> Dht.of_chord_trie c
   in
   let tstore = Tstore.create ~qgrams:config.qgram_index dht in
   let metrics = Metrics.create () in
-  (match (pgrid, chord) with
-  | Some ov, _ -> Overlay.set_metrics ov (Some metrics)
-  | _, Some c -> Chord.set_metrics c (Some metrics)
-  | None, None -> ());
+  (match substrate with
+  | On_pgrid ov -> Overlay.set_metrics ov (Some metrics)
+  | On_chord c -> Chord.set_metrics c (Some metrics));
   {
     config;
     sim;
     dht;
     tstore;
-    pgrid;
-    chord;
+    substrate;
     metrics;
     qcaches = Hashtbl.create 8;
     write_versions = Hashtbl.create 16;
@@ -140,7 +135,7 @@ let config t = t.config
 let sim t = t.sim
 let tstore t = t.tstore
 let dht t = t.dht
-let pgrid t = t.pgrid
+let pgrid t = match t.substrate with On_pgrid ov -> Some ov | On_chord _ -> None
 
 (* The result cache's invalidation version for an attribute (or for
    attribute-agnostic accesses, [None]): writes issued through this
@@ -334,25 +329,19 @@ let pp_plan = Physical.pp
 let kill_peers t ids =
   List.iter
     (fun id ->
-      match (t.pgrid, t.chord) with
-      | Some ov, _ -> Overlay.kill ov id
-      | _, Some c -> Chord.kill c id
-      | None, None -> ())
+      match t.substrate with On_pgrid ov -> Overlay.kill ov id | On_chord c -> Chord.kill c id)
     ids
 
 let revive_peers t ids =
   List.iter
     (fun id ->
-      match (t.pgrid, t.chord) with
-      | Some ov, _ -> Overlay.revive ov id
-      | _, Some c -> Chord.revive c id
-      | None, None -> ())
+      match t.substrate with On_pgrid ov -> Overlay.revive ov id | On_chord c -> Chord.revive c id)
     ids
 
 let alive_peers t = t.dht.Dht.alive_peers ()
 
 let join_peer t ~id ~bootstrap =
-  match t.pgrid with Some ov -> Build.join ov ~id ~bootstrap | None -> false
+  match t.substrate with On_pgrid ov -> Build.join ov ~id ~bootstrap | On_chord _ -> false
 
 (* Scenario-driven fault injection (P-Grid only: the driver needs the
    overlay's network handle). The scenario fires as the caller advances
@@ -364,40 +353,40 @@ module Faults = Unistore_sim.Faults
 type faults = Unistore_pgrid.Message.t Faults.t
 
 let inject_faults t spec =
-  match t.pgrid with Some ov -> Some (Faults.inject (Overlay.net ov) spec) | None -> None
+  match t.substrate with
+  | On_pgrid ov -> Some (Faults.inject (Overlay.net ov) spec)
+  | On_chord _ -> None
 
 module Repair = Unistore_pgrid.Repair
 
 let repair_round t =
-  match t.pgrid with
-  | Some ov ->
+  match t.substrate with
+  | On_pgrid ov ->
     let r = Repair.round ov in
     Sim.run_all t.sim (* srclint: allow blocking-wait *);
     Some r
-  | None -> None
+  | On_chord _ -> None
 
 let anti_entropy_round t =
-  match t.pgrid with
-  | Some ov ->
+  match t.substrate with
+  | On_pgrid ov ->
     Gossip.anti_entropy_round ov;
     Sim.run_all t.sim (* srclint: allow blocking-wait *)
-  | None -> ()
+  | On_chord _ -> ()
 
 (* Message-level tracing (paper section 3: results are "traceable,
    analyzable and (in limits) repeatable"). *)
+let set_trace t tr =
+  match t.substrate with
+  | On_pgrid ov -> Unistore_sim.Net.set_trace (Overlay.net ov) tr
+  | On_chord c -> Chord.set_trace c tr
+
 let start_trace t =
   let tr = Unistore_sim.Trace.create () in
-  (match (t.pgrid, t.chord) with
-  | Some ov, _ -> Unistore_sim.Net.set_trace (Overlay.net ov) (Some tr)
-  | _, Some c -> Chord.set_trace c (Some tr)
-  | None, None -> ());
+  set_trace t (Some tr);
   tr
 
-let stop_trace t =
-  match (t.pgrid, t.chord) with
-  | Some ov, _ -> Unistore_sim.Net.set_trace (Overlay.net ov) None
-  | _, Some c -> Chord.set_trace c None
-  | None, None -> ()
+let stop_trace t = set_trace t None
 
 (* Metrics (the unified accounting layer: per-kind message counts from
    the network, hop/retry/fan-out histograms from the overlay, plus
@@ -410,7 +399,7 @@ let reset_metrics t = Metrics.clear t.metrics
    the current per-peer stores (P-Grid only; the Chord baseline does
    not carry pluggable storage). *)
 let refresh_store_gauges t =
-  match t.pgrid with Some ov -> Overlay.refresh_store_gauges ov | None -> ()
+  match t.substrate with On_pgrid ov -> Overlay.refresh_store_gauges ov | On_chord _ -> ()
 let metrics_json t = Json.to_string (Metrics.to_json t.metrics)
 
 (* Per-operator query profiling (EXPLAIN ANALYZE). *)
@@ -504,9 +493,9 @@ let histo_percentile t name p =
    deployments driven with the same [cfg] — e.g. an adaptive arm and a
    [no_balancing] arm — face a byte-identical request sequence. *)
 let run_traffic t ~keys cfg =
-  match t.pgrid with
-  | None -> invalid_arg "Unistore.run_traffic: P-Grid overlay required"
-  | Some ov ->
+  match t.substrate with
+  | On_chord _ -> invalid_arg "Unistore.run_traffic: P-Grid overlay required"
+  | On_pgrid ov ->
     if List.is_empty keys then invalid_arg "Unistore.run_traffic: empty key population";
     let adaptive = cfg.balance = Adaptive in
     let pconfig =
@@ -620,16 +609,16 @@ module Audit = Unistore_analysis.Audit
 module Srclint = Unistore_analysis.Srclint
 module Protocol = Unistore_analysis.Protocol
 
-let check t src =
-  Semantic.analyze_string ~catalog:(Engine.catalog_of_stats t.stats) src
+let check t ?(origin = 0) src =
+  Semantic.analyze_string ~catalog:(Engine.catalog_of_stats (stats_for t ~origin)) src
   |> Result.map snd
 
 (* Read observations for the monotone-reads (cache staleness) lint. *)
 
 let record_reads t =
-  match t.pgrid with
-  | None -> ()
-  | Some ov ->
+  match t.substrate with
+  | On_chord _ -> ()
+  | On_pgrid ov ->
     Overlay.set_read_observer ov
       (Some
          (fun ~origin items ->
@@ -646,20 +635,16 @@ let record_reads t =
              items))
 
 let stop_recording_reads t =
-  match t.pgrid with None -> () | Some ov -> Overlay.set_read_observer ov None
+  match t.substrate with On_chord _ -> () | On_pgrid ov -> Overlay.set_read_observer ov None
 
 let read_log t = List.rev !(t.read_log)
 let lint_reads t = Tracelint.monotone_reads (read_log t)
 
-let audit t =
-  match (t.pgrid, t.chord) with
-  | Some ov, _ -> Audit.pgrid ov
-  | _, Some c -> Audit.chord c
-  | None, None -> []
+let audit t = match t.substrate with On_pgrid ov -> Audit.pgrid ov | On_chord c -> Audit.chord c
 
 let lint_trace t ?allowed_revisits ?(against_metrics = false) tr =
   let rules =
-    match t.chord with Some _ -> Tracelint.chord_rules | None -> Tracelint.pgrid_rules
+    match t.substrate with On_pgrid _ -> Tracelint.pgrid_rules | On_chord _ -> Tracelint.chord_rules
   in
   let metrics = if against_metrics then Some t.metrics else None in
   Tracelint.lint ?allowed_revisits ?metrics ~rules tr

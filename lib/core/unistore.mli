@@ -57,7 +57,6 @@ val no_cache : cache_config
 type config = {
   peers : int;
   replication : int;
-  refs_per_level : int;
   seed : int;
   latency : Unistore_sim.Latency.model;
   drop : float;  (** iid message-loss probability *)
@@ -357,11 +356,12 @@ module Audit = Unistore_analysis.Audit
 module Srclint = Unistore_analysis.Srclint
 module Protocol = Unistore_analysis.Protocol
 
-(** [check t src] parses [src] and runs the semantic analyzer against
-    the catalog derived from {!stats} (call {!refresh_stats} first for
-    data-aware type checking). [Error] is a positioned parse error;
-    [Ok] carries the diagnostics (possibly empty). *)
-val check : t -> string -> (Diagnostic.t list, string) result
+(** [check t ?origin src] parses [src] and runs the semantic analyzer
+    against the catalog of the statistics {!query} would plan the same
+    text with from [origin] (default 0): the gossiped statistics there,
+    else {!stats}. [Error] is a positioned parse error; [Ok] carries the
+    diagnostics (possibly empty). *)
+val check : t -> ?origin:int -> string -> (Diagnostic.t list, string) result
 
 (** [audit t] runs the overlay invariant auditor
     ({!Unistore_analysis.Audit}) against the deployment's substrate. *)

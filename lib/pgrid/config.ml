@@ -9,7 +9,6 @@ type t = {
   max_hops : int;
   shortcut_capacity : int;
   adaptive_timeout : bool;
-  min_timeout_ms : float;
   hot_replication : bool;
   store_backend : Store_intf.backend;
 }
@@ -26,7 +25,6 @@ let default =
     max_hops = 128;
     shortcut_capacity = 128;
     adaptive_timeout = true;
-    min_timeout_ms = 25.0;
     hot_replication = false;
     store_backend = Store_intf.Hash;
   }

@@ -32,10 +32,8 @@ type t = {
   adaptive_timeout : bool;
       (** derive retry deadlines from per-peer/per-class EWMA latency
           tracking ({!Rtt}) instead of the fixed [timeout_ms]; the fixed
-          value remains the cold-start fallback and the upper clamp *)
-  min_timeout_ms : float;
-      (** lower clamp for adaptive retry deadlines — keeps a
-          fast-converging estimate from retrying into its own tail *)
+          value remains the cold-start fallback and the upper clamp;
+          {!Request.min_timeout_ms} is the lower one *)
   hot_replication : bool;
       (** let {!Balance.round} spawn boost replicas for regions whose
           gossiped load stands out (see {!Balance.hot_factor}) and retire them

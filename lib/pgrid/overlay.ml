@@ -417,7 +417,7 @@ let prefix t ~origin ~prefix:p ~k =
    they stay sorted. *)
 let bulk_insert t ~origin ~items ~k =
   match items with
-  | [] -> k Request.empty
+  | [] -> k Store.empty_result
   | _ ->
     let items =
       List.sort (fun (a : Store.item) b -> String.compare a.Store.key b.Store.key) items
@@ -435,7 +435,7 @@ let bulk_insert t ~origin ~items ~k =
    result. The keys are sorted here, as [split_batch] requires. *)
 let multi_lookup t ~origin ~keys ~k =
   match keys with
-  | [] -> k ([], Request.empty)
+  | [] -> k ([], Store.empty_result)
   | _ ->
     let keys = List.sort_uniq String.compare keys in
     let found = Hashtbl.create (List.length keys) in

@@ -19,19 +19,14 @@
 
 type t
 
-(** Outcome of a data-access operation. *)
-type result = {
+(** The answer of a data-access operation ({!Store.result}). *)
+type result = Store.result = {
   items : Store.item list;
-  hops : int;  (** longest message chain involved *)
-  peers_hit : int;  (** peers that executed local work *)
-  complete : bool;  (** false on timeout / unreachable region *)
+  hops : int;
+  peers_hit : int;
+  complete : bool;
   completeness : float;
-      (** coverage estimate in [0,1]: regions reached / regions
-          addressed. Showers count answered vs announced split tokens,
-          batches count acked vs sent keys, single-destination requests
-          are all ([1.0]) or nothing ([0.0]). [1.0] iff [complete] —
-          partial results are tagged instead of silently truncated. *)
-  latency : float;  (** simulated ms from issue to completion *)
+  latency : float;
 }
 
 val create :

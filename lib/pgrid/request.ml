@@ -3,19 +3,14 @@ module Metrics = Unistore_obs.Metrics
 module Histogram = Unistore_obs.Histogram
 module Shortcuts = Unistore_cache.Shortcuts
 
-type result = {
+type result = Store.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
   completeness : float;
-      (* coverage estimate in [0,1]: regions reached / regions addressed
-         (answered tokens for showers, acked keys for batches, all or
-         nothing for single-destination requests); 1.0 iff [complete] *)
   latency : float;
 }
-
-let empty = { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 }
 
 type kind =
   | Single
@@ -170,6 +165,8 @@ let finish t p ~complete =
   if not complete then mark_partial t p;
   p.k { items = dedupe_items p.items; hops = p.hops; peers_hit; complete; completeness; latency }
 
+let min_timeout_ms = 25.0
+
 (* The base deadline for one attempt: the origin's EWMA latency
    estimate ({!Rtt}) when adaptive timeouts are on and warm — sharpest
    via the shortcut target when one carried the request — clamped into
@@ -181,7 +178,7 @@ let deadline_base t p =
   else
     let via = match p.shape with Single_state s -> s.via | Shower_state _ | Batch_state _ -> None in
     Rtt.deadline p.origin.Node.rtt ?peer:via ~cls:p.op ~fallback:c.timeout_ms
-      ~min_ms:c.min_timeout_ms ~max_ms:c.timeout_ms ()
+      ~min_ms:min_timeout_ms ~max_ms:c.timeout_ms ()
 
 (* Retry [n] waits [base * retry_backoff^n], up to [retry_jitter]
    fractional jitter either way. Exponential backoff rides out multi-wave

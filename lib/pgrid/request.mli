@@ -21,23 +21,22 @@
     - [Batch] (bulk insert, multi-key lookup): per-key acks; a retry
       re-sends only unacked keys; coverage is acked / sent keys. *)
 
-(** Outcome of a data-access operation (re-exported as
-    {!Overlay.result}). *)
-type result = {
+(** The answer of a finished request ({!Store.result}). *)
+type result = Store.result = {
   items : Store.item list;
-  hops : int;  (** longest message chain involved *)
-  peers_hit : int;  (** peers that executed local work *)
-  complete : bool;  (** false on timeout / unreachable region *)
+  hops : int;
+  peers_hit : int;
+  complete : bool;
   completeness : float;
-      (** coverage estimate in [0,1], [1.0] iff [complete] *)
-  latency : float;  (** simulated ms from issue to completion *)
+  latency : float;
 }
 
 (** Histogram ladder for fan-out and batch-size series. *)
 val fanout_buckets : float list
 
-(** The complete answer to an empty request. *)
-val empty : result
+(** Lower clamp of an adaptive retry deadline (see {!Rtt}): keeps a
+    fast-converging estimate from retrying into its own tail. *)
+val min_timeout_ms : float
 
 (** [dedupe_items items] is a finished request's answer: one item per
     (key, item id), the highest version and of equal versions the first

@@ -10,6 +10,19 @@ type item = Store_intf.item = {
   version : int;
 }
 
+(* The answer of one data access, on every substrate: see store.mli. *)
+type result = {
+  items : item list;
+  hops : int;
+  peers_hit : int;
+  complete : bool;
+  completeness : float;
+  latency : float;
+}
+
+let empty_result =
+  { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 }
+
 type stats = Store_intf.stats = { bytes : int; triples : int }
 type backend = Store_intf.backend = Hash | Log of { dir : string }
 

@@ -21,6 +21,27 @@ type item = Store_intf.item = {
   version : int;  (** LWW version; inserts start at 0 *)
 }
 
+(** The answer of one data access — a lookup, range, prefix, broadcast
+    or batch — with its cost. P-Grid ({!Overlay.result}), the Chord
+    baseline and the substrate-independent [Dht] interface all re-export
+    this one record. *)
+type result = {
+  items : item list;
+  hops : int;  (** longest message chain involved *)
+  peers_hit : int;  (** peers that executed local work *)
+  complete : bool;  (** false on timeout / unreachable region *)
+  completeness : float;
+      (** coverage estimate in [0,1]: regions reached / regions
+          addressed. Showers count answered vs announced split tokens,
+          batches count acked vs sent keys, single-destination requests
+          are all ([1.0]) or nothing ([0.0]). [1.0] iff [complete] —
+          partial results are tagged instead of silently truncated. *)
+  latency : float;  (** simulated ms from issue to completion *)
+}
+
+(** The complete answer to an empty request. *)
+val empty_result : result
+
 (** Deterministic memory-model estimate of resident bytes, and the live
     item count. Comparable across backends; not a GC measurement. *)
 type stats = Store_intf.stats = { bytes : int; triples : int }

@@ -307,15 +307,13 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
         k (join ()))
   | _ ->
     (* One parallel round of per-key lookups. *)
-    let outstanding = ref (List.length residual) in
-    List.iter
-      (fun probe ->
-        dht.Dht.lookup ~origin:carrier ~key:probe.key ~k:(fun r ->
-            note run r;
-            resolve r probe r.Dht.items;
-            decr outstanding;
-            if !outstanding = 0 then k (join ())))
-      residual
+    let probe_one probe ~k =
+      dht.Dht.lookup ~origin:carrier ~key:probe.key ~k:(fun r ->
+          note run r;
+          resolve r probe r.Dht.items;
+          k ())
+    in
+    Cps.all probe_one residual ~k:(fun _ -> k (join ()))
 
 (* ------------------------------------------------------------------ *)
 (* Joins and filters                                                   *)

@@ -22,10 +22,6 @@ let range_bounds cs =
   in
   (lo, hi)
 
-let qgram_ok ~qgrams pattern d = qgrams && String.length pattern + Keys.q - 1 - (d * Keys.q) >= 1
-
-let substring_ok ~qgrams pattern = qgrams && String.length pattern >= Keys.q
-
 (* A cached access costs no messages at all: the origin answers it from
    its result cache. Cardinality is kept — join ordering still depends
    on it — and [ABroadcast] is never cached (see {!Qcache.cacheable}).
@@ -52,10 +48,11 @@ let access_candidates env stats ~qgrams ?cached cmap (p : Ast.pattern) =
       List.iter
         (function
           | Algebra.Cedist (pat, d) ->
-            if qgram_ok ~qgrams pat d then add (Cost.ASim (Some a, pat, d))
+            if qgrams && Keys.edist_indexable ~pattern:pat ~d then add (Cost.ASim (Some a, pat, d))
           | Algebra.Cprefix pre -> add (Cost.AAttrPrefix (a, pre))
           | Algebra.Ccontains pat ->
-            if substring_ok ~qgrams pat then add (Cost.ASubstring (Some a, pat))
+            if qgrams && Keys.substring_indexable ~pattern:pat then
+              add (Cost.ASubstring (Some a, pat))
           | _ -> ())
         cs;
       add (Cost.AAttrAll a))
@@ -63,9 +60,11 @@ let access_candidates env stats ~qgrams ?cached cmap (p : Ast.pattern) =
   | Ast.TVar _, Ast.TVar ov ->
     List.iter
       (function
-        | Algebra.Cedist (pat, d) -> if qgram_ok ~qgrams pat d then add (Cost.ASim (None, pat, d))
+        | Algebra.Cedist (pat, d) ->
+          if qgrams && Keys.edist_indexable ~pattern:pat ~d then add (Cost.ASim (None, pat, d))
         | Algebra.Ccontains pat ->
-          if substring_ok ~qgrams pat then add (Cost.ASubstring (None, pat))
+          if qgrams && Keys.substring_indexable ~pattern:pat then
+            add (Cost.ASubstring (None, pat))
         | _ -> ())
       (constraints_of ov cmap)
   | Ast.TConst _, _ -> ());

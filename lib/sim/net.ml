@@ -1,22 +1,6 @@
 module Rng = Unistore_util.Rng
 module Metrics = Unistore_obs.Metrics
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  to_dead : int;
-  bytes_sent : int;
-  bytes_delivered : int;
-}
-
-let zero_stats =
-  { sent = 0; delivered = 0; dropped = 0; to_dead = 0; bytes_sent = 0; bytes_delivered = 0 }
-
-let pp_stats fmt s =
-  Format.fprintf fmt "sent=%d delivered=%d dropped=%d to_dead=%d bytes_sent=%d bytes_delivered=%d"
-    s.sent s.delivered s.dropped s.to_dead s.bytes_sent s.bytes_delivered
-
 (* Peer state is an arena: dense arrays indexed by peer id. The
    simulator mints ids 0..n-1, so id-keyed hashtables only added hashing
    and pointer chasing to every delivery. [handlers]/[slowf]/[pgroup]/
@@ -52,14 +36,6 @@ type 'msg t = {
   mutable busy_until : float array;
   mutable qdepth : int array;  (* messages accepted but not yet handled *)
   mutable n_serviced : int;  (* peers with svc_ms > 0; 0 short-circuits *)
-  (* Aggregate counters are mutable ints rather than a reallocated
-     record: several are bumped on every send and every delivery. *)
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable to_dead : int;
-  mutable bytes_sent : int;
-  mutable bytes_delivered : int;
   mutable total_sent : int;
   mutable tracer : Trace.t option;
   mutable metrics : Metrics.t option;
@@ -94,12 +70,6 @@ let create sim ~latency ~rng ?(drop = 0.0) ?(size = fun _ -> 64) ?(kind = fun _ 
     busy_until = [||];
     qdepth = [||];
     n_serviced = 0;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    to_dead = 0;
-    bytes_sent = 0;
-    bytes_delivered = 0;
     total_sent = 0;
     tracer = None;
     metrics = None;
@@ -313,8 +283,6 @@ let queue_depth_buckets = Unistore_obs.Histogram.linear ~lo:1.0 ~step:1.0 ~n:64
 
 let send t ~src ~dst msg =
   let nbytes = t.size msg in
-  t.sent <- t.sent + 1;
-  t.bytes_sent <- t.bytes_sent + nbytes;
   t.total_sent <- t.total_sent + 1;
   (match t.metrics with
   | Some m ->
@@ -345,14 +313,10 @@ let send t ~src ~dst msg =
     | None -> ());
     match event with Some e -> e.Trace.outcome <- outcome | None -> ()
   in
-  if t.n_partitioned > 0 && partitioned t ~src ~dst then begin
-    t.dropped <- t.dropped + 1;
-    resolve Trace.Dropped
-  end
-  else if t.drop > 0.0 && Rng.bool t.rng ~p:t.drop then begin
-    t.dropped <- t.dropped + 1;
-    resolve Trace.Dropped
-  end
+  if
+    (t.n_partitioned > 0 && partitioned t ~src ~dst)
+    || (t.drop > 0.0 && Rng.bool t.rng ~p:t.drop)
+  then resolve Trace.Dropped
   else begin
     let delay =
       if src = dst then 0.01
@@ -362,21 +326,11 @@ let send t ~src ~dst msg =
       end
     in
     let deliver () =
-      if is_alive t dst then begin
-        match t.handlers.(dst) with
-        | Some handler ->
-          t.delivered <- t.delivered + 1;
-          t.bytes_delivered <- t.bytes_delivered + nbytes;
-          resolve Trace.Delivered;
-          handler ~src msg
-        | None ->
-          t.to_dead <- t.to_dead + 1;
-          resolve Trace.To_dead
-      end
-      else begin
-        t.to_dead <- t.to_dead + 1;
-        resolve Trace.To_dead
-      end
+      match if is_alive t dst then t.handlers.(dst) else None with
+      | Some handler ->
+        resolve Trace.Delivered;
+        handler ~src msg
+      | None -> resolve Trace.To_dead
     in
     Sim.schedule t.sim ~delay (fun () ->
         (* Arrival. With a service model at [dst], the message takes a
@@ -386,10 +340,7 @@ let send t ~src ~dst msg =
            backlog loses the backlog. *)
         let svc = if t.n_serviced = 0 || not (in_arena t dst) then 0.0 else t.svc_ms.(dst) in
         if svc <= 0.0 then deliver ()
-        else if not (is_alive t dst) then begin
-          t.to_dead <- t.to_dead + 1;
-          resolve Trace.To_dead
-        end
+        else if not (is_alive t dst) then resolve Trace.To_dead
         else begin
           let now = Sim.now t.sim in
           let start = Float.max now t.busy_until.(dst) in
@@ -415,24 +366,6 @@ let send t ~src ~dst msg =
               deliver ())
         end)
   end
-
-let stats t =
-  {
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    to_dead = t.to_dead;
-    bytes_sent = t.bytes_sent;
-    bytes_delivered = t.bytes_delivered;
-  }
-
-let reset_stats t =
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.to_dead <- 0;
-  t.bytes_sent <- 0;
-  t.bytes_delivered <- 0
 
 let total_sent t = t.total_sent
 let sim t = t.sim

@@ -3,11 +3,10 @@
     Peers are integers; each registers a handler. [send] draws a one-way
     latency, applies message loss, and schedules the delivery event.
     Messages to dead peers vanish (the sender learns nothing — protocols
-    must use timeouts). All traffic is counted, which is how experiments
-    measure message/bandwidth cost — either through the always-on
-    aggregate {!stats}, or per message kind via an attached
-    {!Unistore_obs.Metrics} registry ({!set_metrics}), or per message
-    via an attached {!Trace} ({!set_trace}).
+    must use timeouts). Experiments measure message/bandwidth cost per
+    message kind through an attached {!Unistore_obs.Metrics} registry
+    ({!set_metrics}), or per message through an attached {!Trace}
+    ({!set_trace}); {!total_sent} is the one always-on count.
 
     {b Representation.} Peer state lives in an arena of dense arrays
     indexed by peer id (ids are expected to be minted densely from 0).
@@ -25,21 +24,6 @@
     whole event trace — is reproducible bit-for-bit. *)
 
 type 'msg t
-
-type stats = {
-  sent : int;  (** messages handed to the network *)
-  delivered : int;  (** messages that reached a live handler *)
-  dropped : int;  (** lost to the iid loss process *)
-  to_dead : int;  (** addressed to a dead peer at delivery time *)
-  bytes_sent : int;  (** payload bytes handed to the network *)
-  bytes_delivered : int;
-      (** payload bytes that reached a live handler — dropped or
-          dead-lettered messages do not count, so bandwidth-reduction
-          numbers stay trustworthy under loss *)
-}
-
-val zero_stats : stats
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [create sim ~latency ~rng ?drop ?size ?kind ?corr ()] builds a
     network. [drop] is the iid message-loss probability (default [0.]).
@@ -68,8 +52,9 @@ val trace : 'msg t -> Trace.t option
     counters [net.sent], [net.bytes.sent], [net.sent.<kind>],
     [net.bytes.sent.<kind>] at send time and [net.delivered] /
     [net.dropped] / [net.to_dead] plus [net.bytes.delivered] as
-    outcomes resolve. [None] stops; like tracing, the disabled path
-    costs nothing. *)
+    outcomes resolve. Dropped or dead-lettered messages add no
+    delivered bytes, so bandwidth figures stay trustworthy under loss.
+    [None] stops; like tracing, the disabled path costs nothing. *)
 val set_metrics : 'msg t -> Unistore_obs.Metrics.t option -> unit
 
 val metrics : 'msg t -> Unistore_obs.Metrics.t option
@@ -180,11 +165,9 @@ val random_alive : 'msg t -> Unistore_util.Rng.t -> int option
     order (a stable order, independent of the kill/revive history, so
     per-peer RNG consumption stays deterministic). O(max peer id). *)
 val iter_alive : 'msg t -> (int -> unit) -> unit
-val stats : 'msg t -> stats
-val reset_stats : 'msg t -> unit
 
-(** Messages sent since creation, including after resets (monotone);
-    convenient for deltas. *)
+(** Messages sent since creation (monotone, never reset); every cost
+    delta reads it. *)
 val total_sent : 'msg t -> int
 
 val sim : 'msg t -> Sim.t

@@ -5,14 +5,12 @@ module Overlay = Unistore_pgrid.Overlay
 module Chord = Unistore_chord.Chord
 module Trie_index = Unistore_chord.Trie_index
 
-type result = {
+type result = Store.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
   completeness : float;
-      (* coverage estimate in [0,1] (regions reached / regions
-         addressed); 1.0 iff [complete] -- see {!Unistore_pgrid.Overlay} *)
   latency : float;
 }
 
@@ -57,16 +55,6 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 
-let of_overlay_result (r : Overlay.result) =
-  {
-    items = r.Overlay.items;
-    hops = r.Overlay.hops;
-    peers_hit = r.Overlay.peers_hit;
-    complete = r.Overlay.complete;
-    completeness = r.Overlay.completeness;
-    latency = r.Overlay.latency;
-  }
-
 let of_pgrid ov =
   let net = Overlay.net ov in
   {
@@ -81,37 +69,21 @@ let of_pgrid ov =
     delete =
       (fun ~origin ~key ~item_id ~k ->
         Overlay.delete ov ~origin ~key ~item_id ~k:(fun r -> k r.Overlay.complete));
-    lookup = (fun ~origin ~key ~k -> Overlay.lookup ov ~origin ~key ~k:(fun r -> k (of_overlay_result r)));
-    range =
-      (fun ~origin ~lo ~hi ~k ->
-        Overlay.range ov ~origin ~lo ~hi ~k:(fun r -> k (of_overlay_result r)) ());
+    lookup = Overlay.lookup ov;
+    range = (fun ~origin ~lo ~hi ~k -> Overlay.range ov ~origin ~lo ~hi ~k ());
     range_topn =
       Some
         (fun ~origin ~lo ~hi ~n ~k ->
-          Overlay.range ov ~origin ~strategy:Unistore_pgrid.Message.Sequential ~budget:n ~lo ~hi
-            ~k:(fun r -> k (of_overlay_result r))
+          Overlay.range ov ~origin ~strategy:Unistore_pgrid.Message.Sequential ~budget:n ~lo ~hi ~k
             ());
-    prefix =
-      (fun ~origin ~prefix ~k ->
-        Overlay.prefix ov ~origin ~prefix ~k:(fun r -> k (of_overlay_result r)));
-    broadcast =
-      (fun ~origin ~pred ~k ->
-        Overlay.broadcast ov ~origin ~pred ~k:(fun r -> k (of_overlay_result r)) ());
+    prefix = Overlay.prefix ov;
+    broadcast = (fun ~origin ~pred ~k -> Overlay.broadcast ov ~origin ~pred ~k ());
     scan_reduce =
       Some
         (fun ~origin ~lo ~hi ~pred ~reduce ~k ->
-          Overlay.broadcast ov ~origin ~lo ~hi ~reduce ~pred
-            ~k:(fun r -> k (of_overlay_result r))
-            ());
-    bulk_insert =
-      Some
-        (fun ~origin ~items ~k ->
-          Overlay.bulk_insert ov ~origin ~items ~k:(fun r -> k (of_overlay_result r)));
-    multi_lookup =
-      Some
-        (fun ~origin ~keys ~k ->
-          Overlay.multi_lookup ov ~origin ~keys ~k:(fun (found, r) ->
-              k (found, of_overlay_result r)));
+          Overlay.broadcast ov ~origin ~lo ~hi ~reduce ~pred ~k ());
+    bulk_insert = Some (Overlay.bulk_insert ov);
+    multi_lookup = Some (Overlay.multi_lookup ov);
     send_task =
       Some
         (fun ~src ~dst ~bytes ~k ->
@@ -149,16 +121,6 @@ let of_pgrid ov =
   }
 
 (* ------------------------------------------------------------------ *)
-
-let of_chord_result (r : Chord.result) =
-  {
-    items = r.Chord.items;
-    hops = r.Chord.hops;
-    peers_hit = r.Chord.peers_hit;
-    complete = r.Chord.complete;
-    completeness = (if r.Chord.complete then 1.0 else 0.0);
-    latency = r.Chord.latency;
-  }
 
 (* Chord stores bucket-wrapped items; unwrap to the caller's view. *)
 let decode_bucket_item (i : Store.item) =
@@ -202,15 +164,13 @@ let of_chord_trie chord =
               List.filter_map decode_bucket_item r.Chord.items
               |> List.filter (fun (i : Store.item) -> String.equal i.Store.key key)
             in
-            k { (of_chord_result r) with items }));
-    range =
-      (fun ~origin ~lo ~hi ~k ->
-        Trie_index.range chord ~origin ~lo ~hi ~k:(fun r -> k (of_chord_result r)));
+            k { r with items }));
+    range = Trie_index.range chord;
     range_topn = None;
     prefix =
       (fun ~origin ~prefix ~k ->
         let hi = prefix ^ String.make 64 '\xff' in
-        Trie_index.range chord ~origin ~lo:prefix ~hi ~k:(fun r -> k (of_chord_result r)));
+        Trie_index.range chord ~origin ~lo:prefix ~hi ~k);
     broadcast =
       (fun ~origin ~pred ~k ->
         let wrapped raw =
@@ -226,7 +186,7 @@ let of_chord_trie chord =
                      let id = (i.Store.key, i.Store.item_id) in
                      (not (Hashtbl.mem seen id)) && (Hashtbl.replace seen id (); true))
             in
-            k { (of_chord_result r) with items }));
+            k { r with items }));
     scan_reduce = None;
     bulk_insert = None;
     multi_lookup = None;

@@ -8,16 +8,14 @@
 
 module Store = Unistore_pgrid.Store
 
-type result = {
+(** The answer of one access: {!Unistore_pgrid.Store.result}, the same
+    record on both substrates. *)
+type result = Store.result = {
   items : Store.item list;
   hops : int;
   peers_hit : int;
   complete : bool;
   completeness : float;
-      (** coverage estimate in [0,1] — regions reached / regions
-          addressed; [1.0] iff [complete]. P-Grid reports exact token /
-          key coverage (see {!Unistore_pgrid.Overlay.result}); the Chord
-          baseline reports all-or-nothing. *)
   latency : float;
 }
 

@@ -1,5 +1,13 @@
 let q = 3
 
+(* Complete iff every string within distance [d] of [pattern] shares at
+   least one q-gram with it: max(|p|,|s|) + q - 1 - d*q >= 1, and
+   max >= |p|. *)
+let edist_indexable ~pattern ~d = String.length pattern + q - 1 - (d * q) >= 1
+
+(* A containing value holds every gram of a pattern at least q long. *)
+let substring_indexable ~pattern = String.length pattern >= q
+
 let oid_key oid = "O\000" ^ oid
 let oid_prefix = "O\000"
 let oid_region_end = "O\001"

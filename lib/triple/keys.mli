@@ -54,3 +54,13 @@ val value_range : lo:Value.t -> hi:Value.t -> string * string
 
 (** q-gram length used by the similarity index. *)
 val q : int
+
+(** [edist_indexable ~pattern ~d] holds when the q-gram index is
+    complete for [edist(x, pattern) <= d]: every string within distance
+    [d] shares at least one q-gram with [pattern]. The store
+    ({!Tstore.similar}) and the planner both decide by this rule. *)
+val edist_indexable : pattern:string -> d:int -> bool
+
+(** [substring_indexable ~pattern] holds when the q-gram index can
+    answer [contains(x, pattern)]: [pattern] has at least one q-gram. *)
+val substring_indexable : pattern:string -> bool

@@ -36,32 +36,18 @@ let index_keys t (tr : Triple.t) =
   in
   base @ grams
 
+let all_ok k oks = k (List.for_all Fun.id oks)
+
 let insert t ~origin tr ~k =
   let payload = Triple.serialize tr in
   let item_id = Triple.id tr in
-  let keys = index_keys t tr in
-  let outstanding = ref (List.length keys) in
-  let ok = ref true in
-  List.iter
-    (fun key ->
-      t.dht.Dht.insert ~origin ~key ~item_id ~payload ~k:(fun success ->
-          if not success then ok := false;
-          decr outstanding;
-          if !outstanding = 0 then k !ok))
-    keys
+  Cps.all
+    (fun key ~k -> t.dht.Dht.insert ~origin ~key ~item_id ~payload ~k)
+    (index_keys t tr) ~k:(all_ok k)
 
 let delete t ~origin tr ~k =
   let item_id = Triple.id tr in
-  let keys = index_keys t tr in
-  let outstanding = ref (List.length keys) in
-  let ok = ref true in
-  List.iter
-    (fun key ->
-      t.dht.Dht.delete ~origin ~key ~item_id ~k:(fun success ->
-          if not success then ok := false;
-          decr outstanding;
-          if !outstanding = 0 then k !ok))
-    keys
+  Cps.all (fun key ~k -> t.dht.Dht.delete ~origin ~key ~item_id ~k) (index_keys t tr) ~k:(all_ok k)
 
 (* Replacing the value of one (OID, attribute, old) triple is a delete of
    the old index entries plus an insert of the new ones — the key changes
@@ -93,19 +79,9 @@ let items_of_triples t triples =
     triples
 
 let insert_bulk t ~origin triples ~k =
-  match (triples, t.dht.Dht.bulk_insert) with
-  | [], _ -> k true
-  | _, Some bulk -> bulk ~origin ~items:(items_of_triples t triples) ~k:(fun r -> k r.Dht.complete)
-  | _, None ->
-    let outstanding = ref (List.length triples) in
-    let ok = ref true in
-    List.iter
-      (fun tr ->
-        insert t ~origin tr ~k:(fun success ->
-            if not success then ok := false;
-            decr outstanding;
-            if !outstanding = 0 then k !ok))
-      triples
+  match t.dht.Dht.bulk_insert with
+  | Some bulk -> bulk ~origin ~items:(items_of_triples t triples) ~k:(fun r -> k r.Dht.complete)
+  | None -> Cps.all (insert t ~origin) triples ~k:(all_ok k)
 
 (* ------------------------------------------------------------------ *)
 (* Result decoding                                                     *)
@@ -248,58 +224,37 @@ let oid_scan_reduce t ~origin ~pred ~reduce ~k =
    and [result.items] is left empty. *)
 let fetch_gram_items t ~origin grams ~k =
   let keys = List.map Keys.qgram_key grams in
-  match keys with
-  | [] ->
-    k
-      ( [],
-        {
-          Dht.items = [];
-          hops = 0;
-          peers_hit = 0;
-          complete = true;
-          completeness = 1.0;
-          latency = 0.0;
-        } )
-  | _ -> (
-    match t.dht.Dht.multi_lookup with
-    | Some multi_lookup ->
-      multi_lookup ~origin ~keys ~k:(fun (found, r) ->
-          k (List.concat_map snd found, { r with Dht.items = [] }))
-    | None ->
-      let outstanding = ref (List.length keys) in
-      let acc = ref [] in
-      let hops = ref 0 and peers = ref 0 and complete = ref true and cov = ref 1.0 in
-      let started = Sim.now t.dht.Dht.sim in
-      List.iter
-        (fun key ->
-          t.dht.Dht.lookup ~origin ~key ~k:(fun r ->
-              acc := List.rev_append r.Dht.items !acc;
-              hops := max !hops r.Dht.hops;
-              peers := !peers + r.Dht.peers_hit;
-              if not r.Dht.complete then complete := false;
-              cov := Float.min !cov r.Dht.completeness;
-              decr outstanding;
-              if !outstanding = 0 then
-                k
-                  ( !acc,
-                    {
-                      Dht.items = [];
-                      hops = !hops;
-                      peers_hit = !peers;
-                      complete = !complete;
-                      completeness = !cov;
-                      latency = Sim.now t.dht.Dht.sim -. started;
-                    } )))
-        keys)
+  match t.dht.Dht.multi_lookup with
+  | Some multi_lookup ->
+    multi_lookup ~origin ~keys ~k:(fun (found, r) ->
+        k (List.concat_map snd found, { r with Dht.items = [] }))
+  | None ->
+    (* Items merge in arrival order, so they gather inside each lookup's
+       continuation; the cost folds over the list. *)
+    let acc = ref [] in
+    let started = Sim.now t.dht.Dht.sim in
+    let lookup key ~k =
+      t.dht.Dht.lookup ~origin ~key ~k:(fun r ->
+          acc := List.rev_append r.Dht.items !acc;
+          k r)
+    in
+    Cps.all lookup keys ~k:(fun rs ->
+        let merge (m : Dht.result) (r : Dht.result) =
+          {
+            m with
+            Dht.hops = max m.Dht.hops r.Dht.hops;
+            peers_hit = m.Dht.peers_hit + r.Dht.peers_hit;
+            complete = m.Dht.complete && r.Dht.complete;
+            completeness = Float.min m.Dht.completeness r.Dht.completeness;
+          }
+        in
+        let m = List.fold_left merge Store.empty_result rs in
+        k (!acc, { m with Dht.latency = Sim.now t.dht.Dht.sim -. started }))
 
 (* ------------------------------------------------------------------ *)
 (* Similarity selection                                                *)
 
-(* The q-gram index is complete for this predicate iff every string
-   within distance [d] of [pattern] must share at least one q-gram with
-   it: max(|p|,|s|) + q - 1 - d*q >= 1, and max >= |p|. *)
-let qgram_applicable t ~pattern ~d =
-  t.qgrams && String.length pattern + Keys.q - 1 - (d * Keys.q) >= 1
+let qgram_applicable t ~pattern ~d = t.qgrams && Keys.edist_indexable ~pattern ~d
 
 let similar t ~origin ~attr ~pattern ~d ~k =
   let matches (tr : Triple.t) =
@@ -333,7 +288,7 @@ let contains_sub hay needle =
     go 0
   end
 
-let substring_applicable t ~pattern = t.qgrams && String.length pattern >= Keys.q
+let substring_applicable t ~pattern = t.qgrams && Keys.substring_indexable ~pattern
 
 let containing t ~origin ~attr ~pattern ~k =
   let matches (tr : Triple.t) =
@@ -369,15 +324,7 @@ let mapping_oid attr = "map:" ^ attr
 let add_mapping t ~origin a b ~k =
   let t1 = Triple.make ~oid:(mapping_oid a) ~attr:mapping_attr (Value.S b) in
   let t2 = Triple.make ~oid:(mapping_oid b) ~attr:mapping_attr (Value.S a) in
-  let outstanding = ref 2 in
-  let ok = ref true in
-  let step success =
-    if not success then ok := false;
-    decr outstanding;
-    if !outstanding = 0 then k !ok
-  in
-  insert t ~origin t1 ~k:step;
-  insert t ~origin t2 ~k:step
+  Cps.all (insert t ~origin) [ t1; t2 ] ~k:(all_ok k)
 
 let equivalent_attrs t ~origin attr ~k =
   (* Bounded BFS over maps_to edges; each frontier level is one round of
@@ -389,22 +336,22 @@ let equivalent_attrs t ~origin attr ~k =
     if frontier = [] || depth >= max_depth then
       k (Hashtbl.fold (fun a () acc -> a :: acc) seen [] |> List.sort compare)
     else begin
-      let outstanding = ref (List.length frontier) in
+      (* The next frontier grows in arrival order, inside each lookup's
+         continuation. *)
       let next = ref [] in
-      List.iter
-        (fun a ->
-          by_oid t ~origin (mapping_oid a) ~k:(fun (triples, _) ->
-              List.iter
-                (fun (tr : Triple.t) ->
-                  match Value.as_string tr.Triple.value with
-                  | Some b when not (Hashtbl.mem seen b) ->
-                    Hashtbl.replace seen b ();
-                    next := b :: !next
-                  | _ -> ())
-                triples;
-              decr outstanding;
-              if !outstanding = 0 then expand !next (depth + 1)))
-        frontier
+      let visit a ~k =
+        by_oid t ~origin (mapping_oid a) ~k:(fun (triples, _) ->
+            List.iter
+              (fun (tr : Triple.t) ->
+                match Value.as_string tr.Triple.value with
+                | Some b when not (Hashtbl.mem seen b) ->
+                  Hashtbl.replace seen b ();
+                  next := b :: !next
+                | _ -> ())
+              triples;
+            k ())
+      in
+      Cps.all visit frontier ~k:(fun _ -> expand !next (depth + 1))
     end
   in
   expand [ attr ] 0

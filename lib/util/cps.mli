@@ -3,9 +3,10 @@
     Every asynchronous operation in the stack takes a continuation [k]
     and calls it exactly once, at the tail of the handler that finishes
     it (DESIGN.md, "Execution model"). These combinators chain such
-    operations one after another: element [i + 1] starts only from
-    inside element [i]'s continuation. That is the order a blocking
-    loop would give, so RNG draws and send order do not change. *)
+    operations one after another ({!fold}, {!map}): element [i + 1]
+    starts only from inside element [i]'s continuation. That is the
+    order a blocking loop would give, so RNG draws and send order do not
+    change. {!all} is the one-round fan-out. *)
 
 (** [fold f acc xs ~k] threads [acc] through [f] over [xs], one element
     at a time, then calls [k] with the final accumulator. *)
@@ -14,3 +15,10 @@ val fold : ('a -> 'b -> k:('a -> unit) -> unit) -> 'a -> 'b list -> k:('a -> uni
 (** [map f xs ~k] runs [f] over [xs] one element at a time and calls
     [k] with the results in list order. *)
 val map : ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> unit
+
+(** [all f xs ~k] starts [f] on every element of [xs] in list order, all
+    in the current event, and calls [k] exactly once, after the last
+    element answers, with the results in list order (whatever order they
+    arrived in). On [[]] it calls [k []] at once. A caller that needs
+    arrival order does that work inside the element's continuation. *)
+val all : ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> unit

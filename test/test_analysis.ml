@@ -24,9 +24,7 @@ module Semantic = Unistore_analysis.Semantic
 module Tracelint = Unistore_analysis.Tracelint
 module Audit = Unistore_analysis.Audit
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 
@@ -157,6 +155,29 @@ let test_facade_check () =
   | Error e ->
     Alcotest.(check bool) "positioned parse error" true (contains_sub e "line")
 
+(* [check] types a query against the statistics [query] plans it with:
+   those gossiped to the origin, ahead of the facade-held ones (empty
+   here: no oracle statistics were set). *)
+let test_facade_check_gossiped_stats () =
+  let ds = Unistore_workload.Publications.(generate (Rng.create 43) default_params) in
+  let store =
+    Unistore.create
+      ~sample_keys:(Unistore_workload.Publications.sample_keys ds)
+      { Unistore.default_config with peers = 32 }
+  in
+  ignore (Unistore.load store ds.Unistore_workload.Publications.tuples);
+  Unistore.settle store;
+  for _ = 1 to 4 do
+    Unistore.gossip_stats_round store
+  done;
+  let src = "SELECT ?n WHERE { (?a,'age',?n) FILTER ?n = 'abc' }" in
+  (match Unistore.query store src with
+  | Ok _ -> Alcotest.fail "query ran a numeric attribute against a string"
+  | Error e -> Alcotest.(check bool) "query refuses with type-clash" true (contains_sub e "type-clash"));
+  match Unistore.check store src with
+  | Ok ds -> check_has "check agrees with query" "type-clash" ds
+  | Error e -> Alcotest.failf "parse error: %s" e
+
 (* ------------------------------------------------------------------ *)
 (* Trace linter *)
 
@@ -286,10 +307,6 @@ let test_lint_unhandled_crash () =
 (* ------------------------------------------------------------------ *)
 (* Overlay auditor *)
 
-let random_words rng n =
-  List.init n (fun _ ->
-      String.init (4 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26)))
-
 let build_pgrid ?(n = 16) () =
   let sim = Sim.create () in
   let rng = Rng.create 11 in
@@ -385,6 +402,8 @@ let () =
         [
           Alcotest.test_case "unsat query refused" `Quick test_engine_refuses_unsat;
           Alcotest.test_case "facade check" `Quick test_facade_check;
+          Alcotest.test_case "facade check uses gossiped statistics" `Quick
+            test_facade_check_gossiped_stats;
         ] );
       ( "tracelint",
         [

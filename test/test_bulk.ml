@@ -19,9 +19,7 @@ module Cost = Unistore_qproc.Cost
 module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 

@@ -28,9 +28,7 @@ module Tracelint = Unistore_analysis.Tracelint
 module Value = Unistore.Value
 module Triple = Unistore.Triple
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 
@@ -412,27 +410,6 @@ let test_statcache_clear_then_merge () =
 
 (* ------------------------------------------------------------------ *)
 (* Overlay integration: routing shortcuts *)
-
-let random_words rng n =
-  List.init n (fun _ ->
-      String.init (4 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26)))
-
-let build_overlay ?(n = 32) ?(seed = 42) ?(drop = 0.0) ?(config = Config.default) ~keys () =
-  let sim = Sim.create () in
-  let rng = Rng.create seed in
-  let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
-  Build.oracle sim ~latency ~rng ~drop ~config ~n ~sample_keys:keys ~balanced:false ()
-
-let insert_all ov keys =
-  List.iteri
-    (fun i k ->
-      let origin = i mod Overlay.node_count ov in
-      let r =
-        await (Overlay.sim ov) (fun ret ->
-            Overlay.insert ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())
-      in
-      if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
-    keys
 
 let test_overlay_shortcut_second_lookup_is_direct () =
   let rng = Rng.create 11 in

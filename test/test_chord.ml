@@ -8,9 +8,7 @@ module Chord = Unistore_chord.Chord
 module Ring = Unistore_chord.Ring
 module Trie_index = Unistore_chord.Trie_index
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 
@@ -19,10 +17,6 @@ let mkchord ?(n = 32) ?(seed = 42) ?(config = Chord.default_config) () =
   let rng = Rng.create seed in
   let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
   Chord.create sim ~latency ~rng ~config ~n ()
-
-let random_words rng n =
-  List.init n (fun _ ->
-      String.init (4 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26)))
 
 (* ------------------------------------------------------------------ *)
 (* Ring *)

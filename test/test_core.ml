@@ -18,9 +18,7 @@ module Sim = Unistore_sim.Sim
 module Exec = Unistore_qproc.Exec
 module Trace = Unistore_sim.Trace
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 

@@ -27,32 +27,9 @@ module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 module D = Unistore_analysis.Diagnostic
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
-
-let random_words rng n =
-  List.init n (fun _ ->
-      String.init (4 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26)))
-
-let build_overlay ?(n = 32) ?(seed = 42) ?(model = Latency.Constant 1.0)
-    ?(config = Config.default) ~keys () =
-  let sim = Sim.create () in
-  let rng = Rng.create seed in
-  let latency = Latency.create model ~n ~rng in
-  Build.oracle sim ~latency ~rng ~drop:0.0 ~config ~n ~sample_keys:keys ~balanced:false ()
-
-let insert_all ov keys =
-  List.iteri
-    (fun i k ->
-      let r =
-        await (Overlay.sim ov) (fun ret ->
-            Overlay.insert ov ~origin:(i mod Overlay.node_count ov) ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ())
-      in
-      if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
-    keys
 
 let with_metrics ov =
   let m = Metrics.create () in

@@ -12,9 +12,7 @@ module Overlay = Unistore_pgrid.Overlay
 module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 
@@ -254,30 +252,6 @@ let test_rtt_matches_reference () =
   check bits "mean" mean (Rtt.mean t)
 
 (* ------------------------------------------------------------------ *)
-(* Overlay: helpers *)
-
-let random_words rng n =
-  List.init n (fun _ ->
-      String.init (4 + Rng.int rng 8) (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26)))
-
-let build_overlay ?(n = 32) ?(seed = 42) ?(model = Latency.Constant 1.0) ?(drop = 0.0)
-    ?(config = Config.default) ?(balanced = false) ~keys () =
-  let sim = Sim.create () in
-  let rng = Rng.create seed in
-  let latency = Latency.create model ~n ~rng in
-  let ov = Build.oracle sim ~latency ~rng ~drop ~config ~n ~sample_keys:keys ~balanced () in
-  ov
-
-let insert_all ov keys =
-  List.iteri
-    (fun i k ->
-      let origin = i mod Overlay.node_count ov in
-      let r = await (Overlay.sim ov) (fun ret ->
-          Overlay.insert ov ~origin ~key:k ~item_id:(Printf.sprintf "id%d" i) ~payload:k ~k:ret ()) in
-      if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
-    keys
-
-(* ------------------------------------------------------------------ *)
 (* Overlay tests *)
 
 (* The overlay auditor's errors (warnings such as replica divergence
@@ -465,7 +439,7 @@ let test_hop_limited_range_partial () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: no retry waited out (%.1f ms)" label r.Overlay.latency)
         true
-        (r.Overlay.latency < Config.default.Config.min_timeout_ms))
+        (r.Overlay.latency < Unistore_pgrid.Request.min_timeout_ms))
     [ (Message.Sequential, "sequential", 8); (Message.Shower, "shower", 3) ];
   Overlay.set_config ov Config.default;
   let r = await (Overlay.sim ov) (fun k ->

@@ -6,6 +6,7 @@ module Sim = Unistore_sim.Sim
 module Latency = Unistore_sim.Latency
 module Net = Unistore_sim.Net
 module Trace = Unistore_sim.Trace
+module Metrics = Unistore_obs.Metrics
 
 let check = Alcotest.check
 
@@ -177,8 +178,15 @@ let test_net_delivery () =
   check Alcotest.(list (pair int string)) "delivered" [ (0, "hello") ] !inbox;
   check (Alcotest.float 1e-9) "took latency" 1.0 (Sim.now sim)
 
+(* The network's counts live in an attached metrics registry. *)
+let with_metrics net =
+  let m = Metrics.create () in
+  Net.set_metrics net (Some m);
+  Metrics.counter m
+
 let test_net_dead_peer () =
   let sim, net = mknet 2 in
+  let count = with_metrics net in
   let got = ref false in
   Net.register net 0 (fun ~src:_ _ -> ());
   Net.register net 1 (fun ~src:_ _ -> got := true);
@@ -186,8 +194,7 @@ let test_net_dead_peer () =
   Net.send net ~src:0 ~dst:1 "x";
   Sim.run_all sim;
   Alcotest.(check bool) "not delivered" false !got;
-  let s = Net.stats net in
-  check Alcotest.int "counted dead" 1 s.Net.to_dead;
+  check Alcotest.int "counted dead" 1 (count "net.to_dead");
   Net.revive net 1;
   Net.send net ~src:0 ~dst:1 "y";
   Sim.run_all sim;
@@ -195,26 +202,25 @@ let test_net_dead_peer () =
 
 let test_net_drop () =
   let sim, net = mknet ~drop:1.0 2 in
+  let count = with_metrics net in
   let got = ref false in
   Net.register net 0 (fun ~src:_ _ -> ());
   Net.register net 1 (fun ~src:_ _ -> got := true);
   Net.send net ~src:0 ~dst:1 "x";
   Sim.run_all sim;
   Alcotest.(check bool) "dropped" false !got;
-  check Alcotest.int "dropped count" 1 (Net.stats net).Net.dropped
+  check Alcotest.int "dropped count" 1 (count "net.dropped")
 
 let test_net_counters () =
   let sim, net = mknet 3 in
+  let count = with_metrics net in
   List.iter (fun i -> Net.register net i (fun ~src:_ _ -> ())) [ 0; 1; 2 ];
   Net.send net ~src:0 ~dst:1 "a";
   Net.send net ~src:1 ~dst:2 "b";
   Sim.run_all sim;
-  let s = Net.stats net in
-  check Alcotest.int "sent" 2 s.Net.sent;
-  check Alcotest.int "delivered" 2 s.Net.delivered;
-  Net.reset_stats net;
-  check Alcotest.int "reset" 0 (Net.stats net).Net.sent;
-  check Alcotest.int "total survives reset" 2 (Net.total_sent net)
+  check Alcotest.int "sent" 2 (count "net.sent");
+  check Alcotest.int "delivered" 2 (count "net.delivered");
+  check Alcotest.int "total agrees with the registry" 2 (Net.total_sent net)
 
 (* Fault hooks used by the fault-injection driver. *)
 
@@ -290,6 +296,7 @@ let test_net_bytes_split_under_loss () =
   let rng = Rng.create 7 in
   let latency = Latency.create (Latency.Constant 1.0) ~n:2 ~rng in
   let net = Net.create sim ~latency ~rng ~drop:0.5 ~size:String.length () in
+  let count = with_metrics net in
   Net.register net 0 (fun ~src:_ _ -> ());
   Net.register net 1 (fun ~src:_ _ -> ());
   let payload = String.make 10 'x' in
@@ -297,13 +304,12 @@ let test_net_bytes_split_under_loss () =
     Net.send net ~src:0 ~dst:1 payload
   done;
   Sim.run_all sim;
-  let s = Net.stats net in
-  check Alcotest.int "all bytes counted as sent" 1000 s.Net.bytes_sent;
-  check Alcotest.int "delivered bytes track delivered messages" (10 * s.Net.delivered)
-    s.Net.bytes_delivered;
-  Alcotest.(check bool) "some loss occurred" true (s.Net.dropped > 0);
+  check Alcotest.int "all bytes counted as sent" 1000 (count "net.bytes.sent");
+  check Alcotest.int "delivered bytes track delivered messages" (10 * count "net.delivered")
+    (count "net.bytes.delivered");
+  Alcotest.(check bool) "some loss occurred" true (count "net.dropped" > 0);
   Alcotest.(check bool) "delivered strictly less than sent" true
-    (s.Net.bytes_delivered < s.Net.bytes_sent)
+    (count "net.bytes.delivered" < count "net.bytes.sent")
 
 let test_net_peer_lists_invalidated () =
   (* [peers]/[alive_peers] are cached; every mutation must invalidate. *)

@@ -45,10 +45,7 @@ let with_log_dir name f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* ------------------------------------------------------------------ *)
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 (* Reference model: a plain item list kept in reverse first-insertion
    order (newest first), deliberately nothing like any backend. Scans

@@ -12,9 +12,7 @@ module Keys = Unistore_triple.Keys
 module Dht = Unistore_triple.Dht
 module Tstore = Unistore_triple.Tstore
 
-(* Wait for one asynchronous operation; the stack below the facade never blocks. *)
-let await sim start =
-  match Unistore_sim.Sim.await sim start with Some v -> v | None -> Alcotest.fail "drained"
+open Test_support
 
 let check = Alcotest.check
 let qtest ?(count = 300) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

@@ -477,6 +477,63 @@ let test_stats_linear_fit () =
   check (Alcotest.float 1e-9) "intercept" 1.0 intercept;
   check (Alcotest.float 1e-9) "r2" 1.0 r2
 
+(* ------------------------------------------------------------------ *)
+(* Cps.all *)
+
+module Sim = Unistore_sim.Sim
+
+(* Element [x] answers [10 * x] after [delay x] simulated ms, or at once
+   when [delay x] is negative; [log] records starts and answers. *)
+let fan_out sim ~delay log x ~k =
+  log := `Start x :: !log;
+  let answer () =
+    log := `Answer x :: !log;
+    k (10 * x)
+  in
+  if delay x < 0.0 then answer () else Sim.schedule sim ~delay:(delay x) answer
+
+let event = Alcotest.testable (fun fmt -> function
+  | `Start x -> Format.fprintf fmt "start %d" x
+  | `Answer x -> Format.fprintf fmt "answer %d" x
+  | `Done -> Format.fprintf fmt "done") ( = )
+
+let test_cps_all_out_of_order () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let delay = function 0 -> 30.0 | 1 -> 10.0 | _ -> 20.0 in
+  let results = ref [] in
+  Cps.all (fan_out sim ~delay log) [ 0; 1; 2 ] ~k:(fun rs ->
+      log := `Done :: !log;
+      results := rs :: !results;
+      check (Alcotest.float 1e-9) "k fires when the last element answers" 30.0 (Sim.now sim));
+  check Alcotest.(list event) "every element starts in list order, in the current event"
+    [ `Start 0; `Start 1; `Start 2 ] (List.rev !log);
+  Sim.run_all sim;
+  check Alcotest.(list event) "answers arrive out of order; k runs once, after the last"
+    [ `Start 0; `Start 1; `Start 2; `Answer 1; `Answer 2; `Answer 0; `Done ] (List.rev !log);
+  check Alcotest.(list (list int)) "results in list order" [ [ 0; 10; 20 ] ] !results
+
+let test_cps_all_synchronous_answers () =
+  (* Elements that answer inside their own start (a peer serving its own
+     request) must not fire [k] before the later elements have started. *)
+  let sim = Sim.create () in
+  let log = ref [] in
+  let delay x = if x = 1 then 5.0 else -1.0 in
+  let results = ref [] in
+  Cps.all (fan_out sim ~delay log) [ 0; 1; 2 ] ~k:(fun rs -> results := rs :: !results);
+  check Alcotest.(list (list int)) "waits for the scheduled element" [] !results;
+  Sim.run_all sim;
+  check Alcotest.(list (list int)) "one call, list order" [ [ 0; 10; 20 ] ] !results;
+  let sim = Sim.create () in
+  let calls = ref [] in
+  Cps.all (fan_out sim ~delay:(fun _ -> -1.0) (ref [])) [ 3; 4 ] ~k:(fun rs -> calls := rs :: !calls);
+  check Alcotest.(list (list int)) "all synchronous: one call at once" [ [ 30; 40 ] ] !calls
+
+let test_cps_all_empty () =
+  let calls = ref [] in
+  Cps.all (fun _ ~k:_ -> Alcotest.fail "no element to start") [] ~k:(fun rs -> calls := rs :: !calls);
+  check Alcotest.(list (list int)) "k [] at once, exactly once" [ [] ] !calls
+
 let () =
   Alcotest.run "unistore_util"
     [
@@ -556,6 +613,12 @@ let () =
           Alcotest.test_case "uniform at s=0" `Quick test_zipf_uniform;
           Alcotest.test_case "sample bounds" `Quick test_zipf_sample_bounds;
           Alcotest.test_case "skew effect" `Quick test_zipf_skew_effect;
+        ] );
+      ( "cps",
+        [
+          Alcotest.test_case "all: out-of-order answers" `Quick test_cps_all_out_of_order;
+          Alcotest.test_case "all: synchronous answers" `Quick test_cps_all_synchronous_answers;
+          Alcotest.test_case "all: empty list" `Quick test_cps_all_empty;
         ] );
       ( "stats",
         [
