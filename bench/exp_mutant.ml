@@ -8,9 +8,11 @@
 
    Join chains of increasing depth run under both strategies on a
    wide-area (PlanetLab) deployment; we compare messages, latency and
-   bytes shipped. *)
+   bytes shipped. Both strategies must return the same rows (compared
+   by fingerprint); the experiment exits non-zero if they do not. *)
 
 module Engine = Unistore_qproc.Engine
+module Binding = Unistore_qproc.Binding
 module Latency = Unistore_sim.Latency
 
 let queries =
@@ -36,13 +38,15 @@ let run () =
   let store, _ =
     Common.build_pubs ~peers:128 ~authors:60 ~latency:Latency.Planetlab ~seed:91 ()
   in
-  let rows = ref [] in
+  let fingerprints (r : Engine.report) =
+    List.sort compare (List.map Binding.fingerprint r.Engine.rows)
+  in
+  let rows = ref [] and disagree = ref [] in
   List.iter
     (fun (name, src) ->
       let rc = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Centralized src in
       let rm = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Mutant src in
-      if List.length rc.Engine.rows <> List.length rm.Engine.rows then
-        Printf.printf "WARNING: strategies disagree on %s\n" name;
+      if fingerprints rc <> fingerprints rm then disagree := name :: !disagree;
       rows :=
         [
           name;
@@ -58,6 +62,11 @@ let run () =
   Common.print_table
     [ "query"; "cent:msgs"; "mutant:msgs"; "cent:lat_s"; "mutant:lat_s"; "mutant:bytes"; "rows" ]
     (List.rev !rows);
+  if !disagree <> [] then begin
+    Printf.printf "\nFAIL: strategies return different rows on %s\n"
+      (String.concat ", " (List.rev !disagree));
+    exit 1
+  end;
   Printf.printf
     "\nverdict: shipping the plan to the data cuts messages/latency on deep join \
      chains, at the price of shipping plan+binding bytes; both strategies return \

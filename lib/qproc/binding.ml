@@ -239,8 +239,21 @@ let join_key vs t =
   in
   go vs
 
-let project vs t =
-  { t with vals = Array.mapi (fun i x -> if List.mem t.schema.(i) vs then x else unbound) t.vals }
+(* Resolves which slots to keep once per schema, not once per row; a row
+   that binds nothing outside [vs] comes back as is. *)
+let project vs =
+  let last = ref [||] and drop = ref [||] in
+  fun t ->
+    if t.schema != !last then begin
+      last := t.schema;
+      drop := Array.map (fun v -> not (List.exists (String.equal v) vs)) t.schema
+    end;
+    let drop = !drop in
+    let rec dirty i =
+      i < Array.length drop && ((drop.(i) && t.vals.(i) != unbound) || dirty (i + 1))
+    in
+    if not (dirty 0) then t
+    else { t with vals = Array.mapi (fun i x -> if drop.(i) then unbound else x) t.vals }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -78,7 +78,8 @@ val equal_at : int array -> t -> t -> bool
 val join_key : string list -> t -> string option
 
 (** [project vars t] keeps only [vars] (unbound projected vars are
-    dropped silently). *)
+    dropped silently). Like {!getter}, [project vars] resolves its slots
+    once per schema, so apply it once to project many rows. *)
 val project : string list -> t -> t
 
 (** Stable fingerprint of the full binding (for DISTINCT). *)

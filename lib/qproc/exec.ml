@@ -16,12 +16,15 @@ type step_trace = {
   messages : int;
   latency : float;
   carrier : int;
+  shipped : int;
 }
 
 let pp_step_trace fmt t =
-  Format.fprintf fmt "%a via %a at peer%d: %d -> %d rows, %d msgs, %.1f ms" Ast.pp_pattern
-    t.step.Physical.pattern Cost.pp_access t.step.Physical.access t.carrier t.rows_in
-    t.actual_card t.messages t.latency
+  Format.fprintf fmt "%a via %s%a at peer%d: %d -> %d rows, %d msgs, %.1f ms, %d B shipped"
+    Ast.pp_pattern t.step.Physical.pattern
+    (if t.step.Physical.bindjoin then "bind-join/" else "")
+    Cost.pp_access t.step.Physical.access t.carrier t.rows_in t.actual_card t.messages t.latency
+    t.shipped
 
 type run_result = {
   rows : Binding.t list;
@@ -384,9 +387,11 @@ let postprocess (plan : Physical.t) rows =
   let rows =
     match plan.Physical.order with
     | Some (Ast.OrderBy items) -> (
+      (* DISTINCT may drop rows among the first [n], so it needs them
+         all ordered. *)
       match plan.Physical.limit with
-      | Some n -> Ranking.top_n n items rows
-      | None -> Ranking.order_by items rows)
+      | Some n when not plan.Physical.distinct -> Ranking.top_n n items rows
+      | _ -> Ranking.order_by items rows)
     | Some (Ast.Skyline items) -> Ranking.skyline items rows
     | None -> rows
   in
@@ -410,8 +415,8 @@ let postprocess (plan : Physical.t) rows =
     end
     else rows
   in
-  (* top_n already truncated ordered results; truncation is idempotent,
-     so apply it uniformly. *)
+  (* top_n may already have truncated; truncation is idempotent, so
+     apply it uniformly. *)
   match plan.Physical.limit with
   | Some n -> List.filteri (fun i _ -> i < n) rows
   | None -> rows
@@ -420,8 +425,9 @@ let postprocess (plan : Physical.t) rows =
 (* Step execution (shared by both strategies)                          *)
 
 (* Run one physical step at [carrier] over the rows so far ([None]
-   before the first step) and record its trace. *)
-let run_step run ~carrier (step : Physical.step) rows_opt ~k =
+   before the first step) and record its trace; [shipped] is the bytes
+   of the carrier hop that brought the plan there. *)
+let run_step run ~carrier ~shipped (step : Physical.step) rows_opt ~k =
   let dht = run.dht in
   let step_m0 = dht.Dht.total_sent () in
   let step_t0 = Sim.now dht.Dht.sim in
@@ -436,6 +442,7 @@ let run_step run ~carrier (step : Physical.step) rows_opt ~k =
         messages = dht.Dht.total_sent () - step_m0;
         latency = Sim.now dht.Dht.sim -. step_t0;
         carrier;
+        shipped;
       }
       :: run.traces;
     k produced
@@ -458,7 +465,7 @@ let run_centralized ?cache ts ~origin (plan : Physical.t) ~k =
   in
   Cps.fold
     (fun rows step ~k ->
-      run_step run ~carrier:origin step rows ~k:(fun produced -> k (Some produced)))
+      run_step run ~carrier:origin ~shipped:0 step rows ~k:(fun produced -> k (Some produced)))
     None plan.Physical.steps
     ~k:(fun rows -> k (result_of run (postprocess plan (Option.value ~default:[] rows))))
 
@@ -489,43 +496,74 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
   let run = start_run ?cache ts ~origin ~expansions q.Ast.patterns in
   let qgrams = Tstore.qgrams_enabled ts in
   let cmap = Algebra.var_constraints q.Ast.filters in
-  (* One carrier hop: [k] gets the new carrier, or the old one (and the
-     query turns partial) if the task was lost. *)
+  (* One carrier hop: [k] gets the new carrier and the bytes shipped,
+     or the old carrier and 0 (and the query turns partial) if the task
+     was lost. *)
   let hop ~from ~dst ~bytes ~k =
     send_task ~src:from ~dst ~bytes ~k:(fun arrived ->
-        if arrived then run.bytes_shipped <- run.bytes_shipped + bytes
-        else run.complete <- false;
-        k (if arrived then dst else from))
-  in
-  (* Move the plan (plus current bindings) to the peer responsible for
-     [access]'s index region, when there is one. *)
-  let move ~carrier access ~rows ~k =
-    match Option.bind (carrier_key_of_access access) dht.Dht.responsible_peer with
-    | Some dst when dst <> carrier ->
-      hop ~from:carrier ~dst ~bytes:(plan_overhead_bytes + rows_bytes rows) ~k
-    | _ -> k carrier
+        if arrived then begin
+          run.bytes_shipped <- run.bytes_shipped + bytes;
+          k dst bytes
+        end
+        else begin
+          run.complete <- false;
+          k from 0
+        end)
   in
   let applied_filters = ref [] in
+  let pending_filters () =
+    List.filter (fun f -> not (List.memq f !applied_filters)) q.Ast.filters
+  in
+  (* Cut each row down to what the rest of the plan reads: the
+     variables of the [remaining] patterns, of the filters not yet
+     applied, of the ranking goals and of the projection. SELECT * reads
+     every variable. *)
+  let trim remaining rows =
+    match q.Ast.projection with
+    | None -> rows
+    | Some projection ->
+      let goals =
+        match q.Ast.order with
+        | Some (Ast.OrderBy items) -> List.map fst items
+        | Some (Ast.Skyline items) -> List.map fst items
+        | None -> []
+      in
+      let live =
+        projection @ goals
+        @ List.concat_map Ast.pattern_vars remaining
+        @ List.concat_map Ast.expr_vars (pending_filters ())
+      in
+      List.map (Binding.project live) rows
+  in
+  (* Move the plan to the peer responsible for [access]'s index region,
+     when there is one, with the rows trimmed for [remaining]. [k] gets
+     the carrier, the rows and the bytes shipped. *)
+  let move ~carrier access ~remaining rows ~k =
+    match Option.bind (carrier_key_of_access access) dht.Dht.responsible_peer with
+    | Some dst when dst <> carrier ->
+      let rows = trim remaining rows in
+      hop ~from:carrier ~dst ~bytes:(plan_overhead_bytes + rows_bytes rows)
+        ~k:(fun carrier shipped -> k carrier rows shipped)
+    | _ -> k carrier rows 0
+  in
   let attach rows bound =
     (* Apply every filter that just became fully bound. *)
     let ready =
       List.filter
-        (fun f ->
-          (not (List.memq f !applied_filters))
-          && List.for_all (fun v -> List.mem v bound) (Ast.expr_vars f))
-        q.Ast.filters
+        (fun f -> List.for_all (fun v -> List.mem v bound) (Ast.expr_vars f))
+        (pending_filters ())
     in
     applied_filters := ready @ !applied_filters;
     apply_filters ready rows
   in
-  (* Post-processing happens at the origin; reuse the static plan shape
-     for order/projection/distinct/limit. *)
-  let finish rows =
+  (* The last carrier post-processes (leftover filters, ranking,
+     projection, distinct, limit) with the static plan shape, so only
+     the answer travels home. *)
+  let finish ~carrier rows =
     let post_plan =
       {
         Physical.steps = [];
-        post_filters =
-          List.filter (fun f -> not (List.memq f !applied_filters)) q.Ast.filters;
+        post_filters = pending_filters ();
         order = q.Ast.order;
         projection = q.Ast.projection;
         distinct = q.Ast.distinct;
@@ -535,14 +573,15 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
         branches = [];
       }
     in
-    k (result_of run (postprocess post_plan rows))
+    let rows = postprocess post_plan rows in
+    if carrier = origin then k (result_of run rows)
+    else
+      hop ~from:carrier ~dst:origin ~bytes:(rows_bytes rows + 32) ~k:(fun _ _ ->
+          k (result_of run rows))
   in
   let rec continue ~carrier rows bound remaining =
     match remaining with
-    | [] ->
-      (* Bring the result home. *)
-      if carrier = origin then finish rows
-      else hop ~from:carrier ~dst:origin ~bytes:(rows_bytes rows + 32) ~k:(fun _ -> finish rows)
+    | [] -> finish ~carrier rows
     | _ ->
       (* Re-optimize the remainder with the observed cardinality. *)
       let step, rest =
@@ -551,19 +590,19 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
           remaining
       in
       let step = { step with Physical.residual = [] } in
-      let execute carrier =
-        run_step run ~carrier step (Some rows) ~k:(fun rows ->
+      let execute carrier rows shipped =
+        run_step run ~carrier ~shipped step (Some rows) ~k:(fun rows ->
             let bound = List.sort_uniq compare (bound @ Ast.pattern_vars step.Physical.pattern) in
             continue ~carrier (attach rows bound) bound rest)
       in
-      if step.Physical.bindjoin then execute carrier
-      else move ~carrier step.Physical.access ~rows ~k:execute
+      if step.Physical.bindjoin then execute carrier rows 0
+      else move ~carrier step.Physical.access ~remaining rows ~k:execute
   in
   (* First step: move the plan to the data, evaluate there. *)
   let fs, remaining = Optimizer.first_step env stats ~qgrams cmap q.Ast.patterns in
   let fs = { fs with Physical.residual = [] } in
-  move ~carrier:origin fs.Physical.access ~rows:[] ~k:(fun carrier ->
-      run_step run ~carrier fs None ~k:(fun rows ->
+  move ~carrier:origin fs.Physical.access ~remaining:q.Ast.patterns [] ~k:(fun carrier _ shipped ->
+      run_step run ~carrier ~shipped fs None ~k:(fun rows ->
           let bound = Ast.pattern_vars fs.Physical.pattern in
           continue ~carrier (attach rows bound) bound remaining))
 
@@ -727,5 +766,6 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
             messages = run.dht.Dht.total_sent () - run.m0;
             latency = r.Dht.latency;
             carrier = origin;
+            shipped = 0;
           } ];
       k (plan, result_of run rows))

@@ -11,8 +11,10 @@
       (with the bindings accumulated so far) travels to a peer responsible
       for the next pattern's index region; at each carrier the remainder
       of the plan is {e re-optimized} with the observed intermediate
-      cardinality before the next step is chosen. Finally the result ships
-      back to the origin.
+      cardinality before the next step is chosen. A hop carries each row
+      cut down to the variables the rest of the plan still reads (all of
+      them under [SELECT *]). The last carrier post-processes, so only
+      the answer ships back to the origin.
 
     Both are continuation-passing and share one step runner. A query's
     state (coverage so far, traces, shipped bytes) lives in a per-query
@@ -38,6 +40,10 @@ type step_trace = {
           query runs alone *)
   latency : float;  (** simulated ms spent in the step *)
   carrier : int;  (** peer that executed it *)
+  shipped : int;
+      (** bytes of the carrier hop that brought the plan to [carrier]
+          for this step; 0 when the step ran where the previous one did,
+          and always 0 under centralized execution *)
 }
 
 val pp_step_trace : Format.formatter -> step_trace -> unit

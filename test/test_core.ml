@@ -91,9 +91,10 @@ let check_against_oracle name store dataset ?strategy ?expand_mappings src =
 (* ------------------------------------------------------------------ *)
 (* Shared deployment                                                   *)
 
-let make_store ?(peers = 32) ?(overlay = Unistore.Pgrid) ?(seed = 42) ?(typo_rate = 0.15) () =
+let make_store ?(peers = 32) ?(overlay = Unistore.Pgrid) ?(seed = 42) ?(typo_rate = 0.15)
+    ?(n_authors = Publications.default_params.Publications.n_authors) () =
   let rng = Unistore_util.Rng.create 7 in
-  let ds = Publications.generate rng { Publications.default_params with typo_rate } in
+  let ds = Publications.generate rng { Publications.default_params with typo_rate; n_authors } in
   let config = { Unistore.default_config with peers; overlay; seed } in
   let store = Unistore.create ~sample_keys:(Publications.sample_keys ds) config in
   let stored = Unistore.load store ds.Publications.tuples in
@@ -717,6 +718,82 @@ let test_strategies_agree () =
   Alcotest.(check bool) "mutant shipped bytes" true (r2.Engine.bytes_shipped > 0);
   check Alcotest.int "centralized ships nothing" 0 r1.Engine.bytes_shipped
 
+(* A mutant hop carries rows cut down to what the rest of the plan reads,
+   and the last carrier post-processes: neither may change the answer.
+   Ordered queries order by every projected variable, so their rows must
+   also agree in order. The default store keeps each scanned region on
+   one peer; this one is large enough that plans hop between steps. *)
+let test_mutant_trimming_agrees () =
+  let store, ds = make_store ~peers:128 ~n_authors:60 () in
+  List.iter
+    (fun (name, ordered, src) ->
+      let c = check_against_oracle (name ^ " centralized") store ds ~strategy:Unistore.Centralized src in
+      let m = check_against_oracle (name ^ " mutant") store ds ~strategy:Unistore.Mutant src in
+      Alcotest.(check bool) (name ^ ": nonempty") true (c.Engine.rows <> []);
+      let rows (r : Engine.report) =
+        let fps = List.map Binding.fingerprint r.Engine.rows in
+        if ordered then fps else List.sort compare fps
+      in
+      check Alcotest.(list string) (name ^ ": mutant = centralized") (rows c) (rows m))
+    [
+      ( "select *",
+        false,
+        "SELECT * WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) \
+         (?p,'year',?y) FILTER ?y >= 2004 }" );
+      ( "distinct+order+limit",
+        true,
+        "SELECT DISTINCT ?n WHERE { (?a,'name',?n) (?a,'age',?g) (?a,'has_published',?t) \
+         (?p,'title',?t) (?p,'published_in',?c) } ORDER BY ?g DESC, ?n LIMIT 8" );
+      ( "cross-pattern filter",
+        false,
+        "SELECT ?t WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) \
+         (?p,'published_in',?c) FILTER ?n < ?c }" );
+      ( "union+order+limit",
+        true,
+        "SELECT ?x, ?t WHERE { (?x,'interested_in',?t) (?x,'age',?g) FILTER ?t = 'databases' } \
+         UNION { (?x,'interested_in',?t) (?x,'name',?n) FILTER ?t = 'systems' } \
+         ORDER BY ?x, ?t LIMIT 7" );
+    ];
+  (* Both the hops between carriers and the whole query ship less than
+     under SELECT *, which trims nothing. *)
+  let shipped src =
+    match Unistore.query store ~strategy:Unistore.Mutant src with
+    | Ok r ->
+      ( List.fold_left (fun acc (t : Exec.step_trace) -> acc + t.Exec.shipped) 0 r.Engine.traces,
+        r.Engine.bytes_shipped )
+    | Error e -> Alcotest.fail e
+  in
+  let star =
+    let where = String.index paper_query 'W' in
+    "SELECT * " ^ String.sub paper_query where (String.length paper_query - where)
+  in
+  let (hops, total), (star_hops, star_total) = (shipped paper_query, shipped star) in
+  if hops >= star_hops || total >= star_total then
+    Alcotest.failf "paper query shipped %d B (%d B between carriers), its SELECT * twin %d B (%d B)"
+      total hops star_total star_hops
+
+(* A step trace's [shipped] is the hop that brought the plan to its
+   carrier; with the trip home (the answer plus a 32-byte envelope,
+   unless the plan ends at the origin) they add up to the query's
+   shipped bytes. *)
+let test_mutant_hop_bytes () =
+  let store, _ = make_store ~peers:128 ~n_authors:60 () in
+  let origin = 5 in
+  List.iter
+    (fun src ->
+      match Unistore.query store ~origin ~strategy:Unistore.Mutant src with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        let hops = List.fold_left (fun acc (t : Exec.step_trace) -> acc + t.Exec.shipped) 0 r.Engine.traces in
+        let last = (List.nth r.Engine.traces (List.length r.Engine.traces - 1)).Exec.carrier in
+        let home =
+          if last = origin then 0
+          else List.fold_left (fun acc b -> acc + Binding.bytes b) 32 r.Engine.rows
+        in
+        Alcotest.(check bool) (src ^ ": some hop shipped") true (hops > 0);
+        check Alcotest.int src r.Engine.bytes_shipped (hops + home))
+    [ paper_query; vldb_join ]
+
 let test_chord_substrate_agrees () =
   let store, ds = make_store ~overlay:Unistore.Chord_trie () in
   ignore
@@ -1003,15 +1080,18 @@ let prop_random_queries_match_reference =
          let store, ds = Lazy.force shared_store in
          let expected = fingerprints (ref_eval ds.Publications.triples q) in
          let src = Format.asprintf "%a" Ast.pp_query q in
-         match Unistore.query store src with
-         | Error e -> QCheck2.Test.fail_reportf "query error: %s" e
-         | Ok r ->
-           if not r.Engine.complete then QCheck2.Test.fail_reportf "incomplete";
-           let got = fingerprints r.Engine.rows in
-           if got <> expected then
-             QCheck2.Test.fail_reportf "rows differ: got %d, expected %d" (List.length got)
-               (List.length expected)
-           else true))
+         List.for_all
+           (fun strategy ->
+             match Unistore.query store ~strategy src with
+             | Error e -> QCheck2.Test.fail_reportf "query error: %s" e
+             | Ok r ->
+               if not r.Engine.complete then QCheck2.Test.fail_reportf "incomplete";
+               let got = fingerprints r.Engine.rows in
+               if got <> expected then
+                 QCheck2.Test.fail_reportf "%a: rows differ: got %d, expected %d"
+                   Engine.pp_strategy strategy (List.length got) (List.length expected)
+               else true)
+           [ Unistore.Centralized; Unistore.Mutant ]))
 
 let () =
   Alcotest.run "unistore_core"
@@ -1032,6 +1112,8 @@ let () =
       ( "strategies",
         [
           Alcotest.test_case "centralized = mutant" `Quick test_strategies_agree;
+          Alcotest.test_case "mutant trimming keeps the answer" `Quick test_mutant_trimming_agrees;
+          Alcotest.test_case "mutant hop bytes add up" `Quick test_mutant_hop_bytes;
           Alcotest.test_case "chord substrate" `Quick test_chord_substrate_agrees;
           Alcotest.test_case "skyline pushdown agrees" `Quick test_skyline_pushdown_agrees;
           Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;

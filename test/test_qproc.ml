@@ -555,6 +555,36 @@ let test_postprocess_pipeline () =
   let out = Exec.postprocess (mk_post ()) rows in
   check Alcotest.int "identity" (List.length rows) (List.length out)
 
+(* The trace names a bind-join step the way the plan printer does. *)
+let test_step_trace_label () =
+  let trace ~bindjoin ~shipped =
+    let pattern =
+      Ast.mk_pattern (Ast.TVar "a") (Ast.TConst (Value.S "name")) (Ast.TVar "n")
+    in
+    {
+      Exec.step =
+        {
+          Physical.pattern;
+          access = Cost.AAttrAll "name";
+          bindjoin;
+          residual = [];
+          est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
+        };
+      rows_in = 4;
+      actual_card = 3;
+      messages = 2;
+      latency = 12.5;
+      carrier = 7;
+      shipped;
+    }
+  in
+  check Alcotest.string "bind-join step"
+    "(?a, 'name', ?n) via bind-join/av-scan(name) at peer7: 4 -> 3 rows, 2 msgs, 12.5 ms, 0 B shipped"
+    (Format.asprintf "%a" Exec.pp_step_trace (trace ~bindjoin:true ~shipped:0));
+  check Alcotest.string "scan step"
+    "(?a, 'name', ?n) via av-scan(name) at peer7: 4 -> 3 rows, 2 msgs, 12.5 ms, 420 B shipped"
+    (Format.asprintf "%a" Exec.pp_step_trace (trace ~bindjoin:false ~shipped:420))
+
 let () =
   Alcotest.run "unistore_qproc"
     [
@@ -589,6 +619,7 @@ let () =
         ] );
       ( "postprocess",
         [ Alcotest.test_case "pipeline combinations" `Quick test_postprocess_pipeline ] );
+      ("trace", [ Alcotest.test_case "step trace label" `Quick test_step_trace_label ]);
       ( "optimizer",
         [
           Alcotest.test_case "picks av-lookup" `Quick test_optimizer_picks_av_lookup;
