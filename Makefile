@@ -49,7 +49,8 @@ lint:
 # repo's own OCaml tree (lib/ and bin/): unordered hashtable iteration
 # escaping unsorted, ambient randomness/time outside lib/util/rng.ml,
 # polymorphic compare at float/Bitkey positions, blocking waits
-# (Sim.await / Sim.run_*) below the facade, and protocol-table drift
+# (Sim.await / Sim.run_*) below the facade, timeouts scheduled with
+# Sim.schedule instead of a cancellable Sim.timer, and protocol-table drift
 # (message constructors vs size/kind/dispatch arms and pending-op
 # registrations). Suppress a deliberate finding with
 # `(* srclint: allow <rule> *)` on the offending line. See DESIGN.md,

@@ -26,6 +26,7 @@ type rule =
   | Polymorphic_compare
   | Protocol_exhaustiveness
   | Blocking_wait
+  | Uncancelled_timeout
 
 let all_rules =
   [
@@ -34,6 +35,7 @@ let all_rules =
     Polymorphic_compare;
     Protocol_exhaustiveness;
     Blocking_wait;
+    Uncancelled_timeout;
   ]
 
 let rule_name = function
@@ -42,6 +44,7 @@ let rule_name = function
   | Polymorphic_compare -> "polymorphic-compare"
   | Protocol_exhaustiveness -> "protocol-exhaustiveness"
   | Blocking_wait -> "blocking-wait"
+  | Uncancelled_timeout -> "uncancelled-timeout"
 
 let rule_of_name s = List.find_opt (fun r -> String.equal (rule_name r) s) all_rules
 
@@ -268,6 +271,64 @@ let check_blocking_wait structure =
                      with Sim.await"
                   "Sim.%s drives the event loop below the facade" f
                 :: !diags
+            | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it structure;
+  List.rev !diags
+
+(* ------------------------------------------------------------------ *)
+(* Rule: uncancelled-timeout                                           *)
+
+(* A deadline the guarded operation can beat must be cancellable: a
+   plain [Sim.schedule] of one stays queued after the operation
+   finished, holds what it captures, and holds the clock until it fires
+   to no effect. The syntactic sign is a [Sim.schedule] whose delay
+   mentions [timeout_ms]. The simulator itself is exempt. *)
+let mentions_timeout expr =
+  let found = ref false in
+  let named lid = match List.rev (flatten lid) with "timeout_ms" :: _ -> true | _ -> false in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident lid | Pexp_field (_, lid) -> if named lid.Location.txt then found := true
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it expr;
+  !found
+
+let check_uncancelled_timeout structure =
+  let diags = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, args) -> (
+            match List.rev (flatten lid.Location.txt) with
+            | "schedule" :: "Sim" :: _ ->
+              if
+                List.exists
+                  (fun (label, arg) ->
+                    match label with
+                    | Asttypes.Labelled "delay" -> mentions_timeout arg
+                    | _ -> false)
+                  args
+              then
+                diags :=
+                  D.makef ~span:(span_of_loc e.pexp_loc) ~severity:D.Error
+                    ~code:"uncancelled-timeout"
+                    ~hint:"use Sim.timer and cancel it when the operation finishes"
+                    "a timeout scheduled with Sim.schedule cannot be cancelled"
+                  :: !diags
             | _ -> ())
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
@@ -690,6 +751,7 @@ let rule_of_code = function
   | "ambient-effects" -> Ambient_effects
   | "polymorphic-compare" -> Polymorphic_compare
   | "blocking-wait" -> Blocking_wait
+  | "uncancelled-timeout" -> Uncancelled_timeout
   | _ -> Protocol_exhaustiveness
 
 let apply_suppressions src diags =
@@ -717,12 +779,13 @@ let lint_source ?(rules = all_rules) ~path src =
         | Ambient_effects -> if exempt_ambient path then [] else check_ambient_effects ast
         | Polymorphic_compare -> check_polymorphic_compare ast
         | Blocking_wait -> if in_sim_library path then [] else check_blocking_wait ast
+        | Uncancelled_timeout -> if in_sim_library path then [] else check_uncancelled_timeout ast
         | Protocol_exhaustiveness -> []
     in
     D.sort
       (apply_suppressions src
          (run Unordered_iteration @ run Ambient_effects @ run Polymorphic_compare
-        @ run Blocking_wait))
+        @ run Blocking_wait @ run Uncancelled_timeout))
 
 (* ------------------------------------------------------------------ *)
 (* Tree driver                                                         *)

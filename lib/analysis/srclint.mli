@@ -28,7 +28,11 @@
       [Sim.run_for] outside [lib/sim]. Every layer below the facade is
       continuation-passing; the few legitimate callers (the facade, the
       overlay's join and construction, the traffic engine) carry an
-      allow annotation. *)
+      allow annotation.
+    - [uncancelled-timeout]: a [Sim.schedule] whose delay mentions
+      [timeout_ms], outside [lib/sim]. A deadline that the operation it
+      guards can beat belongs on [Sim.timer], cancelled when the
+      operation finishes, so the queue holds no dead timers. *)
 
 type rule =
   | Unordered_iteration
@@ -36,13 +40,14 @@ type rule =
   | Polymorphic_compare
   | Protocol_exhaustiveness
   | Blocking_wait
+  | Uncancelled_timeout
 
 val all_rules : rule list
 
 val rule_name : rule -> string
 (** ["unordered-iteration"], ["ambient-effects"], ["polymorphic-compare"],
-    ["protocol-exhaustiveness"], ["blocking-wait"] — also the diagnostic
-    codes. *)
+    ["protocol-exhaustiveness"], ["blocking-wait"], ["uncancelled-timeout"]
+    — also the diagnostic codes. *)
 
 val rule_of_name : string -> rule option
 

@@ -75,6 +75,7 @@ type pending =
       resend : unit -> unit;
       mutable attempts : int;
       started : float;
+      mutable deadline : Sim.timer;  (* the current attempt's *)
       k : result -> unit;
     }
   | Pmulti of {
@@ -83,6 +84,7 @@ type pending =
       mutable hops : int;
       mutable peers_hit : int;
       started : float;
+      deadline : Sim.timer;
       k : result -> unit;
     }
 
@@ -159,6 +161,7 @@ let finish_single t rid ~items ~hops ~complete =
   match Hashtbl.find_opt t.pending rid with
   | Some (Psingle p) ->
     Hashtbl.remove t.pending rid;
+    ignore (Sim.cancel t.sim p.deadline);
     p.k
       {
         items;
@@ -174,6 +177,7 @@ let finish_multi t rid ~complete =
   match Hashtbl.find_opt t.pending rid with
   | Some (Pmulti p) ->
     Hashtbl.remove t.pending rid;
+    ignore (Sim.cancel t.sim p.deadline);
     p.k
       {
         items = p.items;
@@ -195,24 +199,23 @@ let deliver_hit t rid ~items ~forwards ~hops =
     if p.outstanding <= 0 then finish_multi t rid ~complete:true
   | _ -> ()
 
-let arm_single_timeout t rid =
-  let rec arm () =
-    Sim.schedule t.sim ~delay:t.config.timeout_ms (fun () ->
-        match Hashtbl.find_opt t.pending rid with
-        | Some (Psingle p) ->
-          if p.attempts < t.config.retries then begin
-            p.attempts <- p.attempts + 1;
-            p.resend ();
-            arm ()
-          end
-          else finish_single t rid ~items:[] ~hops:0 ~complete:false
-        | _ -> ())
-  in
-  arm ()
+(* Deadlines: a finished request cancels its own, so one that fires
+   finds its request pending. A single request retries, re-arming only
+   if the re-send did not finish it at once, then gives up. *)
+let rec arm_single_timeout t rid =
+  Sim.timer t.sim ~delay:t.config.timeout_ms (fun () ->
+      match Hashtbl.find_opt t.pending rid with
+      | Some (Psingle p) ->
+        if p.attempts < t.config.retries then begin
+          p.attempts <- p.attempts + 1;
+          p.resend ();
+          if Hashtbl.mem t.pending rid then p.deadline <- arm_single_timeout t rid
+        end
+        else finish_single t rid ~items:[] ~hops:0 ~complete:false
+      | _ -> ())
 
 let arm_multi_timeout t rid =
-  Sim.schedule t.sim ~delay:t.config.timeout_ms (fun () ->
-      if Hashtbl.mem t.pending rid then finish_multi t rid ~complete:false)
+  Sim.timer t.sim ~delay:t.config.timeout_ms (fun () -> finish_multi t rid ~complete:false)
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
@@ -412,38 +415,40 @@ let responsible t key =
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
 
+(* Register single request [rid], arm its deadline and send it. *)
+let start_single t rid ~k resend =
+  let deadline = arm_single_timeout t rid in
+  Hashtbl.replace t.pending rid
+    (Psingle { resend; attempts = 0; started = Sim.now t.sim; deadline; k });
+  resend ()
+
 let put t ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   let rid = fresh_rid t in
   let target = Ring.hash_key key in
   let item = { Store.key; item_id; payload; version } in
   let me = node t origin in
   let resend () = handle_put t me ~rid ~target ~item ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { resend; attempts = 0; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  start_single t rid ~k resend
 
 let del t ~origin ~key ~item_id ~k =
   let rid = fresh_rid t in
   let target = Ring.hash_key key in
   let me = node t origin in
   let resend () = handle_del t me ~rid ~target ~key ~item_id ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { resend; attempts = 0; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  start_single t rid ~k resend
 
 let get t ~origin ~key ~k =
   let rid = fresh_rid t in
   let target = Ring.hash_key key in
   let me = node t origin in
   let resend () = handle_get t me ~rid ~target ~key ~origin ~hops:0 in
-  Hashtbl.replace t.pending rid (Psingle { resend; attempts = 0; started = Sim.now t.sim; k });
-  arm_single_timeout t rid;
-  resend ()
+  start_single t rid ~k resend
 
 let broadcast t ~origin ~pred ~k =
   let rid = fresh_rid t in
+  let deadline = arm_multi_timeout t rid in
   Hashtbl.replace t.pending rid
-    (Pmulti { outstanding = 1; items = []; hops = 0; peers_hit = 0; started = Sim.now t.sim; k });
-  arm_multi_timeout t rid;
+    (Pmulti
+       { outstanding = 1; items = []; hops = 0; peers_hit = 0; started = Sim.now t.sim; deadline; k });
   let me = node t origin in
   handle_bcast t me ~rid ~limit:me.ring ~origin ~hops:0 ~pred

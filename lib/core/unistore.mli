@@ -264,7 +264,10 @@ val query_profiled :
   string ->
   (Unistore_qproc.Engine.report * Unistore_obs.Profile.t, string) result
 
-(** Let background traffic (replication pushes, gossip) drain. *)
+(** Let background traffic (replication pushes, gossip) drain. Returns
+    at quiescence: finished operations cancel their deadlines, so the
+    clock stops at the last event that still did something, not at a
+    timeout that could only find its request gone. *)
 val settle : t -> unit
 
 (** {2 Heavy-traffic engine}

@@ -54,6 +54,7 @@ type pending = {
   mutable attempts : int;
   mutable items : Store.item list;
   mutable hops : int;
+  mutable deadline : Sim.timer;  (* the current attempt's; [finish] cancels it *)
   k : result -> unit;
 }
 
@@ -140,6 +141,7 @@ let mark_partial t p =
 
 let finish t p ~complete =
   Hashtbl.remove t.pending p.rid;
+  ignore (Sim.cancel (Net.sim t.net) p.deadline);
   let latency = now t -. p.started in
   let peers_hit, completeness =
     match p.shape with
@@ -212,23 +214,27 @@ let new_attempt t p =
     s.truncated <- 0
   | Batch_state _ -> count t "batch.retransmit"
 
-(* The timer holds only the rid, not the record: a finished request's
-   rows and closures must not stay alive until its stale timer fires. *)
+(* Arm the deadline of attempt [attempt]. The jitter is drawn even when
+   a re-send already finished the request, so the RNG stream does not
+   depend on it; only a live request gets a timer, and [finish] cancels
+   it, so a timer that fires always finds its request pending. *)
 let rec arm t p ~attempt =
-  let base = deadline_base t p and rid = p.rid in
-  Sim.schedule (Net.sim t.net) ~delay:(retry_delay t ~base ~attempt) (fun () ->
-      match Hashtbl.find_opt t.pending rid with
-      | None -> ()
-      | Some p when p.attempts < t.config.retries ->
-        p.attempts <- p.attempts + 1;
-        count t "overlay.resend";
-        count t "retry.attempt";
-        new_attempt t p;
-        p.send rid;
-        arm t p ~attempt:p.attempts
-      | Some p ->
-        count t "retry.giveup";
-        finish t p ~complete:false)
+  let delay = retry_delay t ~base:(deadline_base t p) ~attempt in
+  if live t p.rid then
+    p.deadline <-
+      Sim.timer (Net.sim t.net) ~delay (fun () ->
+          if p.attempts < t.config.retries then begin
+            p.attempts <- p.attempts + 1;
+            count t "overlay.resend";
+            count t "retry.attempt";
+            new_attempt t p;
+            p.send p.rid;
+            arm t p ~attempt:p.attempts
+          end
+          else begin
+            count t "retry.giveup";
+            finish t p ~complete:false
+          end)
 
 let start t ~op ~origin kind ~k ~send =
   let rid = fresh_rid t in
@@ -251,7 +257,19 @@ let start t ~op ~origin kind ~k ~send =
       Batch_state { total = List.length keys; unacked; regions = 0; on_ack }
   in
   let p =
-    { rid; op; origin; shape; send; started = now t; attempts = 0; items = []; hops = 0; k }
+    {
+      rid;
+      op;
+      origin;
+      shape;
+      send;
+      started = now t;
+      attempts = 0;
+      items = [];
+      hops = 0;
+      deadline = Sim.no_timer;
+      k;
+    }
   in
   Hashtbl.replace t.pending rid p;
   arm t p ~attempt:0;

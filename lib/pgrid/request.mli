@@ -2,8 +2,9 @@
     in-flight operation, from the first send to its result.
 
     Every public {!Overlay} operation registers here, keyed by a fresh
-    request id. Each request arms a timeout {e before} its first send;
-    when it fires with the request still pending, the request is re-sent
+    request id. Each request arms a timeout {e before} its first send
+    ({!Sim.timer}), and finishing the request cancels it; when it fires,
+    the request is still pending and is re-sent
     — up to [Config.retries] times, the [n]th retry waiting
     [base * retry_backoff^n] with [retry_jitter] drawn from the overlay
     RNG — and then given up as an explicitly partial result. [base] is

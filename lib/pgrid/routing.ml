@@ -23,7 +23,7 @@ type agg = {
   mutable carried : int list;  (* tokens announced upward unmerged *)
   mutable agg_items : Store.item list;
   mutable agg_hops : int;
-  mutable flushed : bool;
+  mutable flush_timer : Sim.timer;  (* the partial flush; a flush cancels it *)
 }
 
 type t = {

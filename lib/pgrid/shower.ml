@@ -34,36 +34,36 @@ let report_hit t (me : Node.t) ~from ~rid ~token ~origin ~hops ~items ~targets =
     Net.send t.net ~src:me.id ~dst:origin
       (Message.RangeHit { rid; token; items; targets; origin; hops })
 
-(* Send an aggregation buffer's merged hit upward. [reason] is
-   ["complete"] (every buffered child answered) or ["timeout"] (loss or
-   churn below): leftover waiting tokens travel as targets so the origin
-   still accounts for them — their hits, if any straggle in later, find
-   no buffer and are relayed home. *)
+(* Send an aggregation buffer's merged hit upward, once: the last
+   child's hit and the flush timer each find the buffer only before the
+   flush, which drops its [t.aggs] entries and cancels the timer.
+   [reason] is ["complete"] (every buffered child answered) or
+   ["timeout"] (loss or churn below): leftover waiting tokens travel as
+   targets so the origin still accounts for them — their hits, if any
+   straggle in later, find no buffer and are relayed home. *)
 let flush_agg t (a : agg) ~reason =
-  if not a.flushed then begin
-    a.flushed <- true;
-    List.iter (fun tok -> Hashtbl.remove t.aggs tok) a.waiting;
-    if not (Net.is_alive t.net a.agg_owner) then
-      (* The buffering peer was killed while holding child tokens: a dead
-         peer cannot transmit its merged hit. Dropping the buffer (rather
-         than sending from a corpse) leaves those tokens unanswered at
-         the origin, whose own timeout then finishes the operation as
-         explicitly partial — termination accounting never wedges on a
-         crashed aggregator. *)
-      cache_incr t "fault.agg.dead_flush"
-    else begin
-      cache_incr t ("batch.agg.flush." ^ reason);
-      Net.send t.net ~src:a.agg_owner ~dst:a.agg_parent
-        (Message.RangeHit
-           {
-             rid = a.agg_rid;
-             token = a.agg_token;
-             items = a.agg_items;
-             targets = a.waiting @ a.carried;
-             origin = a.agg_origin;
-             hops = a.agg_hops;
-           })
-    end
+  ignore (Sim.cancel t.sim a.flush_timer);
+  List.iter (fun tok -> Hashtbl.remove t.aggs tok) a.waiting;
+  if not (Net.is_alive t.net a.agg_owner) then
+    (* The buffering peer was killed while holding child tokens: a dead
+       peer cannot transmit its merged hit. Dropping the buffer (rather
+       than sending from a corpse) leaves those tokens unanswered at
+       the origin, whose own timeout then finishes the operation as
+       explicitly partial — termination accounting never wedges on a
+       crashed aggregator. *)
+    cache_incr t "fault.agg.dead_flush"
+  else begin
+    cache_incr t ("batch.agg.flush." ^ reason);
+    Net.send t.net ~src:a.agg_owner ~dst:a.agg_parent
+      (Message.RangeHit
+         {
+           rid = a.agg_rid;
+           token = a.agg_token;
+           items = a.agg_items;
+           targets = a.waiting @ a.carried;
+           origin = a.agg_origin;
+           hops = a.agg_hops;
+         })
   end
 
 (* A [RangeHit] arrived at [me]: merge it into the buffer waiting for its
@@ -178,11 +178,12 @@ let shower_range t (me : Node.t) (r : Message.range) =
           carried;
           agg_items = items;
           agg_hops = hops;
-          flushed = false;
+          flush_timer = Sim.no_timer;
         }
       in
       List.iter (fun tok -> Hashtbl.replace t.aggs tok a) waiting;
-      Sim.schedule t.sim ~delay:agg_flush_ms (fun () -> flush_agg t a ~reason:"timeout")
+      a.flush_timer <-
+        Sim.timer t.sim ~delay:agg_flush_ms (fun () -> flush_agg t a ~reason:"timeout")
 
 (* Every receiving peer reports a hit (routing-only peers report an
    empty one naming their next hop) so the origin's termination
@@ -261,7 +262,8 @@ let handle_probe t (me : Node.t) ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pr
   in
   process_shower t me ~rid ~token ~origin ~hops ~clip_lo ~clip_hi ~local ~forward
 
-(* Peers currently holding an unflushed aggregation buffer. *)
+(* Peers currently holding an unflushed aggregation buffer (a flush
+   drops the buffer's entries). *)
 let agg_owners t =
-  Hashtbl.fold (fun _ a acc -> if a.flushed then acc else a.agg_owner :: acc) t.aggs []
+  Hashtbl.fold (fun _ a acc -> a.agg_owner :: acc) t.aggs []
   |> List.sort_uniq compare

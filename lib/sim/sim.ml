@@ -1,6 +1,8 @@
 type t = { mutable now : float; queue : (unit -> unit) Pqueue.t; mutable processed : int }
 
-let create () = { now = 0.0; queue = Pqueue.create (); processed = 0 }
+type timer = Pqueue.handle
+
+let create () = { now = 0.0; queue = Pqueue.create ~filler:(fun () -> ()) (); processed = 0 }
 
 let now t = t.now
 
@@ -11,6 +13,13 @@ let schedule t ~delay f =
 let schedule_at t ~time f =
   let time = Float.max time t.now in
   Pqueue.push t.queue ~priority:time f
+
+let timer t ~delay f =
+  if delay < 0.0 then invalid_arg "Sim.timer: negative delay";
+  Pqueue.add t.queue ~priority:(t.now +. delay) f
+
+let no_timer = Pqueue.no_handle
+let cancel t h = Pqueue.remove t.queue h
 
 let pending t = Pqueue.size t.queue
 let processed t = t.processed

@@ -9,11 +9,20 @@
     {b Representation.} A simulation is just a clock, a {!Pqueue} of
     [unit -> unit] closures keyed by absolute firing time, and a counter
     of executed events. All state an event touches lives in the closures'
-    environments; the kernel itself holds none. The event loop is a tight
-    pop-and-call: O(log n) per event in the queue size, no allocation
-    beyond what the event bodies themselves do — this is what lets one
-    process drain hundreds of thousands of events per real second at
-    100k+ simulated peers (see EXPERIMENTS.md, "Scale").
+    environments; the kernel itself holds none, and drops each closure
+    from the queue once it has run or been cancelled. The event loop is a
+    tight pop-and-call: O(log n) per event in the queue size, with no
+    allocation beyond the popped pair and what the event bodies
+    themselves do — this is what lets one process drain hundreds of
+    thousands of events per real second at 100k+ simulated peers (see
+    EXPERIMENTS.md, "Scale").
+
+    {b Deadlines.} A deadline that the work it guards can beat (a request
+    timeout, a buffer's flush) is a {!timer}: the operation that
+    finishes first {!cancel}s it, and the queue then holds only events
+    that can still do something. A cancelled timer never runs, never
+    moves the clock and is counted in neither {!pending} nor
+    {!processed}.
 
     {b Determinism.} The only ordering authority is the queue's
     [(time, sequence)] key. Given the same initial schedule and the same
@@ -36,6 +45,23 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f] runs [f] at absolute [time] (clamped to now). *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
+
+(** A handle on an event scheduled with {!timer}. *)
+type timer
+
+(** [timer t ~delay f] is {!schedule} that returns a handle for
+    {!cancel}. *)
+val timer : t -> delay:float -> (unit -> unit) -> timer
+
+(** A handle of no event, for a record field that has no timer yet:
+    cancelling it is a no-op. *)
+val no_timer : timer
+
+(** [cancel t h] removes [h]'s event from the queue in O(log n) if it
+    has not run yet, and says whether it removed it. Cancelling twice,
+    or after the event ran, is a no-op returning [false]. Other events
+    keep their [(time, sequence)] order. *)
+val cancel : t -> timer -> bool
 
 (** Number of queued events. *)
 val pending : t -> int

@@ -88,20 +88,15 @@ let of_pgrid ov =
       Some
         (fun ~src ~dst ~bytes ~k ->
           (* A task sent to a dead or cut-off peer never runs: fail the hop
-             after the overlay's request timeout, so [k] fires exactly
-             once either way. The first firing drops [k], so the stale
-             timer does not keep the caller's state alive. *)
-          let pending = ref (Some k) in
-          let fire arrived =
-            match !pending with
-            | Some k ->
-              pending := None;
-              k arrived
-            | None -> ()
+             after the overlay's request timeout. Arrival cancels the
+             deadline, and a task arriving after it fired is ignored, so
+             [k] fires exactly once either way. *)
+          let sim = Overlay.sim ov in
+          let deadline =
+            Sim.timer sim ~delay:(Overlay.config ov).Unistore_pgrid.Config.timeout_ms (fun () ->
+                k false)
           in
-          Overlay.send_task ov ~src ~dst ~bytes (fun _ -> fire true);
-          Sim.schedule (Overlay.sim ov) ~delay:(Overlay.config ov).Unistore_pgrid.Config.timeout_ms
-            (fun () -> fire false));
+          Overlay.send_task ov ~src ~dst ~bytes (fun _ -> if Sim.cancel sim deadline then k true));
     total_sent = (fun () -> Net.total_sent net);
     expected_latency = Unistore_sim.Latency.expected (Net.latency net);
     depth = (fun () -> Overlay.depth ov);

@@ -66,8 +66,8 @@ type t = {
   send_task : (src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit) option;
       (** application-level plan shipping: [k true] runs at [dst] on
           arrival; [k false] runs after the overlay's request timeout when
-          the task was lost (dead or partitioned [dst]). [k] fires exactly
-          once. [None] when the substrate does not support it (plain
+          the task was lost (dead or partitioned [dst]); arrival cancels
+          that deadline. [k] fires exactly once. [None] when the substrate does not support it (plain
           Chord) *)
   total_sent : unit -> int;
   expected_latency : float;  (** mean one-way delay, for the cost model *)

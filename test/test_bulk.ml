@@ -18,6 +18,7 @@ module Tstore = Unistore_triple.Tstore
 module Cost = Unistore_qproc.Cost
 module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
+module Trace = Unistore_sim.Trace
 
 open Test_support
 
@@ -325,6 +326,44 @@ let test_tstore_insert_bulk () =
       Alcotest.(check bool) "oid entry resolves" true (ro.Dht.complete && ro.Dht.items <> []))
     triples
 
+(* ------------------------------------------------------------------ *)
+(* Settling *)
+
+(* The largest one-way delay of the deployments' [Latency.Lan] model,
+   which draws 0.5 + U[0, 1.5) ms. *)
+let lan_max_ms = 2.0
+
+let render_trace tr =
+  Trace.events tr
+  |> List.map (fun (e : Trace.event) ->
+         Format.asprintf "%h %d>%d %s %dB #%d %a" e.time e.src e.dst e.kind e.bytes e.corr
+           Trace.pp_outcome e.outcome)
+  |> String.concat "\n"
+
+(* [settle] returns at quiescence: every finished operation cancelled
+   its deadline, so once the last message is delivered nothing is left
+   to run, and the clock stops within one link delay of the last send
+   instead of jumping to a timeout with nothing to do. *)
+let test_settle_at_quiescence () =
+  let ds = dataset () in
+  let load_traced () =
+    let t = deploy ds in
+    let tr = Unistore.start_trace t in
+    ignore (Unistore.load t ds.Publications.tuples);
+    Unistore.settle t;
+    (t, tr)
+  in
+  let t, tr = load_traced () in
+  let last_send =
+    List.fold_left (fun m (e : Trace.event) -> Float.max m e.time) 0.0 (Trace.events tr)
+  in
+  Alcotest.(check bool) "the load sent messages" true (last_send > 0.0);
+  if Unistore.now t > last_send +. lan_max_ms then
+    Alcotest.failf "settle returned at %.3f ms, %.3f ms after the last send" (Unistore.now t)
+      (Unistore.now t -. last_send);
+  let _, tr' = load_traced () in
+  check Alcotest.string "same seed, byte-identical trace" (render_trace tr) (render_trace tr')
+
 let () =
   Alcotest.run "unistore_bulk"
     [
@@ -347,4 +386,6 @@ let () =
         [ Alcotest.test_case "env and bindjoin scaling" `Quick test_cost_env_reflects_batching ] );
       ( "tstore",
         [ Alcotest.test_case "insert_bulk places all indexes" `Quick test_tstore_insert_bulk ] );
+      ( "settle",
+        [ Alcotest.test_case "returns at quiescence" `Quick test_settle_at_quiescence ] );
     ]

@@ -36,7 +36,7 @@ let prop_pqueue_stable_sort =
           interesting half of the property. *)
        QCheck2.Gen.(list_size (0 -- 200) (int_bound 7))
        (fun prios ->
-         let q = Pqueue.create () in
+         let q = Pqueue.create ~filler:0 () in
          let tagged = List.mapi (fun i p -> (float_of_int p, i)) prios in
          List.iter (fun (p, i) -> Pqueue.push q ~priority:p i) tagged;
          let rec drain acc =
@@ -52,7 +52,7 @@ let prop_pqueue_interleaved =
        (* true = push the given priority, false = pop. *)
        QCheck2.Gen.(list_size (0 -- 150) (pair bool (float_bound_inclusive 100.0)))
        (fun ops ->
-         let q = Pqueue.create () in
+         let q = Pqueue.create ~filler:0.0 () in
          let model = ref [] in
          List.for_all
            (fun (push, p) ->

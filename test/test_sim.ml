@@ -14,7 +14,7 @@ let check = Alcotest.check
 (* Pqueue *)
 
 let test_pqueue_order () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~filler:0.0 () in
   List.iter (fun p -> Pqueue.push q ~priority:p p) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
   let out = ref [] in
   let rec drain () =
@@ -28,7 +28,7 @@ let test_pqueue_order () =
   check Alcotest.(list (float 0.0)) "sorted" [ 0.5; 1.0; 2.0; 2.5; 3.0 ] (List.rev !out)
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~filler:"" () in
   List.iter (fun v -> Pqueue.push q ~priority:1.0 v) [ "a"; "b"; "c" ];
   let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
   check Alcotest.string "fifo a" "a" (pop ());
@@ -40,7 +40,7 @@ let prop_pqueue_sorted =
     (QCheck2.Test.make ~count:200 ~name:"pqueue: pops are sorted"
        QCheck2.Gen.(list_size (0 -- 100) (float_bound_inclusive 1000.0))
        (fun prios ->
-         let q = Pqueue.create () in
+         let q = Pqueue.create ~filler:0.0 () in
          List.iter (fun p -> Pqueue.push q ~priority:p p) prios;
          let rec drain acc =
            match Pqueue.pop q with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
@@ -49,12 +49,46 @@ let prop_pqueue_sorted =
          List.sort Float.compare prios = out))
 
 let test_pqueue_size () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~filler:() () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   Pqueue.push q ~priority:1.0 ();
   check Alcotest.int "size 1" 1 (Pqueue.size q);
   Pqueue.clear q;
   Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
+
+(* Popped or removed payloads must not stay reachable from the queue:
+   neither through a freed slot nor through the fresh slots of a grown
+   array. The payloads are built and queued in a separate function so
+   no local of the test keeps them alive; 200 entries force two grows,
+   and every third one is removed instead of popped. *)
+let test_pqueue_no_retention () =
+  let n = 200 in
+  let weak = Weak.create n in
+  let q = Pqueue.create ~filler:(ref (-1)) () in
+  let handles = ref [] in
+  let[@inline never] fill () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set weak i (Some payload);
+      let priority = float_of_int ((i * 37) mod n) in
+      if i mod 3 = 0 then handles := Pqueue.add q ~priority payload :: !handles
+      else Pqueue.push q ~priority payload
+    done
+  in
+  let[@inline never] drain () =
+    List.iter (fun h -> assert (Pqueue.remove q h)) !handles;
+    let rec go () = match Pqueue.pop q with Some _ -> go () | None -> () in
+    go ()
+  in
+  fill ();
+  drain ();
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr alive
+  done;
+  check Alcotest.int "popped payloads reachable" 0 !alive;
+  check Alcotest.int "queue empty" 0 (Pqueue.size q)
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -122,6 +156,130 @@ let test_sim_negative_delay () =
   let sim = Sim.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Sim.schedule: negative delay") (fun () ->
       Sim.schedule sim ~delay:(-1.0) (fun () -> ()))
+
+(* A cancelled timer never runs, never moves the clock and is not
+   counted; cancelling it again, or a timer that already fired, is a
+   no-op. *)
+let test_sim_cancel () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Sim.schedule sim ~delay:5.0 (note "a");
+  let dead = Sim.timer sim ~delay:50.0 (note "dead") in
+  let live = Sim.timer sim ~delay:8.0 (note "live") in
+  check Alcotest.int "pending before cancel" 3 (Sim.pending sim);
+  Alcotest.(check bool) "cancel removes" true (Sim.cancel sim dead);
+  check Alcotest.int "pending excludes cancelled" 2 (Sim.pending sim);
+  Alcotest.(check bool) "second cancel is a no-op" false (Sim.cancel sim dead);
+  check Alcotest.int "pending unchanged" 2 (Sim.pending sim);
+  Sim.run_all sim;
+  check Alcotest.(list string) "cancelled never ran" [ "a"; "live" ] (List.rev !log);
+  check (Alcotest.float 0.0) "clock at the last live event" 8.0 (Sim.now sim);
+  check Alcotest.int "processed excludes cancelled" 2 (Sim.processed sim);
+  Alcotest.(check bool) "cancel after firing is a no-op" false (Sim.cancel sim live);
+  Alcotest.(check bool) "no_timer cancels nothing" false (Sim.cancel sim Sim.no_timer)
+
+(* A cancelled entry at the head of the queue neither lets [run_for]
+   run a live event past its window nor stops it before the live events
+   inside the window. *)
+let test_sim_run_for_cancelled_head () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let head = Sim.timer sim ~delay:1.0 (fun () -> log := "head" :: !log) in
+  Sim.schedule sim ~delay:3.0 (fun () -> log := "in" :: !log);
+  Sim.schedule sim ~delay:10.0 (fun () -> log := "out" :: !log);
+  ignore (Sim.cancel sim head);
+  Sim.run_for sim ~duration:5.0;
+  check Alcotest.(list string) "only the live event in the window" [ "in" ] !log;
+  check (Alcotest.float 0.0) "clock at the window's end" 5.0 (Sim.now sim);
+  check Alcotest.int "the later event waits" 1 (Sim.pending sim)
+
+(* Random schedule / timer / cancel / run_for sequences against a
+   sorted-list model of the queue: same execution order, same cancel
+   answers, same pending counts, same final clock. *)
+type sim_op = Plain of float | Timer of float | Cancel of int | Run_for of float
+
+let gen_sim_op =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun d -> Plain d) (float_bound_inclusive 10.0);
+        map (fun d -> Timer d) (float_bound_inclusive 10.0);
+        map (fun i -> Cancel i) (0 -- 50);
+        map (fun d -> Run_for d) (float_bound_inclusive 4.0);
+      ])
+
+let prop_sim_cancel_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"sim: schedule/cancel/run = sorted-list model"
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map
+              (function
+                | Plain d -> Printf.sprintf "Plain %h" d
+                | Timer d -> Printf.sprintf "Timer %h" d
+                | Cancel i -> Printf.sprintf "Cancel %d" i
+                | Run_for d -> Printf.sprintf "Run_for %h" d)
+              ops))
+       QCheck2.Gen.(list_size (0 -- 80) gen_sim_op)
+       (fun ops ->
+         let sim = Sim.create () in
+         let ran = ref [] in
+         let timers = ref [||] in
+         (* The model: queued (time, id) pairs in (time, scheduling) order,
+            its clock, its execution log. *)
+         let queue = ref [] and now = ref 0.0 and model_ran = ref [] in
+         let next_id = ref 0 in
+         let enqueue time id =
+           let rec ins = function
+             | (t', _) :: _ as l when time < t' -> (time, id) :: l
+             | x :: rest -> x :: ins rest
+             | [] -> [ (time, id) ]
+           in
+           queue := ins !queue
+         in
+         let model_run_until deadline =
+           let rec go () =
+             match !queue with
+             | (time, id) :: rest when time <= deadline ->
+               queue := rest;
+               now := Float.max !now time;
+               model_ran := id :: !model_ran;
+               go ()
+             | _ -> ()
+           in
+           go ()
+         in
+         let agree = ref true in
+         let schedule ~timer d =
+           let id = !next_id in
+           incr next_id;
+           let f () = ran := id :: !ran in
+           enqueue (!now +. d) id;
+           if timer then timers := Array.append !timers [| (Sim.timer sim ~delay:d f, id) |]
+           else Sim.schedule sim ~delay:d f
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Plain d -> schedule ~timer:false d
+             | Timer d -> schedule ~timer:true d
+             | Cancel i when Array.length !timers > 0 ->
+               let h, id = !timers.(i mod Array.length !timers) in
+               let queued = List.exists (fun (_, id') -> id' = id) !queue in
+               queue := List.filter (fun (_, id') -> id' <> id) !queue;
+               if Sim.cancel sim h <> queued then agree := false
+             | Cancel _ -> ()
+             | Run_for d ->
+               let deadline = !now +. d in
+               Sim.run_for sim ~duration:d;
+               model_run_until deadline;
+               now := deadline);
+             if Sim.pending sim <> List.length !queue then agree := false)
+           ops;
+         Sim.run_all sim;
+         model_run_until infinity;
+         !agree && !ran = !model_ran && Sim.now sim = !now))
 
 (* ------------------------------------------------------------------ *)
 (* Latency *)
@@ -409,6 +567,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "size/clear" `Quick test_pqueue_size;
+          Alcotest.test_case "no retention" `Quick test_pqueue_no_retention;
           prop_pqueue_sorted;
         ] );
       ( "sim",
@@ -420,6 +579,9 @@ let () =
           Alcotest.test_case "await" `Quick test_sim_await;
           Alcotest.test_case "run_for" `Quick test_sim_run_for;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
+          Alcotest.test_case "cancel" `Quick test_sim_cancel;
+          Alcotest.test_case "run_for past a cancelled head" `Quick test_sim_run_for_cancelled_head;
+          prop_sim_cancel_model;
         ] );
       ( "latency",
         [

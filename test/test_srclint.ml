@@ -120,6 +120,27 @@ let blocking_allowed () =
   check_clean "rule off" (lint ~rules:[ Srclint.Ambient_effects ] "let drain sim = Sim.run_all sim")
 
 (* ------------------------------------------------------------------ *)
+(* Rule: uncancelled-timeout *)
+
+let timeout_defect () =
+  check_has "config field in the delay" "uncancelled-timeout"
+    (lint
+       "let arm t rid = Sim.schedule t.sim ~delay:t.config.timeout_ms (fun () -> expire t rid)");
+  check_has "timeout inside arithmetic" "uncancelled-timeout"
+    (lint "let arm sim ~timeout_ms f = Unistore_sim.Sim.schedule sim ~delay:(2.0 *. timeout_ms) f")
+
+let timeout_allowed () =
+  check_clean "cancellable timer"
+    (lint "let arm t = Sim.timer t.sim ~delay:t.config.timeout_ms (fun () -> expire t)");
+  check_clean "delay without a timeout"
+    (lint "let flush t a = Sim.schedule t.sim ~delay:agg_flush_ms (fun () -> go t a)");
+  check_clean "the simulator itself"
+    (lint ~path:"lib/sim/faults.ml" "let f sim c g = Sim.schedule sim ~delay:c.timeout_ms g");
+  check_clean "annotated"
+    (lint
+       "let f sim c g = Sim.schedule sim ~delay:c.timeout_ms g (* srclint: allow uncancelled-timeout *)")
+
+(* ------------------------------------------------------------------ *)
 (* Rule 4: protocol-exhaustiveness, against a toy protocol *)
 
 let toy_table =
@@ -264,6 +285,11 @@ let () =
         [
           Alcotest.test_case "seeded defects flagged" `Quick blocking_defect;
           Alcotest.test_case "exemptions and annotations" `Quick blocking_allowed;
+        ] );
+      ( "uncancelled-timeout",
+        [
+          Alcotest.test_case "seeded defects flagged" `Quick timeout_defect;
+          Alcotest.test_case "cancellable and exempt deadlines" `Quick timeout_allowed;
         ] );
       ( "protocol-exhaustiveness",
         [
