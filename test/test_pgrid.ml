@@ -1312,6 +1312,92 @@ let test_golden_overlay_trace () =
   check Alcotest.(pair int string) "trace" golden_overlay_trace (digest trace);
   check Alcotest.(pair int string) "results" golden_overlay_results (digest results)
 
+(* Golden routing tables: every peer's path, per-level references and
+   replica list, digested as (line count, MD5 of the newline-joined
+   lines) at five points: a data-median oracle build, a balanced one,
+   the first after seeded kills and [Build.repair_refs], the first again
+   after two joins, more kills and a [Repair.round] that migrates spares
+   into depleted groups, and a bootstrap stopped mid-way (some paths
+   still prefixes of others) after kills and [Build.repair_refs]. The
+   traffic golden above pins the oracle's tables only through the
+   messages they route; this one pins the tables themselves, and repair
+   with them. A refactor of table construction or repair must leave all
+   five untouched. *)
+
+let golden_routing_tables =
+  [
+    ("oracle", (150, "da7153d1499ceb7dba922d690edc7420"));
+    ("oracle balanced", (150, "e9638b8c527f877d030ae6a469eee587"));
+    ("repair_refs", (150, "3d635cc22d234491d3d624659bc19f00"));
+    ("Repair.round", (152, "a2c7ab9e90fec2856bc7b70b91bd4b90"));
+    ("mid-bootstrap repair_refs", (48, "3498ca48e6de2c307b36625835317b23"));
+  ]
+
+let routing_tables ov =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Overlay.nodes ov
+  |> List.sort (fun (a : Node.t) (b : Node.t) -> compare a.id b.id)
+  |> List.map (fun (nd : Node.t) ->
+         Printf.sprintf "%d%s %s | %s | %s" nd.id
+           (if Overlay.alive ov nd.id then "" else " dead")
+           (Bitkey.to_string nd.path)
+           (String.concat " / " (Array.to_list (Array.map (fun r -> ints (Array.to_list r)) nd.refs)))
+           (ints nd.replicas))
+
+let test_golden_routing_tables () =
+  let n = 150 in
+  let config = { Config.default with replication = 3 } in
+  let keys = random_words (Rng.create 2027) 400 in
+  let digest ov =
+    let l = routing_tables ov in
+    (List.length l, Digest.to_hex (Digest.string (String.concat "\n" l)))
+  in
+  let ov = build_overlay ~n ~seed:11 ~config ~keys () in
+  let balanced = build_overlay ~n ~seed:11 ~config ~keys ~balanced:true () in
+  let kill_some ?(ov = ov) seed frac =
+    let rng = Rng.create seed in
+    List.iter
+      (fun (nd : Node.t) -> if Rng.float rng < frac then Overlay.kill ov nd.Node.id)
+      (Overlay.nodes ov)
+  in
+  let at_oracle = digest ov in
+  kill_some 5 0.25;
+  Build.repair_refs ov;
+  let at_repair_refs = digest ov in
+  Alcotest.(check bool) "join 150" true (Build.join ov ~id:n ~bootstrap:4);
+  Alcotest.(check bool) "join 151" true (Build.join ov ~id:(n + 1) ~bootstrap:77);
+  kill_some 6 0.1;
+  let report = Unistore_pgrid.Repair.round ov in
+  Alcotest.(check bool) "the round migrated spares" true (report.Unistore_pgrid.Repair.moved > 0);
+  let boot, _ =
+    let rng = Rng.create 12 in
+    Build.bootstrap (Sim.create ()) ~rng
+      ~latency:(Latency.create (Latency.Constant 1.0) ~n:48 ~rng)
+      ~config ~n:48 ~initial_data:[] ~rounds:4 ()
+  in
+  kill_some ~ov:boot 7 0.2;
+  let paths =
+    List.filter_map
+      (fun (nd : Node.t) -> if Overlay.alive boot nd.id then Some nd.path else None)
+      (Overlay.nodes boot)
+  in
+  Alcotest.(check bool) "a live path is a proper prefix of another" true
+    (List.exists
+       (fun p ->
+         List.exists (fun q -> Bitkey.length p < Bitkey.length q && Bitkey.is_prefix ~prefix:p q) paths)
+       paths);
+  Build.repair_refs boot;
+  let got =
+    [
+      ("oracle", at_oracle);
+      ("oracle balanced", digest balanced);
+      ("repair_refs", at_repair_refs);
+      ("Repair.round", digest ov);
+      ("mid-bootstrap repair_refs", digest boot);
+    ]
+  in
+  check Alcotest.(list (pair string (pair int string))) "tables" golden_routing_tables got
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1380,7 +1466,11 @@ let () =
         ] );
       ("failover", [ prop_failover_any_kill_set ]);
       ("batch", [ prop_split_batch_matches_reference ]);
-      ("golden", [ Alcotest.test_case "overlay trace" `Quick test_golden_overlay_trace ]);
+      ( "golden",
+        [
+          Alcotest.test_case "overlay trace" `Quick test_golden_overlay_trace;
+          Alcotest.test_case "routing tables" `Quick test_golden_routing_tables;
+        ] );
       ( "bootstrap",
         [
           Alcotest.test_case "builds a usable trie" `Quick test_bootstrap_builds_trie;
