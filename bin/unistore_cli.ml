@@ -357,48 +357,6 @@ let lint_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* lint-src — the source-level linter over this repo's own tree         *)
-
-let lint_src rule_names paths =
-  let rules =
-    match rule_names with
-    | [] -> Unistore.Srclint.all_rules
-    | names ->
-      List.map
-        (fun n ->
-          match Unistore.Srclint.rule_of_name n with
-          | Some r -> r
-          | None ->
-            Format.eprintf "lint-src: unknown rule '%s'; known: %s@." n
-              (String.concat ", "
-                 (List.map Unistore.Srclint.rule_name Unistore.Srclint.all_rules));
-            exit 2)
-        names
-  in
-  let paths = match paths with [] -> [ "lib"; "bin" ] | ps -> ps in
-  (match List.filter (fun p -> not (Sys.file_exists p)) paths with
-  | [] -> ()
-  | missing ->
-    Format.eprintf "lint-src: no such path: %s@." (String.concat ", " missing);
-    exit 2);
-  let reports = Unistore.lint_src ~rules paths in
-  print_string (Unistore.Srclint.render_reports reports);
-  exit (if Unistore.Srclint.has_errors reports then 1 else 0)
-
-let lint_src_cmd =
-  let rules_t =
-    Arg.(value & opt_all string []
-         & info [ "rule" ] ~docv:"RULE"
-             ~doc:"Enable only this rule (repeatable). Default: all of unordered-iteration, ambient-effects, polymorphic-compare, protocol-exhaustiveness.")
-  in
-  let paths_t = Arg.(value & pos_all string [] & info [] ~docv:"PATH") in
-  let term = Term.(const lint_src $ rules_t $ paths_t) in
-  Cmd.v
-    (Cmd.info "lint-src"
-       ~doc:"Lint this repository's OCaml sources for determinism hazards (unordered hashtable iteration, ambient randomness/time, polymorphic compare at float/Bitkey positions) and protocol-table exhaustiveness")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* traffic — open-loop load generation against a live deployment        *)
 
 let run_traffic peers seed latency authors dataset scenario arrival_rate peak duration warmup
@@ -619,4 +577,4 @@ let inspect_cmd =
 let () =
   let doc = "UniStore: querying a DHT-based universal storage (simulated deployment)" in
   let info = Cmd.info "unistore-cli" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ query_cmd; traffic_cmd; repl_cmd; inspect_cmd; lint_cmd; lint_src_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ query_cmd; traffic_cmd; repl_cmd; inspect_cmd; lint_cmd ]))

@@ -36,7 +36,6 @@ let pgrid =
     { constructor = "SyncItems"; kind = "sync-items"; role = Background };
     { constructor = "StatGossip"; kind = "stat-gossip"; role = Background };
     { constructor = "HotSync"; kind = "hot-sync"; role = Background };
-    { constructor = "Exchange"; kind = "exchange"; role = Background };
   ]
 
 (* lib/chord/chord.ml: constructors of [Chord.msg]. Chord's pending

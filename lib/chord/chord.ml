@@ -123,12 +123,6 @@ let successors t id = (node t id).successors
 let predecessor_of t id = (node t id).predecessor
 let fingers t id = Array.copy (node t id).fingers
 
-let stored_on t =
-  Array.fold_left
-    (fun acc (n : node) ->
-      if Net.is_alive t.net n.id && Hashtbl.length n.store > 0 then acc + 1 else acc)
-    0 t.nodes
-
 let store_put (n : node) (item : Store.item) =
   let existing = Option.value ~default:[] (Hashtbl.find_opt n.store item.key) in
   let others = List.filter (fun (i : Store.item) -> not (String.equal i.item_id item.item_id)) existing in

@@ -51,9 +51,6 @@ val create :
 val sim : t -> Unistore_sim.Sim.t
 val node_count : t -> int
 
-(** Number of alive peers whose local store holds at least one item. *)
-val stored_on : t -> int
-
 (** Ring id of a peer (for tests). *)
 val ring_id : t -> int -> int
 

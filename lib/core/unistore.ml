@@ -263,10 +263,6 @@ let add_mapping t ?origin a b =
   bump_write t None;
   await t ~default:false (fun k -> Tstore.add_mapping t.tstore ~origin a b ~k)
 
-let refresh_stats t =
-  t.stats <-
-    await t ~default:(Qstats.of_triples []) (fun k -> Qstats.collect t.tstore ~origin:0 ~k)
-
 let set_stats_of_triples t triples = t.stats <- Qstats.of_triples triples
 let stats t = t.stats
 
@@ -606,7 +602,6 @@ module Diagnostic = Unistore_analysis.Diagnostic
 module Semantic = Unistore_analysis.Semantic
 module Tracelint = Unistore_analysis.Tracelint
 module Audit = Unistore_analysis.Audit
-module Srclint = Unistore_analysis.Srclint
 module Protocol = Unistore_analysis.Protocol
 
 let check t ?(origin = 0) src =
@@ -648,8 +643,3 @@ let lint_trace t ?allowed_revisits ?(against_metrics = false) tr =
   in
   let metrics = if against_metrics then Some t.metrics else None in
   Tracelint.lint ?allowed_revisits ?metrics ~rules tr
-
-(* Source-level determinism/protocol linting of this repo's own tree
-   (the [srclint] binary is the CI entry point; this is the library
-   one, for tools that already hold a facade). *)
-let lint_src ?rules paths = Srclint.lint_paths ?rules paths

@@ -10,9 +10,10 @@
       let store =
         Unistore.create { Unistore.default_config with peers = 64 }
       in
-      ignore (Unistore.insert_tuple store ~oid:"a1"
-                [ ("name", Value.S "alice"); ("age", Value.I 30) ]);
-      Unistore.refresh_stats store;
+      let fields = [ ("name", Value.S "alice"); ("age", Value.I 30) ] in
+      ignore (Unistore.insert_tuple store ~oid:"a1" fields);
+      Unistore.set_stats_of_triples store
+        (List.map (fun (attr, v) -> Triple.make ~oid:"a1" ~attr v) fields);
       match Unistore.query store "SELECT ?n WHERE { (?a,'name',?n) }" with
       | Ok report -> Format.printf "%a@." Unistore.pp_table report
       | Error e -> prerr_endline e
@@ -20,13 +21,12 @@
 
     {b Execution model.} Every layer below this facade is
     continuation-passing and never drives the simulator. Each
-    operation here ([query], [explain], [load], [insert_*],
-    [refresh_stats], ...) starts its asynchronous body and waits for it
-    exactly once with {!Unistore_sim.Sim.await}; if the event queue
-    drains before the body answers, it returns the failure value it
-    documents. Code that wants many operations in flight starts them
-    below the facade (e.g. {!Unistore_qproc.Engine.start}) and drives
-    the simulator itself. *)
+    operation here ([query], [explain], [load], [insert_*], ...) starts
+    its asynchronous body and waits for it exactly once with
+    {!Unistore_sim.Sim.await}; if the event queue drains before the body
+    answers, it returns the failure value it documents. Code that wants
+    many operations in flight starts them below the facade (e.g.
+    {!Unistore_qproc.Engine.start}) and drives the simulator itself. *)
 
 module Value = Unistore_triple.Value
 module Triple = Unistore_triple.Triple
@@ -116,16 +116,14 @@ val load : t -> (string * (string * Value.t) list) list -> int
 (** [add_mapping t a b] publishes an attribute correspondence. *)
 val add_mapping : t -> ?origin:int -> string -> string -> bool
 
-(** {2 Statistics} — the cost model's input. [refresh_stats] floods the
-    network once (decentralized collection); [set_stats_of_triples] is
-    the zero-cost oracle variant when the dataset is known. *)
+(** {2 Statistics} — the cost model's input. [set_stats_of_triples]
+    computes them locally from a dataset in hand (the oracle catalog). *)
 
-val refresh_stats : t -> unit
 val set_stats_of_triples : t -> Triple.t list -> unit
 val stats : t -> Unistore_qproc.Qstats.t
 
-(** {2 Gossiped statistics} — the decentralized replacement for the two
-    collectors above. Responsible peers sample their local stores into
+(** {2 Gossiped statistics} — the decentralized replacement for the
+    oracle above. Responsible peers sample their local stores into
     per-attribute summaries which spread epidemically; each round is one
     {!Unistore_pgrid.Gossip.stats_round} (P-Grid only), and
     {!gossip_stats_round} drains the event queue after it. Once
@@ -356,7 +354,6 @@ module Diagnostic = Unistore_analysis.Diagnostic
 module Semantic = Unistore_analysis.Semantic
 module Tracelint = Unistore_analysis.Tracelint
 module Audit = Unistore_analysis.Audit
-module Srclint = Unistore_analysis.Srclint
 module Protocol = Unistore_analysis.Protocol
 
 (** [check t ?origin src] parses [src] and runs the semantic analyzer
@@ -378,12 +375,6 @@ val audit : t -> Diagnostic.t list
 val lint_trace :
   t -> ?allowed_revisits:int -> ?against_metrics:bool -> Unistore_sim.Trace.t ->
   Diagnostic.t list
-
-(** [lint_src paths] runs the source-level determinism and
-    protocol-exhaustiveness linter ({!Srclint}) over the given files or
-    directories — the library entry behind [make lint-src] and the
-    [unistore-srclint] binary. *)
-val lint_src : ?rules:Srclint.rule list -> string list -> Srclint.report list
 
 (** {2 Read-staleness linting}
 

@@ -65,6 +65,69 @@ let median_boundary sorted_keys =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Routing-table filling                                               *)
+
+(* The peers a level-[l] reference of a peer on [path] may name, as
+   positions in [arr] (peers sorted by path): the run [lo, hi) below
+   the level's sibling prefix (the path's first [l + 1] bits with the
+   last flipped), then [anc], the peers sitting on that prefix's proper
+   prefixes — which are the path's own first [0..l] bits, so one scan
+   per prefix serves every level. [anc] is empty once paths form an
+   antichain (always, for the oracle) but not mid-bootstrap. *)
+type candidates = { lo : int; hi : int; anc : int array }
+
+let candidates (arr : Node.t array) path =
+  let n = Array.length arr in
+  let search ok =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if ok arr.(mid).Node.path then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let anc = ref [] in
+  Array.init (Bitkey.length path) (fun l ->
+      let p = Bitkey.take path l in
+      let on = ref [] in
+      let i = ref (search (fun q -> Bitkey.compare q p < 0)) in
+      while !i < n && Bitkey.equal arr.(!i).Node.path p do
+        on := arr.(!i).Node.id :: !on;
+        incr i
+      done;
+      anc := !anc @ !on;
+      let sibling = Bitkey.flip (Bitkey.take path (l + 1)) l in
+      (* Prefixed paths sort before every larger unprefixed one. *)
+      let below q = Bitkey.compare q sibling < 0 in
+      let lo = search below in
+      let hi = search (fun q -> below q || Bitkey.is_prefix ~prefix:sibling q) in
+      { lo; hi; anc = Array.of_list !anc })
+
+(* Refill level [l] of [nd]'s table from its candidates [c]: keep the
+   live references and add up to [refs_per_level] in all — every
+   candidate when they fit, else distinct ones by rejection ([k] is a
+   small constant, so redraws are rare). *)
+let fill_level ov ~rng (arr : Node.t array) c (nd : Node.t) l =
+  let k = (Overlay.config ov).Config.refs_per_level in
+  nd.refs.(l) <- Array.of_list (List.filter (Overlay.alive ov) (Array.to_list nd.refs.(l)));
+  let run = c.hi - c.lo in
+  let total = run + Array.length c.anc in
+  let want = k - Array.length nd.refs.(l) in
+  let pick j = if j < run then arr.(c.lo + j).Node.id else c.anc.(j - run) in
+  let add j = Node.add_ref nd ~level:l (pick j) ~cap:k in
+  if total <= want then for j = 0 to total - 1 do add j done
+  else begin
+    let chosen = ref [] in
+    while List.length !chosen < want do
+      let j = Rng.int rng total in
+      if not (List.mem j !chosen) then begin
+        chosen := j :: !chosen;
+        add j
+      end
+    done
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Oracle construction                                                 *)
 
 let oracle sim ~latency ~rng ?drop ~config ~n ~sample_keys ?(balanced = false) () =
@@ -120,106 +183,19 @@ let oracle sim ~latency ~rng ?drop ~config ~n ~sample_keys ?(balanced = false) (
           List.iter (fun (other : Node.t) -> Node.add_replica nd other.id) peers)
         peers)
     leaves;
-  (* Routing references. Leaves sorted by path turn "the peers of the
-     complementary subtree" into an index range: leaf paths form an
-     antichain partitioning the trie, so the candidates for a sibling
-     prefix are either the contiguous run of leaves below it or the
-     single ancestor leaf covering it (never both), found by binary
-     search. A prefix sum of group sizes then lets each member draw ref
-     targets by flat index without materializing candidate lists — the
-     old per-(leaf, level) scan over all leaves made oracle construction
-     quadratic in the network size. *)
-  let nleaves = Array.length leaves in
-  let order = Array.init nleaves (fun i -> i) in
-  let path_of i =
-    let p, _, _ = leaves.(i) in
-    p
+  (* Routing references: the leaves' groups in path order are the
+     sorted peer array the filler searches. *)
+  let arr =
+    Array.to_list leaves
+    |> List.sort (fun (a, _, _) (b, _, _) -> Bitkey.compare a b)
+    |> List.concat_map (fun (_, _, peers) -> peers)
+    |> Array.of_list
   in
-  Array.sort (fun a b -> Bitkey.compare (path_of a) (path_of b)) order;
-  let spaths = Array.map path_of order in
-  let speers =
-    Array.map
-      (fun i ->
-        let _, _, ps = leaves.(i) in
-        Array.of_list (List.map (fun (x : Node.t) -> x.id) ps))
-      order
-  in
-  let cum = Array.make (nleaves + 1) 0 in
-  for i = 0 to nleaves - 1 do
-    cum.(i + 1) <- cum.(i) + Array.length speers.(i)
-  done;
-  (* First sorted index whose path sorts >= [key]. *)
-  let lower_bound key =
-    let lo = ref 0 and hi = ref nleaves in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bitkey.compare spaths.(mid) key < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  (* End of the run of leaves prefixed by [prefix]; the run starts at
-     [s] because prefixed paths sort before every larger unprefixed one. *)
-  let prefix_end prefix s =
-    let lo = ref s and hi = ref nleaves in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bitkey.is_prefix ~prefix spaths.(mid) then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let sibling_range sibling =
-    let s = lower_bound sibling in
-    let e = prefix_end sibling s in
-    if e > s then (s, e)
-    else if
-      (* No leaf inside the sibling subtree: its peers live in the one
-         leaf whose path is a proper prefix of [sibling]. The antichain
-         leaves no leaf strictly between that ancestor and [sibling], so
-         it sits immediately before the insertion point. *)
-      s > 0 && Bitkey.is_prefix ~prefix:spaths.(s - 1) sibling
-    then (s - 1, s)
-    else (s, s)
-  in
-  (* Peer at flat index [j] within the leaf run [s, e). *)
-  let peer_at s e j =
-    let target = cum.(s) + j in
-    let lo = ref s and hi = ref (e - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if cum.(mid) <= target then lo := mid else hi := mid - 1
-    done;
-    speers.(!lo).(target - cum.(!lo))
-  in
-  let k = config.Config.refs_per_level in
   Array.iter
     (fun (path, _, peers) ->
-      for l = 0 to Bitkey.length path - 1 do
-        let sibling = Bitkey.flip (Bitkey.take path (l + 1)) l in
-        let s, e = sibling_range sibling in
-        let total = cum.(e) - cum.(s) in
-        if total > 0 then
-          List.iter
-            (fun (nd : Node.t) ->
-              if total <= k then
-                for j = 0 to total - 1 do
-                  Node.add_ref nd ~level:l (peer_at s e j) ~cap:k
-                done
-              else begin
-                (* [k] distinct flat indices by rejection; [k] is a small
-                   constant, so redraws are rare. *)
-                let chosen = ref [] in
-                let cnt = ref 0 in
-                while !cnt < k do
-                  let j = Rng.int rng total in
-                  if not (List.mem j !chosen) then begin
-                    chosen := j :: !chosen;
-                    incr cnt;
-                    Node.add_ref nd ~level:l (peer_at s e j) ~cap:k
-                  end
-                done
-              end)
-            peers
-      done)
+      Array.iteri
+        (fun l c -> List.iter (fun nd -> fill_level ov ~rng arr c nd l) peers)
+        (candidates arr path))
     leaves;
   ov
 
@@ -233,13 +209,7 @@ let join ov ~id ~bootstrap =
   let joined = ref false in
   Overlay.send_task ov ~src:id ~dst:bootstrap ~bytes:64 (fun _ ->
       let b = Overlay.node ov bootstrap in
-      Node.set_path nd b.Node.path (Array.copy b.Node.splits);
-      Array.iteri
-        (fun l refs ->
-          Array.iter
-            (fun r -> Node.add_ref nd ~level:l r ~cap:(Overlay.config ov).Config.refs_per_level)
-            refs)
-        b.Node.refs;
+      Node.adopt_position nd ~template:b ~cap:(Overlay.config ov).Config.refs_per_level;
       (* Mutual replica registration across the whole group. *)
       let group = bootstrap :: b.Node.replicas in
       List.iter (fun p -> Node.add_replica nd p) group;
@@ -258,86 +228,21 @@ let join ov ~id ~bootstrap =
   !joined
 
 let repair_refs ov =
-  let nodes = Overlay.nodes ov in
-  let config = Overlay.config ov in
-  let rng = Overlay.rng ov in
-  (* Alive nodes sorted by trie path: candidates for a sibling prefix
-     become the contiguous run of nodes below it (binary search) plus
-     the nodes sitting on its proper prefixes (one equality run per
-     level — unlike the oracle's leaves, live paths need not form an
-     antichain mid-bootstrap). The old code filtered the full alive list
-     per (node, level), which is quadratic under heavy churn. *)
   let arr =
-    Array.of_list (List.filter (fun (nd : Node.t) -> Overlay.alive ov nd.Node.id) nodes)
+    Array.of_list (List.filter (fun (nd : Node.t) -> Overlay.alive ov nd.Node.id) (Overlay.nodes ov))
   in
   Array.sort (fun (a : Node.t) (b : Node.t) -> Bitkey.compare a.path b.path) arr;
-  let n = Array.length arr in
-  let lower_bound key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bitkey.compare arr.(mid).Node.path key < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let prefix_end prefix s =
-    let lo = ref s and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bitkey.is_prefix ~prefix arr.(mid).Node.path then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let candidates_of sibling =
-    let s = lower_bound sibling in
-    let e = prefix_end sibling s in
-    let anc = ref [] in
-    for j = Bitkey.length sibling - 1 downto 0 do
-      let p = Bitkey.take sibling j in
-      let i = ref (lower_bound p) in
-      while !i < n && Bitkey.equal arr.(!i).Node.path p do
-        anc := arr.(!i).Node.id :: !anc;
-        incr i
-      done
-    done;
-    (s, e, !anc)
-  in
   List.iter
     (fun (nd : Node.t) ->
-      if Overlay.alive ov nd.id then
-        for l = 0 to Bitkey.length nd.path - 1 do
-          let refs = Node.refs_at nd l in
-          if Array.length refs = 0 || not (Array.for_all (Overlay.alive ov) refs) then begin
-            let kept = Array.of_list (List.filter (Overlay.alive ov) (Array.to_list refs)) in
-            let sibling = Bitkey.flip (Bitkey.take nd.path (l + 1)) l in
-            let s, e, anc = candidates_of sibling in
-            let n_anc = List.length anc in
-            let total = e - s + n_anc in
-            nd.refs.(l) <- kept;
-            let want = config.Config.refs_per_level - Array.length kept in
-            let pick j =
-              if j < e - s then arr.(s + j).Node.id else List.nth anc (j - (e - s))
-            in
-            if total > 0 && want > 0 then
-              if total <= want then
-                for j = 0 to total - 1 do
-                  Node.add_ref nd ~level:l (pick j) ~cap:config.Config.refs_per_level
-                done
-              else begin
-                let chosen = ref [] in
-                let cnt = ref 0 in
-                while !cnt < want do
-                  let j = Rng.int rng total in
-                  if not (List.mem j !chosen) then begin
-                    chosen := j :: !chosen;
-                    incr cnt;
-                    Node.add_ref nd ~level:l (pick j) ~cap:config.Config.refs_per_level
-                  end
-                done
-              end
-          end
-        done)
-    nodes
+      if Overlay.alive ov nd.id then begin
+        let cands = lazy (candidates arr nd.path) in
+        Array.iteri
+          (fun l refs ->
+            if Array.length refs = 0 || not (Array.for_all (Overlay.alive ov) refs) then
+              fill_level ov ~rng:(Overlay.rng ov) arr (Lazy.force cands).(l) nd l)
+          nd.refs
+      end)
+    (Overlay.nodes ov)
 
 (* ------------------------------------------------------------------ *)
 (* Decentralized bootstrap                                             *)

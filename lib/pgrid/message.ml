@@ -82,7 +82,6 @@ type t =
       items : Store.item list;  (** current content of the owner's region *)
       retire : bool;  (** [true] = stop boosting [region] instead *)
     }
-  | Exchange of { bytes : int; run : int -> unit }
 
 let hop_limited = -1
 
@@ -129,7 +128,6 @@ let size = function
         0 summaries
   | HotSync { region; spread; items; _ } ->
     header + region_bytes region + (4 * List.length spread) + 5 + items_bytes items
-  | Exchange { bytes; _ } -> header + bytes
 
 (* Correlation id for request/reply trace linting: the protocol's [rid]
    where the message carries one, [-1] for fire-and-forget traffic
@@ -150,7 +148,7 @@ let corr = function
   | Probe { rid; _ } ->
     rid
   | Replicate _ | Unreplicate _ | Task _ | SyncDigest _ | SyncRequest _ | SyncItems _
-  | StatGossip _ | HotSync _ | Exchange _ ->
+  | StatGossip _ | HotSync _ ->
     -1
 
 let kind = function
@@ -175,4 +173,3 @@ let kind = function
   | SyncItems _ -> "sync-items"
   | StatGossip _ -> "stat-gossip"
   | HotSync _ -> "hot-sync"
-  | Exchange _ -> "exchange"

@@ -124,8 +124,6 @@ type t =
       (** hot-path replication control: the owner of an overloaded
           region ships its content to a boost replica (or retires one);
           see {!Balance.round} *)
-  | Exchange of { bytes : int; run : int -> unit }
-      (** bootstrap pairwise exchange step (see {!Build.bootstrap}) *)
 
 (** The [RangeHit] target standing for a sub-range that was never
     forwarded because the message already travelled [max_hops]: the

@@ -123,6 +123,11 @@ let add_ref t ~level peer ~cap =
       t.refs.(level) <- Array.init len (fun i -> if i = 0 then peer else cur.(i - 1))
   end
 
+let adopt_position t ~template ~cap =
+  set_path t template.path (Array.copy template.splits);
+  Array.fill t.refs 0 (Array.length t.refs) [||];
+  Array.iteri (fun l refs -> Array.iter (fun r -> add_ref t ~level:l r ~cap) refs) template.refs
+
 let remove_ref t peer =
   Array.iteri
     (fun l refs ->

@@ -98,6 +98,12 @@ val refs_at : t -> int -> int array
     evicting the oldest entry beyond [cap]. *)
 val add_ref : t -> level:int -> int -> cap:int -> unit
 
+(** [adopt_position t ~template ~cap] moves [t] to [template]'s path and
+    boundaries and replaces its routing table with [template]'s
+    references, each re-added through {!add_ref} (so [t] never names
+    itself, and each level comes out in reverse order). *)
+val adopt_position : t -> template:t -> cap:int -> unit
+
 val remove_ref : t -> int -> unit
 
 (** [add_replica t peer] records a same-path replica (idempotent). *)

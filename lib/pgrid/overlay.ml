@@ -299,7 +299,6 @@ let dispatch t (me : Node.t) ~src msg =
       cache_incr t "balance.sync_recv"
     end
   | Task { run; _ } -> run me.id
-  | Exchange { run; _ } -> run me.id
   (* Anti-entropy ({!Gossip.anti_entropy_round}): a replica's digest
      asks for what it lacks and offers what it holds newer. *)
   | SyncDigest { digest } ->

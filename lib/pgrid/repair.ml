@@ -72,7 +72,6 @@ let adopt_strays ov groups =
    the template's data as one accounted [SyncItems] message. *)
 let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
   let net = Overlay.net ov in
-  let config = Overlay.config ov in
   (* Unregister from the old group — every old member, dead ones
      included, or their replica lists go stale when they revive. *)
   List.iter
@@ -86,14 +85,7 @@ let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
      moves; scrub them everywhere and let [repair_refs] refill. *)
   List.iter (fun (nd : Node.t) -> if nd.id <> d.id then Node.remove_ref nd d.id) (Overlay.nodes ov);
   (* Take the new position: path, boundaries, and the template's refs. *)
-  Node.set_path d template.path (Array.copy template.splits);
-  Array.iteri (fun l _ -> d.refs.(l) <- [||]) d.refs;
-  Array.iteri
-    (fun l refs ->
-      Array.iter
-        (fun r -> if r <> d.id then Node.add_ref d ~level:l r ~cap:config.Config.refs_per_level)
-        refs)
-    template.refs;
+  Node.adopt_position d ~template ~cap:(Overlay.config ov).Config.refs_per_level;
   (* Items outside the new region stay replicated at the old group's
      surviving members; keeping them here would trip the misplaced-item
      audit. *)
@@ -196,7 +188,3 @@ let round ov =
     shortcuts_dropped = dropped;
     unrepaired = !unrepaired;
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt "adopted=%d moved=%d resynced=%dB shortcuts_dropped=%d unrepaired=%d"
-    r.adopted r.moved r.resynced_bytes r.shortcuts_dropped r.unrepaired

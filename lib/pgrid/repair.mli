@@ -27,5 +27,3 @@ type report = {
     (e.g. [Sim.run_all]) afterwards to let them land. Records
     [fault.repair.*] metrics when a registry is attached. *)
 val round : Overlay.t -> report
-
-val pp_report : Format.formatter -> report -> unit

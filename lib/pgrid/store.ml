@@ -28,9 +28,6 @@ type backend = Store_intf.backend = Hash | Log of { dir : string }
 
 let backend_label = Store_intf.backend_label
 
-let pp_item fmt (i : item) =
-  Format.fprintf fmt "{key=%S id=%s v=%d payload=%S}" i.key i.item_id i.version i.payload
-
 let item_bytes (i : item) =
   24 + String.length i.key + String.length i.item_id + String.length i.payload
 
@@ -130,7 +127,6 @@ let stats = function
   | H { b; _ } -> Backend_hash.stats b
   | L { b; _ } -> Backend_log.stats b
 
-let log_path = function L { b; _ } -> Some (Backend_log.path b) | H _ -> None
 let log_bytes = function L { b; _ } -> Backend_log.log_bytes b | H _ -> 0
 let sync = function L { b; _ } -> Backend_log.sync b | H _ -> ()
 

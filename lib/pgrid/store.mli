@@ -51,8 +51,6 @@ type backend = Store_intf.backend = Hash | Log of { dir : string }
 (** ["hash"] or ["log"]. *)
 val backend_label : backend -> string
 
-val pp_item : Format.formatter -> item -> unit
-
 (** Approximate wire size of an item in bytes (for bandwidth accounting). *)
 val item_bytes : item -> int
 
@@ -122,9 +120,6 @@ val stats : t -> stats
     the cut may fall mid-record, and replay keeps exactly the records
     fully contained in the surviving prefix. *)
 val crash_restart : ?keep_frac:float -> t -> int
-
-(** The log backend's segment path ([None] for the hash backend). *)
-val log_path : t -> string option
 
 (** Logical size of the log file in bytes (0 for the hash backend). *)
 val log_bytes : t -> int

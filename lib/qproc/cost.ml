@@ -206,9 +206,4 @@ let bindjoin_cost env ~card_left ~cardinality =
     { messages = card_left *. per.messages; latency = per.latency; cardinality }
   end
 
-let ship_estimate env ~bytes =
-  (* One direct task message; size matters for bandwidth, not count. *)
-  ignore bytes;
-  { messages = 1.0; latency = env.expected_latency; cardinality = 0.0 }
-
 let objective e = e.messages +. (e.latency /. 50.0)

@@ -72,9 +72,6 @@ val estimate_access : env -> Qstats.t -> access -> estimate
     multi-lookup whose message count scales with touched regions. *)
 val bindjoin_cost : env -> card_left:float -> cardinality:float -> estimate
 
-(** Cost of shipping [bytes] of plan+bindings to another peer. *)
-val ship_estimate : env -> bytes:int -> estimate
-
 (** Scalar objective used to rank plans: messages plus a latency term
     weighted to prefer parallel strategies under wide-area latencies. *)
 val objective : estimate -> float

@@ -134,7 +134,8 @@ let start ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
       | Some m -> Unistore_obs.Metrics.incr m "engine.mutant_downgrade"
       | None -> ());
       Format.eprintf
-        "unistore: warning: substrate cannot ship plans; mutant execution downgraded to          centralized@.";
+        "unistore: warning: substrate cannot ship plans; mutant execution downgraded to \
+         centralized@.";
       Centralized
     | s -> s
   in

@@ -20,9 +20,6 @@ type t = {
   branches : t list;
 }
 
-let bound_after steps =
-  List.concat_map (fun s -> Ast.pattern_vars s.pattern) steps |> List.sort_uniq compare
-
 let rec pp fmt t =
   Format.fprintf fmt "@[<v>plan (est: %a):@," Cost.pp_estimate t.total_est;
   List.iteri

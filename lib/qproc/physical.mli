@@ -34,6 +34,3 @@ type t = {
 }
 
 val pp : Format.formatter -> t -> unit
-
-(** Variables bound after executing a prefix of the steps. *)
-val bound_after : step list -> string list

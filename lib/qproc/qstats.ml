@@ -1,6 +1,5 @@
 module Value = Unistore_triple.Value
 module Triple = Unistore_triple.Triple
-module Tstore = Unistore_triple.Tstore
 
 type attr_stats = {
   count : int;
@@ -50,9 +49,6 @@ let of_triples ts =
     |> List.sort compare
   in
   { total_triples = List.length ts; distinct_oids = Hashtbl.length oids; attrs }
-
-let collect tstore ~origin ~k =
-  Tstore.scan tstore ~origin ~pred:(fun _ -> true) ~k:(fun (triples, _) -> k (of_triples triples))
 
 module Statcache = Unistore_cache.Statcache
 

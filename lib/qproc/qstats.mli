@@ -31,15 +31,10 @@ val pp : Format.formatter -> t -> unit
     oracle path used when the inserting site keeps a catalog). *)
 val of_triples : Triple.t list -> t
 
-(** [collect tstore ~origin ~k] gathers statistics over the network with
-    one flooding scan — the expensive but decentralized way; used once
-    and cached, like the paper's repeatedly-applied cost model inputs. *)
-val collect : Unistore_triple.Tstore.t -> origin:int -> k:(t -> unit) -> unit
-
 (** [of_summaries aggs] reconstructs statistics from the aggregated
     gossiped summaries of the statistics cache
     ({!Unistore_cache.Statcache.aggregate}) — the decentralized
-    replacement for the {!of_triples}/{!collect} oracles: counts,
+    replacement for the {!of_triples} oracle: counts,
     distinct values and (decoded) value bounds come straight from the
     per-region samples; [distinct_oids] is estimated as the largest
     per-attribute count (exact when every object carries an attribute at

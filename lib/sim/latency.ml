@@ -49,9 +49,3 @@ let expected t =
     (20.0 +. (0.5214 *. 140.0)) *. exp (0.35 *. 0.35 /. 2.0)
 
 let model t = t.model
-
-let pp_model fmt = function
-  | Constant d -> Format.fprintf fmt "constant(%.1fms)" d
-  | Uniform (lo, hi) -> Format.fprintf fmt "uniform(%.1f-%.1fms)" lo hi
-  | Lan -> Format.fprintf fmt "lan"
-  | Planetlab -> Format.fprintf fmt "planetlab"

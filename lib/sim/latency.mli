@@ -33,4 +33,3 @@ val base : t -> src:int -> dst:int -> float
 val expected : t -> float
 
 val model : t -> model
-val pp_model : Format.formatter -> model -> unit

@@ -161,12 +161,6 @@ let service_ms t peer =
 let queue_depth t peer =
   if peer >= 0 && peer < Array.length t.qdepth then t.qdepth.(peer) else 0
 
-(* Simulated ms of queued + in-service work at [peer] right now. *)
-let service_backlog t peer =
-  if peer >= 0 && peer < Array.length t.busy_until then
-    Float.max 0.0 (t.busy_until.(peer) -. Sim.now t.sim)
-  else 0.0
-
 let set_partition t peer ~group =
   if peer >= 0 then begin
     ensure_capacity t peer;

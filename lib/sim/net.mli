@@ -115,9 +115,6 @@ val service_ms : 'msg t -> int -> float
     (queued + in service). 0 without a service model. *)
 val queue_depth : 'msg t -> int -> int
 
-(** Simulated ms until [peer]'s queue drains, as of now. *)
-val service_backlog : 'msg t -> int -> float
-
 (** [partitioned t ~src ~dst] holds when a message from [src] to [dst]
     would be cut by the current partition. *)
 val partitioned : 'msg t -> src:int -> dst:int -> bool

@@ -141,10 +141,6 @@ let by_attr_string_prefix t ~origin ~attr ~string_prefix ~k =
 
 let by_value t ~origin v ~k = t.dht.Dht.lookup ~origin ~key:(Keys.value_key v) ~k:(decoded k)
 
-let by_value_range t ~origin ~lo ~hi ~k =
-  let lo, hi = Keys.value_range ~lo ~hi in
-  t.dht.Dht.range ~origin ~lo ~hi ~k:(decoded k)
-
 let top_n_by_attr t ~origin ~attr ~n ?lo ?hi ~k () =
   let lo_key =
     match lo with

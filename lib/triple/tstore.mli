@@ -119,10 +119,6 @@ val by_attr_string_prefix :
 (** Exact value on {e any} attribute (v index). *)
 val by_value : t -> origin:int -> Value.t -> k:(Triple.t list * Dht.result -> unit) -> unit
 
-(** Value range on any attribute (v index). *)
-val by_value_range :
-  t -> origin:int -> lo:Value.t -> hi:Value.t -> k:(Triple.t list * Dht.result -> unit) -> unit
-
 (** [top_n_by_attr t ~origin ~attr ~n ?lo ?hi]: the [n] smallest values
     of [attr] (within the optional bounds), retrieved with an
     early-terminating sequential traversal of the A#v region in key

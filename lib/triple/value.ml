@@ -79,7 +79,6 @@ let type_max v =
 
 let as_string = function S s -> Some s | I _ | F _ | B _ -> None
 let as_int = function I i -> Some i | S _ | F _ | B _ -> None
-let as_float = function F f -> Some f | S _ | I _ | B _ -> None
 
 let to_float = function
   | I i -> Some (float_of_int i)

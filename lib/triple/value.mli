@@ -51,7 +51,6 @@ val type_max : t -> string
 val as_string : t -> string option
 
 val as_int : t -> int option
-val as_float : t -> float option
 
 (** Numeric view: [I] and [F] unify for comparisons in filters. *)
 val to_float : t -> float option

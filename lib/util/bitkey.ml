@@ -292,10 +292,3 @@ let enumerate n =
   if n < 0 || n > 20 then invalid_arg "Bitkey.enumerate: n out of range";
   let count = 1 lsl n in
   List.init count (fun v -> S { len = n; hi = (v lsl (32 - n)) land 0xFFFFFFFF; lo = 0 })
-
-let fold_bits f init_acc t =
-  let acc = ref init_acc in
-  for i = 0 to length t - 1 do
-    acc := f !acc (get t i)
-  done;
-  !acc

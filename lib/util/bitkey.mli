@@ -95,6 +95,3 @@ val pad : t -> width:int -> bool -> t
 (** All [2^n] bitstrings of length [n], in lexicographic order. [n] must be
     small (used by tests and the Fig. 2 example). *)
 val enumerate : int -> t list
-
-(** [fold_bits f init t] folds [f] over the bits of [t] MSB first. *)
-val fold_bits : ('a -> bool -> 'a) -> 'a -> t -> 'a

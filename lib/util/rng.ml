@@ -77,11 +77,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let shuffle_list t l =
-  let arr = Array.of_list l in
-  shuffle t arr;
-  Array.to_list arr
-
 let exponential t ~mean =
   let u = 1.0 -. float t in
   -.mean *. log u

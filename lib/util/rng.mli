@@ -50,9 +50,6 @@ val sample : t -> int -> 'a list -> 'a list
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 
-(** [shuffle_list t l] is a uniformly shuffled copy of [l]. *)
-val shuffle_list : t -> 'a list -> 'a list
-
 (** Exponentially distributed with the given mean. *)
 val exponential : t -> mean:float -> float
 

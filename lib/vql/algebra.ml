@@ -1,73 +1,6 @@
 module Value = Unistore_triple.Value
 module Strdist = Unistore_util.Strdist
 
-type t =
-  | Scan of Ast.pattern
-  | Select of Ast.expr * t
-  | Project of string list * t
-  | Distinct of t
-  | Join of t * t
-  | Union of t * t
-  | OrderBy of (string * Ast.dir) list * t
-  | Skyline of (string * Ast.goal) list * t
-  | Limit of int * t
-
-let of_query (q : Ast.query) =
-  let branch (patterns, filters) =
-    let scans = List.map (fun p -> Scan p) patterns in
-    let joined =
-      match scans with
-      | [] -> invalid_arg "Algebra.of_query: no patterns"
-      | first :: rest -> List.fold_left (fun acc s -> Join (acc, s)) first rest
-    in
-    List.fold_left (fun acc f -> Select (f, acc)) joined filters
-  in
-  let filtered =
-    List.fold_left
-      (fun acc b -> Union (acc, branch b))
-      (branch (q.Ast.patterns, q.Ast.filters))
-      q.Ast.union_branches
-  in
-  let ordered =
-    match q.Ast.order with
-    | Some (Ast.OrderBy items) -> OrderBy (items, filtered)
-    | Some (Ast.Skyline items) -> Skyline (items, filtered)
-    | None -> filtered
-  in
-  let projected =
-    match q.Ast.projection with Some vs -> Project (vs, ordered) | None -> ordered
-  in
-  let distinct = if q.Ast.distinct then Distinct projected else projected in
-  match q.Ast.limit with Some n -> Limit (n, distinct) | None -> distinct
-
-let rec vars = function
-  | Scan p -> Ast.pattern_vars p
-  | Select (_, t) | Distinct t | OrderBy (_, t) | Skyline (_, t) | Limit (_, t) -> vars t
-  | Project (vs, _) -> vs
-  | Join (a, b) | Union (a, b) -> List.sort_uniq compare (vars a @ vars b)
-
-let rec pp fmt = function
-  | Scan p -> Format.fprintf fmt "Scan%a" Ast.pp_pattern p
-  | Select (e, t) -> Format.fprintf fmt "@[<v 2>Select[%a]@,%a@]" Ast.pp_expr e pp t
-  | Project (vs, t) ->
-    Format.fprintf fmt "@[<v 2>Project[%s]@,%a@]"
-      (String.concat "," (List.map (fun v -> "?" ^ v) vs))
-      pp t
-  | Distinct t -> Format.fprintf fmt "@[<v 2>Distinct@,%a@]" pp t
-  | Join (a, b) -> Format.fprintf fmt "@[<v 2>Join@,%a@,%a@]" pp a pp b
-  | Union (a, b) -> Format.fprintf fmt "@[<v 2>Union@,%a@,%a@]" pp a pp b
-  | OrderBy (items, t) ->
-    Format.fprintf fmt "@[<v 2>OrderBy[%s]@,%a@]"
-      (String.concat ","
-         (List.map (fun (v, d) -> "?" ^ v ^ match d with Ast.Asc -> "+" | Ast.Desc -> "-") items))
-      pp t
-  | Skyline (items, t) ->
-    Format.fprintf fmt "@[<v 2>Skyline[%s]@,%a@]"
-      (String.concat ","
-         (List.map (fun (v, g) -> "?" ^ v ^ match g with Ast.Min -> " MIN" | Ast.Max -> " MAX") items))
-      pp t
-  | Limit (n, t) -> Format.fprintf fmt "@[<v 2>Limit[%d]@,%a@]" n pp t
-
 (* ------------------------------------------------------------------ *)
 (* Filter analysis                                                     *)
 
@@ -78,16 +11,6 @@ type constraint_ =
   | Cedist of string * int
   | Cprefix of string
   | Ccontains of string
-
-let pp_constraint fmt = function
-  | Ceq v -> Format.fprintf fmt "= %a" Value.pp v
-  | Clower (v, true) -> Format.fprintf fmt ">= %a" Value.pp v
-  | Clower (v, false) -> Format.fprintf fmt "> %a" Value.pp v
-  | Cupper (v, true) -> Format.fprintf fmt "<= %a" Value.pp v
-  | Cupper (v, false) -> Format.fprintf fmt "< %a" Value.pp v
-  | Cedist (p, d) -> Format.fprintf fmt "edist(·,'%s') <= %d" p d
-  | Cprefix p -> Format.fprintf fmt "prefix(·,'%s')" p
-  | Ccontains p -> Format.fprintf fmt "contains(·,'%s')" p
 
 let rec conjuncts = function
   | Ast.EAnd (a, b) -> conjuncts a @ conjuncts b

@@ -1,33 +1,13 @@
-(** Logical algebra for VQL.
+(** Filter analysis and evaluation for VQL.
 
-    Queries translate to trees of "relational" operators (selection,
-    projection, natural join, distinct, ordering, limit) extended with the
-    paper's ranking/similarity operators (skyline; similarity predicates
-    inside selections). Physical operator choice, join ordering and
-    cost-based decisions live in [unistore_qproc]. *)
+    The query processor plans straight from the AST: this module turns a
+    query's filters into per-variable constraints the cost-based
+    optimizer can push into index lookups ({!var_constraints}), and
+    evaluates filter expressions over bindings. Physical operator
+    choice, join ordering and cost-based decisions live in
+    [unistore_qproc]. *)
 
 module Value = Unistore_triple.Value
-
-type t =
-  | Scan of Ast.pattern  (** produce bindings for one triple pattern *)
-  | Select of Ast.expr * t
-  | Project of string list * t
-  | Distinct of t
-  | Join of t * t  (** natural join on shared variables *)
-  | Union of t * t  (** bag union of UNION branches *)
-  | OrderBy of (string * Ast.dir) list * t
-  | Skyline of (string * Ast.goal) list * t
-  | Limit of int * t
-
-(** Left-deep canonical translation: patterns joined in syntactic order,
-    filters applied on top, then order/skyline, projection, distinct,
-    limit. *)
-val of_query : Ast.query -> t
-
-(** Output variables of a plan. *)
-val vars : t -> string list
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Filter analysis} — recognizing pushdown-able predicate shapes. *)
 
@@ -38,8 +18,6 @@ type constraint_ =
   | Cedist of string * int  (** [edist(?v, 'p') <= d] *)
   | Cprefix of string  (** [prefix(?v, 'p')] *)
   | Ccontains of string  (** [contains(?v, 'p')] *)
-
-val pp_constraint : Format.formatter -> constraint_ -> unit
 
 (** [var_constraints filters] maps each variable to the index-exploitable
     constraints found among top-level conjuncts. Constraints are a sound

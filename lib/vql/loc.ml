@@ -46,5 +46,3 @@ let describe src l =
     let p = pos_of_offset src l.start in
     Printf.sprintf "line %d, column %d" p.line p.col
   end
-
-let pp_pos fmt p = Format.fprintf fmt "%d:%d" p.line p.col

@@ -33,5 +33,3 @@ val line_at : string -> int -> string
 
 (** ["line L, column C"] of the span start; ["<unknown>"] for {!dummy}. *)
 val describe : string -> t -> string
-
-val pp_pos : Format.formatter -> pos -> unit

@@ -133,8 +133,3 @@ let sample_keys d =
         @ List.map Keys.qgram_key (Unistore_util.Strdist.distinct_qgrams ~q:Keys.q s)
       | Value.I _ | Value.F _ | Value.B _ -> base)
     d.triples
-
-let oracle_eq d ~attr:a v =
-  List.filter
-    (fun (tr : Triple.t) -> String.equal tr.Triple.attr a && Value.equal tr.Triple.value v)
-    d.triples

@@ -36,7 +36,3 @@ val generate : Unistore_util.Rng.t -> params -> dataset
 (** The encoded index keys of every triple in the dataset (OID, A#v, v
     families) — the sample fed to the load-aware overlay constructor. *)
 val sample_keys : dataset -> string list
-
-(** A local "oracle" evaluation of attribute equality over the dataset,
-    for checking distributed answers. *)
-val oracle_eq : dataset -> attr:string -> Value.t -> Triple.t list

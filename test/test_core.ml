@@ -920,30 +920,6 @@ let test_delete_and_update_through_queries () =
          r.Engine.rows)
   | Error e -> Alcotest.fail e
 
-let test_distributed_stats_collection () =
-  let store, ds = make_store ~peers:16 () in
-  (* The flooding-based collection must agree with the oracle catalog. *)
-  let oracle = Unistore_qproc.Qstats.of_triples ds.Publications.triples in
-  Unistore.refresh_stats store;
-  let collected = Unistore.stats store in
-  check Alcotest.int "total triples" oracle.Unistore_qproc.Qstats.total_triples
-    collected.Unistore_qproc.Qstats.total_triples;
-  check Alcotest.int "distinct oids" oracle.Unistore_qproc.Qstats.distinct_oids
-    collected.Unistore_qproc.Qstats.distinct_oids;
-  check Alcotest.int "attribute count"
-    (List.length oracle.Unistore_qproc.Qstats.attrs)
-    (List.length collected.Unistore_qproc.Qstats.attrs);
-  List.iter
-    (fun (a, (o : Unistore_qproc.Qstats.attr_stats)) ->
-      match List.assoc_opt a collected.Unistore_qproc.Qstats.attrs with
-      | Some c ->
-        check Alcotest.int (a ^ " count") o.Unistore_qproc.Qstats.count
-          c.Unistore_qproc.Qstats.count;
-        check Alcotest.int (a ^ " distinct") o.Unistore_qproc.Qstats.distinct
-          c.Unistore_qproc.Qstats.distinct
-      | None -> Alcotest.failf "attribute %s missing from collected stats" a)
-    oracle.Unistore_qproc.Qstats.attrs
-
 let test_query_tracing () =
   let store, _ = make_store ~peers:24 () in
   let tr = Unistore.start_trace store in
@@ -1135,7 +1111,6 @@ let () =
           Alcotest.test_case "table rendering" `Quick test_pp_table_renders;
           Alcotest.test_case "planetlab latency" `Quick test_planetlab_latency_config;
           Alcotest.test_case "query tracing" `Quick test_query_tracing;
-          Alcotest.test_case "distributed stats collection" `Quick test_distributed_stats_collection;
           Alcotest.test_case "delete/update through queries" `Quick
             test_delete_and_update_through_queries;
           prop_random_queries_match_reference;

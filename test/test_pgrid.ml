@@ -970,7 +970,6 @@ let message_witnesses =
     Message.SyncRequest { wanted = [ ("k", "i") ] };
     Message.SyncItems { items = [ it ] };
     Message.StatGossip { summaries = [] };
-    Message.Exchange { bytes = 16; run = ignore };
   ]
 
 let test_message_sizes_positive () =

@@ -180,17 +180,6 @@ let test_roundtrip_pp () =
 (* ------------------------------------------------------------------ *)
 (* Algebra *)
 
-let test_algebra_shape () =
-  let q = parse_ok "SELECT ?v WHERE { (?a,'x',?v) (?a,'y',?w) FILTER ?w > 1 } LIMIT 5" in
-  match Algebra.of_query q with
-  | Algebra.Limit (5, Algebra.Project ([ "v" ], Algebra.Select (_, Algebra.Join (Algebra.Scan _, Algebra.Scan _)))) ->
-    ()
-  | plan -> Alcotest.failf "unexpected plan shape: %a" Algebra.pp plan
-
-let test_algebra_vars () =
-  let q = parse_ok "SELECT * WHERE { (?a,'x',?v) (?a,'y',?w) }" in
-  check Alcotest.(list string) "vars" [ "a"; "v"; "w" ] (Algebra.vars (Algebra.of_query q))
-
 let test_var_constraints () =
   let q =
     parse_ok
@@ -263,8 +252,6 @@ let () =
         ] );
       ( "algebra",
         [
-          Alcotest.test_case "canonical shape" `Quick test_algebra_shape;
-          Alcotest.test_case "plan vars" `Quick test_algebra_vars;
           Alcotest.test_case "constraint extraction" `Quick test_var_constraints;
           Alcotest.test_case "expression evaluation" `Quick test_eval_expr;
           Alcotest.test_case "OR absorbs errors" `Quick test_eval_or_error_absorption;
