@@ -33,7 +33,6 @@
 module Metrics = Unistore_obs.Metrics
 module Json = Unistore_obs.Json
 module Binding = Unistore_qproc.Binding
-module Keys = Unistore_triple.Keys
 module Tstore = Unistore_triple.Tstore
 module Strdist = Unistore_util.Strdist
 module Value = Unistore.Value
@@ -123,21 +122,7 @@ let triples_of data =
       ])
     data
 
-let sample_keys_of triples =
-  List.concat_map
-    (fun (tr : Triple.t) ->
-      let base =
-        [
-          Keys.oid_key tr.Triple.oid;
-          Keys.attr_value_key tr.Triple.attr tr.Triple.value;
-          Keys.value_key tr.Triple.value;
-        ]
-      in
-      match tr.Triple.value with
-      | Value.S s ->
-        base @ List.map Keys.qgram_key (Strdist.distinct_qgrams ~q:Keys.q s)
-      | _ -> base)
-    triples
+let sample_keys_of triples = List.concat_map (Tstore.index_keys ~qgrams:true) triples
 
 (* ------------------------------------------------------------------ *)
 (* Local oracles: exact answers computed outside the network.         *)

@@ -35,6 +35,24 @@ let decode_payload s =
       Some (key, payload)
     | _ -> None)
 
+(* A bucket item as stored: its id wrapped as [item_id ^ "#" ^ key] (so
+   items that share an id under different keys of one bucket stay
+   distinct) and its payload as [encode_payload]. Unwrapping strips the
+   known suffix, since the id itself may hold a '#'. *)
+let wrap_id ~key item_id = item_id ^ "#" ^ key
+
+let unwrap_item (i : Store.item) =
+  match decode_payload i.Store.payload with
+  | Some (key, payload) ->
+    let suffix = "#" ^ key in
+    let item_id =
+      if String.ends_with ~suffix i.Store.item_id then
+        String.sub i.Store.item_id 0 (String.length i.Store.item_id - String.length suffix)
+      else i.Store.item_id
+    in
+    Some { Store.key; item_id; payload; version = i.Store.version }
+  | None -> None
+
 let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   let hex = hex_of_key key in
   (* Trie markers (the level-l node learns it has child hex.[l]), then
@@ -45,7 +63,7 @@ let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   let markers =
     List.init depth (fun l -> ("T:" ^ String.sub hex 0 l, String.make 1 hex.[l], "", 0))
   in
-  let bucket = ("B:" ^ hex, item_id ^ "#" ^ key, encode_payload ~key ~payload, version) in
+  let bucket = ("B:" ^ hex, wrap_id ~key item_id, encode_payload ~key ~payload, version) in
   Cps.all put (markers @ [ bucket ]) ~k:(fun rs ->
       k (List.for_all (fun (r : Chord.result) -> r.Chord.complete) rs))
 
@@ -90,15 +108,11 @@ let range chord ~origin ~lo ~hi ~k =
           if not r.Chord.complete then complete := false;
           hops := max !hops r.Chord.hops;
           List.iter
-            (fun (i : Store.item) ->
-              match decode_payload i.payload with
-              | Some (key, payload) when String.compare key lo >= 0 && String.compare key hi <= 0 ->
-                let item_id =
-                  match String.index_opt i.item_id '#' with
-                  | Some j -> String.sub i.item_id 0 j
-                  | None -> i.item_id
-                in
-                items := { Store.key; item_id; payload; version = i.version } :: !items
+            (fun raw ->
+              match unwrap_item raw with
+              | Some i when String.compare i.Store.key lo >= 0 && String.compare i.Store.key hi <= 0
+                ->
+                items := i :: !items
               | _ -> ())
             r.Chord.items;
           decr outstanding;

@@ -26,6 +26,16 @@ val hex_of_key : string -> string
 (** Unwrap a bucket payload into [(original_key, original_payload)]. *)
 val decode_payload : string -> (string * string) option
 
+(** [wrap_id ~key item_id] is the id a bucket stores [item_id] under
+    for [key]. *)
+val wrap_id : key:string -> string -> string
+
+(** [unwrap_item i] is the caller's view of bucket item [i]: its
+    original key, id and payload ([None] on a malformed payload). The
+    original id is [i]'s with the wrapped [#key] suffix stripped, so ids
+    that contain ['#'] come back whole. *)
+val unwrap_item : Store.item -> Store.item option
+
 (** [insert chord ~origin ~key ~item_id ~payload ()] stores an item and
     threads it through the trie. The continuation receives [false] if any
     constituent put failed. *)

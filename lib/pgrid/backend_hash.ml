@@ -5,17 +5,19 @@
 
    A put on an existing key is one map probe and an in-place prepend
    to its bucket; the map itself changes only when a key appears or
-   empties. Deciding that the id is new is the only step that could
-   depend on the key's size. A store of more than {!Id_filter.min_ids}
-   items carries one {!Id_filter} over its (key, id) pairs, created
-   lazily, rebuilt from the store when it fills and reset by [clear].
-   Its "absent" is certain; its "maybe", and every put into a store too
-   small for a filter, walks the key's list. Updating an existing id
-   (LWW, stale rejection) walks the key's list too. *)
+   empties. Finding the put's id among the key's items is the only step
+   that could depend on the key's size. A key of at most
+   [indexed_after] items is walked; a longer one carries an exact index
+   from each id to its current item, kept in a side table (created with
+   the store's first long key) so that a short key's bucket stays one
+   field. A re-put of the stored item itself (same id, version and
+   payload) changes nothing and returns [false], as a stale one does;
+   replacing an existing id (LWW) walks the key's list. *)
 
 open Store_intf
 
 module SMap = Map.Make (String)
+module Tbl = Hashtbl.Make (String)
 
 (* Never empty while bound in [map]. *)
 type bucket = { mutable items : item list }
@@ -23,71 +25,94 @@ type bucket = { mutable items : item list }
 type t = {
   mutable map : bucket SMap.t;
   mutable count : int;
-  mutable filter : Id_filter.t option;  (* once [count] exceeded Id_filter.min_ids *)
+  mutable index : item Tbl.t Tbl.t option;
+      (* key -> (item id -> item) for every key that grew past [indexed_after] items *)
 }
 
-let create () = { map = SMap.empty; count = 0; filter = None }
+let indexed_after = 16
 
-let rec absent id = function
-  | [] -> true
-  | (e : item) :: rest -> (not (String.equal e.item_id id)) && absent id rest
+let create () = { map = SMap.empty; count = 0; index = None }
 
-(* [entries] with the entry carrying [item]'s id replaced in place, or
-   [None] if that entry holds a strictly newer version (stale update). *)
+let key_index t key = match t.index with Some ix -> Tbl.find_opt ix key | None -> None
+
+let index_key t key entries =
+  let ix =
+    match t.index with
+    | Some ix -> ix
+    | None ->
+      let ix = Tbl.create 8 in
+      t.index <- Some ix;
+      ix
+  in
+  let ids = Tbl.create (2 * indexed_after) in
+  List.iter (fun (e : item) -> Tbl.replace ids e.item_id e) entries;
+  Tbl.replace ix key ids
+
+let unindex_key t key = Option.iter (fun ix -> Tbl.remove ix key) t.index
+
+let rec find_id id = function
+  | [] -> None
+  | (e : item) :: rest -> if String.equal e.item_id id then Some e else find_id id rest
+
+(* [entries] with the entry carrying [item]'s id replaced in place. *)
 let replace_id (item : item) entries =
   let rec go acc = function
-    | [] -> Some entries
+    | [] -> entries
     | (e : item) :: rest when String.equal e.item_id item.item_id ->
-      if item.version >= e.version then Some (List.rev_append acc (item :: rest)) else None
+      List.rev_append acc (item :: rest)
     | e :: rest -> go (e :: acc) rest
   in
   go [] entries
 
-let build_filter t =
-  let f = Id_filter.create t.count in
-  SMap.iter
-    (fun key b -> List.iter (fun (e : item) -> ignore (Id_filter.insert f ~key e.item_id)) b.items)
-    t.map;
-  t.filter <- Some f
-
-(* Account for one new item already linked into its bucket. [fresh]:
-   the filter, if any, took the item's pair as certainly new. *)
-let grew t ~fresh =
-  t.count <- t.count + 1;
-  match t.filter with
-  | None -> if t.count > Id_filter.min_ids then build_filter t
-  | Some f -> if fresh && Id_filter.full f then build_filter t
-
 let put t (item : item) =
-  let fresh =
-    match t.filter with Some f -> Id_filter.insert f ~key:item.key item.item_id | None -> false
-  in
   match SMap.find_opt item.key t.map with
   | None ->
     t.map <- SMap.add item.key { items = [ item ] } t.map;
-    grew t ~fresh;
+    t.count <- t.count + 1;
     true
-  | Some b ->
-    if fresh || absent item.item_id b.items then begin
+  | Some b -> (
+    let ids = key_index t item.key in
+    let held =
+      match ids with
+      | Some ids -> Tbl.find_opt ids item.item_id
+      | None -> find_id item.item_id b.items
+    in
+    match held with
+    | None ->
       b.items <- item :: b.items;
-      grew t ~fresh;
+      t.count <- t.count + 1;
+      (match ids with
+      | Some ids -> Tbl.add ids item.item_id item
+      | None ->
+        if List.compare_length_with b.items indexed_after > 0 then index_key t item.key b.items);
       true
-    end
-    else (
-      match replace_id item b.items with
-      | None -> false
-      | Some entries ->
-        b.items <- entries;
-        true)
+    | Some old ->
+      if item.version < old.version
+         || (item.version = old.version && String.equal item.payload old.payload)
+      then false
+      else begin
+        b.items <- replace_id item b.items;
+        Option.iter (fun ids -> Tbl.replace ids item.item_id item) ids;
+        true
+      end)
 
 let remove t ~key ~item_id =
   match SMap.find_opt key t.map with
   | None -> ()
   | Some b ->
-    let entries' = List.filter (fun e -> not (String.equal e.item_id item_id)) b.items in
-    let removed = List.length b.items - List.length entries' in
-    t.count <- t.count - removed;
-    if entries' = [] then t.map <- SMap.remove key t.map else b.items <- entries'
+    let ids = key_index t key in
+    let may_hold = match ids with Some ids -> Tbl.mem ids item_id | None -> true in
+    if may_hold then begin
+      let entries' = List.filter (fun e -> not (String.equal e.item_id item_id)) b.items in
+      let removed = List.length b.items - List.length entries' in
+      t.count <- t.count - removed;
+      Option.iter (fun ids -> Tbl.remove ids item_id) ids;
+      if entries' = [] then begin
+        t.map <- SMap.remove key t.map;
+        unindex_key t key
+      end
+      else b.items <- entries'
+    end
 
 let find t key = match SMap.find_opt key t.map with Some b -> b.items | None -> []
 
@@ -119,17 +144,21 @@ let iter t f = SMap.iter (fun _ b -> List.iter f b.items) t.map
 
 let to_list t = SMap.fold (fun _ b acc -> List.rev_append b.items acc) t.map [] |> List.rev
 
-(* The filter keeps the removed pairs' bits: they can only cause false
-   positives. *)
 let filter_partition t pred =
   (* Removed chunks are collected per key in map (ascending) order, so
      the returned list is key-sorted like every scan. *)
   let chunks = ref [] in
   t.map <-
     SMap.filter_map
-      (fun _ b ->
+      (fun key b ->
         let keep, out = List.partition pred b.items in
-        if out <> [] then chunks := out :: !chunks;
+        if out <> [] then begin
+          chunks := out :: !chunks;
+          match key_index t key with
+          | Some ids when keep <> [] -> List.iter (fun (i : item) -> Tbl.remove ids i.item_id) out
+          | Some _ -> unindex_key t key
+          | None -> ()
+        end;
         match keep with
         | [] -> None
         | _ ->
@@ -148,15 +177,27 @@ let digest t =
 let clear t =
   t.map <- SMap.empty;
   t.count <- 0;
-  Option.iter Id_filter.reset t.filter
+  t.index <- None
+
+(* Heap bytes of one hash table: its record (header + 4 fields), its
+   bucket array and one 3-field cell per binding. *)
+let table_bytes tbl =
+  let s = Tbl.stats tbl in
+  40 + 8 + (8 * s.Hashtbl.num_buckets) + (32 * s.Hashtbl.num_bindings)
 
 (* Accounting model: one balanced-map node per distinct key (5 words)
    and its bucket (2 words), one list cell per item (3 words), plus the
-   item record and its three strings, plus the store's filter. The map
-   binding's key string is shared with the first item's [key] field
-   often enough that we charge key strings on the items only. *)
+   item record and its three strings, plus the id index of the long
+   keys. The map binding's key string is shared with the first item's
+   [key] field often enough that we charge key strings on the items
+   only. *)
 let stats t =
-  let bytes = ref (match t.filter with Some f -> Id_filter.bytes f | None -> 0) in
+  let bytes =
+    ref
+      (match t.index with
+      | Some ix -> Tbl.fold (fun _ ids acc -> acc + table_bytes ids) ix (table_bytes ix)
+      | None -> 0)
+  in
   SMap.iter
     (fun _ b ->
       bytes := !bytes + 48 + 16;

@@ -153,8 +153,10 @@ let ack t (me : Node.t) ~rid ~origin ~hops ~items =
 let handle_insert t (me : Node.t) ~rid ~item ~origin ~hops =
   route t me ~rid ~origin ~hops item.Store.key
     ~local:(fun () ->
-      if Store.put me.store item then Node.bump_epoch me;
-      send_all t me me.replicas (Message.Replicate { item; rounds_left = 0 });
+      if Store.put me.store item then begin
+        Node.bump_epoch me;
+        send_all t me me.replicas (Message.Replicate { item; rounds_left = 0 })
+      end;
       ack t me ~rid ~origin ~hops ~items:[ item ])
     ~forward:(fun hops -> Message.Insert { rid; item; origin; hops })
 
@@ -170,10 +172,12 @@ let handle_delete t (me : Node.t) ~rid ~key ~item_id ~origin ~hops =
 let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
   route t me ~rid ~origin ~hops item.Store.key
     ~local:(fun () ->
-      if Store.put me.store item then Node.bump_epoch me;
-      send_all t me
-        (Rng.sample t.rng gossip_fanout me.replicas)
-        (Message.Replicate { item; rounds_left = rounds });
+      if Store.put me.store item then begin
+        Node.bump_epoch me;
+        send_all t me
+          (Rng.sample t.rng gossip_fanout me.replicas)
+          (Message.Replicate { item; rounds_left = rounds })
+      end;
       ack t me ~rid ~origin ~hops ~items:[ item ])
     ~forward:(fun hops -> Message.Update { rid; item; origin; hops; rounds })
 
@@ -207,12 +211,13 @@ let handle_insert_batch t (me : Node.t) ~rid ~items ~origin ~hops =
   let key_of (i : Store.item) = i.Store.key in
   route_batch t me ~hops ~key_of ~batches:"batch.bulk.batches" ~sizes:"batch.bulk.size" items
     ~local:(fun local ->
-      let changed = ref false in
-      List.iter (fun i -> if Store.put me.store i then changed := true) local;
-      if !changed then Node.bump_epoch me;
-      (* Batched replication: one [SyncItems] per replica instead of one
-         [Replicate] per item per replica. *)
-      send_all t me me.replicas (Message.SyncItems { items = local });
+      (* Batched replication of what changed the store: one [SyncItems]
+         per replica instead of one [Replicate] per item per replica. *)
+      (match List.filter (Store.put me.store) local with
+      | [] -> ()
+      | changed ->
+        Node.bump_epoch me;
+        send_all t me me.replicas (Message.SyncItems { items = changed }));
       let keys = List.sort_uniq String.compare (List.map key_of local) in
       ack_batch t me ~rid ~origin ~hops ~n:(List.length local)
         ~found:(List.map (fun k -> (k, [])) keys)

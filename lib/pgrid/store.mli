@@ -78,8 +78,10 @@ val kind : t -> backend
 val generation : t -> int
 
 (** [put t item] inserts or updates. An existing entry with the same
-    [(key, item_id)] is replaced iff the new version is greater or equal.
-    Returns [true] if the store changed. *)
+    [(key, item_id)] is replaced iff the new version is greater, or
+    equal with a different payload. Returns [true] iff the store
+    changed: a stale write and a re-put of the stored item itself
+    return [false]. *)
 val put : t -> item -> bool
 
 (** [remove t ~key ~item_id] removes an entry if present. *)

@@ -8,10 +8,10 @@
    - {!Backend_hash}: the ordered-map store — the default, and the
      reference implementation the differential test harness replays
      every backend against. A put is one map probe and an in-place
-     prepend to the key's bucket, however hot the key: a store above
-     {!Id_filter.min_ids} items carries one exact-negative
-     {!Id_filter} over its (key, id) pairs, whose "maybe present"
-     falls back to the exact walk of the key;
+     prepend to the key's bucket, however hot the key: a key of more
+     than [Backend_hash.indexed_after] items carries an exact index
+     from its item ids to its items, so finding the put's id never
+     walks it;
    - {!Backend_log}: a file-backed log-structured store (append-only
      records + the hash store as its in-memory index). Survives
      crash-restart: a revived peer replays its log and lets
@@ -35,7 +35,7 @@ type item = { key : string; item_id : string; payload : string; version : int }
 (* Memory accounting, from the same model the tests and the
    benchmark's [store.model_bytes_per_item] check: [bytes] estimates the resident heap cost of the stored items
    (records, string headers and padding, container overhead, the id
-   filter — not GC-measured, so it is deterministic and comparable
+   index — not GC-measured, so it is deterministic and comparable
    across backends); [triples] counts live items. *)
 type stats = { bytes : int; triples : int }
 
@@ -58,9 +58,10 @@ module type S = sig
   type t
 
   (* [put t item] inserts or updates: an existing entry with the same
-     [(key, item_id)] is replaced iff the new version is greater or
-     equal (idempotent-retry semantics). Returns [false] iff the write
-     was stale. *)
+     [(key, item_id)] is replaced iff the new version is greater, or
+     equal with a different payload. Returns [true] iff the store
+     changed: a stale write and a re-put of the stored item itself (an
+     idempotent retry) return [false] and leave it untouched. *)
   val put : t -> item -> bool
 
   val remove : t -> key:string -> item_id:string -> unit

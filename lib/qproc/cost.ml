@@ -128,6 +128,18 @@ let gram_fetch_cost env ~grams ~cardinality =
     { messages = grams_f *. per.messages; latency = per.latency; cardinality }
   end
 
+(* A q-gram search ({!Unistore_triple.Tstore.similar}/[containing]):
+   the gram fetch, then one more batched round that resolves the
+   expected matches through their A#v or V keys. *)
+let gram_search_cost env ~grams ~cardinality =
+  let fetch = gram_fetch_cost env ~grams ~cardinality in
+  let resolve = gram_fetch_cost env ~grams:(int_of_float (Float.ceil cardinality)) ~cardinality in
+  {
+    messages = fetch.messages +. resolve.messages;
+    latency = fetch.latency +. resolve.latency;
+    cardinality;
+  }
+
 let estimate_access env stats access =
   match access with
   | AOid _ ->
@@ -155,12 +167,12 @@ let estimate_access env stats access =
        fetched (~d*q+1 gram occurrences instead of all |p|+q-1); with
        batching the fetch is one region-splitting multi-lookup. *)
     let grams = List.length (Strdist.prefix_grams ~q:Keys.q ~d pattern) in
-    gram_fetch_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
+    gram_search_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
   | ASubstring (a, pattern) ->
     (* Any subset of the pattern's grams is recall-complete; fetches
        cap at 3. *)
     let grams = min 3 (List.length (Strdist.substring_qgrams ~q:Keys.q pattern)) in
-    gram_fetch_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
+    gram_search_cost env ~grams ~cardinality:(Qstats.est_sim stats a)
   | ATopN (a, n) when env.topn_budget ->
     (* Route to the region start, then visit just enough leaves in key
        order (serial). *)

@@ -119,17 +119,7 @@ let of_pgrid ov =
 
 (* Chord stores bucket-wrapped items; unwrap to the caller's view. *)
 let decode_bucket_item (i : Store.item) =
-  if String.length i.Store.key >= 2 && String.sub i.Store.key 0 2 = "B:" then
-    match Trie_index.decode_payload i.Store.payload with
-    | Some (key, payload) ->
-      let item_id =
-        match String.index_opt i.Store.item_id '#' with
-        | Some j -> String.sub i.Store.item_id 0 j
-        | None -> i.Store.item_id
-      in
-      Some { Store.key; item_id; payload; version = i.Store.version }
-    | None -> None
-  else None
+  if String.starts_with ~prefix:"B:" i.Store.key then Trie_index.unwrap_item i else None
 
 let of_chord_trie chord =
   let n = Chord.node_count chord in
@@ -149,7 +139,7 @@ let of_chord_trie chord =
         (* Remove the bucket entry; trie markers stay (they are hints and
            merely cost an empty bucket probe later). *)
         let hex = Trie_index.hex_of_key key in
-        Chord.del chord ~origin ~key:("B:" ^ hex) ~item_id:(item_id ^ "#" ^ key)
+        Chord.del chord ~origin ~key:("B:" ^ hex) ~item_id:(Trie_index.wrap_id ~key item_id)
           ~k:(fun r -> k r.Chord.complete));
     lookup =
       (fun ~origin ~key ~k ->

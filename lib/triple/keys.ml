@@ -14,7 +14,6 @@ let oid_region_end = "O\001"
 let attr_value_key attr v = "A\000" ^ attr ^ "\000" ^ Value.encode v
 let value_key v = "V\000" ^ Value.encode v
 let qgram_key gram = "Q\000" ^ gram
-let is_qgram_key key = String.length key >= 2 && key.[0] = 'Q' && key.[1] = '\000'
 
 let attr_range attr ~lo ~hi =
   ("A\000" ^ attr ^ "\000" ^ Value.encode lo, "A\000" ^ attr ^ "\000" ^ Value.encode hi)

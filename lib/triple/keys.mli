@@ -35,9 +35,6 @@ val value_key : Value.t -> string
 (** [qgram_key gram] *)
 val qgram_key : string -> string
 
-(** [is_qgram_key key] holds for the keys {!qgram_key} builds. *)
-val is_qgram_key : string -> bool
-
 (** Bounds of the [A#v] region of one attribute restricted to a value
     range (inclusive). *)
 val attr_range : string -> lo:Value.t -> hi:Value.t -> string * string

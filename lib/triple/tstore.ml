@@ -22,32 +22,45 @@ let qgrams_enabled t = t.qgrams
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
 
-let index_keys t (tr : Triple.t) =
-  let base =
-    [ Keys.oid_key tr.Triple.oid; Keys.attr_value_key tr.Triple.attr tr.Triple.value;
-      Keys.value_key tr.Triple.value ]
-  in
-  let grams =
-    if t.qgrams then
-      match Value.as_string tr.Triple.value with
-      | Some s -> List.map Keys.qgram_key (Strdist.distinct_qgrams ~q:Keys.q s)
-      | None -> []
-    else []
-  in
-  base @ grams
+(* A triple's O, A#v and V keys: each holds the serialized triple. *)
+let base_keys (tr : Triple.t) =
+  [ Keys.oid_key tr.Triple.oid; Keys.attr_value_key tr.Triple.attr tr.Triple.value;
+    Keys.value_key tr.Triple.value ]
+
+(* One key per distinct q-gram of a string value: each holds an entry
+   naming the value, not the triple. *)
+let gram_keys ~qgrams v =
+  if qgrams then
+    match Value.as_string v with
+    | Some s -> List.map Keys.qgram_key (Strdist.distinct_qgrams ~q:Keys.q s)
+    | None -> []
+  else []
+
+let index_keys ~qgrams (tr : Triple.t) = base_keys tr @ gram_keys ~qgrams tr.Triple.value
+
+(* The entries [index_keys] names: the triple (id {!Triple.id}) under
+   its base keys, and the value (id [Value.encode v], empty payload)
+   under its gram keys, so a peer keeps one gram entry per distinct
+   string however many triples hold it. *)
+let items_of_triple t (tr : Triple.t) =
+  let entry item_id payload key = { Store.key; item_id; payload; version = 0 } in
+  List.map (entry (Triple.id tr) (Triple.serialize tr)) (base_keys tr)
+  @ List.map (entry (Value.encode tr.Triple.value) "") (gram_keys ~qgrams:t.qgrams tr.Triple.value)
 
 let all_ok k oks = k (List.for_all Fun.id oks)
 
 let insert t ~origin tr ~k =
-  let payload = Triple.serialize tr in
-  let item_id = Triple.id tr in
   Cps.all
-    (fun key ~k -> t.dht.Dht.insert ~origin ~key ~item_id ~payload ~k)
-    (index_keys t tr) ~k:(all_ok k)
+    (fun (i : Store.item) ~k ->
+      t.dht.Dht.insert ~origin ~key:i.Store.key ~item_id:i.Store.item_id ~payload:i.Store.payload ~k)
+    (items_of_triple t tr) ~k:(all_ok k)
 
+(* Only the base entries go: another triple may hold the same value, so
+   gram entries stay behind as hints, which resolution through A#v/V
+   drops once no triple holds their value. *)
 let delete t ~origin tr ~k =
   let item_id = Triple.id tr in
-  Cps.all (fun key ~k -> t.dht.Dht.delete ~origin ~key ~item_id ~k) (index_keys t tr) ~k:(all_ok k)
+  Cps.all (fun key ~k -> t.dht.Dht.delete ~origin ~key ~item_id ~k) (base_keys tr) ~k:(all_ok k)
 
 (* Replacing the value of one (OID, attribute, old) triple is a delete of
    the old index entries plus an insert of the new ones — the key changes
@@ -68,56 +81,25 @@ let insert_tuple t ~origin ~oid fields ~k =
 (* Bulk insertion: materialize every index entry of every triple and ship
    them as one batch. Falls back to per-triple insertion when the
    substrate has no batch path. *)
-let items_of_triples t triples =
-  List.concat_map
-    (fun tr ->
-      let payload = Triple.serialize tr in
-      let item_id = Triple.id tr in
-      List.map
-        (fun key -> { Store.key; item_id; payload; version = 0 })
-        (index_keys t tr))
-    triples
-
 let insert_bulk t ~origin triples ~k =
   match t.dht.Dht.bulk_insert with
-  | Some bulk -> bulk ~origin ~items:(items_of_triples t triples) ~k:(fun r -> k r.Dht.complete)
+  | Some bulk ->
+    bulk ~origin ~items:(List.concat_map (items_of_triple t) triples) ~k:(fun r ->
+        k r.Dht.complete)
   | None -> Cps.all (insert t ~origin) triples ~k:(all_ok k)
 
 (* ------------------------------------------------------------------ *)
 (* Result decoding                                                     *)
 
-(* Each item of a reply decodes once. A reply holds at most one item per
-   (key, item id): a store keeps one, the overlay dedupes what replicas
-   return ([Request.dedupe_items]), and the Chord adapter drops
-   broadcast replicas ({!Dht}). A triple has one key in each of the O,
-   A#v and V families ([index_keys]), so only q-gram keys can repeat an
-   item id within a reply; those items alone go through a first-seen
-   table on the id, which is the triple's {!Triple.id} (set at
-   insertion). First-seen is deterministic because store scans are —
-   every backend yields items in ascending key order, newest-first
-   within a key (the ordering contract of {!Unistore_pgrid.Store_intf},
-   checked differentially by test/test_store.ml), and the overlay sorts
-   merged multi-peer replies before they reach us. *)
-module Ids = Hashtbl.Make (String)
-
+(* Every item a triple access path fetches is one triple's entry under
+   an O, A#v or V key, and a reply holds at most one item per (key,
+   item id): a store keeps one, the overlay dedupes what replicas return
+   ([Request.dedupe_items]) and the Chord adapter drops broadcast
+   replicas ({!Dht}). A triple has one key in each family, so each
+   decodes once. Gram entries never come through here: they name values,
+   which [gram_search] resolves to triples. *)
 let decode_items items =
-  let decode (i : Store.item) = Triple.deserialize i.Store.payload in
-  let gram (i : Store.item) = Keys.is_qgram_key i.Store.key in
-  if not (List.exists gram items) then List.filter_map decode items
-  else begin
-    let seen = Ids.create 16 in
-    List.filter_map
-      (fun (i : Store.item) ->
-        if not (gram i) then decode i
-        else if Ids.mem seen i.Store.item_id then None
-        else
-          match decode i with
-          | Some tr ->
-            Ids.add seen i.Store.item_id ();
-            Some tr
-          | None -> None)
-      items
-  end
+  List.filter_map (fun (i : Store.item) -> Triple.deserialize i.Store.payload) items
 
 let decoded k (r : Dht.result) = k (decode_items r.Dht.items, r)
 
@@ -211,15 +193,14 @@ let oid_scan_reduce t ~origin ~pred ~reduce ~k =
   | None -> t.dht.Dht.broadcast ~origin ~pred:item_pred ~k:(decoded k)
 
 (* ------------------------------------------------------------------ *)
-(* q-gram candidate fetch (shared by similarity and substring search)  *)
+(* q-gram search (shared by similarity and substring search)           *)
 
-(* Fetch the union of items indexed under [grams]: one batched
+(* Fetch the union of items stored under [keys]: one batched
    [MultiLookup] where the substrate has the bulk path, otherwise one
-   routed lookup per gram. The result record carries the merged cost
+   routed lookup per key. The result record carries the merged cost
    (worst hops/coverage, summed peers); items are returned separately
    and [result.items] is left empty. *)
-let fetch_gram_items t ~origin grams ~k =
-  let keys = List.map Keys.qgram_key grams in
+let fetch_keys t ~origin keys ~k =
   match t.dht.Dht.multi_lookup with
   | Some multi_lookup ->
     multi_lookup ~origin ~keys ~k:(fun (found, r) ->
@@ -247,31 +228,69 @@ let fetch_gram_items t ~origin grams ~k =
         let m = List.fold_left merge Store.empty_result rs in
         k (!acc, { m with Dht.latency = Sim.now t.dht.Dht.sim -. started }))
 
+(* The cost of round [b] run after round [a]: chains and latencies add. *)
+let sequence (a : Dht.result) (b : Dht.result) =
+  {
+    b with
+    Dht.hops = a.Dht.hops + b.Dht.hops;
+    peers_hit = a.Dht.peers_hit + b.Dht.peers_hit;
+    complete = a.Dht.complete && b.Dht.complete;
+    completeness = Float.min a.Dht.completeness b.Dht.completeness;
+    latency = a.Dht.latency +. b.Dht.latency;
+  }
+
+module Ids = Hashtbl.Make (String)
+
+(* Search through the q-gram index in two rounds. The first fetches the
+   entries under [grams] and verifies each string they name once, at
+   the origin. The second fetches the survivors' triples in one batch:
+   under their A#v keys when [attr] is known, under their V keys
+   otherwise. A gram entry whose value no triple holds any more (a
+   delete leaves it behind) resolves to nothing. *)
+let gram_search t ~origin ~attr ~grams ~verify ~k =
+  fetch_keys t ~origin (List.map Keys.qgram_key grams) ~k:(fun (items, found) ->
+      let seen = Ids.create 16 in
+      let values =
+        List.filter_map
+          (fun (i : Store.item) ->
+            if Ids.mem seen i.Store.item_id then None
+            else begin
+              Ids.add seen i.Store.item_id ();
+              match Value.decode i.Store.item_id with
+              | Some (Value.S s as v) when verify s -> Some v
+              | _ -> None
+            end)
+          items
+      in
+      let key = match attr with Some a -> Keys.attr_value_key a | None -> Keys.value_key in
+      match values with
+      | [] -> k ([], found)
+      | _ ->
+        fetch_keys t ~origin (List.map key values) ~k:(fun (items, resolved) ->
+            k (decode_items items, sequence found resolved)))
+
+(* The flooding fallback's predicate: a string value that passes
+   [verify], on [attr] when given. *)
+let matching ~attr verify (tr : Triple.t) =
+  (match attr with None -> true | Some a -> String.equal a tr.Triple.attr)
+  && match Value.as_string tr.Triple.value with Some s -> verify s | None -> false
+
 (* ------------------------------------------------------------------ *)
 (* Similarity selection                                                *)
 
 let qgram_applicable t ~pattern ~d = t.qgrams && Keys.edist_indexable ~pattern ~d
 
 let similar t ~origin ~attr ~pattern ~d ~k =
-  let matches (tr : Triple.t) =
-    (match attr with None -> true | Some a -> String.equal a tr.Triple.attr)
-    &&
-    match Value.as_string tr.Triple.value with
-    | Some s ->
-      Strdist.passes_count_filter ~q:Keys.q pattern s d && Strdist.within_distance pattern s d
-    | None -> false
+  let verify s =
+    Strdist.passes_count_filter ~q:Keys.q pattern s d && Strdist.within_distance pattern s d
   in
-  if not (qgram_applicable t ~pattern ~d) then scan t ~origin ~pred:matches ~k
-  else begin
+  if not (qgram_applicable t ~pattern ~d) then scan t ~origin ~pred:(matching ~attr verify) ~k
+  else
     (* Look up only a count-filter-covering prefix of the pattern's
        grams (rarest first): any string within distance [d] still shares
        at least one of them, so recall is complete while the per-gram
        lookups shrink from |p|+q-1 to about d*q+1. *)
-    let grams = Strdist.prefix_grams ~q:Keys.q ~d pattern in
-    fetch_gram_items t ~origin grams ~k:(fun (items, r) ->
-        let triples = decode_items items |> List.filter matches in
-        k (triples, r))
-  end
+    gram_search t ~origin ~attr ~grams:(Strdist.prefix_grams ~q:Keys.q ~d pattern) ~verify ~k
 
 (* ------------------------------------------------------------------ *)
 (* Substring search                                                    *)
@@ -287,14 +306,8 @@ let contains_sub hay needle =
 let substring_applicable t ~pattern = t.qgrams && Keys.substring_indexable ~pattern
 
 let containing t ~origin ~attr ~pattern ~k =
-  let matches (tr : Triple.t) =
-    (match attr with None -> true | Some a -> String.equal a tr.Triple.attr)
-    &&
-    match Value.as_string tr.Triple.value with
-    | Some s -> contains_sub s pattern
-    | None -> false
-  in
-  if not (substring_applicable t ~pattern) then scan t ~origin ~pred:matches ~k
+  let verify s = contains_sub s pattern in
+  if not (substring_applicable t ~pattern) then scan t ~origin ~pred:(matching ~attr verify) ~k
   else begin
     (* A containing value holds every pattern gram, so any subset of the
        grams is recall-complete — candidates are verified locally anyway.
@@ -306,9 +319,7 @@ let containing t ~origin ~attr ~pattern ~k =
       if n <= 3 then Array.to_list arr
       else [ arr.(0); arr.(n / 2); arr.(n - 1) ]
     in
-    fetch_gram_items t ~origin grams ~k:(fun (items, r) ->
-        let triples = decode_items items |> List.filter matches in
-        k (triples, r))
+    gram_search t ~origin ~attr ~grams ~verify ~k
   end
 
 (* ------------------------------------------------------------------ *)

@@ -5,11 +5,14 @@
     {!Unistore_sim.Sim.await}.
 
     Inserting a triple creates the three index entries of the paper's
-    Fig. 2 (OID, A#v, v) — plus, when the q-gram index is enabled, one
-    entry per distinct q-gram of every string value. All access paths
-    return the deduplicated triples plus a cost record (hops, peers,
-    latency, completeness), which the query processor's cost model is
-    calibrated against. *)
+    Fig. 2 (OID, A#v, v), each holding the serialized triple. When the
+    q-gram index is enabled, every distinct q-gram of a string value
+    also keys an entry that names the value, not the triple (item id
+    {!Value.encode}, empty payload): a dictionary of the stored strings,
+    one entry per (gram, distinct string) however many triples share the
+    string. All access paths return the deduplicated triples plus a cost
+    record (hops, peers, latency, completeness), which the query
+    processor's cost model is calibrated against. *)
 
 type t
 
@@ -38,6 +41,12 @@ val qgrams_enabled : t -> bool
 
 (** {2 Insertion} *)
 
+(** [index_keys ~qgrams triple]: the keys a triple is stored under —
+    its O, A#v and V keys, then (with [qgrams]) one {!Keys.qgram_key}
+    per distinct q-gram of a string value. Overlays are shaped by
+    sampling these keys ([Publications.sample_keys]). *)
+val index_keys : qgrams:bool -> Triple.t -> string list
+
 (** [insert t ~origin triple ~k]: [k true] iff every index entry was
     stored. *)
 val insert : t -> origin:int -> Triple.t -> k:(bool -> unit) -> unit
@@ -58,7 +67,10 @@ val insert_bulk : t -> origin:int -> Triple.t list -> k:(bool -> unit) -> unit
 
 (** {2 Deletion & update}
 
-    Deleting a triple removes all of its index entries. Caveat (inherent
+    Deleting a triple removes its O, A#v and V entries. Its gram entries
+    stay as hints: another triple may hold the same string, and
+    {!similar}/{!containing} resolve every candidate value through the
+    A#v or V index, which drops values no triple holds. Caveat (inherent
     to loose consistency, cf. Datta et al.): deletions are not tombstoned,
     so an anti-entropy round against a replica partitioned away during the
     delete can resurrect the item; versioned {e updates} through
@@ -79,9 +91,8 @@ val update_value :
   k:(bool -> unit) ->
   unit
 
-(** [decode_items items] deserializes a reply's payloads, keeping the
-    first item of each item id (a triple indexed under several q-gram
-    keys of the reply decodes once) and dropping malformed payloads. *)
+(** [decode_items items] deserializes the triples of a reply's O, A#v
+    or V entries, dropping malformed payloads. *)
 val decode_items : Unistore_pgrid.Store.item list -> Triple.t list
 
 (** {2 Access paths} — each passes the matching triples and their cost
@@ -165,8 +176,11 @@ val oid_scan_reduce :
 (** [similar t ~origin ?attr ~pattern ~d]: triples whose string value is
     within edit distance [d] of [pattern] (restricted to [attr] when
     given). Uses the q-gram index when it can guarantee completeness
-    ([pattern] long enough relative to [d]); falls back to flooding
-    otherwise or when the index is disabled. *)
+    ([pattern] long enough relative to [d]): one batched fetch of gram
+    entries, verification of the strings they name at the origin, then
+    one batched fetch of the matching values' A#v keys ([attr] given)
+    or V keys. Falls back to flooding otherwise or when the index is
+    disabled. *)
 val similar :
   t ->
   origin:int ->
@@ -183,7 +197,8 @@ val qgram_applicable : t -> pattern:string -> d:int -> bool
     contains [pattern] as a substring (the paper's "efficient substring
     search"). Uses the q-gram index when [pattern] is at least
     {!Keys.q} long (every unpadded q-gram of the pattern occurs in a
-    containing value's indexed gram set); floods otherwise. *)
+    containing value's indexed gram set), resolving matches as
+    {!similar} does; floods otherwise. *)
 val containing :
   t ->
   origin:int ->

@@ -1,7 +1,7 @@
 module Rng = Unistore_util.Rng
 module Value = Unistore_triple.Value
 module Triple = Unistore_triple.Triple
-module Keys = Unistore_triple.Keys
+module Tstore = Unistore_triple.Tstore
 
 type tuple = string * (string * Value.t) list
 
@@ -115,21 +115,6 @@ let generate rng (p : params) =
     series_pool;
   }
 
-let sample_keys d =
-  List.concat_map
-    (fun (tr : Triple.t) ->
-      let base =
-        [
-          Keys.oid_key tr.Triple.oid;
-          Keys.attr_value_key tr.Triple.attr tr.Triple.value;
-          Keys.value_key tr.Triple.value;
-        ]
-      in
-      (* The q-gram index dominates storage volume for string-heavy data;
-         the trie must be shaped for it too. *)
-      match tr.Triple.value with
-      | Value.S s ->
-        base
-        @ List.map Keys.qgram_key (Unistore_util.Strdist.distinct_qgrams ~q:Keys.q s)
-      | Value.I _ | Value.F _ | Value.B _ -> base)
-    d.triples
+(* The q-gram index dominates storage volume for string-heavy data;
+   the trie must be shaped for it too. *)
+let sample_keys d = List.concat_map (Tstore.index_keys ~qgrams:true) d.triples

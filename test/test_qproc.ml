@@ -394,6 +394,19 @@ let test_cost_logarithmic_in_peers () =
   let m n = (Cost.estimate_access n synthetic_stats (Cost.AOid "a1")).Cost.messages in
   Alcotest.(check bool) "64x peers ~ 2x messages" true (m large /. m small < 3.0)
 
+(* A q-gram access resolves its matches in a second batched round
+   through the A#v/V index: its estimate exceeds the gram fetch alone,
+   in messages and in latency, batched or not. *)
+let test_cost_gram_search_resolves () =
+  List.iter
+    (fun (label, env) ->
+      let est = Cost.estimate_access env synthetic_stats (Cost.ASim (Some "name", "Robert", 1)) in
+      let grams = List.length (Unistore_util.Strdist.prefix_grams ~q:3 ~d:1 "Robert") in
+      let fetch = Cost.gram_fetch_cost env ~grams ~cardinality:est.Cost.cardinality in
+      Alcotest.(check bool) (label ^ ": more messages") true (est.Cost.messages > fetch.Cost.messages);
+      Alcotest.(check bool) (label ^ ": one more round") true (est.Cost.latency > fetch.Cost.latency))
+    [ ("per-key", env); ("batched", { env with Cost.batched_probes = true }) ]
+
 let cmap_of src =
   let q = Parser.parse_exn src in
   (Unistore_vql.Algebra.var_constraints q.Ast.filters, q)
@@ -616,6 +629,8 @@ let () =
           Alcotest.test_case "lookup < scan < flood" `Quick test_cost_lookup_cheaper_than_scan;
           Alcotest.test_case "range selectivity" `Quick test_cost_range_scales_with_selectivity;
           Alcotest.test_case "logarithmic scaling" `Quick test_cost_logarithmic_in_peers;
+          Alcotest.test_case "q-gram search pays its resolution round" `Quick
+            test_cost_gram_search_resolves;
         ] );
       ( "postprocess",
         [ Alcotest.test_case "pipeline combinations" `Quick test_postprocess_pipeline ] );

@@ -21,7 +21,6 @@ module Overlay = Unistore_pgrid.Overlay
 module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 module Repair = Unistore_pgrid.Repair
-module Id_filter = Unistore_pgrid.Id_filter
 module Backend_hash = Unistore_pgrid.Backend_hash
 
 let check = Alcotest.check
@@ -59,6 +58,8 @@ module Model = struct
 
   let create () = { entries = [] }
 
+  (* [false] on a stale write and on a re-put of the stored item
+     itself: neither changes anything. *)
   let put m (it : Store.item) =
     let found = ref false and stale = ref false in
     let entries =
@@ -67,7 +68,10 @@ module Model = struct
           if String.equal e.Store.key it.Store.key && String.equal e.Store.item_id it.Store.item_id
           then begin
             found := true;
-            if it.Store.version >= e.Store.version then it
+            if it.Store.version > e.Store.version
+               || (it.Store.version = e.Store.version
+                  && not (String.equal it.Store.payload e.Store.payload))
+            then it
             else begin
               stale := true;
               e
@@ -271,17 +275,16 @@ let run_random_trace ~seed ~batches ~batch_len () =
       done)
 
 (* A hot-key trace: hundreds of ids over three keys, so every key holds
-   far more items than Id_filter.min_ids — the random traces above
-   never hold more than six items under a key. It opens with a
-   cold-key phase on the fresh stores: hundreds of keys of at most four
-   ids each, so the store crosses the filter's lazy creation and
-   rebuild points with only short keys to walk, with remove-then-
-   reinsert, and a partition handover followed by a refill. Then the
-   hot phases: a fill with LWW races, stale versions and
-   remove-then-reinsert; a partition handover that drops the lowest key
-   followed by a refill; a clear (which resets the filter) and a reuse.
-   Observations after every batch compare both backends against the
-   model. *)
+   far more items than Backend_hash.indexed_after and carries an id
+   index — the random traces above never hold more than six items under
+   a key. It opens with a cold-key phase on the fresh stores: hundreds
+   of keys of at most four ids each, none long enough for an index,
+   with remove-then-reinsert, and a partition handover followed by a
+   refill. Then the hot phases: a fill with LWW races, stale versions,
+   identical re-puts and remove-then-reinsert; a partition handover
+   that drops the lowest key followed by a refill; a clear (which drops
+   the index) and a reuse. Observations after every batch compare both
+   backends against the model. *)
 let run_hot_key_trace ~seed () =
   with_log_dir (Printf.sprintf "hot%d" seed) (fun dir ->
       let rng = Rng.create seed in
@@ -322,9 +325,9 @@ let run_hot_key_trace ~seed () =
         run (gen cold_keys cold_ids 300)
       done;
       check Alcotest.bool
-        (Printf.sprintf "cold fill crosses the rebuild points (%d items)" (Model.size model))
+        (Printf.sprintf "cold fill holds many items (%d)" (Model.size model))
         true
-        (Model.size model > 16 * Id_filter.min_ids);
+        (Model.size model > 16 * Backend_hash.indexed_after);
       run [ Partition cold_keys.(150) ];
       for _ = 1 to 2 do
         run (gen cold_keys cold_ids 300)
@@ -334,9 +337,9 @@ let run_hot_key_trace ~seed () =
         run (gen keys ids 300)
       done;
       check Alcotest.bool
-        (Printf.sprintf "fill crosses the rebuild points (hottest key %d items)" (hottest ()))
+        (Printf.sprintf "fill indexes the hot keys (hottest key %d items)" (hottest ()))
         true
-        (hottest () > 8 * Id_filter.min_ids);
+        (hottest () > 8 * Backend_hash.indexed_after);
       run [ Partition keys.(1) ];
       for _ = 1 to 3 do
         run (gen keys ids 300)
@@ -345,106 +348,107 @@ let run_hot_key_trace ~seed () =
       for _ = 1 to 4 do
         run (gen keys ids 300)
       done;
-      check Alcotest.bool "reuse crosses the threshold again" true (hottest () > 2 * Id_filter.min_ids))
+      check Alcotest.bool "reuse crosses the threshold again" true
+        (hottest () > 2 * Backend_hash.indexed_after))
 
-(* The filter's one promise, under the store's own policy: no (key, id)
-   inserted since the filter was last built or reset is ever reported
-   absent. Random traces over a hash store cross the lazy creation
-   (past Id_filter.min_ids items), rebuilds (the filter fills) and
-   [clear] resets. A filter only ever gains bits between its build and
-   the next rebuild or reset, so it suffices to check each pair right
-   after its put, and every pair since the build just before the filter
-   is replaced or reset. A store without a filter never held more than
-   Id_filter.min_ids items. *)
-type filter_op =
-  | F_put of string * string
-  | F_remove of string * string
-  | F_partition of string
-  | F_clear
+(* The id index's one promise, under the store's own policy: after
+   every operation, each key of more than Backend_hash.indexed_after
+   items is indexed, and each indexed key's index maps exactly its
+   items' ids to its items. Random traces over a hash store cross the
+   index's creation, removes that shrink or empty an indexed key,
+   partitions that split one and clears that drop them all. *)
+type index_op =
+  | I_put of string * string * int
+  | I_remove of string * string
+  | I_partition of string
+  | I_clear
 
-let gen_filter_ops =
+let gen_index_ops =
   let open QCheck2.Gen in
-  let key = map (Printf.sprintf "k%02d") (0 -- 24) in
-  let id = string_size ~gen:printable (0 -- 12) in
-  list_size (0 -- 700)
+  let key = map (Printf.sprintf "k%d") (0 -- 3) in
+  let id = map (Printf.sprintf "id%02d") (0 -- 60) in
+  list_size (0 -- 600)
     (frequency
        [
-         (160, map2 (fun k i -> F_put (k, i)) key id);
-         (24, map2 (fun k i -> F_remove (k, i)) key id);
-         (3, map (fun k -> F_partition k) key);
-         (1, pure F_clear);
+         (160, map3 (fun k i p -> I_put (k, i, p)) key id (0 -- 2));
+         (40, map2 (fun k i -> I_remove (k, i)) key id);
+         (3, map (fun k -> I_partition k) key);
+         (1, pure I_clear);
        ])
 
-let prop_id_filter_no_false_negatives =
+let index_exact s =
+  let module Tbl = Backend_hash.Tbl in
+  let keys = List.sort_uniq String.compare (List.map (fun (i : Store.item) -> i.Store.key) (Backend_hash.to_list s)) in
+  let index key = Option.bind s.Backend_hash.index (fun ix -> Tbl.find_opt ix key) in
+  List.for_all
+    (fun key ->
+      let items = Backend_hash.find s key in
+      match index key with
+      | None -> List.compare_length_with items Backend_hash.indexed_after <= 0
+      | Some ids ->
+        Tbl.length ids = List.length items
+        && List.for_all (fun (i : Store.item) -> Tbl.find_opt ids i.Store.item_id = Some i) items)
+    keys
+  && match s.Backend_hash.index with
+     | Some ix -> Tbl.fold (fun key _ ok -> ok && List.mem key keys) ix true
+     | None -> true
+
+let prop_id_index_exact =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200
-       ~name:"id_filter: no false negatives across creation, rebuilds and clear resets"
-       gen_filter_ops
+       ~name:"id index: exact across creation, removes, partitions and clears" gen_index_ops
        (fun ops ->
          let s = Backend_hash.create () in
-         let since = ref [] and current = ref None and peak = ref 0 in
-         let all_present f = List.for_all (fun (key, id) -> Id_filter.mem f ~key id) !since in
-         let store_pairs () =
-           List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id)) (Backend_hash.to_list s)
-         in
-         let step op =
-           let before = match (op, !current) with F_clear, Some f -> all_present f | _ -> true in
-           (match op with
-           | F_put (key, id) ->
-             ignore (Backend_hash.put s (item key id "p"));
-             since := (key, id) :: !since
-           | F_remove (key, item_id) -> Backend_hash.remove s ~key ~item_id
-           | F_partition b ->
-             ignore
-               (Backend_hash.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
-           | F_clear ->
-             Backend_hash.clear s;
-             since := []);
-           peak := max !peak (Backend_hash.size s);
-           let after =
-             match (!current, s.Backend_hash.filter) with
-             | None, None -> !peak <= Id_filter.min_ids
-             | Some _, None -> false
-             | Some f, Some f' when f == f' -> (
-               match op with F_put (key, id) -> Id_filter.mem f ~key id | _ -> true)
-             | prev, Some f' ->
-               let kept = match prev with Some f -> all_present f | None -> true in
-               since := store_pairs ();
-               kept && all_present f'
-           in
-           current := s.Backend_hash.filter;
-           before && after
-         in
-         List.for_all step ops && match !current with None -> true | Some f -> all_present f))
+         List.for_all
+           (fun op ->
+             (match op with
+             | I_put (key, id, p) -> ignore (Backend_hash.put s (item key id (string_of_int p)))
+             | I_remove (key, item_id) -> Backend_hash.remove s ~key ~item_id
+             | I_partition b ->
+               ignore (Backend_hash.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
+             | I_clear -> Backend_hash.clear s);
+             index_exact s)
+           ops))
 
-(* The filter's life cycle on one hash store: none up to
-   Id_filter.min_ids items, created past them, rebuilt when it fills,
-   and kept but emptied by [clear]. *)
-let test_filter_lifecycle () =
+(* The index's life cycle on one hash store: none while every key holds
+   at most Backend_hash.indexed_after items, created for the key that
+   grows past them, kept exact through [remove] and [filter_partition]
+   (dropped with the key that empties) and dropped by [clear]. *)
+let test_index_lifecycle () =
+  let module Tbl = Backend_hash.Tbl in
   let s = Backend_hash.create () in
-  let put i =
-    ignore (Backend_hash.put s (item (Printf.sprintf "k%04d" (i / 3)) (Printf.sprintf "id%d" i) "p"))
-  in
-  let filter () = s.Backend_hash.filter in
-  for i = 0 to Id_filter.min_ids - 1 do
-    put i
+  let n = Backend_hash.indexed_after in
+  let put key i = ignore (Backend_hash.put s (item key (Printf.sprintf "id%d" i) "p")) in
+  let indexed key = Option.bind s.Backend_hash.index (fun ix -> Tbl.find_opt ix key) in
+  for i = 1 to n do
+    put "a" i;
+    put "b" i
   done;
-  check Alcotest.bool "no filter up to min_ids items" true (filter () = None);
-  put Id_filter.min_ids;
-  let first = Option.get (filter ()) in
-  for i = Id_filter.min_ids + 1 to 16 * Id_filter.min_ids do
-    put i
+  check Alcotest.bool "no index up to indexed_after items a key" true (s.Backend_hash.index = None);
+  put "b" (n + 1);
+  check Alcotest.bool "the long key is indexed" true (indexed "b" <> None);
+  check Alcotest.bool "the short key is not" true (indexed "a" = None);
+  check Alcotest.bool "exact after creation" true (index_exact s);
+  check Alcotest.bool "identical re-put of an indexed id" false
+    (Backend_hash.put s (item "b" "id3" "p"));
+  Backend_hash.remove s ~key:"b" ~item_id:"id3";
+  check Alcotest.bool "remove drops the id" true
+    (match indexed "b" with Some ids -> not (Tbl.mem ids "id3") | None -> false);
+  check Alcotest.bool "exact after remove" true (index_exact s);
+  put "b" 3;
+  check Alcotest.bool "reinsert after remove changes the store" true (index_exact s);
+  ignore (Backend_hash.filter_partition s (fun i -> not (String.equal i.Store.item_id "id5")));
+  check Alcotest.bool "exact after a partition that splits the key" true (index_exact s);
+  ignore (Backend_hash.filter_partition s (fun i -> String.equal i.Store.key "a"));
+  check Alcotest.bool "a partition that empties the key drops its index" true (indexed "b" = None);
+  for i = 1 to n + 1 do
+    put "c" i
   done;
-  let rebuilt = Option.get (filter ()) in
-  check Alcotest.bool "rebuilt once full" true (rebuilt != first);
-  check Alcotest.bool "rebuilt filter holds every item" true
-    (List.for_all
-       (fun (i : Store.item) -> Id_filter.mem rebuilt ~key:i.Store.key i.Store.item_id)
-       (Backend_hash.to_list s));
+  check Alcotest.bool "indexed again" true (indexed "c" <> None);
   Backend_hash.clear s;
-  check Alcotest.bool "clear keeps the filter" true
-    (match filter () with Some f -> f == rebuilt | None -> false);
-  check Alcotest.bool "clear resets its bits" false (Id_filter.mem rebuilt ~key:"k0000" "id0")
+  check Alcotest.bool "clear drops the index" true (s.Backend_hash.index = None);
+  put "c" 1;
+  check Alcotest.int "reusable after clear" 1 (Backend_hash.size s)
 
 (* ------------------------------------------------------------------ *)
 (* Linearity guard: minor-heap words per put, filling one key          *)
@@ -460,6 +464,16 @@ let words_per_put store n =
   Array.iter (fun it -> ignore (Store.put store it)) items;
   (Gc.minor_words () -. before) /. float_of_int n
 
+(* The same for re-putting every item of the filled key unchanged: the
+   id index finds each one without walking the key, and a re-put that
+   changes nothing allocates no list and appends no log record. *)
+let words_per_reput store n =
+  let items = Array.init n (fun i -> item "hot#key" (Printf.sprintf "id%06d" i) "payload") in
+  Array.iter (fun it -> ignore (Store.put store it)) items;
+  let before = Gc.minor_words () in
+  Array.iter (fun it -> if Store.put store it then Alcotest.fail "re-put changed the store") items;
+  (Gc.minor_words () -. before) /. float_of_int n
+
 let test_linearity_guard () =
   with_log_dir "linearity" (fun dir ->
       List.iter
@@ -470,7 +484,14 @@ let test_linearity_guard () =
           check Alcotest.bool
             (Printf.sprintf "%s: words/put 16k/1k = %.2f <= 1.5" label (large /. small))
             true
-            (large /. small <= 1.5))
+            (large /. small <= 1.5);
+          let small = words_per_reput (create "resmall") 1_000 in
+          let large = words_per_reput (create "relarge") 16_000 in
+          Printf.printf "%s: %.1f words/re-put at 1k, %.1f at 16k\n%!" label small large;
+          check Alcotest.bool
+            (Printf.sprintf "%s: words/re-put at 16k = %.1f <= 1.5 * max(%.1f, 4)" label large small)
+            true
+            (large <= 1.5 *. Float.max small 4.0))
         [
           ("hash", fun _ -> Store.create ());
           ("log", fun name -> Store.create ~backend:(Store.Log { dir }) ~name ());
@@ -495,10 +516,21 @@ let test_empty_store () =
 let test_duplicate_insert () =
   with_backends "dup" (fun label s ->
       check Alcotest.bool (label ^ ": first") true (Store.put s (item "k" "a" "p"));
-      (* Same (key, id, version): idempotent retry — accepted, no growth. *)
-      check Alcotest.bool (label ^ ": retry accepted") true (Store.put s (item "k" "a" "p"));
-      check Alcotest.int (label ^ ": size") 1 (Store.size s);
-      check Alcotest.string (label ^ ": state") {|"k"/a/"p"/0|} (items_str (Store.to_list s)))
+      ignore (Store.put s (item "k" "b" "q"));
+      let log = Store.log_bytes s in
+      (* Same (key, id, version, payload): an idempotent retry changes
+         nothing — no growth, no reordering, no log record. *)
+      check Alcotest.bool (label ^ ": retry changes nothing") false (Store.put s (item "k" "a" "p"));
+      check Alcotest.int (label ^ ": size") 2 (Store.size s);
+      check Alcotest.string (label ^ ": order kept") {|"k"/b/"q"/0;"k"/a/"p"/0|}
+        (items_str (Store.to_list s));
+      check Alcotest.int (label ^ ": no log record") log (Store.log_bytes s);
+      (* An equal version with another payload still replaces, in place. *)
+      check Alcotest.bool (label ^ ": equal version, new payload") true
+        (Store.put s (item "k" "a" "p2"));
+      check Alcotest.string (label ^ ": replaced in place") {|"k"/b/"q"/0;"k"/a/"p2"/0|}
+        (items_str (Store.to_list s));
+      check Alcotest.bool (label ^ ": log record appended") true (Store.log_bytes s > log || log = 0))
 
 let test_stale_version_rejected () =
   with_backends "stale" (fun label s ->
@@ -880,8 +912,9 @@ let () =
               run_random_trace ~seed:3 ~batches:8 ~batch_len:120 ());
           Alcotest.test_case "hot-key trace past the filter threshold" `Quick (fun () ->
               run_hot_key_trace ~seed:4 ());
-          prop_id_filter_no_false_negatives;
-          Alcotest.test_case "id filter created, rebuilt and reset" `Quick test_filter_lifecycle;
+          prop_id_index_exact;
+          Alcotest.test_case "id index created past the threshold, kept exact, dropped" `Quick
+            test_index_lifecycle;
         ] );
       ( "linearity",
         [

@@ -205,10 +205,7 @@ let sample_keys_of_tuples tuples =
   List.concat_map
     (fun (oid, fields) ->
       List.concat_map
-        (fun (attr, v) ->
-          let tr = Triple.make ~oid ~attr v in
-          ignore tr;
-          [ Keys.oid_key oid; Keys.attr_value_key attr v; Keys.value_key v ])
+        (fun (attr, v) -> Tstore.index_keys ~qgrams:false (Triple.make ~oid ~attr v))
         fields)
     tuples
 
@@ -218,11 +215,11 @@ let with_both_substrates f =
   let ch = make_chord_dht () in
   f "chord+trie" (Tstore.create ch)
 
-(* [Tstore.decode_items] dedupes a reply on [item_id] instead of
-   re-deriving each decoded triple's id: that relies on every stored
-   item's id being the {!Triple.id} of its payload, whichever insert
-   path (per triple or bulk) stored it. *)
-let test_item_ids_are_triple_ids () =
+(* What each stored entry's id names, whichever insert path (per
+   triple or bulk) stored it: under an O, A#v or V key the {!Triple.id}
+   of the triple in its payload; under a q-gram key a string value
+   ({!Value.encode}) holding that gram, with an empty payload. *)
+let test_item_ids_name_triples_or_values () =
   let sim = Sim.create () in
   let rng = Rng.create 42 in
   let n = 24 in
@@ -247,13 +244,27 @@ let test_item_ids_are_triple_ids () =
       (Unistore_pgrid.Overlay.nodes ov)
   in
   Alcotest.(check bool) "items stored" true (List.length items > 100);
+  let grams = ref 0 in
   List.iter
     (fun (i : Unistore_pgrid.Store.item) ->
-      match Triple.deserialize i.Unistore_pgrid.Store.payload with
-      | Some tr ->
-        check Alcotest.string (String.escaped i.Unistore_pgrid.Store.key) (Triple.id tr) i.item_id
-      | None -> Alcotest.failf "undecodable payload under %S" i.Unistore_pgrid.Store.key)
-    items
+      let key = String.escaped i.Unistore_pgrid.Store.key in
+      if String.starts_with ~prefix:"Q\000" i.Unistore_pgrid.Store.key then begin
+        incr grams;
+        check Alcotest.string (key ^ ": empty payload") "" i.Unistore_pgrid.Store.payload;
+        match Value.decode i.item_id with
+        | Some (Value.S s) ->
+          let gram = String.sub i.Unistore_pgrid.Store.key 2 Keys.q in
+          Alcotest.(check bool)
+            (key ^ ": the value holds the gram") true
+            (List.mem gram (Unistore_util.Strdist.distinct_qgrams ~q:Keys.q s))
+        | _ -> Alcotest.failf "gram entry under %s names no string value" key
+      end
+      else
+        match Triple.deserialize i.Unistore_pgrid.Store.payload with
+        | Some tr -> check Alcotest.string key (Triple.id tr) i.item_id
+        | None -> Alcotest.failf "undecodable payload under %s" key)
+    items;
+  Alcotest.(check bool) "gram entries stored" true (!grams > 0)
 
 let test_tstore_by_oid () =
   with_both_substrates (fun name ts ->
@@ -509,6 +520,85 @@ let test_tstore_update_value () =
       in
       check Alcotest.int (name ^ ": range sees update") 1 (List.length in_range))
 
+(* Gram entries outlive deletes as hints; resolution through A#v/V
+   decides. Two triples share a title: with one deleted, [similar] and
+   [containing] still find the other; with both deleted, the answer is
+   empty and complete; an updated value is found under its new string
+   only. *)
+let test_tstore_qgram_hints_after_delete () =
+  with_both_substrates (fun name ts ->
+      let sim = (Tstore.dht ts).Dht.sim in
+      let title oid = Triple.make ~oid ~attr:"title" (Value.S "distributed skyline queries") in
+      List.iter
+        (fun oid ->
+          Alcotest.(check bool) (name ^ ": insert " ^ oid) true
+            (await sim (fun k -> Tstore.insert ts ~origin:0 (title oid) ~k)))
+        [ "p1"; "p2" ];
+      let search () =
+        let sim_hits, r1 =
+          await sim (fun k ->
+              Tstore.similar ts ~origin:1 ~attr:(Some "title") ~pattern:"distributed skylne queries"
+                ~d:2 ~k)
+        in
+        let sub_hits, r2 =
+          await sim (fun k -> Tstore.containing ts ~origin:2 ~attr:None ~pattern:"skyline que" ~k)
+        in
+        Alcotest.(check bool) (name ^ ": complete") true (r1.Dht.complete && r2.Dht.complete);
+        let oids l = List.map (fun (tr : Triple.t) -> tr.Triple.oid) l |> List.sort compare in
+        (oids sim_hits, oids sub_hits)
+      in
+      let both = Alcotest.(pair (list string) (list string)) in
+      check both (name ^ ": both found") ([ "p1"; "p2" ], [ "p1"; "p2" ]) (search ());
+      Alcotest.(check bool) (name ^ ": delete p1") true
+        (await sim (fun k -> Tstore.delete ts ~origin:3 (title "p1") ~k));
+      check both (name ^ ": the other still found") ([ "p2" ], [ "p2" ]) (search ());
+      Alcotest.(check bool) (name ^ ": delete p2") true
+        (await sim (fun k -> Tstore.delete ts ~origin:3 (title "p2") ~k));
+      check both (name ^ ": stale hints resolve to nothing") ([], []) (search ());
+      ignore (await sim (fun k -> Tstore.insert ts ~origin:0 (title "p3") ~k));
+      Alcotest.(check bool) (name ^ ": update p3") true
+        (await sim (fun k ->
+             Tstore.update_value ts ~origin:4 ~oid:"p3" ~attr:"title"
+               ~old_value:(Value.S "distributed skyline queries")
+               (Value.S "peer-to-peer range queries") ~k));
+      check both (name ^ ": old string no longer matches") ([], []) (search ());
+      let moved, _ =
+        await sim (fun k ->
+            Tstore.similar ts ~origin:5 ~attr:None ~pattern:"peer-to-peer rang queries" ~d:1 ~k)
+      in
+      check Alcotest.(list string) (name ^ ": the new string matches") [ "p3" ]
+        (List.map (fun (tr : Triple.t) -> tr.Triple.oid) moved))
+
+(* RDF-style oids hold '#': Chord's bucket ids wrap an item id as
+   [id ^ "#" ^ key], and unwrapping must strip exactly that suffix, or
+   two oids sharing their text before the '#' come back as one item. *)
+let test_chord_ids_with_hash () =
+  let ts = Tstore.create (make_chord_dht ()) in
+  let sim = (Tstore.dht ts).Dht.sim in
+  let oids = [ "urn:a#1"; "urn:a#2" ] in
+  List.iter
+    (fun oid ->
+      ignore
+        (await sim (fun k ->
+             Tstore.insert ts ~origin:0 (Triple.make ~oid ~attr:"title" (Value.S "notes on C# tries")) ~k)))
+    oids;
+  let sorted l = List.map (fun (tr : Triple.t) -> tr.Triple.oid) l |> List.sort compare in
+  List.iter
+    (fun oid ->
+      let got, _ = await sim (fun k -> Tstore.by_oid ts ~origin:1 oid ~k) in
+      check Alcotest.(list string) ("by_oid " ^ oid) [ oid ] (sorted got))
+    oids;
+  let scanned, _ =
+    await sim (fun k ->
+        Tstore.scan ts ~origin:2 ~pred:(fun tr -> String.equal tr.Triple.attr "title") ~k)
+  in
+  check Alcotest.(list string) "scan" oids (sorted scanned);
+  let similar, _ =
+    await sim (fun k ->
+        Tstore.similar ts ~origin:3 ~attr:(Some "title") ~pattern:"notes on C# trees" ~d:2 ~k)
+  in
+  check Alcotest.(list string) "similar" oids (sorted similar)
+
 let test_tstore_insert_counts_messages () =
   let pg = make_pgrid_dht ~sample:[] ~n:16 () in
   let ts = Tstore.create ~qgrams:false pg in
@@ -550,7 +640,8 @@ let () =
         ] );
       ( "tstore",
         [
-          Alcotest.test_case "stored item ids are triple ids" `Quick test_item_ids_are_triple_ids;
+          Alcotest.test_case "stored item ids name their triple or value" `Quick
+            test_item_ids_name_triples_or_values;
           Alcotest.test_case "by_oid" `Quick test_tstore_by_oid;
           Alcotest.test_case "by_attr_value" `Quick test_tstore_by_attr_value;
           Alcotest.test_case "by_attr_range" `Quick test_tstore_by_attr_range;
@@ -568,5 +659,8 @@ let () =
           Alcotest.test_case "substring fallback" `Quick test_tstore_containing_fallback;
           Alcotest.test_case "delete" `Quick test_tstore_delete;
           Alcotest.test_case "update value" `Quick test_tstore_update_value;
+          Alcotest.test_case "q-gram hints survive deletes, resolution decides" `Quick
+            test_tstore_qgram_hints_after_delete;
+          Alcotest.test_case "chord: oids holding '#' stay distinct" `Quick test_chord_ids_with_hash;
         ] );
     ]
