@@ -21,14 +21,24 @@ test-faults:
 	dune exec test/test_faults.exe
 	dune exec test/test_pgrid.exe -- test failover
 
-# Just the storage-backend suites: the differential harness replaying
-# both backends (hash/log) against the list model, the words/put
-# linearity guard, the log torn-tail crash-restart tests, the store
-# gauges and the overlay-level crash/repair recall test. Log files are
-# written under the dune sandbox and removed by the tests themselves,
-# so the run stays hermetic.
+# Just the per-peer store suites: the differential harness replaying
+# the store with its journal on and off against the list model, the
+# words/put linearity guard, the journal's torn-tail crash-restart
+# tests, the store gauges and the overlay-level crash/repair recall
+# test. Journal files are written under the dune sandbox and removed by
+# the tests themselves, so the run stays hermetic. Then a CLI smoke:
+# two `--backend log` runs with one seed and temp dir, the second on a
+# smaller dataset, must answer from the second run's data alone.
+STORE_SMOKE = dune exec --display quiet bin/unistore_cli.exe -- query --backend log \
+  --seed 9137 --peers 16 "SELECT ?n WHERE { (?a,'name',?n) }" --authors
+
 test-store:
 	dune exec test/test_store.exe
+	@tmp=$$(mktemp -d) && \
+	  TMPDIR=$$tmp $(STORE_SMOKE) 30 >/dev/null && \
+	  out=$$(TMPDIR=$$tmp $(STORE_SMOKE) 3); rm -rf $$tmp; \
+	  if echo "$$out" | grep -q '^3 row(s)'; then echo "new log deployment starts empty: OK"; \
+	  else echo "FAIL: a second --backend log run replayed the first run's data"; echo "$$out"; exit 1; fi
 
 # Static-analysis gate (lib/analysis): strict-warning build, then the
 # full analyzer suite against live deployments on both substrates —

@@ -39,19 +39,21 @@ let backend_t =
   let enumc = Arg.enum [ ("hash", `Hash); ("log", `Log) ] in
   Arg.(value & opt enumc `Hash
        & info [ "backend" ] ~docv:"KIND"
-           ~doc:"Per-peer storage backend (P-Grid only): $(b,hash) (in-memory ordered map, \
-                 the default) or $(b,log) (file-backed log-structured, one append-only \
-                 file per peer under a temp directory, crash-restart capable).")
+           ~doc:"Per-peer store (P-Grid only): $(b,hash) (in-memory ordered map, the \
+                 default) or $(b,log) (the same map, and each peer's writes journaled to \
+                 a fresh append-only segment under a temp directory, which crash-restart \
+                 replays).")
 
-(* [log] keeps one append-only file per peer; key the directory by seed
-   so two concurrent invocations don't replay each other's segments. *)
+(* [log] journals each peer to one segment file, started empty by every
+   run; key the directory by seed so two concurrent invocations with
+   different seeds don't write the same files. *)
 let resolve_backend ~seed = function
-  | `Hash -> Unistore_pgrid.Store_intf.Hash
+  | `Hash -> Unistore_pgrid.Store.Hash
   | `Log ->
     let dir =
       Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "unistore-log-%d" seed)
     in
-    Unistore_pgrid.Store_intf.Log { dir }
+    Unistore_pgrid.Store.Log { dir }
 
 let authors_t =
   Arg.(value & opt int 20 & info [ "authors" ] ~docv:"N" ~doc:"Authors in the generated publications dataset.")
@@ -84,7 +86,7 @@ let fault_seed_t =
                  deployment replays the identical failure schedule.")
 
 let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
-    ?(store = Unistore_pgrid.Store_intf.Hash) () =
+    ?(store = Unistore_pgrid.Store.Hash) () =
   let rng = Unistore_util.Rng.create (seed + 1) in
   let tuples, triples, sample =
     match dataset with
@@ -129,7 +131,7 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
   (store, sample)
 
 let setup ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
-    ?(store = Unistore_pgrid.Store_intf.Hash) () =
+    ?(store = Unistore_pgrid.Store.Hash) () =
   fst (setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache ~store ())
 
 (* ------------------------------------------------------------------ *)

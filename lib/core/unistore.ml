@@ -51,7 +51,7 @@ type config = {
   qgram_index : bool;
   load_balanced : bool;
   cache : cache_config;
-  store : Unistore_pgrid.Store_intf.backend;
+  store : Unistore_pgrid.Store.backend;
 }
 
 let default_config =
@@ -65,7 +65,7 @@ let default_config =
     qgram_index = true;
     load_balanced = true;
     cache = default_cache_config;
-    store = Unistore_pgrid.Store_intf.Hash;
+    store = Unistore_pgrid.Store.Hash;
   }
 
 (* The overlay a deployment runs on. *)

@@ -64,10 +64,11 @@ type config = {
   qgram_index : bool;  (** maintain the string-similarity index *)
   load_balanced : bool;  (** P-Grid data-aware partitioning (needs sample) *)
   cache : cache_config;
-  store : Unistore_pgrid.Store_intf.backend;
-      (** per-peer storage backend (P-Grid only; the Chord baseline
-          ignores it): [Hash] (default) or [Log { dir }] (file-backed,
-          crash-restart capable — see {!Unistore_pgrid.Overlay.crash}) *)
+  store : Unistore_pgrid.Store.backend;
+      (** per-peer store journal (P-Grid only; the Chord baseline
+          ignores it): [Hash] (default, none) or [Log { dir }] (each
+          peer's writes journaled to a fresh segment under [dir], which
+          crash-restart replays — see {!Unistore_pgrid.Overlay.crash}) *)
 }
 
 val default_config : config

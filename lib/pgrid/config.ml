@@ -10,7 +10,7 @@ type t = {
   shortcut_capacity : int;
   adaptive_timeout : bool;
   hot_replication : bool;
-  store_backend : Store_intf.backend;
+  store_backend : Store.backend;
 }
 
 let default =
@@ -26,5 +26,5 @@ let default =
     shortcut_capacity = 128;
     adaptive_timeout = true;
     hot_replication = false;
-    store_backend = Store_intf.Hash;
+    store_backend = Store.Hash;
   }

@@ -41,11 +41,11 @@ type t = {
           peers per region and rotate between them, so origins spread
           traffic across an owner's replicas and boosts instead of
           pinning the first responder *)
-  store_backend : Store_intf.backend;
-      (** per-peer store implementation (see {!Store}): [Hash] (default)
-          is in-memory; [Log { dir }] persists each peer's
-          store as an append-only file under [dir], enabling
-          crash-restart with log replay ({!Overlay.crash}) *)
+  store_backend : Store.backend;
+      (** per-peer store journal (see {!Store}): [Hash] (default)
+          keeps none; [Log { dir }] journals each peer's writes to a
+          fresh append-only segment under [dir], which crash-restart
+          replays ({!Overlay.crash}) *)
 }
 
 val default : t

@@ -40,20 +40,19 @@ type t = {
 (* No store has generation -1, so the first sample always scans. *)
 let no_stat_memo = (-1, [])
 
-let create ?(backend = Store_intf.Hash) id =
+let create ?(backend = Store.Hash) id =
   {
     id;
     path = Bitkey.empty;
     splits = [||];
     refs = [||];
     replicas = [];
-    (* [name] keys the log backend's per-peer file (the hash backend
-       has none); the hot-store copy is cache-like and always stays in
-       memory. *)
+    (* [name] keys the per-peer journal ([Hash] keeps none); the
+       hot-store copy is cache-like and never journals. *)
     store =
       Store.create ~backend
         ?name:
-          (match backend with Store_intf.Log _ -> Some (Printf.sprintf "peer-%d" id) | Hash -> None)
+          (match backend with Store.Log _ -> Some (Printf.sprintf "peer-%d" id) | Hash -> None)
         ();
     write_epoch = 0;
     shortcuts = Shortcuts.create ~capacity:128;

@@ -60,11 +60,11 @@ type t = {
     scans. *)
 val no_stat_memo : int * Unistore_cache.Statcache.summary list
 
-(** [create ?backend id] — [backend] (default [Hash]) selects the main
-    store's implementation; the log backend names its file after [id]
+(** [create ?backend id] — [backend] (default [Hash]) says whether the
+    main store journals; a [Log] journal is named after [id]
     (["peer-<id>"]).
-    [hot_store] always stays in-memory (it is a soft replica copy). *)
-val create : ?backend:Store_intf.backend -> int -> t
+    [hot_store] never journals (it is a soft replica copy). *)
+val create : ?backend:Store.backend -> int -> t
 
 (** [bump_epoch t] records one local store change. *)
 val bump_epoch : t -> unit

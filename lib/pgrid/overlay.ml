@@ -73,9 +73,9 @@ let set_config t config =
 
 (* Crash a peer: unlike {!kill} (which merely stops message delivery
    and keeps state intact for {!revive}), a crash also loses the
-   peer's volatile state — the whole store for in-memory backends, the
-   torn log tail (a [keep_frac] fraction of log bytes survives) for the
-   log backend, and any boost-replica copy. The peer stays dead until
+   peer's volatile state — the whole store without a journal, the
+   torn journal tail (a [keep_frac] fraction of its bytes survives)
+   with one, and any boost-replica copy. The peer stays dead until
    {!revive}; on revival, anti-entropy/{!Repair.round} reconcile the
    lost delta from the replica group. Returns the number of items that
    survived locally (log replay). *)
@@ -88,11 +88,11 @@ let crash t ?keep_frac id =
   cache_incr t "fault.crash";
   recovered
 
-(* Export per-backend storage footprint as gauges, summed over alive
+(* Export the per-peer stores' footprint as gauges, summed over alive
    peers: [store.bytes] (the deterministic memory-model estimate, same
    counter the compression tests assert on), [store.items], and
-   [store.log_bytes] (on-disk segment bytes; 0 unless the log backend
-   is active). Called by benchmarks before snapshotting metrics. *)
+   [store.log_bytes] (on-disk journal bytes; 0 unless the stores
+   journal). Called by benchmarks before snapshotting metrics. *)
 let refresh_store_gauges t =
   match metrics t with
   | None -> ()

@@ -91,8 +91,8 @@ val alive : t -> int -> bool
 
 (** [crash t ?keep_frac id] kills [id] {e and} loses its volatile
     state, unlike {!kill} (which keeps state intact for {!revive}):
-    in-memory stores restart empty; the log backend replays its file,
-    truncated to [keep_frac] of its bytes first when given (the torn
+    a store without a journal restarts empty; one with a journal
+    replays it, truncated to [keep_frac] of its bytes first when given (the torn
     tail — the cut may fall mid-record). Also drops any boost-replica
     copy. Counts [fault.crash]; returns the locally recovered item
     count. The peer stays dead until {!revive}; repair/anti-entropy
@@ -175,7 +175,8 @@ val prefix : t -> origin:int -> prefix:string -> k:(result -> unit) -> unit
 
 (** [broadcast t ~origin ?lo ?hi ?reduce ~pred ~k ()] floods the overlay
     region \[[lo],[hi]) (default: every alive peer) and scans each local
-    store with [pred]; the expensive fallback when no index applies.
+    store's items in that region with [pred]; the expensive fallback
+    when no index applies.
     [reduce], when given, runs at every leaf over its matched items
     before the reply is sent — a leaf-side partial reduction (e.g. a
     local skyline) whose dropped items never cross the network. It must

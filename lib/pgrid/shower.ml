@@ -240,8 +240,10 @@ let handle_range t me (r : Message.range) =
 
 let handle_probe t (me : Node.t) ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pred ~reduce =
   let local () =
+    (* Only the clip's items: a store may hold keys outside it. The
+       prepends leave them in descending key order. *)
     let acc = ref [] in
-    Store.iter me.store (fun i -> if pred i then acc := i :: !acc);
+    Store.iter_clip me.store ~lo:clip_lo ~hi:clip_hi (fun i -> if pred i then acc := i :: !acc);
     (* Leaf-side partial reduction (e.g. a local skyline): items the
        reducer drops never cross the network. *)
     match reduce with

@@ -1,4 +1,4 @@
-(** Per-peer local data store — a facade over pluggable backends.
+(** Per-peer local data store: an ordered map with an optional journal.
 
     Items are keyed by their full order-preserving encoding (a byte
     string), so local range/prefix filtering is exact even though routing
@@ -7,14 +7,22 @@
     triples with the same attribute/value); versions give last-writer-wins
     semantics for the update/replication protocol.
 
-    Two backends implement the same {!Store_intf.S} contract (scans in
-    ascending key order, newest-first within a key — see the ordering
-    contract in {!Store_intf}): [Hash] (the default ordered-map store)
-    and [Log] (file-backed log-structured, survives {!crash_restart}).
-    test/test_store.ml replays both differentially against a reference
-    model. *)
+    Ordering contract (load-bearing): every scan ({!find}, {!range},
+    {!with_prefix}, {!iter}, {!to_list}) yields items in ascending key
+    order, and items sharing a key in newest-first order of their first
+    insertion, with an LWW update leaving its item's position unchanged.
+    Call sites (e.g. {!Unistore_triple.Tstore}'s first-seen dedup of
+    lookup replies) rely on replies being deterministic and the same
+    with the journal on or off. {!digest} and {!filter_partition}
+    results are order-unspecified (all consumers are order-insensitive).
+    test/test_store.ml replays a store with and without a journal
+    against a reference model.
 
-type item = Store_intf.item = {
+    The [Log] deployment adds a journal: every change to the store
+    appends one record to a per-store segment file, and
+    {!crash_restart} replays it. *)
+
+type item = {
   key : string;  (** full order-preserving encoding; routing uses its prefix *)
   item_id : string;  (** identity for updates; unique per logical datum *)
   payload : string;  (** opaque application payload (a serialized triple) *)
@@ -42,11 +50,17 @@ type result = {
 (** The complete answer to an empty request. *)
 val empty_result : result
 
-(** Deterministic memory-model estimate of resident bytes, and the live
-    item count. Comparable across backends; not a GC measurement. *)
-type stats = Store_intf.stats = { bytes : int; triples : int }
+(** Deterministic memory-model estimate of resident bytes (records,
+    string headers and padding, container overhead, the id index), and
+    the live item count. The same with the journal on or off; not a GC
+    measurement. *)
+type stats = { bytes : int; triples : int }
 
-type backend = Store_intf.backend = Hash | Log of { dir : string }
+(** The deployment's storage setting, threaded from
+    [Unistore.config.store] / CLI [--backend] through
+    {!Config.t.store_backend} down to {!Node.create}: [Hash] keeps no
+    journal, [Log] journals each store to [dir] (created on demand). *)
+type backend = Hash | Log of { dir : string }
 
 (** ["hash"] or ["log"]. *)
 val backend_label : backend -> string
@@ -57,8 +71,9 @@ val item_bytes : item -> int
 type t
 
 (** [create ?backend ?name ()] — defaults to [Hash]. For [Log], the
-    segment file is [dir/name.log] ([name] defaults to a unique
-    generated one). *)
+    journal is [dir/name.log] ([name] defaults to a unique generated
+    one) and starts empty: a segment already at that path is
+    overwritten, never replayed. *)
 val create : ?backend:backend -> ?name:string -> unit -> t
 
 (** The backend this store was created with. *)
@@ -72,9 +87,8 @@ val kind : t -> backend
     {!digest}, {!stats}, ...) never move it. So a summary of the
     contents computed at generation [g] is still exact while
     [generation t = g] — the memo behind
-    {!Unistore_triple.Stat_sample.of_node}. The counter lives in this
-    facade, not in a backend, so it keeps rising across a log
-    backend's crash-restart replay. *)
+    {!Unistore_triple.Stat_sample.of_node}. It keeps rising across a
+    journal's crash-restart replay. *)
 val generation : t -> int
 
 (** [put t item] inserts or updates. An existing entry with the same
@@ -100,6 +114,11 @@ val with_prefix : t -> string -> item list
 val size : t -> int
 
 val iter : t -> (item -> unit) -> unit
+
+(** [iter_clip t ~lo ~hi f] applies [f] to the items with
+    [lo <= key < hi] ([hi = None]: no upper bound), in scan order. *)
+val iter_clip : t -> lo:string -> hi:string option -> (item -> unit) -> unit
+
 val to_list : t -> item list
 
 (** [filter_partition t pred] keeps items satisfying [pred] and returns the
@@ -114,17 +133,32 @@ val clear : t -> unit
 (** Memory-model estimate for this store's current contents. *)
 val stats : t -> stats
 
-(** Simulate a crash followed by a restart. The hash backend comes
-    back empty (returns [0]); the log backend replays its file and
-    returns the number of recovered items. [keep_frac] (log only)
-    first truncates the log to that fraction of its bytes — the "torn
-    tail" a real crash leaves when buffered writes never hit the disk;
-    the cut may fall mid-record, and replay keeps exactly the records
-    fully contained in the surviving prefix. *)
+(** Simulate a crash followed by a restart. Without a journal the
+    store comes back empty (returns [0]); with one it replays the
+    journal and returns the number of recovered items. [keep_frac]
+    (journal only) first truncates the journal to that fraction of its
+    bytes — the "torn tail" a real crash leaves when buffered writes
+    never hit the disk; the cut may fall mid-record, and replay keeps
+    exactly the records fully contained in the surviving prefix. *)
 val crash_restart : ?keep_frac:float -> t -> int
 
-(** Logical size of the log file in bytes (0 for the hash backend). *)
+(** Logical size of the journal in bytes (0 without one). *)
 val log_bytes : t -> int
 
-(** Flush buffered log appends to the OS (no-op for the hash backend). *)
+(** Flush buffered journal appends to the OS (no-op without one). *)
 val sync : t -> unit
+
+(** {2 The id index}
+
+    A key of more than [indexed_after] items carries an exact index
+    from each item id to its item, so a put finds its id without
+    walking the key. Exposed for its invariant tests. *)
+
+val indexed_after : int
+
+module Tbl : Hashtbl.S with type key = string
+
+(** key -> (item id -> item) for every indexed key; [None] until the
+    store's first key grows past [indexed_after] items, and again after
+    {!clear}. *)
+val id_index : t -> item Tbl.t Tbl.t option

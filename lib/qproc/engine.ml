@@ -158,9 +158,9 @@ let start ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
            scan when the substrate ships closures: dominated tuples are
            dropped at the peers that hold them instead of travelling to
            the origin. *)
-        match (strategy, Exec.skyline_pushdown_shape q) with
-        | Centralized, Some (goals, subj, av) when Tstore.skyline_scan_supported ts ->
-          Exec.run_skyline_pushdown ts ~origin q ~goals ~subj ~av ~k
+        match (strategy, Exec.skyline_pushdown_shape q, Tstore.oid_scan_reduce ts) with
+        | Centralized, Some (goals, subj, av), Some scan ->
+          Exec.run_skyline_pushdown ts ~scan ~origin q ~goals ~subj ~av ~k
         | _ -> run_branch q ~k)
       | union_branches ->
         let sub_queries =

@@ -693,7 +693,7 @@ let tuple_bindings ~unit ~subj ~av (group : Triple.t list) =
             acc)
       seed av
 
-let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
+let run_skyline_pushdown ts ~scan ~origin (q : Ast.query) ~goals ~subj ~av ~k =
   let attrs = List.map fst av in
   let unit = Binding.empty_of (Binding.schema (subj :: List.map snd av)) in
   let pred (tr : Triple.t) = List.exists (String.equal tr.Triple.attr) attrs in
@@ -753,7 +753,7 @@ let run_skyline_pushdown ts ~origin (q : Ast.query) ~goals ~subj ~av ~k =
     }
   in
   let run = start_run ts ~origin ~expansions:[] [] in
-  Tstore.oid_scan_reduce ts ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
+  scan ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
       note run r;
       let rows =
         List.concat_map (tuple_bindings ~unit ~subj ~av) (group_by_oid triples) |> postprocess plan

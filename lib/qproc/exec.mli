@@ -104,9 +104,10 @@ val run_mutant :
 val skyline_pushdown_shape :
   Ast.query -> ((string * Ast.goal) list * string * (string * string) list) option
 
-(** [run_skyline_pushdown ts ~origin q ~goals ~subj ~av ~k] evaluates a
-    query matching {!skyline_pushdown_shape} with a leaf-reduced scan of
-    the OID region ({!Unistore_triple.Tstore.oid_scan_reduce}): each
+(** [run_skyline_pushdown ts ~scan ~origin q ~goals ~subj ~av ~k]
+    evaluates a query matching {!skyline_pushdown_shape} with [scan], the
+    leaf-reduced scan of the OID region that
+    {!Unistore_triple.Tstore.oid_scan_reduce} offers [ts]: each
     peer drops tuples that cannot join (missing attributes) and complete
     single-valued tuples dominated by a co-located tuple, so most
     dominated rows never cross the network; the origin re-runs the exact
@@ -115,6 +116,7 @@ val skyline_pushdown_shape :
     synthetic plan (for EXPLAIN) alongside the result. *)
 val run_skyline_pushdown :
   Tstore.t ->
+  scan:Tstore.oid_scan ->
   origin:int ->
   Ast.query ->
   goals:(string * Ast.goal) list ->

@@ -157,40 +157,45 @@ let scan t ~origin ~pred ~k =
 (* ------------------------------------------------------------------ *)
 (* Reduced OID-region scan (skyline pushdown)                          *)
 
-let skyline_scan_supported t = t.dht.Dht.scan_reduce <> None
+type oid_scan =
+  origin:int ->
+  pred:(Triple.t -> bool) ->
+  reduce:(Triple.t list -> Triple.t list) ->
+  k:(Triple.t list * Dht.result -> unit) ->
+  unit
 
-let oid_scan_reduce t ~origin ~pred ~reduce ~k =
-  let item_pred (i : Store.item) =
-    String.length i.Store.key >= 2
-    && i.Store.key.[0] = 'O'
-    && i.Store.key.[1] = '\000'
-    &&
-    match Triple.deserialize i.Store.payload with Some tr -> pred tr | None -> false
-  in
-  match t.dht.Dht.scan_reduce with
-  | Some scan_reduce ->
-    (* Lift the triple-level reduction to items: decode, reduce, keep
-       exactly the items whose triples survived (reduce only drops, so
-       id membership is a faithful back-mapping). *)
-    let item_reduce items =
-      let decoded =
-        List.filter_map
-          (fun (i : Store.item) ->
-            match Triple.deserialize i.Store.payload with
-            | Some tr -> Some (i, tr)
-            | None -> None)
-          items
+let oid_scan_reduce t : oid_scan option =
+  Option.map
+    (fun scan_reduce ~origin ~pred ~reduce ~k ->
+      let item_pred (i : Store.item) =
+        String.length i.Store.key >= 2
+        && i.Store.key.[0] = 'O'
+        && i.Store.key.[1] = '\000'
+        &&
+        match Triple.deserialize i.Store.payload with Some tr -> pred tr | None -> false
       in
-      let survivors = reduce (List.map snd decoded) in
-      let keep = Hashtbl.create (max 1 (List.length survivors)) in
-      List.iter (fun tr -> Hashtbl.replace keep (Triple.id tr) ()) survivors;
-      List.filter_map
-        (fun (i, tr) -> if Hashtbl.mem keep (Triple.id tr) then Some i else None)
-        decoded
-    in
-    scan_reduce ~origin ~lo:Keys.oid_prefix ~hi:Keys.oid_region_end ~pred:item_pred
-      ~reduce:item_reduce ~k:(decoded k)
-  | None -> t.dht.Dht.broadcast ~origin ~pred:item_pred ~k:(decoded k)
+      (* Lift the triple-level reduction to items: decode, reduce, keep
+         exactly the items whose triples survived (reduce only drops, so
+         id membership is a faithful back-mapping). *)
+      let item_reduce items =
+        let decoded =
+          List.filter_map
+            (fun (i : Store.item) ->
+              match Triple.deserialize i.Store.payload with
+              | Some tr -> Some (i, tr)
+              | None -> None)
+            items
+        in
+        let survivors = reduce (List.map snd decoded) in
+        let keep = Hashtbl.create (max 1 (List.length survivors)) in
+        List.iter (fun tr -> Hashtbl.replace keep (Triple.id tr) ()) survivors;
+        List.filter_map
+          (fun (i, tr) -> if Hashtbl.mem keep (Triple.id tr) then Some i else None)
+          decoded
+      in
+      scan_reduce ~origin ~lo:Keys.oid_prefix ~hi:Keys.oid_region_end ~pred:item_pred
+        ~reduce:item_reduce ~k:(decoded k))
+    t.dht.Dht.scan_reduce
 
 (* ------------------------------------------------------------------ *)
 (* q-gram search (shared by similarity and substring search)           *)

@@ -150,11 +150,16 @@ val top_n_by_attr :
 (** Full network scan with an arbitrary predicate (flooding fallback). *)
 val scan : t -> origin:int -> pred:(Triple.t -> bool) -> k:(Triple.t list * Dht.result -> unit) -> unit
 
-(** Whether {!oid_scan_reduce} will actually reduce at the leaves (the
-    substrate ships closures). *)
-val skyline_scan_supported : t -> bool
+type oid_scan =
+  origin:int ->
+  pred:(Triple.t -> bool) ->
+  reduce:(Triple.t list -> Triple.t list) ->
+  k:(Triple.t list * Dht.result -> unit) ->
+  unit
 
-(** [oid_scan_reduce t ~origin ~pred ~reduce ~k] scans the OID region
+(** [oid_scan_reduce t] is [None] unless the substrate ships closures
+    to reduce at the leaves. [Some scan]: [scan ~origin ~pred ~reduce ~k]
+    scans the OID region
     (where all triples of one logical tuple share a single key and are
     therefore collocated on one peer), keeps triples matching [pred] and
     runs [reduce] at {e each leaf} over its locally matched triples
@@ -163,15 +168,8 @@ val skyline_scan_supported : t -> bool
     [reduce] must only drop triples, never invent them; because tuples
     are collocated, any per-tuple decision it makes (e.g. "this tuple is
     incomplete" or "this tuple is dominated by a co-located one") is
-    globally sound. Falls back to an unreduced broadcast when
-    unsupported. *)
-val oid_scan_reduce :
-  t ->
-  origin:int ->
-  pred:(Triple.t -> bool) ->
-  reduce:(Triple.t list -> Triple.t list) ->
-  k:(Triple.t list * Dht.result -> unit) ->
-  unit
+    globally sound. *)
+val oid_scan_reduce : t -> oid_scan option
 
 (** [similar t ~origin ?attr ~pattern ~d]: triples whose string value is
     within edit distance [d] of [pattern] (restricted to [attr] when

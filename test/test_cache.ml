@@ -867,8 +867,8 @@ let generation_contract label backend =
 let test_store_generation_contract () =
   generation_contract "hash" Store.Hash;
   with_log_dir "contract" (fun dir -> generation_contract "log" (Store.Log { dir }));
-  (* A log replay rebuilds the backend's index from the file: the
-     facade's generation must keep rising across it, torn tail or not. *)
+  (* A journal replay refills the store's map from the file: the
+     generation must keep rising across it, torn tail or not. *)
   with_log_dir "torn" (fun dir ->
       let s = Store.create ~backend:(Store.Log { dir }) ~name:"torn" () in
       for i = 0 to 19 do

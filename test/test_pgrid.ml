@@ -483,6 +483,27 @@ let test_broadcast_probe () =
     true
     (r.Overlay.peers_hit >= 8)
 
+(* A clipped broadcast whose predicate ignores keys answers exactly
+   the stored keys in [lo, hi), even from the leaves whose regions
+   straddle a bound. *)
+let test_broadcast_clip () =
+  let rng = Rng.create 8 in
+  let keys = List.sort_uniq compare (random_words rng 60) in
+  let ov = build_overlay ~n:32 ~keys () in
+  insert_all ov keys;
+  let lo = "e" and hi = "t" in
+  let r = await (Overlay.sim ov) (fun k ->
+      Overlay.broadcast ov ~origin:2 ~lo ~hi ~pred:(fun _ -> true) ~k ()) in
+  Alcotest.(check bool) "complete" true r.Overlay.complete;
+  let got = List.map (fun i -> i.Store.key) r.Overlay.items |> List.sort_uniq compare in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (Printf.sprintf "%S in [%s, %s)" key lo hi) true (key >= lo && key < hi))
+    got;
+  check Alcotest.(list string) "every key in the clip"
+    (List.filter (fun key -> key >= lo && key < hi) keys)
+    got
+
 let test_hops_logarithmic () =
   let rng = Rng.create 9 in
   let keys = random_words rng 400 in
@@ -1127,10 +1148,13 @@ let prop_failover_any_kill_set =
    there one replica's digest was an item short (its first [Replicate]
    had been dropped and the insert's retry no longer re-sends it, so
    anti-entropy does). Without those draws every later latency and
-   drop moves, so the results were re-recorded too. *)
+   drop moves, so the results were re-recorded too. And again when a
+   broadcast leaf stopped answering items outside the probe's clip: the
+   diff was the broadcast's items (six keys outside ["e", "t") gone),
+   the bytes of its three replies and the byte counters. *)
 
-let golden_overlay_trace = (1417, "cdd740d675cbb8bec6fa3a2ae2db2fac")
-let golden_overlay_results = (315, "5b02e9b4012c9f18aa72de6fb7be6895")
+let golden_overlay_trace = (1417, "eb46ebfe4d8251dd5c4f35308253747e")
+let golden_overlay_results = (315, "43c99c3503fcd6de008b07100aeb681b")
 
 let overlay_session () =
   let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
@@ -1493,6 +1517,7 @@ let () =
           Alcotest.test_case "hop-limited range is partial" `Quick test_hop_limited_range_partial;
           Alcotest.test_case "prefix search" `Quick test_prefix_search;
           Alcotest.test_case "broadcast probe" `Quick test_broadcast_probe;
+          Alcotest.test_case "broadcast stays inside its clip" `Quick test_broadcast_clip;
           Alcotest.test_case "hops logarithmic" `Slow test_hops_logarithmic;
           Alcotest.test_case "lookups survive failures" `Quick test_failure_lookup_retries;
           Alcotest.test_case "lookups under message loss" `Quick test_lookups_under_message_loss;

@@ -1,11 +1,11 @@
-(* Differential tests for the pluggable storage backends (Store_intf):
-   every observable operation replayed against both backends — hash
-   (the reference) and log (file-backed, crash-restart capable) — plus
-   an independent sorted-list model, asserting identical observable
-   state after every batch. Also covers the log backend's torn-tail
-   crash-restart machinery, the overlay-level crash/repair/anti-entropy
-   recovery path, the store gauges, and same-seed determinism with the
-   log backend enabled. *)
+(* Differential tests for the per-peer store: every observable
+   operation replayed against a store with the journal off ("hash") and
+   one with it on ("log", crash-restart capable) plus an independent
+   sorted-list model, asserting identical observable state after every
+   batch. Also covers the journal's torn-tail crash-restart machinery,
+   a new journal starting empty, the overlay-level crash/repair/
+   anti-entropy recovery path, the store gauges, and same-seed
+   determinism with the journal on. *)
 
 open Unistore_util
 module Sim = Unistore_sim.Sim
@@ -21,7 +21,6 @@ module Overlay = Unistore_pgrid.Overlay
 module Build = Unistore_pgrid.Build
 module Gossip = Unistore_pgrid.Gossip
 module Repair = Unistore_pgrid.Repair
-module Backend_hash = Unistore_pgrid.Backend_hash
 
 let check = Alcotest.check
 
@@ -51,7 +50,7 @@ open Test_support
    derive from a stable sort by key: keys ascending, and — because the
    list is globally newest-first and the sort is stable — newest-first
    within each key, with LWW updates replacing in place (position
-   preserved). This is the ordering contract of Store_intf. *)
+   preserved). This is the ordering contract of Store. *)
 
 module Model = struct
   type t = { mutable entries : Store.item list }
@@ -275,7 +274,7 @@ let run_random_trace ~seed ~batches ~batch_len () =
       done)
 
 (* A hot-key trace: hundreds of ids over three keys, so every key holds
-   far more items than Backend_hash.indexed_after and carries an id
+   far more items than Store.indexed_after and carries an id
    index — the random traces above never hold more than six items under
    a key. It opens with a cold-key phase on the fresh stores: hundreds
    of keys of at most four ids each, none long enough for an index,
@@ -327,7 +326,7 @@ let run_hot_key_trace ~seed () =
       check Alcotest.bool
         (Printf.sprintf "cold fill holds many items (%d)" (Model.size model))
         true
-        (Model.size model > 16 * Backend_hash.indexed_after);
+        (Model.size model > 16 * Store.indexed_after);
       run [ Partition cold_keys.(150) ];
       for _ = 1 to 2 do
         run (gen cold_keys cold_ids 300)
@@ -339,7 +338,7 @@ let run_hot_key_trace ~seed () =
       check Alcotest.bool
         (Printf.sprintf "fill indexes the hot keys (hottest key %d items)" (hottest ()))
         true
-        (hottest () > 8 * Backend_hash.indexed_after);
+        (hottest () > 8 * Store.indexed_after);
       run [ Partition keys.(1) ];
       for _ = 1 to 3 do
         run (gen keys ids 300)
@@ -349,10 +348,10 @@ let run_hot_key_trace ~seed () =
         run (gen keys ids 300)
       done;
       check Alcotest.bool "reuse crosses the threshold again" true
-        (hottest () > 2 * Backend_hash.indexed_after))
+        (hottest () > 2 * Store.indexed_after))
 
 (* The id index's one promise, under the store's own policy: after
-   every operation, each key of more than Backend_hash.indexed_after
+   every operation, each key of more than Store.indexed_after
    items is indexed, and each indexed key's index maps exactly its
    items' ids to its items. Random traces over a hash store cross the
    index's creation, removes that shrink or empty an indexed key,
@@ -377,19 +376,19 @@ let gen_index_ops =
        ])
 
 let index_exact s =
-  let module Tbl = Backend_hash.Tbl in
-  let keys = List.sort_uniq String.compare (List.map (fun (i : Store.item) -> i.Store.key) (Backend_hash.to_list s)) in
-  let index key = Option.bind s.Backend_hash.index (fun ix -> Tbl.find_opt ix key) in
+  let module Tbl = Store.Tbl in
+  let keys = List.sort_uniq String.compare (List.map (fun (i : Store.item) -> i.Store.key) (Store.to_list s)) in
+  let index key = Option.bind (Store.id_index s) (fun ix -> Tbl.find_opt ix key) in
   List.for_all
     (fun key ->
-      let items = Backend_hash.find s key in
+      let items = Store.find s key in
       match index key with
-      | None -> List.compare_length_with items Backend_hash.indexed_after <= 0
+      | None -> List.compare_length_with items Store.indexed_after <= 0
       | Some ids ->
         Tbl.length ids = List.length items
         && List.for_all (fun (i : Store.item) -> Tbl.find_opt ids i.Store.item_id = Some i) items)
     keys
-  && match s.Backend_hash.index with
+  && match Store.id_index s with
      | Some ix -> Tbl.fold (fun key _ ok -> ok && List.mem key keys) ix true
      | None -> true
 
@@ -398,57 +397,57 @@ let prop_id_index_exact =
     (QCheck2.Test.make ~count:200
        ~name:"id index: exact across creation, removes, partitions and clears" gen_index_ops
        (fun ops ->
-         let s = Backend_hash.create () in
+         let s = Store.create () in
          List.for_all
            (fun op ->
              (match op with
-             | I_put (key, id, p) -> ignore (Backend_hash.put s (item key id (string_of_int p)))
-             | I_remove (key, item_id) -> Backend_hash.remove s ~key ~item_id
+             | I_put (key, id, p) -> ignore (Store.put s (item key id (string_of_int p)))
+             | I_remove (key, item_id) -> Store.remove s ~key ~item_id
              | I_partition b ->
-               ignore (Backend_hash.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
-             | I_clear -> Backend_hash.clear s);
+               ignore (Store.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
+             | I_clear -> Store.clear s);
              index_exact s)
            ops))
 
 (* The index's life cycle on one hash store: none while every key holds
-   at most Backend_hash.indexed_after items, created for the key that
+   at most Store.indexed_after items, created for the key that
    grows past them, kept exact through [remove] and [filter_partition]
    (dropped with the key that empties) and dropped by [clear]. *)
 let test_index_lifecycle () =
-  let module Tbl = Backend_hash.Tbl in
-  let s = Backend_hash.create () in
-  let n = Backend_hash.indexed_after in
-  let put key i = ignore (Backend_hash.put s (item key (Printf.sprintf "id%d" i) "p")) in
-  let indexed key = Option.bind s.Backend_hash.index (fun ix -> Tbl.find_opt ix key) in
+  let module Tbl = Store.Tbl in
+  let s = Store.create () in
+  let n = Store.indexed_after in
+  let put key i = ignore (Store.put s (item key (Printf.sprintf "id%d" i) "p")) in
+  let indexed key = Option.bind (Store.id_index s) (fun ix -> Tbl.find_opt ix key) in
   for i = 1 to n do
     put "a" i;
     put "b" i
   done;
-  check Alcotest.bool "no index up to indexed_after items a key" true (s.Backend_hash.index = None);
+  check Alcotest.bool "no index up to indexed_after items a key" true (Store.id_index s = None);
   put "b" (n + 1);
   check Alcotest.bool "the long key is indexed" true (indexed "b" <> None);
   check Alcotest.bool "the short key is not" true (indexed "a" = None);
   check Alcotest.bool "exact after creation" true (index_exact s);
   check Alcotest.bool "identical re-put of an indexed id" false
-    (Backend_hash.put s (item "b" "id3" "p"));
-  Backend_hash.remove s ~key:"b" ~item_id:"id3";
+    (Store.put s (item "b" "id3" "p"));
+  Store.remove s ~key:"b" ~item_id:"id3";
   check Alcotest.bool "remove drops the id" true
     (match indexed "b" with Some ids -> not (Tbl.mem ids "id3") | None -> false);
   check Alcotest.bool "exact after remove" true (index_exact s);
   put "b" 3;
   check Alcotest.bool "reinsert after remove changes the store" true (index_exact s);
-  ignore (Backend_hash.filter_partition s (fun i -> not (String.equal i.Store.item_id "id5")));
+  ignore (Store.filter_partition s (fun i -> not (String.equal i.Store.item_id "id5")));
   check Alcotest.bool "exact after a partition that splits the key" true (index_exact s);
-  ignore (Backend_hash.filter_partition s (fun i -> String.equal i.Store.key "a"));
+  ignore (Store.filter_partition s (fun i -> String.equal i.Store.key "a"));
   check Alcotest.bool "a partition that empties the key drops its index" true (indexed "b" = None);
   for i = 1 to n + 1 do
     put "c" i
   done;
   check Alcotest.bool "indexed again" true (indexed "c" <> None);
-  Backend_hash.clear s;
-  check Alcotest.bool "clear drops the index" true (s.Backend_hash.index = None);
+  Store.clear s;
+  check Alcotest.bool "clear drops the index" true (Store.id_index s = None);
   put "c" 1;
-  check Alcotest.int "reusable after clear" 1 (Backend_hash.size s)
+  check Alcotest.int "reusable after clear" 1 (Store.size s)
 
 (* ------------------------------------------------------------------ *)
 (* Linearity guard: minor-heap words per put, filling one key          *)
@@ -642,7 +641,7 @@ let test_clear_then_reuse () =
         (Store.crash_restart s))
 
 (* ------------------------------------------------------------------ *)
-(* Log backend: crash/restart and torn tails                           *)
+(* Journal: crash/restart and torn tails                              *)
 
 let test_log_clean_restart () =
   with_log_dir "clean-restart" (fun dir ->
@@ -709,6 +708,25 @@ let test_log_torn_tail () =
       ignore (Store.crash_restart s2);
       check Alcotest.string "replay is idempotent" after (observe_store s2 [ "k0"; "k5"; "k11" ]))
 
+(* A new store on a dir and name that already hold a segment starts
+   empty and overwrites it: only [crash_restart] replays, and it
+   recovers this store's own writes alone. *)
+let test_log_new_store_starts_empty () =
+  with_log_dir "fresh" (fun dir ->
+      let first = Store.create ~backend:(Store.Log { dir }) ~name:"peer" () in
+      for i = 0 to 29 do
+        ignore (Store.put first (item (Printf.sprintf "k%d" i) "id" "old"))
+      done;
+      Store.sync first;
+      let second = Store.create ~backend:(Store.Log { dir }) ~name:"peer" () in
+      check Alcotest.int "second store starts empty" 0 (Store.size second);
+      for i = 0 to 2 do
+        ignore (Store.put second (item (Printf.sprintf "n%d" i) "id" "new"))
+      done;
+      let own = observe_store second [ "k0"; "n0"; "n2" ] in
+      check Alcotest.int "crash_restart recovers its own writes" 3 (Store.crash_restart second);
+      check Alcotest.string "and nothing else" own (observe_store second [ "k0"; "n0"; "n2" ]))
+
 let test_log_total_loss () =
   with_log_dir "total-loss" (fun dir ->
       let s = Store.create ~backend:(Store.Log { dir }) ~name:"gone" () in
@@ -732,7 +750,7 @@ let test_store_bytes_gauge () =
       let n = 8 in
       let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
       let config =
-        { Config.default with Config.store_backend = Unistore_pgrid.Store_intf.Log { dir } }
+        { Config.default with Config.store_backend = Store.Log { dir } }
       in
       let ov = Build.oracle sim ~latency ~rng ~config ~n ~sample_keys:[] ~balanced:false () in
       let m = Metrics.create () in
@@ -775,7 +793,7 @@ let test_overlay_crash_restart_recall () =
         {
           Config.default with
           Config.replication = 3;
-          store_backend = Unistore_pgrid.Store_intf.Log { dir };
+          store_backend = Store.Log { dir };
         }
       in
       let keys = List.init 40 (fun i -> Printf.sprintf "key#%02d" i) in
@@ -855,7 +873,7 @@ let run_log_scenario dir =
   let sim = Sim.create () in
   let rng = Rng.create 4242 in
   let latency = Latency.create Latency.Lan ~n ~rng in
-  let config = { Config.default with Config.store_backend = Unistore_pgrid.Store_intf.Log { dir } } in
+  let config = { Config.default with Config.store_backend = Store.Log { dir } } in
   let ov = Build.oracle sim ~latency ~rng ~config ~n ~sample_keys:[] ~balanced:true () in
   let tr = Trace.create () in
   Net.set_trace (Overlay.net ov) (Some tr);
@@ -926,6 +944,8 @@ let () =
           Alcotest.test_case "clean crash-restart replays everything" `Quick test_log_clean_restart;
           Alcotest.test_case "torn tail at and inside record boundaries" `Quick test_log_torn_tail;
           Alcotest.test_case "total log loss" `Quick test_log_total_loss;
+          Alcotest.test_case "a new store's journal starts empty" `Quick
+            test_log_new_store_starts_empty;
         ] );
       ("gauges", [ Alcotest.test_case "store.bytes gauge wiring" `Quick test_store_bytes_gauge ]);
       ( "crash-restart",
