@@ -28,7 +28,9 @@ test-faults:
 # test. Journal files are written under the dune sandbox and removed by
 # the tests themselves, so the run stays hermetic. Then a CLI smoke:
 # two `--backend log` runs with one seed and temp dir, the second on a
-# smaller dataset, must answer from the second run's data alone.
+# smaller dataset, must answer from the second run's data alone, and
+# each run must remove its journal directory: the temp dir is empty
+# afterwards.
 STORE_SMOKE = dune exec --display quiet bin/unistore_cli.exe -- query --backend log \
   --seed 9137 --peers 16 "SELECT ?n WHERE { (?a,'name',?n) }" --authors
 
@@ -36,9 +38,11 @@ test-store:
 	dune exec test/test_store.exe
 	@tmp=$$(mktemp -d) && \
 	  TMPDIR=$$tmp $(STORE_SMOKE) 30 >/dev/null && \
-	  out=$$(TMPDIR=$$tmp $(STORE_SMOKE) 3); rm -rf $$tmp; \
+	  out=$$(TMPDIR=$$tmp $(STORE_SMOKE) 3); left=$$(ls -A $$tmp); rm -rf $$tmp; \
 	  if echo "$$out" | grep -q '^3 row(s)'; then echo "new log deployment starts empty: OK"; \
-	  else echo "FAIL: a second --backend log run replayed the first run's data"; echo "$$out"; exit 1; fi
+	  else echo "FAIL: a second --backend log run replayed the first run's data"; echo "$$out"; exit 1; fi; \
+	  if [ -z "$$left" ]; then echo "journal directories removed at exit: OK"; \
+	  else echo "FAIL: --backend log runs left files in TMPDIR:"; echo "$$left"; exit 1; fi
 
 # Static-analysis gate (lib/analysis): strict-warning build, then the
 # full analyzer suite against live deployments on both substrates —

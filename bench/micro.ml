@@ -46,19 +46,18 @@ let join_sides () =
   in
   (left, right)
 
+(* A triple's A#v entry, as {!Tstore.items_of_triple} stores it. *)
+let av_entry tr =
+  List.find
+    (fun (i : Store.item) -> String.starts_with ~prefix:"A\000" i.Store.key)
+    (Tstore.items_of_triple ~qgrams:false tr)
+
 let reply_items () =
   let items =
     List.init 400 (fun i ->
-        let tr =
-          Triple.make ~oid:(Printf.sprintf "p%d" i) ~attr:"title"
-            (Value.S (Printf.sprintf "title of publication %d" (i / 2)))
-        in
-        {
-          Store.key = "A\000title\000" ^ Value.encode tr.Triple.value;
-          item_id = Triple.id tr;
-          payload = Triple.serialize tr;
-          version = 0;
-        })
+        av_entry
+          (Triple.make ~oid:(Printf.sprintf "p%d" i) ~attr:"title"
+             (Value.S (Printf.sprintf "title of publication %d" (i / 2)))))
   in
   (* Each of three peers answers its key-ordered share, and the overlay
      prepends every hit reversed, as a shower's replies accumulate. *)
@@ -102,8 +101,9 @@ let tests =
       Test.make ~name:"request.dedupe_items.800" (Staged.stage (fun () -> Request.dedupe_items reply));
       Test.make ~name:"tstore.decode_items.400" (Staged.stage (fun () -> Tstore.decode_items deduped));
       Test.make ~name:"store.range_scan" (Staged.stage (fun () -> Store.range store ~lo:"d" ~hi:"f"));
-      Test.make ~name:"triple.serialize" (Staged.stage (fun () ->
-          Triple.serialize (Triple.make ~oid:"a12" ~attr:"confname" (Value.S "ICDE 2006"))));
+      Test.make ~name:"tstore.items_of_triple" (Staged.stage (fun () ->
+          Tstore.items_of_triple ~qgrams:false
+            (Triple.make ~oid:"a12" ~attr:"confname" (Value.S "ICDE 2006"))));
     ]
 
 let run () =

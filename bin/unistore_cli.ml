@@ -44,15 +44,21 @@ let backend_t =
                  a fresh append-only segment under a temp directory, which crash-restart \
                  replays).")
 
-(* [log] journals each peer to one segment file, started empty by every
-   run; key the directory by seed so two concurrent invocations with
-   different seeds don't write the same files. *)
+(* [log] journals each peer to one segment file under a fresh temp
+   directory of this run (so concurrent invocations never share files),
+   removed with everything in it when the CLI exits. *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let resolve_backend ~seed = function
   | `Hash -> Unistore_pgrid.Store.Hash
   | `Log ->
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "unistore-log-%d" seed)
-    in
+    let dir = Filename.temp_dir (Printf.sprintf "unistore-log-%d-" seed) "" in
+    at_exit (fun () -> if Sys.file_exists dir then remove_tree dir);
     Unistore_pgrid.Store.Log { dir }
 
 let authors_t =

@@ -2,38 +2,50 @@ module Metrics = Unistore_obs.Metrics
 
 type 'a entry = { value : 'a; version : int; stored_at : float }
 
+(* The four counter names, built once per cache: a find runs once per
+   bind-join probe key. *)
+type counters = { hit : string; miss : string; stale_version : string; stale_ttl : string }
+
 type 'a t = {
-  name : string;
+  counters : counters;
   mutable metrics : Metrics.t option;
   ttl_ms : float;
   lru : 'a entry Lru.t;
 }
 
 let create ?(name = "cache.result") ?metrics ~capacity ~ttl_ms () =
-  { name; metrics; ttl_ms; lru = Lru.create ~capacity }
+  let counter what = name ^ "." ^ what in
+  let counters =
+    {
+      hit = counter "hit";
+      miss = counter "miss";
+      stale_version = counter "stale_version";
+      stale_ttl = counter "stale_ttl";
+    }
+  in
+  { counters; metrics; ttl_ms; lru = Lru.create ~capacity }
 
 let set_metrics t m = t.metrics <- m
 let length t = Lru.length t.lru
 let capacity t = Lru.capacity t.lru
 
-let bump t what =
-  match t.metrics with Some m -> Metrics.incr m (t.name ^ "." ^ what) | None -> ()
+let bump t counter = match t.metrics with Some m -> Metrics.incr m counter | None -> ()
 
 let find t ~key ~version ~now =
   match Lru.find t.lru key with
   | None ->
-    bump t "miss";
+    bump t t.counters.miss;
     None
   | Some e when e.version <> version ->
     Lru.remove t.lru key;
-    bump t "stale_version";
+    bump t t.counters.stale_version;
     None
   | Some e when now -. e.stored_at > t.ttl_ms ->
     Lru.remove t.lru key;
-    bump t "stale_ttl";
+    bump t t.counters.stale_ttl;
     None
   | Some e ->
-    bump t "hit";
+    bump t t.counters.hit;
     Some e.value
 
 let mem t ~key ~version ~now =

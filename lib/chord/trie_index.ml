@@ -41,6 +41,14 @@ let decode_payload s =
    known suffix, since the id itself may hold a '#'. *)
 let wrap_id ~key item_id = item_id ^ "#" ^ key
 
+let wrap_item (i : Store.item) =
+  {
+    Store.key = "B:" ^ hex_of_key i.Store.key;
+    item_id = wrap_id ~key:i.Store.key i.Store.item_id;
+    payload = encode_payload ~key:i.Store.key ~payload:i.Store.payload;
+    version = i.Store.version;
+  }
+
 let unwrap_item (i : Store.item) =
   match decode_payload i.Store.payload with
   | Some (key, payload) ->
@@ -57,13 +65,14 @@ let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
   let hex = hex_of_key key in
   (* Trie markers (the level-l node learns it has child hex.[l]), then
      the leaf bucket that holds the datum. *)
-  let put (key, item_id, payload, version) ~k =
-    Chord.put chord ~origin ~key ~item_id ~payload ~version ~k ()
+  let put (i : Store.item) ~k =
+    Chord.put chord ~origin ~key:i.key ~item_id:i.item_id ~payload:i.payload ~version:i.version ~k ()
   in
   let markers =
-    List.init depth (fun l -> ("T:" ^ String.sub hex 0 l, String.make 1 hex.[l], "", 0))
+    List.init depth (fun l ->
+        { Store.key = "T:" ^ String.sub hex 0 l; item_id = String.make 1 hex.[l]; payload = ""; version = 0 })
   in
-  let bucket = ("B:" ^ hex, wrap_id ~key item_id, encode_payload ~key ~payload, version) in
+  let bucket = wrap_item { Store.key; item_id; payload; version } in
   Cps.all put (markers @ [ bucket ]) ~k:(fun rs ->
       k (List.for_all (fun (r : Chord.result) -> r.Chord.complete) rs))
 

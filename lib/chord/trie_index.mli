@@ -30,6 +30,11 @@ val decode_payload : string -> (string * string) option
     for [key]. *)
 val wrap_id : key:string -> string -> string
 
+(** [wrap_item i] is the bucket item that stores [i]: key ["B:"] ^
+    [hex_of_key i.key], id [wrap_id ~key:i.key i.item_id], and a payload
+    that embeds [i]'s key before its payload. *)
+val wrap_item : Store.item -> Store.item
+
 (** [unwrap_item i] is the caller's view of bucket item [i]: its
     original key, id and payload ([None] on a malformed payload). The
     original id is [i]'s with the wrapped [#key] suffix stripped, so ids

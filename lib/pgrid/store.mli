@@ -24,8 +24,10 @@
 
 type item = {
   key : string;  (** full order-preserving encoding; routing uses its prefix *)
-  item_id : string;  (** identity for updates; unique per logical datum *)
-  payload : string;  (** opaque application payload (a serialized triple) *)
+  item_id : string;  (** identity for updates; unique per datum under its key *)
+  payload : string;
+      (** opaque application payload (for a triple entry, what its key
+          and id do not say; see {!Unistore_triple.Tstore.items_of_triple}) *)
   version : int;  (** LWW version; inserts start at 0 *)
 }
 

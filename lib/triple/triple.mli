@@ -17,17 +17,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
-(** Stable identity of the triple (OID, attribute and value digest):
-    the DHT [item_id] shared by all three index entries, so that replicas
-    and re-insertions deduplicate. *)
-val id : t -> string
-
-(** Wire encoding (length-prefixed fields). *)
-val serialize : t -> string
-
-(** Inverse of {!serialize}; [None] on malformed input. *)
-val deserialize : string -> t option
-
 (** Namespace helpers: ["dblp:title"] has namespace ["dblp"] and local
     name ["title"]; an un-prefixed attribute has namespace [""]. *)
 val namespace : t -> string

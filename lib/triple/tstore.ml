@@ -20,32 +20,150 @@ let dht t = t.dht
 let qgrams_enabled t = t.qgrams
 
 (* ------------------------------------------------------------------ *)
+(* Index entries                                                       *)
+
+(* A base entry holds only what its key does not name (DESIGN.md, "What
+   an index entry holds"). All three entries of a triple once shared
+   the id [oid|attr|hash], [hash] the digest below, and
+   [Request.dedupe_items] orders a reply by (key, id); so under each key
+   the new ids must sort as those old ids did, which keeps rows and row
+   order. Under [O\000oid] the id is the old one minus the [oid|] that
+   every id of the key starts with. Under [A\000attr\000v] and
+   [V\000v] it is the old id minus a tail the key fixes ([|attr|hash]
+   and [|hash]): see [cut]. *)
+
+let digest v = Printf.sprintf "%08x" (Hashtbl.hash (Value.encode v))
+
+(* The id of a triple's entry under its O key, [h] its value's digest. *)
+let oid_entry_id attr h = attr ^ "|" ^ h
+
+(* Whether [String.sub z i _ ^ "|" ^ tail] sorts after [tail]. It is the
+   longer of the two, so it never equals [tail]. *)
+let rest_after z i tail =
+  let n = String.length z - i in
+  let at j = if j < n then z.[i + j] else if j = n then '|' else tail.[j - n - 1] in
+  let rec go j =
+    j >= String.length tail
+    || match Char.compare (at j) tail.[j] with 0 -> go (j + 1) | c -> c > 0
+  in
+  go 0
+
+(* [cut ~tail z] is an id for [z] that sorts, among the ids of one key
+   (which fixes [tail]), as [z ^ "|" ^ tail] does. It is [z ^ "|"] when
+   [z] holds no '|' or '{'. Dropping the tail is only unsafe where one
+   [z] ends at a '|' of another: there the old order is that of [tail]
+   against what follows the '|'. So a '|' of [z] stays '|' when what
+   follows it sorts after [tail] and becomes ["{\002"] when it sorts
+   before, a '{' becomes ["{\001"], and the final '|' sorts between
+   the two kinds of '|' as the end of [z] does. *)
+let cut ~tail z =
+  if not (String.contains z '|' || String.contains z '{') then z ^ "|"
+  else begin
+    let b = Buffer.create (String.length z + 4) in
+    String.iteri
+      (fun i c ->
+        match c with
+        | '{' -> Buffer.add_string b "{\001"
+        | '|' -> Buffer.add_string b (if rest_after z (i + 1) tail then "|" else "{\002")
+        | c -> Buffer.add_char b c)
+      z;
+    Buffer.add_char b '|';
+    Buffer.contents b
+  end
+
+(* The [z] of [cut ~tail z], whatever the tail; [""] if [id] is no
+   such id (no [z] is empty). *)
+let uncut id =
+  let n = String.length id - 1 in
+  if n < 1 || id.[n] <> '|' then ""
+  else if not (String.contains id '{') then String.sub id 0 n
+  else begin
+    let b = Buffer.create n in
+    let rec go i =
+      if i = n then Buffer.contents b
+      else
+        match id.[i] with
+        | '{' when i + 1 < n && id.[i + 1] = '\001' -> Buffer.add_char b '{'; go (i + 2)
+        | '{' when i + 1 < n && id.[i + 1] = '\002' -> Buffer.add_char b '|'; go (i + 2)
+        | '{' -> ""
+        | c -> Buffer.add_char b c; go (i + 1)
+    in
+    go 0
+  end
+
+let entry key item_id payload = { Store.key; item_id; payload; version = 0 }
+
+(* A triple's O, A#v and V entries, [encoded] its value's encoding. A V
+   entry's payload is empty unless the OID holds a '|', which leaves the
+   OID/attribute split of its id to the OID's length. *)
+let base_items ~encoded ({ Triple.oid; attr; value } : Triple.t) =
+  let h = digest value in
+  [
+    entry (Keys.oid_key oid) (oid_entry_id attr h) encoded;
+    entry (Keys.attr_value_key attr value) (cut ~tail:(attr ^ "|" ^ h) oid) "";
+    entry (Keys.value_key value) (cut ~tail:h (oid ^ "|" ^ attr))
+      (if String.contains oid '|' then string_of_int (String.length oid) else "");
+  ]
+
+(* The base entries, then one entry per distinct q-gram of a string
+   value naming the value (id [Value.encode v], empty payload), so a
+   peer keeps one gram entry per distinct string however many triples
+   hold it. One encoded string serves the O payload and the gram ids. *)
+let items_of_triple ~qgrams (tr : Triple.t) =
+  let encoded = Value.encode tr.Triple.value in
+  let grams =
+    match Value.as_string tr.Triple.value with
+    | Some s when qgrams -> Strdist.distinct_qgrams ~q:Keys.q s
+    | _ -> []
+  in
+  base_items ~encoded tr @ List.map (fun g -> entry (Keys.qgram_key g) encoded "") grams
+
+let index_keys ~qgrams tr = List.map (fun (i : Store.item) -> i.Store.key) (items_of_triple ~qgrams tr)
+
+(* The index family of an entry: its key's tag byte. *)
+let family (i : Store.item) =
+  if String.length i.Store.key >= 2 && i.Store.key.[1] = '\000' then i.Store.key.[0] else ' '
+
+(* The first [c] in [s] at or after [i]; -1 if none. *)
+let rec index_from s i c =
+  if i >= String.length s then -1 else if s.[i] = c then i else index_from s (i + 1) c
+
+let decode_entry (i : Store.item) =
+  let key = i.Store.key and id = i.Store.item_id in
+  let triple oid attr = function Some value -> Some { Triple.oid; attr; value } | None -> None in
+  match family i with
+  | 'O' ->
+    let n = String.length id - 9 in
+    if n < 1 || id.[n] <> '|' || String.length key < 3 then None
+    else
+      triple (String.sub key 2 (String.length key - 2)) (String.sub id 0 n)
+        (Value.decode i.Store.payload)
+  | 'A' ->
+    let sep = index_from key 2 '\000' and oid = uncut id in
+    if sep <= 2 || oid = "" then None
+    else
+      triple oid (String.sub key 2 (sep - 2))
+        (Value.decode_at key ~off:(sep + 1) ~len:(String.length key - sep - 1))
+  | 'V' ->
+    (* [z] is [oid|attr]; the OID ends at its first '|' unless the
+       payload gives its length. *)
+    let z = uncut id in
+    let n =
+      if i.Store.payload = "" then index_from z 0 '|'
+      else
+        match int_of_string_opt i.Store.payload with
+        | Some n when n < String.length z && z.[n] = '|' -> n
+        | _ -> -1
+    in
+    if n <= 0 || n >= String.length z - 1 then None
+    else
+      triple (String.sub z 0 n)
+        (String.sub z (n + 1) (String.length z - n - 1))
+        (Value.decode_at key ~off:2 ~len:(String.length key - 2))
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
-
-(* A triple's O, A#v and V keys: each holds the serialized triple. *)
-let base_keys (tr : Triple.t) =
-  [ Keys.oid_key tr.Triple.oid; Keys.attr_value_key tr.Triple.attr tr.Triple.value;
-    Keys.value_key tr.Triple.value ]
-
-(* One key per distinct q-gram of a string value: each holds an entry
-   naming the value, not the triple. *)
-let gram_keys ~qgrams v =
-  if qgrams then
-    match Value.as_string v with
-    | Some s -> List.map Keys.qgram_key (Strdist.distinct_qgrams ~q:Keys.q s)
-    | None -> []
-  else []
-
-let index_keys ~qgrams (tr : Triple.t) = base_keys tr @ gram_keys ~qgrams tr.Triple.value
-
-(* The entries [index_keys] names: the triple (id {!Triple.id}) under
-   its base keys, and the value (id [Value.encode v], empty payload)
-   under its gram keys, so a peer keeps one gram entry per distinct
-   string however many triples hold it. *)
-let items_of_triple t (tr : Triple.t) =
-  let entry item_id payload key = { Store.key; item_id; payload; version = 0 } in
-  List.map (entry (Triple.id tr) (Triple.serialize tr)) (base_keys tr)
-  @ List.map (entry (Value.encode tr.Triple.value) "") (gram_keys ~qgrams:t.qgrams tr.Triple.value)
 
 let all_ok k oks = k (List.for_all Fun.id oks)
 
@@ -53,14 +171,17 @@ let insert t ~origin tr ~k =
   Cps.all
     (fun (i : Store.item) ~k ->
       t.dht.Dht.insert ~origin ~key:i.Store.key ~item_id:i.Store.item_id ~payload:i.Store.payload ~k)
-    (items_of_triple t tr) ~k:(all_ok k)
+    (items_of_triple ~qgrams:t.qgrams tr) ~k:(all_ok k)
 
 (* Only the base entries go: another triple may hold the same value, so
    gram entries stay behind as hints, which resolution through A#v/V
    drops once no triple holds their value. *)
 let delete t ~origin tr ~k =
-  let item_id = Triple.id tr in
-  Cps.all (fun key ~k -> t.dht.Dht.delete ~origin ~key ~item_id ~k) (base_keys tr) ~k:(all_ok k)
+  Cps.all
+    (fun (i : Store.item) ~k ->
+      t.dht.Dht.delete ~origin ~key:i.Store.key ~item_id:i.Store.item_id ~k)
+    (base_items ~encoded:(Value.encode tr.Triple.value) tr)
+    ~k:(all_ok k)
 
 (* Replacing the value of one (OID, attribute, old) triple is a delete of
    the old index entries plus an insert of the new ones — the key changes
@@ -84,7 +205,7 @@ let insert_tuple t ~origin ~oid fields ~k =
 let insert_bulk t ~origin triples ~k =
   match t.dht.Dht.bulk_insert with
   | Some bulk ->
-    bulk ~origin ~items:(List.concat_map (items_of_triple t) triples) ~k:(fun r ->
+    bulk ~origin ~items:(List.concat_map (items_of_triple ~qgrams:t.qgrams) triples) ~k:(fun r ->
         k r.Dht.complete)
   | None -> Cps.all (insert t ~origin) triples ~k:(all_ok k)
 
@@ -98,8 +219,7 @@ let insert_bulk t ~origin triples ~k =
    replicas ({!Dht}). A triple has one key in each family, so each
    decodes once. Gram entries never come through here: they name values,
    which [gram_search] resolves to triples. *)
-let decode_items items =
-  List.filter_map (fun (i : Store.item) -> Triple.deserialize i.Store.payload) items
+let decode_items items = List.filter_map decode_entry items
 
 let decoded k (r : Dht.result) = k (decode_items r.Dht.items, r)
 
@@ -145,12 +265,8 @@ let top_n_by_attr t ~origin ~attr ~n ?lo ?hi ~k () =
 
 let scan t ~origin ~pred ~k =
   (* Scan only the A#v index family so each triple is considered once. *)
-  let item_pred (i : Store.item) =
-    String.length i.Store.key >= 2
-    && i.Store.key.[0] = 'A'
-    && i.Store.key.[1] = '\000'
-    &&
-    match Triple.deserialize i.Store.payload with Some tr -> pred tr | None -> false
+  let item_pred i =
+    family i = 'A' && match decode_entry i with Some tr -> pred tr | None -> false
   in
   t.dht.Dht.broadcast ~origin ~pred:item_pred ~k:(decoded k)
 
@@ -167,30 +283,28 @@ type oid_scan =
 let oid_scan_reduce t : oid_scan option =
   Option.map
     (fun scan_reduce ~origin ~pred ~reduce ~k ->
-      let item_pred (i : Store.item) =
-        String.length i.Store.key >= 2
-        && i.Store.key.[0] = 'O'
-        && i.Store.key.[1] = '\000'
-        &&
-        match Triple.deserialize i.Store.payload with Some tr -> pred tr | None -> false
+      let item_pred i =
+        family i = 'O' && match decode_entry i with Some tr -> pred tr | None -> false
       in
       (* Lift the triple-level reduction to items: decode, reduce, keep
-         exactly the items whose triples survived (reduce only drops, so
-         id membership is a faithful back-mapping). *)
+         exactly the items whose triples survived (reduce only drops, and
+         each triple came from one item, so its O entry's (key, id) is a
+         faithful back-mapping). *)
       let item_reduce items =
         let decoded =
           List.filter_map
-            (fun (i : Store.item) ->
-              match Triple.deserialize i.Store.payload with
-              | Some tr -> Some (i, tr)
-              | None -> None)
+            (fun i -> match decode_entry i with Some tr -> Some (i, tr) | None -> None)
             items
         in
         let survivors = reduce (List.map snd decoded) in
         let keep = Hashtbl.create (max 1 (List.length survivors)) in
-        List.iter (fun tr -> Hashtbl.replace keep (Triple.id tr) ()) survivors;
+        List.iter
+          (fun (tr : Triple.t) ->
+            Hashtbl.replace keep (tr.Triple.oid, oid_entry_id tr.Triple.attr (digest tr.Triple.value)) ())
+          survivors;
         List.filter_map
-          (fun (i, tr) -> if Hashtbl.mem keep (Triple.id tr) then Some i else None)
+          (fun ((i : Store.item), (tr : Triple.t)) ->
+            if Hashtbl.mem keep (tr.Triple.oid, i.Store.item_id) then Some i else None)
           decoded
       in
       scan_reduce ~origin ~lo:Keys.oid_prefix ~hi:Keys.oid_region_end ~pred:item_pred

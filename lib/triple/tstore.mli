@@ -5,7 +5,8 @@
     {!Unistore_sim.Sim.await}.
 
     Inserting a triple creates the three index entries of the paper's
-    Fig. 2 (OID, A#v, v), each holding the serialized triple. When the
+    Fig. 2 (OID, A#v, v), each holding only the part of the triple its
+    key does not name ({!items_of_triple}, {!decode_entry}). When the
     q-gram index is enabled, every distinct q-gram of a string value
     also keys an entry that names the value, not the triple (item id
     {!Value.encode}, empty payload): a dictionary of the stored strings,
@@ -47,6 +48,28 @@ val qgrams_enabled : t -> bool
     sampling these keys ([Publications.sample_keys]). *)
 val index_keys : qgrams:bool -> Triple.t -> string list
 
+(** [items_of_triple ~qgrams triple]: the entries stored under
+    [index_keys ~qgrams triple], in that order. Each base entry holds
+    only what its key does not name:
+    - under [O\000oid]: id [attr|hash], payload [Value.encode v];
+    - under [A\000attr\000v]: id [oid|], empty payload;
+    - under [V\000v]: id [oid|attr|], payload empty, or the OID's
+      length in decimal when the OID holds a ['|'].
+
+    [hash] is 8 hex digits of [Hashtbl.hash (Value.encode v)]. Under
+    each key, the ids sort as the id [oid|attr|hash] that all three
+    entries once shared, so replies keep their order: an A#v or V id
+    escapes a ['|'] or ['{'] of its OID or attribute where needed (a
+    ['|'] to ["{\002"] or kept, a ['{'] to ["{\001"]). A gram entry has
+    id [Value.encode v] and an empty payload. *)
+val items_of_triple : qgrams:bool -> Triple.t -> Unistore_pgrid.Store.item list
+
+(** [decode_entry item] is the triple whose O, A#v or V entry [item]
+    is, rebuilt from its key, id and payload; [None] for a gram entry
+    or a malformed one. Every reader decodes through it, on both
+    substrates (Chord's adapter hands back the unwrapped key and id). *)
+val decode_entry : Unistore_pgrid.Store.item -> Triple.t option
+
 (** [insert t ~origin triple ~k]: [k true] iff every index entry was
     stored. *)
 val insert : t -> origin:int -> Triple.t -> k:(bool -> unit) -> unit
@@ -67,7 +90,8 @@ val insert_bulk : t -> origin:int -> Triple.t list -> k:(bool -> unit) -> unit
 
 (** {2 Deletion & update}
 
-    Deleting a triple removes its O, A#v and V entries. Its gram entries
+    Deleting a triple removes its O, A#v and V entries, each by its own
+    id. Its gram entries
     stay as hints: another triple may hold the same string, and
     {!similar}/{!containing} resolve every candidate value through the
     A#v or V index, which drops values no triple holds. Caveat (inherent
@@ -91,8 +115,8 @@ val update_value :
   k:(bool -> unit) ->
   unit
 
-(** [decode_items items] deserializes the triples of a reply's O, A#v
-    or V entries, dropping malformed payloads. *)
+(** [decode_items items] is the triples of a reply's O, A#v or V
+    entries ({!decode_entry}), dropping malformed ones. *)
 val decode_items : Unistore_pgrid.Store.item list -> Triple.t list
 
 (** {2 Access paths} — each passes the matching triples and their cost

@@ -15,7 +15,8 @@ module Tstore = Unistore_triple.Tstore
 open Test_support
 
 let check = Alcotest.check
-let qtest ?(count = 300) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 300) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let value_gen =
   QCheck2.Gen.(
@@ -83,32 +84,11 @@ let test_value_numeric_view () =
 (* ------------------------------------------------------------------ *)
 (* Triple *)
 
-let triple_gen =
-  QCheck2.Gen.(
-    let name = string_size ~gen:(char_range 'a' 'z') (1 -- 10) in
-    map
-      (fun ((oid, attr), v) -> Triple.make ~oid ~attr v)
-      (pair (pair name name) value_gen))
-
-let prop_triple_serialize_roundtrip =
-  qtest "triple: serialize roundtrip" triple_gen (fun tr ->
-      match Triple.deserialize (Triple.serialize tr) with
-      | Some tr' -> Triple.equal tr tr'
-      | None -> false)
-
 let test_triple_validation () =
   Alcotest.check_raises "empty oid" (Invalid_argument "Triple.make: empty oid") (fun () ->
       ignore (Triple.make ~oid:"" ~attr:"a" (Value.I 1)));
   Alcotest.check_raises "NUL in attr" (Invalid_argument "Triple.make: NUL byte in attr") (fun () ->
       ignore (Triple.make ~oid:"x" ~attr:"a\000b" (Value.I 1)))
-
-let test_triple_deserialize_garbage () =
-  List.iter
-    (fun s ->
-      match Triple.deserialize s with
-      | None -> ()
-      | Some _ -> Alcotest.failf "deserialized garbage %S" s)
-    [ ""; "nonsense"; "1:a"; "1:a1:b"; "1:a1:b3:zzz"; "1:a1:b1:i trailing" ]
 
 let test_triple_namespace () =
   let tr = Triple.make ~oid:"o" ~attr:"dblp:title" (Value.S "x") in
@@ -130,12 +110,126 @@ let test_tuple_decomposition () =
     check Alcotest.int "3 fields" 3 (List.length fields')
   | l -> Alcotest.failf "expected 1 tuple, got %d" (List.length l)
 
+(* ------------------------------------------------------------------ *)
+(* Index entries *)
+
+(* Names over the bytes an entry id treats specially ('|' and '{'), the
+   bytes its escapes use and their neighbours, and '#'/':' (Chord's id
+   wrapping, namespaces). Short names over a small alphabet make shared
+   prefixes common. *)
+let odd_name =
+  QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'z'; '|'; '#'; ':'; '{'; '}'; '\001'; '\002' ]) (1 -- 5))
+
+(* Every kind of value, strings over the same odd bytes. *)
+let odd_value =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun s -> Value.S s) (string_size ~gen:(oneofl [ 'a'; '|'; '#'; ':'; '{' ]) (0 -- 4));
+        map (fun i -> Value.I i) (oneof [ int; -3 -- 3 ]);
+        map (fun f -> Value.F (if Float.is_nan f then 0.0 else f)) float;
+        map (fun b -> Value.B b) bool;
+      ])
+
+let odd_triple =
+  QCheck2.Gen.(map (fun ((oid, attr), v) -> Triple.make ~oid ~attr v) (pair (pair odd_name odd_name) odd_value))
+
+let pp_item (i : Unistore_pgrid.Store.item) =
+  Printf.sprintf "%S %S %S" i.Unistore_pgrid.Store.key i.item_id i.payload
+
+let prop_entry_roundtrip =
+  qtest "entry roundtrip, P-Grid and Chord"
+    ~print:(Format.asprintf "%a" Triple.pp) odd_triple
+    (fun tr ->
+      let base = Tstore.items_of_triple ~qgrams:false tr in
+      List.length base = 3
+      && List.for_all
+           (fun i ->
+             let back what = function
+               | Some tr' when Triple.equal tr tr' -> true
+               | _ -> QCheck2.Test.fail_reportf "%s: %s does not decode back" what (pp_item i)
+             in
+             back "pgrid" (Tstore.decode_entry i)
+             && back "chord"
+                  (Option.bind
+                     (Unistore_chord.Trie_index.unwrap_item (Unistore_chord.Trie_index.wrap_item i))
+                     Tstore.decode_entry))
+           base
+      && List.for_all
+           (fun i -> Option.is_none (Tstore.decode_entry i))
+           (List.filteri (fun n _ -> n >= 3) (Tstore.items_of_triple ~qgrams:true tr)))
+
+(* The id the three base entries of a triple shared before each entry
+   held only what its key does not name. *)
+let shared_id (tr : Triple.t) =
+  Printf.sprintf "%s|%s|%08x" tr.Triple.oid tr.Triple.attr (Hashtbl.hash (Value.encode tr.Triple.value))
+
+(* Two triples that share at least one key: the second reuses the
+   first's OID, attribute or value, or extends its OID or attribute
+   past a '|' (where a shorter id could end inside a longer one). *)
+let triple_pair =
+  QCheck2.Gen.(
+    let near x = oneof [ pure x; map (fun s -> x ^ "|" ^ s) odd_name; odd_name ] in
+    let* tr = odd_triple in
+    let* oid = near tr.Triple.oid and* attr = near tr.Triple.attr in
+    let+ value = oneof [ pure tr.Triple.value; odd_value ] in
+    (tr, Triple.make ~oid ~attr value))
+
+let prop_entry_ids_keep_order =
+  qtest ~count:2000 "entry ids keep the shared-id order"
+    ~print:(fun (a, b) -> Format.asprintf "%a / %a" Triple.pp a Triple.pp b)
+    triple_pair
+    (fun (a, b) ->
+      let sign x = compare x 0 in
+      let old = sign (String.compare (shared_id a) (shared_id b)) in
+      List.for_all2
+        (fun (i : Unistore_pgrid.Store.item) (j : Unistore_pgrid.Store.item) ->
+          (not (String.equal i.key j.key))
+          || sign (String.compare i.item_id j.item_id) = old
+          || QCheck2.Test.fail_reportf "%s vs %s: old order %d" (pp_item i) (pp_item j) old)
+        (Tstore.items_of_triple ~qgrams:false a)
+        (Tstore.items_of_triple ~qgrams:false b))
+
+let test_decode_entry_garbage () =
+  let enc = Value.encode (Value.S "x") in
+  List.iter
+    (fun (key, item_id, payload) ->
+      match Tstore.decode_entry { Unistore_pgrid.Store.key; item_id; payload; version = 0 } with
+      | None -> ()
+      | Some tr -> Alcotest.failf "decoded garbage %S %S %S as %a" key item_id payload Triple.pp tr)
+    [
+      ("", "o|", "");
+      ("O\000o", "a", enc);
+      ("O\000o", "|00000000", enc);
+      ("O\000o", "a|00000000", "");
+      ("O\000", "a|00000000", enc);
+      ("A\000t\000" ^ enc, "o", "");
+      ("A\000t\000" ^ enc, "|", "");
+      ("A\000t\000" ^ enc, "o{|", "");
+      ("A\000t\000" ^ enc, "o{\003|", "");
+      ("A\000\000" ^ enc, "o|", "");
+      ("A\000t", "o|", "");
+      ("V\000" ^ enc, "o|", "");
+      ("V\000" ^ enc, "o|a", "");
+      ("V\000" ^ enc, "o|a|", "9");
+      ("V\000" ^ enc, "o|a|", "x");
+      ("V\000" ^ enc, "|a|", "");
+      ("V\000zz", "o|a|", "");
+      ("Q\000abc", enc, "");
+    ]
+
 let test_triple_id_stable () =
+  let ids tr =
+    List.map (fun (i : Unistore_pgrid.Store.item) -> i.item_id) (Tstore.items_of_triple ~qgrams:false tr)
+  in
   let t1 = Triple.make ~oid:"o" ~attr:"a" (Value.I 5) in
   let t2 = Triple.make ~oid:"o" ~attr:"a" (Value.I 5) in
   let t3 = Triple.make ~oid:"o" ~attr:"a" (Value.I 6) in
-  check Alcotest.string "same id" (Triple.id t1) (Triple.id t2);
-  Alcotest.(check bool) "value changes id" false (String.equal (Triple.id t1) (Triple.id t3))
+  check Alcotest.(list string) "same ids" (ids t1) (ids t2);
+  check Alcotest.(list string) "O, A#v and V ids"
+    [ Printf.sprintf "a|%08x" (Hashtbl.hash (Value.encode (Value.I 5))); "o|"; "o|a|" ]
+    (ids t1);
+  Alcotest.(check bool) "value changes the O id" false (String.equal (List.hd (ids t1)) (List.hd (ids t3)))
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -216,9 +310,10 @@ let with_both_substrates f =
   f "chord+trie" (Tstore.create ch)
 
 (* What each stored entry's id names, whichever insert path (per
-   triple or bulk) stored it: under an O, A#v or V key the {!Triple.id}
-   of the triple in its payload; under a q-gram key a string value
-   ({!Value.encode}) holding that gram, with an empty payload. *)
+   triple or bulk) stored it: under an O, A#v or V key it decodes to a
+   triple whose own entry it is, id and payload as {!Tstore.items_of_triple}
+   lays them out; under a q-gram key a string value ({!Value.encode})
+   holding that gram, with an empty payload. *)
 let test_item_ids_name_triples_or_values () =
   let sim = Sim.create () in
   let rng = Rng.create 42 in
@@ -260,9 +355,12 @@ let test_item_ids_name_triples_or_values () =
         | _ -> Alcotest.failf "gram entry under %s names no string value" key
       end
       else
-        match Triple.deserialize i.Unistore_pgrid.Store.payload with
-        | Some tr -> check Alcotest.string key (Triple.id tr) i.item_id
-        | None -> Alcotest.failf "undecodable payload under %s" key)
+        match Tstore.decode_entry i with
+        | Some tr ->
+          let own (j : Unistore_pgrid.Store.item) = String.equal j.key i.key in
+          check Alcotest.(list string) key [ pp_item i ]
+            (List.map pp_item (List.filter own (Tstore.items_of_triple ~qgrams:true tr)))
+        | None -> Alcotest.failf "undecodable entry %s" (pp_item i))
     items;
   Alcotest.(check bool) "gram entries stored" true (!grams > 0)
 
@@ -405,7 +503,7 @@ let test_tstore_similar_equals_scan () =
         | Some s -> Unistore_util.Strdist.within_distance "karnstedt" s 2
         | None -> false) ~k)
   in
-  let norm l = List.map Triple.id l |> List.sort compare in
+  let norm l = List.map (Format.asprintf "%a" Triple.pp) l |> List.sort compare in
   check Alcotest.(list string) "index = scan" (norm via_scan) (norm via_index);
   check Alcotest.int "three matches" 3 (List.length via_index)
 
@@ -458,7 +556,7 @@ let test_tstore_containing () =
       in
       let via_index, _ = await (Tstore.dht ts).Dht.sim (fun k ->
           Tstore.containing ts ~origin:4 ~attr:None ~pattern:"ICD" ~k) in
-      let norm l = List.map Triple.id l |> List.sort compare in
+      let norm l = List.map (Format.asprintf "%a" Triple.pp) l |> List.sort compare in
       check Alcotest.(list string) (name ^ ": index = scan") (norm via_scan) (norm via_index))
 
 let test_tstore_containing_fallback () =
@@ -626,11 +724,12 @@ let () =
       ( "triple",
         [
           Alcotest.test_case "validation" `Quick test_triple_validation;
-          Alcotest.test_case "deserialize garbage" `Quick test_triple_deserialize_garbage;
+          Alcotest.test_case "decode_entry garbage" `Quick test_decode_entry_garbage;
           Alcotest.test_case "namespace" `Quick test_triple_namespace;
           Alcotest.test_case "tuple decomposition (Fig. 2)" `Quick test_tuple_decomposition;
           Alcotest.test_case "id stability" `Quick test_triple_id_stable;
-          prop_triple_serialize_roundtrip;
+          prop_entry_roundtrip;
+          prop_entry_ids_keep_order;
         ] );
       ( "keys",
         [
