@@ -14,12 +14,16 @@ test: check
 
 # Just the churn/fault-injection suites: the deterministic fault
 # driver, retry/failover/partial-result behavior, self-healing repair,
-# the failover property test and the fault-aware linter checks. All
-# randomness in these flows from explicit scenario seeds — see
-# EXPERIMENTS.md, section "Churn", for the flaky-test policy.
+# the failover property test and the fault-aware linter checks, then
+# the trace linter's fixtures (a retried request that revisits a peer
+# is clean, a revisit within one attempt is a loop, a crash needs a
+# retry, reply or partial marker). All randomness in these flows from
+# explicit scenario seeds — see EXPERIMENTS.md, section "Churn", for
+# the flaky-test policy.
 test-faults:
 	dune exec test/test_faults.exe
 	dune exec test/test_pgrid.exe -- test failover
+	dune exec test/test_analysis.exe -- test tracelint
 
 # Just the per-peer store suites: the differential harness replaying
 # the store with its journal on and off against the list model, the

@@ -88,23 +88,33 @@ let check_replies rules tbl =
     tbl;
   !ds
 
+(* A request's [fault.retry] markers split its events into attempts: a
+   retry may legitimately re-walk the route of the attempt it replaces,
+   so visits are counted per attempt. *)
 let check_loops ~allowed_revisits rules events =
-  let visits : (int * string * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let attempts : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let visits : (int * int * string * int, int) Hashtbl.t = Hashtbl.create 256 in
   let reported = Hashtbl.create 16 in
   let ds = ref [] in
   List.iter
     (fun (e : Trace.event) ->
-      if e.Trace.corr >= 0 && List.mem e.Trace.kind rules.request_kinds then begin
-        let key = (e.Trace.corr, e.Trace.kind, e.Trace.dst) in
+      if e.Trace.corr < 0 then ()
+      else if String.equal e.Trace.kind "fault.retry" then
+        Hashtbl.replace attempts e.Trace.corr
+          (1 + Option.value ~default:0 (Hashtbl.find_opt attempts e.Trace.corr))
+      else if List.mem e.Trace.kind rules.request_kinds then begin
+        let attempt = Option.value ~default:0 (Hashtbl.find_opt attempts e.Trace.corr) in
+        let key = (e.Trace.corr, attempt, e.Trace.kind, e.Trace.dst) in
         let n = 1 + Option.value ~default:0 (Hashtbl.find_opt visits key) in
         Hashtbl.replace visits key n;
         if n > 1 + allowed_revisits && not (Hashtbl.mem reported key) then begin
           Hashtbl.replace reported key ();
           ds :=
             D.makef ~severity:D.Error ~code:"routing-loop"
-              ~hint:"greedy routing must not revisit a peer; raise allowed_revisits if the run used timeouts and retries"
-              "request id %d: '%s' visited peer %d %d times" e.Trace.corr e.Trace.kind e.Trace.dst
-              n
+              ~hint:"greedy routing must not revisit a peer within one attempt; a re-send \
+                     that is not preceded by a fault.retry marker counts as the same attempt"
+              "request id %d: '%s' visited peer %d %d times in attempt %d" e.Trace.corr
+              e.Trace.kind e.Trace.dst n attempt
             :: !ds
         end
       end)

@@ -9,9 +9,12 @@
       ("multi-reply", error);
     - routing loops: the same request (kind + correlation id) delivered
       to the same destination more than [allowed_revisits] extra times
-      ("routing-loop", error) — greedy prefix/ring routing never
-      revisits a peer, so revisits indicate a broken routing table (or
-      timeout retries: raise [allowed_revisits] for lossy runs);
+      within one attempt ("routing-loop", error) — greedy prefix/ring
+      routing never revisits a peer, so revisits indicate a broken
+      routing table. A [fault.retry] marker with the request's
+      correlation id starts a new attempt, so a retry that re-walks
+      its route is clean; re-sends without the marker (Chord's
+      retries) need [allowed_revisits];
     - monotone clocks: send timestamps must be non-decreasing in trace
       order ("clock-regression", error);
     - message-count conservation against an {!Unistore_obs.Metrics}

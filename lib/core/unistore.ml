@@ -220,12 +220,16 @@ let update_value t ?origin ~oid ~attr ~old_value new_value =
   await t ~default:false (fun k ->
       Tstore.update_value t.tstore ~origin ~oid ~attr ~old_value new_value ~k)
 
+(* How many origins' batches [load] keeps in flight at once. *)
+let load_window = 8
+
 (* Bulk load: assign each tuple its round-robin origin as before, then
    ship every origin's triples as one batched insert
-   ({!Tstore.insert_bulk}), one origin after another, instead of one
-   routed exchange per index entry. Per-triple insertion remains the
-   fallback on substrates without a batch path (Chord) or when a batch
-   comes back incomplete. *)
+   ({!Tstore.insert_bulk}), at most [load_window] origins at a time,
+   instead of one routed exchange per index entry. Per-triple insertion
+   remains the fallback on substrates without a batch path (Chord) or,
+   inside that origin's slot of the window, when a batch comes back
+   incomplete. *)
 let load t tuples =
   await t ~default:0 (fun k ->
       match t.dht.Dht.bulk_insert with
@@ -250,13 +254,13 @@ let load t tuples =
         let insert_one origin acc tr ~k =
           Tstore.insert t.tstore ~origin tr ~k:(fun ok -> k (if ok then acc + 1 else acc))
         in
-        Cps.fold
-          (fun acc origin ~k ->
+        Cps.window load_window
+          (fun origin ~k ->
             let triples = List.rev !(Hashtbl.find groups origin) in
             Tstore.insert_bulk t.tstore ~origin triples ~k:(fun ok ->
-                if ok then k (acc + List.length triples)
-                else Cps.fold (insert_one origin) acc triples ~k))
-          0 (List.rev !order) ~k)
+                if ok then k (List.length triples) else Cps.fold (insert_one origin) 0 triples ~k))
+          (List.rev !order)
+          ~k:(fun counts -> k (List.fold_left ( + ) 0 counts)))
 
 let add_mapping t ?origin a b =
   let origin = match origin with Some o -> o | None -> pick_origin t in

@@ -110,8 +110,11 @@ val update_value :
 (** [load t tuples] inserts tuples from round-robin origins (as if each
     participant contributed its own data); returns triples stored. On
     P-Grid each origin's triples travel as one batched insert
-    ({!Unistore_triple.Tstore.insert_bulk}); per-triple insertion is the
-    fallback on Chord or when a batch stays incomplete. *)
+    ({!Unistore_triple.Tstore.insert_bulk}), and eight origins' batches
+    are in flight at once: when one answers, the next origin starts
+    ({!Unistore_util.Cps.window}). A batch that stays incomplete falls
+    back to per-triple insertion inside its origin's slot. Chord has no
+    batch path and inserts tuple by tuple, one after another. *)
 val load : t -> (string * (string * Value.t) list) list -> int
 
 (** [add_mapping t a b] publishes an attribute correspondence. *)

@@ -129,14 +129,14 @@ let coverage ~complete ~reached ~addressed =
   else if addressed = 0 then 0.0
   else float_of_int reached /. float_of_int addressed
 
-(* An operation is finishing without full coverage: leave an explicit
-   partial-result marker in the trace (correlated to the request id) so
+(* Leave a marker in the trace, correlated to the request id:
+   [fault.partial] when an operation finishes without full coverage, so
    trace linting can tell "crash handled by graceful degradation" from
-   "crash silently swallowed". *)
-let mark_partial t p =
-  count t "fault.partial";
+   "crash silently swallowed"; [fault.retry] before each re-send, so it
+   can tell a retry that revisits a peer from a routing loop. *)
+let mark t p kind =
   match Net.trace t.net with
-  | Some tr -> Trace.mark tr ~corr:p.rid ~time:(now t) ~src:p.origin.Node.id ~kind:"fault.partial" ()
+  | Some tr -> Trace.mark tr ~corr:p.rid ~time:(now t) ~src:p.origin.Node.id ~kind ()
   | None -> ()
 
 let finish t p ~complete =
@@ -164,7 +164,10 @@ let finish t p ~complete =
   | Shower_state _ | Batch_state _ when complete && t.config.adaptive_timeout ->
     Rtt.observe p.origin.Node.rtt ~cls:p.op latency
   | _ -> ());
-  if not complete then mark_partial t p;
+  if not complete then begin
+    count t "fault.partial";
+    mark t p "fault.partial"
+  end;
   p.k { items = dedupe_items p.items; hops = p.hops; peers_hit; complete; completeness; latency }
 
 let min_timeout_ms = 25.0
@@ -227,6 +230,7 @@ let rec arm t p ~attempt =
             p.attempts <- p.attempts + 1;
             count t "overlay.resend";
             count t "retry.attempt";
+            mark t p "fault.retry";
             new_attempt t p;
             p.send p.rid;
             arm t p ~attempt:p.attempts

@@ -185,6 +185,24 @@ let shower_range t (me : Node.t) (r : Message.range) =
       a.flush_timer <-
         Sim.timer t.sim ~delay:agg_flush_ms (fun () -> flush_agg t a ~reason:"timeout")
 
+(* The first [b] of [items] (in key order). Within a key a store keeps
+   insertion order, which differs between replicas, so the key the cut
+   falls in keeps its smallest item ids: every replica answers alike. *)
+let first_items b items =
+  if List.compare_length_with items b <= 0 then items
+  else
+    let kept = List.filteri (fun i _ -> i < b) items in
+    match List.rev kept with
+    | [] -> []
+    | (last : Store.item) :: _ ->
+      let tied (i : Store.item) = String.equal i.key last.key in
+      let before = List.filter (fun i -> not (tied i)) kept in
+      let by_id (a : Store.item) (b : Store.item) = String.compare a.item_id b.item_id in
+      List.filter tied items
+      |> List.sort by_id
+      |> List.filteri (fun i _ -> i < b - List.length before)
+      |> List.append before
+
 (* Every receiving peer reports a hit (routing-only peers report an
    empty one naming their next hop) so the origin's termination
    tracking stays exact. *)
@@ -212,7 +230,7 @@ let sequential_range t (me : Node.t) (r : Message.range) =
       match budget with
       | None -> (items, None)
       | Some b ->
-        let kept = List.filteri (fun i _ -> i < b) items in
+        let kept = first_items b items in
         (kept, Some (b - List.length kept))
     in
     let _, region_hi = Node.region me in

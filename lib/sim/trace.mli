@@ -47,15 +47,16 @@ val record :
 
 (** [mark t ~time ~src ~kind ()] records an out-of-band marker event — an
     injected fault ([fault.crash], [fault.revive], …) or a protocol
-    annotation ([fault.partial]) — as a zero-byte self-event whose outcome
-    is already resolved, so in-flight accounting ignores it. [corr] links
-    the marker to a request id when it concerns one. *)
+    annotation ([fault.partial], [fault.retry]) — as a zero-byte
+    self-event whose outcome is already resolved, so in-flight
+    accounting ignores it. [corr] links the marker to a request id when
+    it concerns one. *)
 val mark : t -> ?corr:int -> time:float -> src:int -> kind:string -> unit -> unit
 
 (** [is_fault e] holds for marker events whose kind starts with
-    ["fault."] — injected faults and partial-result annotations. They are
-    recorded outside {!Net.send}, so message-conservation checks must
-    skip them. *)
+    ["fault."] — injected faults and partial-result and retry
+    annotations. They are recorded outside {!Net.send}, so
+    message-conservation checks must skip them. *)
 val is_fault : event -> bool
 
 (** [is_marker e] holds for every out-of-band marker namespace:

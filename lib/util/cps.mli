@@ -6,7 +6,8 @@
     operations one after another ({!fold}, {!map}): element [i + 1]
     starts only from inside element [i]'s continuation. That is the
     order a blocking loop would give, so RNG draws and send order do not
-    change. {!all} is the one-round fan-out. *)
+    change. {!window} is the bounded fan-out and {!all} the one-round
+    fan-out, the same code with no bound. *)
 
 (** [fold f acc xs ~k] threads [acc] through [f] over [xs], one element
     at a time, then calls [k] with the final accumulator. *)
@@ -22,3 +23,11 @@ val map : ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> un
     arrived in). On [[]] it calls [k []] at once. A caller that needs
     arrival order does that work inside the element's continuation. *)
 val all : ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> unit
+
+(** [window n f xs ~k] keeps at most [n] elements of [xs] outstanding:
+    it starts the first [n] in list order, in the current event, and
+    the next one each time an element answers. It calls [k] exactly
+    once, after the last element answers, with the results in list
+    order. On [[]] it calls [k []] at once. With [n >= List.length xs]
+    it is {!all}. Raises [Invalid_argument] if [n < 1]. *)
+val window : int -> ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> unit

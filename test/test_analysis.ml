@@ -223,6 +223,34 @@ let test_lint_routing_loop () =
   Alcotest.(check bool) "retries tolerated when allowed" false
     (has "routing-loop" (lint ~allowed_revisits:1 tr))
 
+(* Fixture pair for attempts: a retry re-walks the route of the attempt
+   it replaces, and the [fault.retry] marker before it says so. *)
+let test_lint_retry_revisit () =
+  (* Clean: the first attempt dies at a crashed peer, the request times
+     out, and the retry passes the same router again. *)
+  let tr = Trace.create () in
+  ev tr ~corr:71 ~time:1.0 ~kind:"range" ~src:0 ~dst:63 ();
+  ev tr ~corr:71 ~time:2.0 ~kind:"range" ~src:63 ~dst:48 ();
+  ev tr ~outcome:Trace.To_dead ~corr:71 ~time:3.0 ~kind:"range" ~src:48 ~dst:53 ();
+  Trace.mark tr ~corr:71 ~time:115.6 ~src:0 ~kind:"fault.retry" ();
+  ev tr ~corr:71 ~time:115.6 ~kind:"range" ~src:0 ~dst:63 ();
+  ev tr ~corr:71 ~time:117.0 ~kind:"range-hit" ~src:63 ~dst:0 ();
+  check_clean "a retried request may revisit a peer" (lint tr);
+  (* Defect: the same revisit inside the retry's own attempt. *)
+  let tr2 = Trace.create () in
+  ev tr2 ~corr:71 ~time:1.0 ~kind:"range" ~src:0 ~dst:63 ();
+  Trace.mark tr2 ~corr:71 ~time:115.6 ~src:0 ~kind:"fault.retry" ();
+  ev tr2 ~corr:71 ~time:115.6 ~kind:"range" ~src:0 ~dst:63 ();
+  ev tr2 ~corr:71 ~time:116.0 ~kind:"range" ~src:63 ~dst:48 ();
+  ev tr2 ~corr:71 ~time:117.0 ~kind:"range" ~src:48 ~dst:63 ();
+  check_has "a revisit within one attempt is a loop" "routing-loop" (lint tr2);
+  (* Another request's retry starts no attempt of this one. *)
+  let tr3 = Trace.create () in
+  ev tr3 ~corr:5 ~time:1.0 ~kind:"lookup" ~src:0 ~dst:3 ();
+  Trace.mark tr3 ~corr:6 ~time:2.0 ~src:0 ~kind:"fault.retry" ();
+  ev tr3 ~corr:5 ~time:3.0 ~kind:"lookup" ~src:4 ~dst:3 ();
+  check_has "retry markers are per request" "routing-loop" (lint tr3)
+
 let test_lint_clock_regression () =
   let tr = Trace.create () in
   ev tr ~corr:1 ~time:5.0 ~kind:"lookup" ~src:0 ~dst:1 ();
@@ -411,6 +439,7 @@ let () =
           Alcotest.test_case "orphan reply" `Quick test_lint_orphan_reply;
           Alcotest.test_case "multi reply" `Quick test_lint_multi_reply;
           Alcotest.test_case "routing loop" `Quick test_lint_routing_loop;
+          Alcotest.test_case "retry revisit is not a loop" `Quick test_lint_retry_revisit;
           Alcotest.test_case "clock regression" `Quick test_lint_clock_regression;
           Alcotest.test_case "conservation vs metrics" `Quick test_lint_conservation;
           Alcotest.test_case "in-flight is informational" `Quick test_lint_in_flight;

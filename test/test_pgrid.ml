@@ -389,6 +389,39 @@ let test_sequential_more_serial_latency () =
     true
     (b.Overlay.latency > a.Overlay.latency)
 
+(* A budgeted range whose cut falls inside one key answers the same from
+   every replica, whatever order each replica received that key's items
+   in: the cut keeps the key's smallest item ids. *)
+let test_budgeted_range_same_from_every_replica () =
+  let rng = Rng.create 62 in
+  let keys = List.sort_uniq compare (random_words rng 120) in
+  let ov = build_overlay ~n:16 ~keys () in
+  let key = List.nth keys 60 in
+  let next_key = key ^ "a" in
+  let a =
+    List.find (fun (nd : Node.t) -> Node.covers nd key && nd.Node.replicas <> []) (Overlay.nodes ov)
+  in
+  let b = Overlay.node ov (List.hd a.Node.replicas) in
+  Alcotest.(check bool) "both keys on one replica group" true
+    (Node.covers a next_key && Node.covers b key && Node.covers b next_key);
+  let ids = [ "id1"; "id2"; "id3"; "id4" ] in
+  List.iter
+    (fun (nd, order) ->
+      ignore (Store.put nd.Node.store (item key "id0" "first"));
+      List.iter (fun id -> ignore (Store.put nd.Node.store (item next_key id id))) order)
+    [ (a, ids); (b, List.rev ids) ];
+  let answer (nd : Node.t) =
+    let r =
+      await (Overlay.sim ov) (fun k ->
+          Overlay.range ov ~origin:nd.Node.id ~strategy:Message.Sequential ~budget:3 ~lo:key
+            ~hi:next_key ~k ())
+    in
+    List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id)) r.Overlay.items
+  in
+  let expected = [ (key, "id0"); (next_key, "id1"); (next_key, "id2") ] in
+  check Alcotest.(list (pair string string)) "from one replica" expected (answer a);
+  check Alcotest.(list (pair string string)) "from the other" expected (answer b)
+
 let test_budgeted_sequential_range () =
   let rng = Rng.create 61 in
   let keys = List.sort_uniq compare (random_words rng 120) in
@@ -1151,9 +1184,12 @@ let prop_failover_any_kill_set =
    drop moves, so the results were re-recorded too. And again when a
    broadcast leaf stopped answering items outside the probe's clip: the
    diff was the broadcast's items (six keys outside ["e", "t") gone),
-   the bytes of its three replies and the byte counters. *)
+   the bytes of its three replies and the byte counters. And again when
+   each re-send began leaving a [fault.retry] marker: the trace gained
+   28 marker lines, one per [retry.attempt], and every other line and
+   every result stayed the same. *)
 
-let golden_overlay_trace = (1417, "eb46ebfe4d8251dd5c4f35308253747e")
+let golden_overlay_trace = (1445, "62b82bc024607e4bbc0a2e48bb993a57")
 let golden_overlay_results = (315, "43c99c3503fcd6de008b07100aeb681b")
 
 let overlay_session () =
@@ -1514,6 +1550,8 @@ let () =
           Alcotest.test_case "strategies agree" `Quick test_range_strategies_agree;
           Alcotest.test_case "sequential is serial" `Quick test_sequential_more_serial_latency;
           Alcotest.test_case "budgeted sequential range" `Quick test_budgeted_sequential_range;
+          Alcotest.test_case "budgeted range same from every replica" `Quick
+            test_budgeted_range_same_from_every_replica;
           Alcotest.test_case "hop-limited range is partial" `Quick test_hop_limited_range_partial;
           Alcotest.test_case "prefix search" `Quick test_prefix_search;
           Alcotest.test_case "broadcast probe" `Quick test_broadcast_probe;

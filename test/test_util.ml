@@ -478,7 +478,7 @@ let test_stats_linear_fit () =
   check (Alcotest.float 1e-9) "r2" 1.0 r2
 
 (* ------------------------------------------------------------------ *)
-(* Cps.all *)
+(* Cps.window and Cps.all *)
 
 module Sim = Unistore_sim.Sim
 
@@ -532,6 +532,75 @@ let test_cps_all_synchronous_answers () =
 let test_cps_all_empty () =
   let calls = ref [] in
   Cps.all (fun _ ~k:_ -> Alcotest.fail "no element to start") [] ~k:(fun rs -> calls := rs :: !calls);
+  check Alcotest.(list (list int)) "k [] at once, exactly once" [ [] ] !calls
+
+(* Outstanding elements after each start and answer of [log] (oldest
+   first). *)
+let in_flight log =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (n, acc) e ->
+            let n = match e with `Start _ -> n + 1 | `Answer _ -> n - 1 | `Done -> n in
+            (n, n :: acc))
+          (0, []) log))
+
+let test_cps_window_bound () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  (* Element x answers after (7 * x) mod 10 + 1 ms: out of list order. *)
+  let delay x = float_of_int ((7 * x mod 10) + 1) in
+  let xs = List.init 10 Fun.id in
+  let results = ref [] in
+  Cps.window 3 (fan_out sim ~delay log) xs ~k:(fun rs ->
+      log := `Done :: !log;
+      results := rs :: !results);
+  check Alcotest.(list event) "the first three start in the current event"
+    [ `Start 0; `Start 1; `Start 2 ] (List.rev !log);
+  Sim.run_all sim;
+  let log = List.rev !log in
+  check Alcotest.int "never more than three outstanding" 3
+    (List.fold_left max 0 (in_flight log));
+  check Alcotest.(list int) "elements start in list order" xs
+    (List.filter_map (function `Start x -> Some x | _ -> None) log);
+  let answers = List.filter_map (function `Answer x -> Some x | _ -> None) log in
+  Alcotest.(check bool) "answers arrive out of order" true (answers <> xs);
+  (* Each start after the first three follows an answer at once. *)
+  List.iteri
+    (fun i e ->
+      match e with
+      | `Start x when x >= 3 -> (
+        match List.nth log (i - 1) with
+        | `Answer _ -> ()
+        | _ -> Alcotest.failf "element %d started outside an answer's continuation" x)
+      | _ -> ())
+    log;
+  check Alcotest.(list event) "k runs once, last" [ `Done ] [ List.nth log (List.length log - 1) ];
+  check Alcotest.(list (list int)) "results in list order" [ List.map (( * ) 10) xs ] !results
+
+let test_cps_window_as_all () =
+  (* A window at least the list's length starts every element in the
+     current event, as [all] does; element 1 answers inside its start. *)
+  let run fan =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let delay = function 0 -> 30.0 | 1 -> -1.0 | _ -> 20.0 in
+    fan (fan_out sim ~delay log) [ 0; 1; 2; 3 ] ~k:(fun _ -> log := `Done :: !log);
+    let started = List.rev !log in
+    Sim.run_all sim;
+    (started, List.rev !log)
+  in
+  List.iter
+    (fun (name, fan) ->
+      check Alcotest.(pair (list event) (list event)) name
+        ( [ `Start 0; `Start 1; `Answer 1; `Start 2; `Start 3 ],
+          [ `Start 0; `Start 1; `Answer 1; `Start 2; `Start 3; `Answer 2; `Answer 3; `Answer 0; `Done ] )
+        (run fan))
+    [ ("window 4", Cps.window 4); ("window 9", Cps.window 9); ("all", Cps.all) ]
+
+let test_cps_window_empty () =
+  let calls = ref [] in
+  Cps.window 2 (fun _ ~k:_ -> Alcotest.fail "no element to start") [] ~k:(fun rs -> calls := rs :: !calls);
   check Alcotest.(list (list int)) "k [] at once, exactly once" [ [] ] !calls
 
 let () =
@@ -619,6 +688,9 @@ let () =
           Alcotest.test_case "all: out-of-order answers" `Quick test_cps_all_out_of_order;
           Alcotest.test_case "all: synchronous answers" `Quick test_cps_all_synchronous_answers;
           Alcotest.test_case "all: empty list" `Quick test_cps_all_empty;
+          Alcotest.test_case "window: bound and order" `Quick test_cps_window_bound;
+          Alcotest.test_case "window: at least the length is all" `Quick test_cps_window_as_all;
+          Alcotest.test_case "window: empty list" `Quick test_cps_window_empty;
         ] );
       ( "stats",
         [
