@@ -9,7 +9,9 @@
    We sweep range selectivity on the 'age' attribute and compare four
    physical range implementations: P-Grid shower (parallel), P-Grid
    sequential (min-bound traversal), Chord + DHT-hosted trie, and Chord
-   flooding. Correctness is checked against a local oracle. *)
+   flooding. Correctness is checked against a local oracle: the
+   experiment exits non-zero unless every row finds exactly the oracle's
+   count. *)
 
 module Value = Unistore.Value
 module Triple = Unistore.Triple
@@ -41,11 +43,12 @@ let run () =
   in
   let pg_ts = Unistore.tstore pg_store and ch_ts = Unistore.tstore ch_store in
   let pg_ov = Option.get (Unistore.pgrid pg_store) in
-  let rows = ref [] in
+  let rows = ref [] and wrong = ref [] in
   List.iter
     (fun (lo, hi, label) ->
       let expect = oracle_count ds lo hi in
       let add name msgs latency found =
+        if found <> expect then wrong := Printf.sprintf "%s [%d,%d]" name lo hi :: !wrong;
         rows :=
           [
             Printf.sprintf "[%d,%d] %s" lo hi label;
@@ -91,6 +94,11 @@ let run () =
       add "chord flood" msgs r.Dht.latency (List.length triples))
     age_ranges;
   Common.print_table [ "range"; "implementation"; "msgs"; "latency_ms"; "found" ] (List.rev !rows);
+  if !wrong <> [] then begin
+    Printf.printf "\nFAIL: found differs from the oracle count on %s\n"
+      (String.concat ", " (List.rev !wrong));
+    exit 1
+  end;
   (* Insert cost comparison: the trie's write amplification. *)
   Common.subsection "insert cost (index maintenance per triple)";
   let one_triple = Triple.make ~oid:"probe1" ~attr:"age" (Value.I 33) in

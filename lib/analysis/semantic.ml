@@ -4,18 +4,11 @@ module Parser = Unistore_vql.Parser
 module Loc = Unistore_vql.Loc
 module Value = Unistore_triple.Value
 module Det = Unistore_util.Det
+module Strdist = Unistore_util.Strdist
 module D = Diagnostic
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  if m = 0 then true
-  else begin
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  end
 
 (* Numeric-aware value comparison: I and F unify, otherwise the type-tag
    order of [Value.compare] (which is also the runtime comparison). *)
@@ -319,7 +312,7 @@ let check_unsat q =
                 | _ -> ())
               | Algebra.Ccontains p -> (
                 match c with
-                | Value.S s when not (contains_sub s p) ->
+                | Value.S s when not (Strdist.contains_sub s p) ->
                   unsat v span "?%s = '%s' does not contain '%s'" v s p
                 | _ -> ())
               | _ -> ())

@@ -105,14 +105,6 @@ let find t ~key =
     pick e
   | _ -> None
 
-(* All peers learned for the region containing [key], most recent
-   first (no recency refresh). *)
-let find_all t ~key =
-  match SMap.find_last_opt (fun lo -> String.compare lo key <= 0) t.map with
-  | Some (_, e) when (match e.hi with None -> true | Some h -> String.compare key h < 0) ->
-    e.peers
-  | _ -> []
-
 (* Rebuild the use-order index after a bulk filter; invalidations run on
    fault paths, not per message, so O(n log n) is fine. *)
 let rebuild_lru t =

@@ -46,10 +46,6 @@ val learn : t -> lo:string -> hi:string option -> peer:int -> unit
     multi-peer entry answers round-robin. *)
 val find : t -> key:string -> int option
 
-(** [find_all t ~key] is every peer learned for the region containing
-    [key], most recently learned first (no recency refresh). *)
-val find_all : t -> key:string -> int list
-
 (** [invalidate_peer t peer] drops every entry pointing at [peer]
     (called when [peer] times out or is seen dead); returns the number
     of entries removed. *)

@@ -1,5 +1,5 @@
 (** P-Grid overlay parameters. The batched paths (splitting inserts,
-    in-network range aggregation, multi-key probes) and replica
+    path compression of range showers, multi-key probes) and replica
     failover (when every routing reference for the next hop is dead,
     route to a live replica of one of them and learn it as a new
     reference) are not configurable: they always run, see {!Overlay}. *)

@@ -12,7 +12,6 @@ type range = {
   clip_lo : string;  (** inclusive *)
   clip_hi : string option;  (** exclusive; [None] = unbounded *)
   origin : int;
-  reply_to : int;
   hops : int;
   strategy : range_strategy;
   budget : int option;
@@ -44,7 +43,6 @@ type t =
       token : int;
       items : Store.item list;
       targets : int list;
-      origin : int;
       hops : int;
     }
   | InsertBatch of { rid : int; items : Store.item list; origin : int; hops : int }

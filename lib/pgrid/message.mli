@@ -14,7 +14,8 @@ type range_strategy =
 val pp_strategy : Format.formatter -> range_strategy -> unit
 
 (** A range request. A peer forwarding it sends [Range { r with ... }],
-    changing only the token, clip, reply target, hops and budget. *)
+    changing only the token, clip, hops and budget. Every hit goes
+    straight to [origin]. *)
 type range = {
   rid : int;
   token : int;  (** unique per message; echoed by the receiver's hit *)
@@ -23,10 +24,6 @@ type range = {
   clip_lo : string;  (** routing clip, inclusive *)
   clip_hi : string option;  (** routing clip, exclusive; [None] = +inf *)
   origin : int;
-  reply_to : int;
-      (** where the receiver's hit goes: the origin, or — under
-          in-network range aggregation — the parent in the split
-          tree, which merges child hits before replying upward *)
   hops : int;
   strategy : range_strategy;
   budget : int option;
@@ -67,14 +64,12 @@ type t =
       token : int;
       items : Store.item list;
       targets : int list;
-      origin : int;
       hops : int;
     }
-      (** [token] identifies which message this hit answers; [targets]
-          lists the tokens of messages the sender forwarded whose hits
-          it did {e not} merge itself, plus one {!hop_limited} entry per
-          sub-range it had to drop at the hop limit; [origin] lets a peer
-          holding no aggregation buffer for [token] relay the hit home *)
+      (** sent to the request's origin. [token] identifies which
+          message this hit answers; [targets] lists the tokens of the
+          messages the sender forwarded, plus one {!hop_limited} entry
+          per sub-range it had to drop at the hop limit *)
   | InsertBatch of { rid : int; items : Store.item list; origin : int; hops : int }
       (** bulk insert: sorted items that split shower-style as the batch
           descends the trie; each covering peer stores its share and

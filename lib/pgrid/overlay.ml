@@ -1,6 +1,6 @@
 (* The P-Grid overlay's message dispatcher and public operations. The
    state record and the forwarding paths of routed messages are in
-   {!Routing}, showers and their aggregation in {!Shower}; this file
+   {!Routing}, showers in {!Shower}; this file
    holds what a peer does with a message it owns. *)
 
 open Routing
@@ -21,7 +21,6 @@ let create = Routing.create
 let config = Routing.config
 let metrics = Routing.metrics
 let split_batch = Routing.split_batch
-let agg_owners = Shower.agg_owners
 let sim t = t.sim
 let net t = t.net
 let rng t = t.rng
@@ -261,8 +260,8 @@ let dispatch t (me : Node.t) ~src msg =
   | Range r ->
     Node.bump_served me;
     Shower.handle_range t me r
-  | RangeHit { rid; token; items; targets; origin; hops } ->
-    Shower.handle_hit t me ~src ~rid ~token ~items ~targets ~origin ~hops
+  | RangeHit { rid; token; items; targets; hops } ->
+    Request.hit t.requests rid ~from:src ~token ~items ~targets ~hops
   | InsertBatch { rid; items; origin; hops } ->
     Node.bump_served me;
     handle_insert_batch t me ~rid ~items ~origin ~hops
@@ -395,7 +394,6 @@ let start_range t ~op ~origin ~strategy ~budget ~lo ~hi ~k =
           clip_lo = lo;
           clip_hi = Some (hi ^ "\x00");
           origin;
-          reply_to = origin;
           hops = 0;
           strategy;
           budget;

@@ -106,11 +106,6 @@ val crash : t -> ?keep_frac:float -> int -> int
     reported numbers and test expectations share one source. *)
 val refresh_store_gauges : t -> unit
 
-(** Peers currently holding an unflushed in-network aggregation buffer
-    (interior nodes of in-flight shower ranges). Exposed so fault tests
-    can kill an aggregator mid-query deterministically. *)
-val agg_owners : t -> int list
-
 (** {2 Asynchronous operations} *)
 
 (** [insert t ~origin ~key ~item_id ~payload ()] routes the item to the

@@ -1,30 +1,13 @@
 (* The overlay's state and its forwarding paths for routed messages:
    greedy prefix routing with replica failover, the origin's shortcut
    cache, one routed hop of a single-key request and one hop of a batch.
-   Showers and their aggregation buffers are in {!Shower}; the message
-   dispatcher and the public operations are in {!Overlay}. *)
+   Showers are in {!Shower}; the message dispatcher and the public
+   operations are in {!Overlay}. *)
 
 module Bitkey = Unistore_util.Bitkey
 module Rng = Unistore_util.Rng
 module Metrics = Unistore_obs.Metrics
 module Shortcuts = Unistore_cache.Shortcuts
-
-(* One in-network aggregation buffer for a shower range (see {!Shower}):
-   the interior node that spawned [waiting] merges those children's hits
-   into its own before replying to [agg_parent]. Shared (aliased) across
-   the entries of [t.aggs] for its waiting tokens. *)
-type agg = {
-  agg_rid : int;
-  agg_token : int;  (* the token echoed upward by the merged hit *)
-  agg_parent : int;
-  agg_origin : int;
-  agg_owner : int;
-  mutable waiting : int list;  (* child tokens not yet merged *)
-  mutable carried : int list;  (* tokens announced upward unmerged *)
-  mutable agg_items : Store.item list;
-  mutable agg_hops : int;
-  mutable flush_timer : Sim.timer;  (* the partial flush; a flush cancels it *)
-}
 
 type t = {
   sim : Sim.t;
@@ -40,7 +23,6 @@ type t = {
   (* Ascending node list, rebuilt lazily: gossip rounds walk it once per
      round; the arena only grows, so adds just invalidate. *)
   mutable nodes_cache : Node.t list option;
-  aggs : (int, agg) Hashtbl.t;  (* child token -> its parent's buffer *)
   mutable read_observer : (origin:int -> Store.item list -> unit) option;
 }
 
@@ -56,7 +38,6 @@ let create sim ~latency ~rng ?(drop = 0.0) ~config () =
     n_nodes = 0;
     max_node_id = -1;
     nodes_cache = None;
-    aggs = Hashtbl.create 64;
     read_observer = None;
   }
 

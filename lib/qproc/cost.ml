@@ -110,13 +110,18 @@ let attr_fraction stats a =
   let total = Float.max 1.0 (float_of_int stats.Qstats.total_triples) in
   Qstats.est_attr stats a /. total
 
-(* Cost of fetching [grams] gram-key postings: parallel per-gram routed
-   lookups, or — when the substrate groups probes — one multi-lookup
-   splitting down the trie to ~min(grams, leaves) touched regions. *)
-let gram_fetch_cost env ~grams ~cardinality =
-  let grams_f = Float.max 1.0 (float_of_int grams) in
+(* One probe round over [keys] deduplicated exact keys (a bind-join
+   round, or a q-gram search's gram fetch or match resolution).
+   Unbatched: one routed lookup (and reply) per key, in parallel.
+   Batched ([env.batched_probes]): one multi-lookup splits down the trie
+   — O(depth) splitting messages reach the ~min(keys, leaves) touched
+   regions, each answering the origin once — so the messages term stops
+   scaling linearly with the key count and the optimizer's bind-vs-bulk
+   break-even moves accordingly. *)
+let probe_round_cost env ~keys ~cardinality =
+  let keys = Float.max 1.0 keys in
   if env.batched_probes then begin
-    let regions = Float.min grams_f (leaves env) in
+    let regions = Float.min keys (leaves env) in
     {
       messages = float_of_int env.depth +. (2.0 *. regions);
       latency = (float_of_int env.depth +. 2.0) *. env.expected_latency;
@@ -125,15 +130,15 @@ let gram_fetch_cost env ~grams ~cardinality =
   end
   else begin
     let per = lookup_cost env ~cardinality:0.0 in
-    { messages = grams_f *. per.messages; latency = per.latency; cardinality }
+    { messages = keys *. per.messages; latency = per.latency; cardinality }
   end
 
 (* A q-gram search ({!Unistore_triple.Tstore.similar}/[containing]):
    the gram fetch, then one more batched round that resolves the
    expected matches through their A#v or V keys. *)
 let gram_search_cost env ~grams ~cardinality =
-  let fetch = gram_fetch_cost env ~grams ~cardinality in
-  let resolve = gram_fetch_cost env ~grams:(int_of_float (Float.ceil cardinality)) ~cardinality in
+  let fetch = probe_round_cost env ~keys:(float_of_int grams) ~cardinality in
+  let resolve = probe_round_cost env ~keys:(Float.ceil cardinality) ~cardinality in
   {
     messages = fetch.messages +. resolve.messages;
     latency = fetch.latency +. resolve.latency;
@@ -195,27 +200,5 @@ let estimate_access env stats access =
        attribute's worth of data as a neutral middle ground. *)
     flood_cost env
       ~cardinality:(Float.max 1.0 (float_of_int stats.Qstats.total_triples *. 0.05))
-
-(* A bind-join probe round over [card_left] deduplicated keys.
-   Unbatched: one routed lookup (and reply) per key, in parallel.
-   Batched ([env.batched_probes]): one multi-lookup splits down the trie
-   — O(depth) splitting messages reach the ~min(card_left, leaves)
-   touched regions, each answering the origin once — so the messages
-   term stops scaling linearly with the left cardinality and the
-   optimizer's bind-vs-bulk break-even moves accordingly. *)
-let bindjoin_cost env ~card_left ~cardinality =
-  let card_left = Float.max 1.0 card_left in
-  if env.batched_probes then begin
-    let regions = Float.min card_left (leaves env) in
-    {
-      messages = float_of_int env.depth +. (2.0 *. regions);
-      latency = (float_of_int env.depth +. 2.0) *. env.expected_latency;
-      cardinality;
-    }
-  end
-  else begin
-    let per = lookup_cost env ~cardinality:0.0 in
-    { messages = card_left *. per.messages; latency = per.latency; cardinality }
-  end
 
 let objective e = e.messages +. (e.latency /. 50.0)

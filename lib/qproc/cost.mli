@@ -66,18 +66,13 @@ val pp_estimate : Format.formatter -> estimate -> unit
 (** [estimate_access env stats access] predicts one access path's cost. *)
 val estimate_access : env -> Qstats.t -> access -> estimate
 
-(** [gram_fetch_cost env ~grams ~cardinality] predicts one batched
-    fetch of [grams] exact keys: per-key routed lookups, or one
-    region-splitting multi-lookup with [env.batched_probes]. A q-gram
-    access ([ASim], [ASubstring]) costs one such fetch of its gram keys,
-    then one more of its expected matches' A#v or V keys. *)
-val gram_fetch_cost : env -> grams:int -> cardinality:float -> estimate
-
-(** [bindjoin_cost env ~card_left ~cardinality] predicts one bind-join
-    probe round over [card_left] deduplicated bound keys: per-key routed
-    lookups, or — with [env.batched_probes] — one region-splitting
-    multi-lookup whose message count scales with touched regions. *)
-val bindjoin_cost : env -> card_left:float -> cardinality:float -> estimate
+(** [probe_round_cost env ~keys ~cardinality] predicts one probe round
+    over [keys] deduplicated exact keys: per-key routed lookups, or —
+    with [env.batched_probes] — one region-splitting multi-lookup whose
+    message count scales with touched regions. A bind-join round costs
+    one; a q-gram access ([ASim], [ASubstring]) costs one fetch of its
+    gram keys, then one more of its expected matches' A#v or V keys. *)
+val probe_round_cost : env -> keys:float -> cardinality:float -> estimate
 
 (** Scalar objective used to rank plans: messages plus a latency term
     weighted to prefer parallel strategies under wide-area latencies. *)

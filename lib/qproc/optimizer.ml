@@ -104,7 +104,7 @@ let choose_next env stats ~qgrams ?cached cmap ~bound ~card_left remaining =
         let bind_cost =
           if bindjoin_possible bound p then
             Some
-              (Cost.bindjoin_cost env ~card_left
+              (Cost.probe_round_cost env ~keys:card_left
                  ~cardinality:(join_card card_left bulk_est.Cost.cardinality))
           else None
         in

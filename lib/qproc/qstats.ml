@@ -52,7 +52,7 @@ let of_triples ts =
 
 module Statcache = Unistore_cache.Statcache
 
-let of_summaries (aggs : (string * Statcache.agg) list) =
+let of_summaries (per_attr : (string * Statcache.agg) list) =
   let attrs =
     List.filter_map
       (fun (a, (g : Statcache.agg)) ->
@@ -68,7 +68,7 @@ let of_summaries (aggs : (string * Statcache.agg) list) =
                 hi = Value.decode g.Statcache.a_hi;
                 string_valued = g.Statcache.a_string;
               } ))
-      aggs
+      per_attr
   in
   let total_triples = List.fold_left (fun acc (_, s) -> acc + s.count) 0 attrs in
   (* No summary counts objects, only (attribute, value) occurrences; use

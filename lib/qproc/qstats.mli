@@ -31,7 +31,7 @@ val pp : Format.formatter -> t -> unit
     oracle path used when the inserting site keeps a catalog). *)
 val of_triples : Triple.t list -> t
 
-(** [of_summaries aggs] reconstructs statistics from the aggregated
+(** [of_summaries per_attr] reconstructs statistics from the aggregated
     gossiped summaries of the statistics cache
     ({!Unistore_cache.Statcache.aggregate}) — the decentralized
     replacement for the {!of_triples} oracle: counts,

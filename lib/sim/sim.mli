@@ -18,7 +18,7 @@
     EXPERIMENTS.md, "Scale").
 
     {b Deadlines.} A deadline that the work it guards can beat (a request
-    timeout, a buffer's flush) is a {!timer}: the operation that
+    timeout, a carrier hop's timeout) is a {!timer}: the operation that
     finishes first {!cancel}s it, and the queue then holds only events
     that can still do something. A cancelled timer never runs, never
     moves the clock and is counted in neither {!pending} nor

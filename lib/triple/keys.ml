@@ -22,4 +22,3 @@ let attr_prefix attr = "A\000" ^ attr ^ "\000"
 
 let attr_string_prefix attr ~string_prefix = "A\000" ^ attr ^ "\000s" ^ string_prefix
 
-let value_range ~lo ~hi = ("V\000" ^ Value.encode lo, "V\000" ^ Value.encode hi)

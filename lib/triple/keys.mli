@@ -46,9 +46,6 @@ val attr_prefix : string -> string
     [string_prefix] (substring/prefix search on an attribute). *)
 val attr_string_prefix : string -> string_prefix:string -> string
 
-(** Bounds of the [v] (value) region for a value range. *)
-val value_range : lo:Value.t -> hi:Value.t -> string * string
-
 (** q-gram length used by the similarity index. *)
 val q : int
 

@@ -414,18 +414,10 @@ let similar t ~origin ~attr ~pattern ~d ~k =
 (* ------------------------------------------------------------------ *)
 (* Substring search                                                    *)
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  end
-
 let substring_applicable t ~pattern = t.qgrams && Keys.substring_indexable ~pattern
 
 let containing t ~origin ~attr ~pattern ~k =
-  let verify s = contains_sub s pattern in
+  let verify s = Strdist.contains_sub s pattern in
   if not (substring_applicable t ~pattern) then scan t ~origin ~pred:(matching ~attr verify) ~k
   else begin
     (* A containing value holds every pattern gram, so any subset of the

@@ -2,7 +2,4 @@ let sorted_bindings ?(cmp = compare) tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> cmp a b)
 
-let sorted_keys ?(cmp = compare) tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort cmp
-
 let sorted_iter ?cmp f tbl = List.iter (fun (k, v) -> f k v) (sorted_bindings ?cmp tbl)

@@ -22,9 +22,6 @@
 val sorted_bindings : ?cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** All bindings, sorted by key. *)
 
-val sorted_keys : ?cmp:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
-(** All keys, sorted. *)
-
 val sorted_iter : ?cmp:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 (** [sorted_iter f tbl] applies [f] to every binding in ascending key
     order. The bindings are snapshotted first, so [f] may mutate [tbl]. *)

@@ -80,6 +80,14 @@ let substring_qgrams ~q s =
   if n < q then []
   else List.sort_uniq String.compare (List.init (n - q + 1) (fun i -> String.sub s i q))
 
+let contains_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  if nn = 0 then true
+  else begin
+    let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in
+    go 0
+  end
+
 let count_filter_threshold ~q ~len_a ~len_b d = max len_a len_b + q - 1 - (d * q)
 
 (* Rarity heuristic for rarest-gram-first ordering when no frequency

@@ -28,6 +28,10 @@ val distinct_qgrams : q:int -> string -> string list
     q-gram index complete. Empty when [s] is shorter than [q]. *)
 val substring_qgrams : q:int -> string -> string list
 
+(** [contains_sub hay needle] holds when [needle] occurs in [hay] as a
+    contiguous substring; the empty [needle] occurs in every string. *)
+val contains_sub : string -> string -> bool
+
 (** [count_filter_threshold ~q ~len_a ~len_b d] is the minimum number of
     common q-grams two strings of the given lengths must share to possibly
     be within edit distance [d]: [max(len_a,len_b) + q - 1 - d*q] (can be

@@ -1,4 +1,4 @@
-type t = { n : int; s : float; cdf : float array }
+type t = { n : int; cdf : float array }
 
 let create ~n ~s =
   if n < 1 then invalid_arg "Zipf.create: n < 1";
@@ -12,10 +12,9 @@ let create ~n ~s =
       cdf.(i) <- !acc)
     weights;
   cdf.(n - 1) <- 1.0;
-  { n; s; cdf }
+  { n; cdf }
 
 let n t = t.n
-let exponent t = t.s
 
 let sample t rng =
   let u = Rng.float rng in

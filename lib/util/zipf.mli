@@ -12,7 +12,6 @@ type t
 val create : n:int -> s:float -> t
 
 val n : t -> int
-val exponent : t -> float
 
 (** [sample t rng] draws a rank in [1..n]; rank 1 is the most frequent. *)
 val sample : t -> Rng.t -> int

@@ -122,16 +122,7 @@ let rec eval_expr lookup (e : Ast.expr) =
   | EEdist (a, b) -> edist_value (eval_expr lookup a) (eval_expr lookup b)
   | EContains (a, b) -> (
     match (eval_expr lookup a, eval_expr lookup b) with
-    | Some (Value.S x), Some (Value.S y) ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        if nn = 0 then true
-        else begin
-          let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-          go 0
-        end
-      in
-      Some (Value.B (contains x y))
+    | Some (Value.S x), Some (Value.S y) -> Some (Value.B (Strdist.contains_sub x y))
     | _ -> None)
   | EPrefix (a, b) -> (
     match (eval_expr lookup a, eval_expr lookup b) with

@@ -39,10 +39,3 @@ let line_at src ln =
       let stop = match String.index_from_opt src start '\n' with Some j -> j | None -> n in
       String.sub src start (stop - start)
   end
-
-let describe src l =
-  if is_dummy l then "<unknown>"
-  else begin
-    let p = pos_of_offset src l.start in
-    Printf.sprintf "line %d, column %d" p.line p.col
-  end

@@ -30,6 +30,3 @@ val pos_of_offset : string -> int -> pos
 (** [line_at src ln] is the text of 1-based line [ln] (without the
     newline); [""] if out of range. *)
 val line_at : string -> int -> string
-
-(** ["line L, column C"] of the span start; ["<unknown>"] for {!dummy}. *)
-val describe : string -> t -> string

@@ -355,44 +355,32 @@ let test_partition_routes_like_kill () =
   if cut_ms > 1_000.0 then Alcotest.failf "partition run took %.1f simulated ms" cut_ms
 
 (* ------------------------------------------------------------------ *)
-(* Aggregation under crash: no wedged range queries *)
+(* Shower peer crash: no wedged range queries *)
 
-(* Regression: a peer killed while holding an aggregation buffer (it
-   merges children's range hits before replying upward) used to wedge
-   the whole range query — its children's tokens were accounted to a
-   corpse. Now the origin's timeout fires, the wave is retried, and the
-   query terminates either complete or explicitly partial. *)
-let test_agg_owner_crash_terminates () =
+(* A shower peer killed 2.5 ms into a range ([kill_shower_peer]):
+   every hit goes straight to the origin and no peer holds state for
+   another's hit, so the query terminates either complete or explicitly
+   partial. *)
+let test_shower_peer_crash_terminates () =
   let config = { Config.default with timeout_ms = 300.0; retries = 2 } in
   let keys = random_words (Rng.create 31) 160 in
   let ov = build_overlay ~n:64 ~config ~keys () in
   let m = with_metrics ov in
   insert_all ov keys;
   Sim.run_all (Overlay.sim ov);
-  let killed = ref None in
+  let tr = Trace.create () in
+  Net.set_trace (Overlay.net ov) (Some tr);
   let got = ref None in
-  Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k:(fun r -> got := Some r) ();
-  (* Poll for an interior node holding an unflushed aggregation buffer
-     and crash the first one found (the poll is itself deterministic:
-     fixed schedule, fixed overlay). *)
-  let rec poll t =
-    if t < 20.0 then
-      Sim.schedule (Overlay.sim ov) ~delay:0.5 (fun () ->
-          if !killed = None then begin
-            match List.filter (fun id -> id <> 0) (Overlay.agg_owners ov) with
-            | id :: _ ->
-              killed := Some id;
-              Overlay.kill ov id
-            | [] -> poll (t +. 0.5)
-          end)
+  let killed =
+    kill_shower_peer ov tr ~origin:0 ~delay:2.5 ~finished:(fun () -> Option.is_some !got)
   in
-  poll 0.0;
+  Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k:(fun r -> got := Some r) ();
   Sim.run_all (Overlay.sim ov);
   (match !killed with
-  | None -> Alcotest.fail "no aggregation buffer ever existed (test setup broken)"
+  | None -> Alcotest.fail "no shower peer killed mid-range (test setup broken)"
   | Some _ -> ());
   match !got with
-  | None -> Alcotest.fail "range query wedged after aggregator crash"
+  | None -> Alcotest.fail "range query wedged after a shower peer crashed"
   | Some r ->
     if not r.Overlay.complete then begin
       Alcotest.(check bool) "partial result marked" true (Metrics.counter m "fault.partial" > 0);
@@ -413,7 +401,7 @@ let backoff_kinds =
   [
     ("lookup", 0.0, fun ov ~keys:_ ~key -> await (Overlay.sim ov) (fun k ->
         Overlay.lookup ov ~origin:0 ~key ~k));
-    ("range", 0.75, fun ov ~keys:_ ~key:_ -> await (Overlay.sim ov) (fun k ->
+    ("range", 0.875, fun ov ~keys:_ ~key:_ -> await (Overlay.sim ov) (fun k ->
         Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ()));
     ( "bulk_insert",
       0.875,
@@ -539,7 +527,8 @@ let () =
             test_partition_completeness;
           Alcotest.test_case "partitioned peer routes like a killed one" `Quick
             test_partition_routes_like_kill;
-          Alcotest.test_case "aggregator crash terminates" `Quick test_agg_owner_crash_terminates;
+          Alcotest.test_case "a shower peer killed mid-range terminates" `Quick
+            test_shower_peer_crash_terminates;
           Alcotest.test_case "backoff schedule exact" `Quick test_backoff_schedule;
           Alcotest.test_case "adaptive deadline beats fixed" `Quick
             test_adaptive_deadline_beats_fixed;

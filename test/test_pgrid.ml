@@ -779,6 +779,43 @@ let test_range_under_jittery_latency () =
   check Alcotest.int "broadcast sees all" (List.length keys)
     (List.length (List.sort_uniq compare (List.map (fun i -> i.Store.key) r.Overlay.items)))
 
+(* Every peer a shower reaches sends its hit straight to the origin. On
+   256 peers the shower over ["a", "{"] splits at least three levels
+   deep; every [range-hit] in the trace goes to the origin, and
+   [peers_hit] counts exactly the peers that sent one, plus the origin,
+   which reports its own share without a message. *)
+let test_shower_hits_go_to_origin () =
+  let module Trace = Unistore_sim.Trace in
+  let keys = List.sort_uniq compare (random_words (Rng.create 23) 600) in
+  let ov = build_overlay ~n:256 ~keys () in
+  insert_all ov keys;
+  let tr = Trace.create () in
+  Net.set_trace (Overlay.net ov) (Some tr);
+  let origin = 17 in
+  let r = await (Overlay.sim ov) (fun k -> Overlay.range ov ~origin ~lo:"a" ~hi:"{" ~k ()) in
+  Alcotest.(check bool) "complete" true r.Overlay.complete;
+  check
+    Alcotest.(list string)
+    "exact" (range_oracle keys ~lo:"a" ~hi:"{")
+    (List.sort_uniq compare (List.map (fun i -> i.Store.key) r.Overlay.items));
+  let ranges, hits =
+    List.partition (fun (e : Trace.event) -> e.kind = "range")
+      (List.filter (fun (e : Trace.event) -> e.kind = "range" || e.kind = "range-hit")
+         (Trace.events tr))
+  in
+  (* Some peer other than the origin forwarded more than one sub-clip. *)
+  let forwarders = List.filter (fun p -> p <> origin) (List.map (fun (e : Trace.event) -> e.src) ranges) in
+  Alcotest.(check bool) "split at least three levels deep" true
+    (r.Overlay.hops >= 3 && List.length forwarders > List.length (List.sort_uniq compare forwarders));
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.dst <> origin then Alcotest.failf "range-hit %d>%d does not go to the origin" e.src e.dst)
+    hits;
+  let senders = List.sort_uniq compare (List.map (fun (e : Trace.event) -> e.src) hits) in
+  check Alcotest.int "peers_hit = hit senders + origin"
+    (List.length (List.sort_uniq compare (origin :: senders)))
+    r.Overlay.peers_hit
+
 (* ------------------------------------------------------------------ *)
 (* Bootstrap *)
 
@@ -1019,9 +1056,9 @@ let message_witnesses =
     Message.Range
       {
         rid = 1; token = 2; lo = "a"; hi = "b"; clip_lo = "a"; clip_hi = Some "b"; origin = 0;
-        reply_to = 0; hops = 0; strategy = Message.Shower; budget = None;
+        hops = 0; strategy = Message.Shower; budget = None;
       };
-    Message.RangeHit { rid = 1; token = 2; items = [ it ]; targets = [ 3; 4 ]; origin = 0; hops = 0 };
+    Message.RangeHit { rid = 1; token = 2; items = [ it ]; targets = [ 3; 4 ]; hops = 0 };
     Message.InsertBatch { rid = 1; items = [ it; it ]; origin = 0; hops = 0 };
     Message.AckBatch { rid = 1; keys = [ "k1"; "k2" ]; region; hops = 0 };
     Message.MultiLookup { rid = 1; keys = [ "k1"; "k2" ]; origin = 0; hops = 0 };
@@ -1100,7 +1137,7 @@ let prop_range_hit_size =
     QCheck2.Gen.(pair gen_items (list_size (0 -- 6) small_nat))
     (fun (items, targets) ->
       Message.size
-        (Message.RangeHit { rid = 0; token = 0; items; targets; origin = 0; hops = 0 })
+        (Message.RangeHit { rid = 0; token = 0; items; targets; hops = 0 })
       = Message.header
         + List.fold_left (fun a (i : Store.item) -> a + Store.item_bytes i) 0 items
         + (4 * List.length targets))
@@ -1162,9 +1199,8 @@ let prop_failover_any_kill_set =
    deletes; lookups repeated from one origin, so the second one takes a
    shortcut; a boost copy serving lookups; shower and sequential ranges,
    with and without a budget; prefix; a clipped broadcast with [reduce];
-   bulk insert; multi-lookup; [send_task]; an interior shower peer
-   killed mid-range, so the aggregation buffers above it flush on their
-   timeout; and a phase under a small [max_hops]. The rendered message
+   bulk insert; multi-lookup; [send_task]; a shower peer killed
+   mid-range; and a phase under a small [max_hops]. The rendered message
    trace and every result (items in order, complete, completeness, hops,
    peers hit, latency, then every metrics counter) are digested as (line
    count, MD5 of the newline-joined lines), recorded when the test was
@@ -1187,10 +1223,17 @@ let prop_failover_any_kill_set =
    the bytes of its three replies and the byte counters. And again when
    each re-send began leaving a [fault.retry] marker: the trace gained
    28 marker lines, one per [retry.attempt], and every other line and
-   every result stayed the same. *)
+   every result stayed the same. And again when shower hits began going
+   straight to the origin instead of through their parents' merge
+   buffers: on a copy of this session with constant latency and no
+   loss, the diff was confined to the range hits' destinations, bytes
+   and times, the four ranges' latency and peers hit, and the later
+   send times; with LAN latency and loss the reordered hit sends draw
+   every later latency and loss from a different place in the stream,
+   so everything after the first shower moved. *)
 
-let golden_overlay_trace = (1445, "62b82bc024607e4bbc0a2e48bb993a57")
-let golden_overlay_results = (315, "43c99c3503fcd6de008b07100aeb681b")
+let golden_overlay_trace = (1379, "f1f1a5f74159f99d0cab93089e8fb58f")
+let golden_overlay_results = (310, "118626e8f5cdf403e86013ad5a21fa50")
 
 let overlay_session () =
   let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
@@ -1316,26 +1359,15 @@ let overlay_session () =
        { region = ("", None); owner = owner.Node.id; spread = []; items = []; retire = true });
   Sim.run_all sim;
   Overlay.set_config ov config;
-  (* Kill an interior shower peer mid-range: wait until aggregation
-     buffers exist, then kill one that appeared after the first wave, so
-     its parent is itself buffering. *)
-  let first = ref None and killed = ref None in
-  let rec poll () =
-    Sim.schedule sim ~delay:0.25 (fun () ->
-        match (!first, List.filter (fun id -> id <> 0) (Overlay.agg_owners ov)) with
-        | None, [] -> poll ()
-        | None, owners ->
-          first := Some owners;
-          poll ()
-        | Some seen, owners -> (
-          match List.filter (fun id -> not (List.mem id seen)) owners with
-          | id :: _ ->
-            killed := Some id;
-            Overlay.kill ov id
-          | [] -> poll ()))
-  in
-  poll ();
-  run "range with a killed aggregator" (fun k -> Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{" ~k ());
+  (* Kill a shower peer 3 ms into a range. *)
+  let finished = ref false in
+  let killed = kill_shower_peer ov tr ~origin:0 ~delay:3.0 ~finished:(fun () -> !finished) in
+  run "range with a killed shower peer" (fun k ->
+      Overlay.range ov ~origin:0 ~lo:"a" ~hi:"{"
+        ~k:(fun r ->
+          finished := true;
+          k r)
+        ());
   Sim.run_all sim;
   line (Printf.sprintf "killed %s" (match !killed with Some id -> string_of_int id | None -> "-"));
   (* A small hop limit. *)
@@ -1378,10 +1410,7 @@ let test_golden_overlay_trace () =
     [
       "cache.shortcut.hit";
       "balance.hot_serve";
-      "batch.agg.merged";
       "batch.agg.elided";
-      "batch.agg.flush.timeout";
-      "fault.agg.dead_flush";
       "probe.reduce.bytes.saved";
       "net.dropped";
     ];
@@ -1567,6 +1596,7 @@ let () =
           Alcotest.test_case "load balancing under skew" `Slow test_load_balancing_under_skew;
           Alcotest.test_case "ranges exact under jittery latency" `Quick
             test_range_under_jittery_latency;
+          Alcotest.test_case "shower hits go to the origin" `Quick test_shower_hits_go_to_origin;
         ] );
       ( "message",
         [

@@ -402,7 +402,7 @@ let test_cost_gram_search_resolves () =
     (fun (label, env) ->
       let est = Cost.estimate_access env synthetic_stats (Cost.ASim (Some "name", "Robert", 1)) in
       let grams = List.length (Unistore_util.Strdist.prefix_grams ~q:3 ~d:1 "Robert") in
-      let fetch = Cost.gram_fetch_cost env ~grams ~cardinality:est.Cost.cardinality in
+      let fetch = Cost.probe_round_cost env ~keys:(float_of_int grams) ~cardinality:est.Cost.cardinality in
       Alcotest.(check bool) (label ^ ": more messages") true (est.Cost.messages > fetch.Cost.messages);
       Alcotest.(check bool) (label ^ ": one more round") true (est.Cost.latency > fetch.Cost.latency))
     [ ("per-key", env); ("batched", { env with Cost.batched_probes = true }) ]

@@ -133,7 +133,7 @@ let timeout_allowed () =
   check_clean "cancellable timer"
     (lint "let arm t = Sim.timer t.sim ~delay:t.config.timeout_ms (fun () -> expire t)");
   check_clean "delay without a timeout"
-    (lint "let flush t a = Sim.schedule t.sim ~delay:agg_flush_ms (fun () -> go t a)");
+    (lint "let tick t a = Sim.schedule t.sim ~delay:gossip_period_ms (fun () -> go t a)");
   check_clean "the simulator itself"
     (lint ~path:"lib/sim/faults.ml" "let f sim c g = Sim.schedule sim ~delay:c.timeout_ms g");
   check_clean "annotated"

@@ -1,7 +1,7 @@
-(* Helpers shared by the test suites: one blocking wait and the small
-   P-Grid deployments the overlay suites build. The suites [open] this
-   module, so it names other modules by full path and brings nothing
-   into scope but its four helpers. *)
+(* Helpers shared by the test suites: one blocking wait, the small
+   P-Grid deployments the overlay suites build and one shower-peer
+   crash. The suites [open] this module, so it names other modules by
+   full path and brings nothing into scope but its five helpers. *)
 
 (* Wait for one asynchronous operation (the stack below the facade
    never blocks); fail the test if the event queue drains first. *)
@@ -35,3 +35,29 @@ let insert_all ov keys =
       in
       if not r.Overlay.complete then Alcotest.failf "insert of %S incomplete" k)
     keys
+
+(* Kill a shower peer mid-range: [delay] ms from now, unless
+   [finished ()] holds by then, kill the non-origin peer that most
+   recently received a [range] message sent since now. The pick is read
+   from the trace [tr], so it is deterministic. The result holds the
+   killed peer once there is one. *)
+let kill_shower_peer ov tr ~origin ~delay ~finished =
+  let module Trace = Unistore_sim.Trace in
+  let module Overlay = Unistore_pgrid.Overlay in
+  let sim = Overlay.sim ov in
+  let start = Unistore_sim.Sim.now sim and killed = ref None in
+  Unistore_sim.Sim.schedule sim ~delay (fun () ->
+      let receivers =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            if e.time >= start && e.kind = "range" && e.dst <> origin && e.outcome = Trace.Delivered
+            then Some e.dst
+            else None)
+          (Trace.events tr)
+      in
+      match (List.rev receivers, finished ()) with
+      | id :: _, false ->
+        killed := Some id;
+        Overlay.kill ov id
+      | _ -> ());
+  killed
