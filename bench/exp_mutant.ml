@@ -7,9 +7,11 @@
    approach."
 
    Join chains of increasing depth run under both strategies on a
-   wide-area (PlanetLab) deployment; we compare messages, latency and
-   bytes shipped. Both strategies must return the same rows (compared
-   by fingerprint); the experiment exits non-zero if they do not. *)
+   wide-area (PlanetLab) deployment, on P-Grid and on Chord+trie; we
+   compare messages, latency and bytes shipped. On each overlay both
+   strategies must return the same rows (compared by fingerprint), and
+   the two overlays must return the same rows too; the experiment exits
+   non-zero if they do not. *)
 
 module Engine = Unistore_qproc.Engine
 module Binding = Unistore_qproc.Binding
@@ -31,43 +33,69 @@ let queries =
        FILTER edist(?sr,'ICDE')<3 } ORDER BY SKYLINE OF ?age MIN, ?cnt MAX" );
   ]
 
+let fingerprints (r : Engine.report) =
+  List.sort compare (List.map Binding.fingerprint r.Engine.rows)
+
+(* Each query's centralized and mutant reports on one overlay. *)
+let run_overlay overlay =
+  let store, _ =
+    Common.build_pubs ~peers:128 ~authors:60 ~latency:Latency.Planetlab ~seed:91 ~overlay ()
+  in
+  List.map
+    (fun (name, src) ->
+      let rc = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Centralized src in
+      let rm = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Mutant src in
+      (name, rc, rm))
+    queries
+
 let run () =
   Common.section "E9: adaptive (mutant) vs. centralized execution"
     "query plans travel to the data and are re-optimized \"at each peer involved \
      in a query, resulting in an adaptive query processing approach\"";
-  let store, _ =
-    Common.build_pubs ~peers:128 ~authors:60 ~latency:Latency.Planetlab ~seed:91 ()
+  let disagree = ref [] in
+  let per_overlay =
+    List.map
+      (fun (label, overlay) ->
+        let results = run_overlay overlay in
+        Common.subsection label;
+        Common.print_table
+          [
+            "query"; "cent:msgs"; "mutant:msgs"; "cent:lat_s"; "mutant:lat_s"; "mutant:bytes"; "rows";
+          ]
+          (List.map
+             (fun (name, rc, rm) ->
+               if fingerprints rc <> fingerprints rm then
+                 disagree := Printf.sprintf "%s on %s" name label :: !disagree;
+               [
+                 name;
+                 Common.i rc.Engine.messages;
+                 Common.i rm.Engine.messages;
+                 Printf.sprintf "%.1f" (rc.Engine.latency /. 1000.0);
+                 Printf.sprintf "%.1f" (rm.Engine.latency /. 1000.0);
+                 Common.i rm.Engine.bytes_shipped;
+                 Common.i (List.length rc.Engine.rows);
+               ])
+             results);
+        results)
+      [ ("P-Grid", Unistore.Pgrid); ("Chord+trie", Unistore.Chord_trie) ]
   in
-  let fingerprints (r : Engine.report) =
-    List.sort compare (List.map Binding.fingerprint r.Engine.rows)
-  in
-  let rows = ref [] and disagree = ref [] in
-  List.iter
-    (fun (name, src) ->
-      let rc = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Centralized src in
-      let rm = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Mutant src in
-      if fingerprints rc <> fingerprints rm then disagree := name :: !disagree;
-      rows :=
-        [
-          name;
-          Common.i rc.Engine.messages;
-          Common.i rm.Engine.messages;
-          Printf.sprintf "%.1f" (rc.Engine.latency /. 1000.0);
-          Printf.sprintf "%.1f" (rm.Engine.latency /. 1000.0);
-          Common.i rm.Engine.bytes_shipped;
-          Common.i (List.length rc.Engine.rows);
-        ]
-        :: !rows)
-    queries;
-  Common.print_table
-    [ "query"; "cent:msgs"; "mutant:msgs"; "cent:lat_s"; "mutant:lat_s"; "mutant:bytes"; "rows" ]
-    (List.rev !rows);
+  (match per_overlay with
+  | [ pgrid; chord ] ->
+    List.iter2
+      (fun (name, rp, _) (_, rc, _) ->
+        if fingerprints rp <> fingerprints rc then
+          disagree := Printf.sprintf "%s across overlays" name :: !disagree)
+      pgrid chord
+  | _ -> ());
   if !disagree <> [] then begin
-    Printf.printf "\nFAIL: strategies return different rows on %s\n"
-      (String.concat ", " (List.rev !disagree));
+    Printf.printf "\nFAIL: different rows on %s\n" (String.concat ", " (List.rev !disagree));
     exit 1
   end;
   Printf.printf
-    "\nverdict: shipping the plan to the data cuts messages/latency on deep join \
-     chains, at the price of shipping plan+binding bytes; both strategies return \
-     identical answers\n"
+    "\nverdict: on P-Grid, shipping the plan to the data cuts messages/latency on deep \
+     join chains, at the price of shipping plan+binding bytes. On Chord+trie it costs \
+     more: re-planned with the real row counts, the deeper steps pick attribute scans \
+     (a trie walk of ~35 messages each) over bind-joins, since the cost model prices a \
+     probe round by P-Grid's touched regions while Chord+trie answers one attribute's \
+     probes from one or two trie buckets. Both strategies return identical answers \
+     on both overlays\n"

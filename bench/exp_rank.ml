@@ -15,15 +15,18 @@
      partial skyline runs where the tuples live — all triples of one
      logical tuple share their OID key, so dominance against co-located
      candidates is globally sound — and dominated rows never cross the
-     network; Chord cannot ship closures, so every x and y triple
-     travels to the origin first.
+     network; Chord+trie's scan is a walk of plain gets answered with
+     whole buckets, with no leaf-side reduction, so every x and y
+     triple travels to the origin first.
    - similarity selection: edit-distance-1 lookup via the q-gram
      index, fetching only a count-filter-covering rarest-first prefix
      of the pattern's grams (recall-complete by the prefix-filter
-     bound) — one MultiLookup batch on P-Grid, one routed lookup per
-     gram on Chord.
+     bound) — one batched multi-lookup on both overlays: P-Grid splits
+     it by trie region, Chord+trie fetches each distinct trie bucket
+     once.
    - substring selection: positional pruning to at most 3 grams
-     (any subset of the pattern's grams is recall-complete here).
+     (any subset of the pattern's grams is recall-complete here),
+     fetched the same way.
 
    Both overlays must return identical rows and full recall against a
    locally computed oracle — asserted, not sampled. Writes
@@ -383,8 +386,9 @@ let run () =
              path runs wherever the overlay supports it. Operators: top-N (budgeted ordered \
              traversal on P-Grid, full-region fetch on Chord), skyline (leaf-local partial \
              skyline pushdown on P-Grid, ship-everything on Chord), similarity selection \
-             (count-filter gram pruning; one batched MultiLookup on P-Grid, one lookup per \
-             gram on Chord), substring selection (3-gram positional pruning). Both overlays \
+             (count-filter gram pruning; one batched multi-lookup on both overlays, split \
+             by trie region on P-Grid, one get per distinct trie bucket on Chord), \
+             substring selection (3-gram positional pruning, fetched the same way). Both overlays \
              returned identical rows at recall 1.0 against local oracles — asserted. \
              Regenerate with `dune exec bench/main.exe -- rank`. See EXPERIMENTS.md, \
              section 'Ranking & similarity'." );

@@ -51,6 +51,7 @@ let chord =
     { constructor = "Unreplica"; kind = "unreplica"; role = Background };
     { constructor = "Bcast"; kind = "bcast"; role = Request { ops = [] } };
     { constructor = "BcastHit"; kind = "bcast-hit"; role = Reply };
+    { constructor = "Task"; kind = "task"; role = Background };
   ]
 
 let kinds entries = List.sort String.compare (List.map (fun e -> e.kind) entries)

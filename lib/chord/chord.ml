@@ -36,6 +36,7 @@ type msg =
   | Unreplica of { key : string; item_id : string }
   | Bcast of { rid : int; limit : int; origin : int; hops : int; pred : Store.item -> bool }
   | BcastHit of { rid : int; items : Store.item list; forwards : int; hops : int }
+  | Task of { bytes : int; run : int -> unit }
 
 let msg_size = function
   | Put { item; _ } -> 20 + Store.item_bytes item
@@ -47,6 +48,7 @@ let msg_size = function
   | Unreplica { key; item_id } -> 20 + String.length key + String.length item_id
   | Bcast _ -> 40
   | BcastHit { items; _ } -> 20 + List.fold_left (fun a i -> a + Store.item_bytes i) 0 items
+  | Task { bytes; _ } -> 20 + bytes
 
 let msg_kind = function
   | Put _ -> "put"
@@ -58,6 +60,7 @@ let msg_kind = function
   | Unreplica _ -> "unreplica"
   | Bcast _ -> "bcast"
   | BcastHit _ -> "bcast-hit"
+  | Task _ -> "task"
 
 let msg_corr = function
   | Put { rid; _ }
@@ -68,7 +71,7 @@ let msg_corr = function
   | Bcast { rid; _ }
   | BcastHit { rid; _ } ->
     rid
-  | Replica _ | Unreplica _ -> -1
+  | Replica _ | Unreplica _ | Task _ -> -1
 
 type pending =
   | Psingle of {
@@ -99,6 +102,7 @@ type t = {
 }
 
 let sim t = t.sim
+let config t = t.config
 let node_count t = Array.length t.nodes
 
 let node t id =
@@ -122,6 +126,10 @@ let peers t = List.init (Array.length t.nodes) (fun i -> i)
 let successors t id = (node t id).successors
 let predecessor_of t id = (node t id).predecessor
 let fingers t id = Array.copy (node t id).fingers
+
+let stored_items t id =
+  Hashtbl.fold (fun _ is acc -> List.rev_append is acc) (node t id).store []
+  |> List.sort compare
 
 let store_put (n : node) (item : Store.item) =
   let existing = Option.value ~default:[] (Hashtbl.find_opt n.store item.key) in
@@ -345,6 +353,7 @@ let dispatch t (me : node) ~src:_ msg =
   | Unreplica { key; item_id } -> store_remove me ~key ~item_id
   | Bcast { rid; limit; origin; hops; pred } -> handle_bcast t me ~rid ~limit ~origin ~hops ~pred
   | BcastHit { rid; items; forwards; hops } -> deliver_hit t rid ~items ~forwards ~hops
+  | Task { run; _ } -> run me.id
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -446,3 +455,5 @@ let broadcast t ~origin ~pred ~k =
        { outstanding = 1; items = []; hops = 0; peers_hit = 0; started = Sim.now t.sim; deadline; k });
   let me = node t origin in
   handle_bcast t me ~rid ~limit:me.ring ~origin ~hops:0 ~pred
+
+let send_task t ~src ~dst ~bytes run = Net.send t.net ~src ~dst (Task { bytes; run })

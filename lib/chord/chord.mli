@@ -49,6 +49,7 @@ val create :
   t
 
 val sim : t -> Unistore_sim.Sim.t
+val config : t -> config
 val node_count : t -> int
 
 (** Ring id of a peer (for tests). *)
@@ -90,6 +91,9 @@ val predecessor_of : t -> int -> int
     [Ring.finger_start ring i]); a fresh copy. *)
 val fingers : t -> int -> int array
 
+(** Every item a peer stores, sorted (for tests). *)
+val stored_items : t -> int -> Store.item list
+
 (** {2 Operations} — key placement uses [Ring.hash_key key]. *)
 
 val put :
@@ -105,3 +109,7 @@ val del : t -> origin:int -> key:string -> item_id:string -> k:(result -> unit) 
 (** Finger-tree broadcast: every alive peer scans its store with [pred];
     O(n) messages, O(log n) latency depth. *)
 val broadcast : t -> origin:int -> pred:(Store.item -> bool) -> k:(result -> unit) -> unit
+
+(** [send_task t ~src ~dst ~bytes f] ships a computation (a mutant query
+    plan) to [dst] as one message; [f] runs there unless [dst] is dead. *)
+val send_task : t -> src:int -> dst:int -> bytes:int -> (int -> unit) -> unit

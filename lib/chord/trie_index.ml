@@ -61,20 +61,29 @@ let unwrap_item (i : Store.item) =
     Some { Store.key; item_id; payload; version = i.Store.version }
   | None -> None
 
-let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
+(* The trie markers that lead to [key]'s bucket: the level-l node
+   learns it has child hex.[l]. *)
+let markers key =
   let hex = hex_of_key key in
-  (* Trie markers (the level-l node learns it has child hex.[l]), then
-     the leaf bucket that holds the datum. *)
+  List.init depth (fun l ->
+      { Store.key = "T:" ^ String.sub hex 0 l; item_id = String.make 1 hex.[l]; payload = ""; version = 0 })
+
+let bulk_insert chord ~origin ~items ~k =
+  (* The batch's distinct trie markers, sorted (root first for a single
+     item), then each item's leaf bucket entry, all in one round. *)
   let put (i : Store.item) ~k =
     Chord.put chord ~origin ~key:i.key ~item_id:i.item_id ~payload:i.payload ~version:i.version ~k ()
   in
-  let markers =
-    List.init depth (fun l ->
-        { Store.key = "T:" ^ String.sub hex 0 l; item_id = String.make 1 hex.[l]; payload = ""; version = 0 })
+  let trie =
+    List.sort_uniq compare (List.concat_map (fun (i : Store.item) -> markers i.Store.key) items)
   in
-  let bucket = wrap_item { Store.key; item_id; payload; version } in
-  Cps.all put (markers @ [ bucket ]) ~k:(fun rs ->
-      k (List.for_all (fun (r : Chord.result) -> r.Chord.complete) rs))
+  let started = Sim.now (Chord.sim chord) in
+  Cps.all put (trie @ List.map wrap_item items) ~k:(fun rs ->
+      k (Store.side_by_side ~latency:(Sim.now (Chord.sim chord) -. started) rs))
+
+let insert chord ~origin ~key ~item_id ~payload ?(version = 0) ~k () =
+  bulk_insert chord ~origin ~items:[ { Store.key; item_id; payload; version } ]
+    ~k:(fun (r : Chord.result) -> k r.Chord.complete)
 
 let range chord ~origin ~lo ~hi ~k =
   (* A bucket prefix strictly below hex(lo) only holds keys < lo, and one

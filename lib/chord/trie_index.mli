@@ -11,8 +11,9 @@
       ["B:" ^ p].
 
     Every insert therefore costs [depth + 1] DHT puts (each O(log n)
-    hops), and a range query is a client-driven parallel DFS of the trie,
-    one DHT get per visited trie node — this is exactly the overhead the
+    hops; the items of a batch share their markers), and a range query
+    is a client-driven parallel DFS of the trie, one DHT get per
+    visited trie node — this is exactly the overhead the
     paper's P-Grid-native ranges avoid. *)
 
 module Store = Unistore_pgrid.Store
@@ -41,8 +42,16 @@ val wrap_item : Store.item -> Store.item
     that contain ['#'] come back whole. *)
 val unwrap_item : Store.item -> Store.item option
 
-(** [insert chord ~origin ~key ~item_id ~payload ()] stores an item and
-    threads it through the trie. The continuation receives [false] if any
+(** [bulk_insert chord ~origin ~items ~k] stores a batch and threads it
+    through the trie: one put per distinct trie marker of the batch and
+    one per item's bucket entry, all in flight at once. [k] gets their
+    combined cost ({!Store.side_by_side}): complete iff every put was
+    acked. *)
+val bulk_insert :
+  Chord.t -> origin:int -> items:Store.item list -> k:(Chord.result -> unit) -> unit
+
+(** [insert chord ~origin ~key ~item_id ~payload ()] is the one-item
+    {!bulk_insert}. The continuation receives [false] if any
     constituent put failed. *)
 val insert :
   Chord.t ->

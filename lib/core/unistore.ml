@@ -144,10 +144,10 @@ let pgrid t = match t.substrate with On_pgrid ov -> Some ov | On_chord _ -> None
    this client never saw. *)
 let version_of t ~origin attr =
   let gossiped =
-    match t.dht.Dht.statcache_of with
+    match t.dht.Dht.stat_gossip with
     | None -> 0
-    | Some cache_of -> (
-      let sc = cache_of origin in
+    | Some g -> (
+      let sc = g.Dht.cache_of origin in
       match attr with
       | Some a -> Statcache.attr_version sc a
       | None -> Statcache.total_version sc)
@@ -200,14 +200,10 @@ let insert_triple t ?origin tr =
   bump_write t (Some tr.Triple.attr);
   await t ~default:false (fun k -> Tstore.insert t.tstore ~origin tr ~k)
 
-(* The asynchronous body of [insert_tuple], shared with [load]. *)
-let start_insert_tuple t ?origin ~oid fields ~k =
+let insert_tuple t ?origin ~oid fields =
   let origin = match origin with Some o -> o | None -> pick_origin t in
   List.iter (fun (a, _) -> bump_write t (Some a)) fields;
-  Tstore.insert_tuple t.tstore ~origin ~oid fields ~k
-
-let insert_tuple t ?origin ~oid fields =
-  await t ~default:0 (fun k -> start_insert_tuple t ?origin ~oid fields ~k)
+  await t ~default:0 (fun k -> Tstore.insert_tuple t.tstore ~origin ~oid fields ~k)
 
 let delete_triple t ?origin tr =
   let origin = match origin with Some o -> o | None -> pick_origin t in
@@ -226,41 +222,34 @@ let load_window = 8
 (* Bulk load: assign each tuple its round-robin origin as before, then
    ship every origin's triples as one batched insert
    ({!Tstore.insert_bulk}), at most [load_window] origins at a time,
-   instead of one routed exchange per index entry. Per-triple insertion
-   remains the fallback on substrates without a batch path (Chord) or,
-   inside that origin's slot of the window, when a batch comes back
-   incomplete. *)
+   instead of one routed exchange per index entry. When a batch comes
+   back incomplete, that origin's slot of the window retries its triples
+   one at a time. *)
 let load t tuples =
   await t ~default:0 (fun k ->
-      match t.dht.Dht.bulk_insert with
-      | None ->
-        Cps.fold
-          (fun acc (oid, fields) ~k -> start_insert_tuple t ~oid fields ~k:(fun n -> k (acc + n)))
-          0 tuples ~k
-      | Some _ ->
-        let groups = Hashtbl.create 16 in
-        let order = ref [] in
-        List.iter
-          (fun (oid, fields) ->
-            let origin = pick_origin t in
-            List.iter (fun (a, _) -> bump_write t (Some a)) fields;
-            let triples = Triple.tuple_to_triples ~oid fields in
-            match Hashtbl.find_opt groups origin with
-            | Some r -> r := List.rev_append triples !r
-            | None ->
-              order := origin :: !order;
-              Hashtbl.add groups origin (ref (List.rev triples)))
-          tuples;
-        let insert_one origin acc tr ~k =
-          Tstore.insert t.tstore ~origin tr ~k:(fun ok -> k (if ok then acc + 1 else acc))
-        in
-        Cps.window load_window
-          (fun origin ~k ->
-            let triples = List.rev !(Hashtbl.find groups origin) in
-            Tstore.insert_bulk t.tstore ~origin triples ~k:(fun ok ->
-                if ok then k (List.length triples) else Cps.fold (insert_one origin) 0 triples ~k))
-          (List.rev !order)
-          ~k:(fun counts -> k (List.fold_left ( + ) 0 counts)))
+      let groups = Hashtbl.create 16 in
+      let order = ref [] in
+      List.iter
+        (fun (oid, fields) ->
+          let origin = pick_origin t in
+          List.iter (fun (a, _) -> bump_write t (Some a)) fields;
+          let triples = Triple.tuple_to_triples ~oid fields in
+          match Hashtbl.find_opt groups origin with
+          | Some r -> r := List.rev_append triples !r
+          | None ->
+            order := origin :: !order;
+            Hashtbl.add groups origin (ref (List.rev triples)))
+        tuples;
+      let insert_one origin acc tr ~k =
+        Tstore.insert t.tstore ~origin tr ~k:(fun ok -> k (if ok then acc + 1 else acc))
+      in
+      Cps.window load_window
+        (fun origin ~k ->
+          let triples = List.rev !(Hashtbl.find groups origin) in
+          Tstore.insert_bulk t.tstore ~origin triples ~k:(fun ok ->
+              if ok then k (List.length triples) else Cps.fold (insert_one origin) 0 triples ~k))
+        (List.rev !order)
+        ~k:(fun counts -> k (List.fold_left ( + ) 0 counts)))
 
 let add_mapping t ?origin a b =
   let origin = match origin with Some o -> o | None -> pick_origin t in
@@ -274,17 +263,17 @@ let stats t = t.stats
 (* Gossiped statistics (level 3 of the caching subsystem)              *)
 
 let gossip_stats_round t =
-  match t.dht.Dht.stat_gossip_round with
-  | Some round ->
-    round ();
+  match t.dht.Dht.stat_gossip with
+  | Some g ->
+    g.Dht.round ();
     Sim.run_all t.sim (* srclint: allow blocking-wait *)
   | None -> ()
 
 let gossiped_stats t ~origin =
-  match t.dht.Dht.statcache_of with
+  match t.dht.Dht.stat_gossip with
   | None -> None
-  | Some cache_of ->
-    let sc = cache_of origin in
+  | Some g ->
+    let sc = g.Dht.cache_of origin in
     if Statcache.length sc = 0 then None
     else
       Some
@@ -308,7 +297,7 @@ let query t ?(origin = 0) ?strategy ?expand_mappings src =
   | Error e -> Error e
   | Ok q ->
     await t ~default:(drained "query") (fun k ->
-        Engine.start t.tstore stats ~replication:t.config.replication ~metrics:t.metrics
+        Engine.start t.tstore stats ~replication:t.config.replication
           ?cache:(result_cache t ~origin)
           ?strategy ?expand_mappings ~origin q
           ~k:(fun r -> k (Ok r)))

@@ -108,13 +108,12 @@ val update_value :
   t -> ?origin:int -> oid:string -> attr:string -> old_value:Value.t -> Value.t -> bool
 
 (** [load t tuples] inserts tuples from round-robin origins (as if each
-    participant contributed its own data); returns triples stored. On
-    P-Grid each origin's triples travel as one batched insert
+    participant contributed its own data); returns triples stored. Each
+    origin's triples travel as one batched insert
     ({!Unistore_triple.Tstore.insert_bulk}), and eight origins' batches
     are in flight at once: when one answers, the next origin starts
     ({!Unistore_util.Cps.window}). A batch that stays incomplete falls
-    back to per-triple insertion inside its origin's slot. Chord has no
-    batch path and inserts tuple by tuple, one after another. *)
+    back to per-triple insertion inside its origin's slot. *)
 val load : t -> (string * (string * Value.t) list) list -> int
 
 (** [add_mapping t a b] publishes an attribute correspondence. *)

@@ -189,9 +189,9 @@ val broadcast :
 
 (** {2 Batched operations}
 
-    Always available on P-Grid; {!Unistore_triple.Dht} exposes them as
-    optional capabilities, which substrates without a batch path (Chord)
-    leave out. *)
+    {!Unistore_triple.Dht} exposes these as [bulk_insert],
+    [multi_lookup] and [send_task], which the Chord+trie baseline
+    provides its own way. *)
 
 (** [bulk_insert t ~origin ~items ~k] stores the whole batch with one
     [InsertBatch] message that splits shower-style down the trie

@@ -29,6 +29,18 @@ type result = {
 let empty_result =
   { items = []; hops = 0; peers_hit = 0; complete = true; completeness = 1.0; latency = 0.0 }
 
+let side_by_side ~latency rs =
+  let merge m r =
+    {
+      m with
+      hops = max m.hops r.hops;
+      peers_hit = m.peers_hit + r.peers_hit;
+      complete = m.complete && r.complete;
+      completeness = Float.min m.completeness r.completeness;
+    }
+  in
+  { (List.fold_left merge empty_result rs) with latency }
+
 type stats = { bytes : int; triples : int }
 type backend = Hash | Log of { dir : string }
 

@@ -52,6 +52,11 @@ type result = {
 (** The complete answer to an empty request. *)
 val empty_result : result
 
+(** [side_by_side ~latency rs] is the cost of the requests [rs] run
+    concurrently and done [latency] ms after the first was issued: the
+    worst hops and coverage, the summed peers, and no items. *)
+val side_by_side : latency:float -> result list -> result
+
 (** Deterministic memory-model estimate of resident bytes (records,
     string headers and padding, container overhead, the id index), and
     the live item count. The same with the journal on or off; not a GC

@@ -58,7 +58,6 @@ type env = {
   depth : int;
   replication : int;
   expected_latency : float;
-  batched_probes : bool;
   topn_budget : bool;
 }
 
@@ -68,7 +67,6 @@ let env_of_dht (dht : Unistore_triple.Dht.t) ~replication =
     depth = max 1 (dht.Unistore_triple.Dht.depth ());
     replication = max 1 replication;
     expected_latency = dht.Unistore_triple.Dht.expected_latency;
-    batched_probes = dht.Unistore_triple.Dht.multi_lookup <> None;
     topn_budget = dht.Unistore_triple.Dht.range_topn <> None;
   }
 
@@ -111,27 +109,18 @@ let attr_fraction stats a =
   Qstats.est_attr stats a /. total
 
 (* One probe round over [keys] deduplicated exact keys (a bind-join
-   round, or a q-gram search's gram fetch or match resolution).
-   Unbatched: one routed lookup (and reply) per key, in parallel.
-   Batched ([env.batched_probes]): one multi-lookup splits down the trie
-   — O(depth) splitting messages reach the ~min(keys, leaves) touched
-   regions, each answering the origin once — so the messages term stops
-   scaling linearly with the key count and the optimizer's bind-vs-bulk
-   break-even moves accordingly. *)
+   round, or a q-gram search's gram fetch or match resolution): one
+   multi-lookup splits down the trie — O(depth) splitting messages reach
+   the ~min(keys, leaves) touched regions, each answering the origin
+   once — so the messages term does not scale linearly with the key
+   count. *)
 let probe_round_cost env ~keys ~cardinality =
-  let keys = Float.max 1.0 keys in
-  if env.batched_probes then begin
-    let regions = Float.min keys (leaves env) in
-    {
-      messages = float_of_int env.depth +. (2.0 *. regions);
-      latency = (float_of_int env.depth +. 2.0) *. env.expected_latency;
-      cardinality;
-    }
-  end
-  else begin
-    let per = lookup_cost env ~cardinality:0.0 in
-    { messages = keys *. per.messages; latency = per.latency; cardinality }
-  end
+  let regions = Float.min (Float.max 1.0 keys) (leaves env) in
+  {
+    messages = float_of_int env.depth +. (2.0 *. regions);
+    latency = (float_of_int env.depth +. 2.0) *. env.expected_latency;
+    cardinality;
+  }
 
 (* A q-gram search ({!Unistore_triple.Tstore.similar}/[containing]):
    the gram fetch, then one more batched round that resolves the

@@ -41,10 +41,6 @@ type env = {
   depth : int;  (** trie depth / log2 ring *)
   replication : int;
   expected_latency : float;  (** mean one-way ms *)
-  batched_probes : bool;
-      (** the substrate groups bind-join lookups into multi-key probes
-          ({!Unistore_triple.Dht.t.multi_lookup} present), so probe-round
-          message cost scales with touched regions, not keys *)
   topn_budget : bool;
       (** top-N runs as a budgeted sequential traversal
           ({!Unistore_triple.Dht.t.range_topn} present); [false] means it
@@ -67,9 +63,9 @@ val pp_estimate : Format.formatter -> estimate -> unit
 val estimate_access : env -> Qstats.t -> access -> estimate
 
 (** [probe_round_cost env ~keys ~cardinality] predicts one probe round
-    over [keys] deduplicated exact keys: per-key routed lookups, or —
-    with [env.batched_probes] — one region-splitting multi-lookup whose
-    message count scales with touched regions. A bind-join round costs
+    over [keys] deduplicated exact keys: one region-splitting
+    multi-lookup whose message count scales with touched regions, not
+    keys. A bind-join round costs
     one; a q-gram access ([ASim], [ASubstring]) costs one fetch of its
     gram keys, then one more of its expected matches' A#v or V keys. *)
 val probe_round_cost : env -> keys:float -> cardinality:float -> estimate

@@ -2,7 +2,6 @@ module Ast = Unistore_vql.Ast
 module Parser = Unistore_vql.Parser
 module Value = Unistore_triple.Value
 module Tstore = Unistore_triple.Tstore
-module Dht = Unistore_triple.Dht
 module Cps = Unistore_util.Cps
 
 type strategy = Centralized | Mutant
@@ -123,22 +122,8 @@ let report_of q strategy plan (r : Exec.run_result) =
     bytes_shipped = r.Exec.bytes_shipped;
   }
 
-let start ts stats ~replication ?metrics ?cache ?(strategy = Centralized)
+let start ts stats ~replication ?cache ?(strategy = Centralized)
     ?(expand_mappings = false) ~origin q ~k =
-  let strategy =
-    match strategy with
-    | Mutant when (Tstore.dht ts).Dht.send_task = None ->
-      (* Not silent: the caller asked for plan shipping and is getting a
-         different execution model — record it and say so. *)
-      (match metrics with
-      | Some m -> Unistore_obs.Metrics.incr m "engine.mutant_downgrade"
-      | None -> ());
-      Format.eprintf
-        "unistore: warning: substrate cannot ship plans; mutant execution downgraded to \
-         centralized@.";
-      Centralized
-    | s -> s
-  in
   planner ts stats ~replication ?cache ~expand_mappings ~origin q ~k:(fun p ->
       (* Each UNION branch executes independently, one after another; the
          combined rows then go through the query's post-processing

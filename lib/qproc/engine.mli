@@ -56,17 +56,13 @@ val explain :
 
 (** [start ts stats ~replication ?strategy ?expand_mappings ~origin q ~k]
     executes a parsed query and passes its report to [k]. It shares its
-    planning with {!explain}. Default strategy: [Centralized]; [Mutant]
-    falls back to [Centralized] if the substrate cannot ship plans — the
-    downgrade bumps the ["engine.mutant_downgrade"] counter (when
-    [metrics] is given) and prints a warning on stderr. With [cache] the
+    planning with {!explain}. Default strategy: [Centralized]. With [cache] the
     optimizer biases plans toward already-cached accesses and the
     executor serves/fills the origin's result cache ({!Qcache}). *)
 val start :
   Tstore.t ->
   Qstats.t ->
   replication:int ->
-  ?metrics:Unistore_obs.Metrics.t ->
   ?cache:Qcache.t ->
   ?strategy:strategy ->
   ?expand_mappings:bool ->

@@ -293,13 +293,18 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
     List.rev !out
   in
   let dht = run.dht in
-  match (dht.Dht.multi_lookup, residual) with
-  | _, [] -> k (join ())
-  | Some ml, _ :: _ :: _ ->
+  match residual with
+  | [] -> k (join ())
+  | [ probe ] ->
+    (* One key needs no batch: a plain routed lookup. *)
+    dht.Dht.lookup ~origin:carrier ~key:probe.key ~k:(fun r ->
+        note run r;
+        resolve r probe r.Dht.items;
+        k (join ()))
+  | _ ->
     (* Batched probe round: the deduplicated keys travel as one
-       multi-lookup that splits by responsible region, instead of one
-       routed lookup per key. *)
-    ml ~origin:carrier
+       multi-lookup instead of one routed lookup per key. *)
+    dht.Dht.multi_lookup ~origin:carrier
       ~keys:(List.map (fun probe -> probe.key) residual)
       ~k:(fun (found, r) ->
         note run r;
@@ -308,15 +313,6 @@ let exec_bindjoin run ~carrier (p : Ast.pattern) left ~k =
             Option.iter (fun probe -> resolve r probe items) (Hashtbl.find_opt by_key key))
           found;
         k (join ()))
-  | _ ->
-    (* One parallel round of per-key lookups. *)
-    let probe_one probe ~k =
-      dht.Dht.lookup ~origin:carrier ~key:probe.key ~k:(fun r ->
-          note run r;
-          resolve r probe r.Dht.items;
-          k ())
-    in
-    Cps.all probe_one residual ~k:(fun _ -> k (join ()))
 
 (* ------------------------------------------------------------------ *)
 (* Joins and filters                                                   *)
@@ -488,11 +484,6 @@ let rows_bytes rows = List.fold_left (fun acc b -> acc + Binding.bytes b) 0 rows
 
 let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
   let dht = Tstore.dht ts in
-  let send_task =
-    match dht.Dht.send_task with
-    | Some f -> f
-    | None -> invalid_arg "Exec.run_mutant: substrate does not support plan shipping"
-  in
   let run = start_run ?cache ts ~origin ~expansions q.Ast.patterns in
   let qgrams = Tstore.qgrams_enabled ts in
   let cmap = Algebra.var_constraints q.Ast.filters in
@@ -500,7 +491,7 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
      or the old carrier and 0 (and the query turns partial) if the task
      was lost. *)
   let hop ~from ~dst ~bytes ~k =
-    send_task ~src:from ~dst ~bytes ~k:(fun arrived ->
+    dht.Dht.send_task ~src:from ~dst ~bytes ~k:(fun arrived ->
         if arrived then begin
           run.bytes_shipped <- run.bytes_shipped + bytes;
           k dst bytes

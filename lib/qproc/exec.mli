@@ -80,10 +80,10 @@ val run_centralized :
   ?cache:Qcache.t -> Tstore.t -> origin:int -> Physical.t -> k:(run_result -> unit) -> unit
 
 (** [run_mutant ?cache ts stats env ~origin query ~expansions ~k] plans the
-    first step statically, then adapts. Requires the substrate to support
-    plan shipping ([Dht.send_task]); raises [Invalid_argument] otherwise.
-    [cache] is the {e origin's} result cache: steps executed while the
-    plan is away at another carrier bypass it. *)
+    first step statically, then adapts, shipping the plan between
+    carriers with [Dht.send_task]. [cache] is the {e origin's} result
+    cache: steps executed while the plan is away at another carrier
+    bypass it. *)
 val run_mutant :
   ?cache:Qcache.t ->
   Tstore.t ->

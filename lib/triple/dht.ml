@@ -4,6 +4,7 @@ module Net = Unistore_sim.Net
 module Overlay = Unistore_pgrid.Overlay
 module Chord = Unistore_chord.Chord
 module Trie_index = Unistore_chord.Trie_index
+module Cps = Unistore_util.Cps
 
 type result = Store.result = {
   items : Store.item list;
@@ -36,22 +37,27 @@ type t = {
     k:(result -> unit) ->
     unit)
     option;
-  bulk_insert : (origin:int -> items:Store.item list -> k:(result -> unit) -> unit) option;
+  bulk_insert : origin:int -> items:Store.item list -> k:(result -> unit) -> unit;
   multi_lookup :
-    (origin:int ->
-    keys:string list ->
-    k:((string * Store.item list) list * result -> unit) ->
-    unit)
-    option;
-  send_task : (src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit) option;
+    origin:int -> keys:string list -> k:((string * Store.item list) list * result -> unit) -> unit;
+  send_task : src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit;
   total_sent : unit -> int;
   expected_latency : float;
   depth : unit -> int;
   alive_peers : unit -> int list;
   responsible_peer : string -> int option;
-  stat_gossip_round : (unit -> unit) option;
-  statcache_of : (int -> Unistore_cache.Statcache.t) option;
+  stat_gossip : stat_gossip option;
 }
+
+and stat_gossip = { round : unit -> unit; cache_of : int -> Unistore_cache.Statcache.t }
+
+(* A task sent to a dead or cut-off peer never runs: fail the hop after
+   the substrate's request timeout. Arrival cancels the deadline, and a
+   task arriving after it fired is ignored, so [k] fires exactly once
+   either way. *)
+let task_with_deadline sim ~timeout_ms send ~src ~dst ~bytes ~k =
+  let deadline = Sim.timer sim ~delay:timeout_ms (fun () -> k false) in
+  send ~src ~dst ~bytes (fun _ -> if Sim.cancel sim deadline then k true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -82,21 +88,11 @@ let of_pgrid ov =
       Some
         (fun ~origin ~lo ~hi ~pred ~reduce ~k ->
           Overlay.broadcast ov ~origin ~lo ~hi ~reduce ~pred ~k ());
-    bulk_insert = Some (Overlay.bulk_insert ov);
-    multi_lookup = Some (Overlay.multi_lookup ov);
+    bulk_insert = Overlay.bulk_insert ov;
+    multi_lookup = Overlay.multi_lookup ov;
     send_task =
-      Some
-        (fun ~src ~dst ~bytes ~k ->
-          (* A task sent to a dead or cut-off peer never runs: fail the hop
-             after the overlay's request timeout. Arrival cancels the
-             deadline, and a task arriving after it fired is ignored, so
-             [k] fires exactly once either way. *)
-          let sim = Overlay.sim ov in
-          let deadline =
-            Sim.timer sim ~delay:(Overlay.config ov).Unistore_pgrid.Config.timeout_ms (fun () ->
-                k false)
-          in
-          Overlay.send_task ov ~src ~dst ~bytes (fun _ -> if Sim.cancel sim deadline then k true));
+      task_with_deadline (Overlay.sim ov)
+        ~timeout_ms:(Overlay.config ov).Unistore_pgrid.Config.timeout_ms (Overlay.send_task ov);
     total_sent = (fun () -> Net.total_sent net);
     expected_latency = Unistore_sim.Latency.expected (Net.latency net);
     depth = (fun () -> Overlay.depth ov);
@@ -110,9 +106,12 @@ let of_pgrid ov =
         |> function
         | [] -> None
         | p :: _ -> Some p);
-    stat_gossip_round =
-      Some (fun () -> Unistore_pgrid.Gossip.stats_round ov ~sample:Stat_sample.of_node);
-    statcache_of = Some (fun peer -> (Overlay.node ov peer).Unistore_pgrid.Node.stat_cache);
+    stat_gossip =
+      Some
+        {
+          round = (fun () -> Unistore_pgrid.Gossip.stats_round ov ~sample:Stat_sample.of_node);
+          cache_of = (fun peer -> (Overlay.node ov peer).Unistore_pgrid.Node.stat_cache);
+        };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -120,6 +119,25 @@ let of_pgrid ov =
 (* Chord stores bucket-wrapped items; unwrap to the caller's view. *)
 let decode_bucket_item (i : Store.item) =
   if String.starts_with ~prefix:"B:" i.Store.key then Trie_index.unwrap_item i else None
+
+let bucket_of key = "B:" ^ Trie_index.hex_of_key key
+
+(* Keys that share a trie bucket share its fetch: one get per distinct
+   bucket, all in flight at once. *)
+let chord_multi_lookup chord ~origin ~keys ~k =
+  let sim = Chord.sim chord in
+  let keys = List.sort_uniq String.compare keys in
+  let started = Sim.now sim in
+  let get bucket ~k = Chord.get chord ~origin ~key:bucket ~k in
+  Cps.all get (List.sort_uniq String.compare (List.map bucket_of keys)) ~k:(fun rs ->
+      (* Decode each bucket once. [find_all] answers newest first, so the
+         items go in last to first and each key keeps its bucket's order. *)
+      let by_key = Hashtbl.create 64 in
+      List.concat_map (fun (r : result) -> List.filter_map decode_bucket_item r.items) rs
+      |> List.rev
+      |> List.iter (fun (i : Store.item) -> Hashtbl.add by_key i.Store.key i);
+      let found = List.map (fun key -> (key, Hashtbl.find_all by_key key)) keys in
+      k (found, Store.side_by_side ~latency:(Sim.now sim -. started) rs))
 
 let of_chord_trie chord =
   let n = Chord.node_count chord in
@@ -138,19 +156,18 @@ let of_chord_trie chord =
       (fun ~origin ~key ~item_id ~k ->
         (* Remove the bucket entry; trie markers stay (they are hints and
            merely cost an empty bucket probe later). *)
-        let hex = Trie_index.hex_of_key key in
-        Chord.del chord ~origin ~key:("B:" ^ hex) ~item_id:(Trie_index.wrap_id ~key item_id)
+        Chord.del chord ~origin ~key:(bucket_of key) ~item_id:(Trie_index.wrap_id ~key item_id)
           ~k:(fun r -> k r.Chord.complete));
     lookup =
       (fun ~origin ~key ~k ->
-        let hex = Trie_index.hex_of_key key in
-        Chord.get chord ~origin ~key:("B:" ^ hex) ~k:(fun r ->
+        Chord.get chord ~origin ~key:(bucket_of key) ~k:(fun r ->
             let items =
               List.filter_map decode_bucket_item r.Chord.items
               |> List.filter (fun (i : Store.item) -> String.equal i.Store.key key)
             in
             k { r with items }));
     range = Trie_index.range chord;
+    (* The trie walk fetches its buckets at once, in no key order. *)
     range_topn = None;
     prefix =
       (fun ~origin ~prefix ~k ->
@@ -172,19 +189,21 @@ let of_chord_trie chord =
                      (not (Hashtbl.mem seen id)) && (Hashtbl.replace seen id (); true))
             in
             k { r with items }));
+    (* The trie walk is plain gets answered with whole buckets. *)
     scan_reduce = None;
-    bulk_insert = None;
-    multi_lookup = None;
-    send_task = None;
+    bulk_insert = Trie_index.bulk_insert chord;
+    multi_lookup = chord_multi_lookup chord;
+    send_task =
+      task_with_deadline (Chord.sim chord) ~timeout_ms:(Chord.config chord).Chord.timeout_ms
+        (Chord.send_task chord);
     total_sent = (fun () -> Chord.total_sent chord);
     expected_latency = Chord.expected_latency chord;
     depth = (fun () -> log2n);
     alive_peers = (fun () -> Chord.alive_peers chord);
     responsible_peer =
       (fun key ->
-        let hex = Trie_index.hex_of_key key in
-        let p = Chord.responsible chord ("B:" ^ hex) in
+        let p = Chord.responsible chord (bucket_of key) in
         if Chord.is_alive chord p then Some p else None);
-    stat_gossip_round = None;
-    statcache_of = None;
+    (* Chord peers keep no statistics cache and run no gossip. *)
+    stat_gossip = None;
   }

@@ -30,8 +30,9 @@ type t = {
   range : origin:int -> lo:string -> hi:string -> k:(result -> unit) -> unit;
   range_topn :
     (origin:int -> lo:string -> hi:string -> n:int -> k:(result -> unit) -> unit) option;
-      (** budgeted sequential traversal in key order (P-Grid only): stops
-          after [n] items, giving the n smallest matches *)
+      (** budgeted sequential traversal in key order: stops after [n]
+          items, giving the n smallest matches. [None] on Chord+trie,
+          whose trie walk fetches its buckets at once, in no key order *)
   prefix : origin:int -> prefix:string -> k:(result -> unit) -> unit;
   broadcast : origin:int -> pred:(Store.item -> bool) -> k:(result -> unit) -> unit;
   scan_reduce :
@@ -43,32 +44,30 @@ type t = {
     k:(result -> unit) ->
     unit)
     option;
-      (** clipped scan with leaf-side partial reduction (P-Grid only): a
-          probe shower over the key region \[[lo],[hi]) that runs
-          [reduce] at every leaf over its matched items before replying —
-          e.g. a local skyline, so dominated rows never cross the
-          network. [reduce] must be a pure filter (only drop items);
-          the origin re-runs the full operator over the survivors.
-          [None] when the substrate cannot ship closures. *)
-  bulk_insert : (origin:int -> items:Store.item list -> k:(result -> unit) -> unit) option;
-      (** batched insert: one splitting [InsertBatch] instead of one
-          routed exchange per item (P-Grid only); [None] when the
-          substrate has no batch path *)
+      (** clipped scan with leaf-side partial reduction: a probe shower
+          over the key region \[[lo],[hi]) that runs [reduce] at every
+          leaf over its matched items before replying — e.g. a local
+          skyline, so dominated rows never cross the network. [reduce]
+          must be a pure filter (only drop items); the origin re-runs the
+          full operator over the survivors. [None] on Chord+trie, whose
+          walk is plain gets answered with whole buckets *)
+  bulk_insert : origin:int -> items:Store.item list -> k:(result -> unit) -> unit;
+      (** batched insert. P-Grid sends one splitting [InsertBatch]
+          instead of one routed exchange per item; Chord+trie puts the
+          batch's distinct trie markers once, then each item's bucket
+          entry. [result.items] is empty *)
   multi_lookup :
-    (origin:int ->
-    keys:string list ->
-    k:((string * Store.item list) list * result -> unit) ->
-    unit)
-    option;
-      (** batched exact-key lookups grouped by responsible region (the
-          bind-join probe pattern, P-Grid only); the continuation
-          receives per-key answers plus the combined result *)
-  send_task : (src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit) option;
+    origin:int -> keys:string list -> k:((string * Store.item list) list * result -> unit) -> unit;
+      (** batched exact-key lookups (the bind-join probe pattern): P-Grid
+          groups them by responsible region, Chord+trie fetches each
+          distinct trie bucket once. The continuation receives per-key
+          answers (deduplicated, sorted keys; a missing key maps to
+          [[]]) plus the combined result, whose [items] is empty *)
+  send_task : src:int -> dst:int -> bytes:int -> k:(bool -> unit) -> unit;
       (** application-level plan shipping: [k true] runs at [dst] on
-          arrival; [k false] runs after the overlay's request timeout when
-          the task was lost (dead or partitioned [dst]); arrival cancels
-          that deadline. [k] fires exactly once. [None] when the substrate does not support it (plain
-          Chord) *)
+          arrival; [k false] runs after the substrate's request timeout
+          when the task was lost (dead or partitioned [dst]); arrival
+          cancels that deadline. [k] fires exactly once *)
   total_sent : unit -> int;
   expected_latency : float;  (** mean one-way delay, for the cost model *)
   depth : unit -> int;  (** trie depth / log ring size: the hop bound *)
@@ -76,14 +75,19 @@ type t = {
   responsible_peer : string -> int option;
       (** an alive peer responsible for a key (used to pick the next
           carrier when shipping mutant query plans) *)
-  stat_gossip_round : (unit -> unit) option;
+  stat_gossip : stat_gossip option;
+      (** gossiped optimizer statistics. [None] on Chord+trie, whose
+          peers keep no statistics cache and run no gossip *)
+}
+
+and stat_gossip = {
+  round : unit -> unit;
       (** starts one round of statistics sampling + epidemic spread (see
           {!Unistore_pgrid.Gossip.stats_round}); its messages are only
-          queued, the caller drives them. [None] when the substrate has
-          no statistics gossip *)
-  statcache_of : (int -> Unistore_cache.Statcache.t) option;
+          queued, the caller drives them *)
+  cache_of : int -> Unistore_cache.Statcache.t;
       (** a peer's gossiped-statistics cache — what the optimizer plans
-          from in the distributed path; [None] on substrates without it *)
+          from in the distributed path *)
 }
 
 (** {2 Adapters} *)

@@ -200,14 +200,10 @@ let insert_tuple t ~origin ~oid fields ~k =
     ~k
 
 (* Bulk insertion: materialize every index entry of every triple and ship
-   them as one batch. Falls back to per-triple insertion when the
-   substrate has no batch path. *)
+   them as one batch. *)
 let insert_bulk t ~origin triples ~k =
-  match t.dht.Dht.bulk_insert with
-  | Some bulk ->
-    bulk ~origin ~items:(List.concat_map (items_of_triple ~qgrams:t.qgrams) triples) ~k:(fun r ->
-        k r.Dht.complete)
-  | None -> Cps.all (insert t ~origin) triples ~k:(all_ok k)
+  t.dht.Dht.bulk_insert ~origin ~items:(List.concat_map (items_of_triple ~qgrams:t.qgrams) triples)
+    ~k:(fun r -> k r.Dht.complete)
 
 (* ------------------------------------------------------------------ *)
 (* Result decoding                                                     *)
@@ -314,38 +310,11 @@ let oid_scan_reduce t : oid_scan option =
 (* ------------------------------------------------------------------ *)
 (* q-gram search (shared by similarity and substring search)           *)
 
-(* Fetch the union of items stored under [keys]: one batched
-   [MultiLookup] where the substrate has the bulk path, otherwise one
-   routed lookup per key. The result record carries the merged cost
-   (worst hops/coverage, summed peers); items are returned separately
-   and [result.items] is left empty. *)
+(* Fetch the union of items stored under [keys] with one batched
+   lookup. The result record carries the merged cost; items are returned
+   separately and [result.items] is empty. *)
 let fetch_keys t ~origin keys ~k =
-  match t.dht.Dht.multi_lookup with
-  | Some multi_lookup ->
-    multi_lookup ~origin ~keys ~k:(fun (found, r) ->
-        k (List.concat_map snd found, { r with Dht.items = [] }))
-  | None ->
-    (* Items merge in arrival order, so they gather inside each lookup's
-       continuation; the cost folds over the list. *)
-    let acc = ref [] in
-    let started = Sim.now t.dht.Dht.sim in
-    let lookup key ~k =
-      t.dht.Dht.lookup ~origin ~key ~k:(fun r ->
-          acc := List.rev_append r.Dht.items !acc;
-          k r)
-    in
-    Cps.all lookup keys ~k:(fun rs ->
-        let merge (m : Dht.result) (r : Dht.result) =
-          {
-            m with
-            Dht.hops = max m.Dht.hops r.Dht.hops;
-            peers_hit = m.Dht.peers_hit + r.Dht.peers_hit;
-            complete = m.Dht.complete && r.Dht.complete;
-            completeness = Float.min m.Dht.completeness r.Dht.completeness;
-          }
-        in
-        let m = List.fold_left merge Store.empty_result rs in
-        k (!acc, { m with Dht.latency = Sim.now t.dht.Dht.sim -. started }))
+  t.dht.Dht.multi_lookup ~origin ~keys ~k:(fun (found, r) -> k (List.concat_map snd found, r))
 
 (* The cost of round [b] run after round [a]: chains and latencies add. *)
 let sequence (a : Dht.result) (b : Dht.result) =

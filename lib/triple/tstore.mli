@@ -31,10 +31,10 @@ type meta = {
 }
 
 (** [create ?qgrams dht] — [qgrams] (default true) controls the string
-    similarity index. Every ranking/similarity fast path runs wherever
-    [dht] offers the capability it needs ({!Dht.t.range_topn},
-    {!Dht.t.scan_reduce}, {!Dht.t.multi_lookup}); otherwise the access
-    falls back to the full-region, origin-side or per-gram path. *)
+    similarity index. Gram fetches always batch ({!Dht.t.multi_lookup});
+    top-N and the skyline pushdown run wherever [dht] offers the
+    capability they need ({!Dht.t.range_topn}, {!Dht.t.scan_reduce}),
+    and otherwise fall back to the full-region or origin-side path. *)
 val create : ?qgrams:bool -> Dht.t -> t
 
 val dht : t -> Dht.t
@@ -82,10 +82,7 @@ val insert_tuple :
 
 (** [insert_bulk t ~origin triples ~k] stores many triples at once: all
     their index entries travel as one batch through
-    {!Dht.t.bulk_insert} (one splitting message per touched subtree
-    instead of one routed exchange per entry). Falls back to per-triple
-    {!insert} when the substrate has no batch path. [k true] iff every
-    entry was acked. *)
+    {!Dht.t.bulk_insert}. [k true] iff every entry was acked. *)
 val insert_bulk : t -> origin:int -> Triple.t list -> k:(bool -> unit) -> unit
 
 (** {2 Deletion & update}

@@ -1,16 +1,18 @@
 (* Tests for the bulk-operation pipeline: batched shower inserts,
    range showers with path compression and multi-key bind-join probes.
 
-   The pipeline is a pure transport optimization that P-Grid always
-   runs, so the tests are mostly differential: a P-Grid deployment and
-   a Chord+trie deployment of the same dataset (Chord has no batch
-   paths) must answer every query identically — P-Grid also under
-   message loss — while P-Grid's metrics show the pipeline actually
-   engaged. *)
+   The pipeline is a pure transport optimization that both substrates
+   run (P-Grid splits batches down its trie, Chord+trie groups them by
+   trie bucket), so the tests are mostly differential: a P-Grid
+   deployment and a Chord+trie deployment of the same dataset must
+   answer every query identically — P-Grid also under message loss —
+   while P-Grid's metrics show its pipeline actually engaged. *)
 
 module Rng = Unistore_util.Rng
 module Metrics = Unistore_obs.Metrics
 module Overlay = Unistore_pgrid.Overlay
+module Chord = Unistore_chord.Chord
+module Latency = Unistore_sim.Latency
 module Store = Unistore_pgrid.Store
 module Dht = Unistore_triple.Dht
 module Keys = Unistore_triple.Keys
@@ -91,68 +93,121 @@ let queries =
 
 let overlay_exn t = match Unistore.pgrid t with Some ov -> ov | None -> assert false
 
+(* The batch paths of {!Dht.t}, on both substrates. *)
+let substrates = [ Unistore.Pgrid; Unistore.Chord_trie ]
+
+let bulk_items =
+  List.mapi
+    (fun i k -> { Store.key = k; item_id = Printf.sprintf "bi%d" i; payload = k; version = 0 })
+    [ "bulk#a"; "bulk#b"; "bulk#c"; "bulk#d"; "bulk#e"; "bulk#f"; "bulk#g"; "alpha#1"; "zulu#2" ]
+
 let test_bulk_insert () =
   let ds = dataset () in
-  let t = deploy ds in
-  let ov = overlay_exn t in
-  let items =
-    List.mapi
-      (fun i k -> { Store.key = k; item_id = Printf.sprintf "bi%d" i; payload = k; version = 0 })
-      [ "bulk#a"; "bulk#b"; "bulk#c"; "bulk#d"; "bulk#e"; "bulk#f"; "bulk#g" ]
+  List.iter
+    (fun overlay ->
+      let t = deploy ~overlay ds in
+      let dht = Unistore.dht t in
+      let r = await dht.Dht.sim (fun k -> dht.Dht.bulk_insert ~origin:2 ~items:bulk_items ~k) in
+      Alcotest.(check bool) (dht.Dht.name ^ ": complete") true r.Dht.complete;
+      List.iter
+        (fun (it : Store.item) ->
+          let found = await dht.Dht.sim (fun k -> dht.Dht.lookup ~origin:7 ~key:it.Store.key ~k) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: key %s stored" dht.Dht.name it.Store.key)
+            true
+            (found.Dht.complete
+            && List.exists
+                 (fun (i : Store.item) -> String.equal i.Store.item_id it.Store.item_id)
+                 found.Dht.items))
+        bulk_items;
+      if overlay = Unistore.Pgrid then
+        Alcotest.(check bool) "batches sent" true
+          (Metrics.counter (Unistore.metrics t) "batch.bulk.batches" > 0))
+    substrates
+
+(* On Chord a batch stores exactly what one insert per item stores, on
+   every peer. *)
+let test_chord_bulk_insert_stores () =
+  let ring () =
+    let n = 24 in
+    let rng = Rng.create 42 in
+    let latency = Latency.create (Latency.Constant 1.0) ~n ~rng in
+    let sim = Unistore_sim.Sim.create () in
+    let chord = Chord.create sim ~latency ~rng ~config:Chord.default_config ~n () in
+    (chord, Dht.of_chord_trie chord)
   in
-  let r = await (Overlay.sim ov) (fun k -> Overlay.bulk_insert ov ~origin:2 ~items ~k) in
-  Alcotest.(check bool) "complete" true r.Overlay.complete;
+  let batched, bdht = ring () and single, sdht = ring () in
+  ignore (await bdht.Dht.sim (fun k -> bdht.Dht.bulk_insert ~origin:2 ~items:bulk_items ~k));
   List.iter
     (fun (it : Store.item) ->
-      let found = await (Overlay.sim ov) (fun k ->
-          Overlay.lookup ov ~origin:7 ~key:it.Store.key ~k) in
-      Alcotest.(check bool)
-        (Printf.sprintf "key %s stored" it.Store.key)
-        true
-        (found.Overlay.complete
-        && List.exists
-             (fun (i : Store.item) -> String.equal i.Store.item_id it.Store.item_id)
-             found.Overlay.items))
-    items;
-  let m = Unistore.metrics t in
-  Alcotest.(check bool) "batches sent" true (Metrics.counter m "batch.bulk.batches" > 0)
+      Alcotest.(check bool) "single insert" true
+        (await sdht.Dht.sim (fun k ->
+             sdht.Dht.insert ~origin:2 ~key:it.Store.key ~item_id:it.Store.item_id
+               ~payload:it.Store.payload ~k)))
+    bulk_items;
+  let show (i : Store.item) =
+    Printf.sprintf "%S %S %S %d" i.Store.key i.Store.item_id i.Store.payload i.Store.version
+  in
+  List.iter
+    (fun peer ->
+      check Alcotest.(list string) (Printf.sprintf "peer %d" peer)
+        (List.map show (Chord.stored_items single peer))
+        (List.map show (Chord.stored_items batched peer)))
+    (Chord.peers single)
 
 let test_bulk_insert_empty () =
   let ds = dataset () in
-  let t = deploy ds in
-  let r = await (Overlay.sim (overlay_exn t)) (fun k ->
-      Overlay.bulk_insert (overlay_exn t) ~origin:0 ~items:[] ~k) in
-  Alcotest.(check bool) "empty batch trivially complete" true r.Overlay.complete
+  List.iter
+    (fun overlay ->
+      let dht = Unistore.dht (deploy ~overlay ds) in
+      let r = await dht.Dht.sim (fun k -> dht.Dht.bulk_insert ~origin:0 ~items:[] ~k) in
+      Alcotest.(check bool) (dht.Dht.name ^ ": empty batch trivially complete") true r.Dht.complete)
+    substrates
 
 let test_multi_lookup () =
   let ds = dataset () in
-  let t, _ = loaded ds in
-  let ov = overlay_exn t in
-  let keys =
-    (List.filteri (fun i _ -> i < 6) ds.Publications.triples
+  let attr_values =
+    List.filteri (fun i _ -> i < 6) ds.Publications.triples
     |> List.map (fun (tr : Unistore.Triple.t) ->
-           Keys.attr_value_key tr.Unistore.Triple.attr tr.Unistore.Triple.value))
-    @ [ "missing#key" ]
+           Keys.attr_value_key tr.Unistore.Triple.attr tr.Unistore.Triple.value)
   in
-  let found, r = await (Overlay.sim ov) (fun k -> Overlay.multi_lookup ov ~origin:4 ~keys ~k) in
-  Alcotest.(check bool) "complete" true r.Overlay.complete;
-  check Alcotest.int "one entry per distinct key"
-    (List.length (List.sort_uniq String.compare keys))
-    (List.length found);
-  (* Each key's answer must equal a routed singleton lookup's. *)
+  (* Unsorted, with a repeat and a key nothing is stored under. *)
+  let keys = List.rev attr_values @ [ "missing#key"; List.hd attr_values ] in
   List.iter
-    (fun (key, items) ->
-      let single = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:9 ~key ~k) in
-      let ids l = List.sort compare (List.map (fun (i : Store.item) -> i.Store.item_id) l) in
-      check Alcotest.(list string) ("key " ^ key) (ids single.Overlay.items) (ids items))
-    found;
-  Alcotest.(check bool) "missing key present but empty" true
-    (match List.assoc_opt "missing#key" found with Some [] -> true | _ -> false);
-  let m = Unistore.metrics t in
-  Alcotest.(check bool) "probe batches sent" true (Metrics.counter m "batch.probe.batches" > 0)
+    (fun overlay ->
+      let t, _ = loaded ~overlay ds in
+      let dht = Unistore.dht t in
+      let sent0 = dht.Dht.total_sent () in
+      let found, r = await dht.Dht.sim (fun k -> dht.Dht.multi_lookup ~origin:4 ~keys ~k) in
+      let batch_msgs = dht.Dht.total_sent () - sent0 in
+      let name = dht.Dht.name in
+      Alcotest.(check bool) (name ^ ": complete") true r.Dht.complete;
+      check Alcotest.(list string) (name ^ ": sorted, distinct keys")
+        (List.sort_uniq String.compare keys) (List.map fst found);
+      (* Each key's answer must equal a routed singleton lookup's. *)
+      let single_msgs = ref 0 in
+      List.iter
+        (fun (key, items) ->
+          let sent0 = dht.Dht.total_sent () in
+          let single = await dht.Dht.sim (fun k -> dht.Dht.lookup ~origin:9 ~key ~k) in
+          single_msgs := !single_msgs + dht.Dht.total_sent () - sent0;
+          let ids l = List.sort compare (List.map (fun (i : Store.item) -> i.Store.item_id) l) in
+          check Alcotest.(list string) (name ^ ": key " ^ key) (ids single.Dht.items) (ids items))
+        found;
+      Alcotest.(check bool) (name ^ ": missing key present but empty") true
+        (match List.assoc_opt "missing#key" found with Some [] -> true | _ -> false);
+      match overlay with
+      | Unistore.Pgrid ->
+        Alcotest.(check bool) "probe batches sent" true
+          (Metrics.counter (Unistore.metrics t) "batch.probe.batches" > 0)
+      | Unistore.Chord_trie ->
+        if batch_msgs >= !single_msgs then
+          Alcotest.failf "chord: the batch sent %d messages, singleton lookups %d" batch_msgs
+            !single_msgs)
+    substrates
 
 (* ------------------------------------------------------------------ *)
-(* Differential: P-Grid (batched) vs Chord+trie (no batch paths) *)
+(* Differential: P-Grid vs Chord+trie *)
 
 let test_batched_load_and_queries_agree () =
   (* Enough authors that the num_of_pubs bind-join probes at least two
@@ -280,24 +335,13 @@ let test_retransmit_recovers_bulk_insert () =
 
 let test_cost_env_reflects_batching () =
   let ds = dataset () in
-  let b = deploy ds in
-  let u = deploy ~overlay:Unistore.Chord_trie ds in
-  let env_b = Cost.env_of_dht (Unistore.dht b) ~replication:2 in
-  let env_u = Cost.env_of_dht (Unistore.dht u) ~replication:2 in
-  Alcotest.(check bool) "batched probes advertised" true env_b.Cost.batched_probes;
-  Alcotest.(check bool) "unbatched probes advertised" false env_u.Cost.batched_probes;
-  (* Per-key probing scales with the left side; batched probing must
-     not (it is bounded by the region count). *)
-  let cb = Cost.probe_round_cost env_b ~keys:500.0 ~cardinality:10.0 in
-  let cu = Cost.probe_round_cost env_u ~keys:500.0 ~cardinality:10.0 in
-  Alcotest.(check bool) "batched round cheaper at scale" true
-    (cb.Cost.messages < cu.Cost.messages);
-  let cu2 = Cost.probe_round_cost env_u ~keys:1000.0 ~cardinality:10.0 in
-  check (Alcotest.float 1e-6) "unbatched scales linearly" (2.0 *. cu.Cost.messages)
-    cu2.Cost.messages;
-  let cb2 = Cost.probe_round_cost env_b ~keys:1000.0 ~cardinality:10.0 in
-  check (Alcotest.float 1e-6) "batched saturates at the region count" cb.Cost.messages
-    cb2.Cost.messages
+  let env = Cost.env_of_dht (Unistore.dht (deploy ds)) ~replication:2 in
+  (* A probe round is one multi-lookup: its messages are bounded by the
+     region count, not the left side's key count. *)
+  let c = Cost.probe_round_cost env ~keys:500.0 ~cardinality:10.0 in
+  let c2 = Cost.probe_round_cost env ~keys:1000.0 ~cardinality:10.0 in
+  check (Alcotest.float 1e-6) "batched saturates at the region count" c.Cost.messages
+    c2.Cost.messages
 
 (* ------------------------------------------------------------------ *)
 (* Tstore bulk path *)
@@ -437,6 +481,8 @@ let () =
       ( "overlay",
         [
           Alcotest.test_case "bulk_insert stores everything" `Quick test_bulk_insert;
+          Alcotest.test_case "chord bulk_insert = per-item inserts" `Quick
+            test_chord_bulk_insert_stores;
           Alcotest.test_case "empty bulk insert" `Quick test_bulk_insert_empty;
           Alcotest.test_case "multi_lookup = singleton lookups" `Quick
             test_multi_lookup;

@@ -750,21 +750,6 @@ let test_caching_pays_off () =
       u_hops c_hops u_lookup c_lookup u_query c_query
 
 (* ------------------------------------------------------------------ *)
-(* Engine: mutant downgrade is observable *)
-
-let test_mutant_downgrade_counted () =
-  let store, _ = make_store ~peers:16 ~overlay:Unistore.Chord_trie () in
-  let m = Unistore.metrics store in
-  Metrics.clear m;
-  (match
-     Unistore.query store ~origin:2 ~strategy:Unistore.Mutant
-       "SELECT ?n WHERE { (?a,'name',?n) }"
-   with
-  | Ok r -> Alcotest.(check bool) "query still completes" true r.Unistore.Report.complete
-  | Error e -> Alcotest.failf "downgraded query failed: %s" e);
-  check Alcotest.int "downgrade counted once" 1 (Metrics.counter m "engine.mutant_downgrade")
-
-(* ------------------------------------------------------------------ *)
 (* Tracelint: monotone reads *)
 
 let obs origin version = { Tracelint.origin; key = "k"; item_id = "i"; version }
@@ -1101,8 +1086,6 @@ let () =
             test_no_cache_config_disables_everything;
           Alcotest.test_case "caching pays off" `Quick test_caching_pays_off;
         ] );
-      ( "engine",
-        [ Alcotest.test_case "mutant downgrade counted" `Quick test_mutant_downgrade_counted ] );
       ( "memoised-sampling",
         [
           Alcotest.test_case "store generation contract" `Quick test_store_generation_contract;

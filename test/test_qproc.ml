@@ -365,7 +365,6 @@ let env =
     depth = 8;
     replication = 2;
     expected_latency = 50.0;
-    batched_probes = false;
     topn_budget = true;
   }
 
@@ -396,16 +395,15 @@ let test_cost_logarithmic_in_peers () =
 
 (* A q-gram access resolves its matches in a second batched round
    through the A#v/V index: its estimate exceeds the gram fetch alone,
-   in messages and in latency, batched or not. *)
+   in messages and in latency. *)
 let test_cost_gram_search_resolves () =
-  List.iter
-    (fun (label, env) ->
-      let est = Cost.estimate_access env synthetic_stats (Cost.ASim (Some "name", "Robert", 1)) in
-      let grams = List.length (Unistore_util.Strdist.prefix_grams ~q:3 ~d:1 "Robert") in
-      let fetch = Cost.probe_round_cost env ~keys:(float_of_int grams) ~cardinality:est.Cost.cardinality in
-      Alcotest.(check bool) (label ^ ": more messages") true (est.Cost.messages > fetch.Cost.messages);
-      Alcotest.(check bool) (label ^ ": one more round") true (est.Cost.latency > fetch.Cost.latency))
-    [ ("per-key", env); ("batched", { env with Cost.batched_probes = true }) ]
+  let est = Cost.estimate_access env synthetic_stats (Cost.ASim (Some "name", "Robert", 1)) in
+  let grams = List.length (Unistore_util.Strdist.prefix_grams ~q:3 ~d:1 "Robert") in
+  let fetch =
+    Cost.probe_round_cost env ~keys:(float_of_int grams) ~cardinality:est.Cost.cardinality
+  in
+  Alcotest.(check bool) "more messages" true (est.Cost.messages > fetch.Cost.messages);
+  Alcotest.(check bool) "one more round" true (est.Cost.latency > fetch.Cost.latency)
 
 let cmap_of src =
   let q = Parser.parse_exn src in
