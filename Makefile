@@ -18,8 +18,8 @@ test: check
 # the trace linter's fixtures (a retried request that revisits a peer
 # is clean, a revisit within one attempt is a loop, a crash needs a
 # retry, reply or partial marker). All randomness in these flows from
-# explicit scenario seeds — see EXPERIMENTS.md, section "Churn", for
-# the flaky-test policy.
+# explicit scenario seeds — see EXPERIMENTS.md, section "Flaky-test
+# policy".
 test-faults:
 	dune exec test/test_faults.exe
 	dune exec test/test_pgrid.exe -- test failover
@@ -53,7 +53,15 @@ test-store:
 # semantic-check the demo workload, lint a recorded message trace
 # against the metrics registry, audit overlay invariants — plus a smoke
 # check that `query --check` rejects an unsatisfiable query with a
-# non-zero exit.
+# non-zero exit. Last, README's skyline query must print the same rows
+# with and without `--no-cache`, on P-Grid and on Chord: caching may
+# change costs, never answers.
+SKYLINE_QUERY = SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) \
+  (?a,'num_of_pubs',?cnt) (?a,'has_published',?title) (?p,'title',?title) \
+  (?p,'published_in',?conf) (?c,'confname',?conf) (?c,'series',?sr) \
+  FILTER edist(?sr,'ICDE')<3 } ORDER BY SKYLINE OF ?age MIN, ?cnt MAX
+CLI_QUERY = dune exec --display quiet bin/unistore_cli.exe -- query
+
 lint:
 	dune build
 	dune exec bin/unistore_cli.exe -- lint
@@ -62,6 +70,13 @@ lint:
 	  "SELECT ?v WHERE { (?a,'age',?v) FILTER ?v > 10 AND ?v < 5 }" >/dev/null 2>&1; \
 	then echo "FAIL: --check accepted an unsatisfiable query"; exit 1; \
 	else echo "--check rejects unsatisfiable queries: OK"; fi
+	@for o in pgrid chord; do \
+	  on=$$($(CLI_QUERY) --overlay $$o "$(SKYLINE_QUERY)" | grep '^|') || exit 1; \
+	  off=$$($(CLI_QUERY) --overlay $$o --no-cache "$(SKYLINE_QUERY)" | grep '^|') || exit 1; \
+	  if [ "$$on" = "$$off" ]; then echo "skyline rows with and without --no-cache on $$o: OK"; \
+	  else echo "FAIL: --no-cache changed the skyline rows on $$o"; \
+	    echo "cached:"; echo "$$on"; echo "uncached:"; echo "$$off"; exit 1; fi; \
+	done
 
 # Source-level determinism & protocol-exhaustiveness linter over the
 # repo's own OCaml tree (lib/ and bin/): unordered hashtable iteration

@@ -227,7 +227,7 @@ let run_cell ~overlay ~peers ~nrows =
         qgram_index = true;
         (* caching off: a result-cache hit would zero out repeated
            queries and measure nothing. *)
-        cache = Unistore.no_cache;
+        cache = false;
       }
   in
   let stored = Unistore.load store (tuples_of data) in

@@ -116,10 +116,9 @@ let setup_keys ~peers ~seed ~overlay ~latency ~authors ~dataset ~no_cache
       in
       (tuples, triples, sample)
   in
-  let cache = if no_cache then Unistore.no_cache else Unistore.default_cache_config in
   let store =
     Unistore.create ~sample_keys:sample
-      { Unistore.default_config with peers; seed; overlay; latency; cache; store }
+      { Unistore.default_config with peers; seed; overlay; latency; cache = not no_cache; store }
   in
   let n = Unistore.load store tuples in
   Unistore.set_stats_of_triples store triples;
@@ -375,7 +374,6 @@ let run_traffic peers seed latency authors dataset scenario arrival_rate peak du
   let keys = List.sort_uniq String.compare keys in
   let cfg =
     {
-      Unistore.default_traffic_config with
       Unistore.scenario;
       arrival_rate;
       peak;

@@ -41,6 +41,8 @@ let check_bound q =
   let bound_anywhere = List.concat_map (fun (ps, _) -> List.concat_map Ast.pattern_vars ps) branches in
   if q.Ast.patterns = [] then
     add (D.make ~severity:D.Error ~code:"no-patterns" "query has no triple patterns");
+  if List.exists (fun (ps, _) -> ps = []) q.Ast.union_branches then
+    add (D.make ~severity:D.Error ~code:"no-patterns" "UNION branch has no triple patterns");
   (match q.Ast.projection with
   | Some [] -> add (D.make ~span:q.Ast.proj_span ~severity:D.Error ~code:"empty-projection" "empty projection")
   | Some vs ->
@@ -432,6 +434,6 @@ let analyze ?(catalog = Catalog.empty) q =
     @ check_order_limit q)
 
 let analyze_string ?catalog src =
-  match Parser.parse_ast src with
+  match Parser.parse src with
   | Error e -> Error e
   | Ok q -> Ok (q, analyze ?catalog q)

@@ -4,7 +4,9 @@
     and reports {!Diagnostic.t}s:
 
     - unbound variables in projection, filters, ORDER BY / SKYLINE
-      (code ["unbound-var"], error) and variables bound once and never
+      (code ["unbound-var"], error), a query or UNION branch without
+      triple patterns (["no-patterns"], error), an empty projection
+      (["empty-projection"], error) and variables bound once and never
       used (["unused-var"], warning);
     - type inference against a {!Catalog}: every variable accumulates
       type evidence from the patterns that bind it (via the attribute's
@@ -36,7 +38,6 @@ module Ast = Unistore_vql.Ast
     skipped; everything else still runs. *)
 val analyze : ?catalog:Catalog.t -> Ast.query -> Diagnostic.t list
 
-(** [analyze_string ?catalog src] parses [src] (without the parser's own
-    validation pass, so unbound variables reach the analyzer) and
-    analyzes it. [Error] carries a positioned parse error. *)
+(** [analyze_string ?catalog src] parses [src] and analyzes it.
+    [Error] carries a positioned parse error. *)
 val analyze_string : ?catalog:Catalog.t -> string -> (Ast.query * Diagnostic.t list, string) result

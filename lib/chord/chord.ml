@@ -13,9 +13,13 @@ type result = Store.result = {
   latency : float;
 }
 
-type config = { succ_list : int; timeout_ms : float; retries : int }
+type config = { succ_list : int }
 
-let default_config = { succ_list = 3; timeout_ms = 10_000.0; retries = 2 }
+let default_config = { succ_list = 3 }
+
+(* Request deadline and how many times a single request re-sends. *)
+let timeout_ms = 10_000.0
+let retries = 2
 
 type node = {
   id : int;
@@ -102,7 +106,6 @@ type t = {
 }
 
 let sim t = t.sim
-let config t = t.config
 let node_count t = Array.length t.nodes
 
 let node t id =
@@ -205,10 +208,10 @@ let deliver_hit t rid ~items ~forwards ~hops =
    finds its request pending. A single request retries, re-arming only
    if the re-send did not finish it at once, then gives up. *)
 let rec arm_single_timeout t rid =
-  Sim.timer t.sim ~delay:t.config.timeout_ms (fun () ->
+  Sim.timer t.sim ~delay:timeout_ms (fun () ->
       match Hashtbl.find_opt t.pending rid with
       | Some (Psingle p) ->
-        if p.attempts < t.config.retries then begin
+        if p.attempts < retries then begin
           p.attempts <- p.attempts + 1;
           p.resend ();
           if Hashtbl.mem t.pending rid then p.deadline <- arm_single_timeout t rid
@@ -217,7 +220,7 @@ let rec arm_single_timeout t rid =
       | _ -> ())
 
 let arm_multi_timeout t rid =
-  Sim.timer t.sim ~delay:t.config.timeout_ms (fun () -> finish_multi t rid ~complete:false)
+  Sim.timer t.sim ~delay:timeout_ms (fun () -> finish_multi t rid ~complete:false)
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)

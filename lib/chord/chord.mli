@@ -28,13 +28,16 @@ type result = Store.result = {
   latency : float;
 }
 
-type config = {
-  succ_list : int;  (** successor-list length; also the replication factor *)
-  timeout_ms : float;
-  retries : int;
-}
+(** Chord's one setting: [succ_list], the successor-list length, which
+    is also the replication factor (default 3). *)
+type config = { succ_list : int }
 
 val default_config : config
+
+(** Deadline of every request (10 s). A single-peer request re-sends
+    twice on expiry before it gives up; a multi-peer one finishes
+    partial. *)
+val timeout_ms : float
 
 (** [create sim ~latency ~rng ?drop ~config ~n ()] builds an [n]-peer ring
     with exact routing state. *)
@@ -49,7 +52,6 @@ val create :
   t
 
 val sim : t -> Unistore_sim.Sim.t
-val config : t -> config
 val node_count : t -> int
 
 (** Ring id of a peer (for tests). *)

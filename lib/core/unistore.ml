@@ -23,24 +23,6 @@ module Cps = Unistore_util.Cps
 
 type overlay_kind = Pgrid | Chord_trie
 
-type cache_config = {
-  shortcut_capacity : int;
-  result_capacity : int;
-  result_ttl_ms : float;
-  stats_half_life_ms : float;
-}
-
-let default_cache_config =
-  {
-    shortcut_capacity = 128;
-    result_capacity = 256;
-    result_ttl_ms = 30_000.0;
-    stats_half_life_ms = 120_000.0;
-  }
-
-let no_cache =
-  { shortcut_capacity = 0; result_capacity = 0; result_ttl_ms = 0.0; stats_half_life_ms = 0.0 }
-
 type config = {
   peers : int;
   replication : int;
@@ -50,7 +32,7 @@ type config = {
   overlay : overlay_kind;
   qgram_index : bool;
   load_balanced : bool;
-  cache : cache_config;
+  cache : bool;
   store : Unistore_pgrid.Store.backend;
 }
 
@@ -64,7 +46,7 @@ let default_config =
     overlay = Pgrid;
     qgram_index = true;
     load_balanced = true;
-    cache = default_cache_config;
+    cache = true;
     store = Unistore_pgrid.Store.Hash;
   }
 
@@ -97,7 +79,7 @@ let create ?(sample_keys = []) config =
         {
           Config.default with
           Config.replication = config.replication;
-          shortcut_capacity = config.cache.shortcut_capacity;
+          shortcut_capacity = (if config.cache then Config.default.shortcut_capacity else 0);
           store_backend = config.store;
         }
       in
@@ -105,7 +87,7 @@ let create ?(sample_keys = []) config =
         (Build.oracle sim ~latency ~rng ~drop:config.drop ~config:pconfig ~n:config.peers
            ~sample_keys ~balanced:(not config.load_balanced) ())
     | Chord_trie ->
-      let cconfig = { Chord.default_config with Chord.succ_list = max 2 config.replication } in
+      let cconfig = { Chord.succ_list = max 2 config.replication } in
       On_chord (Chord.create sim ~latency ~rng ~drop:config.drop ~config:cconfig ~n:config.peers ())
   in
   let dht =
@@ -159,15 +141,14 @@ let version_of t ~origin attr =
 (* Result caches are per query origin — a hit must mean {e this} client
    asked recently, not that any peer in the deployment did. *)
 let result_cache t ~origin =
-  if t.config.cache.result_capacity <= 0 then None
+  if not t.config.cache then None
   else
     Some
       (match Hashtbl.find_opt t.qcaches origin with
       | Some c -> c
       | None ->
         let c =
-          Qcache.create ~metrics:t.metrics ~capacity:t.config.cache.result_capacity
-            ~ttl_ms:t.config.cache.result_ttl_ms
+          Qcache.create ~metrics:t.metrics
             ~now:(fun () -> Sim.now t.sim)
             ~version_of:(version_of t ~origin) ()
         in
@@ -262,6 +243,10 @@ let stats t = t.stats
 (* ------------------------------------------------------------------ *)
 (* Gossiped statistics (level 3 of the caching subsystem)              *)
 
+(* Age at which a gossiped summary's weight halves when the optimizer
+   aggregates them. *)
+let stats_half_life_ms = 120_000.0
+
 let gossip_stats_round t =
   match t.dht.Dht.stat_gossip with
   | Some g ->
@@ -278,8 +263,7 @@ let gossiped_stats t ~origin =
     else
       Some
         (Qstats.of_summaries
-           (Statcache.aggregate sc ~now:(Sim.now t.sim)
-              ~half_life_ms:t.config.cache.stats_half_life_ms))
+           (Statcache.aggregate sc ~now:(Sim.now t.sim) ~half_life_ms:stats_half_life_ms))
 
 (* The optimizer's statistics for a query from [origin]: what gossip has
    delivered there, falling back to the facade-held (oracle or flooded)
@@ -303,11 +287,12 @@ let query t ?(origin = 0) ?strategy ?expand_mappings src =
           ~k:(fun r -> k (Ok r)))
 
 let explain t ?(origin = 0) ?expand_mappings src =
-  match Unistore_vql.Parser.parse src with
+  let stats = stats_for t ~origin in
+  match Engine.parse_checked stats src with
   | Error e -> Error e
   | Ok q ->
     await t ~default:(drained "explain") (fun k ->
-        Engine.explain t.tstore (stats_for t ~origin) ~replication:t.config.replication
+        Engine.explain t.tstore stats ~replication:t.config.replication
           ?cache:(result_cache t ~origin)
           ?expand_mappings ~origin q
           ~k:(fun plan -> k (Ok plan)))
@@ -410,7 +395,6 @@ let now t = Sim.now t.sim
 
 module Traffic = Unistore_traffic.Engine
 module Traffic_schedule = Unistore_traffic.Schedule
-module Traffic_arrivals = Unistore_traffic.Arrivals
 module Hotkeys = Unistore_traffic.Hotkeys
 module Balance = Unistore_pgrid.Balance
 
@@ -425,7 +409,6 @@ type traffic_scenario = Steady_load | Flash_crowd | Diurnal_load
 
 type traffic_config = {
   scenario : traffic_scenario;
-  poisson : bool;  (* exponential vs. fixed inter-arrival gaps *)
   arrival_rate : float;  (* base offered load, queries/s *)
   peak : float;  (* flash-crowd peak multiplier (Flash_crowd only) *)
   traffic_duration_ms : float;
@@ -442,7 +425,6 @@ let balance_interval_ms = 1_000.0
 let default_traffic_config =
   {
     scenario = Flash_crowd;
-    poisson = true;
     arrival_rate = 120.0;
     peak = 10.0;
     traffic_duration_ms = 30_000.0;
@@ -525,11 +507,8 @@ let run_traffic t ~keys cfg =
     in
     let ecfg =
       {
-        Traffic.arrival =
-          (if cfg.poisson then Traffic_arrivals.Poisson else Traffic_arrivals.Deterministic);
-        rate_per_s = cfg.arrival_rate;
+        Traffic.rate_per_s = cfg.arrival_rate;
         schedule;
-        zipf_s = cfg.traffic_zipf_s;
         duration_ms = cfg.traffic_duration_ms;
         warmup_ms = cfg.traffic_warmup_ms;
         seed = cfg.traffic_seed;

@@ -36,24 +36,6 @@ type overlay_kind =
   | Pgrid  (** the paper's substrate: order-preserving trie overlay *)
   | Chord_trie  (** baseline: Chord ring + DHT-hosted trie for ranges *)
 
-(** Knobs of the multi-level caching subsystem ([unistore.cache]):
-    per-peer routing-shortcut slots (level 1), the query origin's result
-    cache (level 2) and the decay applied when aggregating gossiped
-    statistics (level 3). Zero capacities disable a level; {!no_cache}
-    disables everything (the uncached baseline of the E-cache
-    benchmark). *)
-type cache_config = {
-  shortcut_capacity : int;  (** routing shortcuts per peer; 0 disables *)
-  result_capacity : int;  (** entries per result cache; 0 disables *)
-  result_ttl_ms : float;  (** result-cache TTL safety net *)
-  stats_half_life_ms : float;
-      (** age at which a gossiped summary's weight halves; <= 0 disables
-          decay *)
-}
-
-val default_cache_config : cache_config
-val no_cache : cache_config
-
 type config = {
   peers : int;
   replication : int;
@@ -63,7 +45,13 @@ type config = {
   overlay : overlay_kind;
   qgram_index : bool;  (** maintain the string-similarity index *)
   load_balanced : bool;  (** P-Grid data-aware partitioning (needs sample) *)
-  cache : cache_config;
+  cache : bool;
+      (** the caching subsystem ([unistore.cache]), on by default: 128
+          routing shortcuts per P-Grid peer (level 1) and, per query
+          origin, result caches for bulk accesses and bind-join probes
+          of 256 entries each with a 30 s TTL
+          ({!Unistore_qproc.Qcache}, level 2). [false] turns both off.
+          Gossiped statistics (level 3) do not depend on it. *)
   store : Unistore_pgrid.Store.backend;
       (** per-peer store journal (P-Grid only; the Chord baseline
           ignores it): [Hash] (default, none) or [Log { dir }] (each
@@ -138,14 +126,15 @@ val stats : t -> Unistore_qproc.Qstats.t
 val gossip_stats_round : t -> unit
 
 (** [gossiped_stats t ~origin] aggregates the statistics cache gossip has
-    built at [origin] (with age decay, see {!cache_config}); [None] while
-    no summary has arrived there — callers fall back to {!stats}. *)
+    built at [origin], a summary's weight halving every 120 s of age;
+    [None] while no summary has arrived there — callers fall back to
+    {!stats}. *)
 val gossiped_stats : t -> origin:int -> Unistore_qproc.Qstats.t option
 
 (** [result_cache t ~origin] is that origin's result cache (caches are
     per query origin: a hit must mean {e this} client asked recently,
     not that any peer did), created on first use — exposed for tests and
-    the CLI. [None] iff [cache.result_capacity = 0]. *)
+    the CLI. [None] iff [cache = false]. *)
 val result_cache : t -> origin:int -> Unistore_qproc.Qcache.t option
 
 (** {2 Querying} *)
@@ -168,7 +157,9 @@ val query :
   string ->
   (Unistore_qproc.Engine.report, string) result
 
-(** The static physical plan, without executing (EXPLAIN). *)
+(** The static physical plan, without executing (EXPLAIN). The text
+    passes the same analyzer gate as {!query}
+    ({!Unistore_qproc.Engine.parse_checked}). *)
 val explain :
   t -> ?origin:int -> ?expand_mappings:bool -> string ->
   (Unistore_qproc.Physical.t, string) result
@@ -284,7 +275,6 @@ val settle : t -> unit
 
 module Traffic = Unistore_traffic.Engine
 module Traffic_schedule = Unistore_traffic.Schedule
-module Traffic_arrivals = Unistore_traffic.Arrivals
 module Hotkeys = Unistore_traffic.Hotkeys
 module Balance = Unistore_pgrid.Balance
 
@@ -304,12 +294,11 @@ type traffic_scenario = Steady_load | Flash_crowd | Diurnal_load
 
 type traffic_config = {
   scenario : traffic_scenario;
-  poisson : bool;  (** exponential vs. fixed inter-arrival gaps *)
-  arrival_rate : float;  (** base offered load, queries/s *)
+  arrival_rate : float;  (** base offered load, queries/s (Poisson arrivals) *)
   peak : float;  (** flash-crowd peak multiplier ([Flash_crowd] only) *)
   traffic_duration_ms : float;
   traffic_warmup_ms : float;  (** measurement window starts here *)
-  traffic_zipf_s : float;  (** key popularity skew *)
+  traffic_zipf_s : float;  (** key popularity skew ({!Hotkeys.create}) *)
   service_ms : float;  (** per-peer service time (enables queueing) *)
   traffic_seed : int;  (** workload stream seed *)
   balance : balance_config;

@@ -3,7 +3,6 @@ type t = {
   replication : int;
   timeout_ms : float;
   retries : int;
-  retry_backoff : float;
   retry_jitter : float;
   proximity_routing : bool;
   max_hops : int;
@@ -19,7 +18,6 @@ let default =
     replication = 2;
     timeout_ms = 10_000.0;
     retries = 2;
-    retry_backoff = 2.0;
     retry_jitter = 0.2;
     proximity_routing = false;
     max_hops = 128;

@@ -10,10 +10,9 @@ type t = {
           table); P-Grid keeps several for fault tolerance *)
   replication : int;  (** desired number of peers per leaf (replica group size) *)
   timeout_ms : float;  (** request timeout before retry / partial completion *)
-  retries : int;  (** end-to-end retries of every operation (see {!Request}) *)
-  retry_backoff : float;
-      (** exponential backoff base: retry [n] waits
-          [timeout_ms * retry_backoff^n]; [1.0] = fixed interval *)
+  retries : int;
+      (** end-to-end retries of every operation (see {!Request}); retry
+          [n] waits [timeout_ms * 2^n] *)
   retry_jitter : float;
       (** uniform jitter fraction applied to each retry timeout
           ([+-retry_jitter * timeout]); [0.0] = deterministic timeouts,

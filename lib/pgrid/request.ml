@@ -185,12 +185,12 @@ let deadline_base t p =
     Rtt.deadline p.origin.Node.rtt ?peer:via ~cls:p.op ~fallback:c.timeout_ms
       ~min_ms:min_timeout_ms ~max_ms:c.timeout_ms ()
 
-(* Retry [n] waits [base * retry_backoff^n], up to [retry_jitter]
-   fractional jitter either way. Exponential backoff rides out multi-wave
-   churn (a replica group wholly down now is likely partly back later);
-   jitter desynchronizes the retry storm after a crash wave. *)
+(* Retry [n] waits [base * 2^n], up to [retry_jitter] fractional jitter
+   either way. Exponential backoff rides out multi-wave churn (a replica
+   group wholly down now is likely partly back later); jitter
+   desynchronizes the retry storm after a crash wave. *)
 let retry_delay t ~base ~attempt =
-  let d = base *. (t.config.retry_backoff ** float_of_int attempt) in
+  let d = base *. (2.0 ** float_of_int attempt) in
   let j = t.config.retry_jitter in
   if j <= 0.0 then d else d *. (1.0 +. Rng.float_in t.rng (-.j) j)
 

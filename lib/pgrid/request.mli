@@ -6,7 +6,7 @@
     ({!Sim.timer}), and finishing the request cancels it; when it fires,
     the request is still pending and is re-sent
     — up to [Config.retries] times, the [n]th retry waiting
-    [base * retry_backoff^n] with [retry_jitter] drawn from the overlay
+    [base * 2^n] with [retry_jitter] drawn from the overlay
     RNG — and then given up as an explicitly partial result. [base] is
     the origin's {!Rtt} estimate when adaptive timeouts are on and warm,
     else [Config.timeout_ms].

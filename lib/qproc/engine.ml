@@ -152,21 +152,10 @@ let start ts stats ~replication ?cache ?(strategy = Centralized)
           branch_query (q.Ast.patterns, q.Ast.filters) :: List.map branch_query union_branches
         in
         Cps.map run_branch sub_queries ~k:(fun results ->
-            let post_plan =
-              {
-                Physical.steps = [];
-                post_filters = [];
-                order = q.Ast.order;
-                projection = q.Ast.projection;
-                distinct = q.Ast.distinct;
-                limit = q.Ast.limit;
-                expansions = p.expansions;
-                total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-                branches = [];
-              }
-            in
             let rows =
-              Exec.postprocess post_plan (List.concat_map (fun (_, r) -> r.Exec.rows) results)
+              Exec.postprocess
+                (Physical.post_only ~expansions:p.expansions q)
+                (List.concat_map (fun (_, r) -> r.Exec.rows) results)
             in
             let plan =
               match List.map fst results with

@@ -81,7 +81,9 @@ val analyze : Qstats.t -> Ast.query -> Unistore_analysis.Diagnostic.t list
 
 (** [parse_checked stats src] parses VQL source and passes it through
     the static analyzer ({!analyze}); error-severity diagnostics refuse
-    the plan and are rendered into [Error]. *)
+    the plan and are rendered into [Error]. This is the one validation
+    of a query text: [Unistore_vql.Parser.parse] checks syntax only, so
+    {!start} and {!explain} trust their AST. *)
 val parse_checked : Qstats.t -> string -> (Ast.query, string) result
 
 (** [profile ?query r] reshapes a report's execution traces into the

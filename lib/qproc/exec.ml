@@ -551,20 +551,8 @@ let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
      projection, distinct, limit) with the static plan shape, so only
      the answer travels home. *)
   let finish ~carrier rows =
-    let post_plan =
-      {
-        Physical.steps = [];
-        post_filters = pending_filters ();
-        order = q.Ast.order;
-        projection = q.Ast.projection;
-        distinct = q.Ast.distinct;
-        limit = q.Ast.limit;
-        expansions;
-        total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-        branches = [];
-      }
-    in
-    let rows = postprocess post_plan rows in
+    let plan = Physical.post_only ~post_filters:(pending_filters ()) ~expansions q in
+    let rows = postprocess plan rows in
     if carrier = origin then k (result_of run rows)
     else
       hop ~from:carrier ~dst:origin ~bytes:(rows_bytes rows + 32) ~k:(fun _ _ ->
@@ -723,26 +711,16 @@ let run_skyline_pushdown ts ~scan ~origin (q : Ast.query) ~goals ~subj ~av ~k =
           else group)
       classified
   in
-  let plan =
+  let step =
     {
-      Physical.steps =
-        [ {
-            Physical.pattern = List.hd q.Ast.patterns;
-            access = Cost.ABroadcast;
-            bindjoin = false;
-            residual = [];
-            est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-          } ];
-      post_filters = [];
-      order = q.Ast.order;
-      projection = q.Ast.projection;
-      distinct = q.Ast.distinct;
-      limit = q.Ast.limit;
-      expansions = [];
-      total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
-      branches = [];
+      Physical.pattern = List.hd q.Ast.patterns;
+      access = Cost.ABroadcast;
+      bindjoin = false;
+      residual = [];
+      est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
     }
   in
+  let plan = { (Physical.post_only q) with Physical.steps = [ step ] } in
   let run = start_run ts ~origin ~expansions:[] [] in
   scan ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
       note run r;
@@ -751,7 +729,7 @@ let run_skyline_pushdown ts ~scan ~origin (q : Ast.query) ~goals ~subj ~av ~k =
       in
       run.traces <-
         [ {
-            step = List.hd plan.Physical.steps;
+            step;
             rows_in = 0;
             actual_card = List.length rows;
             messages = run.dht.Dht.total_sent () - run.m0;

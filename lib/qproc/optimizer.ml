@@ -226,14 +226,4 @@ let plan env stats ~qgrams ?cached ?(expansions = []) (q : Ast.query) =
       { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 }
       steps
   in
-  {
-    Physical.steps;
-    post_filters;
-    order = q.Ast.order;
-    projection = q.Ast.projection;
-    distinct = q.Ast.distinct;
-    limit = q.Ast.limit;
-    expansions;
-    total_est;
-    branches = [];
-  }
+  { (Physical.post_only ~post_filters ~expansions q) with Physical.steps; total_est }

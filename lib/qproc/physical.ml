@@ -20,6 +20,19 @@ type t = {
   branches : t list;
 }
 
+let post_only ?(post_filters = []) ?(expansions = []) (q : Ast.query) =
+  {
+    steps = [];
+    post_filters;
+    order = q.Ast.order;
+    projection = q.Ast.projection;
+    distinct = q.Ast.distinct;
+    limit = q.Ast.limit;
+    expansions;
+    total_est = { Cost.messages = 0.0; latency = 0.0; cardinality = 0.0 };
+    branches = [];
+  }
+
 let rec pp fmt t =
   Format.fprintf fmt "@[<v>plan (est: %a):@," Cost.pp_estimate t.total_est;
   List.iteri

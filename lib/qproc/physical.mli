@@ -33,4 +33,11 @@ type t = {
       (** plans of additional UNION branches (empty for plain queries) *)
 }
 
+(** [post_only ?post_filters ?expansions q] is the plan without steps
+    that only post-processes rows: [post_filters] (default none), then
+    [q]'s ordering, projection, DISTINCT and LIMIT. Its estimate is
+    zero. *)
+val post_only :
+  ?post_filters:Ast.expr list -> ?expansions:(string * string list) list -> Ast.query -> t
+
 val pp : Format.formatter -> t -> unit

@@ -15,7 +15,7 @@
     allocation beyond the popped pair and what the event bodies
     themselves do — this is what lets one process drain hundreds of
     thousands of events per real second at 100k+ simulated peers (see
-    EXPERIMENTS.md, "Scale").
+    EXPERIMENTS.md at commit afe2490, "Scale").
 
     {b Deadlines.} A deadline that the work it guards can beat (a request
     timeout, a carrier hop's timeout) is a {!timer}: the operation that

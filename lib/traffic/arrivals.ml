@@ -4,13 +4,8 @@ module Rng = Unistore_util.Rng
    depends on completions, so offered load keeps coming whether or not
    the system keeps up — the regime where queueing delay shows. *)
 
-type t = Poisson | Deterministic
-
-(* Milliseconds until the next arrival at instantaneous [rate_per_ms].
-   Poisson draws exactly one RNG sample; Deterministic draws none. *)
-let gap t rng ~rate_per_ms =
+(* Milliseconds until the next arrival at instantaneous [rate_per_ms]:
+   a Poisson process, one RNG sample per gap. *)
+let gap rng ~rate_per_ms =
   if rate_per_ms <= 0.0 then invalid_arg "Arrivals.gap: rate must be positive";
-  let mean = 1.0 /. rate_per_ms in
-  match t with
-  | Poisson -> Rng.exponential rng ~mean
-  | Deterministic -> mean
+  Rng.exponential rng ~mean:(1.0 /. rate_per_ms)

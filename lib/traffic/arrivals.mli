@@ -1,11 +1,8 @@
 (** Open-loop arrival processes: inter-arrival gaps independent of
     completions. *)
 
-type t =
-  | Poisson  (** exponential gaps — memoryless, bursty *)
-  | Deterministic  (** fixed gaps — smooth offered load *)
-
-(** [gap t rng ~rate_per_ms] draws the milliseconds until the next
-    arrival. Poisson consumes exactly one RNG draw, Deterministic none.
-    Raises [Invalid_argument] on non-positive rate. *)
-val gap : t -> Unistore_util.Rng.t -> rate_per_ms:float -> float
+(** [gap rng ~rate_per_ms] draws the milliseconds until the next
+    arrival of a Poisson process: an exponential gap of mean
+    [1 / rate_per_ms], memoryless and bursty, from exactly one RNG
+    draw. Raises [Invalid_argument] on non-positive rate. *)
+val gap : Unistore_util.Rng.t -> rate_per_ms:float -> float

@@ -11,10 +11,8 @@ module Sim = Unistore_sim.Sim
    both arms face exactly the same request sequence. *)
 
 type config = {
-  arrival : Arrivals.t;
   rate_per_s : float;  (* base offered load, queries per second *)
   schedule : Schedule.t;
-  zipf_s : float;  (* key popularity skew; 0 = uniform *)
   duration_ms : float;
   warmup_ms : float;  (* completions of requests issued before this are discarded *)
   seed : int;
@@ -23,10 +21,8 @@ type config = {
 
 let default =
   {
-    arrival = Arrivals.Poisson;
     rate_per_s = 200.0;
     schedule = Schedule.Steady;
-    zipf_s = 0.9;
     duration_ms = 30_000.0;
     warmup_ms = 3_000.0;
     seed = 0x7AF1C;
@@ -115,12 +111,12 @@ let run ~sim ~origins ~hotkeys ?(on_warmup = fun () -> ()) ?(control = fun ~now:
           end);
       let factor = Schedule.factor cfg.schedule ~t:(now -. t0) in
       let rate_per_ms = cfg.rate_per_s *. factor /. 1000.0 in
-      Sim.schedule sim ~delay:(Arrivals.gap cfg.arrival arrival_rng ~rate_per_ms) tick
+      Sim.schedule sim ~delay:(Arrivals.gap arrival_rng ~rate_per_ms) tick
     end
   in
   (* First arrival after one gap at the base rate. *)
   Sim.schedule sim
-    ~delay:(Arrivals.gap cfg.arrival arrival_rng ~rate_per_ms:(cfg.rate_per_s /. 1000.0))
+    ~delay:(Arrivals.gap arrival_rng ~rate_per_ms:(cfg.rate_per_s /. 1000.0))
     tick;
   if cfg.warmup_ms > 0.0 then Sim.schedule_at sim ~time:t_meas on_warmup;
   if cfg.control_interval_ms > 0.0 then begin

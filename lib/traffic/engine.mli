@@ -5,11 +5,8 @@
     same config face a byte-identical request sequence. *)
 
 type config = {
-  arrival : Arrivals.t;
-  rate_per_s : float;  (** base offered load, queries per second *)
+  rate_per_s : float;  (** base offered load, queries per second; arrivals are Poisson *)
   schedule : Schedule.t;
-  zipf_s : float;  (** key-popularity skew recorded for reports; the
-                       caller bakes it into [hotkeys] *)
   duration_ms : float;  (** arrival stream length *)
   warmup_ms : float;  (** requests issued before this are not measured *)
   seed : int;
@@ -41,7 +38,8 @@ type report = {
 
 (** [run ~sim ~origins ~hotkeys ~issue cfg] schedules the arrival
     stream, drives [sim] until every request resolved, and reports
-    measurement-window throughput and latency percentiles. [issue] must
+    measurement-window throughput and latency percentiles. Keys are
+    drawn from [hotkeys], which carries the popularity skew. [issue] must
     start one asynchronous query and call [k] exactly once when it
     completes. [on_warmup] fires when the measurement window opens;
     [control ~now] fires every [control_interval_ms] while arrivals

@@ -194,8 +194,7 @@ let of_chord_trie chord =
     bulk_insert = Trie_index.bulk_insert chord;
     multi_lookup = chord_multi_lookup chord;
     send_task =
-      task_with_deadline (Chord.sim chord) ~timeout_ms:(Chord.config chord).Chord.timeout_ms
-        (Chord.send_task chord);
+      task_with_deadline (Chord.sim chord) ~timeout_ms:Chord.timeout_ms (Chord.send_task chord);
     total_sent = (fun () -> Chord.total_sent chord);
     expected_latency = Chord.expected_latency chord;
     depth = (fun () -> log2n);

@@ -135,45 +135,3 @@ let pp_query fmt q =
          (List.map (fun (v, g) -> "?" ^ v ^ match g with Min -> " MIN" | Max -> " MAX") items))
   | None -> ());
   match q.limit with Some n -> Format.fprintf fmt " LIMIT %d" n | None -> ()
-
-let validate q =
-  let problems = ref [] in
-  let complain fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  if q.patterns = [] then complain "query has no triple patterns";
-  (* Variables usable downstream: bound in at least one branch. Filters
-     must be bound within their own branch. *)
-  let bound =
-    List.concat_map
-      (fun (ps, _) -> List.concat_map pattern_vars ps)
-      ((q.patterns, q.filters) :: q.union_branches)
-  in
-  let check_bound where v =
-    if not (List.mem v bound) then complain "%s variable ?%s is not bound by any pattern" where v
-  in
-  (match q.projection with
-  | Some [] -> complain "empty projection"
-  | Some vs -> List.iter (check_bound "projected") vs
-  | None -> ());
-  List.iter
-    (fun (ps, fs) ->
-      if ps = [] then complain "UNION branch has no triple patterns";
-      let branch_bound = List.concat_map pattern_vars ps in
-      List.iter
-        (fun f ->
-          List.iter
-            (fun v ->
-              if not (List.mem v branch_bound) then
-                complain "filter variable ?%s is not bound within its branch" v)
-            (expr_vars f))
-        fs)
-    ((q.patterns, q.filters) :: q.union_branches);
-  (match q.order with
-  | Some (OrderBy items) -> List.iter (fun (v, _) -> check_bound "order" v) items
-  | Some (Skyline items) ->
-    if items = [] then complain "empty skyline";
-    List.iter (fun (v, _) -> check_bound "skyline" v) items
-  | None -> ());
-  (match q.limit with
-  | Some n when n <= 0 -> complain "LIMIT must be positive"
-  | _ -> ());
-  List.rev !problems

@@ -91,8 +91,3 @@ val pp_term : Format.formatter -> term -> unit
 val pp_pattern : Format.formatter -> pattern -> unit
 val pp_expr : Format.formatter -> expr -> unit
 val pp_query : Format.formatter -> query -> unit
-
-(** Semantic checks: projection/order/filter variables must be bound by
-    some pattern; patterns must not be degenerate (all-constant patterns
-    are allowed — they are existence tests). Returns problems found. *)
-val validate : query -> string list

@@ -254,22 +254,14 @@ let render src what span message =
       text caret
   end
 
-let parse_with ~validate src =
+let parse src =
   match Lexer.tokenize src with
   | exception Lexer.Error { offset; message } ->
     Error (render src "lex error" (Loc.make offset (offset + 1)) message)
   | tokens -> (
     let st = { tokens = Array.of_list tokens; pos = 0; last = Loc.dummy } in
     match parse_query st with
-    | q ->
-      if not validate then Ok q
-      else begin
-        match Ast.validate q with
-        | [] -> Ok q
-        | problems -> Error ("invalid query: " ^ String.concat "; " problems)
-      end
+    | q -> Ok q
     | exception Parse_error { span; message } -> Error (render src "parse error" span message))
 
-let parse src = parse_with ~validate:true src
-let parse_ast src = parse_with ~validate:false src
 let parse_exn src = match parse src with Ok q -> q | Error e -> failwith e

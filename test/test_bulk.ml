@@ -51,7 +51,7 @@ let deploy ?(peers = 48) ?(drop = 0.0) ?(overlay = Unistore.Pgrid) ds =
       drop;
       overlay;
       qgram_index = false;
-      cache = Unistore.no_cache;
+      cache = false;
     }
 
 let loaded ?peers ?drop ?overlay ds =

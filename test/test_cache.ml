@@ -565,7 +565,7 @@ let test_stats_gossip_spreads_under_loss () =
 (* Facade: gossiped statistics drive the optimizer *)
 
 let make_store ?(peers = 48) ?(overlay = Unistore.Pgrid) ?(seed = 42)
-    ?(cache = Unistore.default_cache_config) () =
+    ?(cache = true) () =
   let rng = Rng.create 7 in
   let ds = Publications.generate rng { Publications.default_params with typo_rate = 0.0 } in
   let config = { Unistore.default_config with peers; overlay; seed; cache } in
@@ -680,7 +680,7 @@ let test_result_caches_are_per_origin () =
     (Metrics.counter m "cache.result.hit")
 
 let test_no_cache_config_disables_everything () =
-  let store, _ = make_store ~peers:32 ~cache:Unistore.no_cache () in
+  let store, _ = make_store ~peers:32 ~cache:false () in
   let m = Unistore.metrics store in
   let src = "SELECT ?n WHERE { (?a,'name',?n) }" in
   Metrics.clear m;
@@ -688,6 +688,47 @@ let test_no_cache_config_disables_everything () =
   ignore (Unistore.query store ~origin:3 src);
   check Alcotest.int "no result hits" 0 (Metrics.counter m "cache.result.hit");
   check Alcotest.int "no shortcut hits" 0 (Metrics.counter m "cache.shortcut.hit")
+
+(* The facade's one caching switch pins the sizes: on, each origin's
+   result cache holds 256 entries that expire after 30 s of simulated
+   time and every P-Grid peer keeps 128 shortcuts; off, there is no
+   result cache and no shortcut slot. *)
+let test_cache_switch_constants () =
+  let module Qcache = Unistore_qproc.Qcache in
+  let shortcut_capacities store =
+    match Unistore.pgrid store with
+    | Some ov ->
+      List.sort_uniq compare
+        (List.map (fun (n : Node.t) -> Shortcuts.capacity n.Node.shortcuts) (Overlay.nodes ov))
+    | None -> Alcotest.fail "P-Grid deployment expected"
+  in
+  let store, _ = make_store ~peers:32 () in
+  check Alcotest.(list int) "128 shortcuts per peer" [ 128 ] (shortcut_capacities store);
+  let qc =
+    match Unistore.result_cache store ~origin:2 with
+    | Some c -> c
+    | None -> Alcotest.fail "a default deployment has a result cache"
+  in
+  let access i = Cost.AOid (Printf.sprintf "o%d" i) in
+  for i = 0 to 255 do
+    Qcache.store_access qc (access i) []
+  done;
+  Alcotest.(check bool) "256 entries fit" true
+    (List.for_all (fun i -> Qcache.cached_access qc (access i)) (List.init 256 Fun.id));
+  Qcache.store_access qc (access 256) [];
+  Alcotest.(check bool) "the 257th evicts the oldest" false (Qcache.cached_access qc (access 0));
+  Alcotest.(check bool) "and only the oldest" true
+    (List.for_all (fun i -> Qcache.cached_access qc (access i)) (List.init 256 (fun i -> i + 1)));
+  let sim = Unistore.sim store in
+  Qcache.store_access qc (access 300) [];
+  Sim.run_for sim ~duration:29_999.0;
+  Alcotest.(check bool) "alive just under 30 s" true (Qcache.cached_access qc (access 300));
+  Sim.run_for sim ~duration:2.0;
+  Alcotest.(check bool) "expired just over 30 s" false (Qcache.cached_access qc (access 300));
+  let off, _ = make_store ~peers:32 ~cache:false () in
+  Alcotest.(check bool) "no result cache when off" true
+    (Option.is_none (Unistore.result_cache off ~origin:2));
+  check Alcotest.(list int) "no shortcut slots when off" [ 0 ] (shortcut_capacities off)
 
 (* ------------------------------------------------------------------ *)
 (* Facade: the caches engage and pay for themselves *)
@@ -701,8 +742,7 @@ let test_caching_pays_off () =
   let module Dht = Unistore_triple.Dht in
   let module Histogram = Unistore_obs.Histogram in
   let arm ~cached =
-    let cache = if cached then Unistore.default_cache_config else Unistore.no_cache in
-    let store, ds = make_store ~peers:32 ~cache () in
+    let store, ds = make_store ~peers:32 ~cache:cached () in
     let m = Unistore.metrics store in
     if cached then
       for _ = 1 to 4 do
@@ -1084,6 +1124,7 @@ let () =
           Alcotest.test_case "caches are per-origin" `Quick test_result_caches_are_per_origin;
           Alcotest.test_case "no_cache disables everything" `Quick
             test_no_cache_config_disables_everything;
+          Alcotest.test_case "cache switch sizes" `Quick test_cache_switch_constants;
           Alcotest.test_case "caching pays off" `Quick test_caching_pays_off;
         ] );
       ( "memoised-sampling",

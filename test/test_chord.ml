@@ -87,7 +87,7 @@ let test_hops_logarithmic () =
     (s.Stats.mean <= 12.0)
 
 let test_replication_survives_failure () =
-  let config = { Chord.succ_list = 4; timeout_ms = 500.0; retries = 3 } in
+  let config = { Chord.succ_list = 4 } in
   let c = mkchord ~n:32 ~config () in
   ignore (await (Chord.sim c) (fun k ->
       Chord.put c ~origin:0 ~key:"precious" ~item_id:"a" ~payload:"data" ~k ()));

@@ -685,7 +685,7 @@ let test_pgrid_ships_fewer_ranking_bytes () =
   let run overlay =
     let store =
       Unistore.create ~sample_keys
-        { Unistore.default_config with peers = 48; seed = 42; overlay; cache = Unistore.no_cache }
+        { Unistore.default_config with peers = 48; seed = 42; overlay; cache = false }
     in
     ignore (Unistore.load store tuples);
     Unistore.settle store;
@@ -860,9 +860,30 @@ let test_explain () =
 
 let test_parse_error_propagates () =
   let store, _ = make_store ~peers:8 () in
-  match Unistore.query store "SELECT garbage" with
+  (match Unistore.query store "SELECT garbage" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected parse error"
+  | Ok _ -> Alcotest.fail "expected parse error");
+  (* Well-formed but invalid texts: the parser accepts them and the
+     analyzer gate refuses them at every string entry point. *)
+  List.iter
+    (fun src ->
+      (match Unistore.query store src with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "query accepted %S" src);
+      (match Unistore.explain store src with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "explain accepted %S" src);
+      match Unistore.check store src with
+      | Ok ds when Unistore.Diagnostic.has_errors ds -> ()
+      | _ -> Alcotest.failf "check found no error in %S" src)
+    [
+      "SELECT ?ghost WHERE { (?a,'name',?v) }";
+      "SELECT ?v WHERE { (?a,'name',?v) FILTER ?g > 1 }";
+      "SELECT ?v WHERE { (?a,'name',?v) } ORDER BY ?zz";
+      "SELECT ?v WHERE { (?a,'name',?v) } LIMIT 0";
+      "SELECT ?x WHERE { (?x,'name',?v) } UNION { }";
+      "SELECT ?x WHERE { (?x,'name',?v) } UNION { (?x,'age',?w) FILTER ?v > 1 }";
+    ]
 
 let test_failures_reported () =
   let store, ds = make_store ~peers:32 () in

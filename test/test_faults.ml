@@ -103,7 +103,7 @@ let deploy_pubs () =
   let store =
     Unistore.create
       ~sample_keys:(Publications.sample_keys ds)
-      { Unistore.default_config with peers = 64; seed = 42; cache = Unistore.no_cache }
+      { Unistore.default_config with peers = 64; seed = 42; cache = false }
   in
   ignore (Unistore.load store ds.Publications.tuples);
   Unistore.set_stats_of_triples store ds.Publications.triples;
@@ -418,7 +418,6 @@ let test_backoff_schedule () =
       replication = 2;
       timeout_ms = 100.0;
       retries = 2;
-      retry_backoff = 2.0;
       retry_jitter = 0.0;
       adaptive_timeout = false;
     }
@@ -455,7 +454,6 @@ let test_adaptive_deadline_beats_fixed () =
       replication = 2;
       timeout_ms = 100.0;
       retries = 2;
-      retry_backoff = 2.0;
       retry_jitter = 0.0;
     }
   in

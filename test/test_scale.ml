@@ -202,7 +202,7 @@ let prop_bitkey_ops_match_strings =
 (* Determinism at 10k peers: two runs from the same seed — overlay
    build, insert+lookup workload, crash/revive churn — must produce a
    byte-identical message trace and fault log. This is the contract the
-   fault-replay tooling (EXPERIMENTS.md "Churn") rests on; the arena
+   fault-replay tooling (EXPERIMENTS.md, "Flaky-test policy") rests on; the arena
    rebuild must not let iteration order leak heap layout. *)
 
 let render_trace tr =

@@ -194,20 +194,17 @@ let test_schedule_factors () =
 
 let test_arrivals () =
   let rng = Rng.create 11 in
-  (* Deterministic: the gap is exactly 1/rate and consumes no RNG. *)
-  let g1 = Arrivals.gap Arrivals.Deterministic rng ~rate_per_ms:0.25 in
-  Alcotest.check (Alcotest.float 1e-9) "deterministic gap" 4.0 g1;
-  (* Poisson: exponential gaps with mean 1/rate. *)
-  let gaps = List.init 40_000 (fun _ -> Arrivals.gap Arrivals.Poisson rng ~rate_per_ms:0.5) in
+  (* Exponential gaps with mean 1/rate. *)
+  let gaps = List.init 40_000 (fun _ -> Arrivals.gap rng ~rate_per_ms:0.5) in
   List.iter (fun g -> if g < 0.0 then Alcotest.fail "negative gap") gaps;
   check_close ~tol:0.05 "poisson mean gap" 2.0 (Stats.mean gaps);
-  (match Arrivals.gap Arrivals.Poisson rng ~rate_per_ms:0.0 with
+  (match Arrivals.gap rng ~rate_per_ms:0.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "rate 0 accepted");
   (* Same seed, same gap stream. *)
   let stream seed =
     let rng = Rng.create seed in
-    List.init 100 (fun _ -> Arrivals.gap Arrivals.Poisson rng ~rate_per_ms:1.0)
+    List.init 100 (fun _ -> Arrivals.gap rng ~rate_per_ms:1.0)
   in
   if not (List.for_all2 feq (stream 5) (stream 5)) then
     Alcotest.fail "same seed, different arrival stream"

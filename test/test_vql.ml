@@ -5,6 +5,8 @@ module Ast = Unistore_vql.Ast
 module Lexer = Unistore_vql.Lexer
 module Parser = Unistore_vql.Parser
 module Algebra = Unistore_vql.Algebra
+module Engine = Unistore_qproc.Engine
+module Qstats = Unistore_qproc.Qstats
 
 let check = Alcotest.check
 
@@ -13,6 +15,14 @@ let parse_ok src =
 
 let parse_err src =
   match Parser.parse src with Ok _ -> Alcotest.failf "expected failure for %S" src | Error e -> e
+
+(* The parser checks syntax only; the semantic analyzer behind
+   [Engine.parse_checked] rejects well-formed but invalid queries. *)
+let checked_err src =
+  ignore (parse_ok src);
+  match Engine.parse_checked Qstats.empty src with
+  | Ok _ -> Alcotest.failf "expected the analyzer to reject %S" src
+  | Error e -> e
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -134,10 +144,12 @@ let test_parse_union () =
   | _ -> Alcotest.fail "branch shape");
   (* Filter vars must be bound within their own branch. *)
   let e =
-    parse_err "SELECT ?x WHERE { (?x,'a',?v) } UNION { (?x,'b',?w) FILTER ?v > 1 }"
+    checked_err "SELECT ?x WHERE { (?x,'a',?v) } UNION { (?x,'b',?w) FILTER ?v > 1 }"
   in
   Alcotest.(check bool) "cross-branch filter rejected" true
     (contains_sub e "within its branch");
+  let e = checked_err "SELECT ?x WHERE { (?x,'a',?v) } UNION { }" in
+  Alcotest.(check bool) "empty branch rejected" true (contains_sub e "UNION branch");
   (* pp roundtrip with union. *)
   let printed = Format.asprintf "%a" Ast.pp_query q in
   let q2 = parse_ok printed in
@@ -162,11 +174,11 @@ let test_parse_more_errors () =
   ignore (parse_err "SELECT ?v WHERE { (?a,'x',?v) } trailing")
 
 let test_validate_unbound () =
-  let e = parse_err "SELECT ?ghost WHERE { (?a,'x',?v) }" in
+  let e = checked_err "SELECT ?ghost WHERE { (?a,'x',?v) }" in
   Alcotest.(check bool) "mentions unbound" true (contains_sub e "not bound");
-  let e2 = parse_err "SELECT ?v WHERE { (?a,'x',?v) FILTER ?ghost > 1 }" in
+  let e2 = checked_err "SELECT ?v WHERE { (?a,'x',?v) FILTER ?ghost > 1 }" in
   Alcotest.(check bool) "filter unbound" true (contains_sub e2 "not bound");
-  let e3 = parse_err "SELECT ?v WHERE { (?a,'x',?v) } LIMIT 0" in
+  let e3 = checked_err "SELECT ?v WHERE { (?a,'x',?v) } LIMIT 0" in
   Alcotest.(check bool) "bad limit" true (contains_sub e3 "LIMIT")
 
 let test_roundtrip_pp () =
