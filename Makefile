@@ -53,14 +53,18 @@ test-store:
 # semantic-check the demo workload, lint a recorded message trace
 # against the metrics registry, audit overlay invariants — plus a smoke
 # check that `query --check` rejects an unsatisfiable query with a
-# non-zero exit. Last, README's skyline query must print the same rows
+# non-zero exit. Then README's skyline query must print the same rows
 # with and without `--no-cache`, on P-Grid and on Chord: caching may
-# change costs, never answers.
+# change costs, never answers. Last, at 256 peers on P-Grid its plan and
+# estimates must be the same with and without `--no-cache`: after the
+# CLI's four gossip rounds every origin's gossiped statistics equal the
+# oracle's.
 SKYLINE_QUERY = SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) \
   (?a,'num_of_pubs',?cnt) (?a,'has_published',?title) (?p,'title',?title) \
   (?p,'published_in',?conf) (?c,'confname',?conf) (?c,'series',?sr) \
   FILTER edist(?sr,'ICDE')<3 } ORDER BY SKYLINE OF ?age MIN, ?cnt MAX
 CLI_QUERY = dune exec --display quiet bin/unistore_cli.exe -- query
+PLAN_256 = --explain-only -p 256 --authors 200
 
 lint:
 	dune build
@@ -77,6 +81,11 @@ lint:
 	  else echo "FAIL: --no-cache changed the skyline rows on $$o"; \
 	    echo "cached:"; echo "$$on"; echo "uncached:"; echo "$$off"; exit 1; fi; \
 	done
+	@on=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) "$(SKYLINE_QUERY)") || exit 1; \
+	off=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) --no-cache "$(SKYLINE_QUERY)") || exit 1; \
+	if [ "$$on" = "$$off" ]; then echo "gossiped skyline plan = oracle plan at 256 peers: OK"; \
+	else echo "FAIL: gossiped statistics planned the skyline query unlike the oracle"; \
+	  echo "gossiped:"; echo "$$on"; echo "oracle:"; echo "$$off"; exit 1; fi
 
 # Source-level determinism & protocol-exhaustiveness linter over the
 # repo's own OCaml tree (lib/ and bin/): unordered hashtable iteration

@@ -59,7 +59,7 @@ let check_bound q =
       let branch_bound = List.concat_map Ast.pattern_vars ps in
       List.iteri
         (fun fi f ->
-          let span = if bi = 0 then filter_span_of q fi else Loc.dummy in
+          let span = Ast.branch_filter_span q bi fi in
           List.iter
             (fun v ->
               if not (List.mem v branch_bound) then
@@ -195,7 +195,9 @@ let gather_evidence catalog q =
     | Ast.EVar _ | Ast.EConst _ -> ()
   in
   List.iteri (fun i f -> walk (filter_span_of q i) f) q.Ast.filters;
-  List.iter (fun (_, fs) -> List.iter (walk Loc.dummy) fs) q.Ast.union_branches;
+  List.iteri
+    (fun bi (_, fs) -> List.iteri (fun fi f -> walk (Ast.branch_filter_span q (bi + 1) fi) f) fs)
+    q.Ast.union_branches;
   (ev, List.rev !unknown)
 
 let check_types catalog q =

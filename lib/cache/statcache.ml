@@ -38,14 +38,21 @@ let create () = { tbl = empty }
 let length t = Hashtbl.length t.tbl
 let clear t = t.tbl <- empty
 
-let fresher a b =
-  a.version > b.version || (a.version = b.version && a.sampled_at > b.sampled_at)
+type merged = Kept | Resampled | News
 
 let merge t s =
   let key = (s.attr, s.region_lo) in
-  match Hashtbl.find_opt t.tbl key with
-  | Some old when not (fresher s old) -> false
-  | old ->
+  let old = Hashtbl.find_opt t.tbl key in
+  let outcome =
+    match old with
+    | None -> News
+    | Some old when s.version > old.version -> News
+    | Some old when s.version = old.version && s.sampled_at > old.sampled_at -> Resampled
+    | Some _ -> Kept
+  in
+  (match outcome with
+  | Kept -> ()
+  | Resampled | News ->
     (* First write: take a private table. *)
     if t.tbl == empty then t.tbl <- Hashtbl.create 32;
     (* Replicas of one region produce interchangeable summaries, but
@@ -59,8 +66,8 @@ let merge t s =
       | Some old when old.load / 2 > s.load -> { s with load = old.load / 2 }
       | _ -> s
     in
-    Hashtbl.replace t.tbl key s;
-    true
+    Hashtbl.replace t.tbl key s);
+  outcome
 
 (* Summaries travel inside [StatGossip] messages: a deterministic (attr,
    region) order keeps gossip payloads byte-stable across runs. *)

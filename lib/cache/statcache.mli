@@ -65,10 +65,19 @@ val length : t -> int
 (** Drops every summary and the cache's table with them. *)
 val clear : t -> unit
 
-(** [merge t s] adopts [s] unless a strictly fresher summary (higher
-    version, or same version sampled later) for the same (attribute,
-    region) is already present. Returns [true] if the cache changed. *)
-val merge : t -> summary -> bool
+(** What {!merge} did with a summary. *)
+type merged =
+  | Kept  (** the held summary is at least as fresh: the cache is unchanged *)
+  | Resampled
+      (** adopted a later sample at the held version: only [sampled_at]
+          and [load] can have moved, so this is no news to relay *)
+  | News  (** the (attribute, region) was unknown, or its version rose *)
+
+(** [merge t s] adopts [s] if it is fresher than the summary held for
+    the same (attribute, region): a higher version, or the same version
+    sampled later. Statistics gossip relays only [News] onward, so a
+    network whose data is unchanged stops relaying. *)
+val merge : t -> summary -> merged
 
 (** All held summaries, sorted by (attribute, region) — a deterministic
     order, because these travel verbatim inside [StatGossip] payloads. *)

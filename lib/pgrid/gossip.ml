@@ -19,8 +19,13 @@ let anti_entropy_round ov =
 (* Statistics dissemination is push-epidemic rather than push-pull like
    anti-entropy: summaries are tiny (a few tens of bytes per attribute),
    so each peer just pushes everything it knows to [gossip_fanout]
-   random alive peers. Within O(log n) rounds every origin holds a
-   summary for every (attribute, region) pair. *)
+   random alive peers. Pushes alone reach about (1 + fanout)^r peers in
+   r rounds (81 after four), so each push also carries a relay budget:
+   a receiver forwards the summaries that were news to it to one more
+   random peer, up to [stats_relay_rounds] hops (see
+   [Overlay.handle_stat_gossip]). At 128-256 peers four rounds give over
+   90% of the peers every summary and six give all of them; once the
+   data stops changing, a round sends only its fanout pushes. *)
 let stats_round ov ~sample =
   let net = Overlay.net ov in
   let rng = Overlay.rng ov in
@@ -31,7 +36,7 @@ let stats_round ov ~sample =
     (fun (nd : Node.t) ->
       (* Refresh my own summaries from the local store before pushing. *)
       List.iter
-        (fun s -> ignore (Statcache.merge nd.stat_cache s))
+        (fun s -> ignore (Statcache.merge nd.stat_cache s : Statcache.merged))
         (sample ~now:(Sim.now sim) nd);
       let summaries = Statcache.summaries nd.stat_cache in
       let n_alive = Net.alive_count net in
@@ -49,7 +54,8 @@ let stats_round ov ~sample =
           | Some target when target <> nd.id && not (List.mem target !chosen) ->
             chosen := target :: !chosen;
             incr count;
-            Net.send net ~src:nd.id ~dst:target (Message.StatGossip { summaries })
+            Net.send net ~src:nd.id ~dst:target
+              (Message.StatGossip { summaries; rounds_left = Routing.stats_relay_rounds })
           | _ -> ()
         done
       end)

@@ -72,7 +72,7 @@ type t =
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
   | SyncItems of { items : Store.item list }
-  | StatGossip of { summaries : Unistore_cache.Statcache.summary list }
+  | StatGossip of { summaries : Unistore_cache.Statcache.summary list; rounds_left : int }
   | HotSync of {
       region : string * string option;
       owner : int;
@@ -119,7 +119,7 @@ let size = function
   | SyncRequest { wanted } ->
     header + List.fold_left (fun acc (k, id) -> acc + String.length k + String.length id) 0 wanted
   | SyncItems { items } -> header + items_bytes items
-  | StatGossip { summaries } ->
+  | StatGossip { summaries; _ } ->
     header
     + List.fold_left
         (fun acc s -> acc + Unistore_cache.Statcache.summary_bytes s)

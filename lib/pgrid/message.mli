@@ -106,9 +106,10 @@ type t =
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
   | SyncItems of { items : Store.item list }
-  | StatGossip of { summaries : Unistore_cache.Statcache.summary list }
+  | StatGossip of { summaries : Unistore_cache.Statcache.summary list; rounds_left : int }
       (** epidemic spread of sampled per-attribute statistics (see
-          {!Gossip.stats_round}) *)
+          {!Gossip.stats_round}); a receiver relays what was news to it
+          while [rounds_left > 0] *)
   | HotSync of {
       region : string * string option;
       owner : int;

@@ -190,6 +190,30 @@ let handle_replicate t (me : Node.t) ~item ~rounds_left =
       (Rng.sample t.rng gossip_fanout me.replicas)
       (Message.Replicate { item; rounds_left = rounds_left - 1 })
 
+(* Rumor mongering for statistics (Demers et al., PODC'87): the periodic
+   push of {!Gossip.stats_round} is anti-entropy, and a peer that learns
+   a summary it did not hold relays just that news to one random alive
+   peer while hops are left. A re-sample of a held version is merged but
+   is not news, so an unchanged network relays nothing. *)
+let handle_stat_gossip t (me : Node.t) ~summaries ~rounds_left =
+  let news =
+    List.filter
+      (fun s ->
+        let merged = Statcache.merge me.stat_cache s in
+        if merged <> Statcache.Kept then cache_incr t "cache.stats.merged";
+        merged = Statcache.News)
+      summaries
+  in
+  if news <> [] && rounds_left > 0 && Net.alive_count t.net > 1 then begin
+    let rec other () =
+      match Net.random_alive t.net t.rng with
+      | Some p when p <> me.id -> p
+      | _ -> other ()
+    in
+    Net.send t.net ~src:me.id ~dst:(other ())
+      (Message.StatGossip { summaries = news; rounds_left = rounds_left - 1 })
+  end
+
 (* A region's [AckBatch]/[MultiFound] arrived at the batch origin [me]:
    learn a shortcut to the responding region and resolve its keys. *)
 let deliver_batch_ack t (me : Node.t) rid ~from ~found ~region ~hops =
@@ -282,10 +306,7 @@ let dispatch t (me : Node.t) ~src msg =
   | Unreplicate { key; item_id } ->
     Store.remove me.store ~key ~item_id;
     Node.bump_epoch me
-  | StatGossip { summaries } ->
-    List.iter
-      (fun s -> if Statcache.merge me.stat_cache s then cache_incr t "cache.stats.merged")
-      summaries
+  | StatGossip { summaries; rounds_left } -> handle_stat_gossip t me ~summaries ~rounds_left
   | HotSync { region; owner; spread; items; retire } ->
     if retire then begin
       Node.clear_hot me;

@@ -49,6 +49,11 @@ let fresh_rid t = Request.fresh_rid t.requests
    a statistics push reaches per round ({!Gossip.stats_round}). *)
 let gossip_fanout = 2
 
+(* Hops a statistics push may still be relayed by peers to whom it was
+   news: with fanout 2, plain pushes reach about (1+2)^r peers in r
+   rounds; relaying news for 3 more hops lets 4 rounds cover 256. *)
+let stats_relay_rounds = 3
+
 let find_node t id =
   if id >= 0 && id <= t.max_node_id then t.node_arena.(id) else None
 

@@ -31,6 +31,7 @@ type query = {
   filters : expr list;
   filter_spans : Loc.t list;
   union_branches : (pattern list * expr list) list;
+  union_filter_spans : Loc.t list list;
   order : order_clause option;
   limit : int option;
   proj_span : Loc.t;
@@ -39,8 +40,8 @@ type query = {
 }
 
 let mk_query ?(distinct = false) ?projection ?(filters = []) ?(filter_spans = [])
-    ?(union_branches = []) ?order ?limit ?(proj_span = Loc.dummy) ?(order_span = Loc.dummy)
-    ?(limit_span = Loc.dummy) patterns =
+    ?(union_branches = []) ?(union_filter_spans = []) ?order ?limit ?(proj_span = Loc.dummy)
+    ?(order_span = Loc.dummy) ?(limit_span = Loc.dummy) patterns =
   {
     distinct;
     projection;
@@ -48,6 +49,7 @@ let mk_query ?(distinct = false) ?projection ?(filters = []) ?(filter_spans = []
     filters;
     filter_spans;
     union_branches;
+    union_filter_spans;
     order;
     limit;
     proj_span;
@@ -59,6 +61,13 @@ let mk_query ?(distinct = false) ?projection ?(filters = []) ?(filter_spans = []
    rather than parsed the list may be empty, so analyzers use this
    defensive accessor. *)
 let filter_span q i = match List.nth_opt q.filter_spans i with Some s -> s | None -> Loc.dummy
+
+let branch_filter_span q b i =
+  if b = 0 then filter_span q i
+  else
+    match List.nth_opt q.union_filter_spans (b - 1) with
+    | Some spans -> Option.value ~default:Loc.dummy (List.nth_opt spans i)
+    | None -> Loc.dummy
 
 let term_vars = function TVar v -> [ v ] | TConst _ -> []
 

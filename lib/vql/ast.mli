@@ -52,6 +52,9 @@ type query = {
   union_branches : (pattern list * expr list) list;
       (** additional [UNION { ... }] groups: each evaluated independently,
           results combined (bag semantics unless [DISTINCT]) *)
+  union_filter_spans : Loc.t list list;
+      (** spans of each union branch's filters, like [filter_spans];
+          may be shorter — use {!branch_filter_span} *)
   order : order_clause option;
   limit : int option;
   proj_span : Loc.t;  (** span of the projection list *)
@@ -68,6 +71,7 @@ val mk_query :
   ?filters:expr list ->
   ?filter_spans:Loc.t list ->
   ?union_branches:(pattern list * expr list) list ->
+  ?union_filter_spans:Loc.t list list ->
   ?order:order_clause ->
   ?limit:int ->
   ?proj_span:Loc.t ->
@@ -79,6 +83,11 @@ val mk_query :
 (** [filter_span q i] is the span of the [i]-th filter, or {!Loc.dummy}
     if unrecorded. *)
 val filter_span : query -> int -> Loc.t
+
+(** [branch_filter_span q b i] is the span of the [i]-th filter of
+    branch [b] (0 = the main group, [b >= 1] = [union_branches] entry
+    [b - 1]), or {!Loc.dummy} if unrecorded. *)
+val branch_filter_span : query -> int -> int -> Loc.t
 
 (** Variables mentioned by a pattern / expression / query (sorted,
     deduplicated). *)

@@ -73,6 +73,22 @@ let test_sem_unbound () =
   let d = List.find (fun (d : D.t) -> d.D.code = "unbound-var") ds in
   Alcotest.(check bool) "positioned" true (d.D.span.Unistore_vql.Loc.start >= 0)
 
+(* A UNION branch's filter keeps its source span: the finding points at
+   the filter inside the branch, as it does in the main group. *)
+let test_sem_unbound_in_union_branch () =
+  let src = "SELECT ?x WHERE { (?x,'name',?v) } UNION { (?x,'age',?w) FILTER ?v > 1 }" in
+  let d =
+    match List.find_opt (fun (d : D.t) -> d.D.code = "unbound-var") (diags src) with
+    | Some d -> d
+    | None -> Alcotest.fail "unbound filter variable in a UNION branch not reported"
+  in
+  let filter_at =
+    let needle = "FILTER ?v > 1" in
+    let rec find i = if String.sub src i (String.length needle) = needle then i else find (i + 1) in
+    find 0
+  in
+  check Alcotest.int "span starts at the branch's filter" filter_at d.D.span.Unistore_vql.Loc.start
+
 let test_sem_unused () =
   check_has "bound once, never used" "unused-var"
     (diags "SELECT ?v WHERE { (?a,'name',?v) (?a,'age',?w) }")
@@ -417,6 +433,8 @@ let () =
       ( "semantic",
         [
           Alcotest.test_case "unbound variable" `Quick test_sem_unbound;
+          Alcotest.test_case "unbound variable in a UNION branch" `Quick
+            test_sem_unbound_in_union_branch;
           Alcotest.test_case "unused variable" `Quick test_sem_unused;
           Alcotest.test_case "type clash" `Quick test_sem_type_clash;
           Alcotest.test_case "unknown attribute" `Quick test_sem_unknown_attr;

@@ -331,17 +331,31 @@ let summary ?(attr = "age") ?(region_lo = "r0") ?(peer = 1) ?(count = 10) ?(dist
     load;
   }
 
+let merged =
+  Alcotest.testable
+    (fun ppf m ->
+      Format.pp_print_string ppf
+        (match m with Statcache.Kept -> "Kept" | Resampled -> "Resampled" | News -> "News"))
+    ( = )
+
 let test_statcache_merge_newest_wins () =
   let t = Statcache.create () in
-  check Alcotest.bool "first summary adopted" true (Statcache.merge t (summary ()));
-  check Alcotest.bool "same (attr,region,version,time) ignored" false
+  check merged "first summary adopted" Statcache.News (Statcache.merge t (summary ()));
+  check merged "same (attr,region,version,time) ignored" Statcache.Kept
     (Statcache.merge t (summary ~peer:2 ()));
   check Alcotest.int "replica deduped" 1 (Statcache.length t);
-  check Alcotest.bool "higher version wins" true
+  check merged "higher version wins" Statcache.News
     (Statcache.merge t (summary ~version:2 ~count:12 ()));
-  check Alcotest.bool "stale version rejected" false
+  check merged "stale version rejected" Statcache.Kept
     (Statcache.merge t (summary ~version:1 ~count:99 ()));
-  check Alcotest.bool "other region adopted" true (Statcache.merge t (summary ~region_lo:"r1" ()));
+  (* A later sample of the held version is adopted (its time and load
+     are newer) but is no news: gossip does not relay it. *)
+  check merged "re-sample adopted, not news" Statcache.Resampled
+    (Statcache.merge t (summary ~version:2 ~count:12 ~sampled_at:5.0 ~load:3 ()));
+  check (Alcotest.list Alcotest.int) "re-sample's load held" [ 3 ]
+    (List.map snd (Statcache.region_loads t));
+  check merged "other region adopted" Statcache.News
+    (Statcache.merge t (summary ~region_lo:"r1" ()));
   check Alcotest.int "two regions held" 2 (Statcache.length t)
 
 let test_statcache_versions_and_aggregate () =
@@ -565,9 +579,12 @@ let test_stats_gossip_spreads_under_loss () =
 (* Facade: gossiped statistics drive the optimizer *)
 
 let make_store ?(peers = 48) ?(overlay = Unistore.Pgrid) ?(seed = 42)
-    ?(cache = true) () =
+    ?(cache = true) ?(authors = Publications.default_params.n_authors) () =
   let rng = Rng.create 7 in
-  let ds = Publications.generate rng { Publications.default_params with typo_rate = 0.0 } in
+  let ds =
+    Publications.generate rng
+      { Publications.default_params with typo_rate = 0.0; n_authors = authors }
+  in
   let config = { Unistore.default_config with peers; overlay; seed; cache } in
   let store = Unistore.create ~sample_keys:(Publications.sample_keys ds) config in
   ignore (Unistore.load store ds.Publications.tuples);
@@ -630,6 +647,96 @@ let test_facade_queries_run_on_gossiped_stats () =
       | Ok r ->
         Alcotest.(check bool) ("complete: " ^ src) true r.Unistore.Report.complete)
     plan_queries
+
+(* ------------------------------------------------------------------ *)
+(* Facade: statistics gossip converges *)
+
+let gossip_peers = 128
+let gossip_store () = make_store ~peers:gossip_peers ~authors:100 ()
+
+let stat_cache store origin =
+  match Unistore.pgrid store with
+  | Some ov -> (Overlay.node ov origin).Node.stat_cache
+  | None -> Alcotest.fail "P-Grid deployment expected"
+
+let stat_gossip_sent store = Metrics.counter (Unistore.metrics store) "net.sent.stat-gossip"
+
+(* A plain fanout-2 push reaches about 3^r peers in r rounds, 81 of 128
+   after four; relaying news lets every origin hear every region. With
+   decay off, the gossiped per-attribute counts are then exact. *)
+let test_stats_converge_in_four_rounds () =
+  let store, ds = gossip_store () in
+  for _ = 1 to 4 do
+    Unistore.gossip_stats_round store
+  done;
+  let oracle =
+    Qstats.of_triples (List.sort_uniq Triple.compare ds.Publications.triples)
+  in
+  let expected = List.map (fun (a, (s : Qstats.attr_stats)) -> (a, s.Qstats.count)) oracle.Qstats.attrs in
+  List.iter
+    (fun origin ->
+      let counts =
+        Statcache.aggregate (stat_cache store origin) ~now:0.0 ~half_life_ms:0.0
+        |> List.map (fun (a, (agg : Statcache.agg)) -> (a, int_of_float agg.Statcache.a_count))
+      in
+      check
+        Alcotest.(list (pair string int))
+        (Printf.sprintf "origin %d holds every attribute's exact count" origin)
+        expected counts)
+    [ 0; 31; 64; 97; gossip_peers - 1 ]
+
+(* Once every peer holds every region's current summary, a round's
+   re-samples are no news: it sends exactly its fanout pushes per alive
+   peer. A write raises its owner's version, and that news is relayed.
+   (After four rounds a few of the 128 peers still miss a summary; a
+   round or two more completes them.) *)
+let test_converged_round_relays_nothing () =
+  let store, _ = gossip_store () in
+  let held () =
+    List.sort_uniq compare
+      (List.init gossip_peers (fun p -> Statcache.length (stat_cache store p)))
+  in
+  let rec converge rounds =
+    Unistore.gossip_stats_round store;
+    match held () with
+    | [ _ ] -> ()
+    | _ when rounds < 8 -> converge (rounds + 1)
+    | _ -> Alcotest.fail "peers still hold different summary sets after 8 rounds"
+  in
+  converge 1;
+  let alive = List.length (Unistore.alive_peers store) in
+  let round () =
+    let before = stat_gossip_sent store in
+    Unistore.gossip_stats_round store;
+    stat_gossip_sent store - before
+  in
+  check Alcotest.int "converged round: fanout pushes per alive peer"
+    (Unistore_pgrid.Routing.gossip_fanout * alive)
+    (round ());
+  Alcotest.(check bool) "write lands" true
+    (Unistore.insert_triple store (Triple.make ~oid:"gossiptest" ~attr:"age" (Value.I 99)));
+  let after_write = round () in
+  if after_write <= Unistore_pgrid.Routing.gossip_fanout * alive then
+    Alcotest.failf "a round after a write sent %d stat-gossip messages: no relays" after_write
+
+(* Relay targets come from the overlay's seeded generator: two
+   same-seed deployments gossip identically. *)
+let test_stat_gossip_deterministic () =
+  let gossip_trace () =
+    let store, _ = gossip_store () in
+    let trace = Unistore.start_trace store in
+    for _ = 1 to 4 do
+      Unistore.gossip_stats_round store
+    done;
+    Unistore.stop_trace store;
+    List.filter_map
+      (fun (e : Unistore_sim.Trace.event) ->
+        if String.equal e.kind "stat-gossip" then Some (e.time, e.src, e.dst, e.bytes) else None)
+      (Unistore_sim.Trace.events trace)
+  in
+  let a = gossip_trace () in
+  Alcotest.(check bool) "gossip traced" true (a <> []);
+  Alcotest.(check bool) "same seed, same stat-gossip trace" true (a = gossip_trace ())
 
 (* ------------------------------------------------------------------ *)
 (* Facade: result cache end-to-end *)
@@ -1110,6 +1217,12 @@ let () =
             test_anti_entropy_converges_under_loss;
           Alcotest.test_case "statistics spread under 20% loss" `Quick
             test_stats_gossip_spreads_under_loss;
+                  Alcotest.test_case "4 rounds give origins exact counts" `Quick
+            test_stats_converge_in_four_rounds;
+          Alcotest.test_case "converged rounds relay nothing" `Quick
+            test_converged_round_relays_nothing;
+          Alcotest.test_case "same seed, same stat-gossip trace" `Quick
+            test_stat_gossip_deterministic;
         ] );
       ( "gossiped-stats",
         [

@@ -1069,7 +1069,7 @@ let message_witnesses =
     Message.SyncDigest { digest = [ ("k", "i", 1) ] };
     Message.SyncRequest { wanted = [ ("k", "i") ] };
     Message.SyncItems { items = [ it ] };
-    Message.StatGossip { summaries = [] };
+    Message.StatGossip { summaries = []; rounds_left = 0 };
   ]
 
 let test_message_sizes_positive () =
