@@ -58,13 +58,16 @@ test-store:
 # change costs, never answers. Last, at 256 peers on P-Grid its plan and
 # estimates must be the same with and without `--no-cache`: after the
 # CLI's four gossip rounds every origin's gossiped statistics equal the
-# oracle's.
+# oracle's. Last, in a steady 400 q/s traffic run at 128 peers the
+# statistics gossip may carry at most half of all bytes.
 SKYLINE_QUERY = SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) \
   (?a,'num_of_pubs',?cnt) (?a,'has_published',?title) (?p,'title',?title) \
   (?p,'published_in',?conf) (?c,'confname',?conf) (?c,'series',?sr) \
   FILTER edist(?sr,'ICDE')<3 } ORDER BY SKYLINE OF ?age MIN, ?cnt MAX
 CLI_QUERY = dune exec --display quiet bin/unistore_cli.exe -- query
 PLAN_256 = --explain-only -p 256 --authors 200
+STEADY_TRAFFIC = dune exec --display quiet bin/unistore_cli.exe -- traffic -p 128 --authors 150 \
+  --arrival-rate 400 --duration 30000 --no-balancing --traffic steady
 
 lint:
 	dune build
@@ -86,6 +89,11 @@ lint:
 	if [ "$$on" = "$$off" ]; then echo "gossiped skyline plan = oracle plan at 256 peers: OK"; \
 	else echo "FAIL: gossiped statistics planned the skyline query unlike the oracle"; \
 	  echo "gossiped:"; echo "$$on"; echo "oracle:"; echo "$$off"; exit 1; fi
+	@line=$$($(STEADY_TRAFFIC) | grep '^  messages ') || exit 1; \
+	share=$$(echo "$$line" | sed -n 's/.* MB (\([0-9.]*\)%)$$/\1/p'); \
+	if [ -n "$$share" ] && awk "BEGIN { exit !($$share <= 50) }"; then \
+	  echo "statistics gossip is $$share% of steady-traffic bytes: OK"; \
+	else echo "FAIL: statistics gossip exceeds half of steady-traffic bytes"; echo "$$line"; exit 1; fi
 
 # Source-level determinism & protocol-exhaustiveness linter over the
 # repo's own OCaml tree (lib/ and bin/): unordered hashtable iteration

@@ -412,6 +412,20 @@ let run_traffic peers seed latency authors dataset scenario arrival_rate peak du
     r.Unistore.queue_delayed r.Unistore.queue_msgs;
   Format.printf "  retries %d; boosts spawned %d, retired %d; boost-served lookups %d@."
     r.Unistore.retries r.Unistore.boosts_spawned r.Unistore.boosts_retired r.Unistore.hot_serves;
+  let m = Unistore.metrics store in
+  let stat prefix =
+    List.fold_left
+      (fun acc kind -> acc + Unistore_obs.Metrics.counter m (prefix ^ kind))
+      0
+      [ "stat-digest"; "stat-pull"; "stat-gossip" ]
+  in
+  let msgs = Unistore_obs.Metrics.counter m "net.sent" in
+  let bytes = Unistore_obs.Metrics.counter m "net.bytes.sent" in
+  let share part whole = if whole = 0 then 0.0 else 100.0 *. float part /. float whole in
+  let mb b = float b /. 1e6 in
+  Format.printf "  messages %d, %.2f MB; statistics %d messages (%.1f%%), %.2f MB (%.1f%%)@." msgs
+    (mb bytes) (stat "net.sent.") (share (stat "net.sent.") msgs) (mb (stat "net.bytes.sent."))
+    (share (stat "net.bytes.sent.") bytes);
   Format.printf "  results digest: %s@." r.Unistore.results_digest
 
 let traffic_cmd =

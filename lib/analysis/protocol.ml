@@ -34,6 +34,8 @@ let pgrid =
     { constructor = "SyncDigest"; kind = "sync-digest"; role = Background };
     { constructor = "SyncRequest"; kind = "sync-request"; role = Background };
     { constructor = "SyncItems"; kind = "sync-items"; role = Background };
+    { constructor = "StatDigest"; kind = "stat-digest"; role = Background };
+    { constructor = "StatPull"; kind = "stat-pull"; role = Background };
     { constructor = "StatGossip"; kind = "stat-gossip"; role = Background };
     { constructor = "HotSync"; kind = "hot-sync"; role = Background };
   ]

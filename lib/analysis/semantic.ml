@@ -136,7 +136,10 @@ let pp_types fmt ts =
     ~pp_sep:(fun f () -> Format.pp_print_string f " or ")
     Catalog.pp_vtype fmt ts
 
-let gather_evidence catalog q =
+(* Type evidence of one branch: its patterns and its filters, the
+   [i]-th filter at [span_of i]. UNION branches bind their variables
+   independently, so evidence is never pooled across branches. *)
+let gather_evidence catalog (ps, fs) ~span_of =
   let ev : (string, evidence list) Hashtbl.t = Hashtbl.create 16 in
   let unknown = ref [] in
   let record v e =
@@ -144,28 +147,24 @@ let gather_evidence catalog q =
   in
   (* Pattern objects: the attribute's observed types constrain the
      object variable. *)
-  let branches = q.Ast.patterns :: List.map fst q.Ast.union_branches in
   List.iter
-    (fun ps ->
-      List.iter
-        (fun (p : Ast.pattern) ->
-          match (p.Ast.attr, p.Ast.obj) with
-          | Ast.TConst (Value.S a), obj -> (
-            match Catalog.find catalog a with
-            | None -> unknown := (a, p.Ast.span) :: !unknown
-            | Some info -> (
-              match obj with
-              | Ast.TVar v when info.Catalog.types <> [] ->
-                record v
-                  {
-                    possible = info.Catalog.types;
-                    source = Printf.sprintf "attribute '%s'" a;
-                    espan = p.Ast.span;
-                  }
-              | _ -> ()))
-          | _ -> ())
-        ps)
-    branches;
+    (fun (p : Ast.pattern) ->
+      match (p.Ast.attr, p.Ast.obj) with
+      | Ast.TConst (Value.S a), obj -> (
+        match Catalog.find catalog a with
+        | None -> unknown := (a, p.Ast.span) :: !unknown
+        | Some info -> (
+          match obj with
+          | Ast.TVar v when info.Catalog.types <> [] ->
+            record v
+              {
+                possible = info.Catalog.types;
+                source = Printf.sprintf "attribute '%s'" a;
+                espan = p.Ast.span;
+              }
+          | _ -> ()))
+      | _ -> ())
+    ps;
   (* Filters: comparisons with constants and string functions. *)
   let rec walk span e =
     match e with
@@ -194,48 +193,52 @@ let gather_evidence catalog q =
         [ a; b ]
     | Ast.EVar _ | Ast.EConst _ -> ()
   in
-  List.iteri (fun i f -> walk (filter_span_of q i) f) q.Ast.filters;
-  List.iteri
-    (fun bi (_, fs) -> List.iteri (fun fi f -> walk (Ast.branch_filter_span q (bi + 1) fi) f) fs)
-    q.Ast.union_branches;
+  List.iteri (fun i f -> walk (span_of i) f) fs;
   (ev, List.rev !unknown)
+
+let clashes ev =
+  Det.sorted_bindings ~cmp:String.compare ev
+  |> List.filter_map (fun (v, evs) ->
+         let inter =
+           List.fold_left
+             (fun acc e -> List.filter (fun t -> List.mem t e.possible) acc)
+             all_types evs
+         in
+         if inter = [] then begin
+           let evs = List.rev evs in
+           let span = List.fold_left (fun s e -> Loc.union s e.espan) Loc.dummy evs in
+           let detail =
+             String.concat "; "
+               (List.map
+                  (fun e -> Format.asprintf "%s implies %a" e.source pp_types e.possible)
+                  evs)
+           in
+           Some
+             (D.makef ~span ~severity:D.Error ~code:"type-clash"
+                "variable ?%s has contradictory types: %s" v detail)
+         end
+         else None)
 
 let check_types catalog q =
   if Catalog.is_empty catalog then []
   else begin
-    let ev, unknown = gather_evidence catalog q in
+    let per_branch =
+      gather_evidence catalog (q.Ast.patterns, q.Ast.filters) ~span_of:(filter_span_of q)
+      :: List.mapi
+           (fun bi branch ->
+             gather_evidence catalog branch ~span_of:(Ast.branch_filter_span q (bi + 1)))
+           q.Ast.union_branches
+    in
     let unknown_ds =
       (* One warning per distinct unknown attribute. *)
-      List.sort_uniq (fun (a, _) (b, _) -> compare a b) unknown
+      List.concat_map snd per_branch
+      |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
       |> List.map (fun (a, span) ->
              D.makef ~span ~severity:D.Warning ~code:"unknown-attr"
                ~hint:"the query can only match data inserted after statistics were collected"
                "attribute '%s' does not occur in the data" a)
     in
-    let clash_ds =
-      Det.sorted_bindings ~cmp:String.compare ev
-      |> List.filter_map (fun (v, evs) ->
-             let inter =
-               List.fold_left
-                 (fun acc e -> List.filter (fun t -> List.mem t e.possible) acc)
-                 all_types evs
-             in
-             if inter = [] then begin
-               let evs = List.rev evs in
-               let span = List.fold_left (fun s e -> Loc.union s e.espan) Loc.dummy evs in
-               let detail =
-                 String.concat "; "
-                   (List.map
-                      (fun e -> Format.asprintf "%s implies %a" e.source pp_types e.possible)
-                      evs)
-               in
-               Some
-                 (D.makef ~span ~severity:D.Error ~code:"type-clash"
-                    "variable ?%s has contradictory types: %s" v detail)
-             end
-             else None)
-    in
-    unknown_ds @ clash_ds
+    unknown_ds @ List.concat_map (fun (ev, _) -> clashes ev) per_branch
   end
 
 (* ------------------------------------------------------------------ *)

@@ -3,15 +3,17 @@ module Metrics = Unistore_obs.Metrics
 
 (* Adaptive hot-path replication (the control plane of the heavy-traffic
    engine). One balance round reads the gossiped per-region load signal
-   ({!Statcache.region_loads} as seen by the lowest-id live peer — every
-   origin converges to the same view within O(log n) gossip rounds, so
-   any fixed choice of reader is representative), flags regions whose
-   served-request rate stands far above the mean, and has each hot
-   region's owner ship its content to a few cold "boost" peers over
-   ordinary [HotSync] messages. Boosts answer lookups for the region
-   from the synced copy; owners advertise the serving set on replies so
-   origins in spread mode rotate across it. When the load subsides below
-   half the spawn threshold (hysteresis), the owner retires its boosts.
+   ({!Statcache.region_loads} as seen by the lowest-id live peer). Loads
+   live in the per-region stamps that every statistics round's digests
+   carry, so every origin converges to the same view within O(log n)
+   rounds and any fixed choice of reader is representative. The round
+   flags regions whose served-request rate stands far above the mean,
+   and has each hot region's owner ship its content to a few cold
+   "boost" peers over ordinary [HotSync] messages. Boosts answer
+   lookups for the region from the synced copy; owners advertise the
+   serving set on replies so origins in spread mode rotate across it.
+   When the load subsides below half the spawn threshold (hysteresis),
+   the owner retires its boosts.
 
    Everything here is deterministic: the load view is sorted, candidate
    selection is sorted by (own-region load, id), and all messaging goes

@@ -16,16 +16,17 @@ let anti_entropy_round ov =
       end)
     (Overlay.nodes ov)
 
-(* Statistics dissemination is push-epidemic rather than push-pull like
-   anti-entropy: summaries are tiny (a few tens of bytes per attribute),
-   so each peer just pushes everything it knows to [gossip_fanout]
-   random alive peers. Pushes alone reach about (1 + fanout)^r peers in
-   r rounds (81 after four), so each push also carries a relay budget:
-   a receiver forwards the summaries that were news to it to one more
-   random peer, up to [stats_relay_rounds] hops (see
-   [Overlay.handle_stat_gossip]). At 128-256 peers four rounds give over
-   90% of the peers every summary and six give all of them; once the
-   data stops changing, a round sends only its fanout pushes. *)
+(* Statistics dissemination is push-pull anti-entropy plus rumor
+   mongering. Every round each peer pushes a digest (one stamp per
+   region it knows, no content) to [gossip_fanout] random alive peers;
+   between writes only the stamps' sampling times and loads move, and a
+   digest carries those. A receiver that lacks a region pulls its
+   summaries from the pusher, and the reply carries a relay budget: the
+   puller forwards what was news to it to one more random peer, up to
+   [stats_relay_rounds] hops (see [Overlay.handle_stat_gossip]). At
+   128-256 peers four rounds give over 90% of the peers every summary
+   and five give all of them; once the data stops changing, a round
+   sends only its fanout digests. *)
 let stats_round ov ~sample =
   let net = Overlay.net ov in
   let rng = Overlay.rng ov in
@@ -38,9 +39,9 @@ let stats_round ov ~sample =
       List.iter
         (fun s -> ignore (Statcache.merge nd.stat_cache s : Statcache.merged))
         (sample ~now:(Sim.now sim) nd);
-      let summaries = Statcache.summaries nd.stat_cache in
+      let entries = Statcache.digest nd.stat_cache in
       let n_alive = Net.alive_count net in
-      if summaries <> [] && n_alive > 1 then begin
+      if entries <> [] && n_alive > 1 then begin
         (* Draw [fanout] distinct targets (excluding self) by rejection
            sampling over the O(1) alive set — the old materialize-and-
            reservoir-sample pattern cost O(alive) per peer, making each
@@ -54,8 +55,7 @@ let stats_round ov ~sample =
           | Some target when target <> nd.id && not (List.mem target !chosen) ->
             chosen := target :: !chosen;
             incr count;
-            Net.send net ~src:nd.id ~dst:target
-              (Message.StatGossip { summaries; rounds_left = Routing.stats_relay_rounds })
+            Net.send net ~src:nd.id ~dst:target (Message.StatDigest { entries })
           | _ -> ()
         done
       end)

@@ -14,17 +14,19 @@ val anti_entropy_round : Overlay.t -> unit
 (** [stats_round ov ~sample] makes every alive peer (1) refresh its own
     per-attribute statistics summaries via [sample ~now node] — the
     sampling function lives in the triple layer, which knows how to
-    decode index keys — and (2) push its whole statistics cache to
-    [gossip_fanout] random alive peers (push epidemic; summaries merge
-    newest-wins, see {!Unistore_cache.Statcache}). A receiver relays
-    the summaries that were news to it (an unknown region, or a higher
-    version) to one random alive peer, for up to [stats_relay_rounds]
-    more hops: pushes alone would reach about 3{^r} peers in [r]
-    rounds; with relays, four rounds give over 90% of a 256-peer
-    network every summary. Re-samples of unchanged data are
-    not news, so a converged network sends exactly [gossip_fanout]
-    pushes per alive peer per round. Run inside the simulator; drive it
-    (e.g. [Sim.run_all]) to let pushes arrive. *)
+    decode index keys — and (2) push a digest of its statistics cache,
+    one stamp per region and no content, to [gossip_fanout] random
+    alive peers (see {!Unistore_cache.Statcache.digest}). A receiver
+    adopts later samples of the versions it holds and pulls the regions
+    it lacks; the pushed-back summaries merge newest-wins and carry a
+    relay budget: the puller relays the summaries that were news to it
+    (an unknown region, or a higher version) to one random alive peer,
+    for up to [stats_relay_rounds] more hops. Pushes alone would reach
+    about 3{^r} peers in [r] rounds; with relays, four rounds give over
+    90% of a 256-peer network every summary. Re-samples of unchanged
+    data are neither pulled nor relayed, so a converged network sends
+    exactly [gossip_fanout] digests per alive peer per round. Run inside
+    the simulator; drive it (e.g. [Sim.run_all]) to let pushes arrive. *)
 val stats_round :
   Overlay.t ->
   sample:(now:float -> Node.t -> Unistore_cache.Statcache.summary list) ->

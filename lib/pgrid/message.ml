@@ -72,6 +72,8 @@ type t =
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
   | SyncItems of { items : Store.item list }
+  | StatDigest of { entries : Unistore_cache.Statcache.digest_entry list }
+  | StatPull of { regions : string list }
   | StatGossip of { summaries : Unistore_cache.Statcache.summary list; rounds_left : int }
   | HotSync of {
       region : string * string option;
@@ -119,6 +121,12 @@ let size = function
   | SyncRequest { wanted } ->
     header + List.fold_left (fun acc (k, id) -> acc + String.length k + String.length id) 0 wanted
   | SyncItems { items } -> header + items_bytes items
+  | StatDigest { entries } ->
+    header
+    + List.fold_left
+        (fun acc e -> acc + Unistore_cache.Statcache.digest_entry_bytes e)
+        0 entries
+  | StatPull { regions } -> header + List.fold_left (fun acc r -> acc + String.length r) 0 regions
   | StatGossip { summaries; _ } ->
     header
     + List.fold_left
@@ -146,7 +154,7 @@ let corr = function
   | Probe { rid; _ } ->
     rid
   | Replicate _ | Unreplicate _ | Task _ | SyncDigest _ | SyncRequest _ | SyncItems _
-  | StatGossip _ | HotSync _ ->
+  | StatDigest _ | StatPull _ | StatGossip _ | HotSync _ ->
     -1
 
 let kind = function
@@ -169,5 +177,7 @@ let kind = function
   | SyncDigest _ -> "sync-digest"
   | SyncRequest _ -> "sync-request"
   | SyncItems _ -> "sync-items"
+  | StatDigest _ -> "stat-digest"
+  | StatPull _ -> "stat-pull"
   | StatGossip _ -> "stat-gossip"
   | HotSync _ -> "hot-sync"

@@ -106,9 +106,15 @@ type t =
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
   | SyncItems of { items : Store.item list }
+  | StatDigest of { entries : Unistore_cache.Statcache.digest_entry list }
+      (** the periodic statistics push (see {!Gossip.stats_round}): one
+          stamp per region the sender holds, no content; a receiver
+          answers with a [StatPull] for the regions it lacks *)
+  | StatPull of { regions : string list }
+      (** asks a digest's sender for its summaries of these regions *)
   | StatGossip of { summaries : Unistore_cache.Statcache.summary list; rounds_left : int }
-      (** epidemic spread of sampled per-attribute statistics (see
-          {!Gossip.stats_round}); a receiver relays what was news to it
+      (** sampled per-attribute statistics: the answer to a [StatPull],
+          or a relay of news; a receiver relays what was news to it
           while [rounds_left > 0] *)
   | HotSync of {
       region : string * string option;

@@ -190,11 +190,34 @@ let handle_replicate t (me : Node.t) ~item ~rounds_left =
       (Rng.sample t.rng gossip_fanout me.replicas)
       (Message.Replicate { item; rounds_left = rounds_left - 1 })
 
-(* Rumor mongering for statistics (Demers et al., PODC'87): the periodic
-   push of {!Gossip.stats_round} is anti-entropy, and a peer that learns
-   a summary it did not hold relays just that news to one random alive
-   peer while hops are left. A re-sample of a held version is merged but
-   is not news, so an unchanged network relays nothing. *)
+(* Anti-entropy for statistics: the periodic push of
+   {!Gossip.stats_round} is a digest of region stamps. The receiver
+   adopts later samples of the versions it holds, and pulls the regions
+   it lacks from the sender (van Renesse et al., LADIS'08). *)
+let handle_stat_digest t (me : Node.t) ~src ~entries =
+  match
+    List.filter_map
+      (fun (e : Statcache.digest_entry) ->
+        if Statcache.apply_digest me.stat_cache e then Some e.d_region else None)
+      entries
+  with
+  | [] -> ()
+  | regions -> Net.send t.net ~src:me.id ~dst:src (Message.StatPull { regions })
+
+(* The answer carries the full relay budget, so what was news to the
+   puller spreads on. *)
+let handle_stat_pull t (me : Node.t) ~src ~regions =
+  Net.send t.net ~src:me.id ~dst:src
+    (Message.StatGossip
+       {
+         summaries = Statcache.summaries_of me.stat_cache regions;
+         rounds_left = stats_relay_rounds;
+       })
+
+(* Rumor mongering for statistics (Demers et al., PODC'87): a peer that
+   learns a summary it did not hold relays just that news to one random
+   alive peer while hops are left. A re-sample of a held version is
+   merged but is not news, so an unchanged network relays nothing. *)
 let handle_stat_gossip t (me : Node.t) ~summaries ~rounds_left =
   let news =
     List.filter
@@ -306,6 +329,8 @@ let dispatch t (me : Node.t) ~src msg =
   | Unreplicate { key; item_id } ->
     Store.remove me.store ~key ~item_id;
     Node.bump_epoch me
+  | StatDigest { entries } -> handle_stat_digest t me ~src ~entries
+  | StatPull { regions } -> handle_stat_pull t me ~src ~regions
   | StatGossip { summaries; rounds_left } -> handle_stat_gossip t me ~summaries ~rounds_left
   | HotSync { region; owner; spread; items; retire } ->
     if retire then begin

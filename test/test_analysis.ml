@@ -194,6 +194,24 @@ let test_facade_check_gossiped_stats () =
   | Ok ds -> check_has "check agrees with query" "type-clash" ds
   | Error e -> Alcotest.failf "parse error: %s" e
 
+(* UNION branches bind their variables independently: a variable that
+   is a string in one branch and a number in another is no clash, and
+   the query runs. A clash inside one branch is still an error. *)
+let test_union_branch_types () =
+  let src = "SELECT ?v WHERE { (?x,'name',?v) } UNION { (?x,'age',?v) }" in
+  Alcotest.(check bool) "no clash across branches" false (has "type-clash" (diags ~catalog src));
+  let store = mk_deployment () in
+  (match Unistore.check store src with
+  | Ok ds -> Alcotest.(check bool) "facade check finds no error" false (D.has_errors ds)
+  | Error e -> Alcotest.failf "parse error: %s" e);
+  (match Unistore.query store src with
+  | Ok report ->
+    check Alcotest.int "both branches answer" 4 (List.length report.Unistore.Report.rows)
+  | Error e -> Alcotest.failf "union query refused: %s" e);
+  check_has "clash within one branch" "type-clash"
+    (diags ~catalog
+       "SELECT ?v WHERE { (?x,'name',?v) } UNION { (?x,'age',?v) FILTER edist(?v,'ab') < 2 }")
+
 (* ------------------------------------------------------------------ *)
 (* Trace linter *)
 
@@ -435,6 +453,7 @@ let () =
           Alcotest.test_case "unbound variable" `Quick test_sem_unbound;
           Alcotest.test_case "unbound variable in a UNION branch" `Quick
             test_sem_unbound_in_union_branch;
+          Alcotest.test_case "types per UNION branch" `Quick test_union_branch_types;
           Alcotest.test_case "unused variable" `Quick test_sem_unused;
           Alcotest.test_case "type clash" `Quick test_sem_type_clash;
           Alcotest.test_case "unknown attribute" `Quick test_sem_unknown_attr;

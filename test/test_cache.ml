@@ -338,6 +338,8 @@ let merged =
         (match m with Statcache.Kept -> "Kept" | Resampled -> "Resampled" | News -> "News"))
     ( = )
 
+let fill t batch = List.iter (fun s -> ignore (Statcache.merge t s : Statcache.merged)) batch
+
 let test_statcache_merge_newest_wins () =
   let t = Statcache.create () in
   check merged "first summary adopted" Statcache.News (Statcache.merge t (summary ()));
@@ -408,19 +410,77 @@ let test_statcache_clear_then_merge () =
         summary ~attr:(Printf.sprintf "a%d" (i mod 7)) ~region_lo:(Printf.sprintf "r%02d" i)
           ~version:(i + 1) ~count:i ())
   in
-  let fill t = List.iter (fun s -> ignore (Statcache.merge t s)) batch in
   let used = Statcache.create () in
-  fill used;
+  fill used batch;
   ignore (Statcache.merge used (summary ~attr:"stale" ~version:99 ()));
   Statcache.clear used;
   check Alcotest.int "clear empties" 0 (Statcache.length used);
-  fill used;
+  fill used batch;
   let fresh = Statcache.create () in
-  fill fresh;
+  fill fresh batch;
   check Alcotest.bool "merge -> clear -> merge = fresh" true
     (Statcache.summaries used = Statcache.summaries fresh);
   check Alcotest.int "same total_version" (Statcache.total_version fresh)
     (Statcache.total_version used)
+
+(* Two regions from two replicas' samples; [load] is the r0 sampler's. *)
+let two_region_sample ~sampled_at ~load =
+  [
+    summary ~attr:"age" ~region_lo:"r0" ~version:3 ~count:10 ~sampled_at ~load ();
+    summary ~attr:"name" ~region_lo:"r0" ~version:3 ~count:7 ~sampled_at ~load ();
+    summary ~attr:"age" ~region_lo:"r1" ~peer:2 ~version:5 ~count:20 ~sampled_at ~load:(load / 4)
+      ();
+  ]
+
+(* A cache that holds another's content from an older sample needs only
+   that cache's digest: applying it must leave the same cache as merging
+   the other's full summaries, hot-load memory included. *)
+let test_digest_refreshes_like_full_push () =
+  let source = Statcache.create () in
+  fill source (two_region_sample ~sampled_at:2000.0 ~load:10);
+  let by_digest = Statcache.create () and by_push = Statcache.create () in
+  fill by_digest (two_region_sample ~sampled_at:1000.0 ~load:400);
+  fill by_push (two_region_sample ~sampled_at:1000.0 ~load:400);
+  let lacking = List.filter (Statcache.apply_digest by_digest) (Statcache.digest source) in
+  check Alcotest.int "nothing to pull" 0 (List.length lacking);
+  fill by_push (Statcache.summaries source);
+  check Alcotest.bool "same summaries" true
+    (Statcache.summaries by_digest = Statcache.summaries by_push);
+  let aggregate t = Statcache.aggregate t ~now:5000.0 ~half_life_ms:120_000. in
+  check Alcotest.bool "same decayed aggregates" true (aggregate by_digest = aggregate by_push);
+  check
+    Alcotest.(list (pair string int))
+    "hot loads halve, not vanish" [ ("r0", 200); ("r1", 50) ]
+    (Statcache.region_loads by_digest);
+  check
+    Alcotest.(list (pair string int))
+    "same region loads" (Statcache.region_loads by_push) (Statcache.region_loads by_digest)
+
+let test_digest_asks_for_missing () =
+  let t = Statcache.create () in
+  fill t (two_region_sample ~sampled_at:0.0 ~load:0);
+  check
+    Alcotest.(list (pair string int))
+    "one entry per region, with its attribute count" [ ("r0", 2); ("r1", 1) ]
+    (List.map (fun (e : Statcache.digest_entry) -> (e.d_region, e.d_attrs)) (Statcache.digest t));
+  let entry ?(region = "r0") ?(version = 3) ?(attrs = 2) () =
+    {
+      Statcache.d_region = region;
+      d_peer = 1;
+      d_version = version;
+      d_attrs = attrs;
+      d_sampled_at = 0.0;
+      d_load = 0;
+    }
+  in
+  let lacks what e expected = check Alcotest.bool what expected (Statcache.apply_digest t e) in
+  lacks "unknown region" (entry ~region:"r9" ()) true;
+  lacks "missing attribute" (entry ~attrs:3 ()) true;
+  lacks "lower version held" (entry ~version:4 ()) true;
+  lacks "equal region" (entry ()) false;
+  lacks "higher version held" (entry ~region:"r1" ~version:4 ~attrs:1 ()) false;
+  lacks "more attributes held" (entry ~attrs:1 ()) false;
+  check Alcotest.int "asking changes nothing" 3 (Statcache.length t)
 
 (* ------------------------------------------------------------------ *)
 (* Overlay integration: routing shortcuts *)
@@ -659,7 +719,13 @@ let stat_cache store origin =
   | Some ov -> (Overlay.node ov origin).Node.stat_cache
   | None -> Alcotest.fail "P-Grid deployment expected"
 
-let stat_gossip_sent store = Metrics.counter (Unistore.metrics store) "net.sent.stat-gossip"
+let stat_kinds = [ "stat-digest"; "stat-pull"; "stat-gossip" ]
+let sent store kind = Metrics.counter (Unistore.metrics store) ("net.sent." ^ kind)
+
+let stat_bytes store =
+  List.fold_left
+    (fun acc kind -> acc + Metrics.counter (Unistore.metrics store) ("net.bytes.sent." ^ kind))
+    0 stat_kinds
 
 (* A plain fanout-2 push reaches about 3^r peers in r rounds, 81 of 128
    after four; relaying news lets every origin hear every region. With
@@ -686,10 +752,12 @@ let test_stats_converge_in_four_rounds () =
     [ 0; 31; 64; 97; gossip_peers - 1 ]
 
 (* Once every peer holds every region's current summary, a round's
-   re-samples are no news: it sends exactly its fanout pushes per alive
-   peer. A write raises its owner's version, and that news is relayed.
-   (After four rounds a few of the 128 peers still miss a summary; a
-   round or two more completes them.) *)
+   re-samples move only the region stamps: it sends exactly its fanout
+   digests per alive peer, and nobody pulls or relays. Those digests
+   weigh far less than pushing whole caches would. A write raises its
+   owner's version, and that region is pulled and relayed. (After four
+   rounds a few of the 128 peers may still miss a summary; a round or
+   two more completes them.) *)
 let test_converged_round_relays_nothing () =
   let store, _ = gossip_store () in
   let held () =
@@ -705,22 +773,49 @@ let test_converged_round_relays_nothing () =
   in
   converge 1;
   let alive = List.length (Unistore.alive_peers store) in
+  let fanout = Unistore_pgrid.Routing.gossip_fanout in
   let round () =
-    let before = stat_gossip_sent store in
+    let before = List.map (sent store) stat_kinds and bytes = stat_bytes store in
     Unistore.gossip_stats_round store;
-    stat_gossip_sent store - before
+    (List.map2 (fun kind n -> sent store kind - n) stat_kinds before, stat_bytes store - bytes)
   in
-  check Alcotest.int "converged round: fanout pushes per alive peer"
-    (Unistore_pgrid.Routing.gossip_fanout * alive)
-    (round ());
+  let whole_cache =
+    fanout * alive
+    * List.fold_left
+        (fun acc s -> acc + Statcache.summary_bytes s)
+        0
+        (Statcache.summaries (stat_cache store 0))
+  in
+  let counts, bytes = round () in
+  check
+    Alcotest.(list int)
+    "converged round: fanout digests per alive peer, no pull, no relay"
+    [ fanout * alive; 0; 0 ] counts;
+  if 5 * bytes >= whole_cache then
+    Alcotest.failf "a converged round sent %d B of statistics, %d B would push whole caches" bytes
+      whole_cache;
   Alcotest.(check bool) "write lands" true
     (Unistore.insert_triple store (Triple.make ~oid:"gossiptest" ~attr:"age" (Value.I 99)));
-  let after_write = round () in
-  if after_write <= Unistore_pgrid.Routing.gossip_fanout * alive then
-    Alcotest.failf "a round after a write sent %d stat-gossip messages: no relays" after_write
+  match round () with
+  | [ _; pulls; relays ], _ when pulls + relays > 0 -> ()
+  | _ -> Alcotest.fail "a round after a write pulled and relayed nothing"
 
-(* Relay targets come from the overlay's seeded generator: two
-   same-seed deployments gossip identically. *)
+(* Five rounds give every peer of a 256-peer deployment every summary:
+   pulls move whole regions, and their news is relayed on. *)
+let test_stats_complete_at_256 () =
+  let store, _ = make_store ~peers:256 ~authors:200 () in
+  for _ = 1 to 5 do
+    Unistore.gossip_stats_round store
+  done;
+  let keys p =
+    List.map (fun (s : Statcache.summary) -> (s.attr, s.region_lo)) (Statcache.summaries (stat_cache store p))
+  in
+  let all = List.sort_uniq compare (List.concat (List.init 256 keys)) in
+  let complete = List.length (List.filter (fun p -> keys p = all) (List.init 256 Fun.id)) in
+  check Alcotest.int "peers holding every summary" 256 complete
+
+(* Digest and relay targets come from the overlay's seeded generator:
+   two same-seed deployments push, pull and relay identically. *)
 let test_stat_gossip_deterministic () =
   let gossip_trace () =
     let store, _ = gossip_store () in
@@ -731,11 +826,14 @@ let test_stat_gossip_deterministic () =
     Unistore.stop_trace store;
     List.filter_map
       (fun (e : Unistore_sim.Trace.event) ->
-        if String.equal e.kind "stat-gossip" then Some (e.time, e.src, e.dst, e.bytes) else None)
+        if List.mem e.kind stat_kinds then Some (e.time, e.kind, e.src, e.dst, e.bytes) else None)
       (Unistore_sim.Trace.events trace)
   in
   let a = gossip_trace () in
-  Alcotest.(check bool) "gossip traced" true (a <> []);
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " traced") true (List.exists (fun (_, k, _, _, _) -> k = kind) a))
+    stat_kinds;
   Alcotest.(check bool) "same seed, same stat-gossip trace" true (a = gossip_trace ())
 
 (* ------------------------------------------------------------------ *)
@@ -1203,6 +1301,10 @@ let () =
           Alcotest.test_case "fresh caches share nothing" `Quick
             test_statcache_fresh_caches_independent;
           Alcotest.test_case "merge/clear/merge = fresh" `Quick test_statcache_clear_then_merge;
+          Alcotest.test_case "a digest refreshes like a full push" `Quick
+            test_digest_refreshes_like_full_push;
+          Alcotest.test_case "a digest asks for what is missing" `Quick
+            test_digest_asks_for_missing;
         ] );
       ( "overlay-shortcuts",
         [
@@ -1223,6 +1325,7 @@ let () =
             test_converged_round_relays_nothing;
           Alcotest.test_case "same seed, same stat-gossip trace" `Quick
             test_stat_gossip_deterministic;
+          Alcotest.test_case "5 rounds complete 256 peers" `Quick test_stats_complete_at_256;
         ] );
       ( "gossiped-stats",
         [

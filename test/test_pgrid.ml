@@ -1069,6 +1069,21 @@ let message_witnesses =
     Message.SyncDigest { digest = [ ("k", "i", 1) ] };
     Message.SyncRequest { wanted = [ ("k", "i") ] };
     Message.SyncItems { items = [ it ] };
+    Message.StatDigest
+      {
+        entries =
+          [
+            {
+              Unistore_cache.Statcache.d_region = "r";
+              d_peer = 0;
+              d_version = 1;
+              d_attrs = 2;
+              d_sampled_at = 0.0;
+              d_load = 0;
+            };
+          ];
+      };
+    Message.StatPull { regions = [ "r" ] };
     Message.StatGossip { summaries = []; rounds_left = 0 };
   ]
 
