@@ -28,7 +28,8 @@ let subsection title = Printf.printf "\n-- %s --\n" title
 
 (* Build a deployment preloaded with a publications dataset. *)
 let build_pubs ?(peers = 64) ?(authors = 40) ?(seed = 42) ?(latency = Latency.Lan)
-    ?(overlay = Unistore.Pgrid) ?(replication = 2) ?(typo_rate = 0.1) ?(qgrams = true) () =
+    ?(overlay = Unistore.Pgrid) ?(replication = 2) ?(typo_rate = 0.1) ?(qgrams = true)
+    ?(cache = true) () =
   let rng = Rng.create (seed + 1) in
   let ds =
     Publications.generate rng { Publications.default_params with n_authors = authors; typo_rate }
@@ -44,6 +45,7 @@ let build_pubs ?(peers = 64) ?(authors = 40) ?(seed = 42) ?(latency = Latency.La
         overlay;
         replication;
         qgram_index = qgrams;
+        cache;
       }
   in
   ignore (Unistore.load store ds.Publications.tuples);

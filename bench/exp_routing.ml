@@ -1,15 +1,19 @@
-(* E13: routing strategies — random vs. topology-aware reference choice.
+(* E13: routing strategies — how to break ties among the deepest
+   references.
 
    Paper (§1/§4): physical query processing "should exploit the features
    of the underlying infrastructure (e.g., hash-based placement,
    topology-aware routing ...)"; the demo planned to show "benefits we
    earn from implementing different ... routing techniques".
 
-   Every routing step picks one of up to [refs_per_level] references into
-   the target subtree. Random choice balances load; proximity-aware
-   choice (pick the lowest-base-latency ref, as learned from keep-alive
-   RTTs) trades that for latency. Under a LAN model the difference is
-   noise; under the PlanetLab model it is substantial. *)
+   Every routing step forwards to the reference whose path shares the
+   longest prefix with the key; several of a level's [refs_per_level]
+   references often tie. The two arms differ only in how such ties
+   break: at random, which balances load, or to the nearest tied ref
+   (lowest base latency, as learned from keep-alive RTTs), which trades
+   that for latency. Routing shortcuts are off, so every hop is a
+   routing decision. The verdict compares the PlanetLab rows: under a
+   LAN model the difference is noise. *)
 
 module Rng = Unistore_util.Rng
 module Stats = Unistore_util.Stats
@@ -26,7 +30,9 @@ let run_one ~model ~proximity =
   let sim = Unistore_sim.Sim.create () in
   let rng = Rng.create 141 in
   let latency = Latency.create model ~n ~rng in
-  let config = { Config.default with Config.proximity_routing = proximity; refs_per_level = 4 } in
+  let config =
+    { Config.default with Config.proximity_routing = proximity; refs_per_level = 4; shortcut_capacity = 0 }
+  in
   let data_rng = Rng.create 142 in
   let ds = Publications.generate data_rng { Publications.default_params with n_authors = 40 } in
   let ov =
@@ -60,32 +66,42 @@ let run_one ~model ~proximity =
   (Stats.summarize !lats, Stats.summarize !hops)
 
 let run () =
-  Common.section "E13: routing techniques — random vs. topology-aware"
+  Common.section "E13: routing techniques — random vs. nearest among the deepest references"
     "\"benefits we earn from implementing different query processing strategies, \
      routing techniques and indexing methods\" (paper section 4)";
-  let rows = ref [] in
-  List.iter
-    (fun (mname, model) ->
-      List.iter
-        (fun proximity ->
-          let lat, hops = run_one ~model ~proximity in
-          rows :=
-            [
-              mname;
-              (if proximity then "proximity" else "random");
-              Common.f2 hops.Stats.mean;
-              Common.f1 lat.Stats.mean;
-              Common.f1 lat.Stats.p90;
-              Common.f1 lat.Stats.p99;
-            ]
-            :: !rows)
-        [ false; true ])
-    [ ("lan", Latency.Lan); ("planetlab", Latency.Planetlab) ];
+  let measured =
+    List.concat_map
+      (fun (mname, model) ->
+        List.map
+          (fun proximity ->
+            let lat, hops = run_one ~model ~proximity in
+            (mname, proximity, lat, hops))
+          [ false; true ])
+      [ ("lan", Latency.Lan); ("planetlab", Latency.Planetlab) ]
+  in
   Common.print_table
     [ "latency model"; "ref choice"; "hops_mean"; "lat_mean_ms"; "lat_p90"; "lat_p99" ]
-    (List.rev !rows);
+    (List.map
+       (fun (mname, proximity, (lat : Stats.summary), (hops : Stats.summary)) ->
+         [
+           mname;
+           (if proximity then "deepest, nearest tie" else "deepest, random tie");
+           Common.f2 hops.Stats.mean;
+           Common.f1 lat.Stats.mean;
+           Common.f1 lat.Stats.p90;
+           Common.f1 lat.Stats.p99;
+         ])
+       measured);
+  let planetlab proximity = List.find (fun (m, p, _, _) -> m = "planetlab" && p = proximity) measured in
+  let _, _, rlat, rhops = planetlab false and _, _, plat, phops = planetlab true in
+  let cut a b = 100.0 *. (1.0 -. (b /. a)) in
+  let mean_cut = cut rlat.Stats.mean plat.Stats.mean and p99_cut = cut rlat.Stats.p99 plat.Stats.p99 in
+  (* A tie-break cuts latency only through which tied ref it picks, so
+     it counts as a benefit from a 5% cut of the mean on. *)
   Printf.printf
-    "\nverdict: hop counts are identical (same trie), but picking the nearest \
-     reference at each hop cuts wide-area lookup latency substantially; on a \
-     LAN the choice is irrelevant — exactly the 'depends on network state' \
-     behaviour the demo advertises\n"
+    "\nverdict: on PlanetLab latency, breaking ties toward the nearest reference %s mean lookup \
+     latency by %.0f%% (p99 by %.0f%%) at %.2f against %.2f hops: %s\n"
+    (if mean_cut >= 0.0 then "cuts" else "raises")
+    (Float.abs mean_cut) p99_cut phops.Stats.mean rhops.Stats.mean
+    (if mean_cut >= 5.0 then "topology-aware routing pays, as the demo advertises"
+     else "NOT reproduced: the tie-break makes no measurable difference")

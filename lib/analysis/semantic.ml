@@ -41,8 +41,13 @@ let check_bound q =
   let bound_anywhere = List.concat_map (fun (ps, _) -> List.concat_map Ast.pattern_vars ps) branches in
   if q.Ast.patterns = [] then
     add (D.make ~severity:D.Error ~code:"no-patterns" "query has no triple patterns");
-  if List.exists (fun (ps, _) -> ps = []) q.Ast.union_branches then
-    add (D.make ~severity:D.Error ~code:"no-patterns" "UNION branch has no triple patterns");
+  List.iteri
+    (fun b (ps, _) ->
+      if ps = [] then
+        add
+          (D.make ~span:(Ast.branch_span q (b + 1)) ~severity:D.Error ~code:"no-patterns"
+             "UNION branch has no triple patterns"))
+    q.Ast.union_branches;
   (match q.Ast.projection with
   | Some [] -> add (D.make ~span:q.Ast.proj_span ~severity:D.Error ~code:"empty-projection" "empty projection")
   | Some vs ->

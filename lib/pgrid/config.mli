@@ -18,8 +18,10 @@ type t = {
           ([+-retry_jitter * timeout]); [0.0] = deterministic timeouts,
           desynchronizes retry storms otherwise *)
   proximity_routing : bool;
-      (** when true, forward to the ref with the lowest base latency
-          (topology-aware routing); otherwise pick uniformly *)
+      (** routing forwards to the refs that share the longest prefix
+          with the key; when true, the one of them with the lowest base
+          latency wins (topology-aware routing), otherwise one picked
+          uniformly *)
   max_hops : int;
       (** messages are not forwarded beyond this hop count (loop
           protection in not-yet-converged overlays); a range cut short

@@ -21,6 +21,7 @@ let create = Routing.create
 let config = Routing.config
 let metrics = Routing.metrics
 let split_batch = Routing.split_batch
+let choose_ref = Routing.choose_ref
 let sim t = t.sim
 let net t = t.net
 let rng t = t.rng

@@ -222,6 +222,16 @@ val multi_lookup :
     first level where the batch's first and last keys part. *)
 val split_batch : Node.t -> key_of:('a -> string) -> 'a list -> 'a list * (int * 'a list) list
 
+(** [choose_ref t me ?key level] is the reference [me] forwards to at
+    [level]: among the level's reachable references (or, when every one
+    looks failed, reachable replicas of them, the pick then learned as a
+    reference) those whose path agrees with [key] for the most levels,
+    a peer covering [key] deepest of all; ties, and every candidate when
+    there is no [key], break by one random draw, or by the lowest base
+    latency under [proximity_routing]. [None] when the level has no
+    candidate. *)
+val choose_ref : t -> Node.t -> ?key:string -> int -> int option
+
 (** [send_task t ~src ~dst ~bytes f] ships an application-level computation
     (e.g. a mutant query plan) to [dst]; [f] runs there on arrival. Counted
     as one message of [bytes] payload. [f] is not run if [dst] is dead. *)

@@ -1,6 +1,8 @@
 (* The overlay's state and its forwarding paths for routed messages:
-   greedy prefix routing with replica failover, the origin's shortcut
-   cache, one routed hop of a single-key request and one hop of a batch.
+   greedy prefix routing, each hop to the reference whose path shares
+   the longest prefix with the key, with replica failover; the origin's
+   shortcut cache; one routed hop of a single-key request and one hop of
+   a batch.
    Showers are in {!Shower}; the message dispatcher and the public
    operations are in {!Overlay}. *)
 
@@ -85,12 +87,35 @@ let failover_candidates t me refs =
     (Array.to_list refs)
   |> List.sort_uniq compare
 
+(* The first level from [from] on at which [key] leaves [nd]'s path;
+   [max_int] when [nd] covers [key]. *)
+let match_depth (nd : Node.t) ~from key =
+  let len = Bitkey.length nd.Node.path in
+  let rec go l =
+    if l >= len then max_int
+    else if Node.key_side nd ~level:l key <> Bitkey.get nd.Node.path l then l
+    else go (l + 1)
+  in
+  go from
+
 (* Routing prefers reachable refs; if every ref of a level looks failed
    we fail over to a reachable replica of one of them (and learn it as a
    ref); with no replica reachable either we still try one, and the
    request times out and retries. The common case, every ref reachable,
-   picks straight from the table without building a candidate list. *)
-let choose_ref t (me : Node.t) level =
+   picks straight from the table without building a candidate list.
+
+   Among the candidates, a [key] picks those whose path agrees with it
+   for the most levels, as Pastry and Kademlia forward to the known peer
+   closest to the key: a candidate that covers [key] ranks above all
+   others. A P-Grid routing table holds its peers' paths, so we read
+   each candidate's [path]/[splits] through the node arena, as
+   [failover_candidates] reads their replica lists. Every candidate lies
+   in the subtree [key] branches into at [level], so it shares the key's
+   first [level + 1] levels and the comparison starts after them.
+   Without a key (a batch group spans many subtrees) every candidate
+   ties. Ties break with one random draw, which spreads load over equally
+   deep refs; with [proximity_routing], the nearest of them wins. *)
+let choose_ref t (me : Node.t) ?key level =
   let refs = Node.refs_at me level in
   let candidates, failing_over =
     if Array.for_all (reachable t me) refs then (refs, false)
@@ -102,20 +127,29 @@ let choose_ref t (me : Node.t) level =
         | alts -> (Array.of_list alts, true))
       | alive -> (Array.of_list alive, false)
   in
+  let from = level + 1 in
+  let depth p =
+    match (key, find_node t p) with
+    | Some key, Some nd -> match_depth nd ~from key
+    | _ -> from
+  in
+  let depths = Array.map depth candidates in
+  let deepest = Array.fold_left max min_int depths in
+  let tied = List.filteri (fun i _ -> depths.(i) = deepest) (Array.to_list candidates) in
   let chosen =
-    match Array.length candidates with
-    | 0 -> None
+    match tied with
+    | [] -> None
     | _ when (config t).proximity_routing ->
       let lat = Net.latency t.net in
       let best =
-        Array.fold_left
+        List.fold_left
           (fun acc p ->
             let c = Latency.base lat ~src:me.id ~dst:p in
             match acc with Some (_, c0) when c0 <= c -> acc | _ -> Some (p, c))
-          None candidates
+          None tied
       in
       Option.map fst best
-    | n -> Some candidates.(Rng.int t.rng n)
+    | _ -> Some (List.nth tied (Rng.int t.rng (List.length tied)))
   in
   (match chosen with
   | Some p when failing_over ->
@@ -127,13 +161,14 @@ let choose_ref t (me : Node.t) level =
   chosen
 
 (* [`Local] if [me] covers [key]: greedy prefix routing forwards at the
-   first level where the key branches away from [me]'s path. *)
+   first level where the key branches away from [me]'s path, to that
+   level's reference deepest along [key] ([choose_ref]). *)
 let route_step t (me : Node.t) key =
   let len = Bitkey.length me.path in
   let rec go l =
     if l >= len then `Local
     else if Node.key_side me ~level:l key <> Bitkey.get me.path l then begin
-      match choose_ref t me l with Some p -> `Forward p | None -> `Stuck
+      match choose_ref t me ~key l with Some p -> `Forward p | None -> `Stuck
     end
     else go (l + 1)
   in
@@ -237,7 +272,8 @@ let split_batch (me : Node.t) ~key_of xs =
 (* One hop of a batch at [me]: [local share] serves what [me] covers,
    then each other group goes to one reference of its level as
    [forward group hops'], counted under [batches] with its size observed
-   under [sizes]. *)
+   under [sizes]. A group spans many subtrees, so no one key ranks the
+   references: [choose_ref] picks among them at random. *)
 let route_batch t (me : Node.t) ~hops ~key_of ~batches ~sizes xs ~local ~forward =
   let share, forwards = split_batch me ~key_of xs in
   if share <> [] then local share;

@@ -24,8 +24,10 @@ let report_hit t (me : Node.t) ~rid ~token ~origin ~hops ~items ~targets =
 
 (* The shower split of the clip at [me]: one (ref, sub-clip) per
    complementary subtree intersecting it, computed level by level from
-   [me]'s own split boundaries — plus one [Message.hop_limited] target
-   per such sub-clip when the hop limit forbids forwarding any. *)
+   [me]'s own split boundaries, each ref the one deepest along its
+   sub-clip's low end, where the sub-clip's first leaf lies — plus one
+   [Message.hop_limited] target per such sub-clip when the hop limit
+   forbids forwarding any. *)
 let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
   let acc = ref [] and cut = ref [] in
   let len = Bitkey.length me.path in
@@ -37,7 +39,7 @@ let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
     (match interval_intersect (clip_lo, clip_hi) sibling with
     | Some _ when too_far t hops -> cut := Message.hop_limited :: !cut
     | Some (lo', hi') -> (
-      match choose_ref t me l with Some p -> acc := (p, lo', hi') :: !acc | None -> ())
+      match choose_ref t me ~key:lo' l with Some p -> acc := (p, lo', hi') :: !acc | None -> ())
     | None -> ());
     if mybit then plo := boundary else phi := Some boundary
   done;

@@ -32,6 +32,7 @@ type query = {
   filter_spans : Loc.t list;
   union_branches : (pattern list * expr list) list;
   union_filter_spans : Loc.t list list;
+  union_spans : Loc.t list;
   order : order_clause option;
   limit : int option;
   proj_span : Loc.t;
@@ -40,7 +41,8 @@ type query = {
 }
 
 let mk_query ?(distinct = false) ?projection ?(filters = []) ?(filter_spans = [])
-    ?(union_branches = []) ?(union_filter_spans = []) ?order ?limit ?(proj_span = Loc.dummy)
+    ?(union_branches = []) ?(union_filter_spans = []) ?(union_spans = []) ?order ?limit
+    ?(proj_span = Loc.dummy)
     ?(order_span = Loc.dummy) ?(limit_span = Loc.dummy) patterns =
   {
     distinct;
@@ -50,6 +52,7 @@ let mk_query ?(distinct = false) ?projection ?(filters = []) ?(filter_spans = []
     filter_spans;
     union_branches;
     union_filter_spans;
+    union_spans;
     order;
     limit;
     proj_span;
@@ -68,6 +71,9 @@ let branch_filter_span q b i =
     match List.nth_opt q.union_filter_spans (b - 1) with
     | Some spans -> Option.value ~default:Loc.dummy (List.nth_opt spans i)
     | None -> Loc.dummy
+
+let branch_span q b =
+  match List.nth_opt q.union_spans (b - 1) with Some s when b >= 1 -> s | _ -> Loc.dummy
 
 let term_vars = function TVar v -> [ v ] | TConst _ -> []
 

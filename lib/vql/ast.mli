@@ -55,6 +55,9 @@ type query = {
   union_filter_spans : Loc.t list list;
       (** spans of each union branch's filters, like [filter_spans];
           may be shorter — use {!branch_filter_span} *)
+  union_spans : Loc.t list;
+      (** span of each union branch's braces, like [filter_spans];
+          may be shorter — use {!branch_span} *)
   order : order_clause option;
   limit : int option;
   proj_span : Loc.t;  (** span of the projection list *)
@@ -72,6 +75,7 @@ val mk_query :
   ?filter_spans:Loc.t list ->
   ?union_branches:(pattern list * expr list) list ->
   ?union_filter_spans:Loc.t list list ->
+  ?union_spans:Loc.t list ->
   ?order:order_clause ->
   ?limit:int ->
   ?proj_span:Loc.t ->
@@ -88,6 +92,10 @@ val filter_span : query -> int -> Loc.t
     branch [b] (0 = the main group, [b >= 1] = [union_branches] entry
     [b - 1]), or {!Loc.dummy} if unrecorded. *)
 val branch_filter_span : query -> int -> int -> Loc.t
+
+(** [branch_span q b] is the span of union branch [b] (as in
+    {!branch_filter_span}, [b >= 1]), or {!Loc.dummy} if unrecorded. *)
+val branch_span : query -> int -> Loc.t
 
 (** Variables mentioned by a pattern / expression / query (sorted,
     deduplicated). *)

@@ -209,7 +209,9 @@ let parse_query st =
   if patterns = [] then fail st "WHERE block needs at least one triple pattern";
   let union_branches = ref [] in
   while accept st Lexer.UNION do
-    union_branches := parse_group st :: !union_branches
+    let start = tok_span st in
+    let group = parse_group st in
+    union_branches := (group, Loc.union start st.last) :: !union_branches
   done;
   let union_branches = List.rev !union_branches in
   let order_start = tok_span st in
@@ -239,8 +241,9 @@ let parse_query st =
   mk_query ~distinct ?projection
     ~filters:(List.map fst filters_spanned)
     ~filter_spans:(List.map snd filters_spanned)
-    ~union_branches:(List.map (fun (ps, fs) -> (ps, List.map fst fs)) union_branches)
-    ~union_filter_spans:(List.map (fun (_, fs) -> List.map snd fs) union_branches)
+    ~union_branches:(List.map (fun ((ps, fs), _) -> (ps, List.map fst fs)) union_branches)
+    ~union_filter_spans:(List.map (fun ((_, fs), _) -> List.map snd fs) union_branches)
+    ~union_spans:(List.map snd union_branches)
     ?order ?limit ~proj_span ~order_span ~limit_span patterns
 
 (* rustc-style rendering: position, message, offending source line and a

@@ -89,6 +89,18 @@ let test_sem_unbound_in_union_branch () =
   in
   check Alcotest.int "span starts at the branch's filter" filter_at d.D.span.Unistore_vql.Loc.start
 
+(* An empty UNION branch's error points at the branch's braces, as the
+   other findings in a branch do. *)
+let test_empty_union_branch_positioned () =
+  let src = "SELECT ?x WHERE { (?x,'name',?v) } UNION { }" in
+  let d =
+    match List.find_opt (fun (d : D.t) -> d.D.code = "no-patterns") (diags src) with
+    | Some d -> d
+    | None -> Alcotest.fail "empty UNION branch not reported"
+  in
+  check Alcotest.int "span starts at the branch's brace" (String.rindex src '{')
+    d.D.span.Unistore_vql.Loc.start
+
 let test_sem_unused () =
   check_has "bound once, never used" "unused-var"
     (diags "SELECT ?v WHERE { (?a,'name',?v) (?a,'age',?w) }")
@@ -454,6 +466,8 @@ let () =
           Alcotest.test_case "unbound variable in a UNION branch" `Quick
             test_sem_unbound_in_union_branch;
           Alcotest.test_case "types per UNION branch" `Quick test_union_branch_types;
+          Alcotest.test_case "empty UNION branch is positioned" `Quick
+            test_empty_union_branch_positioned;
           Alcotest.test_case "unused variable" `Quick test_sem_unused;
           Alcotest.test_case "type clash" `Quick test_sem_type_clash;
           Alcotest.test_case "unknown attribute" `Quick test_sem_unknown_attr;

@@ -558,6 +558,116 @@ let test_hops_logarithmic () =
     true
     (s.Stats.mean <= 10.0)
 
+(* ------------------------------------------------------------------ *)
+(* Reference choice *)
+
+(* The levels of [nd]'s path that [key] agrees with, counted from the
+   root; [max_int] when [nd] covers [key]. *)
+let shared_levels (nd : Node.t) key =
+  if Node.covers nd key then max_int
+  else
+    let rec go l =
+      if Node.key_side nd ~level:l key = Bitkey.get nd.Node.path l then go (l + 1) else l
+    in
+    go 0
+
+(* The level at which [key] leaves [me]'s path, [None] if [me] covers it. *)
+let branch_level (me : Node.t) key =
+  let len = Bitkey.length me.Node.path in
+  let rec go l =
+    if l >= len then None
+    else if Node.key_side me ~level:l key <> Bitkey.get me.Node.path l then Some l
+    else go (l + 1)
+  in
+  go 0
+
+(* Every (peer, level, key) of a seeded 512-peer build where the key
+   leaves the peer's path at [level], with that level's references and
+   their shared levels with the key. *)
+let reference_choices () =
+  let keys = random_words (Rng.create 61) 2000 in
+  let ov = build_overlay ~n:512 ~seed:62 ~keys () in
+  let krng = Rng.create 63 in
+  let choices =
+    List.concat_map
+      (fun (me : Node.t) ->
+        List.filter_map
+          (fun key ->
+            match branch_level me key with
+            | None -> None
+            | Some level ->
+              let refs = Array.to_list (Node.refs_at me level) in
+              Some (me, level, key, List.map (fun p -> (p, shared_levels (Overlay.node ov p) key)) refs))
+          (random_words krng 6))
+      (Overlay.nodes ov)
+  in
+  (ov, choices)
+
+let deepest refs = List.fold_left (fun d (_, s) -> max d s) min_int refs
+
+let test_next_hop_deepest () =
+  let ov, choices = reference_choices () in
+  let uneven = ref 0 in
+  List.iter
+    (fun ((me : Node.t), level, key, refs) ->
+      let best = deepest refs in
+      if List.exists (fun (_, s) -> s <> best) refs then incr uneven;
+      match Overlay.choose_ref ov me ~key level with
+      | None -> Alcotest.failf "peer %d has no reference at level %d" me.Node.id level
+      | Some p ->
+        let got = shared_levels (Overlay.node ov p) key in
+        if got <> best then
+          Alcotest.failf "peer %d, key %S, level %d: chose %d sharing %d levels, best shares %d"
+            me.Node.id key level p got best)
+    choices;
+  (* The check means something only where the references differ. *)
+  Alcotest.(check bool) (Printf.sprintf "%d choices among uneven refs" !uneven) true (!uneven > 100)
+
+let test_tied_refs_share_load () =
+  let ov, choices = reference_choices () in
+  let tied =
+    List.filter_map
+      (fun (me, level, key, refs) ->
+        let best = deepest refs in
+        match List.filter (fun (_, s) -> s = best) refs with
+        | _ :: _ :: _ as t -> Some (me, level, key, List.map fst t)
+        | _ -> None)
+      choices
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d choices with tied refs" (List.length tied)) true
+    (List.length tied > 100);
+  List.iter
+    (fun ((me : Node.t), level, key, peers) ->
+      let picked = List.init 60 (fun _ -> Overlay.choose_ref ov me ~key level) in
+      List.iter
+        (fun p ->
+          if not (List.mem (Some p) picked) then
+            Alcotest.failf "peer %d, key %S, level %d: tied ref %d never picked in 60 choices"
+              me.Node.id key level p)
+        peers)
+    (List.filteri (fun i _ -> i mod 10 = 0) tied)
+
+(* Cold routing (no shortcuts): choosing the deepest reference skips
+   levels, so a lookup takes well under one hop per trie level. *)
+let test_cold_hops_vs_depth () =
+  let keys = random_words (Rng.create 71) 3000 in
+  let config = { Config.default with shortcut_capacity = 0 } in
+  let ov = build_overlay ~n:1024 ~seed:72 ~config ~keys () in
+  let rng = Rng.create 73 in
+  let hops =
+    List.map
+      (fun key ->
+        let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:(Rng.int rng 1024) ~key ~k) in
+        float_of_int r.Overlay.hops)
+      (Rng.sample rng 400 keys)
+  in
+  let mean = (Stats.summarize hops).Stats.mean in
+  let depth = float_of_int (Overlay.depth ov) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean hops %.2f <= 0.35 x depth %.0f" mean depth)
+    true
+    (mean <= 0.35 *. depth)
+
 let test_failure_lookup_retries () =
   let config = { Config.default with replication = 3; retries = 3; timeout_ms = 500.0 } in
   let rng = Rng.create 10 in
@@ -1245,10 +1355,21 @@ let prop_failover_any_kill_set =
    and times, the four ranges' latency and peers hit, and the later
    send times; with LAN latency and loss the reordered hit sends draw
    every later latency and loss from a different place in the stream,
-   so everything after the first shower moved. *)
+   so everything after the first shower moved. And again when each hop
+   began going to the reference whose path shares the longest prefix
+   with the key: on a copy with constant latency and no loss, every
+   item list and completeness stayed the same except under
+   [max_hops = 1], where a partial answer holds what one hop reaches
+   (the hop-limited sequential range now finds the 13 items its deepest
+   first hop covers) and which shower peer is killed; hops, peers hit,
+   latencies and counters moved. With LAN latency and loss the draws
+   moved too: one [Unreplicate] of a delete was dropped, so two later
+   ranges read the deleted item from that replica, and the hop-limited
+   bulk, whose groups still go to random references, drew one that
+   could not place its items within the hop limit. *)
 
-let golden_overlay_trace = (1379, "f1f1a5f74159f99d0cab93089e8fb58f")
-let golden_overlay_results = (310, "118626e8f5cdf403e86013ad5a21fa50")
+let golden_overlay_trace = (1306, "b97cb010ebe59b08d702a09c14b4e7ec")
+let golden_overlay_results = (312, "b06405bf34793fc6a3adda1ca8f5ea6e")
 
 let overlay_session () =
   let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
@@ -1620,6 +1741,13 @@ let () =
           prop_multi_lookup_size;
           prop_multi_found_size;
           prop_range_hit_size;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "next hop is the deepest reference" `Quick test_next_hop_deepest;
+          Alcotest.test_case "tied references share the load" `Quick test_tied_refs_share_load;
+          Alcotest.test_case "cold mean hops at 1024 peers <= 0.35 x depth" `Quick
+            test_cold_hops_vs_depth;
         ] );
       ("failover", [ prop_failover_any_kill_set ]);
       ("batch", [ prop_split_batch_matches_reference ]);
