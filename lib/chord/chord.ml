@@ -3,6 +3,7 @@ module Sim = Unistore_sim.Sim
 module Net = Unistore_sim.Net
 module Latency = Unistore_sim.Latency
 module Store = Unistore_pgrid.Store
+module Wire = Unistore_pgrid.Wire
 
 type result = Store.result = {
   items : Store.item list;
@@ -43,15 +44,15 @@ type msg =
   | Task of { bytes : int; run : int -> unit }
 
 let msg_size = function
-  | Put { item; _ } -> 20 + Store.item_bytes item
+  | Put { item; _ } -> 20 + Wire.items_bytes [ item ]
   | PutAck _ -> 20
   | Get { key; _ } -> 20 + String.length key
-  | Got { items; _ } -> 20 + List.fold_left (fun a i -> a + Store.item_bytes i) 0 items
-  | Replica { item } -> 20 + Store.item_bytes item
+  | Got { items; _ } -> 20 + Wire.items_bytes items
+  | Replica { item } -> 20 + Wire.items_bytes [ item ]
   | Del { key; item_id; _ } -> 20 + String.length key + String.length item_id
   | Unreplica { key; item_id } -> 20 + String.length key + String.length item_id
   | Bcast _ -> 40
-  | BcastHit { items; _ } -> 20 + List.fold_left (fun a i -> a + Store.item_bytes i) 0 items
+  | BcastHit { items; _ } -> 20 + Wire.items_bytes items
   | Task { bytes; _ } -> 20 + bytes
 
 let msg_kind = function

@@ -220,7 +220,7 @@ let join ov ~id ~bootstrap =
         group;
       (* State transfer: the bootstrap ships its data to the newcomer. *)
       let items = Store.to_list b.Node.store in
-      let bytes = List.fold_left (fun acc i -> acc + Store.item_bytes i) 0 items in
+      let bytes = Wire.items_bytes items in
       Overlay.send_task ov ~src:bootstrap ~dst:id ~bytes (fun _ ->
           List.iter (fun i -> ignore (Store.put nd.Node.store i)) items;
           joined := true));
@@ -268,9 +268,9 @@ let do_exchange ov ~config ~split_threshold a_id b_id =
   let rng = Overlay.rng ov in
   let moved_bytes = ref 0 in
   let transfer items (dst : Node.t) =
+    moved_bytes := !moved_bytes + Wire.items_bytes items;
     List.iter
       (fun (i : Store.item) ->
-        moved_bytes := !moved_bytes + Store.item_bytes i;
         if Node.covers dst i.Store.key then ignore (Store.put dst.store i)
         else
           (* Neither side covers it any more: hand it back to the network.
@@ -334,12 +334,9 @@ let do_exchange ov ~config ~split_threshold a_id b_id =
       Node.add_replica nb a_id;
       (* Anti-entropy between fresh replicas. *)
       let a_items = Store.to_list na.store and b_items = Store.to_list nb.store in
-      List.iter
-        (fun i -> if Store.put nb.store i then moved_bytes := !moved_bytes + Store.item_bytes i)
-        a_items;
-      List.iter
-        (fun i -> if Store.put na.store i then moved_bytes := !moved_bytes + Store.item_bytes i)
-        b_items
+      let to_b = List.filter (Store.put nb.store) a_items in
+      let to_a = List.filter (Store.put na.store) b_items in
+      moved_bytes := !moved_bytes + Wire.items_bytes to_b + Wire.items_bytes to_a
   end
   else if l = la then begin
     (* [na]'s path is a prefix of [nb]'s: [na] specializes to the side of

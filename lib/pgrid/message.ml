@@ -87,31 +87,32 @@ let hop_limited = -1
 
 let header = 20
 
-let items_bytes items = List.fold_left (fun acc i -> acc + Store.item_bytes i) 0 items
-
 let region_bytes (lo, hi) =
   String.length lo + (match hi with Some h -> String.length h | None -> 0) + 2
 
 let size = function
-  | Insert { item; _ } -> header + Store.item_bytes item
-  | Update { item; _ } -> header + Store.item_bytes item
+  | Insert { item; _ } -> header + Wire.items_bytes [ item ]
+  | Update { item; _ } -> header + Wire.items_bytes [ item ]
   | Delete { key; item_id; _ } -> header + String.length key + String.length item_id
-  | Replicate { item; _ } -> header + Store.item_bytes item
+  | Replicate { item; _ } -> header + Wire.items_bytes [ item ]
   | Unreplicate { key; item_id } -> header + String.length key + String.length item_id
   | Ack { region; _ } -> header + region_bytes region
   | Lookup { key; _ } -> header + String.length key
   | Found { items; region; spread; _ } ->
-    header + items_bytes items + region_bytes region + (4 * List.length spread)
+    header + Wire.items_bytes items + region_bytes region + (4 * List.length spread)
   | Range { lo; hi; _ } -> header + 16 + String.length lo + String.length hi
-  | RangeHit { items; targets; _ } -> header + items_bytes items + (4 * List.length targets)
-  | InsertBatch { items; _ } -> header + items_bytes items
+  | RangeHit { items; targets; _ } ->
+    header + Wire.items_bytes items + (4 * List.length targets)
+  | InsertBatch { items; _ } -> header + Wire.items_bytes items
   | AckBatch { keys; region; _ } ->
     header + List.fold_left (fun acc k -> acc + String.length k) 0 keys + region_bytes region
   | MultiLookup { keys; _ } ->
     header + List.fold_left (fun acc k -> acc + String.length k) 0 keys
   | MultiFound { found; region; _ } ->
     header
-    + List.fold_left (fun acc (k, items) -> acc + String.length k + items_bytes items) 0 found
+    + List.fold_left
+        (fun acc (k, items) -> acc + String.length k + Wire.items_bytes ~prev:k items)
+        0 found
     + region_bytes region
   | Probe _ -> header + 32
   | Task { bytes; _ } -> header + bytes
@@ -120,7 +121,7 @@ let size = function
     + List.fold_left (fun acc (k, id, _) -> acc + String.length k + String.length id + 8) 0 digest
   | SyncRequest { wanted } ->
     header + List.fold_left (fun acc (k, id) -> acc + String.length k + String.length id) 0 wanted
-  | SyncItems { items } -> header + items_bytes items
+  | SyncItems { items } -> header + Wire.items_bytes items
   | StatDigest { entries } ->
     header
     + List.fold_left
@@ -133,7 +134,7 @@ let size = function
         (fun acc s -> acc + Unistore_cache.Statcache.summary_bytes s)
         0 summaries
   | HotSync { region; spread; items; _ } ->
-    header + region_bytes region + (4 * List.length spread) + 5 + items_bytes items
+    header + region_bytes region + (4 * List.length spread) + 5 + Wire.items_bytes items
 
 (* Correlation id for request/reply trace linting: the protocol's [rid]
    where the message carries one, [-1] for fire-and-forget traffic

@@ -3,9 +3,11 @@
     Routing is by full encoded keys (byte strings): every node knows its
     own split boundaries, so a key is enough to route greedily. Closures
     appear in two places ([Probe] predicates and [Task] payloads): the
-    simulator ships OCaml values instead of serialized bytes, with [size]
-    estimating what the wire encoding would cost so that bandwidth
-    accounting stays meaningful. *)
+    simulator ships OCaml values instead of serialized bytes, and [size]
+    charges what the wire encoding would cost so that bandwidth
+    accounting stays meaningful. Item lists are charged exactly, by
+    {!Wire.items_bytes}; lists of bare keys are charged their bytes with
+    no per-key length. *)
 
 type range_strategy =
   | Shower  (** parallel: split the range across complementary subtrees *)
@@ -137,7 +139,9 @@ val hop_limited : int
     this once per batch instead of once per item. *)
 val header : int
 
-(** Estimated wire size in bytes. *)
+(** Wire size in bytes: {!header} plus the fields, every item list
+    sized by {!Wire.items_bytes} (a [MultiFound] key's list coded
+    against that key). *)
 val size : t -> int
 
 (** Constructor name for tracing, e.g. ["lookup"], ["range"]. *)

@@ -100,7 +100,7 @@ let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
     new_members;
   (* State transfer from the surviving member, as a real message. *)
   let items = Store.to_list template.store in
-  let bytes = List.fold_left (fun acc i -> acc + Store.item_bytes i) 0 items in
+  let bytes = Wire.items_bytes items in
   Net.send net ~src:template.id ~dst:d.id (Message.SyncItems { items });
   bytes
 

@@ -161,10 +161,7 @@ let handle_probe t (me : Node.t) ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pr
     | Some f ->
       let before = !acc in
       let after = f before in
-      let saved =
-        List.fold_left (fun b i -> b + Store.item_bytes i) 0 before
-        - List.fold_left (fun b i -> b + Store.item_bytes i) 0 after
-      in
+      let saved = Wire.items_bytes before - Wire.items_bytes after in
       if saved > 0 then cache_incr t ~by:saved "probe.reduce.bytes.saved";
       after
   in

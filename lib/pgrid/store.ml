@@ -46,9 +46,6 @@ type backend = Hash | Log of { dir : string }
 
 let backend_label = function Hash -> "hash" | Log _ -> "log"
 
-let item_bytes (i : item) =
-  24 + String.length i.key + String.length i.item_id + String.length i.payload
-
 module SMap = Map.Make (String)
 module Tbl = Hashtbl.Make (String)
 

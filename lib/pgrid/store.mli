@@ -72,9 +72,6 @@ type backend = Hash | Log of { dir : string }
 (** ["hash"] or ["log"]. *)
 val backend_label : backend -> string
 
-(** Approximate wire size of an item in bytes (for bandwidth accounting). *)
-val item_bytes : item -> int
-
 type t
 
 (** [create ?backend ?name ()] — defaults to [Hash]. For [Log], the
