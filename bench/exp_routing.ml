@@ -13,7 +13,8 @@
    (lowest base latency, as learned from keep-alive RTTs), which trades
    that for latency. Routing shortcuts are off, so every hop is a
    routing decision. The verdict compares the PlanetLab rows: under a
-   LAN model the difference is noise. *)
+   LAN model the difference is noise. The experiment exits non-zero
+   when the verdict reads "NOT reproduced". *)
 
 module Rng = Unistore_util.Rng
 module Stats = Unistore_util.Stats
@@ -98,10 +99,12 @@ let run () =
   let mean_cut = cut rlat.Stats.mean plat.Stats.mean and p99_cut = cut rlat.Stats.p99 plat.Stats.p99 in
   (* A tie-break cuts latency only through which tied ref it picks, so
      it counts as a benefit from a 5% cut of the mean on. *)
+  let reproduced = mean_cut >= 5.0 in
   Printf.printf
     "\nverdict: on PlanetLab latency, breaking ties toward the nearest reference %s mean lookup \
      latency by %.0f%% (p99 by %.0f%%) at %.2f against %.2f hops: %s\n"
     (if mean_cut >= 0.0 then "cuts" else "raises")
     (Float.abs mean_cut) p99_cut phops.Stats.mean rhops.Stats.mean
-    (if mean_cut >= 5.0 then "topology-aware routing pays, as the demo advertises"
-     else "NOT reproduced: the tie-break makes no measurable difference")
+    (if reproduced then "topology-aware routing pays, as the demo advertises"
+     else "NOT reproduced: the tie-break makes no measurable difference");
+  if not reproduced then exit 1

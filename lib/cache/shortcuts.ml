@@ -105,30 +105,35 @@ let find t ~key =
     pick e
   | _ -> None
 
-(* Rebuild the use-order index after a bulk filter; invalidations run on
-   fault paths, not per message, so O(n log n) is fine. *)
-let rebuild_lru t =
-  t.lru <- SMap.fold (fun lo e acc -> UMap.add e.used lo acc) t.map UMap.empty;
-  t.size <- SMap.cardinal t.map
+let near t ~key =
+  let peers = function Some (_, e) -> e.peers | None -> [] in
+  peers (SMap.find_last_opt (fun lo -> String.compare lo key <= 0) t.map)
+  @ peers (SMap.find_first_opt (fun lo -> String.compare lo key > 0) t.map)
 
+(* Routing invalidates an unreachable near peer on the origin's first
+   hop, so under churn this runs often: dropped entries leave the
+   use-order index one by one instead of rebuilding it. *)
 let drop_peers t ~f =
-  let before = t.size in
-  let removed = ref 0 in
+  let removed = ref 0 and dropped = ref 0 in
   t.map <-
     SMap.filter_map
       (fun _ e ->
         let peers = List.filter (fun p -> not (f p)) e.peers in
         removed := !removed + (List.length e.peers - List.length peers);
-        if peers = [] then None
+        if peers = [] then begin
+          t.lru <- UMap.remove e.used t.lru;
+          incr dropped;
+          None
+        end
         else begin
           e.peers <- peers;
           Some e
         end)
       t.map;
-  rebuild_lru t;
+  t.size <- t.size - !dropped;
   (* Count whole-entry drops the way the classic cache did; partial
      trims still count as a removal each. *)
-  max (before - t.size) !removed
+  max !dropped !removed
 
 let invalidate_peer t peer = drop_peers t ~f:(fun p -> p = peer)
 let invalidate_where t ~f = drop_peers t ~f

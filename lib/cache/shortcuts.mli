@@ -17,7 +17,7 @@
     Eviction is LRU by a use counter; capacity 0 disables the cache
     (the "caching off" arm of experiments). Dead peers are invalidated
     by the routing layer: on a request timeout, or when a containment
-    hit points at a peer the network reports dead. *)
+    hit or a {!near} peer is one the network reports dead. *)
 
 type t
 
@@ -45,6 +45,14 @@ val learn : t -> lo:string -> hi:string option -> peer:int -> unit
     any; a hit refreshes the entry's recency. In spread mode a
     multi-peer entry answers round-robin. *)
 val find : t -> key:string -> int option
+
+(** [near t ~key] is the peers of the cached regions just before
+    (starting at or below [key]) and just after [key] in key order,
+    those of the region before first. P-Grid's split-point trie keeps
+    key order, so these two regions share the longest prefix with [key]
+    among all cached ones. Unlike {!find} it refreshes no recency and
+    advances no round-robin. *)
+val near : t -> key:string -> int list
 
 (** [invalidate_peer t peer] drops every entry pointing at [peer]
     (called when [peer] times out or is seen dead); returns the number

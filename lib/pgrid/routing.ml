@@ -1,8 +1,10 @@
 (* The overlay's state and its forwarding paths for routed messages:
    greedy prefix routing, each hop to the reference whose path shares
    the longest prefix with the key, with replica failover; the origin's
-   shortcut cache; one routed hop of a single-key request and one hop of
-   a batch.
+   shortcut cache, whose exact hit goes straight to the responsible peer
+   and whose regions next to the key compete with the references on
+   prefix depth for the first hop; one routed hop of a single-key
+   request and one hop of a batch.
    Showers are in {!Shower}; the message dispatcher and the public
    operations are in {!Overlay}. *)
 
@@ -164,15 +166,9 @@ let choose_ref t (me : Node.t) ?key level =
    first level where the key branches away from [me]'s path, to that
    level's reference deepest along [key] ([choose_ref]). *)
 let route_step t (me : Node.t) key =
-  let len = Bitkey.length me.path in
-  let rec go l =
-    if l >= len then `Local
-    else if Node.key_side me ~level:l key <> Bitkey.get me.path l then begin
-      match choose_ref t me ~key l with Some p -> `Forward p | None -> `Stuck
-    end
-    else go (l + 1)
-  in
-  go 0
+  let level = match_depth me ~from:0 key in
+  if level = max_int then `Local
+  else match choose_ref t me ~key level with Some p -> `Forward p | None -> `Stuck
 
 (* ------------------------------------------------------------------ *)
 (* Routing shortcuts (lib/cache level 1)                               *)
@@ -206,17 +202,58 @@ let consult_shortcut t (me : Node.t) ~rid key =
       cache_incr t "cache.shortcut.miss";
       None
 
+(* The origin's first hop goes to the known peer deepest along [key]:
+   [p], the reference [route_step] chose, or a peer of a cached region
+   next to [key] ({!Shortcuts.near}) whose path, read through the node
+   arena as [choose_ref] reads its candidates, matches strictly more
+   levels of [key]. [key] leaves [me]'s path at [level] and [p] lies in
+   the subtree it branches into there, so [p] matches at least
+   [level + 1] levels and a near peer that beats it lies in that subtree
+   too. On a tie [p], and the random draw that picked it, stay. An
+   unreachable near peer is skipped and its entries invalidated, as in
+   [consult_shortcut]. *)
+let deepest_known t (me : Node.t) key p =
+  match Shortcuts.near me.Node.shortcuts ~key with
+  | [] -> p
+  | near ->
+    let depth q ~from =
+      match find_node t q with Some nd -> match_depth nd ~from key | None -> from
+    in
+    let level = match_depth me ~from:0 key in
+    let best, _ =
+      List.fold_left
+        (fun ((_, deepest) as best) q ->
+          if not (reachable t me q) then begin
+            let n = Shortcuts.invalidate_peer me.shortcuts q in
+            if n > 0 then cache_incr t ~by:n "cache.shortcut.invalidate";
+            best
+          end
+          else
+            let d = depth q ~from:0 in
+            if d > deepest then (q, d) else best)
+        (p, depth p ~from:(level + 1))
+        near
+    in
+    if best <> p then cache_incr t "cache.shortcut.near";
+    best
+
 (* One routing decision for single-destination requests: greedy prefix
    routing, with the origin's shortcut cache consulted on the first hop.
    A shortcut hit forwards straight to the learned responsible peer —
-   one hop instead of O(depth) — and never revisits intermediate peers,
-   so the [hops <= depth] bound still holds on the cached path. *)
+   one hop instead of O(depth). On a miss the first hop goes to the
+   deepest known peer ([deepest_known]). Either way the first hop
+   matches more levels of [key] than the origin does, and every later
+   hop, a reference in the subtree the key branches into, matches more
+   than the hop before it, so a request takes at most [depth] hops. *)
 let next_hop t (me : Node.t) ~rid ~origin ~hops key =
   match route_step t me key with
   | `Local -> `Local
   | (`Forward _ | `Stuck) as step -> (
     if me.id = origin && hops = 0 then
-      match consult_shortcut t me ~rid key with Some p -> `Forward p | None -> step
+      match (consult_shortcut t me ~rid key, step) with
+      | Some p, _ -> `Forward p
+      | None, `Forward p -> `Forward (deepest_known t me key p)
+      | None, `Stuck -> `Stuck
     else step)
 
 (* One hop of a routed single-key request at [me]: [local ()] when [me]

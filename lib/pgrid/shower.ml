@@ -27,7 +27,10 @@ let report_hit t (me : Node.t) ~rid ~token ~origin ~hops ~items ~targets =
    [me]'s own split boundaries, each ref the one deepest along its
    sub-clip's low end, where the sub-clip's first leaf lies — plus one
    [Message.hop_limited] target per such sub-clip when the hop limit
-   forbids forwarding any. *)
+   forbids forwarding any. At the origin ([hops = 0]) a known peer
+   deeper along the low end than the ref takes the sub-clip instead
+   ([deepest_known]): it lies in the same subtree, and its own split
+   covers the rest of the sub-clip. *)
 let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
   let acc = ref [] and cut = ref [] in
   let len = Bitkey.length me.path in
@@ -39,7 +42,11 @@ let shower_splits t (me : Node.t) ~hops ~clip_lo ~clip_hi =
     (match interval_intersect (clip_lo, clip_hi) sibling with
     | Some _ when too_far t hops -> cut := Message.hop_limited :: !cut
     | Some (lo', hi') -> (
-      match choose_ref t me ~key:lo' l with Some p -> acc := (p, lo', hi') :: !acc | None -> ())
+      match choose_ref t me ~key:lo' l with
+      | Some p ->
+        let p = if hops = 0 then deepest_known t me lo' p else p in
+        acc := (p, lo', hi') :: !acc
+      | None -> ())
     | None -> ());
     if mybit then plo := boundary else phi := Some boundary
   done;
@@ -108,9 +115,12 @@ let sequential_range t (me : Node.t) (r : Message.range) =
     tok
   in
   if not (Node.covers me clip_lo) then begin
-    (* Still routing toward the low end of the remaining range. *)
+    (* Still routing toward the low end of the remaining range; the
+       origin's first hop goes to the deepest known peer. *)
     match route_step t me clip_lo with
-    | `Forward p when not (too_far t hops) -> emit [] [ forward p ~clip_lo ~budget ]
+    | `Forward p when not (too_far t hops) ->
+      let p = if hops = 0 then deepest_known t me clip_lo p else p in
+      emit [] [ forward p ~clip_lo ~budget ]
     | `Forward _ -> emit [] [ Message.hop_limited ]
     | `Local | `Stuck -> emit [] []
   end

@@ -37,6 +37,9 @@ type 'msg t = {
   mutable qdepth : int array;  (* messages accepted but not yet handled *)
   mutable n_serviced : int;  (* peers with svc_ms > 0; 0 short-circuits *)
   mutable total_sent : int;
+  (* [net.sent.<kind>] and [net.bytes.sent.<kind>] per message kind,
+     built on a kind's first counted send instead of on every send. *)
+  kind_names : (string, string * string) Hashtbl.t;
   mutable tracer : Trace.t option;
   mutable metrics : Metrics.t option;
   (* Sorted peer lists are rebuilt lazily and cached: gossip rounds call
@@ -71,6 +74,7 @@ let create sim ~latency ~rng ?(drop = 0.0) ?(size = fun _ -> 64) ?(kind = fun _ 
     qdepth = [||];
     n_serviced = 0;
     total_sent = 0;
+    kind_names = Hashtbl.create 32;
     tracer = None;
     metrics = None;
     peers_cache = None;
@@ -275,23 +279,31 @@ let alive_peers t =
    is created, so built once here rather than per queued message. *)
 let queue_depth_buckets = Unistore_obs.Histogram.linear ~lo:1.0 ~step:1.0 ~n:64
 
+let kind_names t kind =
+  match Hashtbl.find_opt t.kind_names kind with
+  | Some names -> names
+  | None ->
+    let names = ("net.sent." ^ kind, "net.bytes.sent." ^ kind) in
+    Hashtbl.add t.kind_names kind names;
+    names
+
 let send t ~src ~dst msg =
   let nbytes = t.size msg in
   t.total_sent <- t.total_sent + 1;
+  let kind = match (t.metrics, t.tracer) with None, None -> "" | _ -> t.kind msg in
   (match t.metrics with
   | Some m ->
-    let kind = t.kind msg in
+    let sent, bytes_sent = kind_names t kind in
     Metrics.incr m "net.sent";
     Metrics.incr m ~by:nbytes "net.bytes.sent";
-    Metrics.incr m ("net.sent." ^ kind);
-    Metrics.incr m ~by:nbytes ("net.bytes.sent." ^ kind)
+    Metrics.incr m sent;
+    Metrics.incr m ~by:nbytes bytes_sent
   | None -> ());
   let event =
     match t.tracer with
     | Some tr ->
       Some
-        (Trace.record tr ~corr:(t.corr msg) ~time:(Sim.now t.sim) ~src ~dst ~kind:(t.kind msg)
-           ~bytes:nbytes ())
+        (Trace.record tr ~corr:(t.corr msg) ~time:(Sim.now t.sim) ~src ~dst ~kind ~bytes:nbytes ())
     | None -> None
   in
   let resolve outcome =

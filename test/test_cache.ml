@@ -227,6 +227,39 @@ let test_shortcuts_capacity_zero_disabled () =
   check Alcotest.int "disabled" 0 (Shortcuts.length t);
   check Alcotest.(option int) "no hit" None (Shortcuts.find t ~key:"b")
 
+(* [near] names the peers of the regions either side of a key, the one
+   at or below it first, and is a pure read: no recency refresh, no
+   round-robin step. *)
+let test_shortcuts_near () =
+  let near t key = Shortcuts.near t ~key in
+  let t = Shortcuts.create ~capacity:3 in
+  check Alcotest.(list int) "empty cache" [] (near t "m");
+  Shortcuts.learn t ~lo:"b" ~hi:(Some "d") ~peer:1;
+  Shortcuts.learn t ~lo:"f" ~hi:(Some "h") ~peer:2;
+  Shortcuts.learn t ~lo:"p" ~hi:(Some "t") ~peer:3;
+  check Alcotest.(list int) "between regions" [ 2; 3 ] (near t "m");
+  check Alcotest.(list int) "inside a region" [ 2; 3 ] (near t "g");
+  check Alcotest.(list int) "at a region's lo" [ 2; 3 ] (near t "f");
+  check Alcotest.(list int) "below every region" [ 1 ] (near t "a");
+  check Alcotest.(list int) "above every region" [ 3 ] (near t "z");
+  (* "b" is the least recently used region; probing next to it keeps it
+     so, and the next region learned evicts it. *)
+  check Alcotest.(list int) "next to the oldest" [ 1; 2 ] (near t "c");
+  Shortcuts.learn t ~lo:"x" ~hi:None ~peer:4;
+  check Alcotest.(option int) "no recency refresh" None (Shortcuts.find t ~key:"c");
+  check Alcotest.(option int) "newer regions kept" (Some 2) (Shortcuts.find t ~key:"g");
+  (* Spread mode: every peer of the region, and [find]'s rotation still
+     starts at the first. *)
+  let s = Shortcuts.create ~capacity:2 in
+  Shortcuts.set_spread s true;
+  Shortcuts.learn s ~lo:"b" ~hi:(Some "d") ~peer:4;
+  Shortcuts.learn s ~lo:"b" ~hi:(Some "d") ~peer:5;
+  check Alcotest.(list int) "spread peers" [ 5; 4 ] (near s "c");
+  check Alcotest.(option int) "no round-robin step" (Some 5) (Shortcuts.find s ~key:"c");
+  let off = Shortcuts.create ~capacity:0 in
+  Shortcuts.learn off ~lo:"a" ~hi:None ~peer:1;
+  check Alcotest.(list int) "capacity 0" [] (near off "b")
+
 (* ------------------------------------------------------------------ *)
 (* Result cache *)
 
@@ -1277,6 +1310,7 @@ let () =
           Alcotest.test_case "region containment" `Quick test_shortcuts_containment;
           Alcotest.test_case "invalidate peer" `Quick test_shortcuts_invalidate_peer;
           Alcotest.test_case "capacity 0 disables" `Quick test_shortcuts_capacity_zero_disabled;
+          Alcotest.test_case "near regions" `Quick test_shortcuts_near;
         ] );
       ( "result_cache",
         [

@@ -668,6 +668,102 @@ let test_cold_hops_vs_depth () =
     true
     (mean <= 0.35 *. depth)
 
+(* Routing from a warmed origin. Origin 0's shortcut cache holds every
+   other region in key order, one peer each, as batch acks teach it.
+   The lookups and sequential point ranges go to keys outside those
+   regions, so no exact shortcut answers them, and the showers span
+   many regions. With one reference per level the routes are
+   deterministic, so warm and cold runs differ only by the known peers
+   the warm origin starts from. [run ~warm op] runs [op] from a cache
+   reset to the warm set or emptied. *)
+let warm_origin_session () =
+  let keys = List.sort_uniq compare (random_words (Rng.create 91) 400) in
+  let config = { Config.default with refs_per_level = 1; replication = 2 } in
+  let ov = build_overlay ~n:128 ~seed:92 ~config ~keys () in
+  insert_all ov keys;
+  Sim.run_all (Overlay.sim ov);
+  let m = Unistore_obs.Metrics.create () in
+  Overlay.set_metrics ov (Some m);
+  let me = Overlay.node ov 0 in
+  let regions =
+    List.filter (fun (n : Node.t) -> not (Bitkey.equal n.Node.path me.Node.path)) (Overlay.nodes ov)
+    |> List.map (fun n -> (Node.region n, n.Node.id))
+    |> List.sort_uniq (fun ((a, _), _) ((b, _), _) -> String.compare a b)
+    |> List.filteri (fun i _ -> i mod 2 = 0)
+  in
+  let in_region ((lo, hi), _) k =
+    String.compare lo k <= 0 && match hi with Some h -> String.compare k h < 0 | None -> true
+  in
+  let uncached = List.filter (fun k -> not (List.exists (fun r -> in_region r k) regions)) keys in
+  let points = List.filter (fun k -> not (Node.covers me k)) uncached in
+  let run ~warm op =
+    Unistore_cache.Shortcuts.clear me.Node.shortcuts;
+    if warm then
+      List.iter
+        (fun ((lo, hi), peer) -> Unistore_cache.Shortcuts.learn me.Node.shortcuts ~lo ~hi ~peer)
+        regions;
+    await (Overlay.sim ov) (op ~origin:0)
+  in
+  let ops =
+    List.concat_map
+      (fun key ->
+        [
+          ("lookup " ^ key, fun ~origin k -> Overlay.lookup ov ~origin ~key ~k);
+          ( "sequential " ^ key,
+            fun ~origin k ->
+              Overlay.range ov ~origin ~strategy:Message.Sequential ~lo:key ~hi:key ~k () );
+        ])
+      (List.filteri (fun i _ -> i mod 4 = 0) points)
+    @ List.map
+        (fun (lo, hi) ->
+          ( Printf.sprintf "shower [%s, %s]" lo hi,
+            fun ~origin k -> Overlay.range ov ~origin ~lo ~hi ~k () ))
+        [ ("", "zzzz"); ("b", "e"); ("g", "h"); ("k", "s"); ("m", "n"); ("t", "zz") ]
+  in
+  let answer (r : Overlay.result) =
+    List.sort compare (List.map (fun (i : Store.item) -> (i.key, i.item_id)) r.items)
+  in
+  (ov, m, regions, ops, run, answer)
+
+let test_warm_origin_fewer_hops () =
+  let ov, m, _, ops, run, answer = warm_origin_session () in
+  let depth = Overlay.depth ov in
+  let cold_hops = ref 0 and warm_hops = ref 0 in
+  List.iter
+    (fun (label, op) ->
+      let cold = run ~warm:false op in
+      let warm = run ~warm:true op in
+      if not (cold.Overlay.complete && warm.Overlay.complete) then
+        Alcotest.failf "%s incomplete" label;
+      if answer cold <> answer warm then Alcotest.failf "%s: warm answer differs from cold" label;
+      if warm.hops > depth then Alcotest.failf "%s: %d hops > depth %d" label warm.hops depth;
+      cold_hops := !cold_hops + cold.hops;
+      warm_hops := !warm_hops + warm.hops)
+    ops;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d ops: %d hops warm < %d cold" (List.length ops) !warm_hops !cold_hops)
+    true (!warm_hops < !cold_hops);
+  Alcotest.(check bool) "near shortcuts used" true
+    (Unistore_obs.Metrics.counter m "cache.shortcut.near" > 0)
+
+(* The same operations with every warmed peer dead: each near peer is
+   skipped and forgotten, and replicas answer completely. *)
+let test_warm_origin_dead_near () =
+  let ov, m, regions, ops, run, answer = warm_origin_session () in
+  let cold = List.map (fun (_, op) -> answer (run ~warm:false op)) ops in
+  List.iter (fun (_, peer) -> Overlay.kill ov peer) regions;
+  List.iter2
+    (fun (label, op) expected ->
+      let r = run ~warm:true op in
+      if not r.Overlay.complete then Alcotest.failf "%s incomplete with its near peers dead" label;
+      if answer r <> expected then
+        Alcotest.failf "%s: answer differs with its near peers dead" label)
+    ops cold;
+  check Alcotest.int "no dead near peer used" 0
+    (Unistore_obs.Metrics.counter m "cache.shortcut.near");
+  Alcotest.(check bool) "dead near peers invalidated" true
+    (Unistore_obs.Metrics.counter m "cache.shortcut.invalidate" > 0)
+
 let test_failure_lookup_retries () =
   let config = { Config.default with replication = 3; retries = 3; timeout_ms = 500.0 } in
   let rng = Rng.create 10 in
@@ -1502,10 +1598,20 @@ let prop_failover_any_kill_set =
    could not place its items within the hop limit. And again when item
    lists began to be sized by their wire encoding ({!Unistore_pgrid.Wire}):
    with the trace's byte column and the byte counters left out, both
-   digests were unchanged, since latency does not depend on size. *)
+   digests were unchanged, since latency does not depend on size. And
+   again when the origin's first hop began going to the deepest known
+   peer, a reference or a cached region next to the key: the first hops
+   moved, and with them every later latency and loss draw. Hops and
+   peers hit moved in the multi-lookup, three ranges, one delete and one
+   hot lookup, latencies in most rows; the shower peer killed mid-range
+   is now 4 (was 10); the hop-limited broadcast's one hop reaches other
+   items; the hop-limited bulk completes; and the deleted
+   [ewjmwimza/i39], which the [c, f] shower and the [d, k] sequential
+   range read from a replica that missed its [Unreplicate], is no longer
+   read: the new draws reach replicas that applied the delete. *)
 
-let golden_overlay_trace = (1306, "71e54783fec7f3cfadcf7abf34a1401b")
-let golden_overlay_results = (312, "6edb4a0ac57375c27534c5930ecd3c27")
+let golden_overlay_trace = (1298, "4d44b9a1d037c4888862cb19f8522a64")
+let golden_overlay_results = (311, "c0afc1f01ea46d0bd868a1f2da83e456")
 
 let overlay_session () =
   let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
@@ -1885,6 +1991,9 @@ let () =
           Alcotest.test_case "tied references share the load" `Quick test_tied_refs_share_load;
           Alcotest.test_case "cold mean hops at 1024 peers <= 0.35 x depth" `Quick
             test_cold_hops_vs_depth;
+          Alcotest.test_case "warm origin: same answers, fewer hops" `Quick
+            test_warm_origin_fewer_hops;
+          Alcotest.test_case "warm origin: dead near peers" `Quick test_warm_origin_dead_near;
         ] );
       ("failover", [ prop_failover_any_kill_set ]);
       ("batch", [ prop_split_batch_matches_reference ]);
