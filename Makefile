@@ -55,7 +55,9 @@ test-store:
 # check that `query --check` rejects an unsatisfiable query with a
 # non-zero exit. Then README's skyline query must print the same rows
 # with and without `--no-cache`, on P-Grid and on Chord: caching may
-# change costs, never answers. Last, at 256 peers on P-Grid its plan and
+# change costs, never answers. Under `--strategy mutant`, whose carriers
+# send their scans semi-join filters, it must print the same rows as
+# the cached centralized run, in any order (a skyline is a set). Last, at 256 peers on P-Grid its plan and
 # estimates must be the same with and without `--no-cache`: after the
 # CLI's four gossip rounds every origin's gossiped statistics equal the
 # oracle's. Last, in a steady 400 q/s traffic run at 128 peers the
@@ -83,6 +85,11 @@ lint:
 	  if [ "$$on" = "$$off" ]; then echo "skyline rows with and without --no-cache on $$o: OK"; \
 	  else echo "FAIL: --no-cache changed the skyline rows on $$o"; \
 	    echo "cached:"; echo "$$on"; echo "uncached:"; echo "$$off"; exit 1; fi; \
+	  mut=$$($(CLI_QUERY) --overlay $$o --strategy mutant "$(SKYLINE_QUERY)" | grep '^|') || exit 1; \
+	  if [ "$$(echo "$$on" | sort)" = "$$(echo "$$mut" | sort)" ]; then \
+	    echo "skyline rows of mutant and cached centralized execution on $$o: OK"; \
+	  else echo "FAIL: the mutant strategy changed the skyline rows on $$o"; \
+	    echo "centralized:"; echo "$$on"; echo "mutant:"; echo "$$mut"; exit 1; fi; \
 	done
 	@on=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) "$(SKYLINE_QUERY)") || exit 1; \
 	off=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) --no-cache "$(SKYLINE_QUERY)") || exit 1; \

@@ -8,7 +8,8 @@
 
    Join chains of increasing depth run under both strategies on a
    wide-area (PlanetLab) deployment, on P-Grid and on Chord+trie; we
-   compare messages, latency and bytes shipped. On each overlay both
+   compare messages, latency, every byte each query put on the network
+   and, of those, the plan+binding bytes the mutant carriers shipped. On each overlay both
    strategies must return the same rows (compared by fingerprint), and
    the two overlays must return the same rows too; the experiment exits
    non-zero if they do not. The P-Grid verdict is computed: the mutant
@@ -38,15 +39,22 @@ let queries =
 let fingerprints (r : Engine.report) =
   List.sort compare (List.map Binding.fingerprint r.Engine.rows)
 
-(* Each query's centralized and mutant reports on one overlay. *)
+(* Each query's centralized and mutant reports on one overlay, each
+   with the bytes it sent. *)
 let run_overlay overlay =
   let store, _ =
     Common.build_pubs ~peers:128 ~authors:60 ~latency:Latency.Planetlab ~seed:91 ~overlay ()
   in
+  let run strategy src =
+    let sent () = Unistore_obs.Metrics.counter (Unistore.metrics store) "net.bytes.sent" in
+    let before = sent () in
+    let r = Common.run_query_exn store ~origin:11 ~strategy src in
+    (r, sent () - before)
+  in
   List.map
     (fun (name, src) ->
-      let rc = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Centralized src in
-      let rm = Common.run_query_exn store ~origin:11 ~strategy:Unistore.Mutant src in
+      let rc = run Unistore.Centralized src in
+      let rm = run Unistore.Mutant src in
       (name, rc, rm))
     queries
 
@@ -62,10 +70,11 @@ let run () =
         Common.subsection label;
         Common.print_table
           [
-            "query"; "cent:msgs"; "mutant:msgs"; "cent:lat_s"; "mutant:lat_s"; "mutant:bytes"; "rows";
+            "query"; "cent:msgs"; "mutant:msgs"; "cent:lat_s"; "mutant:lat_s"; "mutant:bytes";
+            "cent:net_B"; "mutant:net_B"; "rows";
           ]
           (List.map
-             (fun (name, rc, rm) ->
+             (fun (name, (rc, rc_net), (rm, rm_net)) ->
                if fingerprints rc <> fingerprints rm then
                  disagree := Printf.sprintf "%s on %s" name label :: !disagree;
                [
@@ -75,10 +84,12 @@ let run () =
                  Printf.sprintf "%.1f" (rc.Engine.latency /. 1000.0);
                  Printf.sprintf "%.1f" (rm.Engine.latency /. 1000.0);
                  Common.i rm.Engine.bytes_shipped;
+                 Common.i rc_net;
+                 Common.i rm_net;
                  Common.i (List.length rc.Engine.rows);
                ])
              results);
-        results)
+        List.map (fun (name, (rc, _), (rm, _)) -> (name, rc, rm)) results)
       [ ("P-Grid", Unistore.Pgrid); ("Chord+trie", Unistore.Chord_trie) ]
   in
   let pgrid, chord = match per_overlay with [ p; c ] -> (p, c) | _ -> assert false in

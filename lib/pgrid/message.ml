@@ -4,6 +4,8 @@ let pp_strategy fmt = function
   | Shower -> Format.pp_print_string fmt "shower"
   | Sequential -> Format.pp_print_string fmt "sequential"
 
+type filter = { bloom : Unistore_util.Bloom.t; admits : Store.item -> bool }
+
 type range = {
   rid : int;
   token : int;  (** unique per message; echoed by the receiver's hit *)
@@ -17,6 +19,7 @@ type range = {
   budget : int option;
       (** remaining result budget for sequential top-N traversals:
           stop forwarding once this many items were produced *)
+  filter : filter option;
 }
 
 type t =
@@ -100,7 +103,9 @@ let size = function
   | Lookup { key; _ } -> header + String.length key
   | Found { items; region; spread; _ } ->
     header + Wire.items_bytes items + region_bytes region + (4 * List.length spread)
-  | Range { lo; hi; _ } -> header + 16 + String.length lo + String.length hi
+  | Range { lo; hi; filter; _ } ->
+    header + 16 + String.length lo + String.length hi
+    + (match filter with Some f -> Unistore_util.Bloom.bytes f.bloom | None -> 0)
   | RangeHit { items; targets; _ } ->
     header + Wire.items_bytes items + (4 * List.length targets)
   | InsertBatch { items; _ } -> header + Wire.items_bytes items

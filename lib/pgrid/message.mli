@@ -15,6 +15,13 @@ type range_strategy =
 
 val pp_strategy : Format.formatter -> range_strategy -> unit
 
+(** A semi-join filter: a Bloom filter of the join keys the requester
+    holds, and the test of one item's join slot against it. The wire
+    carries [bloom] ({!Unistore_util.Bloom.bytes}; the slot [admits]
+    reads is a tag among the range's fixed fields). [admits] must admit
+    every item whose slot value [bloom] holds. *)
+type filter = { bloom : Unistore_util.Bloom.t; admits : Store.item -> bool }
+
 (** A range request. A peer forwarding it sends [Range { r with ... }],
     changing only the token, clip, hops and budget. Every hit goes
     straight to [origin]. *)
@@ -31,6 +38,9 @@ type range = {
   budget : int option;
       (** remaining result budget for sequential top-N traversals:
           stop forwarding once this many items were produced *)
+  filter : filter option;
+      (** semi-join filter: a peer answers with only the local items it
+          admits. Never set together with [budget] *)
 }
 
 type t =
@@ -141,7 +151,8 @@ val header : int
 
 (** Wire size in bytes: {!header} plus the fields, every item list
     sized by {!Wire.items_bytes} (a [MultiFound] key's list coded
-    against that key). *)
+    against that key), a [Range]'s filter by its Bloom filter's
+    bytes. *)
 val size : t -> int
 
 (** Constructor name for tracing, e.g. ["lookup"], ["range"]. *)

@@ -430,7 +430,7 @@ let lookup t ~origin ~key ~k =
 (* All keys in [lo, hi], clipped just past [hi] (no byte string lies
    strictly between [hi] and [hi ^ "\x00"]). A range's first token is
    minted on every (re-)send, after its rid. *)
-let start_range t ~op ~origin ~strategy ~budget ~lo ~hi ~k =
+let start_range t ~op ~origin ~strategy ~budget ~filter ~lo ~hi ~k =
   start t ~op ~origin Shower ~k (fun me rid ->
       Shower.handle_range t me
         {
@@ -444,18 +444,20 @@ let start_range t ~op ~origin ~strategy ~budget ~lo ~hi ~k =
           hops = 0;
           strategy;
           budget;
+          filter;
         })
 
-let range t ~origin ?(strategy = Message.Shower) ?budget ~lo ~hi ~k () =
-  (match (budget, strategy) with
-  | Some _, Message.Shower -> invalid_arg "Overlay.range: budget requires Sequential"
+let range t ~origin ?(strategy = Message.Shower) ?budget ?filter ~lo ~hi ~k () =
+  (match (budget, strategy, filter) with
+  | Some _, Message.Shower, _ -> invalid_arg "Overlay.range: budget requires Sequential"
+  | Some _, _, Some _ -> invalid_arg "Overlay.range: a budgeted range takes no filter"
   | _ -> ());
-  start_range t ~op:"range" ~origin ~strategy ~budget ~lo ~hi ~k
+  start_range t ~op:"range" ~origin ~strategy ~budget ~filter ~lo ~hi ~k
 
 (* All keys extending [p]: inclusive bounds for local filtering, clipped
    just past the last extension. *)
-let prefix t ~origin ~prefix:p ~k =
-  start_range t ~op:"prefix" ~origin ~strategy:Message.Shower ~budget:None ~lo:p
+let prefix ?filter t ~origin ~prefix:p ~k =
+  start_range t ~op:"prefix" ~origin ~strategy:Message.Shower ~budget:None ~filter ~lo:p
     ~hi:(p ^ String.make 64 '\xff') ~k
 
 (* Bulk insert: ship the whole batch as one [InsertBatch] that splits

@@ -152,21 +152,28 @@ val update :
     [lo <= key <= hi]. With [budget = Some n] (Sequential only) the
     traversal stops after producing [n] items — since key order equals
     value order this yields the [n] smallest matches (a distributed
-    top-N with early termination). *)
+    top-N with early termination). With [filter], every peer answers
+    with only the items the filter admits (a semi-join): the range
+    sends the same messages as without it, each [Range] larger by the
+    filter's bytes, and the peers count what they drop as
+    [scan.semijoin.dropped]. [budget] and [filter] exclude each other. *)
 val range :
   t ->
   origin:int ->
   ?strategy:Message.range_strategy ->
   ?budget:int ->
+  ?filter:Message.filter ->
   lo:string ->
   hi:string ->
   k:(result -> unit) ->
   unit ->
   unit
 
-(** [prefix t ~origin ~prefix] retrieves all items whose key extends
-    [prefix] (substring/prefix search on the indexed encodings). *)
-val prefix : t -> origin:int -> prefix:string -> k:(result -> unit) -> unit
+(** [prefix ?filter t ~origin ~prefix] retrieves all items whose key
+    extends [prefix] (substring/prefix search on the indexed encodings),
+    only those [filter] admits when given (as {!range}). *)
+val prefix :
+  ?filter:Message.filter -> t -> origin:int -> prefix:string -> k:(result -> unit) -> unit
 
 (** [broadcast t ~origin ?lo ?hi ?reduce ~pred ~k ()] floods the overlay
     region \[[lo],[hi]) (default: every alive peer) and scans each local

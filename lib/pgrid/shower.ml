@@ -67,6 +67,17 @@ let process_shower t (me : Node.t) ~rid ~token ~origin ~hops (splits, cut) ~item
   in
   report_hit t me ~rid ~token ~origin ~hops ~items ~targets
 
+(* The local answer to a filtered range: the items its semi-join filter
+   admits, the others counted as [scan.semijoin.dropped]. *)
+let admitted t (r : Message.range) items =
+  match r.filter with
+  | None -> items
+  | Some f ->
+    let kept = List.filter f.admits items in
+    let dropped = List.length items - List.length kept in
+    if dropped > 0 then cache_incr t ~by:dropped "scan.semijoin.dropped";
+    kept
+
 let shower_range t (me : Node.t) (r : Message.range) =
   let { Message.rid; token; lo; hi; clip_lo; clip_hi; origin; hops; _ } = r in
   let forward ~dst ~token ~clip_lo ~clip_hi =
@@ -82,7 +93,11 @@ let shower_range t (me : Node.t) (r : Message.range) =
     cache_incr t "batch.agg.elided";
     cache_incr t ~by:Message.header "batch.bytes.saved";
     forward ~dst:p ~token ~clip_lo:lo' ~clip_hi:hi'
-  | _ -> process_shower t me ~rid ~token ~origin ~hops splits ~items ~forward
+  | _ ->
+    (* Filtering after the compression decision keeps the messages (how
+       many, which, between whom) those of the unfiltered range: only
+       the hits' items shrink. *)
+    process_shower t me ~rid ~token ~origin ~hops splits ~items:(admitted t r items) ~forward
 
 (* The first [b] of [items] (in key order). Within a key a store keeps
    insertion order, which differs between replicas, so the key the cut
@@ -125,7 +140,7 @@ let sequential_range t (me : Node.t) (r : Message.range) =
     | `Local | `Stuck -> emit [] []
   end
   else begin
-    let items = Store.range me.store ~lo ~hi in
+    let items = admitted t r (Store.range me.store ~lo ~hi) in
     (* Key order = value order (order-preserving encodings), so a
        result budget lets top-N traversals stop early. *)
     let items, budget_left =

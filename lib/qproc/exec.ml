@@ -132,16 +132,16 @@ let range_defaults lo hi =
   | None, Some h -> (Option.get (Value.decode (Value.type_min h)), h)
   | None, None -> invalid_arg "Exec: unbounded range access"
 
-let uncached_access ts ~origin (access : Cost.access) ~matches ~k =
+let uncached_access ?filter ts ~origin (access : Cost.access) ~matches ~k =
   match access with
   | Cost.AOid oid -> Tstore.by_oid ts ~origin oid ~k
   | Cost.AAttrValue (a, v) -> Tstore.by_attr_value ts ~origin ~attr:a v ~k
   | Cost.AAttrRange (a, lo, hi) ->
     let lo, hi = range_defaults lo hi in
-    Tstore.by_attr_range ts ~origin ~attr:a ~lo ~hi ~k
-  | Cost.AAttrAll a -> Tstore.by_attr_all ts ~origin ~attr:a ~k
+    Tstore.by_attr_range ?filter ts ~origin ~attr:a ~lo ~hi ~k
+  | Cost.AAttrAll a -> Tstore.by_attr_all ?filter ts ~origin ~attr:a ~k
   | Cost.AAttrPrefix (a, pre) ->
-    Tstore.by_attr_string_prefix ts ~origin ~attr:a ~string_prefix:pre ~k
+    Tstore.by_attr_string_prefix ?filter ts ~origin ~attr:a ~string_prefix:pre ~k
   | Cost.AValue v -> Tstore.by_value ts ~origin v ~k
   | Cost.ASim (a, pat, d) -> Tstore.similar ts ~origin ~attr:a ~pattern:pat ~d ~k
   | Cost.ASubstring (a, pat) -> Tstore.containing ts ~origin ~attr:a ~pattern:pat ~k
@@ -151,8 +151,10 @@ let uncached_access ts ~origin (access : Cost.access) ~matches ~k =
 (* Execute one access, unioned over mapping expansions of its attribute
    (one expansion after another); [k] gets the bindings producible by
    [p] or an expanded variant. A complete answer fills the result cache;
-   a cache hit costs no message and no simulated time. *)
-let exec_access run ~carrier access (p : Ast.pattern) ~k =
+   a cache hit costs no message and no simulated time. A [filter] goes
+   to every expansion's scan; only a carrier without a cache passes
+   one, so no filtered answer is cached. *)
+let exec_access ?filter run ~carrier access (p : Ast.pattern) ~k =
   let cache = cache_at run carrier in
   let attrs =
     match access with
@@ -174,7 +176,7 @@ let exec_access run ~carrier access (p : Ast.pattern) ~k =
     | Some triples -> bind triples
     | None ->
       let matches tr = Option.is_some (row tr) in
-      uncached_access run.ts ~origin:carrier acc ~matches ~k:(fun (triples, (r : Dht.result)) ->
+      uncached_access ?filter run.ts ~origin:carrier acc ~matches ~k:(fun (triples, (r : Dht.result)) ->
           (match cache with
           | Some c when r.Dht.complete -> Qcache.store_access c acc triples
           | _ -> ());
@@ -418,6 +420,39 @@ let postprocess (plan : Physical.t) rows =
   | None -> rows
 
 (* ------------------------------------------------------------------ *)
+(* Semi-join filters                                                   *)
+
+(* The filter a scan joined to [left] carries (Mackert & Lohman's Bloom
+   join): the values [left] binds to the pattern's subject variable, or
+   else to its object variable. Only where no result cache keeps the
+   scan's answer, which an origin with a cache reuses whole. The join
+   drops what the filter lets through by mistake, and dropping rows
+   that cannot join keeps the order of the rest, so rows and row order
+   stay those of the unfiltered scan. All rows of [left] bind the same
+   variables (see [hash_join]); an empty [left] joins nothing, so its
+   empty filter may drop everything. *)
+let semijoin_filter run ~carrier (p : Ast.pattern) access left =
+  let scan =
+    match access with
+    | Cost.AAttrAll _ | Cost.AAttrRange _ | Cost.AAttrPrefix _ -> true
+    | _ -> false
+  in
+  let joined = function
+    | Ast.TVar v -> (
+      let get = Binding.getter v in
+      match left with l0 :: _ when Option.is_none (get l0) -> None | _ -> Some get)
+    | Ast.TConst _ -> None
+  in
+  if (not scan) || Option.is_some (cache_at run carrier) then None
+  else
+    let slot =
+      match joined p.Ast.subj with
+      | Some get -> Some (Tstore.Subject, get)
+      | None -> Option.map (fun get -> (Tstore.Object, get)) (joined p.Ast.obj)
+    in
+    Option.map (fun (slot, get) -> Tstore.semijoin slot (List.filter_map get left)) slot
+
+(* ------------------------------------------------------------------ *)
 (* Step execution (shared by both strategies)                          *)
 
 (* Run one physical step at [carrier] over the rows so far ([None]
@@ -448,8 +483,9 @@ let run_step run ~carrier ~shipped (step : Physical.step) rows_opt ~k =
   | Some left when step.Physical.bindjoin ->
     exec_bindjoin run ~carrier step.Physical.pattern left ~k:finish
   | Some left ->
-    exec_access run ~carrier step.Physical.access step.Physical.pattern ~k:(fun right ->
-        finish (hash_join left right))
+    let { Physical.access; pattern; _ } = step in
+    let filter = semijoin_filter run ~carrier pattern access left in
+    exec_access ?filter run ~carrier access pattern ~k:(fun right -> finish (hash_join left right))
 
 (* ------------------------------------------------------------------ *)
 (* Centralized execution                                               *)

@@ -16,7 +16,12 @@
       them under [SELECT *]). The last carrier post-processes, so only
       the answer ships back to the origin.
 
-    Both are continuation-passing and share one step runner. A query's
+    Both are continuation-passing and share one step runner. A scan
+    step joined to the rows so far sends its scan a semi-join filter of
+    their join keys ({!Unistore_triple.Tstore.semijoin}) wherever no
+    result cache keeps the scan's answer: at a mutant carrier away from
+    the origin, or at an origin without a cache. The rows and their
+    order are those of the unfiltered scan. A query's
     state (coverage so far, traces, shipped bytes) lives in a per-query
     record, so any number of plans can execute at once in one simulator.
     Each entry point calls [k] exactly once. A mutant carrier hop is one

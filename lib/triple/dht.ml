@@ -15,6 +15,11 @@ type result = Store.result = {
   latency : float;
 }
 
+type filter = Unistore_pgrid.Message.filter = {
+  bloom : Unistore_util.Bloom.t;
+  admits : Store.item -> bool;
+}
+
 type t = {
   name : string;
   peers : int;
@@ -24,9 +29,11 @@ type t = {
   delete : origin:int -> key:string -> item_id:string -> k:(bool -> unit) -> unit;
   lookup : origin:int -> key:string -> k:(result -> unit) -> unit;
   range : origin:int -> lo:string -> hi:string -> k:(result -> unit) -> unit;
+  filtered_range :
+    origin:int -> filter:filter option -> lo:string -> hi:string -> k:(result -> unit) -> unit;
   range_topn :
     (origin:int -> lo:string -> hi:string -> n:int -> k:(result -> unit) -> unit) option;
-  prefix : origin:int -> prefix:string -> k:(result -> unit) -> unit;
+  prefix : origin:int -> filter:filter option -> prefix:string -> k:(result -> unit) -> unit;
   broadcast : origin:int -> pred:(Store.item -> bool) -> k:(result -> unit) -> unit;
   scan_reduce :
     (origin:int ->
@@ -77,12 +84,13 @@ let of_pgrid ov =
         Overlay.delete ov ~origin ~key ~item_id ~k:(fun r -> k r.Overlay.complete));
     lookup = Overlay.lookup ov;
     range = (fun ~origin ~lo ~hi ~k -> Overlay.range ov ~origin ~lo ~hi ~k ());
+    filtered_range = (fun ~origin ~filter ~lo ~hi ~k -> Overlay.range ov ~origin ?filter ~lo ~hi ~k ());
     range_topn =
       Some
         (fun ~origin ~lo ~hi ~n ~k ->
           Overlay.range ov ~origin ~strategy:Unistore_pgrid.Message.Sequential ~budget:n ~lo ~hi ~k
             ());
-    prefix = Overlay.prefix ov;
+    prefix = (fun ~origin ~filter ~prefix ~k -> Overlay.prefix ?filter ov ~origin ~prefix ~k);
     broadcast = (fun ~origin ~pred ~k -> Overlay.broadcast ov ~origin ~pred ~k ());
     scan_reduce =
       Some
@@ -139,6 +147,13 @@ let chord_multi_lookup chord ~origin ~keys ~k =
       let found = List.map (fun key -> (key, Hashtbl.find_all by_key key)) keys in
       k (found, Store.side_by_side ~latency:(Sim.now sim -. started) rs))
 
+(* Chord+trie's gets fetch whole buckets, so a filter is applied where
+   the answer arrives: rows as on P-Grid, bytes as unfiltered. *)
+let receive filter k (r : result) =
+  match filter with
+  | None -> k r
+  | Some f -> k { r with items = List.filter f.admits r.items }
+
 let of_chord_trie chord =
   let n = Chord.node_count chord in
   let log2n =
@@ -167,12 +182,14 @@ let of_chord_trie chord =
             in
             k { r with items }));
     range = Trie_index.range chord;
+    filtered_range =
+      (fun ~origin ~filter ~lo ~hi ~k -> Trie_index.range chord ~origin ~lo ~hi ~k:(receive filter k));
     (* The trie walk fetches its buckets at once, in no key order. *)
     range_topn = None;
     prefix =
-      (fun ~origin ~prefix ~k ->
+      (fun ~origin ~filter ~prefix ~k ->
         let hi = prefix ^ String.make 64 '\xff' in
-        Trie_index.range chord ~origin ~lo:prefix ~hi ~k);
+        Trie_index.range chord ~origin ~lo:prefix ~hi ~k:(receive filter k));
     broadcast =
       (fun ~origin ~pred ~k ->
         let wrapped raw =

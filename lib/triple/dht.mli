@@ -19,6 +19,14 @@ type result = Store.result = {
   latency : float;
 }
 
+(** A semi-join filter ({!Unistore_pgrid.Message.filter}): a Bloom
+    filter of join keys and the test of an item's join slot against
+    it. *)
+type filter = Unistore_pgrid.Message.filter = {
+  bloom : Unistore_util.Bloom.t;
+  admits : Store.item -> bool;
+}
+
 type t = {
   name : string;
   peers : int;
@@ -28,12 +36,24 @@ type t = {
   delete : origin:int -> key:string -> item_id:string -> k:(bool -> unit) -> unit;
   lookup : origin:int -> key:string -> k:(result -> unit) -> unit;
   range : origin:int -> lo:string -> hi:string -> k:(result -> unit) -> unit;
+  filtered_range :
+    origin:int -> filter:filter option -> lo:string -> hi:string -> k:(result -> unit) -> unit;
+      (** [range] whose answer holds only the items [filter] admits
+          ([filter = None] is [range]). P-Grid ships the filter with
+          every [Range] message and its peers drop what it rejects
+          before they reply: the same messages as [range], the filter's
+          bytes more per request, fewer per reply. Chord+trie's gets
+          fetch whole buckets, so it filters at the receiver: the same
+          items, messages and bytes as [range] reach the requester,
+          which then drops what the filter rejects *)
   range_topn :
     (origin:int -> lo:string -> hi:string -> n:int -> k:(result -> unit) -> unit) option;
       (** budgeted sequential traversal in key order: stops after [n]
           items, giving the n smallest matches. [None] on Chord+trie,
           whose trie walk fetches its buckets at once, in no key order *)
-  prefix : origin:int -> prefix:string -> k:(result -> unit) -> unit;
+  prefix : origin:int -> filter:filter option -> prefix:string -> k:(result -> unit) -> unit;
+      (** every item whose key extends [prefix]; [filter] as in
+          [filtered_range] *)
   broadcast : origin:int -> pred:(Store.item -> bool) -> k:(result -> unit) -> unit;
   scan_reduce :
     (origin:int ->

@@ -220,6 +220,49 @@ let decode_items items = List.filter_map decode_entry items
 let decoded k (r : Dht.result) = k (decode_items r.Dht.items, r)
 
 (* ------------------------------------------------------------------ *)
+(* Semi-join filters                                                   *)
+
+type slot = Subject | Object
+
+(* The filter holds OIDs ([Subject]) or value encodings ([Object]). A
+   leaf reads an A#v entry's OID from its id, whole unless the id holds
+   an escape, and its value's encoding from the key's tail, decoding
+   neither. Float values always pass: [Value.equal] joins 0.0 with -0.0
+   and every NaN with every other, whose encodings differ, so the
+   filter holds no floats. Entries of other families pass too. *)
+let semijoin slot values =
+  let keys =
+    List.filter_map
+      (fun v ->
+        match (slot, v) with
+        | Subject, Value.S oid -> Some oid
+        | Subject, _ | Object, Value.F _ -> None
+        | Object, v -> Some (Value.encode v))
+      values
+  in
+  let bloom = Unistore_util.Bloom.of_list keys in
+  let admits (i : Store.item) =
+    family i <> 'A'
+    ||
+    match slot with
+    | Subject ->
+      (* [uncut id] without the copy when [id] holds no escape; a
+         malformed id, which decodes to nothing, passes no filter. *)
+      let id = i.Store.item_id in
+      let n = String.length id - 1 in
+      if String.contains id '{' then Unistore_util.Bloom.mem bloom (uncut id)
+      else n >= 1 && id.[n] = '|' && Unistore_util.Bloom.mem_sub bloom id ~off:0 ~len:n
+    | Object ->
+      let key = i.Store.key in
+      let off = index_from key 2 '\000' + 1 in
+      off = 0
+      || off >= String.length key
+      || key.[off] = 'f'
+      || Unistore_util.Bloom.mem_sub bloom key ~off ~len:(String.length key - off)
+  in
+  { Dht.bloom; admits }
+
+(* ------------------------------------------------------------------ *)
 (* Access paths                                                        *)
 
 let by_oid t ~origin oid ~k = t.dht.Dht.lookup ~origin ~key:(Keys.oid_key oid) ~k:(decoded k)
@@ -227,15 +270,16 @@ let by_oid t ~origin oid ~k = t.dht.Dht.lookup ~origin ~key:(Keys.oid_key oid) ~
 let by_attr_value t ~origin ~attr v ~k =
   t.dht.Dht.lookup ~origin ~key:(Keys.attr_value_key attr v) ~k:(decoded k)
 
-let by_attr_range t ~origin ~attr ~lo ~hi ~k =
+let by_attr_range ?filter t ~origin ~attr ~lo ~hi ~k =
   let lo, hi = Keys.attr_range attr ~lo ~hi in
-  t.dht.Dht.range ~origin ~lo ~hi ~k:(decoded k)
+  t.dht.Dht.filtered_range ~origin ~filter ~lo ~hi ~k:(decoded k)
 
-let by_attr_all t ~origin ~attr ~k =
-  t.dht.Dht.prefix ~origin ~prefix:(Keys.attr_prefix attr) ~k:(decoded k)
+let by_attr_all ?filter t ~origin ~attr ~k =
+  t.dht.Dht.prefix ~origin ~filter ~prefix:(Keys.attr_prefix attr) ~k:(decoded k)
 
-let by_attr_string_prefix t ~origin ~attr ~string_prefix ~k =
-  t.dht.Dht.prefix ~origin ~prefix:(Keys.attr_string_prefix attr ~string_prefix) ~k:(decoded k)
+let by_attr_string_prefix ?filter t ~origin ~attr ~string_prefix ~k =
+  t.dht.Dht.prefix ~origin ~filter ~prefix:(Keys.attr_string_prefix attr ~string_prefix)
+    ~k:(decoded k)
 
 let by_value t ~origin v ~k = t.dht.Dht.lookup ~origin ~key:(Keys.value_key v) ~k:(decoded k)
 

@@ -126,8 +126,28 @@ val by_oid : t -> origin:int -> string -> k:(Triple.t list * Dht.result -> unit)
 val by_attr_value :
   t -> origin:int -> attr:string -> Value.t -> k:(Triple.t list * Dht.result -> unit) -> unit
 
-(** Range [lo <= A <= hi] (A#v index, overlay range query). *)
+(** {2 Semi-join filters}
+
+    A scan joined to rows the requester already holds can carry a
+    filter of their join keys ({!Dht.t.filtered_range}), so the peers
+    return only the entries that can join. *)
+
+(** The join slot of an A#v entry: its OID or its value. *)
+type slot = Subject | Object
+
+(** [semijoin slot values] is the filter of the A#v entries whose
+    [slot] may equal one of [values] (under {!Value.equal}): a Bloom
+    filter of the OIDs ([Subject]; only [S] values can equal an OID) or
+    of the value encodings ([Object]). It admits every entry that can
+    join, some that cannot (false positives, which the join drops), every
+    float-valued entry under [Object], and every entry outside the A#v
+    family. *)
+val semijoin : slot -> Value.t list -> Dht.filter
+
+(** Range [lo <= A <= hi] (A#v index, overlay range query); with
+    [filter], only the entries it admits. *)
 val by_attr_range :
+  ?filter:Dht.filter ->
   t ->
   origin:int ->
   attr:string ->
@@ -136,11 +156,20 @@ val by_attr_range :
   k:(Triple.t list * Dht.result -> unit) ->
   unit
 
-(** Every triple of one attribute (A#v region scan). *)
-val by_attr_all : t -> origin:int -> attr:string -> k:(Triple.t list * Dht.result -> unit) -> unit
+(** Every triple of one attribute (A#v region scan); with [filter], only
+    the entries it admits. *)
+val by_attr_all :
+  ?filter:Dht.filter ->
+  t ->
+  origin:int ->
+  attr:string ->
+  k:(Triple.t list * Dht.result -> unit) ->
+  unit
 
-(** String-prefix search on one attribute's values. *)
+(** String-prefix search on one attribute's values; with [filter], only
+    the entries it admits. *)
 val by_attr_string_prefix :
+  ?filter:Dht.filter ->
   t ->
   origin:int ->
   attr:string ->

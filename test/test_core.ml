@@ -74,10 +74,10 @@ let ref_eval (triples : Triple.t list) (q : Ast.query) : Binding.t list =
 
 let fingerprints rows = List.map Binding.fingerprint rows |> List.sort compare
 
-let check_against_oracle name store dataset ?strategy ?expand_mappings src =
+let check_against_oracle name store dataset ?origin ?strategy ?expand_mappings src =
   let q = Parser.parse_exn src in
   let expected = ref_eval dataset.Publications.triples q in
-  match Unistore.query store ?strategy ?expand_mappings src with
+  match Unistore.query store ?origin ?strategy ?expand_mappings src with
   | Error e -> Alcotest.failf "%s: query failed: %s" name e
   | Ok report ->
     Alcotest.(check bool) (name ^ ": complete") true report.Engine.complete;
@@ -786,6 +786,55 @@ let test_mutant_trimming_agrees () =
     Alcotest.failf "paper query shipped %d B (%d B between carriers), its SELECT * twin %d B (%d B)"
       total hops star_total star_hops
 
+(* Semi-join filters, on E9's deployment (128 peers, so plans hop
+   between carriers) and its two deep chains. Mutant carriers away from
+   the origin, and a centralized origin without a cache, send their
+   scans a filter of the join keys, and the leaves drop rows; the
+   answers are the reference evaluator's. A centralized origin with a
+   cache fetches whole columns, which its cache reuses. Every row of
+   the 5-pattern chain joins (each paper's [published_in] names a
+   conference, each author has a paper), so the rows dropped are the
+   paper query's: its [edist] filter keeps a few conferences. *)
+let test_semijoin_filters () =
+  let chain =
+    "SELECT ?n, ?cn WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) \
+     (?p,'published_in',?cn) (?c,'confname',?cn) }"
+  in
+  List.iter
+    (fun (name, cache, strategy, filtered) ->
+      let ds =
+        Publications.generate (Unistore_util.Rng.create 92)
+          { Publications.default_params with n_authors = 60; typo_rate = 0.1 }
+      in
+      let store =
+        Unistore.create ~sample_keys:(Publications.sample_keys ds)
+          {
+            Unistore.default_config with
+            peers = 128;
+            seed = 91;
+            latency = Latency.Planetlab;
+            replication = 2;
+            cache;
+          }
+      in
+      ignore (Unistore.load store ds.Publications.tuples);
+      Unistore.set_stats_of_triples store ds.Publications.triples;
+      Unistore.settle store;
+      Unistore.reset_metrics store;
+      List.iter
+        (fun src ->
+          let r = check_against_oracle name store ds ~strategy ~origin:11 src in
+          Alcotest.(check bool) (name ^ ": nonempty") true (r.Engine.rows <> []))
+        [ chain; paper_query ];
+      let dropped = Unistore_obs.Metrics.counter (Unistore.metrics store) "scan.semijoin.dropped" in
+      if filtered && dropped = 0 then Alcotest.failf "%s: no leaf dropped a row" name;
+      if (not filtered) && dropped > 0 then Alcotest.failf "%s: leaves dropped %d rows" name dropped)
+    [
+      ("mutant", true, Unistore.Mutant, true);
+      ("centralized without a cache", false, Unistore.Centralized, true);
+      ("centralized with a cache", true, Unistore.Centralized, false);
+    ]
+
 (* A step trace's [shipped] is the hop that brought the plan to its
    carrier; with the trip home (the answer plus a 32-byte envelope,
    unless the plan ends at the origin) they add up to the query's
@@ -1126,6 +1175,7 @@ let () =
           Alcotest.test_case "centralized = mutant" `Quick test_strategies_agree;
           Alcotest.test_case "mutant trimming keeps the answer" `Quick test_mutant_trimming_agrees;
           Alcotest.test_case "mutant hop bytes add up" `Quick test_mutant_hop_bytes;
+          Alcotest.test_case "semi-join filters keep the answer" `Quick test_semijoin_filters;
           Alcotest.test_case "chord substrate" `Quick test_chord_substrate_agrees;
           Alcotest.test_case "skyline pushdown agrees" `Quick test_skyline_pushdown_agrees;
           Alcotest.test_case "lost carrier hop times out" `Quick test_lost_carrier_hop;

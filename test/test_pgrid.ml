@@ -537,6 +537,67 @@ let test_broadcast_clip () =
     (List.filter (fun key -> key >= lo && key < hi) keys)
     got
 
+(* A semi-join filter shrinks a range's answer, never its traffic: on
+   identical 64-peer overlays under LAN latency and 2% loss, the same
+   shower ranges and prefix search, filtered and not, send the same
+   (src, dst, kind) sequence at the same times, and each filtered answer
+   is exactly the unfiltered items the filter admits. One filter admits
+   a key in three; one admits none, so every peer's items are dropped,
+   and a peer that decided on path compression after filtering would
+   pass its token through where the unfiltered shower reports a hit. *)
+let test_filtered_shower_same_messages () =
+  let keys = List.sort_uniq compare (random_words (Rng.create 38) 400) in
+  let filter_of kept =
+    let bloom = Bloom.of_list kept in
+    { Message.bloom; admits = (fun (i : Store.item) -> Bloom.mem bloom i.Store.key) }
+  in
+  let session filter =
+    let config = { Config.default with replication = 3; timeout_ms = 400.0; retries = 3 } in
+    let ov = build_overlay ~n:64 ~seed:5 ~model:Latency.Lan ~drop:0.02 ~config ~keys () in
+    insert_all ov keys;
+    let m = Unistore_obs.Metrics.create () in
+    Overlay.set_metrics ov (Some m);
+    let tr = Unistore_sim.Trace.create () in
+    Net.set_trace (Overlay.net ov) (Some tr);
+    let sim = Overlay.sim ov in
+    let ranges =
+      List.map
+        (fun (origin, lo, hi) ->
+          await sim (fun k -> Overlay.range ov ~origin ?filter ~lo ~hi ~k ()))
+        [ (7, "d", "s"); (21, "a", "k"); (50, "h", "zz"); (3, "", "zz") ]
+    in
+    let prefix = await sim (fun k -> Overlay.prefix ?filter ov ~origin:40 ~prefix:"m" ~k) in
+    let sends =
+      Unistore_sim.Trace.events tr
+      |> List.map (fun (e : Unistore_sim.Trace.event) ->
+             Printf.sprintf "%h %d>%d %s" e.time e.src e.dst e.kind)
+    in
+    let counter = Unistore_obs.Metrics.counter m in
+    (sends, prefix :: ranges, counter "scan.semijoin.dropped", counter "batch.agg.elided")
+  in
+  let plain_sends, plain, plain_dropped, elided = session None in
+  check Alcotest.int "nothing dropped unfiltered" 0 plain_dropped;
+  Alcotest.(check bool) "some peers compressed their path" true (elided > 0);
+  List.iter
+    (fun (name, filter) ->
+      let sends, filtered, dropped, _ = session (Some filter) in
+      check Alcotest.(list string) (name ^ ": same messages") plain_sends sends;
+      List.iter2
+        (fun (p : Overlay.result) (f : Overlay.result) ->
+          Alcotest.(check bool) (name ^ ": complete") true (p.complete && f.complete);
+          check
+            Alcotest.(list string)
+            (name ^ ": filtered = admitted unfiltered items")
+            (List.map (fun (i : Store.item) -> i.key) (List.filter filter.admits p.items))
+            (List.map (fun (i : Store.item) -> i.key) f.items);
+          Alcotest.(check bool) (name ^ ": same latency") true (Float.equal p.latency f.latency))
+        plain filtered;
+      Alcotest.(check bool) (name ^ ": leaves dropped items") true (dropped > 0))
+    [
+      ("one in three", filter_of (List.filteri (fun i _ -> i mod 3 = 0) keys));
+      ("none", filter_of []);
+    ]
+
 let test_hops_logarithmic () =
   let rng = Rng.create 9 in
   let keys = random_words rng 400 in
@@ -1262,7 +1323,7 @@ let message_witnesses =
     Message.Range
       {
         rid = 1; token = 2; lo = "a"; hi = "b"; clip_lo = "a"; clip_hi = Some "b"; origin = 0;
-        hops = 0; strategy = Message.Shower; budget = None;
+        hops = 0; strategy = Message.Shower; budget = None; filter = None;
       };
     Message.RangeHit { rid = 1; token = 2; items = [ it ]; targets = [ 3; 4 ]; hops = 0 };
     Message.InsertBatch { rid = 1; items = [ it; it ]; origin = 0; hops = 0 };
@@ -1294,6 +1355,20 @@ let message_witnesses =
     Message.HotSync
       { region; owner = 0; spread = [ 0; 1 ]; items = [ it; it ]; retire = false };
   ]
+
+(* A filtered [Range] costs its unfiltered size plus the filter's
+   bytes. *)
+let test_filtered_range_size () =
+  let bloom = Bloom.of_list (List.init 300 string_of_int) in
+  List.iter
+    (function
+      | Message.Range r as plain ->
+        let filtered = Message.Range { r with filter = Some { Message.bloom; admits = (fun _ -> true) } } in
+        check Alcotest.int "plain + filter bytes" (Message.size plain + Bloom.bytes bloom)
+          (Message.size filtered);
+        check Alcotest.int "375 bytes of bits and a 2-byte count" 377 (Bloom.bytes bloom)
+      | _ -> ())
+    message_witnesses
 
 let test_message_sizes_positive () =
   (* Every constructor of the protocol table appears exactly once above. *)
@@ -1963,6 +2038,8 @@ let () =
           Alcotest.test_case "prefix search" `Quick test_prefix_search;
           Alcotest.test_case "broadcast probe" `Quick test_broadcast_probe;
           Alcotest.test_case "broadcast stays inside its clip" `Quick test_broadcast_clip;
+          Alcotest.test_case "filtered shower: same messages" `Quick
+            test_filtered_shower_same_messages;
           Alcotest.test_case "hops logarithmic" `Slow test_hops_logarithmic;
           Alcotest.test_case "lookups survive failures" `Quick test_failure_lookup_retries;
           Alcotest.test_case "lookups under message loss" `Quick test_lookups_under_message_loss;
@@ -1979,6 +2056,7 @@ let () =
       ( "message",
         [
           Alcotest.test_case "every constructor sized" `Quick test_message_sizes_positive;
+          Alcotest.test_case "filtered range size" `Quick test_filtered_range_size;
           prop_wire_codec;
           Alcotest.test_case "wire literal when shorter" `Quick test_wire_literal_when_shorter;
           prop_no_larger_than_old;

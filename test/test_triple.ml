@@ -190,6 +190,38 @@ let prop_entry_ids_keep_order =
         (Tstore.items_of_triple ~qgrams:false a)
         (Tstore.items_of_triple ~qgrams:false b))
 
+(* A semi-join filter admits every entry that can join: the A#v entry of
+   a triple whose OID ([Subject]) or value ([Object]) equals a filter
+   value, whatever bytes its id escapes, and every O and V entry. *)
+let prop_semijoin_admits_joins =
+  qtest ~count:1000 "semijoin admits every entry that can join"
+    ~print:(fun (a, b) -> Format.asprintf "%a / %a" Triple.pp a Triple.pp b)
+    triple_pair
+    (fun (tr, other) ->
+      let subj = Tstore.semijoin Tstore.Subject [ Value.S tr.Triple.oid; Value.I 3 ] in
+      let obj = Tstore.semijoin Tstore.Object [ tr.Triple.value; Value.S "zz" ] in
+      match Tstore.items_of_triple ~qgrams:false other with
+      | [ o; av; v ] ->
+        ((not (String.equal tr.Triple.oid other.Triple.oid)) || subj.Dht.admits av)
+        && ((not (Value.equal tr.Triple.value other.Triple.value)) || obj.Dht.admits av)
+        && List.for_all (fun i -> subj.Dht.admits i && obj.Dht.admits i) [ o; v ]
+      | _ -> false)
+
+(* Equal floats with other encodings pass; an empty filter admits no
+   A#v entry. *)
+let test_semijoin_floats_and_empty () =
+  let av v = List.nth (Tstore.items_of_triple ~qgrams:false (Triple.make ~oid:"o|{" ~attr:"a" v)) 1 in
+  let obj = Tstore.semijoin Tstore.Object [ Value.F 0.0 ] in
+  Alcotest.(check bool) "-0.0 joins 0.0" true (obj.Dht.admits (av (Value.F (-0.0))));
+  let obj = Tstore.semijoin Tstore.Object [ Value.F Float.nan ] in
+  Alcotest.(check bool) "a NaN joins another" true
+    (obj.Dht.admits (av (Value.F (Int64.float_of_bits 0x7ff0000000000001L))));
+  List.iter
+    (fun slot ->
+      Alcotest.(check bool) "empty filter" false
+        ((Tstore.semijoin slot []).Dht.admits (av (Value.S "x"))))
+    [ Tstore.Subject; Tstore.Object ]
+
 let test_decode_entry_garbage () =
   let enc = Value.encode (Value.S "x") in
   List.iter
@@ -730,6 +762,8 @@ let () =
           Alcotest.test_case "id stability" `Quick test_triple_id_stable;
           prop_entry_roundtrip;
           prop_entry_ids_keep_order;
+          prop_semijoin_admits_joins;
+          Alcotest.test_case "semijoin floats and empty" `Quick test_semijoin_floats_and_empty;
         ] );
       ( "keys",
         [

@@ -377,6 +377,81 @@ let test_prefix_grams_rarest_first () =
   | gs -> Alcotest.failf "expected rarest gram first, got [%s]" (String.concat ";" gs)
 
 (* ------------------------------------------------------------------ *)
+(* Bloom *)
+
+let key_list_gen = QCheck2.Gen.(list_size (0 -- 200) (string_size ~gen:printable (0 -- 12)))
+
+let prop_bloom_no_false_negatives =
+  qtest "bloom: every added key is a member" key_list_gen (fun keys ->
+      let t = Bloom.of_list keys in
+      List.for_all
+        (fun k ->
+          let padded = "<" ^ k ^ ">" in
+          Bloom.mem t k && Bloom.mem_sub t padded ~off:1 ~len:(String.length k))
+        keys)
+
+(* [n] distinct random keys of 4 to 12 letters, none in [avoid]. *)
+let random_keys rng n ~avoid =
+  let seen = Hashtbl.create (2 * n) in
+  let rec go acc left =
+    if left = 0 then acc
+    else begin
+      let k = String.init (Rng.int_in rng 4 12) (fun _ -> Char.chr (97 + Rng.int rng 26)) in
+      if Hashtbl.mem seen k || Hashtbl.mem avoid k then go acc left
+      else begin
+        Hashtbl.add seen k ();
+        go (k :: acc) (left - 1)
+      end
+    end
+  in
+  (go [] n, seen)
+
+(* From 100 keys up the rate stays near its mean of about 0.9%; a
+   filter of a few keys has so few bits that its rate spreads widely. *)
+let prop_bloom_false_positive_rate =
+  qtest ~count:20 "bloom: at most 2% false positives on 10k absent keys"
+    QCheck2.Gen.(pair (100 -- 2000) int)
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let present, seen = random_keys rng n ~avoid:(Hashtbl.create 1) in
+      let absent, _ = random_keys rng 10_000 ~avoid:seen in
+      let t = Bloom.of_list present in
+      let fp = List.length (List.filter (Bloom.mem t) absent) in
+      fp * 50 <= 10_000)
+
+(* The documented size: [m / 8 = max 1 (ceil (10 n / 8))] bytes of bits
+   after a LEB128 varint of that count. *)
+let prop_bloom_bytes_formula =
+  qtest "bloom: bytes = bit bytes + their varint" QCheck2.Gen.(0 -- 20_000) (fun n ->
+      let t = Bloom.create n in
+      let nb = max 1 (((Bloom.bits_per_key * n) + 7) / 8) in
+      let varint = if nb < 0x80 then 1 else if nb < 0x4000 then 2 else 3 in
+      String.length (Bloom.bits t) = nb && Bloom.bytes t = nb + varint)
+
+let prop_bloom_deterministic =
+  qtest "bloom: the same keys give the same bits, in any order" key_list_gen (fun keys ->
+      Bloom.bits (Bloom.of_list keys) = Bloom.bits (Bloom.of_list (List.rev (keys @ keys))))
+
+(* The hashes are fixed functions of the bytes: a filter built from fixed
+   keys holds these bits on every run and host. *)
+let test_bloom_pinned_bits () =
+  let t = Bloom.of_list [ "alice"; "bob"; "carol"; "dave" ] in
+  check Alcotest.int "5 bytes of bits" 5 (String.length (Bloom.bits t));
+  check Alcotest.string "bits" "a315c6ff90792de18ea0b0dab22e24b7" (Digest.to_hex (Digest.string (Bloom.bits t)));
+  check Alcotest.bool "empty filter admits nothing" false (Bloom.mem (Bloom.of_list []) "alice")
+
+let test_bloom_mem_sub_bounds () =
+  let t = Bloom.of_list [ "abc" ] in
+  check Alcotest.bool "inside" true (Bloom.mem_sub t "xabcx" ~off:1 ~len:3);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d len %d" off len)
+        (Invalid_argument "Bloom.mem_sub")
+        (fun () -> ignore (Bloom.mem_sub t "xabcx" ~off ~len)))
+    [ (-1, 2); (0, -1); (3, 3); (6, 0) ]
+
+(* ------------------------------------------------------------------ *)
 (* Topk *)
 
 let prop_topk_matches_stable_sort =
@@ -667,6 +742,15 @@ let () =
           Alcotest.test_case "prefix grams rarest first" `Quick test_prefix_grams_rarest_first;
           prop_substring_grams_indexed;
           Alcotest.test_case "substring qgrams" `Quick test_substring_qgrams;
+        ] );
+      ( "bloom",
+        [
+          prop_bloom_no_false_negatives;
+          prop_bloom_false_positive_rate;
+          prop_bloom_bytes_formula;
+          prop_bloom_deterministic;
+          Alcotest.test_case "pinned bits" `Quick test_bloom_pinned_bits;
+          Alcotest.test_case "mem_sub bounds" `Quick test_bloom_mem_sub_bounds;
         ] );
       ( "topk",
         [
