@@ -7,11 +7,9 @@ type entry = { constructor : string; kind : string; role : role }
    [~op] arguments to [start_multi]). *)
 let pgrid =
   [
-    { constructor = "Insert"; kind = "insert"; role = Request { ops = [ "insert" ] } };
+    { constructor = "Insert"; kind = "insert"; role = Request { ops = [ "insert"; "delete" ] } };
     { constructor = "Update"; kind = "update"; role = Request { ops = [ "update" ] } };
-    { constructor = "Delete"; kind = "delete"; role = Request { ops = [ "delete" ] } };
     { constructor = "Replicate"; kind = "replicate"; role = Background };
-    { constructor = "Unreplicate"; kind = "unreplicate"; role = Background };
     { constructor = "Ack"; kind = "ack"; role = Reply };
     { constructor = "Lookup"; kind = "lookup"; role = Request { ops = [ "lookup" ] } };
     { constructor = "Found"; kind = "found"; role = Reply };

@@ -13,10 +13,10 @@ type rules = {
 
 let pgrid_rules =
   {
-    request_kinds = [ "insert"; "update"; "delete"; "lookup"; "range"; "probe" ];
+    request_kinds = [ "insert"; "update"; "lookup"; "range"; "probe" ];
     replies =
       [
-        { reply = "ack"; requests = [ "insert"; "update"; "delete" ]; multi = false };
+        { reply = "ack"; requests = [ "insert"; "update" ]; multi = false };
         { reply = "found"; requests = [ "lookup" ]; multi = false };
         { reply = "range-hit"; requests = [ "range"; "probe" ]; multi = true };
       ];

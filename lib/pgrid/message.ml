@@ -25,9 +25,7 @@ type range = {
 type t =
   | Insert of { rid : int; item : Store.item; origin : int; hops : int }
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
-  | Delete of { rid : int; key : string; item_id : string; origin : int; hops : int }
   | Replicate of { item : Store.item; rounds_left : int }
-  | Unreplicate of { key : string; item_id : string }
   | Ack of { rid : int; hops : int; region : string * string option }
   | Lookup of { rid : int; key : string; origin : int; hops : int }
   | Found of {
@@ -96,9 +94,7 @@ let region_bytes (lo, hi) =
 let size = function
   | Insert { item; _ } -> header + Wire.items_bytes [ item ]
   | Update { item; _ } -> header + Wire.items_bytes [ item ]
-  | Delete { key; item_id; _ } -> header + String.length key + String.length item_id
   | Replicate { item; _ } -> header + Wire.items_bytes [ item ]
-  | Unreplicate { key; item_id } -> header + String.length key + String.length item_id
   | Ack { region; _ } -> header + region_bytes region
   | Lookup { key; _ } -> header + String.length key
   | Found { items; region; spread; _ } ->
@@ -147,7 +143,6 @@ let size = function
 let corr = function
   | Insert { rid; _ }
   | Update { rid; _ }
-  | Delete { rid; _ }
   | Ack { rid; _ }
   | Lookup { rid; _ }
   | Found { rid; _ }
@@ -159,16 +154,14 @@ let corr = function
   | MultiFound { rid; _ }
   | Probe { rid; _ } ->
     rid
-  | Replicate _ | Unreplicate _ | Task _ | SyncDigest _ | SyncRequest _ | SyncItems _
+  | Replicate _ | Task _ | SyncDigest _ | SyncRequest _ | SyncItems _
   | StatDigest _ | StatPull _ | StatGossip _ | HotSync _ ->
     -1
 
 let kind = function
   | Insert _ -> "insert"
   | Update _ -> "update"
-  | Delete _ -> "delete"
   | Replicate _ -> "replicate"
-  | Unreplicate _ -> "unreplicate"
   | Ack _ -> "ack"
   | Lookup _ -> "lookup"
   | Found _ -> "found"

@@ -48,12 +48,8 @@ type t =
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
       (** versioned write propagated to replicas by rumor spreading with
           [rounds] residual hops (Datta et al., ICDCS'03 style) *)
-  | Delete of { rid : int; key : string; item_id : string; origin : int; hops : int }
-      (** remove one item (routed like an insert; replicas notified) *)
   | Replicate of { item : Store.item; rounds_left : int }
       (** rumor-spreading replica update *)
-  | Unreplicate of { key : string; item_id : string }
-      (** replica-side removal matching a [Delete] *)
   | Ack of { rid : int; hops : int; region : string * string option }
       (** [region] is the responding peer's key region, so the origin can
           learn a routing shortcut to it (see

@@ -150,24 +150,18 @@ let ack t (me : Node.t) ~rid ~origin ~hops ~items =
   if me.id = origin then Request.answer t.requests rid ~items ~hops ()
   else Net.send t.net ~src:me.id ~dst:origin (Message.Ack { rid; hops; region = Node.region me })
 
+(* The owner stamps the write ({!Store.stamp}), so a delete's tombstone
+   supersedes what it holds and a re-insert supersedes a tombstone. *)
 let handle_insert t (me : Node.t) ~rid ~item ~origin ~hops =
   route t me ~rid ~origin ~hops item.Store.key
     ~local:(fun () ->
+      let item = Store.stamp me.store item in
       if Store.put me.store item then begin
         Node.bump_epoch me;
         send_all t me me.replicas (Message.Replicate { item; rounds_left = 0 })
       end;
       ack t me ~rid ~origin ~hops ~items:[ item ])
     ~forward:(fun hops -> Message.Insert { rid; item; origin; hops })
-
-let handle_delete t (me : Node.t) ~rid ~key ~item_id ~origin ~hops =
-  route t me ~rid ~origin ~hops key
-    ~local:(fun () ->
-      Store.remove me.store ~key ~item_id;
-      Node.bump_epoch me;
-      send_all t me me.replicas (Message.Unreplicate { key; item_id });
-      ack t me ~rid ~origin ~hops ~items:[])
-    ~forward:(fun hops -> Message.Delete { rid; key; item_id; origin; hops })
 
 let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
   route t me ~rid ~origin ~hops item.Store.key
@@ -260,7 +254,11 @@ let handle_insert_batch t (me : Node.t) ~rid ~items ~origin ~hops =
     ~local:(fun local ->
       (* Batched replication of what changed the store: one [SyncItems]
          per replica instead of one [Replicate] per item per replica. *)
-      (match List.filter (Store.put me.store) local with
+      let stored i =
+        let i = Store.stamp me.store i in
+        if Store.put me.store i then Some i else None
+      in
+      (match List.filter_map stored local with
       | [] -> ()
       | changed ->
         Node.bump_epoch me;
@@ -279,10 +277,6 @@ let handle_multi_lookup t (me : Node.t) ~rid ~keys ~origin ~hops =
       ack_batch t me ~rid ~origin ~hops ~n:(List.length local) ~found
         ~reply:(fun region -> Message.MultiFound { rid; found; region; hops }))
     ~forward:(fun keys hops -> Message.MultiLookup { rid; keys; origin; hops })
-
-(* The version [me] holds of item [id] under [key], if any. *)
-let held (me : Node.t) key id =
-  List.find_opt (fun (i : Store.item) -> String.equal i.item_id id) (Store.find me.store key)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
@@ -324,12 +318,6 @@ let dispatch t (me : Node.t) ~src msg =
     Node.bump_served me;
     Shower.handle_probe t me ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pred ~reduce
   | Replicate { item; rounds_left } -> handle_replicate t me ~item ~rounds_left
-  | Delete { rid; key; item_id; origin; hops } ->
-    Node.bump_served me;
-    handle_delete t me ~rid ~key ~item_id ~origin ~hops
-  | Unreplicate { key; item_id } ->
-    Store.remove me.store ~key ~item_id;
-    Node.bump_epoch me
   | StatDigest { entries } -> handle_stat_digest t me ~src ~entries
   | StatPull { regions } -> handle_stat_pull t me ~src ~regions
   | StatGossip { summaries; rounds_left } -> handle_stat_gossip t me ~summaries ~rounds_left
@@ -351,27 +339,33 @@ let dispatch t (me : Node.t) ~src msg =
     end
   | Task { run; _ } -> run me.id
   (* Anti-entropy ({!Gossip.anti_entropy_round}): a replica's digest
-     asks for what it lacks and offers what it holds newer. *)
+     asks for what it lacks and offers what it holds newer, tombstones
+     included. *)
   | SyncDigest { digest } ->
     let theirs = Hashtbl.create (List.length digest) in
     List.iter (fun (k, id, v) -> Hashtbl.replace theirs (k, id) v) digest;
     (* Items they are missing or hold stale. *)
     let to_send = ref [] in
-    Store.iter me.store (fun i ->
-        match Hashtbl.find_opt theirs (i.key, i.item_id) with
-        | Some v when v >= i.version -> ()
-        | _ -> to_send := i :: !to_send);
+    let offer (i : Store.item) =
+      match Hashtbl.find_opt theirs (i.key, i.item_id) with
+      | Some v when v >= i.version -> ()
+      | _ -> to_send := i :: !to_send
+    in
+    Store.iter me.store offer;
+    List.iter offer (Store.tombstones me.store);
     if !to_send <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items = !to_send });
     (* Items I am missing or hold stale. *)
     let wanted =
       List.filter_map
         (fun (k, id, v) ->
-          match held me k id with Some i when i.version >= v -> None | _ -> Some (k, id))
+          match Store.held me.store ~key:k ~item_id:id with
+          | Some i when i.version >= v -> None
+          | _ -> Some (k, id))
         digest
     in
     if wanted <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncRequest { wanted })
   | SyncRequest { wanted } ->
-    let items = List.filter_map (fun (k, id) -> held me k id) wanted in
+    let items = List.filter_map (fun (key, item_id) -> Store.held me.store ~key ~item_id) wanted in
     if items <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items })
   | SyncItems { items } ->
     List.iter (fun i -> if Store.put me.store i then Node.bump_epoch me) items
@@ -415,9 +409,14 @@ let update t ~origin ~key ~item_id ~payload ~version ?(rounds = 3) ~k () =
   start t ~op:"update" ~origin Single ~k (fun me rid ->
       handle_update t me ~rid ~item ~origin ~hops:0 ~rounds)
 
+(* A delete is an insert of a tombstone, which the owner stamps past
+   the version it holds and replicates as any write; its answer carries
+   no items. *)
 let delete t ~origin ~key ~item_id ~k =
-  start t ~op:"delete" ~origin Single ~k (fun me rid ->
-      handle_delete t me ~rid ~key ~item_id ~origin ~hops:0)
+  let item = Store.tombstone ~key ~item_id ~version:0 in
+  start t ~op:"delete" ~origin Single
+    ~k:(fun r -> k { r with items = [] })
+    (fun me rid -> handle_insert t me ~rid ~item ~origin ~hops:0)
 
 (* Successful lookups feed the read observer before [k] runs. *)
 let lookup t ~origin ~key ~k =

@@ -110,8 +110,9 @@ val refresh_store_gauges : t -> unit
 
 (** [insert t ~origin ~key ~item_id ~payload ()] routes the item to the
     responsible peer, stores it there and pushes it to that peer's replica
-    group. The continuation receives [complete = false] if every retry
-    timed out. *)
+    group. An insert that lands on the owner's tombstone of the item is
+    stored one version past it ({!Store.stamp}). The continuation
+    receives [complete = false] if every retry timed out. *)
 val insert :
   t ->
   origin:int ->
@@ -127,8 +128,12 @@ val insert :
     equals [key]. *)
 val lookup : t -> origin:int -> key:string -> k:(result -> unit) -> unit
 
-(** [delete t ~origin ~key ~item_id] removes one item from the
-    responsible peer and its replicas. *)
+(** [delete t ~origin ~key ~item_id] removes one item: it is the
+    {!insert} of the item's {!Store.tombstone}, which the responsible peer
+    stamps one version past what it holds and pushes to its replica
+    group. Replicas apply it by LWW, and anti-entropy carries it to
+    replicas that missed it, so a delete is never undone. The result
+    holds no items. *)
 val delete : t -> origin:int -> key:string -> item_id:string -> k:(result -> unit) -> unit
 
 (** [update t ~origin ~key ~item_id ~payload ~version ()] is a versioned

@@ -98,8 +98,9 @@ let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
         Node.add_replica m d.id
       end)
     new_members;
-  (* State transfer from the surviving member, as a real message. *)
-  let items = Store.to_list template.store in
+  (* State transfer from the surviving member, as a real message; the
+     template's tombstones go along, so no delete is undone. *)
+  let items = Store.to_list template.store @ Store.tombstones template.store in
   let bytes = Wire.items_bytes items in
   Net.send net ~src:template.id ~dst:d.id (Message.SyncItems { items });
   bytes

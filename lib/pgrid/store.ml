@@ -12,7 +12,12 @@
    the store's first long key) so that a short key's bucket stays one
    field. A re-put of the stored item itself (same id, version and
    payload) changes nothing and returns [false], as a stale one does;
-   replacing an existing id (LWW) walks the key's list. *)
+   replacing an existing id (LWW) walks the key's list.
+
+   A delete is a put of a tombstone (see {!tombstone}). Tombstones live
+   in their own map beside the item map, so no read sees them and a
+   store that never saw a delete holds the empty map. A (key, id) is in
+   at most one of the two. *)
 
 type item = { key : string; item_id : string; payload : string; version : int }
 
@@ -49,6 +54,14 @@ let backend_label = function Hash -> "hash" | Log _ -> "log"
 module SMap = Map.Make (String)
 module Tbl = Hashtbl.Make (String)
 
+(* Tombstones by (key, id), in key order. *)
+module Dead = Map.Make (struct
+  type t = string * string
+
+  let compare (k1, i1) (k2, i2) =
+    match String.compare k1 k2 with 0 -> String.compare i1 i2 | c -> c
+end)
+
 (* Never empty while bound in [map]. *)
 type bucket = { mutable items : item list }
 
@@ -60,12 +73,14 @@ type t = {
   mutable count : int;
   mutable index : item Tbl.t Tbl.t option;
       (* key -> (item id -> item) for every key that grew past [indexed_after] items *)
+  mutable dead : item Dead.t;  (* tombstones; never read by a scan *)
   mutable gen : int;
   journal : journal option;
 }
 
 (* An append-only record file of the store's writes. Every change
-   appends one binary record ('P' put / 'R' remove); {!clear} restarts
+   appends one binary record ('P' put, a tombstone's included / 'R'
+   handover by {!filter_partition}); {!clear} restarts
    the segment. Writes go through a buffered channel and are never
    fsynced — the simulator does not model disk latency — so the crash
    model is explicit instead: {!crash_restart} closes the channel
@@ -89,6 +104,14 @@ and journal = {
 
 let indexed_after = 16
 let id_index t = t.index
+
+(* The payload that marks a tombstone. No encoder emits it: a value's
+   encoding starts with a type tag letter, and the triple layer's other
+   payloads are empty or decimal digits. *)
+let tombstone_payload = "\000"
+
+let tombstone ~key ~item_id ~version = { key; item_id; payload = tombstone_payload; version }
+let is_tombstone (i : item) = String.equal i.payload tombstone_payload
 
 (* ------------------------------------------------------------------ *)
 (* The map and its id index                                            *)
@@ -180,7 +203,44 @@ let map_remove t ~key ~item_id =
 let map_clear t =
   t.map <- SMap.empty;
   t.count <- 0;
-  t.index <- None
+  t.index <- None;
+  t.dead <- Dead.empty
+
+let live_find t key item_id =
+  match SMap.find_opt key t.map with
+  | None -> None
+  | Some b -> (
+    match key_index t key with
+    | Some ids -> Tbl.find_opt ids item_id
+    | None -> find_id item_id b.items)
+
+(* LWW across live items and tombstones: a tombstone replaces a live
+   item of its version or older, and a live item replaces a tombstone
+   only with a newer version. Whether the store changed. *)
+let put_entry t (item : item) =
+  if Dead.is_empty t.dead && not (is_tombstone item) then map_put t item
+  else
+    let id = (item.key, item.item_id) in
+    match Dead.find_opt id t.dead with
+    | Some d when item.version <= d.version -> false
+    | Some _ when is_tombstone item ->
+      t.dead <- Dead.add id item t.dead;
+      true
+    | Some _ ->
+      t.dead <- Dead.remove id t.dead;
+      map_put t item
+    | None when is_tombstone item -> (
+      match live_find t item.key item.item_id with
+      | Some l when l.version > item.version -> false
+      | live ->
+        if live <> None then ignore (map_remove t ~key:item.key ~item_id:item.item_id);
+        t.dead <- Dead.add id item t.dead;
+        true)
+    | None -> map_put t item
+
+let remove_entry t ~key ~item_id =
+  t.dead <- Dead.remove (key, item_id) t.dead;
+  ignore (map_remove t ~key ~item_id)
 
 (* ------------------------------------------------------------------ *)
 (* The journal                                                         *)
@@ -254,7 +314,7 @@ let replay s t =
         let key = String.sub s (!pos + 21) klen in
         let item_id = String.sub s (!pos + 21 + klen) idlen in
         let payload = String.sub s (!pos + 21 + klen + idlen) plen in
-        ignore (map_put t { key; item_id; payload; version });
+        ignore (put_entry t { key; item_id; payload; version });
         pos := !pos + 21 + klen + idlen + plen;
         valid := !pos
       end
@@ -265,7 +325,7 @@ let replay s t =
       else begin
         let key = String.sub s (!pos + 9) klen in
         let item_id = String.sub s (!pos + 9 + klen) idlen in
-        ignore (map_remove t ~key ~item_id);
+        remove_entry t ~key ~item_id;
         pos := !pos + 9 + klen + idlen;
         valid := !pos
       end
@@ -319,7 +379,7 @@ let create ?(backend = Hash) ?name () =
       let path = Filename.concat dir (base ^ ".log") in
       Some { path; chan = empty_segment path; length = 0 }
   in
-  { map = SMap.empty; count = 0; index = None; gen = 0; journal }
+  { map = SMap.empty; count = 0; index = None; dead = Dead.empty; gen = 0; journal }
 
 let kind t =
   match t.journal with None -> Hash | Some j -> Log { dir = Filename.dirname j.path }
@@ -329,13 +389,26 @@ let bump t = t.gen <- t.gen + 1
 
 let put t i =
   bump t;
-  let changed = map_put t i in
+  let changed = put_entry t i in
   if changed then append t (encode_put i);
   changed
 
-let remove t ~key ~item_id =
-  bump t;
-  if map_remove t ~key ~item_id then append t (encode_remove ~key ~item_id)
+let held t ~key ~item_id =
+  match Dead.find_opt (key, item_id) t.dead with
+  | Some _ as d -> d
+  | None -> live_find t key item_id
+
+(* Where a tombstone is involved, the owner stamps the write past the
+   version it holds; otherwise plain LWW decides. *)
+let stamp t (item : item) =
+  if Dead.is_empty t.dead && not (is_tombstone item) then item
+  else
+    match held t ~key:item.key ~item_id:item.item_id with
+    | Some h when (is_tombstone item || is_tombstone h) && item.version <= h.version ->
+      { item with version = h.version + 1 }
+    | _ -> item
+
+let tombstones t = List.map snd (Dead.bindings t.dead)
 
 let find t key = match SMap.find_opt key t.map with Some b -> b.items | None -> []
 
@@ -402,13 +475,16 @@ let filter_partition t pred =
       t.map;
   let removed = List.concat (List.rev !chunks) in
   t.count <- t.count - List.length removed;
+  let dead_kept, dead_out = Dead.partition (fun _ d -> pred d) t.dead in
+  t.dead <- dead_kept;
+  let removed = removed @ List.map snd (Dead.bindings dead_out) in
   List.iter (fun (i : item) -> append t (encode_remove ~key:i.key ~item_id:i.item_id)) removed;
   removed
 
 let digest t =
-  SMap.fold
-    (fun key b acc -> List.fold_left (fun acc i -> (key, i.item_id, i.version) :: acc) acc b.items)
-    t.map []
+  let entry (i : item) acc = (i.key, i.item_id, i.version) :: acc in
+  SMap.fold (fun _ b acc -> List.fold_left (fun acc i -> entry i acc) acc b.items) t.map []
+  |> Dead.fold (fun _ d acc -> entry d acc) t.dead
 
 (* A clear supersedes the whole history: restart the segment instead of
    appending a 'C' record to an ever-growing file. *)
@@ -437,8 +513,9 @@ let table_bytes tbl =
    item record (header + 4 fields) and its three strings, plus the id
    index of the long keys. The map binding's key string is shared with
    the first item's [key] field often enough that we charge key strings
-   on the items only. The journal's segment is {!log_bytes}, not
-   memory. *)
+   on the items only. A tombstone costs its map node (6 words), its
+   (key, id) pair (3 words), its record and its strings. The journal's
+   segment is {!log_bytes}, not memory. *)
 let stats t =
   let bytes =
     ref
@@ -456,6 +533,12 @@ let stats t =
             + string_bytes i.payload)
         b.items)
     t.map;
+  Dead.iter
+    (fun _ (d : item) ->
+      bytes :=
+        !bytes + 48 + 24 + 40 + string_bytes d.key + string_bytes d.item_id
+        + string_bytes d.payload)
+    t.dead;
   { bytes = !bytes; triples = t.count }
 
 let log_bytes t = match t.journal with Some j -> j.length | None -> 0

@@ -58,9 +58,9 @@ val empty_result : result
 val side_by_side : latency:float -> result list -> result
 
 (** Deterministic memory-model estimate of resident bytes (records,
-    string headers and padding, container overhead, the id index), and
-    the live item count. The same with the journal on or off; not a GC
-    measurement. *)
+    string headers and padding, container overhead, the id index,
+    tombstones), and the live item count. The same with the journal on
+    or off; not a GC measurement. *)
 type stats = { bytes : int; triples : int }
 
 (** The deployment's storage setting, threaded from
@@ -84,7 +84,7 @@ val create : ?backend:backend -> ?name:string -> unit -> t
 val kind : t -> backend
 
 (** [generation t] counts the mutating calls made on this store: it
-    starts at 0 and every call to {!put}, {!remove},
+    starts at 0 and every call to {!put},
     {!filter_partition}, {!clear} or {!crash_restart} raises it by one,
     whether or not the contents changed (a stale [put] still counts).
     Reads ({!find}, {!range}, {!with_prefix}, {!iter}, {!to_list},
@@ -95,15 +95,35 @@ val kind : t -> backend
     journal's crash-restart replay. *)
 val generation : t -> int
 
-(** [put t item] inserts or updates. An existing entry with the same
-    [(key, item_id)] is replaced iff the new version is greater, or
-    equal with a different payload. Returns [true] iff the store
-    changed: a stale write and a re-put of the stored item itself
-    return [false]. *)
+(** [put t item] inserts, updates or deletes (a {!tombstone}). An entry
+    with the same [(key, item_id)] is replaced iff the new version is
+    greater, or equal with a different payload; but a tombstone wins a
+    tie and a live item beats a tombstone only with a greater version.
+    Returns [true] iff the store changed: a stale write and a re-put of
+    the stored entry itself return [false]. *)
 val put : t -> item -> bool
 
-(** [remove t ~key ~item_id] removes an entry if present. *)
-val remove : t -> key:string -> item_id:string -> unit
+(** {2 Deletes}
+
+    A delete is an LWW write of a tombstone: an item whose payload is a
+    reserved marker that no encoder emits. Tombstones are never
+    collected and no read ({!find}, {!range}, {!with_prefix}, {!iter},
+    {!iter_clip}, {!to_list}, {!size}) sees them; {!digest},
+    {!filter_partition}, {!stats}, {!held} and the journal include them. *)
+
+val tombstone : key:string -> item_id:string -> version:int -> item
+
+(** The live item or the tombstone stored under [(key, item_id)]. *)
+val held : t -> key:string -> item_id:string -> item option
+
+(** [item] as its owner stores it: where [item] or the held entry is a
+    tombstone, a version not above the held one becomes the held
+    version + 1, so a delete supersedes the item and a re-insert the
+    delete. Otherwise [item] (plain LWW). *)
+val stamp : t -> item -> item
+
+(** Every tombstone, in (key, id) order. *)
+val tombstones : t -> item list
 
 (** All items with exactly this key. *)
 val find : t -> string -> item list
@@ -114,7 +134,7 @@ val range : t -> lo:string -> hi:string -> item list
 (** All items whose key starts with [prefix]. *)
 val with_prefix : t -> string -> item list
 
-(** Number of stored items. *)
+(** Number of stored live items. *)
 val size : t -> int
 
 val iter : t -> (item -> unit) -> unit
@@ -125,11 +145,13 @@ val iter_clip : t -> lo:string -> hi:string option -> (item -> unit) -> unit
 
 val to_list : t -> item list
 
-(** [filter_partition t pred] keeps items satisfying [pred] and returns the
-    removed ones (used when a peer splits its path and hands data over). *)
+(** [filter_partition t pred] keeps items and tombstones satisfying
+    [pred] and returns the removed ones (used when a peer splits its
+    path and hands data over). *)
 val filter_partition : t -> (item -> bool) -> item list
 
-(** [digest t] lists [(key, item_id, version)] for anti-entropy. *)
+(** [digest t] lists [(key, item_id, version)] of every item and
+    tombstone, for anti-entropy. *)
 val digest : t -> (string * string * int) list
 
 val clear : t -> unit

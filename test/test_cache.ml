@@ -1120,8 +1120,9 @@ let generation_contract label backend =
   stays "digest" (fun () -> Store.digest s);
   stays "stats" (fun () -> Store.stats s);
   stays "size" (fun () -> Store.size s);
-  rises "remove" (fun () -> Store.remove s ~key:"V\000y" ~item_id:"4");
-  rises "remove of an absent item" (fun () -> Store.remove s ~key:"V\000y" ~item_id:"4");
+  let tomb = Store.tombstone ~key:"V\000y" ~item_id:"4" ~version:0 in
+  rises "delete" (fun () -> Store.put s tomb);
+  rises "delete of a deleted item" (fun () -> Store.put s tomb);
   rises "filter_partition" (fun () -> Store.filter_partition s (fun i -> i.Store.key < "O"));
   rises "crash_restart" (fun () -> Store.crash_restart s);
   rises "insert after restart" (fun () -> Store.put s (item "A\000age\000i9" "9"));

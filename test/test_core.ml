@@ -1005,6 +1005,65 @@ let test_delete_and_update_through_queries () =
          r.Engine.rows)
   | Error e -> Alcotest.fail e
 
+(* The ages a full scan of the attribute reads for [oid], sorted. *)
+let ages_of store oid =
+  match Unistore.query store "SELECT ?a,?x WHERE { (?a,'age',?x) }" with
+  | Ok r ->
+    List.filter_map
+      (fun row ->
+        if Option.bind (Binding.find row "a") Value.as_string = Some oid then
+          Option.bind (Binding.find row "x") Value.as_int
+        else None)
+      r.Engine.rows
+    |> List.sort compare
+  | Error e -> Alcotest.fail e
+
+(* Deleting a triple and inserting it again: an update from age 30 to 31
+   and back re-inserts every index entry the first update deleted. The
+   owners hold those entries' tombstones, so the re-insert must be
+   stored past them, on P-Grid and on Chord+trie alike. *)
+let test_update_there_and_back () =
+  List.iter
+    (fun (label, overlay) ->
+      let store, _ = make_store ~peers:24 ~overlay () in
+      let oid = "probe-author" and attr = "age" in
+      Alcotest.(check bool) (label ^ ": insert ok") true
+        (Unistore.insert_triple store (Triple.make ~oid ~attr (Value.I 30)));
+      Alcotest.(check bool) (label ^ ": 30 -> 31") true
+        (Unistore.update_value store ~oid ~attr ~old_value:(Value.I 30) (Value.I 31));
+      Alcotest.(check bool) (label ^ ": 31 -> 30") true
+        (Unistore.update_value store ~oid ~attr ~old_value:(Value.I 31) (Value.I 30));
+      Unistore.settle store;
+      check Alcotest.(list int) (label ^ ": age 30 exactly once") [ 30 ] (ages_of store oid))
+    [ ("pgrid", Unistore.Pgrid); ("chord", Unistore.Chord_trie) ]
+
+(* An update whose delete misses one replica: the replica of the old
+   value's A#v entry is down while [update_value] runs, so it keeps the
+   old entry. Once it is back, anti-entropy carries the tombstone to it,
+   and the attribute has one value again. *)
+let test_update_under_a_dropped_replica_message () =
+  let store, ds = make_store ~peers:24 () in
+  let ov = Option.get (Unistore.pgrid store) in
+  let victim =
+    List.find (fun (tr : Triple.t) -> String.equal tr.Triple.attr "age") ds.Publications.triples
+  in
+  let oid = victim.Triple.oid and old_value = victim.Triple.value in
+  let old_age = Option.get (Value.as_int old_value) in
+  let group =
+    Unistore_pgrid.Overlay.responsible ov (Unistore_triple.Keys.attr_value_key "age" old_value)
+  in
+  let down = (List.nth group (List.length group - 1)).Unistore_pgrid.Node.id in
+  let origin = List.find (fun id -> id <> down) [ 0; 1 ] in
+  Unistore.kill_peers store [ down ];
+  Alcotest.(check bool) "update ok" true
+    (Unistore.update_value store ~origin ~oid ~attr:"age" ~old_value (Value.I (old_age + 1)));
+  Unistore.settle store;
+  Unistore.revive_peers store [ down ];
+  for _ = 1 to 3 do
+    Unistore.anti_entropy_round store
+  done;
+  check Alcotest.(list int) "one value, the new one" [ old_age + 1 ] (ages_of store oid)
+
 let test_query_tracing () =
   let store, _ = make_store ~peers:24 () in
   let tr = Unistore.start_trace store in
@@ -1199,6 +1258,9 @@ let () =
           Alcotest.test_case "query tracing" `Quick test_query_tracing;
           Alcotest.test_case "delete/update through queries" `Quick
             test_delete_and_update_through_queries;
+          Alcotest.test_case "update there and back" `Quick test_update_there_and_back;
+          Alcotest.test_case "update under a dropped replica message" `Quick
+            test_update_under_a_dropped_replica_message;
           prop_random_queries_match_reference;
         ] );
     ]

@@ -25,6 +25,11 @@ module Repair = Unistore_pgrid.Repair
 let check = Alcotest.check
 
 let item ?(version = 0) key item_id payload = { Store.key; item_id; payload; version }
+let tomb ?(version = 0) key item_id = Store.tombstone ~key ~item_id ~version
+
+(* A delete as its owner applies it: the tombstone stamped past what
+   the store holds. *)
+let delete s key item_id = ignore (Store.put s (Store.stamp s (tomb key item_id)))
 
 (* ------------------------------------------------------------------ *)
 (* Temp log directories: created under the dune sandbox cwd, removed
@@ -50,54 +55,49 @@ open Test_support
    derive from a stable sort by key: keys ascending, and — because the
    list is globally newest-first and the sort is stable — newest-first
    within each key, with LWW updates replacing in place (position
-   preserved). This is the ordering contract of Store. *)
+   preserved). This is the ordering contract of Store. The list holds
+   tombstones too: scans skip them, digests and partitions see them, a
+   tombstone wins a version tie, and an item that replaces a tombstone
+   is inserted anew (first in its key). *)
 
 module Model = struct
   type t = { mutable entries : Store.item list }
 
   let create () = { entries = [] }
 
+  let is_tomb (i : Store.item) =
+    i = Store.tombstone ~key:i.Store.key ~item_id:i.Store.item_id ~version:i.Store.version
+
+  (* Whether [it] replaces the held [e] of its (key, id). *)
+  let wins (it : Store.item) (e : Store.item) =
+    it.Store.version > e.Store.version
+    || it.Store.version = e.Store.version
+       && (not (is_tomb e))
+       && (is_tomb it || not (String.equal it.Store.payload e.Store.payload))
+
   (* [false] on a stale write and on a re-put of the stored item
      itself: neither changes anything. *)
   let put m (it : Store.item) =
-    let found = ref false and stale = ref false in
-    let entries =
-      List.map
-        (fun (e : Store.item) ->
-          if String.equal e.Store.key it.Store.key && String.equal e.Store.item_id it.Store.item_id
-          then begin
-            found := true;
-            if it.Store.version > e.Store.version
-               || (it.Store.version = e.Store.version
-                  && not (String.equal it.Store.payload e.Store.payload))
-            then it
-            else begin
-              stale := true;
-              e
-            end
-          end
-          else e)
-        m.entries
+    let same (e : Store.item) =
+      String.equal e.Store.key it.Store.key && String.equal e.Store.item_id it.Store.item_id
     in
-    if !stale then false
-    else begin
-      m.entries <- (if !found then entries else it :: entries);
+    match List.find_opt same m.entries with
+    | None ->
+      m.entries <- it :: m.entries;
       true
-    end
+    | Some e when not (wins it e) -> false
+    | Some e when is_tomb e -> 
+      m.entries <- it :: List.filter (fun e -> not (same e)) m.entries;
+      true
+    | Some _ ->
+      m.entries <- List.map (fun e -> if same e then it else e) m.entries;
+      true
 
-  let remove m ~key ~item_id =
-    m.entries <-
-      List.filter
-        (fun (e : Store.item) ->
-          not (String.equal e.Store.key key && String.equal e.Store.item_id item_id))
-        m.entries
+  let sorted entries =
+    List.stable_sort (fun (a : Store.item) b -> String.compare a.Store.key b.Store.key) entries
 
-  let to_list m =
-    List.stable_sort
-      (fun (a : Store.item) b -> String.compare a.Store.key b.Store.key)
-      m.entries
-
-  let size m = List.length m.entries
+  let to_list m = sorted (List.filter (fun i -> not (is_tomb i)) m.entries)
+  let size m = List.length (to_list m)
   let find m key = List.filter (fun (i : Store.item) -> String.equal i.Store.key key) (to_list m)
 
   let range m ~lo ~hi =
@@ -116,13 +116,12 @@ module Model = struct
       (to_list m)
 
   let filter_partition m pred =
-    let keep, out = List.partition pred (to_list m) in
+    let out = List.filter (fun i -> not (pred i)) (sorted m.entries) in
     m.entries <- List.filter pred m.entries;
-    ignore keep;
     out
 
   let digest m =
-    List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id, i.Store.version)) (to_list m)
+    List.map (fun (i : Store.item) -> (i.Store.key, i.Store.item_id, i.Store.version)) m.entries
 
   let clear m = m.entries <- []
 end
@@ -199,10 +198,10 @@ let check_against_model ~ctx backends model probes =
     backends
 
 (* Apply one operation everywhere; put results and partition spoils
-   must agree backend-by-backend with the model. *)
+   must agree backend-by-backend with the model. A remove is the put of
+   a tombstone. *)
 type op =
   | Put of Store.item
-  | Remove of { key : string; item_id : string }
   | Partition of string  (* keep items with key >= boundary (split handover) *)
   | Clear
 
@@ -216,9 +215,6 @@ let apply_op ~ctx backends model op =
           (Printf.sprintf "%s: %s put %s agrees" ctx label (item_str it))
           want (Store.put s it))
       backends
-  | Remove { key; item_id } ->
-    Model.remove model ~key ~item_id;
-    List.iter (fun (_, s) -> Store.remove s ~key ~item_id) backends
   | Partition boundary ->
     let pred (i : Store.item) = String.compare i.Store.key boundary >= 0 in
     (* Spoils are compared sorted: the contract leaves their order
@@ -240,7 +236,8 @@ let apply_op ~ctx backends model op =
     List.iter (fun (_, s) -> Store.clear s) backends
 
 (* Seeded random op traces over a small key/id pool (collisions are the
-   point: duplicate inserts, LWW races, remove-then-reinsert). *)
+   point: duplicate inserts, LWW races, remove-then-reinsert, removes
+   racing puts of the same version). *)
 let gen_ops rng n pool ids =
   List.init n (fun _ ->
       let key = pool.(Rng.int rng (Array.length pool)) in
@@ -254,7 +251,7 @@ let gen_ops rng n pool ids =
             payload = Printf.sprintf "p%d-%s" (Rng.int rng 1000) id;
             version = Rng.int rng 4;
           }
-      else if r < 94 then Remove { key; item_id = id }
+      else if r < 94 then Put (tomb ~version:(Rng.int rng 4) key id)
       else Partition pool.(Rng.int rng (Array.length pool)))
 
 let run_random_trace ~seed ~batches ~batch_len () =
@@ -271,7 +268,12 @@ let run_random_trace ~seed ~batches ~batch_len () =
         let ctx = Printf.sprintf "seed%d batch%d" seed b in
         List.iter (apply_op ~ctx backends model) (gen_ops rng batch_len pool ids);
         check_against_model ~ctx backends model probes
-      done)
+      done;
+      (* The journal replays the tombstones with the items. *)
+      let logged = List.filter (fun (label, _) -> label = "log") backends in
+      List.iter (fun (_, s) -> ignore (Store.crash_restart s)) logged;
+      check_against_model ~ctx:(Printf.sprintf "seed%d after crash-restart" seed) logged model
+        probes)
 
 (* A hot-key trace: hundreds of ids over three keys, so every key holds
    far more items than Store.indexed_after and carries an id
@@ -308,7 +310,7 @@ let run_hot_key_trace ~seed () =
                   payload = Printf.sprintf "p%d" (Rng.int rng 1000);
                   version = Rng.int rng 4;
                 }
-            else Remove { key; item_id = id })
+            else Put (tomb ~version:(Rng.int rng 4) key id))
       in
       let step = ref 0 in
       let run ops =
@@ -354,8 +356,10 @@ let run_hot_key_trace ~seed () =
    every operation, each key of more than Store.indexed_after
    items is indexed, and each indexed key's index maps exactly its
    items' ids to its items. Random traces over a hash store cross the
-   index's creation, removes that shrink or empty an indexed key,
-   partitions that split one and clears that drop them all. *)
+   index's creation, deletes that shrink or empty an indexed key,
+   re-inserts past their tombstones, partitions that split one and
+   clears that drop them all. Writes are stamped as an owner stamps
+   them. *)
 type index_op =
   | I_put of string * string * int
   | I_remove of string * string
@@ -401,8 +405,9 @@ let prop_id_index_exact =
          List.for_all
            (fun op ->
              (match op with
-             | I_put (key, id, p) -> ignore (Store.put s (item key id (string_of_int p)))
-             | I_remove (key, item_id) -> Store.remove s ~key ~item_id
+             | I_put (key, id, p) ->
+               ignore (Store.put s (Store.stamp s (item key id (string_of_int p))))
+             | I_remove (key, item_id) -> delete s key item_id
              | I_partition b ->
                ignore (Store.filter_partition s (fun i -> String.compare i.Store.key b >= 0))
              | I_clear -> Store.clear s);
@@ -411,7 +416,7 @@ let prop_id_index_exact =
 
 (* The index's life cycle on one hash store: none while every key holds
    at most Store.indexed_after items, created for the key that
-   grows past them, kept exact through [remove] and [filter_partition]
+   grows past them, kept exact through deletes and [filter_partition]
    (dropped with the key that empties) and dropped by [clear]. *)
 let test_index_lifecycle () =
   let module Tbl = Store.Tbl in
@@ -430,12 +435,13 @@ let test_index_lifecycle () =
   check Alcotest.bool "exact after creation" true (index_exact s);
   check Alcotest.bool "identical re-put of an indexed id" false
     (Store.put s (item "b" "id3" "p"));
-  Store.remove s ~key:"b" ~item_id:"id3";
-  check Alcotest.bool "remove drops the id" true
+  delete s "b" "id3";
+  check Alcotest.bool "a delete drops the id" true
     (match indexed "b" with Some ids -> not (Tbl.mem ids "id3") | None -> false);
-  check Alcotest.bool "exact after remove" true (index_exact s);
-  put "b" 3;
-  check Alcotest.bool "reinsert after remove changes the store" true (index_exact s);
+  check Alcotest.bool "exact after a delete" true (index_exact s);
+  check Alcotest.bool "reinsert past the tombstone changes the store" true
+    (Store.put s (Store.stamp s (item "b" "id3" "p")));
+  check Alcotest.bool "exact after the reinsert" true (index_exact s);
   ignore (Store.filter_partition s (fun i -> not (String.equal i.Store.item_id "id5")));
   check Alcotest.bool "exact after a partition that splits the key" true (index_exact s);
   ignore (Store.filter_partition s (fun i -> String.equal i.Store.key "a"));
@@ -568,21 +574,26 @@ let test_delete_then_prefix_scan () =
       ignore (Store.put s (item "aa#2" "z" "p3"));
       ignore (Store.put s (item "ab#1" "w" "p4"));
       (* Delete one of two items under a key, then the whole aa#1 key. *)
-      Store.remove s ~key:"aa#2" ~item_id:"y";
-      Store.remove s ~key:"aa#1" ~item_id:"x";
+      delete s "aa#2" "y";
+      delete s "aa#1" "x";
       check Alcotest.string (label ^ ": prefix aa") {|"aa#2"/z/"p3"/0|}
         (items_str (Store.with_prefix s "aa"));
       check Alcotest.string (label ^ ": prefix a") {|"aa#2"/z/"p3"/0;"ab#1"/w/"p4"/0|}
         (items_str (Store.with_prefix s "a"));
-      check Alcotest.string (label ^ ": emptied key gone") "" (items_str (Store.find s "aa#1")))
+      check Alcotest.string (label ^ ": emptied key gone") "" (items_str (Store.find s "aa#1"));
+      check Alcotest.string (label ^ ": digest keeps the tombstones")
+        {|"aa#1"/x/1;"aa#2"/y/1;"aa#2"/z/0;"ab#1"/w/0|}
+        (digest_str (Store.digest s)))
 
 let test_remove_nonexistent () =
   with_backends "rmnone" (fun label s ->
       ignore (Store.put s (item "k" "a" "p"));
-      Store.remove s ~key:"k" ~item_id:"other";
-      Store.remove s ~key:"unknown" ~item_id:"a";
+      delete s "k" "other";
+      delete s "unknown" "a";
       check Alcotest.int (label ^ ": size intact") 1 (Store.size s);
-      check Alcotest.string (label ^ ": state intact") {|"k"/a/"p"/0|} (items_str (Store.to_list s)))
+      check Alcotest.string (label ^ ": state intact") {|"k"/a/"p"/0|} (items_str (Store.to_list s));
+      (* The tombstones stay, so a late copy of either item is refused. *)
+      check Alcotest.bool (label ^ ": late copy refused") false (Store.put s (item "unknown" "a" "p")))
 
 let test_range_edges () =
   with_backends "range" (fun label s ->
@@ -650,13 +661,32 @@ let test_log_clean_restart () =
       for i = 0 to 199 do
         ignore (Store.put s (item ~version:(Rng.int rng 3) (Printf.sprintf "k%d" (Rng.int rng 40)) (Printf.sprintf "id%d" i) "payload"))
       done;
-      Store.remove s ~key:"k1" ~item_id:"id7";
+      delete s "k1" "id7";
       let before = observe_store s [ "k1"; "k2"; "k3" ] in
       let n = Store.size s in
       check Alcotest.int "all items recovered" n (Store.crash_restart s);
       check Alcotest.string "state identical after replay" before (observe_store s [ "k1"; "k2"; "k3" ]);
       (* The reopened store keeps accepting writes. *)
       check Alcotest.bool "writable after restart" true (Store.put s (item "fresh" "id" "p")))
+
+(* A deleted item stays deleted across a journalled crash-restart: the
+   replayed tombstone hides the item and still refuses a late copy of
+   it, and a re-insert past it is accepted. *)
+let test_log_delete_survives_restart () =
+  with_log_dir "delete-restart" (fun dir ->
+      let s = Store.create ~backend:(Store.Log { dir }) ~name:"peer" () in
+      ignore (Store.put s (item ~version:2 "k" "a" "pa"));
+      ignore (Store.put s (item "k" "b" "pb"));
+      delete s "k" "a";
+      check Alcotest.int "one live item recovered" 1 (Store.crash_restart s);
+      check Alcotest.string "deleted item stays deleted" {|"k"/b/"pb"/0|}
+        (items_str (Store.find s "k"));
+      check Alcotest.string "tombstone replayed" {|"k"/a/3;"k"/b/0|} (digest_str (Store.digest s));
+      check Alcotest.bool "a late copy is refused" false (Store.put s (item ~version:3 "k" "a" "pa"));
+      check Alcotest.bool "a re-insert past the tombstone is accepted" true
+        (Store.put s (Store.stamp s (item "k" "a" "pa2")));
+      check Alcotest.string "re-inserted" {|"k"/a/"pa2"/4;"k"/b/"pb"/0|}
+        (items_str (Store.find s "k")))
 
 let test_log_torn_tail () =
   with_log_dir "torn" (fun dir ->
@@ -942,6 +972,8 @@ let () =
       ( "log",
         [
           Alcotest.test_case "clean crash-restart replays everything" `Quick test_log_clean_restart;
+          Alcotest.test_case "a delete survives crash-restart" `Quick
+            test_log_delete_survives_restart;
           Alcotest.test_case "torn tail at and inside record boundaries" `Quick test_log_torn_tail;
           Alcotest.test_case "total log loss" `Quick test_log_total_loss;
           Alcotest.test_case "a new store's journal starts empty" `Quick
