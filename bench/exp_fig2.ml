@@ -6,7 +6,8 @@
    over schema (OID, title, confname, year) become 6 triples; each triple
    is indexed under its OID, A#v and v keys: 18 index entries distributed
    over a network of 8 peers. We print the resulting placement map and
-   verify that every entry is stored and retrievable. *)
+   verify that every entry is stored and retrievable; the run exits 1
+   unless all 6 triples are stored and all 18 entries are retrieved. *)
 
 module Value = Unistore.Value
 module Triple = Unistore.Triple
@@ -36,8 +37,8 @@ let tuples =
 
 let run () =
   Common.section "E1 / Fig. 2: triple placement in an 8-peer trie"
-    "18 triples resulting from 2 example tuples are distributed over 8 peers; \
-     each triple indexed by OID, A#v and v";
+    "2 example tuples become 6 triples, each indexed by OID, A#v and v: 18 index \
+     entries distributed over 8 peers";
   let triples = List.concat_map (fun (oid, fields) -> Triple.tuple_to_triples ~oid fields) tuples in
   let keys_of (tr : Triple.t) =
     [
@@ -101,4 +102,11 @@ let run () =
       if has found_av then incr ok;
       if has found_v then incr ok)
     triples;
-  Printf.printf "\nretrievable index entries: %d/%d\n" !ok !entries
+  Printf.printf "\nretrievable index entries: %d/%d\n" !ok !entries;
+  let reproduced = stored = 6 && !entries = 18 && !ok = 18 in
+  Printf.printf "verdict: %s\n"
+    (if reproduced then
+       "the 2 tuples become 6 triples whose 18 index entries are all stored and retrievable, \
+        as in Fig. 2"
+     else "NOT reproduced: a triple or an index entry is missing");
+  if not reproduced then exit 1

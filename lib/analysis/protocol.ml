@@ -10,7 +10,6 @@ let pgrid =
     { constructor = "Insert"; kind = "insert"; role = Request { ops = [ "insert"; "delete" ] } };
     { constructor = "Update"; kind = "update"; role = Request { ops = [ "update" ] } };
     { constructor = "Replicate"; kind = "replicate"; role = Background };
-    { constructor = "Ack"; kind = "ack"; role = Reply };
     { constructor = "Lookup"; kind = "lookup"; role = Request { ops = [ "lookup" ] } };
     { constructor = "Found"; kind = "found"; role = Reply };
     { constructor = "Range"; kind = "range"; role = Request { ops = [ "range"; "prefix" ] } };
@@ -20,7 +19,6 @@ let pgrid =
       kind = "insert-batch";
       role = Request { ops = [ "bulk-insert" ] };
     };
-    { constructor = "AckBatch"; kind = "ack-batch"; role = Reply };
     {
       constructor = "MultiLookup";
       kind = "multi-lookup";
@@ -31,7 +29,6 @@ let pgrid =
     { constructor = "Task"; kind = "task"; role = Background };
     { constructor = "SyncDigest"; kind = "sync-digest"; role = Background };
     { constructor = "SyncRequest"; kind = "sync-request"; role = Background };
-    { constructor = "SyncItems"; kind = "sync-items"; role = Background };
     { constructor = "StatDigest"; kind = "stat-digest"; role = Background };
     { constructor = "StatPull"; kind = "stat-pull"; role = Background };
     { constructor = "StatGossip"; kind = "stat-gossip"; role = Background };
@@ -43,7 +40,6 @@ let pgrid =
 let chord =
   [
     { constructor = "Put"; kind = "put"; role = Request { ops = [] } };
-    { constructor = "PutAck"; kind = "put-ack"; role = Reply };
     { constructor = "Get"; kind = "get"; role = Request { ops = [] } };
     { constructor = "Got"; kind = "got"; role = Reply };
     { constructor = "Replica"; kind = "replica"; role = Background };

@@ -16,8 +16,8 @@ let pgrid_rules =
     request_kinds = [ "insert"; "update"; "lookup"; "range"; "probe" ];
     replies =
       [
-        { reply = "ack"; requests = [ "insert"; "update" ]; multi = false };
-        { reply = "found"; requests = [ "lookup" ]; multi = false };
+        { reply = "found"; requests = [ "insert"; "update"; "lookup" ]; multi = false };
+        { reply = "multi-found"; requests = [ "insert-batch"; "multi-lookup" ]; multi = true };
         { reply = "range-hit"; requests = [ "range"; "probe" ]; multi = true };
       ];
     known_kinds = Protocol.kinds Protocol.pgrid;
@@ -28,8 +28,7 @@ let chord_rules =
     request_kinds = [ "put"; "get"; "del"; "bcast" ];
     replies =
       [
-        { reply = "put-ack"; requests = [ "put"; "del" ]; multi = false };
-        { reply = "got"; requests = [ "get" ]; multi = false };
+        { reply = "got"; requests = [ "put"; "del"; "get" ]; multi = false };
         { reply = "bcast-hit"; requests = [ "bcast" ]; multi = true };
       ];
     known_kinds = Protocol.kinds Protocol.chord;

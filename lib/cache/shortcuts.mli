@@ -2,9 +2,9 @@
 
     Greedy trie routing resolves every request in O(log n) hops, but a
     query origin keeps seeing the same responsible peers: every [Found]
-    or [Ack] reply names the region its sender is responsible for, and
-    remembering (region → peer) lets the next request to that region go
-    in one hop. This table holds those learned long-range links.
+    or [MultiFound] reply names the region its sender is responsible
+    for, and remembering (region → peer) lets the next request to that
+    region go in one hop. This table holds those learned long-range links.
 
     Entries are keyed by their region — [lo] inclusive, [hi] exclusive
     ([None] = unbounded above), exactly the shape of

@@ -33,7 +33,6 @@ type node = {
 
 type msg =
   | Put of { rid : int; target : int; item : Store.item; origin : int; hops : int }
-  | PutAck of { rid : int; hops : int }
   | Get of { rid : int; target : int; key : string; origin : int; hops : int }
   | Got of { rid : int; items : Store.item list; hops : int }
   | Replica of { item : Store.item }
@@ -45,7 +44,6 @@ type msg =
 
 let msg_size = function
   | Put { item; _ } -> 20 + Wire.items_bytes [ item ]
-  | PutAck _ -> 20
   | Get { key; _ } -> 20 + String.length key
   | Got { items; _ } -> 20 + Wire.items_bytes items
   | Replica { item } -> 20 + Wire.items_bytes [ item ]
@@ -57,7 +55,6 @@ let msg_size = function
 
 let msg_kind = function
   | Put _ -> "put"
-  | PutAck _ -> "put-ack"
   | Get _ -> "get"
   | Got _ -> "got"
   | Replica _ -> "replica"
@@ -69,7 +66,6 @@ let msg_kind = function
 
 let msg_corr = function
   | Put { rid; _ }
-  | PutAck { rid; _ }
   | Get { rid; _ }
   | Got { rid; _ }
   | Del { rid; _ }
@@ -275,6 +271,12 @@ let route_step t (me : node) target =
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)
 
+(* The responsible peer answers the origin: itself directly, any other
+   origin with a [Got]. A write's answer carries no items. *)
+let reply t (me : node) ~rid ~origin ~hops ~items =
+  if me.id = origin then finish_single t rid ~items ~hops ~complete:true
+  else Net.send t.net ~src:me.id ~dst:origin (Got { rid; items; hops })
+
 let handle_put t (me : node) ~rid ~target ~item ~origin ~hops =
   match route_step t me target with
   | `Local ->
@@ -282,8 +284,7 @@ let handle_put t (me : node) ~rid ~target ~item ~origin ~hops =
     List.iteri
       (fun i s -> if i < t.config.succ_list - 1 then Net.send t.net ~src:me.id ~dst:s (Replica { item }))
       me.successors;
-    if me.id = origin then finish_single t rid ~items:[ item ] ~hops ~complete:true
-    else Net.send t.net ~src:me.id ~dst:origin (PutAck { rid; hops })
+    reply t me ~rid ~origin ~hops ~items:[]
   | `Forward next -> Net.send t.net ~src:me.id ~dst:next (Put { rid; target; item; origin; hops = hops + 1 })
   | `Stuck -> ()
 
@@ -296,18 +297,14 @@ and handle_del t (me : node) ~rid ~target ~key ~item_id ~origin ~hops =
         if i < t.config.succ_list - 1 then
           Net.send t.net ~src:me.id ~dst:s (Unreplica { key; item_id }))
       me.successors;
-    if me.id = origin then finish_single t rid ~items:[] ~hops ~complete:true
-    else Net.send t.net ~src:me.id ~dst:origin (PutAck { rid; hops })
+    reply t me ~rid ~origin ~hops ~items:[]
   | `Forward next ->
     Net.send t.net ~src:me.id ~dst:next (Del { rid; target; key; item_id; origin; hops = hops + 1 })
   | `Stuck -> ()
 
 and handle_get t (me : node) ~rid ~target ~key ~origin ~hops =
   match route_step t me target with
-  | `Local ->
-    let items = store_find me key in
-    if me.id = origin then finish_single t rid ~items ~hops ~complete:true
-    else Net.send t.net ~src:me.id ~dst:origin (Got { rid; items; hops })
+  | `Local -> reply t me ~rid ~origin ~hops ~items:(store_find me key)
   | `Forward next -> Net.send t.net ~src:me.id ~dst:next (Get { rid; target; key; origin; hops = hops + 1 })
   | `Stuck -> ()
 
@@ -348,7 +345,6 @@ and handle_bcast t (me : node) ~rid ~limit ~origin ~hops ~pred =
 let dispatch t (me : node) ~src:_ msg =
   match msg with
   | Put { rid; target; item; origin; hops } -> handle_put t me ~rid ~target ~item ~origin ~hops
-  | PutAck { rid; hops } -> finish_single t rid ~items:[] ~hops ~complete:true
   | Get { rid; target; key; origin; hops } -> handle_get t me ~rid ~target ~key ~origin ~hops
   | Got { rid; items; hops } -> finish_single t rid ~items ~hops ~complete:true
   | Replica { item } -> store_put me item

@@ -98,6 +98,8 @@ val stored_items : t -> int -> Store.item list
 
 (** {2 Operations} — key placement uses [Ring.hash_key key]. *)
 
+(** Store one item at the responsible peer and its successor replicas.
+    The result holds no items, wherever the origin sits. *)
 val put :
   t -> origin:int -> key:string -> item_id:string -> payload:string -> ?version:int ->
   k:(result -> unit) -> unit -> unit
@@ -105,7 +107,7 @@ val put :
 val get : t -> origin:int -> key:string -> k:(result -> unit) -> unit
 
 (** Remove one item (by key and item id) from the responsible peer and
-    its successor replicas. *)
+    its successor replicas. The result holds no items. *)
 val del : t -> origin:int -> key:string -> item_id:string -> k:(result -> unit) -> unit
 
 (** Finger-tree broadcast: every alive peer scans its store with [pred];

@@ -86,8 +86,9 @@ val insert_triple : t -> ?origin:int -> Triple.t -> bool
 (** [insert_tuple t ~oid fields] returns the number of triples stored. *)
 val insert_tuple : t -> ?origin:int -> oid:string -> (string * Value.t) list -> int
 
-(** [delete_triple t tr] removes a triple and all its index entries.
-    (Deletes are not tombstoned — see {!Unistore_triple.Tstore}.) *)
+(** [delete_triple t tr] removes a triple and all its index entries. On
+    P-Grid each entry's delete is a tombstone write that anti-entropy
+    cannot undo (see {!Unistore_triple.Tstore}). *)
 val delete_triple : t -> ?origin:int -> Triple.t -> bool
 
 (** [update_value t ~oid ~attr ~old_value v] replaces one field of a

@@ -25,8 +25,7 @@ type range = {
 type t =
   | Insert of { rid : int; item : Store.item; origin : int; hops : int }
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
-  | Replicate of { item : Store.item; rounds_left : int }
-  | Ack of { rid : int; hops : int; region : string * string option }
+  | Replicate of { items : Store.item list; rounds_left : int }
   | Lookup of { rid : int; key : string; origin : int; hops : int }
   | Found of {
       rid : int;
@@ -47,7 +46,6 @@ type t =
       hops : int;
     }
   | InsertBatch of { rid : int; items : Store.item list; origin : int; hops : int }
-  | AckBatch of { rid : int; keys : string list; region : string * string option; hops : int }
   | MultiLookup of { rid : int; keys : string list; origin : int; hops : int }
   | MultiFound of {
       rid : int;
@@ -72,7 +70,6 @@ type t =
   | Task of { bytes : int; run : int -> unit }
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
-  | SyncItems of { items : Store.item list }
   | StatDigest of { entries : Unistore_cache.Statcache.digest_entry list }
   | StatPull of { regions : string list }
   | StatGossip of { summaries : Unistore_cache.Statcache.summary list; rounds_left : int }
@@ -94,8 +91,7 @@ let region_bytes (lo, hi) =
 let size = function
   | Insert { item; _ } -> header + Wire.items_bytes [ item ]
   | Update { item; _ } -> header + Wire.items_bytes [ item ]
-  | Replicate { item; _ } -> header + Wire.items_bytes [ item ]
-  | Ack { region; _ } -> header + region_bytes region
+  | Replicate { items; _ } -> header + Wire.items_bytes items
   | Lookup { key; _ } -> header + String.length key
   | Found { items; region; spread; _ } ->
     header + Wire.items_bytes items + region_bytes region + (4 * List.length spread)
@@ -105,8 +101,6 @@ let size = function
   | RangeHit { items; targets; _ } ->
     header + Wire.items_bytes items + (4 * List.length targets)
   | InsertBatch { items; _ } -> header + Wire.items_bytes items
-  | AckBatch { keys; region; _ } ->
-    header + List.fold_left (fun acc k -> acc + String.length k) 0 keys + region_bytes region
   | MultiLookup { keys; _ } ->
     header + List.fold_left (fun acc k -> acc + String.length k) 0 keys
   | MultiFound { found; region; _ } ->
@@ -122,7 +116,6 @@ let size = function
     + List.fold_left (fun acc (k, id, _) -> acc + String.length k + String.length id + 8) 0 digest
   | SyncRequest { wanted } ->
     header + List.fold_left (fun acc (k, id) -> acc + String.length k + String.length id) 0 wanted
-  | SyncItems { items } -> header + Wire.items_bytes items
   | StatDigest { entries } ->
     header
     + List.fold_left
@@ -143,39 +136,34 @@ let size = function
 let corr = function
   | Insert { rid; _ }
   | Update { rid; _ }
-  | Ack { rid; _ }
   | Lookup { rid; _ }
   | Found { rid; _ }
   | Range { rid; _ }
   | RangeHit { rid; _ }
   | InsertBatch { rid; _ }
-  | AckBatch { rid; _ }
   | MultiLookup { rid; _ }
   | MultiFound { rid; _ }
   | Probe { rid; _ } ->
     rid
-  | Replicate _ | Task _ | SyncDigest _ | SyncRequest _ | SyncItems _
-  | StatDigest _ | StatPull _ | StatGossip _ | HotSync _ ->
+  | Replicate _ | Task _ | SyncDigest _ | SyncRequest _ | StatDigest _ | StatPull _
+  | StatGossip _ | HotSync _ ->
     -1
 
 let kind = function
   | Insert _ -> "insert"
   | Update _ -> "update"
   | Replicate _ -> "replicate"
-  | Ack _ -> "ack"
   | Lookup _ -> "lookup"
   | Found _ -> "found"
   | Range _ -> "range"
   | RangeHit _ -> "range-hit"
   | InsertBatch _ -> "insert-batch"
-  | AckBatch _ -> "ack-batch"
   | MultiLookup _ -> "multi-lookup"
   | MultiFound _ -> "multi-found"
   | Probe _ -> "probe"
   | Task _ -> "task"
   | SyncDigest _ -> "sync-digest"
   | SyncRequest _ -> "sync-request"
-  | SyncItems _ -> "sync-items"
   | StatDigest _ -> "stat-digest"
   | StatPull _ -> "stat-pull"
   | StatGossip _ -> "stat-gossip"

@@ -48,12 +48,11 @@ type t =
   | Update of { rid : int; item : Store.item; origin : int; hops : int; rounds : int }
       (** versioned write propagated to replicas by rumor spreading with
           [rounds] residual hops (Datta et al., ICDCS'03 style) *)
-  | Replicate of { item : Store.item; rounds_left : int }
-      (** rumor-spreading replica update *)
-  | Ack of { rid : int; hops : int; region : string * string option }
-      (** [region] is the responding peer's key region, so the origin can
-          learn a routing shortcut to it (see
-          {!Unistore_cache.Shortcuts}) *)
+  | Replicate of { items : Store.item list; rounds_left : int }
+      (** items pushed to a replica: a write's replication, the answer
+          to anti-entropy and a repair's state transfer. A receiver
+          relays what changed its store while [rounds_left > 0] (rumor
+          spreading) *)
   | Lookup of { rid : int; key : string; origin : int; hops : int }
   | Found of {
       rid : int;
@@ -65,7 +64,10 @@ type t =
               hot-path boosts); origins in spread mode learn them all as
               shortcut targets. Empty unless hot-path replication is on. *)
     }
-      (** carries the responder's region like [Ack] *)
+      (** the answer to a [Lookup], and with no items to an [Insert] or
+          [Update] once the owner applied it. [region] is the responding
+          peer's key region, so the origin can learn a routing shortcut
+          to it (see {!Unistore_cache.Shortcuts}) *)
   | Range of range
   | RangeHit of {
       rid : int;
@@ -81,10 +83,8 @@ type t =
   | InsertBatch of { rid : int; items : Store.item list; origin : int; hops : int }
       (** bulk insert: sorted items that split shower-style as the batch
           descends the trie; each covering peer stores its share and
-          acks it as one [AckBatch] *)
-  | AckBatch of { rid : int; keys : string list; region : string * string option; hops : int }
-      (** per-region ack of a bulk insert: [keys] were stored by the
-          sender; unacked keys are selectively retransmitted *)
+          acks it as one [MultiFound] mapping each stored key to no
+          items; unacked keys are selectively retransmitted *)
   | MultiLookup of { rid : int; keys : string list; origin : int; hops : int }
       (** batched bind-join probe: deduplicated lookup keys that split
           like an [InsertBatch]; answered per region *)
@@ -93,7 +93,7 @@ type t =
       found : (string * Store.item list) list;
       region : string * string option;
       hops : int;
-    }  (** one region's answers to a [MultiLookup] *)
+    }  (** one region's answers to a [MultiLookup] or [InsertBatch] *)
   | Probe of {
       rid : int;
       token : int;
@@ -113,7 +113,6 @@ type t =
           receives the executing peer id *)
   | SyncDigest of { digest : (string * string * int) list }
   | SyncRequest of { wanted : (string * string) list }
-  | SyncItems of { items : Store.item list }
   | StatDigest of { entries : Unistore_cache.Statcache.digest_entry list }
       (** the periodic statistics push (see {!Gossip.stats_round}): one
           stamp per region the sender holds, no content; a receiver

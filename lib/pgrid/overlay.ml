@@ -123,11 +123,13 @@ let send_all t (me : Node.t) peers msg =
 let owner_spread t (me : Node.t) =
   if (config t).hot_replication && me.Node.boosts <> [] then me.Node.boosts else []
 
+(* A routed request is answered where it is served: the origin answers
+   itself, any other origin gets a [Found] carrying the serving region. *)
+let reply t (me : Node.t) ~rid ~origin ~hops ~items ~region ~spread =
+  if me.id = origin then Request.answer t.requests rid ~items ~hops ()
+  else Net.send t.net ~src:me.id ~dst:origin (Message.Found { rid; items; hops; region; spread })
+
 let handle_lookup t (me : Node.t) ~rid ~key ~origin ~hops =
-  let reply items ~region ~spread =
-    if me.id = origin then Request.answer t.requests rid ~items ~hops ()
-    else Net.send t.net ~src:me.id ~dst:origin (Message.Found { rid; items; hops; region; spread })
-  in
   if Node.hot_covers me key then begin
     (* Boost replica: answer straight from the synced hot copy (state
        as of the last balance round — the same loose consistency as a
@@ -135,20 +137,27 @@ let handle_lookup t (me : Node.t) ~rid ~key ~origin ~hops =
        origins keep spreading. *)
     cache_incr t "balance.hot_serve";
     let region = match me.hot_region with Some r -> r | None -> Node.region me in
-    reply (Store.find me.hot_store key) ~region ~spread:me.hot_spread
+    reply t me ~rid ~origin ~hops ~items:(Store.find me.hot_store key) ~region
+      ~spread:me.hot_spread
   end
   else
     route t me ~rid ~origin ~hops key
       ~local:(fun () ->
-        reply (Store.find me.store key) ~region:(Node.region me) ~spread:(owner_spread t me))
+        reply t me ~rid ~origin ~hops ~items:(Store.find me.store key) ~region:(Node.region me)
+          ~spread:(owner_spread t me))
       ~forward:(fun hops -> Message.Lookup { rid; key; origin; hops })
 
-(* A routed write is answered once it is applied at its owner: the
-   origin answers itself, any other origin gets an [Ack] carrying the
-   owner's region. *)
-let ack t (me : Node.t) ~rid ~origin ~hops ~items =
-  if me.id = origin then Request.answer t.requests rid ~items ~hops ()
-  else Net.send t.net ~src:me.id ~dst:origin (Message.Ack { rid; hops; region = Node.region me })
+(* A write is answered once its owner applied it, with no items. *)
+let ack t (me : Node.t) ~rid ~origin ~hops =
+  reply t me ~rid ~origin ~hops ~items:[] ~region:(Node.region me) ~spread:[]
+
+(* An owner's write changed [items] in its store: one epoch bump and one
+   [Replicate] to each replica. *)
+let replicate_changed t (me : Node.t) = function
+  | [] -> ()
+  | items ->
+    Node.bump_epoch me;
+    send_all t me me.replicas (Message.Replicate { items; rounds_left = 0 })
 
 (* The owner stamps the write ({!Store.stamp}), so a delete's tombstone
    supersedes what it holds and a re-insert supersedes a tombstone. *)
@@ -156,11 +165,8 @@ let handle_insert t (me : Node.t) ~rid ~item ~origin ~hops =
   route t me ~rid ~origin ~hops item.Store.key
     ~local:(fun () ->
       let item = Store.stamp me.store item in
-      if Store.put me.store item then begin
-        Node.bump_epoch me;
-        send_all t me me.replicas (Message.Replicate { item; rounds_left = 0 })
-      end;
-      ack t me ~rid ~origin ~hops ~items:[ item ])
+      replicate_changed t me (if Store.put me.store item then [ item ] else []);
+      ack t me ~rid ~origin ~hops)
     ~forward:(fun hops -> Message.Insert { rid; item; origin; hops })
 
 let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
@@ -170,20 +176,21 @@ let handle_update t (me : Node.t) ~rid ~item ~origin ~hops ~rounds =
         Node.bump_epoch me;
         send_all t me
           (Rng.sample t.rng gossip_fanout me.replicas)
-          (Message.Replicate { item; rounds_left = rounds })
+          (Message.Replicate { items = [ item ]; rounds_left = rounds })
       end;
-      ack t me ~rid ~origin ~hops ~items:[ item ])
+      ack t me ~rid ~origin ~hops)
     ~forward:(fun hops -> Message.Update { rid; item; origin; hops; rounds })
 
-(* Rumor spreading: a replica that learned something new passes it on
-   while rounds are left. *)
-let handle_replicate t (me : Node.t) ~item ~rounds_left =
-  let changed = Store.put me.store item in
-  if changed then Node.bump_epoch me;
-  if changed && rounds_left > 0 && me.replicas <> [] then
+(* Each item that changes the store is one local write. Rumor
+   spreading: a replica that learned something new passes it on while
+   rounds are left. *)
+let handle_replicate t (me : Node.t) ~items ~rounds_left =
+  let changed = List.filter (Store.put me.store) items in
+  List.iter (fun _ -> Node.bump_epoch me) changed;
+  if changed <> [] && rounds_left > 0 && me.replicas <> [] then
     send_all t me
       (Rng.sample t.rng gossip_fanout me.replicas)
-      (Message.Replicate { item; rounds_left = rounds_left - 1 })
+      (Message.Replicate { items = changed; rounds_left = rounds_left - 1 })
 
 (* Anti-entropy for statistics: the periodic push of
    {!Gossip.stats_round} is a digest of region stamps. The receiver
@@ -232,8 +239,8 @@ let handle_stat_gossip t (me : Node.t) ~summaries ~rounds_left =
       (Message.StatGossip { summaries = news; rounds_left = rounds_left - 1 })
   end
 
-(* A region's [AckBatch]/[MultiFound] arrived at the batch origin [me]:
-   learn a shortcut to the responding region and resolve its keys. *)
+(* A region's [MultiFound] arrived at the batch origin [me]: learn a
+   shortcut to the responding region and resolve its keys. *)
 let deliver_batch_ack t (me : Node.t) rid ~from ~found ~region ~hops =
   if Request.live t.requests rid then begin
     learn_shortcut t me ~peer:from ~region;
@@ -241,32 +248,25 @@ let deliver_batch_ack t (me : Node.t) rid ~from ~found ~region ~hops =
   end
 
 (* A region answers its [n]-element share of a batch once: at the origin
-   straight into the accounting, elsewhere as [reply region]. *)
-let ack_batch t (me : Node.t) ~rid ~origin ~hops ~n ~found ~reply =
+   straight into the accounting, elsewhere as one [MultiFound]. *)
+let ack_batch t (me : Node.t) ~rid ~origin ~hops ~n ~found =
   cache_incr t ~by:((n - 1) * Message.header) "batch.bytes.saved";
   let region = Node.region me in
   if me.id = origin then deliver_batch_ack t me rid ~from:me.id ~found ~region ~hops
-  else Net.send t.net ~src:me.id ~dst:origin (reply region)
+  else Net.send t.net ~src:me.id ~dst:origin (Message.MultiFound { rid; found; region; hops })
 
 let handle_insert_batch t (me : Node.t) ~rid ~items ~origin ~hops =
   let key_of (i : Store.item) = i.Store.key in
   route_batch t me ~hops ~key_of ~batches:"batch.bulk.batches" ~sizes:"batch.bulk.size" items
     ~local:(fun local ->
-      (* Batched replication of what changed the store: one [SyncItems]
-         per replica instead of one [Replicate] per item per replica. *)
       let stored i =
         let i = Store.stamp me.store i in
         if Store.put me.store i then Some i else None
       in
-      (match List.filter_map stored local with
-      | [] -> ()
-      | changed ->
-        Node.bump_epoch me;
-        send_all t me me.replicas (Message.SyncItems { items = changed }));
+      replicate_changed t me (List.filter_map stored local);
       let keys = List.sort_uniq String.compare (List.map key_of local) in
       ack_batch t me ~rid ~origin ~hops ~n:(List.length local)
-        ~found:(List.map (fun k -> (k, [])) keys)
-        ~reply:(fun region -> Message.AckBatch { rid; keys; region; hops }))
+        ~found:(List.map (fun k -> (k, [])) keys))
     ~forward:(fun items hops -> Message.InsertBatch { rid; items; origin; hops })
 
 let handle_multi_lookup t (me : Node.t) ~rid ~keys ~origin ~hops =
@@ -274,8 +274,7 @@ let handle_multi_lookup t (me : Node.t) ~rid ~keys ~origin ~hops =
     keys
     ~local:(fun local ->
       let found = List.map (fun key -> (key, Store.find me.store key)) local in
-      ack_batch t me ~rid ~origin ~hops ~n:(List.length local) ~found
-        ~reply:(fun region -> Message.MultiFound { rid; found; region; hops }))
+      ack_batch t me ~rid ~origin ~hops ~n:(List.length local) ~found)
     ~forward:(fun keys hops -> Message.MultiLookup { rid; keys; origin; hops })
 
 (* ------------------------------------------------------------------ *)
@@ -296,9 +295,6 @@ let dispatch t (me : Node.t) ~src msg =
     learn_shortcut t me ~peer:src ~region;
     List.iter (fun p -> if p <> src then learn_shortcut t me ~peer:p ~region) spread;
     Request.answer t.requests rid ~from:src ~items ~hops ()
-  | Ack { rid; hops; region } ->
-    learn_shortcut t me ~peer:src ~region;
-    Request.answer t.requests rid ~from:src ~items:[] ~hops ()
   | Range r ->
     Node.bump_served me;
     Shower.handle_range t me r
@@ -307,8 +303,6 @@ let dispatch t (me : Node.t) ~src msg =
   | InsertBatch { rid; items; origin; hops } ->
     Node.bump_served me;
     handle_insert_batch t me ~rid ~items ~origin ~hops
-  | AckBatch { rid; keys; region; hops } ->
-    deliver_batch_ack t me rid ~from:src ~found:(List.map (fun k -> (k, [])) keys) ~region ~hops
   | MultiLookup { rid; keys; origin; hops } ->
     Node.bump_served me;
     handle_multi_lookup t me ~rid ~keys ~origin ~hops
@@ -317,7 +311,7 @@ let dispatch t (me : Node.t) ~src msg =
   | Probe { rid; token; clip_lo; clip_hi; origin; hops; pred; reduce } ->
     Node.bump_served me;
     Shower.handle_probe t me ~rid ~token ~clip_lo ~clip_hi ~origin ~hops ~pred ~reduce
-  | Replicate { item; rounds_left } -> handle_replicate t me ~item ~rounds_left
+  | Replicate { items; rounds_left } -> handle_replicate t me ~items ~rounds_left
   | StatDigest { entries } -> handle_stat_digest t me ~src ~entries
   | StatPull { regions } -> handle_stat_pull t me ~src ~regions
   | StatGossip { summaries; rounds_left } -> handle_stat_gossip t me ~summaries ~rounds_left
@@ -353,7 +347,8 @@ let dispatch t (me : Node.t) ~src msg =
     in
     Store.iter me.store offer;
     List.iter offer (Store.tombstones me.store);
-    if !to_send <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items = !to_send });
+    if !to_send <> [] then
+      Net.send t.net ~src:me.id ~dst:src (Message.Replicate { items = !to_send; rounds_left = 0 });
     (* Items I am missing or hold stale. *)
     let wanted =
       List.filter_map
@@ -366,9 +361,7 @@ let dispatch t (me : Node.t) ~src msg =
     if wanted <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncRequest { wanted })
   | SyncRequest { wanted } ->
     let items = List.filter_map (fun (key, item_id) -> Store.held me.store ~key ~item_id) wanted in
-    if items <> [] then Net.send t.net ~src:me.id ~dst:src (Message.SyncItems { items })
-  | SyncItems { items } ->
-    List.iter (fun i -> if Store.put me.store i then Node.bump_epoch me) items
+    if items <> [] then Net.send t.net ~src:me.id ~dst:src (Message.Replicate { items; rounds_left = 0 })
 
 let add_node t id =
   if id < 0 then invalid_arg "Overlay.add_node: negative id";
@@ -410,13 +403,10 @@ let update t ~origin ~key ~item_id ~payload ~version ?(rounds = 3) ~k () =
       handle_update t me ~rid ~item ~origin ~hops:0 ~rounds)
 
 (* A delete is an insert of a tombstone, which the owner stamps past
-   the version it holds and replicates as any write; its answer carries
-   no items. *)
+   the version it holds and replicates as any write. *)
 let delete t ~origin ~key ~item_id ~k =
   let item = Store.tombstone ~key ~item_id ~version:0 in
-  start t ~op:"delete" ~origin Single
-    ~k:(fun r -> k { r with items = [] })
-    (fun me rid -> handle_insert t me ~rid ~item ~origin ~hops:0)
+  start t ~op:"delete" ~origin Single ~k (fun me rid -> handle_insert t me ~rid ~item ~origin ~hops:0)
 
 (* Successful lookups feed the read observer before [k] runs. *)
 let lookup t ~origin ~key ~k =

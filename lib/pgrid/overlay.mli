@@ -10,7 +10,7 @@
     - [lookup]/[insert] resolve in at most [depth] overlay hops, i.e.
       O(log n) for a balanced trie — and in a single hop when the
       origin's routing-shortcut cache ({!Unistore_cache.Shortcuts}, fed
-      by the regions carried on [Found]/[Ack] replies) already knows the
+      by the regions carried on [Found] replies) already knows the
       responsible peer;
     - [range ~strategy:Shower] reaches every peer intersecting the range
       with one message each, after O(depth) splitting hops;
@@ -111,8 +111,9 @@ val refresh_store_gauges : t -> unit
 (** [insert t ~origin ~key ~item_id ~payload ()] routes the item to the
     responsible peer, stores it there and pushes it to that peer's replica
     group. An insert that lands on the owner's tombstone of the item is
-    stored one version past it ({!Store.stamp}). The continuation
-    receives [complete = false] if every retry timed out. *)
+    stored one version past it ({!Store.stamp}). The result holds no
+    items, wherever the origin sits; [complete = false] if every retry
+    timed out. *)
 val insert :
   t ->
   origin:int ->
@@ -132,15 +133,15 @@ val lookup : t -> origin:int -> key:string -> k:(result -> unit) -> unit
     {!insert} of the item's {!Store.tombstone}, which the responsible peer
     stamps one version past what it holds and pushes to its replica
     group. Replicas apply it by LWW, and anti-entropy carries it to
-    replicas that missed it, so a delete is never undone. The result
-    holds no items. *)
+    replicas that missed it, so a delete is never undone. Like an
+    insert's, the result holds no items. *)
 val delete : t -> origin:int -> key:string -> item_id:string -> k:(result -> unit) -> unit
 
 (** [update t ~origin ~key ~item_id ~payload ~version ()] is a versioned
     write with loose consistency: the responsible peer applies it (LWW) and
     rumor-spreads it to [gossip_fanout] replicas for [rounds] residual
     hops. Replicas missed by the rumor converge later through
-    {!Gossip.anti_entropy_round}. *)
+    {!Gossip.anti_entropy_round}. The result holds no items. *)
 val update :
   t ->
   origin:int ->

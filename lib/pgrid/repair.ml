@@ -15,7 +15,7 @@ module Bitkey = Unistore_util.Bitkey
    3. re-replicate: move spare peers from over-replicated leaves into
       depleted ones — the migrant takes the depleted leaf's path and
       boundaries, drops state it no longer covers, receives a full copy
-      from a surviving member (one accounted [SyncItems] transfer), and
+      from a surviving member (one accounted [Replicate] transfer), and
       registers with the group;
    4. drop routing shortcuts that point at dead or migrated peers, so
       the next queries re-learn honest ones.
@@ -69,7 +69,7 @@ let adopt_strays ov groups =
 (* Migrate [d] into the group led by live [template]: leave the old
    group, clone the template's position and routing state, drop items
    outside the new region (still replicated at the donors), and receive
-   the template's data as one accounted [SyncItems] message. *)
+   the template's data as one accounted [Replicate] message. *)
 let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
   let net = Overlay.net ov in
   (* Unregister from the old group — every old member, dead ones
@@ -102,7 +102,7 @@ let migrate ov ~(d : Node.t) ~(template : Node.t) ~new_members =
      template's tombstones go along, so no delete is undone. *)
   let items = Store.to_list template.store @ Store.tombstones template.store in
   let bytes = Wire.items_bytes items in
-  Net.send net ~src:template.id ~dst:d.id (Message.SyncItems { items });
+  Net.send net ~src:template.id ~dst:d.id (Message.Replicate { items; rounds_left = 0 });
   bytes
 
 let round ov =

@@ -4,7 +4,7 @@
     One {!round} re-points dead routing references ({!Build.repair_refs}),
     adopts stray same-path peers (freshly {!Build.join}ed or revived) into
     their leaf's replica group, migrates spare peers from over-replicated
-    leaves into depleted ones — with an accounted [SyncItems] state
+    leaves into depleted ones — with an accounted [Replicate] state
     transfer from a surviving member — and invalidates routing shortcuts
     that point at dead or migrated peers. Deterministic: leaves are
     visited in path order, members in id order, migrants assigned

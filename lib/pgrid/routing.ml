@@ -174,7 +174,7 @@ let route_step t (me : Node.t) key =
 (* Routing shortcuts (lib/cache level 1)                               *)
 
 (* Record that [peer] answered for [region] — called at the origin when
-   a [Found]/[Ack] reply arrives. *)
+   a [Found] or [MultiFound] reply arrives. *)
 let learn_shortcut t (me : Node.t) ~peer ~region:(lo, hi) =
   if peer <> me.Node.id && Shortcuts.capacity me.Node.shortcuts > 0 then begin
     Shortcuts.learn me.Node.shortcuts ~lo ~hi ~peer;

@@ -91,11 +91,13 @@ val insert_bulk : t -> origin:int -> Triple.t list -> k:(bool -> unit) -> unit
     id. Its gram entries
     stay as hints: another triple may hold the same string, and
     {!similar}/{!containing} resolve every candidate value through the
-    A#v or V index, which drops values no triple holds. Caveat (inherent
-    to loose consistency, cf. Datta et al.): deletions are not tombstoned,
-    so an anti-entropy round against a replica partitioned away during the
-    delete can resurrect the item; versioned {e updates} through
-    {!Unistore_pgrid.Overlay.update} are the conflict-safe path. *)
+    A#v or V index, which drops values no triple holds. On P-Grid each
+    entry's delete is an owner-stamped tombstone write
+    ({!Unistore_pgrid.Overlay.delete}): replicas apply it by LWW, and
+    anti-entropy carries it to a replica that missed it, so no exchange
+    undoes a delete. On Chord+trie a delete removes the entry at the
+    responsible peer and its successor replicas; Chord runs no
+    anti-entropy that could hand it back. *)
 
 val delete : t -> origin:int -> Triple.t -> k:(bool -> unit) -> unit
 

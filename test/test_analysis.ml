@@ -239,13 +239,20 @@ let test_lint_clean () =
   ev tr ~corr:1 ~time:1.0 ~kind:"lookup" ~src:0 ~dst:1 ();
   ev tr ~corr:1 ~time:2.0 ~kind:"found" ~src:1 ~dst:0 ();
   ev tr ~corr:2 ~time:3.0 ~kind:"insert" ~src:0 ~dst:2 ();
-  ev tr ~corr:2 ~time:4.0 ~kind:"ack" ~src:2 ~dst:0 ();
+  ev tr ~corr:2 ~time:4.0 ~kind:"found" ~src:2 ~dst:0 ();
+  (* A batch splits by region, and each region answers once. *)
+  ev tr ~corr:3 ~time:5.0 ~kind:"insert-batch" ~src:0 ~dst:1 ();
+  ev tr ~corr:3 ~time:6.0 ~kind:"multi-found" ~src:1 ~dst:0 ();
+  ev tr ~corr:3 ~time:6.5 ~kind:"multi-found" ~src:3 ~dst:0 ();
   check_clean "well-formed trace" (lint tr)
 
 let test_lint_orphan_reply () =
   let tr = Trace.create () in
   ev tr ~corr:9 ~time:1.0 ~kind:"found" ~src:1 ~dst:0 ();
-  check_has "reply without request" "orphan-reply" (lint tr)
+  check_has "reply without request" "orphan-reply" (lint tr);
+  let tr = Trace.create () in
+  ev tr ~corr:8 ~time:1.0 ~kind:"multi-found" ~src:1 ~dst:0 ();
+  check_has "batch reply without request" "orphan-reply" (lint tr)
 
 let test_lint_multi_reply () =
   let tr = Trace.create () in
@@ -316,7 +323,7 @@ let test_lint_conservation () =
   Metrics.incr bad ~by:3 "net.sent";
   Metrics.incr bad ~by:2 "net.sent.lookup";
   Metrics.incr bad "net.sent.found";
-  Metrics.incr bad "net.sent.ack";
+  Metrics.incr bad "net.sent.insert";
   check_has "counts disagree" "conservation" (lint ~metrics:bad tr)
 
 (* A trace kind the static protocol table does not know about means a

@@ -410,7 +410,7 @@ let test_settle_at_quiescence () =
 (* Concurrent load *)
 
 (* Bulk-insert requests in flight at once, from the trace: request [c]
-   is in flight from its first [insert-batch] to its last [ack-batch].
+   is in flight from its first [insert-batch] to its last [multi-found].
    The window starts the next origin when an ack arrives, strictly
    after that ack was sent, so back-to-back requests do not overlap. *)
 let max_batches_in_flight tr =
@@ -423,7 +423,7 @@ let max_batches_in_flight tr =
       in
       match e.kind with
       | "insert-batch" -> widen e.time e.time
-      | "ack-batch" -> widen infinity e.time
+      | "multi-found" -> widen infinity e.time
       | _ -> ())
     (Trace.events tr);
   let edges =
