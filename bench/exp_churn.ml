@@ -110,7 +110,7 @@ let run_delete store ov ~key =
   let holders () =
     List.length (List.filter (fun (_, v) -> v <> None) (Gossip.replica_versions ov ~key ~item_id:"it"))
   in
-  let group = List.map (fun (nd : Node.t) -> nd.Node.id) (Overlay.responsible ov key) in
+  let group = List.map (fun (nd : Node.t) -> nd.Node.id) (Overlay.Oracle.responsible ov key) in
   let down = List.nth group (List.length group - 1) in
   let origin = List.find (fun id -> not (List.mem id group)) (List.init 32 Fun.id) in
   Overlay.kill ov down;
@@ -122,7 +122,7 @@ let run_delete store ov ~key =
   let digests () =
     List.map
       (fun (nd : Node.t) -> List.sort compare (Unistore_pgrid.Store.digest nd.Node.store))
-      (Overlay.responsible ov key)
+      (Overlay.Oracle.responsible ov key)
   in
   let rec settle rounds =
     let before = digests () in
@@ -153,7 +153,7 @@ let run_updates () =
   in
   assert r.Overlay.complete;
   Unistore.settle store;
-  let group = List.length (Overlay.responsible ov key) in
+  let group = List.length (Overlay.Oracle.responsible ov key) in
   Printf.printf "replica group size for the probed key: %d\n" group;
   let rows = ref [] in
   List.iter

@@ -72,7 +72,7 @@ let run () =
         (fun (family, key) ->
           incr entries;
           let holders =
-            Overlay.responsible ov key
+            Overlay.Oracle.responsible ov key
             |> List.filter (fun (nd : Node.t) -> Store.find nd.Node.store key <> [])
             |> List.map (fun (nd : Node.t) -> Printf.sprintf "peer%d" nd.Node.id)
           in

@@ -9,10 +9,13 @@
    Two communities publish the same kind of data under different
    attribute names (plain vs. "dblp:"-prefixed). We measure query recall
    with and without automatic mapping expansion, plus the expansion's
-   message overhead. *)
+   message cost. The verdict is computed from the rows: on every query
+   the expanded answer must hold every plain row and strictly more rows;
+   the run exits 1 otherwise. *)
 
 module Rng = Unistore_util.Rng
 module Engine = Unistore_qproc.Engine
+module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 
 let mapped_attrs = [ "name"; "age"; "num_of_pubs"; "title"; "year"; "series"; "confname" ]
@@ -44,28 +47,40 @@ let run () =
       ("2004+ titles", "SELECT ?t WHERE { (?p,'title',?t) (?p,'year',?y) FILTER ?y >= 2004 }");
     ]
   in
-  let rows =
+  let answers =
     List.map
       (fun (name, src) ->
         let plain = Common.run_query_exn store ~origin:2 src in
-        let expanded = Common.run_query_exn store ~origin:2 ~expand_mappings:true src in
-        [
-          name;
-          Common.i (List.length plain.Engine.rows);
-          Common.i plain.Engine.messages;
-          Common.i (List.length expanded.Engine.rows);
-          Common.i expanded.Engine.messages;
-        ])
+        (name, plain, Common.run_query_exn store ~origin:2 ~expand_mappings:true src))
       queries
   in
   Common.print_table
     [ "query"; "rows"; "msgs"; "rows+mappings"; "msgs+mappings" ]
-    rows;
+    (List.map
+       (fun (name, (plain : Engine.report), (expanded : Engine.report)) ->
+         [
+           name;
+           Common.i (List.length plain.rows);
+           Common.i plain.messages;
+           Common.i (List.length expanded.rows);
+           Common.i expanded.messages;
+         ])
+       answers);
+  let short =
+    List.filter_map
+      (fun (name, (plain : Engine.report), (expanded : Engine.report)) ->
+        let prints (r : Engine.report) = List.map Binding.fingerprint r.rows in
+        let covers = List.for_all (fun f -> List.mem f (prints expanded)) (prints plain) in
+        if covers && List.length expanded.rows > List.length plain.rows then None else Some name)
+      answers
+  in
   (* Metadata level: the correspondences themselves are queryable. *)
   let meta = Common.run_query_exn store ~origin:0 "SELECT ?m, ?to WHERE { (?m,'sys:maps_to',?to) }" in
   Printf.printf "\nmapping triples stored (queried at the metadata level): %d\n"
     (List.length meta.Engine.rows);
-  Printf.printf
-    "verdict: with expansion enabled, queries written against one schema \
-     transparently retrieve the other community's data (~2x rows), paying the \
-     mapping lookups plus the extra index accesses\n"
+  Printf.printf "verdict: %s\n"
+    (if short = [] then
+       "on every query the expanded answer holds every plain row and more: queries written \
+        against one schema retrieve the other community's data too, reproduced"
+     else "NOT reproduced: expansion loses a row or adds none on " ^ String.concat ", " short);
+  if short <> [] then exit 1

@@ -40,7 +40,7 @@ let pgrid ?(probes = 256) ov =
   let uncovered = ref 0 and example = ref "" in
   for _ = 1 to probes do
     let key = random_probe_key probe_rng in
-    if Overlay.responsible ov key = [] then begin
+    if Overlay.Oracle.responsible ov key = [] then begin
       incr uncovered;
       if !example = "" then example := key
     end
@@ -155,8 +155,8 @@ let chord t =
          replica group and strands routed operations. *)
       let succs = Chord.successors t id in
       if
-        Chord.is_alive t id && succs <> []
-        && not (List.exists (Chord.is_alive t) succs)
+        Chord.Oracle.is_alive t id && succs <> []
+        && not (List.exists (Chord.Oracle.is_alive t) succs)
       then
         warn "dead-successors" "peer%d is alive but every successor %s is dead" id
           (String.concat "," (List.map string_of_int succs)))

@@ -27,6 +27,7 @@ type rule =
   | Protocol_exhaustiveness
   | Blocking_wait
   | Uncancelled_timeout
+  | Oracle
 
 let all_rules =
   [
@@ -36,6 +37,7 @@ let all_rules =
     Protocol_exhaustiveness;
     Blocking_wait;
     Uncancelled_timeout;
+    Oracle;
   ]
 
 let rule_name = function
@@ -45,12 +47,9 @@ let rule_name = function
   | Protocol_exhaustiveness -> "protocol-exhaustiveness"
   | Blocking_wait -> "blocking-wait"
   | Uncancelled_timeout -> "uncancelled-timeout"
+  | Oracle -> "oracle"
 
 let rule_of_name s = List.find_opt (fun r -> String.equal (rule_name r) s) all_rules
-
-(* Files exempt from [ambient-effects]: the seeded split-RNG itself is
-   where randomness is allowed to originate. Matched by path suffix. *)
-let ambient_exempt = [ "lib/util/rng.ml" ]
 
 (* ------------------------------------------------------------------ *)
 (* Parsing and positions                                               *)
@@ -196,19 +195,12 @@ let check_unordered_iteration structure =
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
-(* Rule: ambient-effects                                               *)
+(* Rules on an identifier's path alone                                 *)
 
-let ambient_effect lid =
-  match unqualify (flatten lid) with
-  | "Random" :: _ :: _ -> Some "Random"
-  | [ "Sys"; "time" ] -> Some "Sys.time"
-  | [ "Unix"; f ]
-    when List.mem f [ "gettimeofday"; "time"; "times"; "gmtime"; "localtime"; "sleep"; "sleepf" ]
-    ->
-    Some ("Unix." ^ f)
-  | _ -> None
-
-let check_ambient_effects structure =
+(* [flag_idents ~code ~hint matches] flags every identifier whose path
+   [matches] maps to a message. The body of a [module <skip>] is not
+   walked. *)
+let flag_idents ~code ~hint ?skip matches structure =
   let diags = ref [] in
   let it =
     {
@@ -217,67 +209,83 @@ let check_ambient_effects structure =
         (fun it e ->
           (match e.pexp_desc with
           | Pexp_ident lid -> (
-            match ambient_effect lid.Location.txt with
-            | Some what ->
+            match matches (flatten lid.Location.txt) with
+            | Some message ->
               diags :=
-                D.makef ~span:(span_of_loc e.pexp_loc) ~severity:D.Error ~code:"ambient-effects"
-                  ~hint:
-                    "all randomness and time must flow from the seeded split-RNG \
-                     (Unistore_util.Rng) and the simulated clock (Sim.now); ambient sources \
-                     make traces unreproducible"
-                  "use of ambient effect source %s" what
+                D.make ~span:(span_of_loc e.pexp_loc) ~severity:D.Error ~code ~hint message
                 :: !diags
             | None -> ())
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
+      module_binding =
+        (fun it mb ->
+          match (skip, mb.pmb_name.Location.txt) with
+          | Some s, Some n when String.equal s n -> ()
+          | _ -> Ast_iterator.default_iterator.module_binding it mb);
     }
   in
   it.structure it structure;
   List.rev !diags
 
-(* ------------------------------------------------------------------ *)
-(* Rule: blocking-wait                                                 *)
-
-(* Everything below the facade is continuation-passing; a call that
-   drives the event loop from inside it would block every other query
-   in flight, and would wait for the whole queue to drain when the
-   awaited event never comes. The simulator itself is exempt. *)
-let blocking_calls = [ "await"; "run_until"; "run_all"; "run_for" ]
-
-let in_sim_library path =
-  let marker = "lib/sim/" in
-  let n = String.length path and m = String.length marker in
+let in_dir dir path =
+  let n = String.length path and m = String.length dir in
   let rec from i =
     i + m <= n
-    && ((String.sub path i m = marker && (i = 0 || path.[i - 1] = '/')) || from (i + 1))
+    && ((String.sub path i m = dir && (i = 0 || path.[i - 1] = '/')) || from (i + 1))
   in
   from 0
 
-let check_blocking_wait structure =
-  let diags = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident lid -> (
-            match List.rev (flatten lid.Location.txt) with
-            | f :: "Sim" :: _ when List.mem f blocking_calls ->
-              diags :=
-                D.makef ~span:(span_of_loc e.pexp_loc) ~severity:D.Error ~code:"blocking-wait"
-                  ~hint:
-                    "pass a continuation instead; only the facade (lib/core/unistore.ml) waits, \
-                     with Sim.await"
-                  "Sim.%s drives the event loop below the facade" f
-                :: !diags
-            | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.structure it structure;
-  List.rev !diags
+let path_ends_with path suffix =
+  let n = String.length path and m = String.length suffix in
+  n >= m && String.sub path (n - m) m = suffix
+
+(* ambient-effects: the seeded split-RNG (lib/util/rng.ml) is the one
+   place randomness may originate. *)
+let check_ambient_effects =
+  flag_idents ~code:"ambient-effects"
+    ~hint:
+      "all randomness and time must flow from the seeded split-RNG (Unistore_util.Rng) and the \
+       simulated clock (Sim.now); ambient sources make traces unreproducible"
+    (fun parts ->
+      match unqualify parts with
+      | "Random" :: _ :: _ -> Some "use of ambient effect source Random"
+      | [ "Sys"; "time" ] -> Some "use of ambient effect source Sys.time"
+      | [ "Unix"; f ]
+        when List.mem f [ "gettimeofday"; "time"; "times"; "gmtime"; "localtime"; "sleep"; "sleepf" ]
+        ->
+        Some ("use of ambient effect source Unix." ^ f)
+      | _ -> None)
+
+(* blocking-wait: everything below the facade is continuation-passing;
+   a call that drives the event loop from inside it would block every
+   other query in flight, and would wait for the whole queue to drain
+   when the awaited event never comes. The simulator itself is exempt. *)
+let blocking_calls = [ "await"; "run_until"; "run_all"; "run_for" ]
+
+let check_blocking_wait =
+  flag_idents ~code:"blocking-wait"
+    ~hint:"pass a continuation instead; only the facade (lib/core/unistore.ml) waits, with Sim.await"
+    (fun parts ->
+      match List.rev parts with
+      | f :: "Sim" :: _ when List.mem f blocking_calls ->
+        Some (Printf.sprintf "Sim.%s drives the event loop below the facade" f)
+      | _ -> None)
+
+(* oracle: a peer acts on its own state and the messages it received;
+   what only the simulator knows (liveness, partitions, placement) sits
+   in [Oracle] modules. The simulator, the auditor, the facade and the
+   CLI may read them, as may an [Oracle] module's own body; anywhere
+   else a read names its owner (DESIGN.md, "What a peer may know"). *)
+let oracle_readers = [ "lib/sim/"; "lib/analysis/"; "lib/core/"; "bin/" ]
+
+let check_oracle =
+  flag_idents ~code:"oracle" ~skip:"Oracle"
+    ~hint:
+      "act on what the peer knows; a read that must stay names its owner: (* srclint: allow \
+       oracle <driver|item-N|unowned> *)"
+    (fun parts ->
+      if not (List.mem "Oracle" parts) then None
+      else Some (String.concat "." parts ^ " reads the simulator's global view from peer code"))
 
 (* ------------------------------------------------------------------ *)
 (* Rule: uncancelled-timeout                                           *)
@@ -752,6 +760,7 @@ let rule_of_code = function
   | "polymorphic-compare" -> Polymorphic_compare
   | "blocking-wait" -> Blocking_wait
   | "uncancelled-timeout" -> Uncancelled_timeout
+  | "oracle" -> Oracle
   | _ -> Protocol_exhaustiveness
 
 let apply_suppressions src diags =
@@ -759,13 +768,6 @@ let apply_suppressions src diags =
 
 (* ------------------------------------------------------------------ *)
 (* Per-file driver                                                     *)
-
-let exempt_ambient path =
-  List.exists
-    (fun suffix ->
-      let n = String.length path and m = String.length suffix in
-      n >= m && String.sub path (n - m) m = suffix)
-    ambient_exempt
 
 let lint_source ?(rules = all_rules) ~path src =
   match parse ~path src with
@@ -776,16 +778,16 @@ let lint_source ?(rules = all_rules) ~path src =
       else
         match rule with
         | Unordered_iteration -> check_unordered_iteration ast
-        | Ambient_effects -> if exempt_ambient path then [] else check_ambient_effects ast
+        | Ambient_effects ->
+          if path_ends_with path "lib/util/rng.ml" then [] else check_ambient_effects ast
         | Polymorphic_compare -> check_polymorphic_compare ast
-        | Blocking_wait -> if in_sim_library path then [] else check_blocking_wait ast
-        | Uncancelled_timeout -> if in_sim_library path then [] else check_uncancelled_timeout ast
+        | Blocking_wait -> if in_dir "lib/sim/" path then [] else check_blocking_wait ast
+        | Uncancelled_timeout -> if in_dir "lib/sim/" path then [] else check_uncancelled_timeout ast
+        | Oracle ->
+          if List.exists (fun d -> in_dir d path) oracle_readers then [] else check_oracle ast
         | Protocol_exhaustiveness -> []
     in
-    D.sort
-      (apply_suppressions src
-         (run Unordered_iteration @ run Ambient_effects @ run Polymorphic_compare
-        @ run Blocking_wait @ run Uncancelled_timeout))
+    D.sort (apply_suppressions src (List.concat_map run all_rules))
 
 (* ------------------------------------------------------------------ *)
 (* Tree driver                                                         *)
@@ -807,10 +809,6 @@ let rec ml_files_under path =
     |> List.concat_map (fun e -> ml_files_under (Filename.concat path e))
   else if is_ml path then [ path ]
   else []
-
-let path_ends_with path suffix =
-  let n = String.length path and m = String.length suffix in
-  n >= m && String.sub path (n - m) m = suffix
 
 let lint_paths ?(rules = all_rules) paths =
   let files = List.concat_map ml_files_under paths |> List.sort_uniq String.compare in

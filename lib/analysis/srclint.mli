@@ -32,7 +32,10 @@
     - [uncancelled-timeout]: a [Sim.schedule] whose delay mentions
       [timeout_ms], outside [lib/sim]. A deadline that the operation it
       guards can beat belongs on [Sim.timer], cancelled when the
-      operation finishes, so the queue holds no dead timers. *)
+      operation finishes, so the queue holds no dead timers.
+    - [oracle]: a path through an [Oracle] module (the simulator's global
+      view) outside [lib/sim], [lib/analysis], [lib/core], [bin] and
+      [module Oracle] bodies; the annotation names the read's owner. *)
 
 type rule =
   | Unordered_iteration
@@ -41,13 +44,14 @@ type rule =
   | Protocol_exhaustiveness
   | Blocking_wait
   | Uncancelled_timeout
+  | Oracle
 
 val all_rules : rule list
 
 val rule_name : rule -> string
 (** ["unordered-iteration"], ["ambient-effects"], ["polymorphic-compare"],
-    ["protocol-exhaustiveness"], ["blocking-wait"], ["uncancelled-timeout"]
-    — also the diagnostic codes. *)
+    ["protocol-exhaustiveness"], ["blocking-wait"], ["uncancelled-timeout"],
+    ["oracle"] — also the diagnostic codes. *)
 
 val rule_of_name : string -> rule option
 

@@ -57,13 +57,15 @@ val node_count : t -> int
 (** Ring id of a peer (for tests). *)
 val ring_id : t -> int -> int
 
-(** The peer responsible for a key (oracle view, for tests). *)
-val responsible : t -> string -> int
-
 val kill : t -> int -> unit
 val revive : t -> int -> unit
-val is_alive : t -> int -> bool
-val alive_peers : t -> int list
+
+(** The simulator's view of the ring, which no peer has. *)
+module Oracle : sig
+  val is_alive : t -> int -> bool
+  val alive_peers : t -> int list
+  val responsible : t -> string -> int  (** whose arc holds the key's hash, dead or alive *)
+end
 
 (** Mean one-way latency of the underlying network model. *)
 val expected_latency : t -> float

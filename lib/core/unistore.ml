@@ -312,7 +312,8 @@ let revive_peers t ids =
       match t.substrate with On_pgrid ov -> Overlay.revive ov id | On_chord c -> Chord.revive c id)
     ids
 
-let alive_peers t = t.dht.Dht.alive_peers ()
+let alive_peers t =
+  match t.substrate with On_pgrid ov -> Unistore_sim.Net.Oracle.alive_peers (Overlay.net ov) | On_chord c -> Chord.Oracle.alive_peers c
 
 let join_peer t ~id ~bootstrap =
   match t.substrate with On_pgrid ov -> Build.join ov ~id ~bootstrap | On_chord _ -> false

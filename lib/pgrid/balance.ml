@@ -73,7 +73,7 @@ let retire owner_id net dst =
 
 let round ov =
   let net = Overlay.net ov in
-  let live = List.filter (fun (nd : Node.t) -> Net.is_alive net nd.id) (Overlay.nodes ov) in
+  let live = List.filter (fun (nd : Node.t) -> Net.Oracle.is_alive net nd.id) (Overlay.nodes ov) (* srclint: allow oracle item-12 *) in
   match live with
   | [] -> { regions_seen = 0; hot = []; spawned = 0; refreshed = 0; retired = 0 }
   | controller :: _ ->
@@ -106,7 +106,7 @@ let round ov =
         match find_owner live lo with
         | None -> ()
         | Some owner ->
-          let keep = List.filter (Net.is_alive net) owner.Node.boosts in
+          let keep = List.filter (Net.Oracle.is_alive net) owner.Node.boosts (* srclint: allow oracle item-12 *) in
           let wanted = hot_max_boosts - List.length keep in
           let fresh =
             if wanted <= 0 then []
@@ -146,7 +146,7 @@ let round ov =
           let lo = fst (Node.region nd) in
           let l = load_of lo in
           if is_cool l && not (is_hot l) then begin
-            let live_boosts = List.filter (Net.is_alive net) nd.Node.boosts in
+            let live_boosts = List.filter (Net.Oracle.is_alive net) nd.Node.boosts (* srclint: allow oracle item-12 *) in
             List.iter (retire nd.Node.id net) live_boosts;
             retired := !retired + List.length live_boosts;
             nd.Node.boosts <- []

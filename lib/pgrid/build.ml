@@ -109,7 +109,7 @@ let candidates (arr : Node.t array) path =
    small constant, so redraws are rare). *)
 let fill_level ov ~rng (arr : Node.t array) c (nd : Node.t) l =
   let k = (Overlay.config ov).Config.refs_per_level in
-  nd.refs.(l) <- Array.of_list (List.filter (Overlay.alive ov) (Array.to_list nd.refs.(l)));
+  nd.refs.(l) <- Array.of_list (List.filter (Overlay.Oracle.alive ov) (Array.to_list nd.refs.(l))) (* srclint: allow oracle item-19 *);
   let run = c.hi - c.lo in
   let total = run + Array.length c.anc in
   let want = k - Array.length nd.refs.(l) in
@@ -229,16 +229,16 @@ let join ov ~id ~bootstrap =
 
 let repair_refs ov =
   let arr =
-    Array.of_list (List.filter (fun (nd : Node.t) -> Overlay.alive ov nd.Node.id) (Overlay.nodes ov))
+    Array.of_list (List.filter (fun (nd : Node.t) -> Overlay.Oracle.alive ov nd.Node.id) (Overlay.nodes ov)) (* srclint: allow oracle item-19 *)
   in
   Array.sort (fun (a : Node.t) (b : Node.t) -> Bitkey.compare a.path b.path) arr;
   List.iter
     (fun (nd : Node.t) ->
-      if Overlay.alive ov nd.id then begin
+      if Overlay.Oracle.alive ov nd.id (* srclint: allow oracle item-19 *) then begin
         let cands = lazy (candidates arr nd.path) in
         Array.iteri
           (fun l refs ->
-            if Array.length refs = 0 || not (Array.for_all (Overlay.alive ov) refs) then
+            if Array.length refs = 0 || not (Array.for_all (Overlay.Oracle.alive ov) refs) (* srclint: allow oracle item-19 *) then
               fill_level ov ~rng:(Overlay.rng ov) arr (Lazy.force cands).(l) nd l)
           nd.refs
       end)
@@ -410,9 +410,9 @@ let bootstrap sim ~latency ~rng ?drop ~config ~n ~initial_data ?(rounds = 30)
     let at = float_of_int round *. 200.0 in
     for a = 0 to n - 1 do
       Sim.schedule_at sim ~time:(at +. Rng.float_in meet_rng 0.0 100.0) (fun () ->
-          if Overlay.alive ov a then begin
+          if Overlay.Oracle.alive ov a (* srclint: allow oracle item-9 *) then begin
             let b = pick_partner round a in
-            if b <> a && Overlay.alive ov b then begin
+            if b <> a && Overlay.Oracle.alive ov b (* srclint: allow oracle item-9 *) then begin
               incr exchanges;
               Overlay.send_task ov ~src:a ~dst:b ~bytes:64 (fun _ ->
                   let moved = do_exchange ov ~config ~split_threshold a b in
@@ -428,7 +428,7 @@ let bootstrap sim ~latency ~rng ?drop ~config ~n ~initial_data ?(rounds = 30)
     let ok = ref true in
     for _ = 1 to 128 do
       let key = random_probe_key probe_rng in
-      if Overlay.responsible ov key = [] then ok := false
+      if Overlay.Oracle.responsible ov key = [] (* srclint: allow oracle driver *) then ok := false
     done;
     !ok
   in

@@ -79,15 +79,16 @@ val node_count : t -> int
 (** Maximum path length over all nodes (trie depth). *)
 val depth : t -> int
 
-(** Peers whose region covers the encoded key (oracle view, used by tests
-    and for choosing mutant-plan carriers). *)
-val responsible : t -> string -> Node.t list
-
 (** {2 Failure injection} *)
 
 val kill : t -> int -> unit
 val revive : t -> int -> unit
-val alive : t -> int -> bool
+
+(** The simulator's view of the overlay, which no peer has. *)
+module Oracle : sig
+  val alive : t -> int -> bool
+  val responsible : t -> string -> Node.t list  (** O(N): every node covering the key, dead ones too *)
+end
 
 (** [crash t ?keep_frac id] kills [id] {e and} loses its volatile
     state, unlike {!kill} (which keeps state intact for {!revive}):

@@ -69,11 +69,13 @@ let too_far t hops = hops >= (config t).max_hops
 (* ------------------------------------------------------------------ *)
 (* Greedy prefix routing                                               *)
 
-(* Peers are assumed to detect failures of their direct references (via
-   keep-alive pings, as deployed DHTs do). A ping cannot cross a
-   partition either, so a peer on the far side of one looks failed too. *)
+(* Whether [p] is up and not cut off from [me], read from the
+   simulator's oracle: a perfect, instant and free failure detector. No
+   keep-alive pings are sent or charged; ROADMAP item 19 replaces this
+   read with suspicions learned from timeouts and paid-for pings. *)
 let reachable t (me : Node.t) p =
-  Net.is_alive t.net p && not (Net.partitioned t.net ~src:me.Node.id ~dst:p)
+  Net.Oracle.is_alive t.net p (* srclint: allow oracle item-19 *)
+  && not (Net.Oracle.partitioned t.net ~src:me.Node.id ~dst:p) (* srclint: allow oracle item-19 *)
 
 (* Replica failover: every ref at this level looks failed, so stand in
    a reachable member of a ref's replica group. Replica-group membership

@@ -58,11 +58,11 @@ let note t ~kind ~peer ~detail =
   match Net.metrics t.net with Some m -> Metrics.incr m kind | None -> ()
 
 let eligible t =
-  (* [Net.alive_peers] is sorted ascending; keeping that order (rather
+  (* [Net.Oracle.alive_peers] is sorted ascending; keeping that order (rather
      than sampling the O(1) alive array directly) preserves the exact
      RNG-draw sequence of earlier kernels, so fault replays stay
      byte-identical. *)
-  List.filter (fun p -> not (Hashtbl.mem t.protected_set p)) (Net.alive_peers t.net)
+  List.filter (fun p -> not (Hashtbl.mem t.protected_set p)) (Net.Oracle.alive_peers t.net)
 
 (* Victim sets are sorted after sampling so that the kill order (and with
    it every downstream trace event) is a function of the RNG state alone,
@@ -77,7 +77,7 @@ let crash t peer ~revive_after ~detail =
   | None -> ()
   | Some down_ms ->
     Sim.schedule (Net.sim t.net) ~delay:down_ms (fun () ->
-        if not (Net.is_alive t.net peer) then begin
+        if not (Net.Oracle.is_alive t.net peer) then begin
           Net.revive t.net peer;
           t.revives <- t.revives + 1;
           note t ~kind:"fault.revive" ~peer ~detail

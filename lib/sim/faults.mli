@@ -9,7 +9,7 @@
 
     Determinism contract: all randomness flows from [spec.seed] through a
     private {!Unistore_util.Rng} stream, victim sets are canonicalized
-    before use (candidates are drawn from {!Net.alive_peers}, which is
+    before use (candidates are drawn from {!Net.Oracle.alive_peers}, which is
     sorted ascending by id regardless of the arena's internal swap-remove
     layout, so the sampled kill sets cannot leak physical memory order),
     and faults fire at scheduled simulation times — so the same spec

@@ -181,9 +181,6 @@ let clear_partitions t =
 let partition_group t peer =
   if peer >= 0 && peer < Array.length t.pgroup then t.pgroup.(peer) else 0
 
-let partitioned t ~src ~dst =
-  src <> dst && partition_group t src <> partition_group t dst
-
 let invalidate_peer_caches t =
   t.peers_cache <- None;
   t.alive_cache <- None
@@ -225,8 +222,6 @@ let register t peer handler =
   alive_add t peer;
   invalidate_peer_caches t
 
-let is_alive t peer = peer >= 0 && peer < Array.length t.alive_pos && t.alive_pos.(peer) >= 0
-
 let kill t peer =
   if registered t peer then begin
     alive_remove t peer;
@@ -240,18 +235,6 @@ let revive t peer =
   end
 
 let registered_count t = t.n_registered
-let alive_count t = t.alive_len
-
-let random_alive t rng =
-  if t.alive_len = 0 then None else Some t.alive_ids.(Rng.int rng t.alive_len)
-
-let iter_alive t f =
-  (* Ascending id order — not [alive_ids] order, which swap-removal
-     scrambles — so callers that consume RNG draws per peer stay
-     deterministic across kernel versions. *)
-  for id = 0 to t.max_id do
-    if t.alive_pos.(id) >= 0 then f id
-  done
 
 let peers t =
   match t.peers_cache with
@@ -264,16 +247,27 @@ let peers t =
     t.peers_cache <- Some !l;
     !l
 
-let alive_peers t =
-  match t.alive_cache with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    for id = t.max_id downto 0 do
-      if t.alive_pos.(id) >= 0 then l := id :: !l
-    done;
-    t.alive_cache <- Some !l;
-    !l
+module Oracle = struct
+  let is_alive t peer = peer >= 0 && peer < Array.length t.alive_pos && t.alive_pos.(peer) >= 0
+
+  let partitioned t ~src ~dst = src <> dst && partition_group t src <> partition_group t dst
+
+  let alive_peers t =
+    match t.alive_cache with
+    | Some l -> l
+    | None ->
+      let l = ref [] in
+      for id = t.max_id downto 0 do
+        if t.alive_pos.(id) >= 0 then l := id :: !l
+      done;
+      t.alive_cache <- Some !l;
+      !l
+
+  let alive_count t = t.alive_len
+
+  let random_alive t rng =
+    if t.alive_len = 0 then None else Some t.alive_ids.(Rng.int rng t.alive_len)
+end
 
 (* Buckets of the [queue.depth] histogram: read only when the histogram
    is created, so built once here rather than per queued message. *)
@@ -320,7 +314,7 @@ let send t ~src ~dst msg =
     match event with Some e -> e.Trace.outcome <- outcome | None -> ()
   in
   if
-    (t.n_partitioned > 0 && partitioned t ~src ~dst)
+    (t.n_partitioned > 0 && Oracle.partitioned t ~src ~dst)
     || (t.drop > 0.0 && Rng.bool t.rng ~p:t.drop)
   then resolve Trace.Dropped
   else begin
@@ -332,7 +326,7 @@ let send t ~src ~dst msg =
       end
     in
     let deliver () =
-      match if is_alive t dst then t.handlers.(dst) else None with
+      match if Oracle.is_alive t dst then t.handlers.(dst) else None with
       | Some handler ->
         resolve Trace.Delivered;
         handler ~src msg
@@ -346,7 +340,7 @@ let send t ~src ~dst msg =
            backlog loses the backlog. *)
         let svc = if t.n_serviced = 0 || not (in_arena t dst) then 0.0 else t.svc_ms.(dst) in
         if svc <= 0.0 then deliver ()
-        else if not (is_alive t dst) then resolve Trace.To_dead
+        else if not (Oracle.is_alive t dst) then resolve Trace.To_dead
         else begin
           let now = Sim.now t.sim in
           let start = Float.max now t.busy_until.(dst) in

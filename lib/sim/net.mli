@@ -11,8 +11,8 @@
     {b Representation.} Peer state lives in an arena of dense arrays
     indexed by peer id (ids are expected to be minted densely from 0).
     Liveness is a swap-remove set ([alive_ids] plus an inverse position
-    index), so {!is_alive}, {!kill}, {!revive}, {!alive_count} and
-    {!random_alive} are all O(1); nothing on the per-message path scans
+    index), so {!kill}, {!revive} and the {!Oracle} reads are O(1)
+    ({!Oracle.alive_peers} is cached); nothing on the per-message path scans
     the peer population. Fault state (slow factors, partition groups)
     is held in the same arena and guarded by population counters, so a
     fault-free network pays no per-send cost for the fault machinery.
@@ -86,7 +86,6 @@ val slow_factor : 'msg t -> int -> float
 val set_partition : 'msg t -> int -> group:int -> unit
 
 val clear_partitions : 'msg t -> unit
-val partition_group : 'msg t -> int -> int
 
 (** {2 Per-peer service queue}
 
@@ -115,10 +114,6 @@ val service_ms : 'msg t -> int -> float
     (queued + in service). 0 without a service model. *)
 val queue_depth : 'msg t -> int -> int
 
-(** [partitioned t ~src ~dst] holds when a message from [src] to [dst]
-    would be cut by the current partition. *)
-val partitioned : 'msg t -> src:int -> dst:int -> bool
-
 (** [register t peer handler] installs [handler] for [peer] and marks it
     alive. Re-registering replaces the handler. *)
 val register : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
@@ -126,9 +121,6 @@ val register : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** [send t ~src ~dst msg] counts the message and schedules delivery. A
     self-send is delivered after a negligible local delay. *)
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
-
-(** O(1): an array-index probe into the alive set. *)
-val is_alive : 'msg t -> int -> bool
 
 (** [kill t peer] makes [peer] unreachable; in-flight messages to it are
     lost at delivery time. O(1) (swap-remove from the alive set). *)
@@ -143,25 +135,31 @@ val revive : 'msg t -> int -> unit
     it per peer per round. *)
 val peers : 'msg t -> int list
 
-val alive_peers : 'msg t -> int list
-
 (** Number of registered peers (alive or dead). O(1). *)
 val registered_count : 'msg t -> int
 
-(** Number of currently alive peers. O(1). *)
-val alive_count : 'msg t -> int
+(** The simulator's global view, which no peer has: who is alive, who
+    is cut off from whom. Peer code reads it only on a line marked
+    [(* srclint: allow oracle <owner> *)] (DESIGN.md, "What a peer may
+    know"). *)
+module Oracle : sig
+  (** O(1): an array-index probe into the alive set. *)
+  val is_alive : 'msg t -> int -> bool
 
-(** [random_alive t rng] draws a uniformly random alive peer using
-    [rng], or [None] if none are alive. O(1) — this replaces the
-    materialize-filter-sample pattern that made gossip fanout selection
-    O(n) per peer. Draws exactly one value from [rng] when the alive
-    set is non-empty. *)
-val random_alive : 'msg t -> Unistore_util.Rng.t -> int option
+  (** Whether a message from [src] to [dst] is cut by a partition. *)
+  val partitioned : 'msg t -> src:int -> dst:int -> bool
 
-(** [iter_alive t f] applies [f] to every alive peer in ascending id
-    order (a stable order, independent of the kill/revive history, so
-    per-peer RNG consumption stays deterministic). O(max peer id). *)
-val iter_alive : 'msg t -> (int -> unit) -> unit
+  (** Alive peer ids, sorted; cached like {!peers}. *)
+  val alive_peers : 'msg t -> int list
+
+  (** Number of currently alive peers. O(1). *)
+  val alive_count : 'msg t -> int
+
+  (** [random_alive t rng] draws a uniformly random alive peer using
+      [rng], or [None] if none are alive. O(1); draws exactly one value
+      from [rng] when the alive set is non-empty. *)
+  val random_alive : 'msg t -> Unistore_util.Rng.t -> int option
+end
 
 (** Messages sent since creation (monotone, never reset); every cost
     delta reads it. *)

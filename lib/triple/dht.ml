@@ -51,7 +51,6 @@ type t = {
   total_sent : unit -> int;
   expected_latency : float;
   depth : unit -> int;
-  alive_peers : unit -> int list;
   responsible_peer : string -> int option;
   stat_gossip : stat_gossip option;
 }
@@ -104,16 +103,12 @@ let of_pgrid ov =
     total_sent = (fun () -> Net.total_sent net);
     expected_latency = Unistore_sim.Latency.expected (Net.latency net);
     depth = (fun () -> Overlay.depth ov);
-    alive_peers = (fun () -> Net.alive_peers net);
     responsible_peer =
       (fun key ->
-        Overlay.responsible ov key
-        |> List.filter_map (fun (nd : Unistore_pgrid.Node.t) ->
-               if Net.is_alive net nd.Unistore_pgrid.Node.id then Some nd.Unistore_pgrid.Node.id
-               else None)
-        |> function
-        | [] -> None
-        | p :: _ -> Some p);
+        Overlay.Oracle.responsible ov key (* srclint: allow oracle item-20 *)
+        |> List.find_map (fun (nd : Unistore_pgrid.Node.t) ->
+               let id = nd.Unistore_pgrid.Node.id in
+               if Net.Oracle.is_alive net id (* srclint: allow oracle item-20 *) then Some id else None));
     stat_gossip =
       Some
         {
@@ -215,11 +210,10 @@ let of_chord_trie chord =
     total_sent = (fun () -> Chord.total_sent chord);
     expected_latency = Chord.expected_latency chord;
     depth = (fun () -> log2n);
-    alive_peers = (fun () -> Chord.alive_peers chord);
     responsible_peer =
       (fun key ->
-        let p = Chord.responsible chord (bucket_of key) in
-        if Chord.is_alive chord p then Some p else None);
+        let p = Chord.Oracle.responsible chord (bucket_of key) (* srclint: allow oracle item-20 *) in
+        if Chord.Oracle.is_alive chord p (* srclint: allow oracle item-20 *) then Some p else None);
     (* Chord peers keep no statistics cache and run no gossip. *)
     stat_gossip = None;
   }

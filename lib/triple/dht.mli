@@ -91,7 +91,6 @@ type t = {
   total_sent : unit -> int;
   expected_latency : float;  (** mean one-way delay, for the cost model *)
   depth : unit -> int;  (** trie depth / log ring size: the hop bound *)
-  alive_peers : unit -> int list;
   responsible_peer : string -> int option;
       (** an alive peer responsible for a key (used to pick the next
           carrier when shipping mutant query plans) *)

@@ -1255,7 +1255,7 @@ let test_memo_never_stale () =
   List.iter (Overlay.revive ov) victims;
   let victim =
     List.find
-      (fun (nd : Node.t) -> Overlay.alive ov nd.Node.id && Store.with_prefix nd.Node.store "A\000" <> [])
+      (fun (nd : Node.t) -> Overlay.Oracle.alive ov nd.Node.id && Store.with_prefix nd.Node.store "A\000" <> [])
       (Overlay.nodes ov)
   in
   ignore (Overlay.crash ov victim.Node.id);

@@ -92,7 +92,7 @@ let test_replication_survives_failure () =
   ignore (await (Chord.sim c) (fun k ->
       Chord.put c ~origin:0 ~key:"precious" ~item_id:"a" ~payload:"data" ~k ()));
   Sim.run_all (Chord.sim c);
-  let holder = Chord.responsible c "precious" in
+  let holder = Chord.Oracle.responsible c "precious" in
   Chord.kill c holder;
   let r = await (Chord.sim c) (fun k ->
       Chord.get c ~origin:(if holder = 0 then 1 else 0) ~key:"precious" ~k) in
@@ -128,7 +128,7 @@ let test_delete () =
   | [ i ] -> check Alcotest.string "b remains" "b" i.Store.item_id
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l));
   (* Replicas purged: killing the primary must not resurrect it. *)
-  Chord.kill c (Chord.responsible c "k");
+  Chord.kill c (Chord.Oracle.responsible c "k");
   let r = await (Chord.sim c) (fun ret -> Chord.get c ~origin:0 ~key:"k" ~k:ret) in
   Alcotest.(check bool) "replica view clean" true
     (List.for_all (fun (i : Store.item) -> i.Store.item_id <> "a") r.Chord.items)

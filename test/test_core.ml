@@ -1050,7 +1050,7 @@ let test_update_under_a_dropped_replica_message () =
   let oid = victim.Triple.oid and old_value = victim.Triple.value in
   let old_age = Option.get (Value.as_int old_value) in
   let group =
-    Unistore_pgrid.Overlay.responsible ov (Unistore_triple.Keys.attr_value_key "age" old_value)
+    Unistore_pgrid.Overlay.Oracle.responsible ov (Unistore_triple.Keys.attr_value_key "age" old_value)
   in
   let down = (List.nth group (List.length group - 1)).Unistore_pgrid.Node.id in
   let origin = List.find (fun id -> id <> down) [ 0; 1 ] in

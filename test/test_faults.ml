@@ -197,7 +197,7 @@ let test_failover_mid_flight () =
   List.iteri
     (fun i k ->
       if i mod 6 = 0 then begin
-        let holders = Overlay.responsible ov k |> List.map (fun (n : Node.t) -> n.Node.id) in
+        let holders = Overlay.Oracle.responsible ov k |> List.map (fun (n : Node.t) -> n.Node.id) in
         match List.filter (fun id -> id <> 0) holders with
         | [] -> ()
         | survivor :: victims when victims <> [] ->
@@ -267,9 +267,9 @@ let test_repair_restores_replication () =
   List.iter
     (fun k ->
       let alive_holders =
-        Overlay.responsible ov k
+        Overlay.Oracle.responsible ov k
         |> List.filter (fun (n : Node.t) ->
-               Overlay.alive ov n.Node.id && Store.find n.Node.store k <> [])
+               Overlay.Oracle.alive ov n.Node.id && Store.find n.Node.store k <> [])
       in
       if List.length alive_holders < 2 then
         Alcotest.failf "key %S alive-replicated on %d peers after repair" k
@@ -431,10 +431,10 @@ let test_backoff_schedule () =
       let key =
         List.find
           (fun k ->
-            Overlay.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
+            Overlay.Oracle.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
           keys
       in
-      Overlay.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
+      Overlay.Oracle.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
       let m = with_metrics ov in
       let r = run ov ~keys ~key in
       Alcotest.(check bool) (kind ^ " gives up incomplete") false r.Overlay.complete;
@@ -467,10 +467,10 @@ let test_adaptive_deadline_beats_fixed () =
   let key =
     List.find
       (fun k ->
-        Overlay.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
+        Overlay.Oracle.responsible ov k |> List.for_all (fun (n : Node.t) -> n.Node.id <> 0))
       keys
   in
-  Overlay.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
+  Overlay.Oracle.responsible ov key |> List.iter (fun (n : Node.t) -> Overlay.kill ov n.Node.id);
   let r = await (Overlay.sim ov) (fun k -> Overlay.lookup ov ~origin:0 ~key ~k) in
   Alcotest.(check bool) "gives up incomplete" false r.Overlay.complete;
   Alcotest.(check bool) "adaptive giveup strictly beats the fixed schedule" true

@@ -330,7 +330,7 @@ let test_replication_places_copies () =
   List.iter
     (fun k ->
       let holders =
-        Overlay.responsible ov k
+        Overlay.Oracle.responsible ov k
         |> List.filter (fun (nd : Node.t) -> Store.find nd.Node.store k <> [])
       in
       if List.length holders < 2 then
@@ -940,7 +940,7 @@ let test_delete () =
   | [ i ] -> check Alcotest.string "b remains" "b" i.Store.item_id
   | l -> Alcotest.failf "expected 1 item, got %d" (List.length l));
   let holders =
-    Overlay.responsible ov "k1"
+    Overlay.Oracle.responsible ov "k1"
     |> List.filter (fun (nd : Node.t) ->
            List.exists (fun (i : Store.item) -> i.Store.item_id = "a") (Store.find nd.Node.store "k1"))
   in
@@ -957,7 +957,7 @@ let live_holders ov ~key ~item_id =
       if List.exists (fun (i : Store.item) -> i.Store.item_id = item_id) (Store.find nd.Node.store key)
       then Some nd.Node.id
       else None)
-    (Overlay.responsible ov key)
+    (Overlay.Oracle.responsible ov key)
 
 (* A delete stays deleted. A replica that is down while the delete runs
    comes back holding the item; anti-entropy must carry the tombstone to
@@ -972,7 +972,7 @@ let test_delete_stays_deleted () =
   insert_all ov keys;
   Sim.run_all sim;
   let key = List.hd keys and item_id = "id0" in
-  let group = List.map (fun (nd : Node.t) -> nd.Node.id) (Overlay.responsible ov key) in
+  let group = List.map (fun (nd : Node.t) -> nd.Node.id) (Overlay.Oracle.responsible ov key) in
   check Alcotest.(list int) "every replica holds the item" group (live_holders ov ~key ~item_id);
   check Alcotest.bool "a group of several" true (List.length group >= 3);
   let down = List.nth group (List.length group - 1) in
@@ -1023,7 +1023,7 @@ let test_deletes_under_loss () =
           match
             List.map
               (fun (nd : Node.t) -> List.sort compare (Store.digest nd.Node.store))
-              (Overlay.responsible ov key)
+              (Overlay.Oracle.responsible ov key)
           with
           | d :: rest -> List.for_all (( = ) d) rest
           | [] -> true)
@@ -1061,7 +1061,7 @@ let test_deletes_under_loss () =
       if i mod 2 = 0 then check Alcotest.(list int) ("no replica holds deleted " ^ key) [] holders
       else
         check Alcotest.int ("every replica holds " ^ key)
-          (List.length (Overlay.responsible ov key))
+          (List.length (Overlay.Oracle.responsible ov key))
           (List.length holders))
     keys
 
@@ -1078,12 +1078,12 @@ let test_repair_refs () =
      wherever alive candidates exist. *)
   List.iter
     (fun (nd : Node.t) ->
-      if Overlay.alive ov nd.Node.id then
+      if Overlay.Oracle.alive ov nd.Node.id then
         Array.iteri
           (fun l refs ->
             Array.iter
               (fun r ->
-                if not (Overlay.alive ov r) then
+                if not (Overlay.Oracle.alive ov r) then
                   Alcotest.failf "peer%d level %d still references dead peer%d" nd.Node.id l r)
               refs)
           nd.Node.refs)
@@ -1913,7 +1913,7 @@ let overlay_session () =
   (* A boost copy: the owner advertises it, the boost answers from it. *)
   Overlay.set_config ov { config with hot_replication = true };
   let key = ith 3 in
-  let owner = List.hd (Overlay.responsible ov key) in
+  let owner = List.hd (Overlay.Oracle.responsible ov key) in
   let boost = (owner.Node.id + 32) mod 64 in
   owner.Node.boosts <- [ boost ];
   Net.send (Overlay.net ov) ~src:owner.Node.id ~dst:boost
@@ -2027,7 +2027,7 @@ let routing_tables ov =
   |> List.sort (fun (a : Node.t) (b : Node.t) -> compare a.id b.id)
   |> List.map (fun (nd : Node.t) ->
          Printf.sprintf "%d%s %s | %s | %s" nd.id
-           (if Overlay.alive ov nd.id then "" else " dead")
+           (if Overlay.Oracle.alive ov nd.id then "" else " dead")
            (Bitkey.to_string nd.path)
            (String.concat " / " (Array.to_list (Array.map (fun r -> ints (Array.to_list r)) nd.refs)))
            (ints nd.replicas))
@@ -2066,7 +2066,7 @@ let test_golden_routing_tables () =
   kill_some ~ov:boot 7 0.2;
   let paths =
     List.filter_map
-      (fun (nd : Node.t) -> if Overlay.alive boot nd.id then Some nd.path else None)
+      (fun (nd : Node.t) -> if Overlay.Oracle.alive boot nd.id then Some nd.path else None)
       (Overlay.nodes boot)
   in
   Alcotest.(check bool) "a live path is a proper prefix of another" true

@@ -102,11 +102,11 @@ let prop_arena_vs_model =
                if Hashtbl.mem registered id then Hashtbl.replace alive id ())
            ops;
          let sorted h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h []) in
-         Net.alive_peers net = sorted alive
+         Net.Oracle.alive_peers net = sorted alive
          && Net.peers net = sorted registered
-         && Net.alive_count net = Hashtbl.length alive
+         && Net.Oracle.alive_count net = Hashtbl.length alive
          && Net.registered_count net = Hashtbl.length registered
-         && List.for_all (fun id -> Net.is_alive net id = Hashtbl.mem alive id)
+         && List.for_all (fun id -> Net.Oracle.is_alive net id = Hashtbl.mem alive id)
               (List.init 42 Fun.id)))
 
 let test_arena_random_alive_only_alive () =
@@ -123,7 +123,7 @@ let test_arena_random_alive_only_alive () =
   done;
   let srng = Rng.create 42 in
   for _ = 1 to 500 do
-    match Net.random_alive net srng with
+    match Net.Oracle.random_alive net srng with
     | Some id when id mod 2 = 1 && id < 32 -> ()
     | Some id -> Alcotest.failf "random_alive returned dead/unknown peer %d" id
     | None -> Alcotest.fail "random_alive returned None on a live network"
@@ -133,26 +133,11 @@ let test_arena_random_alive_only_alive () =
   for i = 0 to 31 do
     Net.kill net i
   done;
-  (match Net.random_alive net srng with
+  (match Net.Oracle.random_alive net srng with
   | None -> ()
   | Some id -> Alcotest.failf "random_alive on empty alive set returned %d" id);
   Net.revive net 7;
-  check Alcotest.(option int) "only survivor sampled" (Some 7) (Net.random_alive net srng)
-
-let test_arena_iter_alive_sorted () =
-  let sim = Sim.create () in
-  let rng = Rng.create 13 in
-  let latency = Latency.create (Latency.Constant 1.0) ~n:64 ~rng in
-  let net = Net.create sim ~latency ~rng () in
-  (* Register out of order, churn a little: iteration order must stay
-     ascending by id regardless of internal swap-remove shuffling. *)
-  List.iter (fun i -> Net.register net i (fun ~src:_ _ -> ())) [ 9; 2; 31; 0; 17; 4 ];
-  Net.kill net 17;
-  Net.kill net 2;
-  Net.revive net 2;
-  let seen = ref [] in
-  Net.iter_alive net (fun id -> seen := id :: !seen);
-  check Alcotest.(list int) "ascending id order" [ 0; 2; 4; 9; 31 ] (List.rev !seen)
+  check Alcotest.(option int) "only survivor sampled" (Some 7) (Net.Oracle.random_alive net srng)
 
 (* ------------------------------------------------------------------ *)
 (* Bitkey: the packed (int-word) representation must be observationally
@@ -308,7 +293,6 @@ let () =
           prop_arena_vs_model;
           Alcotest.test_case "random_alive samples only alive" `Quick
             test_arena_random_alive_only_alive;
-          Alcotest.test_case "iter_alive ascending" `Quick test_arena_iter_alive_sorted;
         ] );
       ( "bitkey",
         [ prop_bitkey_roundtrip; prop_bitkey_compare_matches_strings; prop_bitkey_ops_match_strings ]

@@ -474,20 +474,20 @@ let test_net_peer_lists_invalidated () =
   let _, net = mknet 4 in
   List.iter (fun i -> Net.register net i (fun ~src:_ _ -> ())) [ 2; 0; 3 ];
   check Alcotest.(list int) "sorted" [ 0; 2; 3 ] (Net.peers net);
-  check Alcotest.(list int) "all alive" [ 0; 2; 3 ] (Net.alive_peers net);
+  check Alcotest.(list int) "all alive" [ 0; 2; 3 ] (Net.Oracle.alive_peers net);
   Net.register net 1 (fun ~src:_ _ -> ());
   check Alcotest.(list int) "register invalidates" [ 0; 1; 2; 3 ] (Net.peers net);
   Net.kill net 2;
-  check Alcotest.(list int) "kill invalidates alive" [ 0; 1; 3 ] (Net.alive_peers net);
+  check Alcotest.(list int) "kill invalidates alive" [ 0; 1; 3 ] (Net.Oracle.alive_peers net);
   check Alcotest.(list int) "kill keeps membership" [ 0; 1; 2; 3 ] (Net.peers net);
   Net.revive net 2;
-  check Alcotest.(list int) "revive invalidates" [ 0; 1; 2; 3 ] (Net.alive_peers net);
+  check Alcotest.(list int) "revive invalidates" [ 0; 1; 2; 3 ] (Net.Oracle.alive_peers net);
   (* Idempotent mutations keep the caches consistent. *)
   Net.kill net 0;
   Net.kill net 0;
-  check Alcotest.(list int) "double kill" [ 1; 2; 3 ] (Net.alive_peers net);
+  check Alcotest.(list int) "double kill" [ 1; 2; 3 ] (Net.Oracle.alive_peers net);
   Net.register net 0 (fun ~src:_ _ -> ());
-  check Alcotest.(list int) "re-register revives" [ 0; 1; 2; 3 ] (Net.alive_peers net)
+  check Alcotest.(list int) "re-register revives" [ 0; 1; 2; 3 ] (Net.Oracle.alive_peers net)
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)

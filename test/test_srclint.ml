@@ -141,6 +141,30 @@ let timeout_allowed () =
        "let f sim c g = Sim.schedule sim ~delay:c.timeout_ms g (* srclint: allow uncancelled-timeout *)")
 
 (* ------------------------------------------------------------------ *)
+(* Rule: oracle *)
+
+let liveness_read = "let up t p = Net.Oracle.is_alive t.net p"
+
+let oracle_defect () =
+  check_has "routing" "oracle" (lint ~path:"lib/pgrid/routing.ml" liveness_read);
+  check_has "query processor" "oracle" (lint ~path:"lib/qproc/exec.ml" liveness_read);
+  check_has "an overlay's oracle" "oracle"
+    (lint ~path:"lib/qproc/exec.ml" "let owners ov k = Overlay.Oracle.responsible ov k");
+  check_has "annotated for another rule" "oracle"
+    (lint ~path:"lib/pgrid/routing.ml"
+       "let up t p = Net.Oracle.is_alive t.net p (* srclint: allow blocking-wait *)")
+
+let oracle_allowed () =
+  check_clean "fault scenarios" (lint ~path:"lib/sim/faults.ml" liveness_read);
+  check_clean "the facade" (lint ~path:"lib/core/unistore.ml" liveness_read);
+  check_clean "annotated with its owner"
+    (lint ~path:"lib/pgrid/routing.ml"
+       "let up t p = Net.Oracle.is_alive t.net p (* srclint: allow oracle item-19 *)");
+  check_clean "an oracle's own body"
+    (lint ~path:"lib/pgrid/overlay.ml"
+       "module Oracle = struct let alive t id = Net.Oracle.is_alive t.net id end")
+
+(* ------------------------------------------------------------------ *)
 (* Rule 4: protocol-exhaustiveness, against a toy protocol *)
 
 let toy_table =
@@ -290,6 +314,11 @@ let () =
         [
           Alcotest.test_case "seeded defects flagged" `Quick timeout_defect;
           Alcotest.test_case "cancellable and exempt deadlines" `Quick timeout_allowed;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "peer code reading the global view flagged" `Quick oracle_defect;
+          Alcotest.test_case "readers, owners and oracle bodies" `Quick oracle_allowed;
         ] );
       ( "protocol-exhaustiveness",
         [

@@ -850,7 +850,7 @@ let test_overlay_crash_restart_recall () =
       (* Victim: a peer (not the origin) responsible for the first key,
          so its log is non-empty and its loss matters. *)
       let victim =
-        match List.filter (fun (nd : Node.t) -> nd.Node.id <> 0) (Overlay.responsible ov (List.hd keys)) with
+        match List.filter (fun (nd : Node.t) -> nd.Node.id <> 0) (Overlay.Oracle.responsible ov (List.hd keys)) with
         | nd :: _ -> nd
         | [] -> Alcotest.fail "no responsible peer other than the origin"
       in
