@@ -7,23 +7,27 @@
    the user to interact."
 
    Two communities publish the same kind of data under different
-   attribute names (plain vs. "dblp:"-prefixed). We measure query recall
-   with and without automatic mapping expansion, plus the expansion's
-   message cost. The verdict is computed from the rows: on every query
-   the expanded answer must hold every plain row and strictly more rows;
-   the run exits 1 otherwise. *)
+   attribute names and entity ids (plain vs. "dblp:"-prefixed). We
+   measure query recall with and without automatic mapping expansion,
+   plus the expansion's message cost, each arm on a fresh deployment.
+   The verdict is computed from the rows: on every query the expanded
+   answer must hold every plain row and strictly more rows; the run
+   exits 1 otherwise. *)
 
 module Rng = Unistore_util.Rng
 module Engine = Unistore_qproc.Engine
 module Binding = Unistore_qproc.Binding
 module Publications = Unistore_workload.Publications
 
-let mapped_attrs = [ "name"; "age"; "num_of_pubs"; "title"; "year"; "series"; "confname" ]
+let mapped_attrs =
+  [
+    "name"; "age"; "num_of_pubs"; "has_published"; "title"; "year"; "published_in"; "series";
+    "confname";
+  ]
 
-let run () =
-  Common.section "E12: schema mappings (instance, schema and metadata levels)"
-    "schema-mapping triples \"can be queried explicitly by the user — or even \
-     automatically by the system\"";
+(* Both communities loaded, the mappings published: a fresh deployment,
+   its caches cold. *)
+let deploy () =
   let rng = Rng.create 131 in
   let ds1 = Publications.generate rng { Publications.default_params with n_authors = 15 } in
   let ds2 =
@@ -40,18 +44,28 @@ let run () =
   Unistore.set_stats_of_triples store (ds1.Publications.triples @ ds2.Publications.triples);
   List.iter (fun a -> ignore (Unistore.add_mapping store a ("dblp:" ^ a))) mapped_attrs;
   Unistore.settle store;
+  store
+
+let run () =
+  Common.section "E12: schema mappings (instance, schema and metadata levels)"
+    "schema-mapping triples \"can be queried explicitly by the user — or even \
+     automatically by the system\"";
   let queries =
     [
       ("ages 30-40", "SELECT ?a, ?v WHERE { (?a,'age',?v) FILTER ?v >= 30 AND ?v < 40 }");
-      ("VLDB authors", "SELECT ?n WHERE { (?a,'name',?n) (?a,'has_published',?t) }");
+      ( "VLDB authors",
+        "SELECT ?n WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) \
+         (?p,'published_in',?cn) FILTER prefix(?cn,'VLDB') }" );
       ("2004+ titles", "SELECT ?t WHERE { (?p,'title',?t) (?p,'year',?y) FILTER ?y >= 2004 }");
     ]
   in
+  (* Each arm of each query runs first on its own deployment, so neither
+     column reuses what the other left in the caches. *)
   let answers =
     List.map
       (fun (name, src) ->
-        let plain = Common.run_query_exn store ~origin:2 src in
-        (name, plain, Common.run_query_exn store ~origin:2 ~expand_mappings:true src))
+        let cold expand_mappings = Common.run_query_exn (deploy ()) ~origin:2 ~expand_mappings src in
+        (name, cold false, cold true))
       queries
   in
   Common.print_table
@@ -75,7 +89,9 @@ let run () =
       answers
   in
   (* Metadata level: the correspondences themselves are queryable. *)
-  let meta = Common.run_query_exn store ~origin:0 "SELECT ?m, ?to WHERE { (?m,'sys:maps_to',?to) }" in
+  let meta =
+    Common.run_query_exn (deploy ()) ~origin:0 "SELECT ?m, ?to WHERE { (?m,'sys:maps_to',?to) }"
+  in
   Printf.printf "\nmapping triples stored (queried at the metadata level): %d\n"
     (List.length meta.Engine.rows);
   Printf.printf "verdict: %s\n"

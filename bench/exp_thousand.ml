@@ -5,7 +5,8 @@
    more) storage".
 
    A 1024-peer deployment executes a mixed VQL workload; we report
-   completion, message and latency distributions. *)
+   completion, message and latency distributions. The run exits 1 if
+   any query's answer is incomplete. *)
 
 module Stats = Unistore_util.Stats
 module Engine = Unistore_qproc.Engine
@@ -31,11 +32,11 @@ let run () =
     (List.length ds.Unistore_workload.Publications.triples);
   let rows = ref [] in
   let latencies = ref [] and messages = ref [] in
-  let all_ok = ref true in
+  let incomplete = ref [] in
   List.iteri
     (fun idx src ->
       let r = Common.run_query_exn store ~origin:(idx * 131 mod 1024) src in
-      if not r.Engine.complete then all_ok := false;
+      if not r.Engine.complete then incomplete := Printf.sprintf "Q%d" (idx + 1) :: !incomplete;
       latencies := r.Engine.latency :: !latencies;
       messages := float_of_int r.Engine.messages :: !messages;
       rows :=
@@ -52,5 +53,9 @@ let run () =
   let l = Stats.summarize !latencies and m = Stats.summarize !messages in
   Printf.printf "\nlatency:  %s\n" (Format.asprintf "%a" Stats.pp_summary l);
   Printf.printf "messages: %s\n" (Format.asprintf "%a" Stats.pp_summary m);
-  Printf.printf "verdict: %s\n"
-    (if !all_ok then "all queries complete at 1024 peers" else "WARNING: incomplete queries")
+  if !incomplete = [] then print_endline "verdict: all queries complete at 1024 peers"
+  else begin
+    Printf.printf "verdict: NOT reproduced: incomplete answers on %s\n"
+      (String.concat ", " (List.rev !incomplete));
+    exit 1
+  end

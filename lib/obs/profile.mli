@@ -28,7 +28,9 @@ type t = {
   rows : int;
   messages : int;
   latency_ms : float;
-  bytes_shipped : int;  (** plan + binding bytes moved (mutant only) *)
+  bytes_shipped : int;
+      (** bytes of a mutant plan's carrier hops: the plan, and its rows
+          coded as one batch ([Exec.rows_bytes]); 0 for other strategies *)
   complete : bool;
   completeness : float;
       (** coverage estimate in [0,1] (regions reached / addressed);

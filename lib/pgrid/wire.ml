@@ -106,7 +106,31 @@ let rec sum t prev n acc = function
     let payload = field t (n + 1) i.payload in
     sum t i.key (n + 2) (acc + key + id + payload + varint_bytes i.version) rest
 
+(* Starts a list or batch: no field seen yet. *)
+let start t =
+  t.stamp <- t.stamp + 1;
+  t.live <- 0
+
 let items_bytes ?(prev = "") items =
-  tbl.stamp <- tbl.stamp + 1;
-  tbl.live <- 0;
+  start tbl;
   sum tbl prev 0 0 items
+
+let rows_bytes ~encode names iter rows =
+  start tbl;
+  let arity = List.length names in
+  let n = ref 0 in
+  let bytes = ref (varint_bytes arity + varint_bytes (List.length rows)) in
+  let put s =
+    bytes := !bytes + field tbl !n s;
+    incr n
+  in
+  List.iter put names;
+  let value v = put (encode v) in
+  List.iter
+    (fun row ->
+      let first = !n in
+      iter value row;
+      if !n - first <> arity then
+        invalid_arg "Wire.rows_bytes: a row has more or fewer values than names")
+    rows;
+  !bytes

@@ -1,10 +1,11 @@
-(** Exact wire sizes of item lists.
+(** Exact wire sizes of item lists and row batches.
 
     Every message that carries items ({!Message.size}, and the Chord
     baseline's [msg_size]) charges them by the length of one concrete
-    encoding, so bandwidth figures are bytes a decoder could read back,
-    not a per-item guess. The items are coded one after another, in
-    list order:
+    encoding, and so does every carrier hop of a mutant query plan for
+    the rows it ships; bandwidth figures are bytes a decoder could read
+    back, not a per-item or per-row guess. The items are coded one after
+    another, in list order:
 
     - the key, front-coded against the previous item's key (the first
       against [prev]): a varint for the length of the prefix they
@@ -31,3 +32,29 @@
     against. Sizing allocates nothing once its table has grown to the
     largest list seen. *)
 val items_bytes : ?prev:string -> Store.item list -> int
+
+(** {2 Row batches}
+
+    A batch of rows that all bind the same variables (the intermediate
+    results a mutant plan carries) is coded as:
+
+    - a varint for the number of variables, then each name as a string
+      field;
+    - a varint for the number of rows;
+    - then each row's values, in the names' order, each a string field
+      holding the value's typed encoding ([Value.encode]).
+
+    String fields follow the rule above, numbered across the whole
+    batch: the names 0 to [k - 1], then the values. A name or value
+    that repeats costs a one- or two-byte back-reference, so each name
+    is paid once per batch and a value shared by many rows (a join key,
+    a conference) once per distance. An empty batch is two bytes. *)
+
+(** [rows_bytes ~encode names iter rows] is the length of the encoding
+    above of [rows], on the variables [names]. [iter f row] calls [f] on
+    each of [row]'s values in the names' order, and [encode v] is the
+    bytes of [v]'s field. Raises [Invalid_argument] if a row has more or
+    fewer values than [names]. Sizing builds no list and shares the
+    table of {!items_bytes}; it allocates only what [encode] does. *)
+val rows_bytes :
+  encode:('v -> string) -> string list -> (('v -> unit) -> 'r -> unit) -> 'r list -> int

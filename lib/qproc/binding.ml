@@ -271,8 +271,27 @@ let fingerprint t =
     t.vals;
   Buffer.contents buf
 
-let bytes t =
-  fold_right (fun v x acc -> acc + String.length v + Value.encoded_length x + 4) t 8
+(* ------------------------------------------------------------------ *)
+(* Row batches                                                         *)
+
+let iter_values f t =
+  for i = 0 to Array.length t.vals - 1 do
+    let x = t.vals.(i) in
+    if x != unbound then f x
+  done
+
+let same_vars a b =
+  if a.schema == b.schema then
+    let rec go i = i < 0 || ((a.vals.(i) == unbound) = (b.vals.(i) == unbound) && go (i - 1)) in
+    go (Array.length a.vals - 1)
+  else List.equal String.equal (vars a) (vars b)
+
+let batch_vars = function
+  | [] -> []
+  | r :: rest ->
+    if not (List.for_all (same_vars r) rest) then
+      invalid_arg "Binding.batch_vars: the rows bind different variables";
+    vars r
 
 let equal a b =
   List.equal (fun (v, x) (w, y) -> String.equal v w && Value.equal x y) (bindings a) (bindings b)

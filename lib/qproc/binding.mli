@@ -85,8 +85,18 @@ val project : string list -> t -> t
 (** Stable fingerprint of the full binding (for DISTINCT). *)
 val fingerprint : t -> string
 
-(** Approximate wire size in bytes (for plan-shipping accounting). *)
-val bytes : t -> int
+(** {2 Row batches}
+
+    The rows a mutant plan ships are coded as one batch on one variable
+    set ({!Unistore_pgrid.Wire.rows_bytes}). *)
+
+(** [batch_vars rows] is the variables every row of [rows] binds, in
+    name order ([[]] for no rows). Raises [Invalid_argument] if two rows
+    bind different variables. *)
+val batch_vars : t list -> string list
+
+(** [iter_values f t] calls [f] on [t]'s bound values in name order. *)
+val iter_values : (Value.t -> unit) -> t -> unit
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

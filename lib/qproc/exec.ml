@@ -8,6 +8,7 @@ module Keys = Unistore_triple.Keys
 module Sim = Unistore_sim.Sim
 module Det = Unistore_util.Det
 module Cps = Unistore_util.Cps
+module Wire = Unistore_pgrid.Wire
 
 type step_trace = {
   step : Physical.step;
@@ -516,7 +517,8 @@ let carrier_key_of_access = function
 
 let plan_overhead_bytes = 256
 
-let rows_bytes rows = List.fold_left (fun acc b -> acc + Binding.bytes b) 0 rows
+let rows_bytes rows =
+  Wire.rows_bytes ~encode:Value.encode (Binding.batch_vars rows) Binding.iter_values rows
 
 let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
   let dht = Tstore.dht ts in

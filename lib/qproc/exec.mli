@@ -64,8 +64,18 @@ type run_result = {
           {!Unistore_triple.Dht.result}); [1.0] iff every access saw
           every region it addressed *)
   traces : step_trace list;
-  bytes_shipped : int;  (** plan/binding bytes moved between carriers *)
+  bytes_shipped : int;
+      (** bytes of every carrier hop: a hop towards the data carries the
+          plan (a flat 256 B) and the rows so far, the trip home the
+          answer rows and 32 B; rows are sized by {!rows_bytes} *)
 }
+
+(** [rows_bytes rows] is the bytes a carrier hop spends on [rows]: the
+    length of their coding as one batch
+    ({!Unistore_pgrid.Wire.rows_bytes}, each value by
+    {!Unistore_triple.Value.encode}). Raises [Invalid_argument] if the
+    rows bind different variables: the coding has no size for them. *)
+val rows_bytes : Binding.t list -> int
 
 (** [postprocess plan rows] applies a plan's post-join stages (residual
     filters, order/skyline, projection, distinct, limit). Exposed for the

@@ -37,18 +37,19 @@ let to_display = function
 (* Type tags chosen so that byte order of tags equals [type_rank] order. *)
 let tag = function B _ -> 'b' | F _ -> 'f' | I _ -> 'i' | S _ -> 's'
 
-let encode v =
-  let body =
-    match v with
-    | S s -> Ophash.encode_string s
-    | I i -> Ophash.encode_int i
-    | F f -> Ophash.encode_float f
-    | B b -> if b then "\001" else "\000"
-  in
-  String.make 1 (tag v) ^ body
-
 (* [String.length (encode v)], without encoding. *)
 let encoded_length = function S s -> 1 + String.length s | I _ | F _ -> 9 | B _ -> 2
+
+(* The tag and the body are written into one string, not concatenated. *)
+let encode v =
+  let b = Bytes.create (encoded_length v) in
+  Bytes.set b 0 (tag v);
+  (match v with
+  | S s -> Bytes.blit_string (Ophash.encode_string s) 0 b 1 (String.length s)
+  | I i -> Ophash.write_int b 1 i
+  | F f -> Ophash.write_float b 1 f
+  | B x -> Bytes.set b 1 (if x then '\001' else '\000'));
+  Bytes.unsafe_to_string b
 
 let decode_at s ~off ~len =
   if len < 1 then None

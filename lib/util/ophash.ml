@@ -2,11 +2,15 @@ let routing_bits = 256
 
 let encode_string s = s
 
-let encode_int i =
-  (* Offset binary: xor the sign bit so negative ints sort first. *)
-  let x = Int64.logxor (Int64.of_int i) Int64.min_int in
-  String.init 8 (fun k ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - k) * 8)) 0xFFL)))
+(* Offset binary: xor the sign bit so negative ints sort first. *)
+let write_int b off i = Bytes.set_int64_be b off (Int64.logxor (Int64.of_int i) Int64.min_int)
+
+let eight write x =
+  let b = Bytes.create 8 in
+  write b 0 x;
+  Bytes.unsafe_to_string b
+
+let encode_int i = eight write_int i
 
 let decode_int_at s off = Int64.to_int (Int64.logxor (String.get_int64_be s off) Int64.min_int)
 
@@ -19,10 +23,8 @@ let float_bits_unsortable x =
   if Int64.compare x 0L < 0 then Int64.logand x Int64.max_int |> fun b -> Int64.float_of_bits b
   else Int64.float_of_bits (Int64.lognot x)
 
-let encode_float f =
-  let x = float_bits_sortable f in
-  String.init 8 (fun k ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - k) * 8)) 0xFFL)))
+let write_float b off f = Bytes.set_int64_be b off (float_bits_sortable f)
+let encode_float f = eight write_float f
 
 let decode_float_at s off = float_bits_unsortable (String.get_int64_be s off)
 

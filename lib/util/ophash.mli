@@ -30,6 +30,12 @@ val encode_int : int -> string
     all non-NaN floats correctly. *)
 val encode_float : float -> string
 
+(** [write_int b off i] writes [encode_int i] into the 8 bytes of [b] at
+    [off]; likewise [write_float] for {!encode_float}. *)
+val write_int : Bytes.t -> int -> int -> unit
+
+val write_float : Bytes.t -> int -> float -> unit
+
 (** [decode_int_at s off] inverts {!encode_int} on the 8 bytes of [s] at
     [off]; likewise [decode_float_at] for {!encode_float}. Raise
     [Invalid_argument] if fewer than 8 bytes are left. *)

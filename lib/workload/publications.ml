@@ -41,7 +41,7 @@ let generate rng (p : params) =
     List.init p.n_conferences (fun i ->
         let series = List.nth series_pool (i mod List.length series_pool) in
         let year = 1998 + Rng.int rng 10 in
-        let oid = Printf.sprintf "c%03d" i in
+        let oid = attr ns (Printf.sprintf "c%03d" i) in
         let confname = maybe_typo (Printf.sprintf "%s %d" series year) in
         ( oid,
           [
@@ -61,7 +61,7 @@ let generate rng (p : params) =
         let year =
           match List.assoc (attr ns "year") (snd conf) with Value.I y -> y | _ -> 2000
         in
-        let oid = Printf.sprintf "p%04d" i in
+        let oid = attr ns (Printf.sprintf "p%04d" i) in
         ( oid,
           [
             (attr ns "title", Value.S (Namegen.title rng ~words:(3 + Rng.int rng 3)));
@@ -76,7 +76,7 @@ let generate rng (p : params) =
   (* Authors *)
   let authors =
     List.init p.n_authors (fun i ->
-        let oid = Printf.sprintf "a%03d" i in
+        let oid = attr ns (Printf.sprintf "a%03d" i) in
         let name = Namegen.person rng in
         let my_pubs =
           Rng.sample rng
@@ -98,7 +98,7 @@ let generate rng (p : params) =
         let friends =
           if i = 0 then []
           else
-            [ (attr ns "has_friend", Value.S (Printf.sprintf "a%03d" (Rng.int rng i))) ]
+            [ (attr ns "has_friend", Value.S (attr ns (Printf.sprintf "a%03d" (Rng.int rng i)))) ]
         in
         (oid, base @ pubs @ friends))
   in

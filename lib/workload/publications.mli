@@ -23,7 +23,9 @@ type params = {
   pubs_per_author : int;  (** mean; actual counts vary *)
   n_conferences : int;
   typo_rate : float;  (** probability a confname/series carries one typo *)
-  namespace : string;  (** attribute prefix, e.g. "" or "dblp" *)
+  namespace : string;
+      (** attribute and OID prefix, e.g. "" or "dblp": datasets in two
+          namespaces share no attribute and no entity *)
 }
 
 val default_params : params

@@ -851,11 +851,36 @@ let test_mutant_hop_bytes () =
         let last = (List.nth r.Engine.traces (List.length r.Engine.traces - 1)).Exec.carrier in
         let home =
           if last = origin then 0
-          else List.fold_left (fun acc b -> acc + Binding.bytes b) 32 r.Engine.rows
+          else Exec.rows_bytes r.Engine.rows + 32
         in
         Alcotest.(check bool) (src ^ ": some hop shipped") true (hops > 0);
         check Alcotest.int src r.Engine.bytes_shipped (hops + home))
     [ paper_query; vldb_join ]
+
+(* Every batch a carrier ships is coded on one variable set, and sizing
+   a batch that binds two raises, so a hop that broke this would fail
+   its query. E9's join chains, the deepest of them the paper query, on
+   both overlays. *)
+let test_mutant_batches_one_variable_set () =
+  let chains =
+    [
+      "SELECT ?t WHERE { (?p,'title',?t) (?p,'year',?y) FILTER ?y >= 2004 }";
+      "SELECT ?n, ?t WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) }";
+      "SELECT ?n, ?cn WHERE { (?a,'name',?n) (?a,'has_published',?t) (?p,'title',?t) \
+       (?p,'published_in',?cn) (?c,'confname',?cn) }";
+      paper_query;
+    ]
+  in
+  List.iter
+    (fun overlay ->
+      let store, ds = make_store ~peers:128 ~n_authors:60 ~overlay () in
+      List.iter
+        (fun src ->
+          let r = check_against_oracle src store ds ~origin:11 ~strategy:Unistore.Mutant src in
+          Alcotest.(check bool) (src ^ ": some hop shipped") true (r.Engine.bytes_shipped > 0);
+          ignore (Binding.batch_vars r.Engine.rows))
+        chains)
+    [ Unistore.Pgrid; Unistore.Chord_trie ]
 
 let test_chord_substrate_agrees () =
   let store, ds = make_store ~overlay:Unistore.Chord_trie () in
@@ -1234,6 +1259,8 @@ let () =
           Alcotest.test_case "centralized = mutant" `Quick test_strategies_agree;
           Alcotest.test_case "mutant trimming keeps the answer" `Quick test_mutant_trimming_agrees;
           Alcotest.test_case "mutant hop bytes add up" `Quick test_mutant_hop_bytes;
+          Alcotest.test_case "mutant batches bind one variable set" `Quick
+            test_mutant_batches_one_variable_set;
           Alcotest.test_case "semi-join filters keep the answer" `Quick test_semijoin_filters;
           Alcotest.test_case "chord substrate" `Quick test_chord_substrate_agrees;
           Alcotest.test_case "skyline pushdown agrees" `Quick test_skyline_pushdown_agrees;

@@ -117,7 +117,6 @@ module Model = struct
 
   let project vs t = M.filter (fun v _ -> List.mem v vs) t
   let fingerprint t = M.fold (fun v x acc -> acc ^ v ^ "=" ^ Value.encode x ^ ";") t ""
-  let bytes t = M.fold (fun v x acc -> acc + String.length v + String.length (Value.encode x) + 4) t 8
 end
 
 let gen_var = QCheck2.Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ]
@@ -173,7 +172,6 @@ let prop_binding_matches_model =
          && agrees (Binding.project vs a) (Model.project vs ma)
          && String.equal (Binding.fingerprint (Binding.project vs a)) (Model.fingerprint (Model.project vs ma))
          && String.equal (Binding.fingerprint a) (Model.fingerprint ma)
-         && Binding.bytes a = Model.bytes ma
          && Binding.vars a = List.map fst (Model.M.bindings ma)
          && List.for_all (fun v -> Binding.find a v = Model.M.find_opt v ma) vs
          && same_opt (Binding.match_triple_into a p tr) (Model.match_triple_into ma p tr)
@@ -183,6 +181,124 @@ let prop_binding_matches_model =
          same_opt
            (Binding.match_compiled base (Binding.compile five p) tr)
            (Model.match_triple_into mbase p tr)))
+
+(* A test-local codec for the row batches mutant carriers ship (see
+   [Unistore_pgrid.Wire.rows_bytes]): the variable count and names, the
+   row count, then every row's values in name order. Names and values
+   are string fields: a literal, varint [2 * len] then the bytes, or a
+   back-reference to the latest earlier equal field, varint [2 * d + 1]
+   with [d] the fields between them, whichever is shorter. *)
+let rec put_varint b n =
+  if n < 128 then Buffer.add_char b (Char.chr n)
+  else begin
+    Buffer.add_char b (Char.chr (n land 127 lor 128));
+    put_varint b (n lsr 7)
+  end
+
+let encode_rows rows =
+  let b = Buffer.create 256 in
+  let seen = ref [] in
+  (* [seen]: the fields coded so far, latest first *)
+  let put_field s =
+    let rec distance d = function
+      | [] -> None
+      | x :: rest -> if String.equal x s then Some d else distance (d + 1) rest
+    in
+    let literal = Buffer.create 16 in
+    put_varint literal (2 * String.length s);
+    Buffer.add_string literal s;
+    let back = Buffer.create 4 in
+    Option.iter (fun d -> put_varint back ((2 * d) + 1)) (distance 0 !seen);
+    Buffer.add_buffer b
+      (if Buffer.length back > 0 && Buffer.length back <= Buffer.length literal then back
+       else literal);
+    seen := s :: !seen
+  in
+  let names = match rows with [] -> [] | r :: _ -> Binding.vars r in
+  put_varint b (List.length names);
+  List.iter put_field names;
+  put_varint b (List.length rows);
+  List.iter (fun r -> List.iter (fun (_, x) -> put_field (Value.encode x)) (Binding.bindings r)) rows;
+  Buffer.contents b
+
+(* The names and every row's values, in order. *)
+let decode_rows s =
+  let pos = ref 0 in
+  let rec varint shift =
+    let c = Char.code s.[!pos] in
+    incr pos;
+    ((c land 127) lsl shift) lor if c < 128 then 0 else varint (shift + 7)
+  in
+  let seen = ref [] in
+  let field () =
+    let v = varint 0 in
+    let x =
+      if v land 1 = 0 then begin
+        let x = String.sub s !pos (v / 2) in
+        pos := !pos + (v / 2);
+        x
+      end
+      else List.nth !seen (v / 2)
+    in
+    seen := x :: !seen;
+    x
+  in
+  let names = List.init (varint 0) (fun _ -> field ()) in
+  let rows =
+    List.init (varint 0) (fun _ ->
+        List.map (fun _ -> Option.get (Value.decode (field ()))) names)
+  in
+  if !pos <> String.length s then QCheck2.Test.fail_report "trailing bytes";
+  (names, rows)
+
+let prop_row_codec =
+  let open QCheck2.Gen in
+  (* Few distinct values, so rows repeat them near and far; strings with
+     escapes and ones long enough for a two-byte literal length. *)
+  let gen_string =
+    oneof
+      [
+        oneofl [ ""; "x"; "s"; "a\000b"; "\xff\xfe"; "quote\"'"; "caf\xc3\xa9" ];
+        string_size ~gen:char (0 -- 4);
+        map (fun n -> String.make n 'w') (60 -- 140);
+      ]
+  in
+  let gen_value =
+    oneof
+      [
+        map (fun s -> Value.S s) gen_string;
+        map (fun i -> Value.I i) (oneof [ -2 -- 2; oneofl [ min_int; max_int; 1 lsl 40 ] ]);
+        map (fun f -> Value.F f) (oneofl [ 0.0; -0.0; 1.5; -3.25; infinity; neg_infinity; 1e300 ]);
+        map (fun b -> Value.B b) bool;
+      ]
+  in
+  let gen_batch =
+    let* names =
+      map (List.sort_uniq String.compare) (list_size (0 -- 4) (oneof [ gen_string; gen_var ]))
+    in
+    let* pool = list_size (1 -- 6) gen_value in
+    let row = flatten_l (List.map (fun _ -> oneofl pool) names) in
+    map (fun rows -> (names, rows)) (list_size (frequency [ (3, 0 -- 5); (1, 30 -- 120) ]) row)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"row codec: decode, exact length" ~count:300 gen_batch
+       (fun (names, rows) ->
+         let batch = List.map (fun row -> b_of_list (List.combine names row)) rows in
+         let coded = encode_rows batch in
+         let names', rows' = decode_rows coded in
+         names' = (if rows = [] then [] else names)
+         && List.equal (List.equal Value.equal) rows' rows
+         && String.length coded = Unistore_qproc.Exec.rows_bytes batch))
+
+(* A batch on two variable sets has no size: sizing it raises. Rows on
+   different schemas that bind the same variables are one batch. *)
+let test_rows_one_variable_set () =
+  let a = b_of_list [ ("x", Value.I 1) ] and ab = b_of_list [ ("x", Value.I 1); ("y", Value.I 2) ] in
+  let wide = Option.get (Binding.bind (Binding.empty_of (Binding.schema [ "x"; "y" ])) "x" (Value.I 3)) in
+  check Alcotest.(list string) "same variables" [ "x" ] (Binding.batch_vars [ a; wide; a ]);
+  Alcotest.check_raises "different variables"
+    (Invalid_argument "Binding.batch_vars: the rows bind different variables") (fun () ->
+      ignore (Unistore_qproc.Exec.rows_bytes [ a; ab ]))
 
 (* A thresholded edist comparison runs the banded DP; its verdict must be
    that of the full distance compared afterwards, for every operator,
@@ -608,6 +724,8 @@ let () =
           Alcotest.test_case "join key / project" `Quick test_binding_join_key_project;
           Alcotest.test_case "fingerprint" `Quick test_binding_fingerprint;
           prop_binding_matches_model;
+          prop_row_codec;
+          Alcotest.test_case "row batches bind one variable set" `Quick test_rows_one_variable_set;
           prop_edist_threshold_matches_levenshtein;
         ] );
       ( "ranking",

@@ -87,10 +87,11 @@ let test_publications_num_of_pubs_consistent () =
 let test_publications_namespace () =
   let rng = Rng.create 4 in
   let ds = Publications.generate rng { Publications.default_params with namespace = "dblp" } in
+  let namespaced s = String.length s > 5 && String.sub s 0 5 = "dblp:" in
   List.iter
     (fun (tr : Triple.t) ->
-      if not (String.length tr.Triple.attr > 5 && String.sub tr.Triple.attr 0 5 = "dblp:") then
-        Alcotest.failf "attr %s not namespaced" tr.Triple.attr)
+      if not (namespaced tr.Triple.attr) then Alcotest.failf "attr %s not namespaced" tr.Triple.attr;
+      if not (namespaced tr.Triple.oid) then Alcotest.failf "oid %s not namespaced" tr.Triple.oid)
     ds.Publications.triples
 
 let test_publications_typos () =
