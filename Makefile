@@ -57,7 +57,9 @@ test-store:
 # with and without `--no-cache`, on P-Grid and on Chord: caching may
 # change costs, never answers. Under `--strategy mutant`, whose carriers
 # send their scans semi-join filters, it must print the same rows as
-# the cached centralized run, in any order (a skyline is a set). Last, at 256 peers on P-Grid its plan and
+# the cached centralized run, in any order (a skyline is a set). Under
+# `--explain`, whose steps overlap, the step messages must add up to the
+# query's total. Then, at 256 peers on P-Grid its plan and
 # estimates must be the same with and without `--no-cache`: after the
 # CLI's four gossip rounds every origin's gossiped statistics equal the
 # oracle's. Last, in a steady 400 q/s traffic run at 128 peers the
@@ -91,6 +93,13 @@ lint:
 	  else echo "FAIL: the mutant strategy changed the skyline rows on $$o"; \
 	    echo "centralized:"; echo "$$on"; echo "mutant:"; echo "$$mut"; exit 1; fi; \
 	done
+	@out=$$($(CLI_QUERY) --explain "$(SKYLINE_QUERY)") || exit 1; \
+	steps=$$(echo "$$out" | sed -n 's/^    actual: *msgs=\([0-9]*\) .*/\1/p' | awk '{ s += $$1 } END { print s + 0 }'); \
+	total=$$(echo "$$out" | sed -n 's/^  total actual: *msgs=\([0-9]*\) .*/\1/p'); \
+	if [ -n "$$total" ] && [ "$$steps" = "$$total" ]; then \
+	  echo "skyline --explain step messages add up to the total ($$total): OK"; \
+	else echo "FAIL: skyline --explain step messages sum to $$steps, the total is $$total"; \
+	  echo "$$out"; exit 1; fi
 	@on=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) "$(SKYLINE_QUERY)") || exit 1; \
 	off=$$($(CLI_QUERY) --overlay pgrid $(PLAN_256) --no-cache "$(SKYLINE_QUERY)") || exit 1; \
 	if [ "$$on" = "$$off" ]; then echo "gossiped skyline plan = oracle plan at 256 peers: OK"; \

@@ -157,9 +157,10 @@ let print_explain_analyze (report : Unistore.Report.report) =
         t.Unistore_qproc.Exec.carrier;
       Format.printf "    estimated: %a@." Unistore_qproc.Cost.pp_estimate
         step.Unistore_qproc.Physical.est;
-      Format.printf "    actual:    msgs=%d latency=%.1fms rows=%d -> %d@."
+      Format.printf "    actual:    msgs=%d latency=%.1fms rows=%d -> %d%s@."
         t.Unistore_qproc.Exec.messages t.Unistore_qproc.Exec.latency
-        t.Unistore_qproc.Exec.rows_in t.Unistore_qproc.Exec.actual_card)
+        t.Unistore_qproc.Exec.rows_in t.Unistore_qproc.Exec.actual_card
+        (if t.Unistore_qproc.Exec.at_start then " (started at plan start)" else ""))
     report.Unistore.Report.traces;
   Format.printf "  total estimated: %a@." Unistore_qproc.Cost.pp_estimate
     report.Unistore.Report.plan.Unistore_qproc.Physical.total_est;

@@ -6,6 +6,7 @@ type op = {
   rows_out : int;
   messages : int;
   latency_ms : float;
+  at_start : bool;
 }
 
 type t = {
@@ -30,6 +31,7 @@ let op_to_json o =
       ("rows_out", Json.Int o.rows_out);
       ("messages", Json.Int o.messages);
       ("latency_ms", Json.Float o.latency_ms);
+      ("at_start", Json.Bool o.at_start);
     ]
 
 let to_json t =
@@ -47,7 +49,7 @@ let to_json t =
       ])
 
 let pp fmt t =
-  let headers = [ "operator"; "access"; "peer"; "rows_in"; "rows_out"; "msgs"; "ms" ] in
+  let headers = [ "operator"; "access"; "peer"; "rows_in"; "rows_out"; "msgs"; "ms"; "start" ] in
   let rows =
     List.map
       (fun o ->
@@ -59,6 +61,7 @@ let pp fmt t =
           string_of_int o.rows_out;
           string_of_int o.messages;
           Printf.sprintf "%.1f" o.latency_ms;
+          (if o.at_start then "plan" else "");
         ])
       t.ops
   in

@@ -9,8 +9,11 @@
     report; the CLI's [--profile] flag renders it.
 
     Invariants: [ops] are in execution order; [messages]/[latency_ms]
-    at the top level are end-to-end totals (they include routing and
-    post-processing the per-operator rows do not attribute). *)
+    at the top level are end-to-end totals. An operator's [messages]
+    are those sent since the operator before it finished, so they sum
+    to [messages] for a centralized query that runs alone; operators
+    started together at plan start overlap, so their [latency_ms] sum
+    to more than [latency_ms]. *)
 
 type op = {
   label : string;  (** the triple pattern, e.g. ["(?a,'name',?n)"] *)
@@ -19,7 +22,13 @@ type op = {
   rows_in : int;  (** bindings flowing into the step *)
   rows_out : int;  (** bindings produced (after residual filters) *)
   messages : int;  (** network messages issued by the step *)
-  latency_ms : float;  (** simulated time spent in the step *)
+  latency_ms : float;
+      (** simulated time from the issue of the step's access to its
+          answer *)
+  at_start : bool;
+      (** the step's access was issued at plan start, with those of the
+          steps before it, so operators' times overlap; shown as [plan]
+          in the [start] column of {!pp} *)
 }
 
 type t = {

@@ -40,7 +40,8 @@ type table = {
   mutable live : int;
 }
 
-let tbl = { keys = Array.make 256 ""; meta = Array.make 512 0; stamp = 0; live = 0 }
+let create cap = { keys = Array.make cap ""; meta = Array.make (2 * cap) 0; stamp = 0; live = 0 }
+let tbl = create 256
 
 (* The slot holding [s], or the empty slot where it would go. The home
    slot takes high bits of the hash times an odd constant, which depend
@@ -117,6 +118,7 @@ let items_bytes ?(prev = "") items =
 
 let rows_bytes ~encode names iter rows =
   start tbl;
+  let cap = Array.length tbl.keys in
   let arity = List.length names in
   let n = ref 0 in
   let bytes = ref (varint_bytes arity + varint_bytes (List.length rows)) in
@@ -133,4 +135,13 @@ let rows_bytes ~encode names iter rows =
       if !n - first <> arity then
         invalid_arg "Wire.rows_bytes: a row has more or fewer values than names")
     rows;
+  (* Let the batch's strings go, which the table would keep alive until
+     a later list reuses their slots; a batch larger than the item lists
+     the table has grown for gives it back its size from before. *)
+  if Array.length tbl.keys > cap then begin
+    let fresh = create cap in
+    tbl.keys <- fresh.keys;
+    tbl.meta <- fresh.meta
+  end
+  else Array.fill tbl.keys 0 cap "";
   !bytes

@@ -55,6 +55,9 @@ val items_bytes : ?prev:string -> Store.item list -> int
     each of [row]'s values in the names' order, and [encode v] is the
     bytes of [v]'s field. Raises [Invalid_argument] if a row has more or
     fewer values than [names]. Sizing builds no list and shares the
-    table of {!items_bytes}; it allocates only what [encode] does. *)
+    table of {!items_bytes}; it allocates only what [encode] does, and
+    a batch that grows the table past the size item lists gave it.
+    When it returns, the table holds none of the batch's strings and
+    has its size from before the batch. *)
 val rows_bytes :
   encode:('v -> string) -> string list -> (('v -> unit) -> 'r -> unit) -> 'r list -> int

@@ -132,7 +132,7 @@ let start ts stats ~replication ?cache ?(strategy = Centralized)
         let plan = p.plan bq in
         let k result = k (plan, result) in
         match strategy with
-        | Centralized -> Exec.run_centralized ?cache ts ~origin plan ~k
+        | Centralized -> Exec.run_centralized ?cache ts stats ~origin plan ~k
         | Mutant ->
           Exec.run_mutant ?cache ts stats p.env ~origin bq ~expansions:p.expansions ~k
       in
@@ -225,6 +225,7 @@ let profile ?query (r : report) =
           rows_out = t.Exec.actual_card;
           messages = t.Exec.messages;
           latency_ms = t.Exec.latency;
+          at_start = t.Exec.at_start;
         })
       r.traces
   in

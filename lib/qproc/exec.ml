@@ -18,6 +18,7 @@ type step_trace = {
   latency : float;
   carrier : int;
   shipped : int;
+  at_start : bool;
 }
 
 let pp_step_trace fmt t =
@@ -40,42 +41,62 @@ type run_result = {
 (* ------------------------------------------------------------------ *)
 (* Per-query state                                                     *)
 
+(* An access in flight: the instant it was issued, whether that was at
+   plan start, and how to take its answer (each mapping expansion's
+   triples) with the instant it arrived. *)
+type pending = {
+  issued : float;
+  at_start : bool;
+  take : k:(Triple.t list list * float -> unit) -> unit;
+}
+
 (* One executing plan, in the style of the overlay's request record:
    what every step reads (store, origin, the origin's result cache,
-   mapping expansions, the schema every row is laid on) and what the
-   steps accumulate. Message and time figures are deltas of the global
-   counters since the query started, so they are exact only while the
-   query runs alone. *)
+   mapping expansions, the plan's statistics, the schema every row is
+   laid on) and what the steps accumulate. Message and time figures are
+   deltas of the global counters since the query started, so they are
+   exact only while the query runs alone. A centralized plan keeps its
+   unfiltered accesses in [started], by [Cost.access_key], so identical
+   ones start once. *)
 type run = {
   ts : Tstore.t;
   dht : Dht.t;
   origin : int;
   cache : Qcache.t option;
   expansions : (string * string list) list;
+  stats : Qstats.t;
   schema : Binding.schema;
   unit : Binding.t;  (* the empty row over [schema] *)
   t0 : float;
   m0 : int;
+  started : (string, pending) Hashtbl.t option;
+  mutable recorded : int;  (* the message counter when the last step was recorded *)
   mutable complete : bool;
+  mutable undercounted : bool;  (* an access answered more triples than [stats] count *)
   mutable cov : float;
   mutable traces : step_trace list;  (* newest first *)
   mutable bytes_shipped : int;
 }
 
-let start_run ?cache ts ~origin ~expansions patterns =
+let start_run ?cache ?(share = false) ts stats ~origin ~expansions patterns =
   let dht = Tstore.dht ts in
   let schema = Binding.schema (List.concat_map Ast.pattern_vars patterns) in
+  let m0 = dht.Dht.total_sent () in
   {
     ts;
     dht;
     origin;
     cache;
     expansions;
+    stats;
     schema;
     unit = Binding.empty_of schema;
     t0 = Sim.now dht.Dht.sim;
-    m0 = dht.Dht.total_sent ();
+    m0;
+    started = (if share then Some (Hashtbl.create 8) else None);
+    recorded = m0;
     complete = true;
+    undercounted = false;
     cov = 1.0;
     traces = [];
     bytes_shipped = 0;
@@ -149,42 +170,57 @@ let uncached_access ?filter ts ~origin (access : Cost.access) ~matches ~k =
   | Cost.ATopN (a, n) -> Tstore.top_n_by_attr ts ~origin ~attr:a ~n ~k ()
   | Cost.ABroadcast -> Tstore.scan ts ~origin ~pred:matches ~k
 
-(* Execute one access, unioned over mapping expansions of its attribute
-   (one expansion after another); [k] gets the bindings producible by
-   [p] or an expanded variant. A complete answer fills the result cache;
-   a cache hit costs no message and no simulated time. A [filter] goes
-   to every expansion's scan; only a carrier without a cache passes
-   one, so no filtered answer is cached. *)
-let exec_access ?filter run ~carrier access (p : Ast.pattern) ~k =
+(* One access unioned over the mapping expansions of its attribute: each
+   expansion's access and the pattern rewritten to its attribute. *)
+let expanded run access (p : Ast.pattern) =
+  match Qcache.attr_of_access access with
+  | Some a ->
+    List.map
+      (fun a -> (access_with_attr access a, pattern_with_attr p a))
+      (expansions_for run.expansions a)
+  | None -> [ (access, p) ]
+
+(* Execute one access, one expansion after another; [k] gets each
+   expansion's triples, in expansion order. They depend on the access
+   alone, except a broadcast's, which keeps the triples [p] matches. A
+   complete answer fills the result cache; a cache hit costs no message
+   and no simulated time. A [filter] goes to every expansion's scan;
+   only a carrier without a cache passes one, so no filtered answer is
+   cached. *)
+let fetch ?filter run ~carrier access (p : Ast.pattern) ~k =
   let cache = cache_at run carrier in
-  let attrs =
-    match access with
-    | Cost.AAttrValue (a, _) | Cost.AAttrRange (a, _, _) | Cost.AAttrAll a | Cost.AAttrPrefix (a, _)
-    | Cost.ASim (Some a, _, _) | Cost.ASubstring (Some a, _) | Cost.ATopN (a, _) ->
-      expansions_for run.expansions a
-    | _ -> [ "" ]
-  in
-  let runs =
-    match attrs with
-    | [ "" ] -> [ (access, p) ]
-    | _ -> List.map (fun a -> (access_with_attr access a, pattern_with_attr p a)) attrs
-  in
   let one (acc, pat) ~k =
-    let cp = Binding.compile run.schema pat in
-    let row tr = Binding.match_compiled run.unit cp tr in
-    let bind triples = k (List.filter_map row triples) in
+    let k triples =
+      Option.iter
+        (fun a ->
+          let count = Option.fold ~none:0 ~some:(fun s -> s.Qstats.count) (Qstats.attr run.stats a) in
+          if List.compare_length_with triples count > 0 then run.undercounted <- true)
+        (Qcache.attr_of_access acc);
+      k triples
+    in
     match Option.bind cache (fun c -> Qcache.find_access c acc) with
-    | Some triples -> bind triples
+    | Some triples -> k triples
     | None ->
-      let matches tr = Option.is_some (row tr) in
+      let cp = Binding.compile run.schema pat in
+      let matches tr = Option.is_some (Binding.match_compiled run.unit cp tr) in
       uncached_access ?filter run.ts ~origin:carrier acc ~matches ~k:(fun (triples, (r : Dht.result)) ->
           (match cache with
           | Some c when r.Dht.complete -> Qcache.store_access c acc triples
           | _ -> ());
           note run r;
-          bind triples)
+          k triples)
   in
-  Cps.map one runs ~k:(fun parts -> k (List.concat parts))
+  Cps.map one (expanded run access p) ~k
+
+(* The bindings producible by [p] or an expanded variant from [fetch]'s
+   answer for [access]. *)
+let bind run access (p : Ast.pattern) parts =
+  List.concat
+    (List.map2
+       (fun (_, pat) triples ->
+         let cp = Binding.compile run.schema pat in
+         List.filter_map (Binding.match_compiled run.unit cp) triples)
+       (expanded run access p) parts)
 
 (* ------------------------------------------------------------------ *)
 (* Bind-join: one parallel round of deduplicated direct lookups        *)
@@ -423,83 +459,179 @@ let postprocess (plan : Physical.t) rows =
 (* ------------------------------------------------------------------ *)
 (* Semi-join filters                                                   *)
 
-(* The filter a scan joined to [left] carries (Mackert & Lohman's Bloom
-   join): the values [left] binds to the pattern's subject variable, or
-   else to its object variable. Only where no result cache keeps the
-   scan's answer, which an origin with a cache reuses whole. The join
-   drops what the filter lets through by mistake, and dropping rows
-   that cannot join keeps the order of the rest, so rows and row order
-   stay those of the unfiltered scan. All rows of [left] bind the same
-   variables (see [hash_join]); an empty [left] joins nothing, so its
-   empty filter may drop everything. *)
-let semijoin_filter run ~carrier (p : Ast.pattern) access left =
+(* The slot a scan of [p] by [access] joined to rows that bind the
+   variables [bound] filters on, with the variable it reads: the
+   pattern's subject variable, or else its object variable. Only where
+   no result cache keeps the scan's answer, which an origin with a cache
+   reuses whole. *)
+let filter_slot run ~carrier (p : Ast.pattern) access ~bound =
   let scan =
     match access with
     | Cost.AAttrAll _ | Cost.AAttrRange _ | Cost.AAttrPrefix _ -> true
     | _ -> false
   in
-  let joined = function
-    | Ast.TVar v -> (
-      let get = Binding.getter v in
-      match left with l0 :: _ when Option.is_none (get l0) -> None | _ -> Some get)
-    | Ast.TConst _ -> None
-  in
+  let joined = function Ast.TVar v when bound v -> Some v | _ -> None in
   if (not scan) || Option.is_some (cache_at run carrier) then None
   else
-    let slot =
-      match joined p.Ast.subj with
-      | Some get -> Some (Tstore.Subject, get)
-      | None -> Option.map (fun get -> (Tstore.Object, get)) (joined p.Ast.obj)
-    in
-    Option.map (fun (slot, get) -> Tstore.semijoin slot (List.filter_map get left)) slot
+    match joined p.Ast.subj with
+    | Some v -> Some (Tstore.Subject, v)
+    | None -> Option.map (fun v -> (Tstore.Object, v)) (joined p.Ast.obj)
+
+(* The most distinct keys a filter on [slot] of [access]'s column can
+   tell apart, by the plan's statistics: the column's distinct values
+   for [Object], its triples for [Subject], summed over the mapping
+   expansions; [None] when the statistics lack one of them. *)
+let column_keys run slot access =
+  let keys a =
+    Option.map
+      (fun (s : Qstats.attr_stats) ->
+        match slot with Tstore.Object -> s.Qstats.distinct | Tstore.Subject -> s.Qstats.count)
+      (Qstats.attr run.stats a)
+  in
+  Option.bind (Qcache.attr_of_access access) (fun a ->
+      List.fold_left
+        (fun acc a -> Option.bind acc (fun n -> Option.map (( + ) n) (keys a)))
+        (Some 0) (expansions_for run.expansions a))
+
+(* The filter a scan joined to [left] carries (Mackert & Lohman's Bloom
+   join): the values [left] binds to [filter_slot]'s variable. None when
+   [left]'s distinct values reach [column_keys]: such a filter could
+   drop nothing, if the statistics do not undercount the column. They
+   are gossiped, partial and decayed, so they may; the skip trusts them
+   only while no access of the query has answered more triples than
+   they count for its attribute. The join drops what the filter lets
+   through by mistake, and dropping rows that cannot join keeps the
+   order of the rest, so rows and row order stay those of the
+   unfiltered scan. All rows of [left] bind the same variables (see
+   [hash_join]); an empty [left] joins nothing, so its empty filter may
+   drop everything. *)
+let semijoin_filter run ~carrier (p : Ast.pattern) access left =
+  let bound v =
+    match left with l0 :: _ -> Option.is_some (Binding.getter v l0) | [] -> true
+  in
+  Option.bind (filter_slot run ~carrier p access ~bound) (fun (slot, v) ->
+      let values = List.filter_map (Binding.getter v) left in
+      let distinct () = List.length (List.sort_uniq Value.compare values) in
+      match column_keys run slot access with
+      | Some n when n > 0 && (not run.undercounted) && distinct () >= n -> None
+      | _ -> Some (Tstore.semijoin slot values))
 
 (* ------------------------------------------------------------------ *)
 (* Step execution (shared by both strategies)                          *)
 
+(* [step]'s access issued now, or, where the plan shares accesses, the
+   one an identical unfiltered access started. A broadcast's answer
+   depends on its pattern, so it never shares. *)
+let issue ?filter run ~carrier ~at_start (step : Physical.step) =
+  let sim = run.dht.Dht.sim in
+  let start () =
+    {
+      issued = Sim.now sim;
+      at_start;
+      take =
+        Cps.start (fun ~k ->
+            fetch ?filter run ~carrier step.Physical.access step.Physical.pattern ~k:(fun parts ->
+                k (parts, Sim.now sim)));
+    }
+  in
+  match (run.started, filter, step.Physical.access) with
+  | _, _, Cost.ABroadcast | None, _, _ | _, Some _, _ -> start ()
+  | Some started, None, access -> (
+    let key = Cost.access_key access in
+    match Hashtbl.find_opt started key with
+    | Some pending -> pending
+    | None ->
+      let pending = start () in
+      Hashtbl.add started key pending;
+      pending)
+
 (* Run one physical step at [carrier] over the rows so far ([None]
    before the first step) and record its trace; [shipped] is the bytes
-   of the carrier hop that brought the plan there. *)
-let run_step run ~carrier ~shipped (step : Physical.step) rows_opt ~k =
+   of the carrier hop that brought the plan there. A scan step takes
+   [pending]'s answer when given, else issues its access now, with a
+   semi-join filter when one can drop rows (shared when it has none,
+   see [issue]). A step's latency runs from its access's issue to its
+   answer; its messages are those sent since the previous step was
+   recorded. *)
+let run_step run ~carrier ~shipped ?pending (step : Physical.step) rows_opt ~k =
   let dht = run.dht in
-  let step_m0 = dht.Dht.total_sent () in
-  let step_t0 = Sim.now dht.Dht.sim in
   let rows_in = match rows_opt with None -> 0 | Some left -> List.length left in
-  let finish produced =
+  let finish ~at_start ~issued ~answered produced =
     let produced = apply_filters step.Physical.residual produced in
+    let sent = dht.Dht.total_sent () in
     run.traces <-
       {
         step;
         rows_in;
         actual_card = List.length produced;
-        messages = dht.Dht.total_sent () - step_m0;
-        latency = Sim.now dht.Dht.sim -. step_t0;
+        messages = sent - run.recorded;
+        latency = answered -. issued;
         carrier;
         shipped;
+        at_start;
       }
       :: run.traces;
+    run.recorded <- sent;
     k produced
   in
   match rows_opt with
-  | None -> exec_access run ~carrier step.Physical.access step.Physical.pattern ~k:finish
   | Some left when step.Physical.bindjoin ->
-    exec_bindjoin run ~carrier step.Physical.pattern left ~k:finish
-  | Some left ->
+    let issued = Sim.now dht.Dht.sim in
+    exec_bindjoin run ~carrier step.Physical.pattern left ~k:(fun produced ->
+        finish ~at_start:false ~issued ~answered:(Sim.now dht.Dht.sim) produced)
+  | _ ->
     let { Physical.access; pattern; _ } = step in
-    let filter = semijoin_filter run ~carrier pattern access left in
-    exec_access ?filter run ~carrier access pattern ~k:(fun right -> finish (hash_join left right))
+    let pending =
+      match (pending, rows_opt) with
+      | Some pending, _ -> pending
+      | None, Some left ->
+        let filter = semijoin_filter run ~carrier pattern access left in
+        issue ?filter run ~carrier ~at_start:false step
+      | None, None -> issue run ~carrier ~at_start:false step
+    in
+    pending.take ~k:(fun (parts, answered) ->
+        let right = bind run access pattern parts in
+        let produced =
+          match rows_opt with None -> right | Some left -> hash_join left right
+        in
+        finish ~at_start:pending.at_start ~issued:pending.issued ~answered produced)
 
 (* ------------------------------------------------------------------ *)
 (* Centralized execution                                               *)
 
-let run_centralized ?cache ts ~origin (plan : Physical.t) ~k =
+(* At plan start, every access that reads no earlier row starts, in plan
+   order, in the query's first event: the first step's, and each scan
+   step's that carries no semi-join filter (rows binding the earlier
+   steps' variables give it none). Identical accesses start once and
+   share their answer. Then the steps join in plan order, each taking
+   its answer when its turn comes, so rows and row order are those of
+   one step after another. A bind-join or a filtered scan reads the
+   rows before it and starts when they are in; a filtered scan whose
+   filter turns out to drop nothing shares an access already started. *)
+let run_centralized ?cache ts stats ~origin (plan : Physical.t) ~k =
   let run =
-    start_run ?cache ts ~origin ~expansions:plan.Physical.expansions
+    start_run ?cache ~share:true ts stats ~origin ~expansions:plan.Physical.expansions
       (List.map (fun (s : Physical.step) -> s.Physical.pattern) plan.Physical.steps)
   in
+  let rec prefetch ~first bound = function
+    | [] -> []
+    | (step : Physical.step) :: rest ->
+      let independent =
+        first
+        || (not step.Physical.bindjoin)
+           && Option.is_none
+                (filter_slot run ~carrier:origin step.Physical.pattern step.Physical.access
+                   ~bound:(fun v -> List.mem v bound))
+      in
+      let pending = if independent then Some (issue run ~carrier:origin ~at_start:true step) else None in
+      (step, pending) :: prefetch ~first:false (Ast.pattern_vars step.Physical.pattern @ bound) rest
+  in
+  let steps = prefetch ~first:true [] plan.Physical.steps in
   Cps.fold
-    (fun rows step ~k ->
-      run_step run ~carrier:origin ~shipped:0 step rows ~k:(fun produced -> k (Some produced)))
-    None plan.Physical.steps
+    (fun rows (step, pending) ~k ->
+      run_step run ~carrier:origin ~shipped:0 ?pending step rows ~k:(fun produced ->
+          k (Some produced)))
+    None steps
     ~k:(fun rows -> k (result_of run (postprocess plan (Option.value ~default:[] rows))))
 
 (* ------------------------------------------------------------------ *)
@@ -522,7 +654,7 @@ let rows_bytes rows =
 
 let run_mutant ?cache ts stats env ~origin (q : Ast.query) ~expansions ~k =
   let dht = Tstore.dht ts in
-  let run = start_run ?cache ts ~origin ~expansions q.Ast.patterns in
+  let run = start_run ?cache ts stats ~origin ~expansions q.Ast.patterns in
   let qgrams = Tstore.qgrams_enabled ts in
   let cmap = Algebra.var_constraints q.Ast.filters in
   (* One carrier hop: [k] gets the new carrier and the bytes shipped,
@@ -759,7 +891,7 @@ let run_skyline_pushdown ts ~scan ~origin (q : Ast.query) ~goals ~subj ~av ~k =
     }
   in
   let plan = { (Physical.post_only q) with Physical.steps = [ step ] } in
-  let run = start_run ts ~origin ~expansions:[] [] in
+  let run = start_run ts Qstats.empty ~origin ~expansions:[] [] in
   scan ~origin ~pred ~reduce ~k:(fun (triples, (r : Dht.result)) ->
       note run r;
       let rows =
@@ -774,5 +906,6 @@ let run_skyline_pushdown ts ~scan ~origin (q : Ast.query) ~goals ~subj ~av ~k =
             latency = r.Dht.latency;
             carrier = origin;
             shipped = 0;
+            at_start = true;
           } ];
       k (plan, result_of run rows))

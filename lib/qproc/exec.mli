@@ -20,8 +20,21 @@
     step joined to the rows so far sends its scan a semi-join filter of
     their join keys ({!Unistore_triple.Tstore.semijoin}) wherever no
     result cache keeps the scan's answer: at a mutant carrier away from
-    the origin, or at an origin without a cache. The rows and their
-    order are those of the unfiltered scan. A query's
+    the origin, or at an origin without a cache. It sends none when the
+    rows' distinct join keys reach what the plan's statistics say the
+    scanned column holds (its distinct values, or its triples for a
+    subject filter): such a filter could drop nothing. The rows and
+    their order are those of the unfiltered scan.
+
+    A centralized plan starts every access that reads no earlier row at
+    plan start, all in the query's first event: the first step's and
+    each unfiltered scan's. Identical accesses ({!Cost.access_key})
+    start once and share their answer. The steps still join in plan
+    order, so rows and row order are those of one step after another.
+    Overlapping steps share the global message counter, so a step's
+    [messages] are those sent since the step before it was recorded,
+    whichever access sent them; charging each message to the access
+    that caused it, by correlation id, is ROADMAP item 3. A query's
     state (coverage so far, traces, shipped bytes) lives in a per-query
     record, so any number of plans can execute at once in one simulator.
     Each entry point calls [k] exactly once. A mutant carrier hop is one
@@ -41,14 +54,21 @@ type step_trace = {
   rows_in : int;  (** bindings flowing into the step *)
   actual_card : int;  (** bindings after the step *)
   messages : int;
-      (** global messages sent while the step ran: exact only when its
-          query runs alone *)
-  latency : float;  (** simulated ms spent in the step *)
+      (** global messages sent since the previous step was recorded
+          (since the query started, for the first): the steps sum to
+          the query's [messages] when it runs alone, but a step started
+          at plan start does not own all of its share *)
+  latency : float;
+      (** simulated ms from the issue of the step's access (its probe
+          round, for a bind-join) to its answer *)
   carrier : int;  (** peer that executed it *)
   shipped : int;
       (** bytes of the carrier hop that brought the plan to [carrier]
           for this step; 0 when the step ran where the previous one did,
           and always 0 under centralized execution *)
+  at_start : bool;
+      (** the step's access was issued when the plan started, together
+          with those of the steps before it *)
 }
 
 val pp_step_trace : Format.formatter -> step_trace -> unit
@@ -87,12 +107,20 @@ val postprocess : Physical.t -> Binding.t list -> Binding.t list
     matching right rows newest first. Exposed for the micro kernels. *)
 val hash_join : Binding.t list -> Binding.t list -> Binding.t list
 
-(** [run_centralized ?cache ts ~origin plan ~k] executes a static plan at
-    the origin. With [cache], complete bulk-access answers and bind-join
+(** [run_centralized ?cache ts stats ~origin plan ~k] executes a static
+    plan at the origin, with every access that reads no earlier row
+    started at plan start; [stats] are the statistics it was planned
+    with. With [cache], complete bulk-access answers and bind-join
     per-key probes are served from / stored into the origin's result
     cache ({!Qcache}); partial (timed-out) results are never cached. *)
 val run_centralized :
-  ?cache:Qcache.t -> Tstore.t -> origin:int -> Physical.t -> k:(run_result -> unit) -> unit
+  ?cache:Qcache.t ->
+  Tstore.t ->
+  Qstats.t ->
+  origin:int ->
+  Physical.t ->
+  k:(run_result -> unit) ->
+  unit
 
 (** [run_mutant ?cache ts stats env ~origin query ~expansions ~k] plans the
     first step statically, then adapts, shipping the plan between

@@ -41,3 +41,12 @@ let window n f xs ~k =
     launch ()
 
 let all f xs ~k = window max_int f xs ~k
+
+let start f =
+  let answer = ref None and waiting = ref [] in
+  f ~k:(fun y ->
+      answer := Some y;
+      let ks = List.rev !waiting in
+      waiting := [];
+      List.iter (fun k -> k y) ks);
+  fun ~k -> match !answer with Some y -> k y | None -> waiting := k :: !waiting

@@ -7,7 +7,9 @@
     starts only from inside element [i]'s continuation. That is the
     order a blocking loop would give, so RNG draws and send order do not
     change. {!window} is the bounded fan-out and {!all} the one-round
-    fan-out, the same code with no bound. *)
+    fan-out, the same code with no bound. {!start} splits one operation
+    in two: start it now, take its answer later, so an operation that
+    reads nothing of the ones before it can overlap them. *)
 
 (** [fold f acc xs ~k] threads [acc] through [f] over [xs], one element
     at a time, then calls [k] with the final accumulator. *)
@@ -31,3 +33,11 @@ val all : ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> un
     order. On [[]] it calls [k []] at once. With [n >= List.length xs]
     it is {!all}. Raises [Invalid_argument] if [n < 1]. *)
 val window : int -> ('a -> k:('b -> unit) -> unit) -> 'a list -> k:('b list -> unit) -> unit
+
+(** [start f] starts [f] now, in the current event, and returns a
+    [take] for its answer: [take ~k] calls [k] with it, at once if [f]
+    has answered, else from inside [f]'s continuation when it does.
+    [f]'s continuation still fires exactly once; [take] may be called
+    any number of times, and each call's [k] fires exactly once. Takers
+    waiting together fire in the order they called [take]. *)
+val start : (k:('a -> unit) -> unit) -> k:('a -> unit) -> unit

@@ -221,6 +221,80 @@ let test_shortcuts_invalidate_peer () =
   check Alcotest.(option int) "peer 3 forgotten" None (Shortcuts.find t ~key:"c");
   check Alcotest.(option int) "peer 5 untouched" (Some 5) (Shortcuts.find t ~key:"n")
 
+(* [invalidate_peer] answers from its peer -> regions index what
+   [invalidate_where] finds by visiting every entry: twin caches fed the
+   same operations, one dropping a peer through each, return the same
+   counts and keep the same entries, in plain and in spread mode. The
+   other operations keep the index current: learning over an entry,
+   spread mode's cap, LRU eviction, a capacity cut, [invalidate_where]
+   and [clear]. *)
+type sc_op =
+  | Learn of int * int
+  | Lookup of int
+  | Drop of int
+  | Where of int
+  | Cap of int
+  | Clear
+
+let pp_sc_op = function
+  | Learn (r, p) -> Printf.sprintf "learn r%d p%d" r p
+  | Lookup r -> Printf.sprintf "find r%d" r
+  | Drop p -> Printf.sprintf "invalidate_peer %d" p
+  | Where m -> Printf.sprintf "invalidate_where (mod 3 = %d)" m
+  | Cap c -> Printf.sprintf "set_capacity %d" c
+  | Clear -> "clear"
+
+let prop_shortcuts_invalidate_peer =
+  let open QCheck2.Gen in
+  let region = 0 -- 3 and peer = 0 -- 7 in
+  let op =
+    frequency
+      [
+        (8, map2 (fun r p -> Learn (r, p)) region peer);
+        (2, map (fun r -> Lookup r) region);
+        (2, map (fun p -> Drop p) peer);
+        (1, map (fun m -> Where m) (0 -- 2));
+        (1, map (fun c -> Cap c) (0 -- 6));
+        (1, pure Clear);
+      ]
+  in
+  let gen = triple bool (1 -- 6) (list_size (0 -- 120) op) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"invalidate peer = invalidate where" ~count:300
+       ~print:(fun (spread, c, ops) ->
+         Printf.sprintf "spread %b, capacity %d: %s" spread c
+           (String.concat "; " (List.map pp_sc_op ops)))
+       gen
+       (fun (spread, capacity, ops) ->
+         let lo r = String.make 1 (Char.chr (Char.code 'b' + (2 * r))) in
+         let make () =
+           let t = Shortcuts.create ~capacity in
+           Shortcuts.set_spread t spread;
+           t
+         in
+         let t = make () and m = make () in
+         let both f = f t = f m in
+         let state c =
+           ( Shortcuts.length c,
+             List.init 9 (fun r -> Shortcuts.near c ~key:(lo r ^ "x")) )
+         in
+         List.for_all
+           (fun op ->
+             let same =
+               match op with
+               | Learn (r, p) ->
+                 both (fun c ->
+                     Shortcuts.learn c ~lo:(lo r) ~hi:(Some (lo r ^ "z")) ~peer:p)
+               | Lookup r -> both (fun c -> Shortcuts.find c ~key:(lo r))
+               | Drop p ->
+                 Shortcuts.invalidate_peer t p = Shortcuts.invalidate_where m ~f:(( = ) p)
+               | Where k -> both (fun c -> Shortcuts.invalidate_where c ~f:(fun p -> p mod 3 = k))
+               | Cap c -> both (fun s -> Shortcuts.set_capacity s c)
+               | Clear -> both Shortcuts.clear
+             in
+             same && state t = state m)
+           ops))
+
 let test_shortcuts_capacity_zero_disabled () =
   let t = Shortcuts.create ~capacity:0 in
   Shortcuts.learn t ~lo:"a" ~hi:None ~peer:1;
@@ -1312,6 +1386,7 @@ let () =
           Alcotest.test_case "invalidate peer" `Quick test_shortcuts_invalidate_peer;
           Alcotest.test_case "capacity 0 disables" `Quick test_shortcuts_capacity_zero_disabled;
           Alcotest.test_case "near regions" `Quick test_shortcuts_near;
+          prop_shortcuts_invalidate_peer;
         ] );
       ( "result_cache",
         [

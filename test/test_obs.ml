@@ -266,6 +266,7 @@ let test_profile_json_shape () =
             rows_out = 2;
             messages = 10;
             latency_ms = 12.5;
+            at_start = true;
           };
         ];
     }

@@ -703,6 +703,7 @@ let test_step_trace_label () =
       latency = 12.5;
       carrier = 7;
       shipped;
+      at_start = false;
     }
   in
   check Alcotest.string "bind-join step"

@@ -678,6 +678,30 @@ let test_cps_window_empty () =
   Cps.window 2 (fun _ ~k:_ -> Alcotest.fail "no element to start") [] ~k:(fun rs -> calls := rs :: !calls);
   check Alcotest.(list (list int)) "k [] at once, exactly once" [ [] ] !calls
 
+(* [start] starts its operation in the current event; a taker before
+   the answer waits for it, one after gets it at once, and each taker's
+   continuation fires exactly once, as does the operation's. *)
+let test_cps_start () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let take = Cps.start (fan_out sim ~delay:(fun _ -> 5.0) log 4) in
+  check Alcotest.(list event) "started in the current event" [ `Start 4 ] (List.rev !log);
+  let got = ref [] in
+  take ~k:(fun y -> got := ("early", y, Sim.now sim) :: !got);
+  take ~k:(fun y -> got := ("second early", y, Sim.now sim) :: !got);
+  check Alcotest.int "no answer yet" 0 (List.length !got);
+  Sim.run_all sim;
+  take ~k:(fun y -> got := ("late", y, Sim.now sim) :: !got);
+  check
+    Alcotest.(list (triple string int (float 1e-9)))
+    "each taker once, waiting ones in call order at the answer, a late one at once"
+    [ ("early", 40, 5.0); ("second early", 40, 5.0); ("late", 40, 5.0) ]
+    (List.rev !got);
+  check Alcotest.(list event) "the operation ran once" [ `Start 4; `Answer 4 ] (List.rev !log);
+  let now = ref [] in
+  Cps.start (fan_out sim ~delay:(fun _ -> -1.0) (ref []) 2) ~k:(fun y -> now := y :: !now);
+  check Alcotest.(list int) "a synchronous answer goes to the first taker at once" [ 20 ] !now
+
 let () =
   Alcotest.run "unistore_util"
     [
@@ -775,6 +799,7 @@ let () =
           Alcotest.test_case "window: bound and order" `Quick test_cps_window_bound;
           Alcotest.test_case "window: at least the length is all" `Quick test_cps_window_as_all;
           Alcotest.test_case "window: empty list" `Quick test_cps_window_empty;
+          Alcotest.test_case "start: take later" `Quick test_cps_start;
         ] );
       ( "stats",
         [
